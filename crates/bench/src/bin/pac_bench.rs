@@ -1,38 +1,30 @@
-//! pac-bench: the PR 3 perf-trajectory harness.
+//! pac-bench: the perf-trajectory harness.
 //!
-//! Benchmarks the training hot path at three levels and records the results
-//! to a JSON file (default `BENCH_PR3.json`) so the repo carries its own
-//! measured perf history:
+//! Benchmarks the training hot path and records the results to a JSON file
+//! (default `BENCH_PR12.json`) so the repo carries its own measured perf
+//! history:
 //!
-//! 1. **Worker pool** — the small parallel matmul (64×64×64, just past the
-//!    parallel threshold) under the persistent pool vs the pre-pool
-//!    spawn-per-call baseline ([`rayon::pool::ExecMode::Spawn`]).
-//! 2. **Zero-allocation kernels** — `matmul_into` with a reused output
-//!    buffer vs the allocating path with the scratch pool disabled.
-//! 3. **End-to-end epoch** — a 4-mini-batch training epoch of the micro
-//!    encoder, pooled+scratch vs spawn+no-scratch.
-//! 4. **Loopback link calibration** — RTT and bulk throughput of the real
+//! 1. **Kernels** — the small parallel matmul (64×64×64, just past the
+//!    parallel threshold) through the allocating API and through
+//!    `matmul_into` with a reused output buffer.
+//! 2. **End-to-end epoch** — a 4-mini-batch training epoch of the micro
+//!    encoder.
+//! 3. **Loopback link calibration** — RTT and bulk throughput of the real
 //!    framed TCP channel, folded into a [`pac_cluster::LinkSpec::measured`]
 //!    and fed to the planner next to the paper's assumed 128 Mbps LAN.
-//! 5. **Cold restore** — reopening a durable [`pac_store::DiskStore`] log
+//! 4. **Cold restore** — reopening a durable [`pac_store::DiskStore`] log
 //!    of committed PACCKPT2 snapshots after a simulated `kill -9`: log scan
 //!    alone, and the full open → decode → restore-into-module path a
 //!    restarted trainer pays before its first step.
-//! 6. **Kernel modes** — tiled-SIMD vs scalar matmul at 64³/128³/256³
-//!    (the PR 8 tentpole; tiled needs the `simd` feature, otherwise the
-//!    runtime switch falls back to scalar and both columns match).
-//! 7. **int8 frozen half** — Parallel-Adapters epoch with the quantized
+//! 5. **int8 frozen half** — Parallel-Adapters epoch with the quantized
 //!    backbone forward vs f32, plus the byte accounting the quantization
 //!    exists for: activation-cache resident bytes and Act-edge wire
 //!    frame bytes, f32 vs int8.
-//! 8. **Distributed int8 wire** — a real 2×2 loopback run with `wire_q8`
+//! 6. **Distributed int8 wire** — a real 2×2 loopback run with `wire_q8`
 //!    on vs off; the final-loss delta lands in the JSON next to the byte
 //!    cuts it justifies.
 //!
-//! Usage: `pac-bench [--quick] [--kernel scalar|tiled] [--out PATH]`
-//! (default `BENCH_PR8.json`). `--kernel` sets the process-wide
-//! [`pac_tensor::ops::KernelMode`] for every bench *outside* section 6,
-//! which always measures both modes.
+//! Usage: `pac-bench [--quick] [--out PATH]`.
 //!
 //! `pac-bench --serve [--tenants N] [--ranks N]` runs the PR 9 serve
 //! benchmark instead: N tenants (default 1000) × 2 jobs each through one
@@ -56,7 +48,7 @@ use pac_peft::{ActivationCache, Technique, TrainCheckpoint, Tuner};
 use pac_store::{DiskStore, Store};
 use pac_tensor::{init, ops, rng::seeded, scratch, QTensor, Tensor};
 use rand::Rng as _;
-use rayon::pool::{self, ExecMode};
+use rayon::pool;
 use std::time::Duration;
 
 fn mini_batches(seed: u64, m: usize, b: usize, s: usize) -> Vec<(Vec<Vec<usize>>, Vec<usize>)> {
@@ -107,18 +99,6 @@ fn tuner_epoch(tuner: &mut Tuner, batches: &[(Vec<Vec<usize>>, Vec<usize>)], opt
 }
 
 fn main() {
-    // The pool-vs-spawn comparison measures dispatch cost (parked workers
-    // woken by condvar vs fresh OS threads per call) and needs width > 1 to
-    // engage at all. On single-core CI boxes `available_parallelism` is 1 and
-    // both paths degenerate to the same sequential loop, so force a width-4
-    // pool unless the caller pinned one. Must happen before the first tensor
-    // op: the pool reads the env var once, lazily.
-    if std::env::var("PAC_POOL_THREADS").is_err()
-        && std::thread::available_parallelism().map_or(1, |n| n.get()) == 1
-    {
-        std::env::set_var("PAC_POOL_THREADS", "4");
-    }
-
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let serve = args.iter().any(|a| a == "--serve");
@@ -134,7 +114,7 @@ fn main() {
             } else if serve {
                 "BENCH_PR9.json".to_string()
             } else {
-                "BENCH_PR8.json".to_string()
+                "BENCH_PR12.json".to_string()
             }
         });
     if multiworld {
@@ -168,43 +148,20 @@ fn main() {
         serve_bench(tenants, ranks, cache_slots, &out_path);
         return;
     }
-    let requested_kernel = match args
-        .iter()
-        .position(|a| a == "--kernel")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        Some("tiled") => ops::KernelMode::Tiled,
-        Some("scalar") | None => ops::KernelMode::Scalar,
-        Some(other) => {
-            eprintln!("pac-bench: unknown --kernel {other:?} (expected scalar|tiled)");
-            std::process::exit(2);
-        }
-    };
-    // `set_kernel_mode` reports the mode actually engaged: asking for
-    // tiled in a build without the `simd` feature falls back to scalar.
-    let kernel = ops::set_kernel_mode(requested_kernel);
     let budget = Duration::from_millis(if quick { 40 } else { 250 });
     let mut c = Criterion::default().measurement_time(budget);
 
     println!(
-        "pac-bench: pool width {}, mode {}, kernel {:?}{}, budget {:?}/bench\n",
+        "pac-bench: pool width {}, mode {}, budget {:?}/bench\n",
         pool::pool_width(),
         if quick { "quick" } else { "full" },
-        kernel,
-        if kernel != requested_kernel {
-            " (tiled unavailable: build without --features simd)"
-        } else {
-            ""
-        },
         budget
     );
 
-    // ---- 1. Persistent pool vs spawn-per-call, small parallel matmul ----
+    // ---- 1. Kernels: small parallel matmul, allocating and reused-out ----
     let mut rng = seeded(7);
     let a = init::randn(&mut rng, [64, 64], 1.0);
     let b = init::randn(&mut rng, [64, 64], 1.0);
-    pool::set_exec_mode(ExecMode::Pooled);
     black_box(ops::matmul(&a, &b).expect("warm-up")); // spin the workers up
     {
         let mut g = c.benchmark_group("matmul_64x64x64");
@@ -212,31 +169,14 @@ fn main() {
         g.bench_function("pooled", |bch| {
             bch.iter(|| ops::matmul(black_box(&a), black_box(&b)).expect("matmul"))
         });
-        pool::set_exec_mode(ExecMode::Spawn);
-        g.bench_function("spawn_baseline", |bch| {
-            bch.iter(|| ops::matmul(black_box(&a), black_box(&b)).expect("matmul"))
-        });
-        pool::set_exec_mode(ExecMode::Pooled);
-        g.finish();
-    }
-
-    // ---- 2. Zero-allocation kernels: reused out vs fresh allocation ----
-    {
-        let mut g = c.benchmark_group("kernel_alloc_64");
-        g.throughput(Throughput::Elements(2 * 64 * 64 * 64));
         let mut out = Tensor::zeros([0]);
         g.bench_function("into_reused_out", |bch| {
             bch.iter(|| ops::matmul_into(black_box(&a), black_box(&b), &mut out).expect("matmul"))
         });
-        scratch::set_enabled(false);
-        g.bench_function("alloc_fresh_out", |bch| {
-            bch.iter(|| ops::matmul(black_box(&a), black_box(&b)).expect("matmul"))
-        });
-        scratch::set_enabled(true);
         g.finish();
     }
 
-    // ---- 3. End-to-end training epoch ----
+    // ---- 2. End-to-end training epoch ----
     {
         let cfg = ModelConfig::micro(2, 0, 32, 2);
         let batches = mini_batches(11, 4, 8, 12);
@@ -248,19 +188,10 @@ fn main() {
             let mut opt = Sgd::new(0.05);
             bch.iter(|| black_box(epoch(&mut model, &batches, &mut opt)))
         });
-        pool::set_exec_mode(ExecMode::Spawn);
-        scratch::set_enabled(false);
-        g.bench_function("spawn_noscratch", |bch| {
-            let mut model = EncoderModel::new(&cfg, 2, &mut seeded(12));
-            let mut opt = Sgd::new(0.05);
-            bch.iter(|| black_box(epoch(&mut model, &batches, &mut opt)))
-        });
-        pool::set_exec_mode(ExecMode::Pooled);
-        scratch::set_enabled(true);
         g.finish();
     }
 
-    // ---- 4. Loopback link calibration → planner input ----
+    // ---- 3. Loopback link calibration → planner input ----
     // Measure the fabric the distributed runtime actually uses (framed TCP
     // on loopback, checksums included), then show what the planner does
     // with it: the same cluster planned under the paper's assumed LAN and
@@ -297,7 +228,7 @@ fn main() {
          -> {mk_measured:.3} s measured loopback"
     );
 
-    // ---- 5. Cold restore: durable log open + decode + restore ----
+    // ---- 4. Cold restore: durable log open + decode + restore ----
     // A restarted trainer pays exactly this before its first step: scan the
     // segment log (CRC every record, truncate any torn tail), pull the
     // latest committed snapshot, decode the PACCKPT2 framing, and load the
@@ -347,31 +278,7 @@ fn main() {
         (log_bytes, n_commits)
     };
 
-    // ---- 6. Kernel modes: tiled-SIMD vs scalar matmul ----
-    // Both modes measured in one run regardless of --kernel, so the JSON
-    // carries the tiled/scalar ratio the PR 8 acceptance gate reads. In a
-    // build without the `simd` feature the Tiled request falls back to
-    // scalar and the two columns measure the same kernel.
-    let mm_sizes: &[usize] = if quick { &[64, 128] } else { &[64, 128, 256] };
-    for &n in mm_sizes {
-        let a = init::randn(&mut rng, [n, n], 1.0);
-        let b = init::randn(&mut rng, [n, n], 1.0);
-        let flops = (2 * n * n * n) as u64;
-        let mut g = c.benchmark_group(format!("mm_{n}"));
-        g.throughput(Throughput::Elements(flops));
-        ops::set_kernel_mode(ops::KernelMode::Scalar);
-        g.bench_function("scalar", |bch| {
-            bch.iter(|| ops::matmul(black_box(&a), black_box(&b)).expect("matmul"))
-        });
-        ops::set_kernel_mode(ops::KernelMode::Tiled);
-        g.bench_function("tiled", |bch| {
-            bch.iter(|| ops::matmul(black_box(&a), black_box(&b)).expect("matmul"))
-        });
-        g.finish();
-    }
-    ops::set_kernel_mode(requested_kernel);
-
-    // ---- 7. int8 frozen half: quantized forward + byte accounting ----
+    // ---- 5. int8 frozen half: quantized forward + byte accounting ----
     // Epoch timing: the Parallel-Adapters tuner with its frozen backbone
     // forward in f32 vs per-row absmax int8 (`quantize_backbone`). The
     // trainable side network is identical in both; only the frozen
@@ -435,12 +342,12 @@ fn main() {
          ({cache_cut:.2}x), Act edge {wire_f32_bytes} -> {wire_q8_bytes} B ({wire_cut:.2}x)"
     );
 
-    // ---- 8. Distributed int8 wire vs f32 reference ----
+    // ---- 6. Distributed int8 wire vs f32 reference ----
     // The end-to-end check the byte accounting above must not invalidate:
     // a real 2-stage × 2-lane loopback run with `wire_q8` on lands within
     // 0.5 final loss of the identical f32-wire run on the same seed and
     // batches. Same harness as the `dist_equivalence` test suite, recorded
-    // here so BENCH_PR8.json carries the measured delta.
+    // here so the JSON carries the measured delta.
     let (dist_f32_loss, dist_q8_loss) = {
         use pac_parallel::engine::MicroBatch;
         let mut rng = seeded(7 ^ 0xda7a_5eed);
@@ -496,25 +403,10 @@ fn main() {
             .map(|r| r.p95_ns as f64)
             .expect("bench ran")
     };
-    let pool_speedup = p50("matmul_64x64x64/spawn_baseline") / p50("matmul_64x64x64/pooled");
-    let alloc_speedup =
-        p50("kernel_alloc_64/alloc_fresh_out") / p50("kernel_alloc_64/into_reused_out");
-    let epoch_speedup =
-        p50("epoch_micro_enc/spawn_noscratch") / p50("epoch_micro_enc/pooled_scratch");
-    let tiled_speedup = |n: usize| p50(&format!("mm_{n}/scalar")) / p50(&format!("mm_{n}/tiled"));
     let pa_epoch_speedup = p50("pa_epoch_micro/f32_backbone") / p50("pa_epoch_micro/int8_backbone");
     let pstats = pool::stats();
     let sstats = scratch::stats();
-    println!("\npool speedup (spawn/pooled, 64x64x64 matmul): {pool_speedup:.2}x");
-    println!("alloc speedup (fresh/reused out):             {alloc_speedup:.2}x");
-    println!("epoch speedup (spawn+alloc / pooled+scratch): {epoch_speedup:.2}x");
-    for &n in mm_sizes {
-        println!(
-            "tiled kernel speedup (scalar/tiled, {n}^3):    {:.2}x",
-            tiled_speedup(n)
-        );
-    }
-    println!("int8 backbone epoch speedup (f32/int8):       {pa_epoch_speedup:.2}x");
+    println!("\nint8 backbone epoch speedup (f32/int8): {pa_epoch_speedup:.2}x");
     println!(
         "cold restore ({restore_commits} commits, {restore_log_bytes} B log): open p50 {:.1} us, \
          open+decode+restore p50 {:.1} us / p95 {:.1} us",
@@ -561,19 +453,6 @@ fn main() {
         p95("cold_restore/open_log"),
         p50("cold_restore/open_decode_restore"),
         p95("cold_restore/open_decode_restore")
-    ));
-    let kernel_speedups: Vec<String> = mm_sizes
-        .iter()
-        .map(|&n| format!("\"tiled_speedup_{n}\": {:.3}", tiled_speedup(n)))
-        .collect();
-    json.push_str(&format!(
-        "  \"kernels\": {{\"simd_compiled\": {}, \"mode\": \"{}\", {}}},\n",
-        cfg!(feature = "simd"),
-        match kernel {
-            ops::KernelMode::Scalar => "scalar",
-            ops::KernelMode::Tiled => "tiled",
-        },
-        kernel_speedups.join(", ")
     ));
     json.push_str(&format!(
         "  \"int8\": {{\"cache_f32_bytes\": {cache_f32_bytes}, \"cache_q8_bytes\": {cache_q8_bytes}, \

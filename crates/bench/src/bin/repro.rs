@@ -42,11 +42,6 @@
 //! crash fault kills the checkpoint writer mid-append, and a cold restart
 //! over the same log must recover the last committed snapshot and finish
 //! bitwise identical to the in-process engine.
-//!
-//! Pass `--kernel=tiled` (needs a `--features simd` build) to run the
-//! local experiments under the register-tiled SIMD matmuls instead of
-//! the bitwise-deterministic scalar default; refuses to combine with
-//! `--distributed`, whose forked workers always run scalar.
 
 use pac_bench::experiments as exp;
 
@@ -108,46 +103,6 @@ fn main() {
         args.retain(|a| a != "--serve");
         args.len() != before
     };
-    let kernel: Option<String> = {
-        let mut mode = None;
-        args.retain(|a| {
-            if let Some(s) = a.strip_prefix("--kernel=") {
-                mode = Some(s.to_string());
-                false
-            } else {
-                true
-            }
-        });
-        mode
-    };
-    if let Some(mode) = kernel.as_deref() {
-        let requested = match mode {
-            "scalar" => pac_tensor::ops::KernelMode::Scalar,
-            "tiled" => pac_tensor::ops::KernelMode::Tiled,
-            other => {
-                eprintln!("--kernel={other} not recognized (expected scalar|tiled)");
-                std::process::exit(2);
-            }
-        };
-        // The forked `--net-worker` processes would re-exec with the
-        // default scalar kernels, silently breaking the coordinator-side
-        // bitwise comparison — refuse the combination instead.
-        if distributed.is_some() && requested == pac_tensor::ops::KernelMode::Tiled {
-            eprintln!(
-                "--kernel=tiled cannot combine with --distributed: forked workers run \
-                 scalar and the bitwise check would compare across kernel modes"
-            );
-            std::process::exit(2);
-        }
-        let effective = pac_tensor::ops::set_kernel_mode(requested);
-        if effective != requested {
-            eprintln!(
-                "note: tiled kernels unavailable (build without --features simd), running scalar"
-            );
-        } else {
-            println!("kernel mode: {effective:?}\n");
-        }
-    }
     if let Some(n) = distributed {
         if n != 2 && n != 4 {
             eprintln!("--distributed=N supports N=2 (2 stages) or N=4 (2 stages x 2 lanes)");
@@ -213,7 +168,7 @@ fn main() {
         other => {
             eprintln!("unknown experiment '{other}'");
             eprintln!(
-                "usage: repro [--telemetry] [--faults[=SPEC]] [--distributed=N] [--durable] [--serve] [--kernel=scalar|tiled] [table1|fig3|table2|table3|table3-quick|fig6|fig8|fig9|fig10|fig11|telemetry-demo|all]"
+                "usage: repro [--telemetry] [--faults[=SPEC]] [--distributed=N] [--durable] [--serve] [table1|fig3|table2|table3|table3-quick|fig6|fig8|fig9|fig10|fig11|telemetry-demo|all]"
             );
             std::process::exit(2);
         }

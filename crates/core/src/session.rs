@@ -405,7 +405,10 @@ impl PacSession {
                     let usable = share * n_live;
 
                     let result = if epoch == 0 || !cache_has_all(&cache, &batch.ids[..usable]) {
-                        // Phase 1: full forwards, filling the cache shard-wise.
+                        // Phase 1: full forwards. The step's own forward is
+                        // the cache fill (paper §5.2: activations are cached
+                        // *during* the epoch-1 pass), so the frozen backbone
+                        // runs once per row.
                         let _span = pac_telemetry::span("session.phase1");
                         let shards: Vec<(Vec<Vec<usize>>, Vec<usize>)> = (0..n_live)
                             .map(|k| {
@@ -415,14 +418,17 @@ impl PacSession {
                                 )
                             })
                             .collect();
-                        // Fill cache: forward each shard once on its replica.
-                        for (k, (tokens, _)) in shards.iter().enumerate() {
-                            let (_, ctx) = replicas[k].forward(tokens)?;
-                            if let Some(acts) = replicas[k].cacheable_acts(&ctx) {
-                                cache.insert_batch(&batch.ids[k * share..(k + 1) * share], acts);
-                            }
-                        }
-                        dp_step_tokens_supervised(&mut replicas, &shards, &clock)
+                        dp_step_tokens_supervised(&mut replicas, &shards, &clock).map(
+                            |(out, lane_acts)| {
+                                for (k, acts) in lane_acts.iter().enumerate() {
+                                    if !acts.is_empty() {
+                                        let ids = &batch.ids[k * share..(k + 1) * share];
+                                        cache.insert_batch(ids, acts);
+                                    }
+                                }
+                                out
+                            },
+                        )
                     } else {
                         // Phase 2: cache-only DP training.
                         let _span = pac_telemetry::span("session.phase2");

@@ -56,9 +56,9 @@ fn lane_ctxs(n: usize, step: u64, clock: &FaultClock) -> Vec<LaneCtx> {
 
 /// Runs one replica's shard compute under `catch_unwind`, applying the
 /// lane's injections first.
-fn supervised_lane<F>(ctx: &LaneCtx, step: u64, compute: F) -> EngineResult<f32>
+fn supervised_lane<T, F>(ctx: &LaneCtx, step: u64, compute: F) -> EngineResult<T>
 where
-    F: FnOnce() -> EngineResult<f32>,
+    F: FnOnce() -> EngineResult<T>,
 {
     if let Some(d) = ctx.delay {
         std::thread::sleep(d);
@@ -81,14 +81,14 @@ where
     }
 }
 
-/// Folds per-lane results: losses on success, the most attributable error
-/// (a panic beats anything else) on failure.
-fn fold_lanes(results: Vec<EngineResult<f32>>) -> EngineResult<Vec<f32>> {
-    let mut losses = Vec::with_capacity(results.len());
+/// Folds per-lane results: every lane's value on success, the most
+/// attributable error (a panic beats anything else) on failure.
+fn fold_lanes<T>(results: Vec<EngineResult<T>>) -> EngineResult<Vec<T>> {
+    let mut values = Vec::with_capacity(results.len());
     let mut error: Option<EngineError> = None;
     for r in results {
         match r {
-            Ok(l) => losses.push(l),
+            Ok(l) => values.push(l),
             Err(e) => {
                 let replace = match (&error, &e) {
                     (None, _) => true,
@@ -104,7 +104,7 @@ fn fold_lanes(results: Vec<EngineResult<f32>>) -> EngineResult<Vec<f32>> {
     }
     match error {
         Some(e) => Err(e),
-        None => Ok(losses),
+        None => Ok(values),
     }
 }
 
@@ -270,13 +270,18 @@ pub fn dp_step_tokens(
 ) -> EngineResult<f32> {
     let clock = FaultClock::quiet();
     clock.advance();
-    dp_step_tokens_supervised(replicas, shards, &clock).map(|o| o.loss)
+    dp_step_tokens_supervised(replicas, shards, &clock).map(|(o, _)| o.loss)
 }
 
 /// [`dp_step_tokens`] under a [`FaultClock`]: injects the clock's faults
 /// for the current step, catches lane panics, retries/degrades the
 /// AllReduce. On `dropped_lane = Some(k)` the caller must remove replica
 /// `k` (its gradients were excluded and not written back).
+///
+/// Next to the outcome it hands back, per lane, the backbone layer outputs
+/// of that lane's forward ([`Tuner::cacheable_acts`]; empty for techniques
+/// that produce none), so a caller filling an activation cache during
+/// epoch 1 does not run the frozen backbone a second time.
 ///
 /// # Errors
 /// [`EngineError::LanePanic`] when a replica dies,
@@ -287,7 +292,7 @@ pub fn dp_step_tokens_supervised(
     replicas: &mut [Tuner],
     shards: &[(Vec<Vec<usize>>, Vec<usize>)],
     clock: &FaultClock,
-) -> EngineResult<SupervisedOutcome> {
+) -> EngineResult<(SupervisedOutcome, Vec<Vec<Tensor>>)> {
     if replicas.len() != shards.len() || replicas.is_empty() {
         return Err(EngineError::Tensor(TensorError::ShapeMismatch {
             op: "dp_step_tokens",
@@ -298,7 +303,7 @@ pub fn dp_step_tokens_supervised(
     let step = clock.current_step();
     let ctxs = lane_ctxs(replicas.len(), step, clock);
     let _span = pac_telemetry::span("dp.step_tokens");
-    let results: Vec<EngineResult<f32>> = replicas
+    let results: Vec<EngineResult<(f32, Vec<Tensor>)>> = replicas
         .par_iter_mut()
         .zip(shards.par_iter())
         .zip(ctxs.par_iter())
@@ -307,12 +312,17 @@ pub fn dp_step_tokens_supervised(
                 let (logits, fwd) = tuner.forward(tokens)?;
                 let (loss, dl) = cross_entropy(&logits, targets)?;
                 tuner.backward(&fwd, &dl)?;
-                Ok(loss)
+                let acts = tuner
+                    .cacheable_acts(&fwd)
+                    .map_or_else(Vec::new, <[_]>::to_vec);
+                Ok((loss, acts))
             })
         })
         .collect();
-    let losses = fold_lanes(results)?;
-    reduce_supervised(replicas, &losses, step, clock)
+    let (losses, lane_acts): (Vec<f32>, Vec<Vec<Tensor>>) =
+        fold_lanes(results)?.into_iter().unzip();
+    let outcome = reduce_supervised(replicas, &losses, step, clock)?;
+    Ok((outcome, lane_acts))
 }
 
 /// One cache-enabled data-parallel step (PAC epochs ≥ 2, paper §5.2): each
@@ -532,6 +542,37 @@ mod tests {
     }
 
     #[test]
+    fn token_step_hands_back_each_lanes_forward_activations() {
+        let bits = |ts: &[Tensor]| -> Vec<Vec<u32>> {
+            ts.iter()
+                .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        let cfg = ModelConfig::micro(2, 1, 16, 2);
+        let shards = vec![batch(231, 2, 4), batch(232, 2, 4)];
+        let clock = FaultClock::quiet();
+        clock.advance();
+
+        // Parallel Adapters: exactly the bits a stand-alone forward caches.
+        let base = Tuner::new(Technique::parallel_default(), &cfg, 2, &mut seeded(230));
+        let mut replicas = vec![base.clone(), base.clone()];
+        let (_, lane_acts) = dp_step_tokens_supervised(&mut replicas, &shards, &clock).unwrap();
+        assert_eq!(lane_acts.len(), 2);
+        for ((tokens, _), acts) in shards.iter().zip(&lane_acts) {
+            let mut alone = base.clone();
+            let (_, ctx) = alone.forward(tokens).unwrap();
+            let want = alone.cacheable_acts(&ctx).expect("parallel adapters cache");
+            assert_eq!(bits(acts), bits(want));
+        }
+
+        // A technique with nothing to cache hands back empty lanes.
+        let plain = Tuner::new(Technique::adapters_default(), &cfg, 2, &mut seeded(230));
+        let mut replicas = vec![plain.clone(), plain];
+        let (_, lane_acts) = dp_step_tokens_supervised(&mut replicas, &shards, &clock).unwrap();
+        assert!(lane_acts.iter().all(Vec::is_empty));
+    }
+
+    #[test]
     fn shard_count_mismatch_is_error() {
         let cfg = ModelConfig::micro(1, 1, 16, 2);
         let base = Tuner::new(Technique::Full, &cfg, 2, &mut seeded(216));
@@ -603,7 +644,7 @@ mod tests {
         });
         let clock = FaultClock::new(plan);
         clock.advance();
-        let out = dp_step_tokens_supervised(&mut faulted, &shards, &clock).unwrap();
+        let (out, _) = dp_step_tokens_supervised(&mut faulted, &shards, &clock).unwrap();
         assert_eq!(out.retries, 2);
         assert_eq!(out.dropped_lane, None);
 
@@ -651,7 +692,7 @@ mod tests {
         });
         let clock = FaultClock::new(plan);
         clock.advance();
-        let out = dp_step_tokens_supervised(&mut replicas, &shards, &clock).unwrap();
+        let (out, _) = dp_step_tokens_supervised(&mut replicas, &shards, &clock).unwrap();
         assert_eq!(out.dropped_lane, Some(1));
         assert_eq!(out.retries, MAX_ALLREDUCE_RETRIES);
 

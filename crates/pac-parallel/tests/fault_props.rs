@@ -70,7 +70,7 @@ proptest! {
         });
         let clock = FaultClock::new(plan);
         clock.advance();
-        let out = dp_step_tokens_supervised(&mut replicas, &shards, &clock).unwrap();
+        let (out, _) = dp_step_tokens_supervised(&mut replicas, &shards, &clock).unwrap();
         prop_assert_eq!(out.dropped_lane, Some(dead));
 
         for (k, r) in replicas.iter().enumerate() {

@@ -11,13 +11,14 @@
 //!
 //! 1. **Correctness** — every kernel has a scalar reference implementation it
 //!    is property-tested against.
-//! 2. **Determinism** — all randomness is seeded; parallel reductions use
-//!    order-independent accumulation so results are reproducible across
-//!    thread counts.
-//! 3. **Throughput** — matmul is blocked for cache locality and parallelized
-//!    over row panels with Rayon, which is sufficient to train the
-//!    micro-scale transformers used in the paper-reproduction experiments on
-//!    a laptop-class CPU.
+//! 2. **Determinism** — all randomness is seeded; parallel kernels only
+//!    partition output rows and fix each element's accumulation order, so
+//!    results are bitwise reproducible across thread counts (see
+//!    [`ops`] for the full contract).
+//! 3. **Throughput** — matmul is register-tiled over [`simd::f32x8`] lanes
+//!    and parallelized over row panels with Rayon, which is sufficient to
+//!    train the micro-scale transformers used in the paper-reproduction
+//!    experiments on a laptop-class CPU.
 //!
 //! [Rayon]: https://docs.rs/rayon
 
@@ -31,12 +32,10 @@ pub mod reduce;
 pub mod rng;
 pub mod scratch;
 pub mod shape;
-#[cfg(feature = "simd")]
 pub mod simd;
 pub mod tensor;
 
 pub use error::{Result, TensorError};
-pub use ops::{kernel_mode, set_kernel_mode, KernelMode};
 pub use quant::QTensor;
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -16,81 +16,29 @@
 //! identical** results.
 //!
 //! All kernels view their operands through the 2-D interpretation of
-//! [`Tensor::as_2d`] (leading dimensions folded into rows), are blocked for
-//! cache locality, and parallelize over output-row panels with Rayon. Within
-//! a panel the innermost loop is over contiguous columns so the compiler can
-//! auto-vectorize. Determinism contract: parallelism only partitions output
-//! rows into fixed [`PANEL`]-row chunks — each output element is produced by
-//! exactly one chunk with a thread-count-independent accumulation order, so
-//! results are bitwise identical at any pool width.
+//! [`Tensor::as_2d`] (leading dimensions folded into rows) and run the
+//! register-tiled [`crate::simd`] kernels — the one matmul implementation in
+//! the workspace; the f64-accumulated [`matmul_ref`] is the test oracle.
+//!
+//! Determinism contract: parallelism only partitions output rows into fixed
+//! [`PANEL`]-row chunks, and each output element walks k in one fixed order,
+//! so an element is a pure function of its A row, its B column and `(k, n)`.
+//! Results are therefore bitwise identical at any pool width and under any
+//! row partition of A (a rank's shard of a batch equals the same rows of the
+//! whole batch) — what distributed ≡ in-process and tenant ≡ solo stand on.
+//! They are bitwise-stable **per CPU class**, not across classes: the
+//! AVX2+FMA clone rounds once per multiply-add, the portable clone twice, so
+//! the ranks of one world must be homogeneous.
 
 use crate::error::{Result, TensorError};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Row-panel size for parallel work distribution.
 pub(crate) const PANEL: usize = 32;
-/// K-dimension blocking factor.
-const KBLOCK: usize = 64;
-
 /// Minimum FLOP count (2·m·n·k) below which kernels stay single-threaded —
 /// even pooled parallelism costs a notify/wait handshake per call.
 const PAR_THRESHOLD_FLOPS: usize = 1 << 18;
-
-/// Which matmul implementation family the `_into` kernels dispatch to.
-///
-/// The process-wide default is [`KernelMode::Scalar`]: the fixed-k-order
-/// kernels whose results are bitwise identical at every pool width — the
-/// determinism contract every distributed-equivalence and simsweep test in
-/// the workspace relies on. [`KernelMode::Tiled`] selects the register-tiled
-/// [`crate::simd`] kernels (only compiled under the `simd` cargo feature):
-/// faster, tolerance-validated against [`matmul_ref`], but *not* bitwise
-/// identical to the scalar path because the k-accumulation is re-associated
-/// into vector lanes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelMode {
-    /// Fixed-accumulation-order kernels; bitwise deterministic (default).
-    Scalar,
-    /// Register-tiled SIMD kernels (`simd` feature); tolerance-equivalent.
-    Tiled,
-}
-
-/// Process-wide kernel mode. 0 = Scalar, 1 = Tiled. Relaxed ordering is
-/// enough: the switch is a coarse run-level toggle, not a synchronization
-/// point, and every kernel reads it exactly once per call.
-static KERNEL_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the process-wide [`KernelMode`] and returns the mode actually in
-/// effect: requesting [`KernelMode::Tiled`] without the `simd` feature
-/// compiled in falls back to [`KernelMode::Scalar`] (there is no tiled code
-/// to run), so callers can detect the downgrade instead of silently
-/// benchmarking the wrong kernel.
-pub fn set_kernel_mode(mode: KernelMode) -> KernelMode {
-    let effective = match mode {
-        KernelMode::Scalar => KernelMode::Scalar,
-        #[cfg(feature = "simd")]
-        KernelMode::Tiled => KernelMode::Tiled,
-        #[cfg(not(feature = "simd"))]
-        KernelMode::Tiled => KernelMode::Scalar,
-    };
-    KERNEL_MODE.store(
-        match effective {
-            KernelMode::Scalar => 0,
-            KernelMode::Tiled => 1,
-        },
-        Ordering::Relaxed,
-    );
-    effective
-}
-
-/// The [`KernelMode`] currently in effect.
-pub fn kernel_mode() -> KernelMode {
-    match KERNEL_MODE.load(Ordering::Relaxed) {
-        0 => KernelMode::Scalar,
-        _ => KernelMode::Tiled,
-    }
-}
 
 fn check_inner(op: &'static str, a: &Tensor, b: &Tensor, ak: usize, bk: usize) -> Result<()> {
     if ak != bk {
@@ -105,12 +53,17 @@ fn check_inner(op: &'static str, a: &Tensor, b: &Tensor, ak: usize, bk: usize) -
 
 /// Runs `kernel` over `out` sequentially below the FLOP threshold, else in
 /// parallel over fixed PANEL-row chunks (same chunking at every width).
+/// An empty output (`m == 0` or `n == 0`) runs nothing: the chunk kernels
+/// divide by `n` to recover their row count.
 pub(crate) fn dispatch(
     out: &mut [f32],
     n: usize,
     flops: usize,
     kernel: impl Fn(usize, &mut [f32]) + Sync,
 ) {
+    if out.is_empty() {
+        return;
+    }
     if flops < PAR_THRESHOLD_FLOPS {
         kernel(0, out);
     } else {
@@ -172,48 +125,8 @@ fn mm_bias_into(
         }
     }
     out.reset_to([m, n]);
-    let ad = a.data();
-    let bd = b.data();
     let biasd = bias.map(Tensor::data);
-
-    #[cfg(feature = "simd")]
-    if kernel_mode() == KernelMode::Tiled {
-        crate::simd::mm_bias_tiled(ad, bd, biasd, m, k, n, out.data_mut());
-        return Ok(());
-    }
-
-    let kernel = |r0: usize, chunk: &mut [f32]| {
-        let rows = chunk.len() / n;
-        for kb in (0..k).step_by(KBLOCK) {
-            let kend = (kb + KBLOCK).min(k);
-            for ri in 0..rows {
-                let r = r0 + ri;
-                let crow = &mut chunk[ri * n..(ri + 1) * n];
-                for kk in kb..kend {
-                    let aik = ad[r * k + kk];
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let brow = &bd[kk * n..(kk + 1) * n];
-                    for (c, bv) in crow.iter_mut().zip(brow.iter()) {
-                        *c += aik * bv;
-                    }
-                }
-            }
-        }
-        if let Some(bias) = biasd {
-            // After full k-accumulation, exactly like a separate
-            // row-broadcast pass (keeps fused == unfused bitwise).
-            for ri in 0..rows {
-                let crow = &mut chunk[ri * n..(ri + 1) * n];
-                for (c, bv) in crow.iter_mut().zip(bias.iter()) {
-                    *c += bv;
-                }
-            }
-        }
-    };
-
-    dispatch(out.data_mut(), n, 2 * m * n * k, kernel);
+    crate::simd::mm_bias_tiled(a.data(), b.data(), biasd, m, k, n, out.data_mut());
     Ok(())
 }
 
@@ -236,34 +149,7 @@ pub fn matmul_nt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
     let (n, bk) = b.as_2d();
     check_inner("matmul_nt", a, b, k, bk)?;
     out.reset_to([m, n]);
-    let ad = a.data();
-    let bd = b.data();
-
-    #[cfg(feature = "simd")]
-    if kernel_mode() == KernelMode::Tiled {
-        crate::simd::nt_tiled(ad, bd, m, k, n, out.data_mut());
-        return Ok(());
-    }
-
-    let kernel = |r0: usize, chunk: &mut [f32]| {
-        let rows = chunk.len() / n;
-        for ri in 0..rows {
-            let r = r0 + ri;
-            let arow = &ad[r * k..(r + 1) * k];
-            let crow = &mut chunk[ri * n..(ri + 1) * n];
-            for (c, cval) in crow.iter_mut().enumerate() {
-                // Dot product of two contiguous rows — auto-vectorizes well.
-                let brow = &bd[c * k..(c + 1) * k];
-                let mut acc = 0.0f32;
-                for (x, y) in arow.iter().zip(brow.iter()) {
-                    acc += x * y;
-                }
-                *cval = acc;
-            }
-        }
-    };
-
-    dispatch(out.data_mut(), n, 2 * m * n * k, kernel);
+    crate::simd::nt_tiled(a.data(), b.data(), m, k, n, out.data_mut());
     Ok(())
 }
 
@@ -287,34 +173,7 @@ pub fn matmul_tn_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
     let (bk, n) = b.as_2d();
     check_inner("matmul_tn", a, b, k, bk)?;
     out.reset_to([m, n]);
-    let ad = a.data();
-    let bd = b.data();
-
-    #[cfg(feature = "simd")]
-    if kernel_mode() == KernelMode::Tiled {
-        crate::simd::tn_tiled(ad, bd, m, k, n, out.data_mut());
-        return Ok(());
-    }
-
-    let kernel = |r0: usize, chunk: &mut [f32]| {
-        let rows = chunk.len() / n;
-        for kk in 0..k {
-            let arow = &ad[kk * m..(kk + 1) * m];
-            let brow = &bd[kk * n..(kk + 1) * n];
-            for ri in 0..rows {
-                let aik = arow[r0 + ri];
-                if aik == 0.0 {
-                    continue;
-                }
-                let crow = &mut chunk[ri * n..(ri + 1) * n];
-                for (c, bv) in crow.iter_mut().zip(brow.iter()) {
-                    *c += aik * bv;
-                }
-            }
-        }
-    };
-
-    dispatch(out.data_mut(), n, 2 * m * n * k, kernel);
+    crate::simd::tn_tiled(a.data(), b.data(), m, k, n, out.data_mut());
     Ok(())
 }
 
@@ -329,7 +188,8 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Ok(out)
 }
 
-/// Reference (naive triple-loop) matmul used to validate the fast kernels.
+/// Reference (naive triple-loop, f64-accumulated) matmul: the oracle the
+/// production kernels are tolerance-tested against.
 ///
 /// # Errors
 /// Returns [`TensorError::ShapeMismatch`] if the inner dimensions differ.

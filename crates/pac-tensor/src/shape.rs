@@ -90,10 +90,9 @@ impl Shape {
         match self.0.as_slice() {
             [] => (1, 1),
             [n] => (1, *n),
-            dims => {
-                let cols = *dims.last().unwrap();
-                (self.numel() / cols.max(1), cols)
-            }
+            // Product of the leading dims, so the row count survives
+            // `cols == 0`.
+            [lead @ .., cols] => (lead.iter().product(), *cols),
         }
     }
 }
@@ -153,6 +152,8 @@ mod tests {
         assert_eq!(Shape::new([2, 3, 4]).as_2d(), (6, 4));
         assert_eq!(Shape::new([7]).as_2d(), (1, 7));
         assert_eq!(Shape::new(Vec::<usize>::new()).as_2d(), (1, 1));
+        assert_eq!(Shape::new([3, 0]).as_2d(), (3, 0));
+        assert_eq!(Shape::new([0, 3]).as_2d(), (0, 3));
     }
 
     #[test]

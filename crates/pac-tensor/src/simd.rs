@@ -1,12 +1,9 @@
-//! Register-tiled matmul kernels behind the `simd` feature.
+//! Register-tiled matmul kernels: the implementation behind every product in
+//! [`crate::ops`].
 //!
-//! These are the [`crate::ops::KernelMode::Tiled`] implementations of the
-//! three matmul variants. The scalar kernels in [`crate::ops`] stream the
-//! output row through the cache once per k-step (one C load + one C store
-//! per multiply); the kernels here hold a small register tile of C in
-//! [`f32x8`] accumulators across the whole k-loop, so each output element
-//! is loaded and stored exactly once and each B vector load is amortized
-//! over [`MR`] rows.
+//! The kernels hold a small register tile of C in [`f32x8`] accumulators
+//! across the whole k-loop, so each output element is loaded and stored
+//! exactly once and each B vector load is amortized over [`MR`] rows.
 //!
 //! [`f32x8`] is a `wide`-style safe lane type: a `#[repr(align(32))]`
 //! wrapper over `[f32; 8]` whose per-lane loops the compiler collapses to
@@ -16,19 +13,20 @@
 //! under `#[target_feature(enable = "avx2,fma")]`, where the per-lane
 //! `mul_add` lowers to `vfmadd` instead of a libm call. Feature presence is
 //! probed once with `is_x86_64_feature_detected!`; targets without AVX2/FMA
-//! (and non-x86 targets) always take the portable clone. The only `unsafe`
-//! in this module is the calls into those `#[target_feature]` functions,
-//! each guarded by that probe.
+//! (and non-x86 targets) always take the portable clone — the choice is
+//! observed from the platform, never set by a caller. The only `unsafe` in
+//! this module is the calls into those `#[target_feature]` functions, each
+//! guarded by that probe.
 //!
-//! Accuracy contract: the tiled kernels re-associate the k-accumulation
-//! into eight lanes (and [`MR`]×[`NR`] tiles), so results are *not* bitwise
-//! identical to the scalar path — and the FMA clone rounds once per
-//! multiply-add where the portable clone rounds twice, so results may also
-//! differ *across machines*. Both stay within the 2-ULP-per-accumulation-
-//! step bound validated against the f64-accumulated
-//! [`crate::ops::matmul_ref`] in `tests/simd_tiled.rs`. Anything that needs
-//! the repo's bitwise determinism contract must stay on
-//! `KernelMode::Scalar` (the default).
+//! Determinism and accuracy: tiles partition output rows and columns only;
+//! every output element accumulates over k in one fixed order whatever tile
+//! it lands in (an [`MR`]-row tile and a 1-row remainder tile run the same
+//! per-element recurrence), so a result depends on its A row, its B column
+//! and `(k, n)` alone — not on `m`, the row offset, or the pool width. The
+//! FMA clone rounds once per multiply-add where the portable clone rounds
+//! twice, so bits differ *across CPU classes* (see [`crate::ops`]). Both
+//! stay within the 2-ULP-per-accumulation-step bound validated against the
+//! f64-accumulated [`crate::ops::matmul_ref`] in `tests/simd_tiled.rs`.
 
 use crate::ops::dispatch;
 use core::ops::{Add, AddAssign, Mul};
@@ -313,8 +311,7 @@ pub(crate) fn tn_tiled(ad: &[f32], bd: &[f32], m: usize, k: usize, n: usize, out
 
 /// One row of `C = A · Bᵀ` against `NRD` B rows at once: `NRD` independent
 /// vector accumulators over the shared k-walk, horizontally summed at the
-/// end (a multi-accumulator dot breaks the scalar path's serial `acc +=`
-/// dependency chain).
+/// end (a multi-accumulator dot has no serial `acc +=` dependency chain).
 #[inline(always)]
 fn dot_tile<const NRD: usize, const FMA: bool>(
     arow: &[f32],

@@ -1,30 +1,28 @@
-//! Tolerance-equivalence and mode-switch tests for the `simd` feature's
-//! register-tiled kernels.
+//! Accuracy and determinism tests for the register-tiled kernels — the one
+//! matmul implementation behind `ops::matmul{,_nt,_tn}` and `ops::addmm`.
 //!
-//! Tolerance contract: the tiled kernels re-associate the k-accumulation
-//! into vector lanes, so each output element may drift from the
-//! f64-accumulated reference by at most **2 ULP per accumulation step** —
-//! `2 · k · ε · Σ_k |a·b|` (the absolute-value sum bounds every partial
-//! sum's magnitude). Shapes deliberately include k not divisible by the
-//! lane width (8) and n not divisible by the column tile (16) to exercise
-//! every edge path.
+//! Tolerance contract: the kernels accumulate k in vector lanes, so each
+//! output element may drift from the f64-accumulated reference by at most
+//! **2 ULP per accumulation step** — `2 · k · ε · Σ_k |a·b|` (the
+//! absolute-value sum bounds every partial sum's magnitude). Shapes
+//! deliberately include k not divisible by the lane width (8) and n not
+//! divisible by the column tile (16) to exercise every edge path.
 //!
-//! The whole file runs in one test binary (its own process), so switching
-//! the process-wide `KernelMode` here cannot leak into other suites; the
-//! few tests that need a specific mode serialize on a mutex.
+//! Determinism contract: an output element is a pure function of its A row,
+//! its B column and `(k, n)`, so results are bitwise identical at every pool
+//! width and under every row partition of A. Distributed ≡ in-process and
+//! tenant ≡ solo stand on exactly that property.
 
-#![cfg(feature = "simd")]
-
-use pac_tensor::{init, ops, rng, set_kernel_mode, KernelMode, Tensor};
+use pac_tensor::{init, ops, rng, Tensor};
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// Serializes tests around the process-wide kernel-mode switch.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
 
 fn tensor_of(seed: u64, rows: usize, cols: usize) -> Tensor {
     let mut r = rng::seeded(seed);
     init::randn(&mut r, [rows, cols], 1.0)
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
 }
 
 /// |got - ref| per element must stay within 2 ULP per accumulation step:
@@ -56,25 +54,8 @@ fn assert_within_2ulp_per_step(
     }
 }
 
-fn with_tiled<T>(f: impl FnOnce() -> T) -> T {
-    let _guard = MODE_LOCK.lock().unwrap();
-    assert_eq!(set_kernel_mode(KernelMode::Tiled), KernelMode::Tiled);
-    let out = f();
-    set_kernel_mode(KernelMode::Scalar);
-    out
-}
-
 #[test]
-fn tiled_mode_engages_and_reports() {
-    let _guard = MODE_LOCK.lock().unwrap();
-    assert_eq!(set_kernel_mode(KernelMode::Tiled), KernelMode::Tiled);
-    assert_eq!(pac_tensor::kernel_mode(), KernelMode::Tiled);
-    assert_eq!(set_kernel_mode(KernelMode::Scalar), KernelMode::Scalar);
-    assert_eq!(pac_tensor::kernel_mode(), KernelMode::Scalar);
-}
-
-#[test]
-fn tiled_matmul_handles_all_edge_shapes() {
+fn matmul_handles_all_edge_shapes() {
     // k % 8 ∈ {0, odd}, n % 16 ∈ {0, <16 tails}, m % 4 ∈ {0..3}, and a
     // parallel-threshold crosser.
     for &(m, k, n) in &[
@@ -89,15 +70,15 @@ fn tiled_matmul_handles_all_edge_shapes() {
     ] {
         let a = tensor_of(1000 + m as u64, m, k);
         let b = tensor_of(2000 + n as u64, k, n);
-        let tiled = with_tiled(|| ops::matmul(&a, &b).unwrap());
-        assert_eq!(tiled.dims(), &[m, n]);
+        let got = ops::matmul(&a, &b).unwrap();
+        assert_eq!(got.dims(), &[m, n]);
         let bd = b.data().to_vec();
-        assert_within_2ulp_per_step(&tiled, &a, |kk, c| bd[kk * n + c], m, k, n);
+        assert_within_2ulp_per_step(&got, &a, |kk, c| bd[kk * n + c], m, k, n);
     }
 }
 
 #[test]
-fn tiled_nt_and_tn_handle_edge_shapes() {
+fn nt_and_tn_handle_edge_shapes() {
     for &(m, k, n) in &[
         (1, 1, 1),
         (5, 9, 17),
@@ -107,52 +88,116 @@ fn tiled_nt_and_tn_handle_edge_shapes() {
     ] {
         let a = tensor_of(3000 + k as u64, m, k);
         let bt = tensor_of(4000 + k as u64, n, k); // B already transposed
-        let nt = with_tiled(|| ops::matmul_nt(&a, &bt).unwrap());
+        let nt = ops::matmul_nt(&a, &bt).unwrap();
         let btd = bt.data().to_vec();
         assert_within_2ulp_per_step(&nt, &a, |kk, c| btd[c * k + kk], m, k, n);
 
         let at = a.transpose_2d(); // [k, m]
         let b = tensor_of(5000 + k as u64, k, n);
-        let tn = with_tiled(|| ops::matmul_tn(&at, &b).unwrap());
+        let tn = ops::matmul_tn(&at, &b).unwrap();
         let bd = b.data().to_vec();
         assert_within_2ulp_per_step(&tn, &a, |kk, c| bd[kk * n + c], m, k, n);
     }
 }
 
 #[test]
-fn tiled_addmm_adds_bias_after_accumulation() {
-    let a = tensor_of(71, 9, 21);
-    let b = tensor_of(72, 21, 19);
-    let bias = tensor_of(73, 1, 19);
-    let (plain, fused) = with_tiled(|| {
-        (
-            ops::matmul(&a, &b).unwrap(),
-            ops::addmm(&a, &b, &bias).unwrap(),
-        )
-    });
-    let want = plain.add_row_broadcast(&bias).unwrap();
-    assert_eq!(
-        fused.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        want.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-    );
+fn degenerate_shapes_yield_empty_or_zero_outputs() {
+    // m = 0, n = 0 and k = 0, alone and combined. An empty output used to
+    // divide by zero recovering the chunk's row count; k = 0 is an empty
+    // sum, i.e. all zeros (plus the bias for addmm).
+    for &(m, k, n) in &[(0, 3, 2), (2, 3, 0), (2, 0, 3), (0, 0, 0), (0, 3, 0)] {
+        let nn = ops::matmul(&Tensor::zeros([m, k]), &Tensor::zeros([k, n])).unwrap();
+        let nt = ops::matmul_nt(&Tensor::zeros([m, k]), &Tensor::zeros([n, k])).unwrap();
+        let tn = ops::matmul_tn(&Tensor::zeros([k, m]), &Tensor::zeros([k, n])).unwrap();
+        for (name, got) in [("nn", &nn), ("nt", &nt), ("tn", &tn)] {
+            assert_eq!(got.dims(), &[m, n], "{name} {m}x{k}x{n}");
+            assert!(got.data().iter().all(|&v| v == 0.0), "{name} {m}x{k}x{n}");
+        }
+        let bias = tensor_of(7, 1, n);
+        let fused = ops::addmm(&Tensor::zeros([m, k]), &Tensor::zeros([k, n]), &bias).unwrap();
+        assert_eq!(fused.dims(), &[m, n]);
+        for row in fused.data().chunks(n.max(1)) {
+            assert_eq!(row, bias.data(), "addmm {m}x{k}x{n}");
+        }
+    }
+    // The shape from the bug report.
+    let empty = ops::matmul_nt(&Tensor::zeros([2, 3]), &Tensor::zeros([0, 3])).unwrap();
+    assert_eq!(empty.dims(), &[2, 0]);
 }
 
 #[test]
-fn scalar_mode_is_bitwise_stable_across_pool_widths() {
-    // KernelMode::Scalar must keep the pre-existing determinism contract:
-    // identical bits at pool widths 1/2/8 (and identical to the default-
-    // mode result, i.e. the switch itself changes nothing when Scalar).
-    let _guard = MODE_LOCK.lock().unwrap();
-    let a = tensor_of(81, 128, 96);
-    let b = tensor_of(82, 96, 130);
-    let reference = ops::matmul(&a, &b).unwrap(); // default mode = Scalar
-    let ref_bits: Vec<u32> = reference.data().iter().map(|v| v.to_bits()).collect();
-    set_kernel_mode(KernelMode::Scalar);
-    for &w in &[1usize, 2, 8] {
-        rayon::pool::set_max_concurrency(w);
-        let got = ops::matmul(&a, &b).unwrap();
-        let got_bits: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(ref_bits, got_bits, "scalar mode diverged at width {w}");
+fn addmm_adds_bias_after_accumulation() {
+    let a = tensor_of(71, 9, 21);
+    let b = tensor_of(72, 21, 19);
+    let bias = tensor_of(73, 1, 19);
+    let fused = ops::addmm(&a, &b, &bias).unwrap();
+    let want = ops::matmul(&a, &b)
+        .unwrap()
+        .add_row_broadcast(&bias)
+        .unwrap();
+    assert_eq!(bits(&fused), bits(&want));
+}
+
+#[test]
+fn products_are_bitwise_stable_across_pool_widths() {
+    // 2·m·n·k straddles PAR_THRESHOLD_FLOPS (1 << 18): the first shape runs
+    // the sequential branch, the second sits exactly on the threshold, the
+    // rest fan out over PANEL-row chunks (the last with a ragged final one).
+    for &(m, k, n) in &[(64, 32, 63), (64, 32, 64), (104, 64, 48), (130, 96, 70)] {
+        let a = tensor_of(81, m, k);
+        let b = tensor_of(82, k, n);
+        let bt = b.transpose_2d();
+        let at = a.transpose_2d();
+        let bias = tensor_of(83, 1, n);
+        let suite = || {
+            [
+                bits(&ops::matmul(&a, &b).unwrap()),
+                bits(&ops::addmm(&a, &b, &bias).unwrap()),
+                bits(&ops::matmul_nt(&a, &bt).unwrap()),
+                bits(&ops::matmul_tn(&at, &b).unwrap()),
+            ]
+        };
+        rayon::pool::set_max_concurrency(1);
+        let reference = suite();
+        for w in [2usize, 4] {
+            rayon::pool::set_max_concurrency(w);
+            assert_eq!(suite(), reference, "{m}x{k}x{n} diverged at width {w}");
+        }
+        rayon::pool::set_max_concurrency(usize::MAX);
+    }
+}
+
+#[test]
+fn rows_of_a_product_equal_the_same_rows_computed_alone() {
+    // Row-partition invariance: rows r0..r1 of an m = 104 product (parallel,
+    // PANEL- and MR-aligned tiles) equal the same rows computed as their own
+    // m = r1 - r0 call (sequential, tiles aligned to r0 instead). The
+    // offsets are deliberately not multiples of MR (4) or PANEL (32).
+    let (m, k, n) = (104usize, 64usize, 48usize);
+    let a = tensor_of(91, m, k);
+    let b = tensor_of(92, k, n);
+    let bt = b.transpose_2d();
+    let nn = ops::matmul(&a, &b).unwrap();
+    let nt = ops::matmul_nt(&a, &bt).unwrap();
+    let tn = ops::matmul_tn(&a.transpose_2d(), &b).unwrap();
+    for &(r0, r1) in &[(0, 104), (1, 7), (5, 38), (33, 104), (50, 51), (3, 103)] {
+        let part = a.slice_rows(r0..r1).unwrap();
+        let want = |full: &Tensor| bits(&full.slice_rows(r0..r1).unwrap());
+        assert_eq!(
+            bits(&ops::matmul(&part, &b).unwrap()),
+            want(&nn),
+            "nn rows {r0}..{r1}"
+        );
+        assert_eq!(
+            bits(&ops::matmul_nt(&part, &bt).unwrap()),
+            want(&nt),
+            "nt rows {r0}..{r1}"
+        );
+        assert_eq!(
+            bits(&ops::matmul_tn(&part.transpose_2d(), &b).unwrap()),
+            want(&tn),
+            "tn rows {r0}..{r1}"
+        );
     }
 }
 
@@ -160,65 +205,48 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn tiled_matmul_within_2ulp_per_step(
+    fn matmul_within_2ulp_per_step(
         m in 1usize..40, k in 1usize..50, n in 1usize..40, seed in 0u64..1000
     ) {
         let a = tensor_of(seed, m, k);
         let b = tensor_of(seed.wrapping_add(1), k, n);
-        let tiled = with_tiled(|| ops::matmul(&a, &b).unwrap());
+        let got = ops::matmul(&a, &b).unwrap();
         let bd = b.data().to_vec();
-        assert_within_2ulp_per_step(&tiled, &a, |kk, c| bd[kk * n + c], m, k, n);
+        assert_within_2ulp_per_step(&got, &a, |kk, c| bd[kk * n + c], m, k, n);
     }
 
     #[test]
-    fn tiled_nt_within_2ulp_per_step(
+    fn nt_within_2ulp_per_step(
         m in 1usize..40, k in 1usize..50, n in 1usize..40, seed in 0u64..1000
     ) {
         let a = tensor_of(seed, m, k);
         let bt = tensor_of(seed.wrapping_add(2), n, k);
-        let tiled = with_tiled(|| ops::matmul_nt(&a, &bt).unwrap());
+        let got = ops::matmul_nt(&a, &bt).unwrap();
         let btd = bt.data().to_vec();
-        assert_within_2ulp_per_step(&tiled, &a, |kk, c| btd[c * k + kk], m, k, n);
+        assert_within_2ulp_per_step(&got, &a, |kk, c| btd[c * k + kk], m, k, n);
     }
 
     #[test]
-    fn tiled_tn_within_2ulp_per_step(
+    fn tn_within_2ulp_per_step(
         m in 1usize..40, k in 1usize..50, n in 1usize..40, seed in 0u64..1000
     ) {
         let at = tensor_of(seed, k, m);
         let b = tensor_of(seed.wrapping_add(3), k, n);
-        let tiled = with_tiled(|| ops::matmul_tn(&at, &b).unwrap());
-        let atd = at.data().to_vec();
-        let a_rowmajor = {
-            // Fold A back to [m, k] row-major for the shared bound helper.
-            let mut v = vec![0.0f32; m * k];
-            for kk in 0..k {
-                for r in 0..m {
-                    v[r * k + kk] = atd[kk * m + r];
-                }
-            }
-            Tensor::from_vec(v, [m, k]).unwrap()
-        };
+        let got = ops::matmul_tn(&at, &b).unwrap();
         let bd = b.data().to_vec();
-        assert_within_2ulp_per_step(&tiled, &a_rowmajor, |kk, c| bd[kk * n + c], m, k, n);
+        assert_within_2ulp_per_step(&got, &at.transpose_2d(), |kk, c| bd[kk * n + c], m, k, n);
     }
 
     #[test]
-    fn tiled_into_reuses_dirty_out(
+    fn into_reuses_dirty_out(
         m in 1usize..24, k in 1usize..24, n in 1usize..24, seed in 0u64..500
     ) {
-        // A dirty, wrongly-shaped out tensor must not influence tiled results.
+        // A dirty, wrongly-shaped out tensor must not influence results.
         let a = tensor_of(seed, m, k);
         let b = tensor_of(seed.wrapping_add(4), k, n);
-        let (fresh, reused) = with_tiled(|| {
-            let fresh = ops::matmul(&a, &b).unwrap();
-            let mut out = tensor_of(seed.wrapping_add(5), 3, 5);
-            ops::matmul_into(&a, &b, &mut out).unwrap();
-            (fresh, out)
-        });
-        prop_assert_eq!(
-            fresh.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            reused.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        let fresh = ops::matmul(&a, &b).unwrap();
+        let mut reused = tensor_of(seed.wrapping_add(5), 3, 5);
+        ops::matmul_into(&a, &b, &mut reused).unwrap();
+        prop_assert_eq!(bits(&fresh), bits(&reused));
     }
 }
