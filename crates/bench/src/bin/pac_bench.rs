@@ -1,12 +1,16 @@
 //! pac-bench: the perf-trajectory harness.
 //!
 //! Benchmarks the training hot path and records the results to a JSON file
-//! (default `BENCH_PR12.json`) so the repo carries its own measured perf
+//! (default `BENCH_PR13.json`) so the repo carries its own measured perf
 //! history:
 //!
 //! 1. **Kernels** — the small parallel matmul (64×64×64, just past the
 //!    parallel threshold) through the allocating API and through
-//!    `matmul_into` with a reused output buffer.
+//!    `matmul_into` with a reused output buffer; and the `elementwise`
+//!    group, the non-matmul half of a layer: GELU forward and fused
+//!    backward, tanh, `softmax_rows` and one Adam step through their
+//!    product entry points at `[104,1024]` (the `pac_solo` feed-forward
+//!    hidden) and `[128,128]`, reported in ns/element.
 //! 2. **End-to-end epoch** — a 4-mini-batch training epoch of the micro
 //!    encoder.
 //! 3. **Loopback link calibration** — RTT and bulk throughput of the real
@@ -43,10 +47,10 @@ use criterion::{black_box, Criterion, Throughput};
 use pac_model::StageData;
 use pac_model::{EncoderModel, ModelConfig};
 use pac_net::wire::{encode_frame, Msg};
-use pac_nn::{cross_entropy, Module, Optimizer, Sgd};
+use pac_nn::{cross_entropy, Activation, Adam, Linear, Module, Optimizer, Sgd};
 use pac_peft::{ActivationCache, Technique, TrainCheckpoint, Tuner};
 use pac_store::{DiskStore, Store};
-use pac_tensor::{init, ops, rng::seeded, scratch, QTensor, Tensor};
+use pac_tensor::{init, ops, reduce, rng::seeded, scratch, QTensor, Tensor};
 use rand::Rng as _;
 use rayon::pool;
 use std::time::Duration;
@@ -114,7 +118,7 @@ fn main() {
             } else if serve {
                 "BENCH_PR9.json".to_string()
             } else {
-                "BENCH_PR12.json".to_string()
+                "BENCH_PR13.json".to_string()
             }
         });
     if multiworld {
@@ -173,6 +177,45 @@ fn main() {
         g.bench_function("into_reused_out", |bch| {
             bch.iter(|| ops::matmul_into(black_box(&a), black_box(&b), &mut out).expect("matmul"))
         });
+        g.finish();
+    }
+
+    // Elementwise: every bench goes through the entry point the layers
+    // call, so scratch traffic and the output zero-fill are in the figure.
+    const ELEMENTWISE: [&str; 5] = [
+        "gelu_fwd",
+        "gelu_bwd_fused",
+        "tanh_fwd",
+        "softmax_rows",
+        "adam_step",
+    ];
+    const ELEMENTWISE_SHAPES: [[usize; 2]; 2] = [[104, 1024], [128, 128]];
+    {
+        let mut g = c.benchmark_group("elementwise");
+        for shape in ELEMENTWISE_SHAPES {
+            let tag = format!("{}x{}", shape[0], shape[1]);
+            let x = init::randn(&mut rng, shape, 1.5);
+            let dy = init::randn(&mut rng, shape, 1.0);
+            g.throughput(Throughput::Elements((shape[0] * shape[1]) as u64));
+            g.bench_function(&format!("gelu_fwd_{tag}"), |bch| {
+                bch.iter(|| scratch::put(Activation::Gelu.forward(black_box(&x))))
+            });
+            g.bench_function(&format!("gelu_bwd_fused_{tag}"), |bch| {
+                bch.iter(|| scratch::put(Activation::Gelu.backward(black_box(&x), black_box(&dy))))
+            });
+            g.bench_function(&format!("tanh_fwd_{tag}"), |bch| {
+                bch.iter(|| scratch::put(Activation::Tanh.forward(black_box(&x))))
+            });
+            g.bench_function(&format!("softmax_rows_{tag}"), |bch| {
+                bch.iter(|| reduce::softmax_rows(black_box(&x)))
+            });
+            g.bench_function(&format!("adam_step_{tag}"), |bch| {
+                let mut layer = Linear::from_weights("bench", x.clone(), None);
+                layer.w.grad = dy.clone();
+                let mut opt = Adam::new(1e-3);
+                bch.iter(|| opt.step(&mut layer))
+            });
+        }
         g.finish();
     }
 
@@ -423,6 +466,18 @@ fn main() {
         sstats.allocs
     );
 
+    println!("\nelementwise, p50 ns/element:");
+    let mut elementwise_json = Vec::new();
+    for shape in ELEMENTWISE_SHAPES {
+        let tag = format!("{}x{}", shape[0], shape[1]);
+        for kernel in ELEMENTWISE {
+            let per_elem =
+                p50(&format!("elementwise/{kernel}_{tag}")) / (shape[0] * shape[1]) as f64;
+            println!("  {kernel:<16} [{tag}] {per_elem:>7.3}");
+            elementwise_json.push(format!("\"{kernel}_{tag}\": {per_elem:.3}"));
+        }
+    }
+
     let mut json = String::from("{\n  \"benches\": [\n");
     for (i, r) in results.iter().enumerate() {
         json.push_str(&format!(
@@ -438,6 +493,10 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
+    json.push_str(&format!(
+        "  \"elementwise_ns_per_element\": {{{}}},\n",
+        elementwise_json.join(", ")
+    ));
     json.push_str(&format!(
         "  \"link\": {{\"rtt_s\": {:.9}, \"bandwidth_bps\": {:.1}, \"bulk_frame_bytes\": {}}},\n",
         cal.rtt_s, cal.bandwidth_bps, cal.bulk_frame_bytes

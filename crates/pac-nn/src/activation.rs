@@ -1,6 +1,10 @@
 //! Pointwise nonlinearities with exact derivative implementations.
+//!
+//! `Gelu` and `Tanh` run the vectorized [`pac_tensor::elementwise`] kernels
+//! in both directions: one pass, no libm call, and the backward fuses
+//! `dy ⊙ f'(x)` without materialising `f'(x)`.
 
-use pac_tensor::Tensor;
+use pac_tensor::{elementwise, scratch, Tensor};
 
 /// Supported activation functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -16,45 +20,52 @@ pub enum Activation {
     Identity,
 }
 
+fn relu(x: &[f32], out: &mut [f32]) {
+    for (y, &v) in out.iter_mut().zip(x) {
+        *y = v.max(0.0);
+    }
+}
+
+/// Masks `dy` where the input was not positive.
+fn relu_backward(x: &[f32], dy: &[f32], out: &mut [f32]) {
+    for ((dx, &v), &d) in out.iter_mut().zip(x).zip(dy) {
+        *dx = if v > 0.0 { d } else { 0.0 };
+    }
+}
+
 impl Activation {
     /// Applies the activation elementwise.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        match self {
-            Activation::Relu => x.map(|v| v.max(0.0)),
-            Activation::Gelu => x.map(gelu),
-            Activation::Tanh => x.map(f32::tanh),
-            Activation::Identity => x.clone(),
-        }
+        let kernel: fn(&[f32], &mut [f32]) = match self {
+            Activation::Relu => relu,
+            Activation::Gelu => elementwise::gelu,
+            Activation::Tanh => elementwise::tanh,
+            Activation::Identity => return x.clone(),
+        };
+        // Recycled buffers: the `scratch::put` calls of the layers around
+        // an activation feed the next one.
+        let mut y = scratch::take(x.shape().clone());
+        kernel(x.data(), y.data_mut());
+        y
     }
 
-    /// Backward pass: `dx = dy ⊙ f'(x)` given the forward *input* `x`.
+    /// Backward pass: `dx = dy ⊙ f'(x)` given the forward *input* `x`, in
+    /// one pass over `x` and `dy`.
     ///
     /// # Panics
     /// Panics if `x` and `dy` shapes differ (programming error).
     pub fn backward(&self, x: &Tensor, dy: &Tensor) -> Tensor {
-        let d = match self {
-            Activation::Relu => x.map(|v| if v > 0.0 { 1.0 } else { 0.0 }),
-            Activation::Gelu => x.map(gelu_prime),
-            Activation::Tanh => x.map(|v| 1.0 - v.tanh().powi(2)),
-            Activation::Identity => Tensor::ones(x.dims()),
+        assert_eq!(x.shape(), dy.shape(), "activation backward shapes");
+        let kernel: fn(&[f32], &[f32], &mut [f32]) = match self {
+            Activation::Relu => relu_backward,
+            Activation::Gelu => elementwise::gelu_backward,
+            Activation::Tanh => elementwise::tanh_backward,
+            Activation::Identity => return dy.clone(),
         };
-        d.mul(dy).expect("activation backward shapes must match")
+        let mut dx = scratch::take(x.shape().clone());
+        kernel(x.data(), dy.data(), dx.data_mut());
+        dx
     }
-}
-
-/// Tanh-approximated GELU: `0.5 x (1 + tanh(√(2/π)(x + 0.044715 x³)))`.
-fn gelu(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
-}
-
-/// Derivative of the tanh-approximated GELU.
-fn gelu_prime(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let inner = C * (x + 0.044_715 * x * x * x);
-    let t = inner.tanh();
-    let sech2 = 1.0 - t * t;
-    0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044_715 * x * x)
 }
 
 #[cfg(test)]
@@ -62,6 +73,49 @@ mod tests {
     use super::*;
     use crate::gradcheck::assert_grad_close;
     use pac_tensor::{init, rng::seeded};
+
+    /// Scalar libm oracle: `0.5 x (1 + tanh(√(2/π)(x + 0.044715 x³)))`.
+    fn gelu(x: f32) -> f32 {
+        const C: f32 = 0.797_884_6; // sqrt(2/pi)
+        0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
+    }
+
+    /// Scalar libm oracle for the derivative of [`gelu`].
+    fn gelu_prime(x: f32) -> f32 {
+        const C: f32 = 0.797_884_6;
+        let inner = C * (x + 0.044_715 * x * x * x);
+        let t = inner.tanh();
+        let sech2 = 1.0 - t * t;
+        0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044_715 * x * x)
+    }
+
+    #[test]
+    fn kernels_match_the_scalar_libm_oracles() {
+        let mut rng = seeded(7);
+        let x = init::randn(&mut rng, [13, 11], 2.5);
+        let dy = init::randn(&mut rng, [13, 11], 1.0);
+        let close = |got: &Tensor, want: &Tensor| got.approx_eq(want, 2e-6);
+        assert!(close(&Activation::Gelu.forward(&x), &x.map(gelu)));
+        assert!(close(
+            &Activation::Gelu.backward(&x, &dy),
+            &x.map(gelu_prime).mul(&dy).unwrap()
+        ));
+        assert!(close(&Activation::Tanh.forward(&x), &x.map(f32::tanh)));
+        assert!(close(
+            &Activation::Tanh.backward(&x, &dy),
+            &x.map(|v| 1.0 - v.tanh().powi(2)).mul(&dy).unwrap()
+        ));
+    }
+
+    #[test]
+    fn relu_backward_masks_dy_and_identity_shares_it() {
+        let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0, 3.0], [2, 2]).unwrap();
+        let dy = Tensor::from_vec(vec![5.0, 6.0, f32::INFINITY, -7.0], [2, 2]).unwrap();
+        let dx = Activation::Relu.backward(&x, &dy);
+        assert_eq!(dx.data(), &[0.0, 0.0, f32::INFINITY, -7.0]);
+        assert_eq!(dx.dims(), &[2, 2]);
+        assert!(Activation::Identity.backward(&x, &dy).shares_storage(&dy));
+    }
 
     #[test]
     fn relu_clamps_negatives() {

@@ -5,6 +5,7 @@
 //! convenient when parameters migrate between simulated devices.
 
 use crate::param::{Module, Param};
+use pac_tensor::elementwise::{self, AdamCoeffs};
 use pac_tensor::Tensor;
 
 /// Common optimizer interface: one in-place update step over a module's
@@ -123,31 +124,30 @@ impl Adam {
 impl Optimizer for Adam {
     fn step(&mut self, module: &mut dyn Module) {
         self.t += 1;
-        let (b1, b2, eps, lr, t) = (self.beta1, self.beta2, self.eps, self.lr, self.t);
-        let bc1 = 1.0 - b1.powi(t as i32);
-        let bc2 = 1.0 - b2.powi(t as i32);
+        // `powi` takes an i32: saturate instead of wrapping (βᵗ is 0 in f32
+        // long before either bound).
+        let t = i32::try_from(self.t).unwrap_or(i32::MAX);
+        let coeffs = AdamCoeffs {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            bc1: 1.0 - self.beta1.powi(t),
+            bc2: 1.0 - self.beta2.powi(t),
+        };
         module.visit_params(&mut |p| {
             if !p.trainable {
                 return;
             }
-            let dims = p.value.dims().to_vec();
-            let m = p.opt_m.get_or_insert_with(|| Tensor::zeros(dims.clone()));
-            for (mi, gi) in m.data_mut().iter_mut().zip(p.grad.data()) {
-                *mi = b1 * *mi + (1.0 - b1) * gi;
-            }
-            let v = p.opt_v.get_or_insert_with(|| Tensor::zeros(dims));
-            for (vi, gi) in v.data_mut().iter_mut().zip(p.grad.data()) {
-                *vi = b2 * *vi + (1.0 - b2) * gi * gi;
-            }
-            // Borrow m and v immutably for the value update.
-            let (m, v) = (p.opt_m.as_ref().unwrap(), p.opt_v.as_ref().unwrap());
-            let mdata = m.data();
-            let vdata = v.data();
-            for (i, w) in p.value.data_mut().iter_mut().enumerate() {
-                let mhat = mdata[i] / bc1;
-                let vhat = vdata[i] / bc2;
-                *w -= lr * mhat / (vhat.sqrt() + eps);
-            }
+            let m = p.opt_m.get_or_insert_with(|| Tensor::zeros(p.value.dims()));
+            let v = p.opt_v.get_or_insert_with(|| Tensor::zeros(p.value.dims()));
+            elementwise::adam_step(
+                p.value.data_mut(),
+                m.data_mut(),
+                v.data_mut(),
+                p.grad.data(),
+                coeffs,
+            );
         });
     }
 
@@ -225,6 +225,73 @@ mod tests {
             opt.step(&mut q);
         }
         assert!(q.x().abs() < 1e-2, "x = {}", q.x());
+    }
+
+    /// The three-pass update `Adam::step` ran before it was fused: the
+    /// oracle the one-pass kernel must match bit for bit.
+    fn adam_three_pass(p: &mut Param, (lr, b1, b2, eps): (f32, f32, f32, f32), t: u64) {
+        let bc1 = 1.0 - b1.powi(t as i32);
+        let bc2 = 1.0 - b2.powi(t as i32);
+        let dims = p.value.dims().to_vec();
+        let m = p.opt_m.get_or_insert_with(|| Tensor::zeros(dims.clone()));
+        for (mi, gi) in m.data_mut().iter_mut().zip(p.grad.data()) {
+            *mi = b1 * *mi + (1.0 - b1) * gi;
+        }
+        let v = p.opt_v.get_or_insert_with(|| Tensor::zeros(dims));
+        for (vi, gi) in v.data_mut().iter_mut().zip(p.grad.data()) {
+            *vi = b2 * *vi + (1.0 - b2) * gi * gi;
+        }
+        let (m, v) = (p.opt_m.as_ref().unwrap(), p.opt_v.as_ref().unwrap());
+        for (i, w) in p.value.data_mut().iter_mut().enumerate() {
+            let mhat = m.data()[i] / bc1;
+            let vhat = v.data()[i] / bc2;
+            *w -= lr * mhat / (vhat.sqrt() + eps);
+        }
+    }
+
+    #[test]
+    fn fused_adam_is_bitwise_the_three_pass_update() {
+        use pac_tensor::{init, rng::seeded};
+        let mut rng = seeded(31);
+        // 37·3 elements: vector body and a tail.
+        let mut fused = Quad {
+            p: Param::new("w", init::randn(&mut rng, [37, 3], 1.0)),
+        };
+        let mut reference = fused.p.clone();
+        let mut opt = Adam::new(3e-3);
+        let hyper = (opt.lr, opt.beta1, opt.beta2, opt.eps);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for t in 1..=25 {
+            let g = init::randn(&mut rng, [37, 3], 0.5);
+            fused.p.grad = g.clone();
+            reference.grad = g;
+            opt.step(&mut fused);
+            adam_three_pass(&mut reference, hyper, t);
+            assert_eq!(bits(&fused.p.value), bits(&reference.value), "step {t}");
+            assert_eq!(
+                bits(fused.p.opt_m.as_ref().unwrap()),
+                bits(reference.opt_m.as_ref().unwrap())
+            );
+            assert_eq!(
+                bits(fused.p.opt_v.as_ref().unwrap()),
+                bits(reference.opt_v.as_ref().unwrap())
+            );
+        }
+    }
+
+    #[test]
+    fn step_counter_past_i32_max_saturates_the_bias_correction() {
+        // βᵗ is 0 there, so the corrections are exactly 1; `t as i32` would
+        // have wrapped to a negative exponent and blown them up.
+        let mut q = Quad::new(2.0);
+        q.compute_grad();
+        let mut opt = Adam::new(0.1);
+        opt.t = i32::MAX as u64 + 5;
+        opt.step(&mut q);
+        assert!(q.x().is_finite() && q.x() < 2.0, "x = {}", q.x());
+        // m̂ = 0.1·g, v̂ = 0.001·g² ⇒ step = lr·0.1/√0.001.
+        let want = 2.0 - 0.1 * (0.1 * 4.0) / ((0.001f32 * 16.0).sqrt() + 1e-8);
+        assert!((q.x() - want).abs() < 1e-5, "x = {} want {want}", q.x());
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!    results are bitwise reproducible across thread counts (see
 //!    [`ops`] for the full contract).
 //! 3. **Throughput** — matmul is register-tiled over [`simd::f32x8`] lanes
-//!    and parallelized over row panels with Rayon, which is sufficient to
+//!    and parallelized over row panels with Rayon, and the transcendental
+//!    half of a layer (GELU, tanh, softmax's `exp`, Adam) runs the
+//!    vectorized, libm-free [`elementwise`] kernels, which is sufficient to
 //!    train the micro-scale transformers used in the paper-reproduction
 //!    experiments on a laptop-class CPU.
 //!
@@ -24,6 +26,7 @@
 
 #![deny(missing_docs)]
 
+pub mod elementwise;
 pub mod error;
 pub mod init;
 pub mod ops;

@@ -1,21 +1,26 @@
 //! Row-wise reductions and normalizations over the 2-D view.
 
+use crate::elementwise;
 use crate::error::Result;
 use crate::tensor::Tensor;
 
 /// Numerically-stable softmax along the last dimension.
 ///
 /// Rows of the 2-D view are normalized independently:
-/// `y_ij = exp(x_ij - max_i) / Σ_j exp(x_ij - max_i)`.
+/// `y_ij = exp(x_ij - max_i) / Σ_j exp(x_ij - max_i)`. The `exp` pass runs
+/// the vectorized [`crate::elementwise::exp_sub`]; the denominator is summed
+/// in column order, so a row's result depends on that row alone.
 pub fn softmax_rows(x: &Tensor) -> Tensor {
     let (rows, cols) = x.as_2d();
-    let mut out = x.clone();
+    let mut out = Tensor::zeros(x.shape().clone());
+    let od = out.data_mut();
     for r in 0..rows {
-        let row = &mut out.data_mut()[r * cols..(r + 1) * cols];
-        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let xrow = &x.data()[r * cols..(r + 1) * cols];
+        let row = &mut od[r * cols..(r + 1) * cols];
+        let m = xrow.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        elementwise::exp_sub(xrow, m, row);
         let mut denom = 0.0f32;
-        for v in row.iter_mut() {
-            *v = (*v - m).exp();
+        for v in row.iter() {
             denom += *v;
         }
         let inv = 1.0 / denom;

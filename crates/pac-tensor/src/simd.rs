@@ -120,7 +120,7 @@ impl Mul for f32x8 {
 
 /// Whether this CPU has AVX2+FMA (probed once, cached).
 #[cfg(target_arch = "x86_64")]
-fn avx2_fma() -> bool {
+pub(crate) fn avx2_fma() -> bool {
     use std::sync::OnceLock;
     static HAVE: OnceLock<bool> = OnceLock::new();
     *HAVE.get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
