@@ -36,12 +36,12 @@
 //! cache-hit-rate trajectory, resident adapter bytes against the
 //! eviction budget, and registry dedup to `BENCH_PR9.json`.
 //!
-//! `pac-bench --multiworld [--tenants N]` runs the PR 10 multi-world
-//! benchmark instead: N tenant training worlds (default 6) through one
-//! poll-driven coordinator vs the same worlds run back to back,
+//! `pac-bench --multiworld [--tenants N]` runs the multi-world benchmark
+//! instead: N tenant training worlds (default 6) multiplexed by the
+//! coordinator vs the same coordinator fed the same worlds one at a time,
 //! recording wall-clock tenants/sec both ways, the bitwise solo-equality
 //! check, and the `bubble_fraction` of the co-scheduled pipeline plan
-//! before/after cross-tenant bubble filling to `BENCH_PR10.json`.
+//! before/after cross-tenant bubble filling to `BENCH_PR14.json`.
 
 use criterion::{black_box, Criterion, Throughput};
 use pac_model::StageData;
@@ -114,7 +114,7 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| {
             if multiworld {
-                "BENCH_PR10.json".to_string()
+                "BENCH_PR14.json".to_string()
             } else if serve {
                 "BENCH_PR9.json".to_string()
             } else {
@@ -411,12 +411,8 @@ fn main() {
         let run = |wire_q8: bool| -> f32 {
             let mut cfg = pac_net::DistConfig::loopback(2, 2);
             cfg.wire_q8 = wire_q8;
-            *pac_net::DistTrainer::new(cfg)
-                .run(
-                    &pac_net::Spawner::Threads,
-                    &batches,
-                    &pac_parallel::FaultPlan::none(),
-                )
+            let job = pac_net::TenantJob::new(0, cfg, batches.clone());
+            *pac_net::run_world(&pac_net::Spawner::Threads, job)
                 .expect("loopback dist run")
                 .losses
                 .last()
@@ -526,15 +522,16 @@ fn main() {
     println!("\nwrote {out_path}");
 }
 
-/// The PR 10 multi-world benchmark: `tenants` training worlds through one
-/// poll-driven coordinator vs the same worlds run back to back, plus the
+/// The multi-world benchmark: `tenants` training worlds multiplexed by the
+/// coordinator vs the same coordinator fed the same worlds one at a time
+/// — so the ratio measures multiplexing and nothing else — plus the
 /// analytic bubble accounting for co-scheduling their pipeline slots.
 fn multiworld_bench(tenants: usize, out_path: &str) {
     use pac_net::{
-        run_multiworld, DistConfig, DistTrainer, SimConfig, SimNet, SimSpawner, TenantJob,
+        run_multiworld, run_world, DistConfig, SimConfig, SimNet, SimSpawner, TenantJob,
     };
     use pac_parallel::engine::MicroBatch;
-    use pac_parallel::{plan_filled, plan_serialized, FaultPlan, SimStage, TenantLoad};
+    use pac_parallel::{plan_filled, plan_serialized, SimStage, TenantLoad};
     use std::time::Instant;
 
     // Tenant worlds rotate through small distinct shapes `(stages, lanes)`
@@ -572,20 +569,19 @@ fn multiworld_bench(tenants: usize, out_path: &str) {
 
     println!(
         "pac-bench --multiworld: {tenants} tenant worlds x {STEPS} steps through one \
-         poll-driven coordinator\n"
+         coordinator\n"
     );
 
-    // Unbatched baseline: each tenant's world brought up, trained, and torn
-    // down in sequence — the pre-multiworld serving model.
+    // Serialized baseline: the same coordinator, one job at a time — each
+    // tenant's world brought up, trained, and torn down in sequence.
     let t0 = Instant::now();
     let mut solo_losses: Vec<Vec<f32>> = Vec::new();
     for t in 0..tenants {
         let net = SimNet::new(SimConfig::clean(40 + t as u64));
         let _coord = net.register(0);
         let spawner = SimSpawner::new(net.clone());
-        let report = DistTrainer::new(cfg_for(t))
-            .run(&spawner, &batches_for(t), &FaultPlan::none())
-            .expect("solo tenant run");
+        let job = TenantJob::new(t as u64, cfg_for(t), batches_for(t));
+        let report = run_world(&spawner, job).expect("solo tenant run");
         solo_losses.push(report.losses);
     }
     let serialized_secs = t0.elapsed().as_secs_f64();

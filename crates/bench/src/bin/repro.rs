@@ -209,7 +209,7 @@ fn net_worker_main(rest: &[String]) -> ! {
 /// bitwise against the in-process hybrid engine on the same seed.
 fn distributed_demo(n: usize, faults_spec: Option<&str>) {
     use pac_model::{EncoderModel, ModelConfig};
-    use pac_net::{DistConfig, DistTrainer, Spawner};
+    use pac_net::{run_world, DistConfig, RankLoss, Spawner, TenantJob};
     use pac_nn::optim::Sgd;
     use pac_nn::Optimizer;
     use pac_parallel::engine::{HybridEngine, MicroBatch};
@@ -265,7 +265,12 @@ fn distributed_demo(n: usize, faults_spec: Option<&str>) {
     println!(
         "spawning {n} x `repro --net-worker <coordinator> <slot>` on 127.0.0.1, plan: {plan}\n"
     );
-    let report = match DistTrainer::new(cfg.clone()).run(&spawner, &batches, &plan) {
+    let job = TenantJob {
+        faults: plan.clone(),
+        on_rank_loss: RankLoss::Shrink,
+        ..TenantJob::new(0, cfg.clone(), batches.clone())
+    };
+    let report = match run_world(&spawner, job) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("distributed run failed: {e}");
@@ -441,13 +446,13 @@ fn serve_demo() {
 
 fn durable_demo() {
     use pac_model::{EncoderModel, ModelConfig};
-    use pac_net::{DistConfig, DistError, DistTrainer, SimConfig, SimNet, SimSpawner};
+    use pac_net::{run_world, DistConfig, DistError, SimConfig, SimNet, SimSpawner, TenantJob};
     use pac_nn::optim::Sgd;
     use pac_nn::Optimizer;
     use pac_parallel::engine::{HybridEngine, MicroBatch};
     use pac_parallel::faults::render_events;
     use pac_parallel::{Fault, FaultPlan, Schedule};
-    use pac_store::{DiskStore, Store, StoreError};
+    use pac_store::{DiskStore, StoreError};
     use pac_tensor::rng::seeded;
     use rand::Rng as _;
 
@@ -486,16 +491,22 @@ fn durable_demo() {
         dir.display()
     );
 
-    let durable_run = |sim_seed: u64, faults: &FaultPlan, store: &mut dyn Store| {
+    // The job owns its store and drops it with the run.
+    let durable_run = |sim_seed: u64, faults: &FaultPlan, store: DiskStore| {
         let net = SimNet::new(SimConfig::clean(sim_seed));
         let _coord = net.register(0);
         let spawner = SimSpawner::new(net.clone());
-        DistTrainer::new(cfg.clone()).run_with_store(&spawner, &batches, faults, store)
+        let job = TenantJob {
+            faults: faults.clone(),
+            store: Some(Box::new(store)),
+            ..TenantJob::new(0, cfg.clone(), batches.clone())
+        };
+        run_world(&spawner, job)
     };
 
     {
-        let (mut store, _) = DiskStore::open(&dir).expect("fresh store");
-        match durable_run(71, &plan, &mut store) {
+        let (store, _) = DiskStore::open(&dir).expect("fresh store");
+        match durable_run(71, &plan, store) {
             Err(DistError::Store(e @ StoreError::Injected { .. })) => {
                 println!("coordinator died with the typed store error:\n  {e}");
             }
@@ -507,12 +518,12 @@ fn durable_demo() {
     }
 
     println!("\n-- run 2: cold restart over the same log --");
-    let (mut store, report) = DiskStore::open(&dir).expect("recovery open");
+    let (store, report) = DiskStore::open(&dir).expect("recovery open");
     println!(
         "recovery: {} segment(s), {} committed snapshot(s), {} B kept, {} torn-tail B truncated",
         report.segments, report.commits, report.bytes_kept, report.truncated_bytes
     );
-    let resumed = match durable_run(72, &FaultPlan::none(), &mut store) {
+    let resumed = match durable_run(72, &FaultPlan::none(), store) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("cold restart failed: {e}");
@@ -563,7 +574,6 @@ fn durable_demo() {
         if loss_ok { "IDENTICAL" } else { "DIVERGED" },
         if params_ok { "IDENTICAL" } else { "DIVERGED" },
     );
-    drop(store);
     if loss_ok && params_ok {
         let _ = std::fs::remove_dir_all(&dir);
     } else {

@@ -2,7 +2,7 @@
 //!
 //! FoundationDB-style deterministic simulation testing for the distributed
 //! runtime: every seed builds a fresh in-memory world ([`pac_net::SimNet`])
-//! and runs the full coordinator/worker/driver stack — the *same* code
+//! and runs the full coordinator/worker stack — the *same* code
 //! paths production runs over TCP — under a seeded adversary, checking
 //! invariants that must hold in every schedule:
 //!
@@ -29,11 +29,13 @@
 //!   on-disk log must recover the last committed snapshot and finish with
 //!   losses and parameters *bitwise identical* to the clean reference.
 //!   `--durable` runs this phase alone.
-//! * **F (multi-world chaos)** — one poll-driven coordinator multiplexes
-//!   2–3 tenant worlds ([`pac_net::run_multiworld`]) with staggered
-//!   admissions and a seeded rank death in one world. Every tenant's
-//!   losses and final parameters must be *bitwise identical* to its solo
-//!   single-world run, the whole multi-world schedule must be
+//! * **F (multi-world chaos)** — the coordinator multiplexes 2–3 tenant
+//!   worlds ([`pac_net::run_multiworld`]) with staggered admissions and
+//!   either a seeded rank death in one world (respawned in place) or, on
+//!   a share of seeds, one shrink-policy tenant living through phase D's
+//!   churn (a leave, then a join wave) beside clean siblings. Every
+//!   tenant's losses and final parameters must be *bitwise identical* to
+//!   its own one-job run, the whole multi-world schedule must be
 //!   byte-identical on re-run, each world's recovery log must name only
 //!   its own ranks, and filling the tenants' pipeline bubbles
 //!   ([`pac_parallel::fill`]) must come in *strictly below* the unbatched
@@ -55,8 +57,8 @@
 
 use pac_model::{EncoderModel, ModelConfig, StageModel};
 use pac_net::{
-    run_multiworld, Buggify, DistConfig, DistError, DistTrainer, Partition, SimConfig, SimNet,
-    SimSpawner, TenantJob,
+    run_multiworld, run_world, Buggify, DistConfig, DistError, Partition, RankLoss, SimConfig,
+    SimNet, SimSpawner, TenantJob, WorldReport,
 };
 use pac_nn::optim::Sgd;
 use pac_nn::{Module, Optimizer};
@@ -65,13 +67,15 @@ use pac_parallel::fill::{run_filled_mini_batch, FillTenant, SlotLeak};
 use pac_parallel::{
     plan_filled, plan_serialized, Fault, FaultPlan, Schedule, SimStage, TenantLoad,
 };
-use pac_store::{DiskStore, Store, StoreError};
+use pac_store::{Committed, DiskStore, Store, StoreError};
 use pac_tensor::rng::seeded;
 use rand::Rng;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::rc::Rc;
 use std::time::Instant;
 
 const SEED: u64 = 7;
@@ -128,6 +132,15 @@ struct Reference {
     params: Vec<(String, pac_tensor::Tensor)>,
 }
 
+/// The one-world job phases A–E run: it shrinks when it loses a rank.
+fn elastic_job(cfg: DistConfig, batches: &[Vec<MicroBatch>], faults: &FaultPlan) -> TenantJob {
+    TenantJob {
+        faults: faults.clone(),
+        on_rank_loss: RankLoss::Shrink,
+        ..TenantJob::new(0, cfg, batches.to_vec())
+    }
+}
+
 /// One full distributed job inside one simulated world.
 fn sim_run(
     sim_cfg: SimConfig,
@@ -135,11 +148,11 @@ fn sim_run(
     batches: &[Vec<MicroBatch>],
     faults: &FaultPlan,
     buggify: Buggify,
-) -> (Result<pac_net::DistReport, pac_net::DistError>, SimNet) {
+) -> (Result<WorldReport, DistError>, SimNet) {
     let net = SimNet::new(sim_cfg);
     let _coord = net.register(0);
     let spawner = SimSpawner::with_buggify(net.clone(), buggify);
-    let report = DistTrainer::new(dist_cfg).run(&spawner, batches, faults);
+    let report = run_world(&spawner, elastic_job(dist_cfg, batches, faults));
     (report, net)
 }
 
@@ -152,11 +165,7 @@ fn check_world(net: &SimNet, what: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn bitwise_check(
-    report: &pac_net::DistReport,
-    reference: &Reference,
-    what: &str,
-) -> Result<(), String> {
+fn bitwise_check(report: &WorldReport, reference: &Reference, what: &str) -> Result<(), String> {
     bitwise_check_parts(&report.losses, &report.final_params, reference, what)
 }
 
@@ -394,8 +403,8 @@ fn phase_d(
         // three quarters in — late enough that the post-join world's
         // setup handshake is long finished, so only trained-steps traffic
         // can be cut. Actor ids are deterministic: the post-join restart
-        // is the third launch (generation 2), so its first worker is
-        // actor 2*64+1 = 129.
+        // is the second launch (generation 1), so its first worker is
+        // actor 64+1 = 65.
         let (calib, net) = sim_run(
             SimConfig::clean(seed),
             cfg.clone(),
@@ -410,7 +419,7 @@ fn phase_d(
         let mut sim_cfg = SimConfig::clean(seed);
         sim_cfg.partitions.push(Partition {
             a: 0,
-            b: 2 * pac_net::simnet::WORKERS_PER_GEN + 1,
+            b: pac_net::simnet::WORKERS_PER_GEN + 1,
             from_ns: t_end / 4 * 3,
             to_ns: u64::MAX,
         });
@@ -530,6 +539,28 @@ fn phase_d(
     Ok(())
 }
 
+/// A [`DiskStore`] the sweep keeps a handle on while a job owns it, so the
+/// calibration run can read each commit's byte extent back afterwards.
+struct SharedStore(Rc<RefCell<DiskStore>>);
+
+impl Store for SharedStore {
+    fn commit(&mut self, payload: &[u8], meta: &[u8]) -> Result<u64, StoreError> {
+        self.0.borrow_mut().commit(payload, meta)
+    }
+    fn latest(&self) -> Result<Option<Committed>, StoreError> {
+        self.0.borrow().latest()
+    }
+    fn committed(&self, seq: u64) -> Result<Option<Committed>, StoreError> {
+        self.0.borrow().committed(seq)
+    }
+    fn commits(&self) -> u64 {
+        self.0.borrow().commits()
+    }
+    fn arm_crash(&mut self, at_byte: u64) {
+        self.0.borrow_mut().arm_crash(at_byte);
+    }
+}
+
 /// Phase E: durable crash-recovery. A calibration run over a real
 /// [`DiskStore`] records how many bytes each checkpoint commit appends;
 /// the seed then aims a `crash@step,at-byte` fault *inside* one of the
@@ -553,19 +584,22 @@ fn phase_e(
     // net: the evidence is the on-disk log, not a schedule.
     let empty_net = || SimNet::new(SimConfig::clean(seed));
 
-    let durable_run = |sim_seed: u64, faults: &FaultPlan, store: &mut dyn Store| {
+    // The job owns its store and drops it with the run; the log is
+    // reopened from disk for the next one.
+    let durable_run = |sim_seed: u64, faults: &FaultPlan, store: Box<dyn Store>| {
         let net = SimNet::new(SimConfig::clean(sim_seed));
         let _coord = net.register(0);
         let spawner = SimSpawner::new(net.clone());
-        let out = DistTrainer::new(cfg.clone()).run_with_store(&spawner, batches, faults, store);
-        (out, net)
+        let mut job = elastic_job(cfg.clone(), batches, faults);
+        job.store = Some(store);
+        (run_world(&spawner, job), net)
     };
 
     // Calibrate: run the same job clean over a throwaway log and read back
     // the byte extent of every commit append.
     let commit_sizes: Vec<u64> = {
-        let (mut store, _) = match DiskStore::open(dir.join("calib")) {
-            Ok(v) => v,
+        let store = match DiskStore::open(dir.join("calib")) {
+            Ok((store, _)) => Rc::new(RefCell::new(store)),
             Err(e) => {
                 return Err((
                     format!("E: calibration store open failed: {e}"),
@@ -573,14 +607,19 @@ fn phase_e(
                 ))
             }
         };
-        let (out, net) = durable_run(seed.wrapping_mul(3) + 1, &FaultPlan::none(), &mut store);
+        let (out, net) = durable_run(
+            seed.wrapping_mul(3) + 1,
+            &FaultPlan::none(),
+            Box::new(SharedStore(store.clone())),
+        );
         if let Err(e) = check_world(&net, "E") {
             return Err((e, net));
         }
         if let Err(e) = out {
             return Err((format!("E: calibration run failed: {e}"), net));
         }
-        store.commit_sizes().to_vec()
+        let sizes = store.borrow().commit_sizes().to_vec();
+        sizes
     };
     // Initial commit + the periodic commits at step cursors 2 and 4.
     if commit_sizes.len() < 3 {
@@ -603,11 +642,11 @@ fn phase_e(
 
     // The writer dies mid-append with the typed injected-crash error.
     {
-        let (mut store, _) = match DiskStore::open(dir.join("log")) {
-            Ok(v) => v,
+        let store = match DiskStore::open(dir.join("log")) {
+            Ok((store, _)) => store,
             Err(e) => return Err((format!("E: store open failed: {e}"), empty_net())),
         };
-        let (out, net) = durable_run(seed.wrapping_mul(3) + 2, &faults, &mut store);
+        let (out, net) = durable_run(seed.wrapping_mul(3) + 2, &faults, Box::new(store));
         if let Err(e) = check_world(&net, "E") {
             return Err((e, net));
         }
@@ -626,7 +665,7 @@ fn phase_e(
 
     // Cold restart over the same log: recovery keeps every committed
     // snapshot, and the resumed trajectory is bitwise.
-    let (mut store, report) = match DiskStore::open(dir.join("log")) {
+    let (store, report) = match DiskStore::open(dir.join("log")) {
         Ok(v) => v,
         Err(e) => return Err((format!("E: recovery open failed: {e}"), empty_net())),
     };
@@ -636,7 +675,11 @@ fn phase_e(
             empty_net(),
         ));
     }
-    let (out, net) = durable_run(seed.wrapping_mul(3) + 3, &FaultPlan::none(), &mut store);
+    let (out, net) = durable_run(
+        seed.wrapping_mul(3) + 3,
+        &FaultPlan::none(),
+        Box::new(store),
+    );
     if let Err(e) = check_world(&net, "E") {
         return Err((e, net));
     }
@@ -647,7 +690,6 @@ fn phase_e(
     if let Err(e) = bitwise_check(&resumed, reference, "E") {
         return Err((format!("{e} (log kept at {})", dir.display()), net));
     }
-    drop(store);
     let _ = std::fs::remove_dir_all(&dir);
     Ok(())
 }
@@ -690,37 +732,85 @@ fn f_batches(t: usize) -> Vec<Vec<MicroBatch>> {
         .collect()
 }
 
-/// Solo single-world runs of every phase F tenant: the trajectories each
-/// multi-world tenant must reproduce bitwise. Recovery is invariant-
-/// preserving (restore + replay lands on the same bits), so the fault-free
-/// solo reference is valid even for seeds that kill a rank mid-run.
-fn f_references() -> Vec<Reference> {
-    (0..F_SHAPES.len())
-        .map(|t| {
-            let net = SimNet::new(SimConfig::clean(9_100 + t as u64));
-            let _coord = net.register(0);
-            let spawner = SimSpawner::new(net.clone());
-            let report = DistTrainer::new(f_cfg(t))
-                .run(&spawner, &f_batches(t), &FaultPlan::none())
-                .expect("phase F solo reference");
-            assert!(
-                net.panics().is_empty(),
-                "phase F solo reference world panicked"
-            );
-            Reference {
-                losses: report.losses,
-                params: report.final_params,
-            }
-        })
-        .collect()
+/// The phase F tenant that lives through elastic churn on churn seeds —
+/// the one shape with a lane to lose.
+const F_CHURN_TENANT: usize = 1;
+
+/// Phase D's churn compressed into phase F's three batches: device 1
+/// (stage 0, lane 1) fail-stops on the second dispatch, and a wave of two
+/// devices joins before the third.
+fn f_churn_plan() -> FaultPlan {
+    FaultPlan {
+        faults: vec![
+            Fault::FailStop { step: 1, device: 1 },
+            Fault::Join { step: 2 },
+            Fault::Join { step: 2 },
+        ],
+    }
 }
 
-/// Phase F: multi-world chaos. One poll-driven coordinator runs 2–3 tenant
-/// worlds with seed-staggered admissions; most seeds also fail-stop one
-/// seeded rank in one seeded world mid-run. Checks, per seed:
+/// Phase F's job for tenant `t`: clean and respawning in place unless the
+/// caller states otherwise.
+fn f_job(t: usize) -> TenantJob {
+    TenantJob::new(t as u64, f_cfg(t), f_batches(t))
+}
+
+/// The churn tenant's job: shrink on rank loss, under [`f_churn_plan`].
+fn f_churn_job() -> TenantJob {
+    TenantJob {
+        faults: f_churn_plan(),
+        on_rank_loss: RankLoss::Shrink,
+        ..f_job(F_CHURN_TENANT)
+    }
+}
+
+/// One-job runs of every phase F tenant: the trajectories each
+/// multi-world tenant must reproduce bitwise.
+struct FRefs {
+    /// Tenant `t` alone and fault-free. Respawn-in-place recovery is
+    /// invariant-preserving (restore + replay lands on the same bits), so
+    /// this reference is valid even for seeds that kill a rank mid-run.
+    clean: Vec<Reference>,
+    /// The churn tenant alone under the same fault plan and policy.
+    churn: Reference,
+}
+
+fn f_references() -> FRefs {
+    let solo = |sim_seed: u64, job: TenantJob| {
+        let net = SimNet::new(SimConfig::clean(sim_seed));
+        let _coord = net.register(0);
+        let report = run_world(&SimSpawner::new(net.clone()), job).expect("phase F solo reference");
+        assert!(
+            net.panics().is_empty(),
+            "phase F solo reference world panicked"
+        );
+        Reference {
+            losses: report.losses,
+            params: report.final_params,
+        }
+    };
+    let refs = FRefs {
+        clean: (0..F_SHAPES.len())
+            .map(|t| solo(9_100 + t as u64, f_job(t)))
+            .collect(),
+        churn: solo(9_200, f_churn_job()),
+    };
+    assert_ne!(
+        refs.churn.losses, refs.clean[F_CHURN_TENANT].losses,
+        "phase F churn plan never changed the membership"
+    );
+    refs
+}
+
+/// Phase F: multi-world chaos. The coordinator runs 2–3 tenant worlds with
+/// seed-staggered admissions; most seeds also fail-stop one seeded rank in
+/// one seeded world mid-run (respawned in place), and every eighth seed
+/// instead puts the shrink-policy churn tenant through a leave and a join
+/// wave while its siblings run clean. Checks, per seed:
 ///
 /// * every tenant's losses and final params are bitwise identical to its
-///   solo single-world run (gradient streams never mix);
+///   own one-job run under the same fault plan (gradient streams never
+///   mix);
 /// * the dead rank is recovered in, and logged by, its own world only —
 ///   sibling worlds see zero recoveries and no `rank .. down` lines;
 /// * the whole multi-world schedule is a pure function of the seed: a
@@ -728,23 +818,36 @@ fn f_references() -> Vec<Reference> {
 /// * filling the tenants' pipeline bubbles plans *strictly below* the
 ///   unbatched back-to-back baseline's `bubble_fraction`, and the filled
 ///   plan itself re-plans byte-identically.
-fn phase_f(seed: u64, refs: &[Reference]) -> Result<(), (String, SimNet)> {
+fn phase_f(seed: u64, refs: &FRefs) -> Result<(), (String, SimNet)> {
     let tenants = 2 + (seed % 2) as usize;
     let stagger = 1 + seed % 2;
     let die_world = (seed % tenants as u64) as usize;
-    // Every 4th seed runs fault-free; the rest kill one seeded rank of one
-    // seeded world at world-local dispatch counter 1 or 2.
+    // Seeds 7 mod 8 churn one tenant, seeds 3 mod 8 run fault-free; the
+    // rest kill one seeded rank (= original device: the topology never
+    // changes under respawn) of one seeded world at world-local step 1
+    // or 2.
+    let churn = seed % 8 == 7;
     let die = (seed % 4 != 3).then(|| {
         let (stages, lanes) = F_SHAPES[die_world];
         (1 + (seed / 4) % 2, ((seed / 2) as usize) % (stages * lanes))
     });
+    // The one world that loses a rank, and which.
+    let victim = if churn {
+        Some((F_CHURN_TENANT, 1))
+    } else {
+        die.map(|(_, rank)| (die_world, rank))
+    };
     let jobs = || -> Vec<TenantJob> {
         (0..tenants)
             .map(|t| {
-                let mut job = TenantJob::new(t as u64, f_cfg(t), f_batches(t));
+                let mut job = if churn && t == F_CHURN_TENANT {
+                    f_churn_job()
+                } else {
+                    f_job(t)
+                };
                 job.admit_after_steps = t as u64 * stagger;
-                if t == die_world {
-                    job.die = die;
+                if let Some((step, device)) = die.filter(|_| t == die_world) {
+                    job.faults = FaultPlan::none().with(Fault::FailStop { step, device });
                 }
                 job
             })
@@ -781,7 +884,12 @@ fn phase_f(seed: u64, refs: &[Reference]) -> Result<(), (String, SimNet)> {
             net_a,
         ));
     }
-    for (t, reference) in refs.iter().enumerate().take(tenants) {
+    for t in 0..tenants {
+        let reference = if churn && t == F_CHURN_TENANT {
+            &refs.churn
+        } else {
+            &refs.clean[t]
+        };
         let Some(world) = report.worlds.iter().find(|w| w.tenant == t as u64) else {
             return Err((format!("F: tenant {t} missing from the report"), net_a));
         };
@@ -790,7 +898,8 @@ fn phase_f(seed: u64, refs: &[Reference]) -> Result<(), (String, SimNet)> {
             return Err((e, net_a));
         }
         // Recovery and its log stay scoped to the world that died.
-        let expect_rec = u32::from(die.is_some() && t == die_world);
+        let dead_rank = victim.and_then(|(w, rank)| (w == t).then_some(rank));
+        let expect_rec = u32::from(dead_rank.is_some());
         if world.recoveries != expect_rec {
             return Err((
                 format!(
@@ -807,8 +916,8 @@ fn phase_f(seed: u64, refs: &[Reference]) -> Result<(), (String, SimNet)> {
                 net_a,
             ));
         }
-        if expect_rec == 1 {
-            let named = format!("rank {} down", die.expect("die set").1);
+        if let Some(rank) = dead_rank {
+            let named = format!("rank {rank} down");
             if !world.log.iter().any(|l| l.contains(&named)) {
                 return Err((
                     format!(
@@ -1184,11 +1293,7 @@ fn main() -> ExitCode {
             );
         }
     }
-    let f_refs = if args.multiworld || (!args.churn && !args.durable) {
-        f_references()
-    } else {
-        Vec::new()
-    };
+    let f_refs = (args.multiworld || (!args.churn && !args.durable)).then(f_references);
 
     let seeds: Vec<u64> = match args.seed {
         Some(k) => vec![k],
@@ -1242,7 +1347,8 @@ fn main() -> ExitCode {
         if args.multiworld
             || (!args.churn && !args.durable && (!args.quick || seed % 5 == 2 || single))
         {
-            ok &= run_phase("F", phase_f(seed, &f_refs));
+            let f_refs = f_refs.as_ref().expect("computed whenever phase F runs");
+            ok &= run_phase("F", phase_f(seed, f_refs));
         }
         if !ok {
             failures += 1;

@@ -81,7 +81,7 @@ impl RecoveryReport {
     /// timeline (every [`TimelineKind::Injected`] entry), so in-process and
     /// distributed recovery loops count faults the same way — this is the
     /// single constructor shared by [`PacSession`] and `pac-net`'s
-    /// distributed trainer.
+    /// coordinator.
     pub fn from_timeline(
         timeline: Vec<TimelineEvent>,
         retries: u32,

@@ -2,17 +2,18 @@
 //! reduction.
 //!
 //! The in-process `HybridEngine` averages lane gradients in **lane order**:
-//! `sum = g0; sum += g1; …; sum *= 1/L` (see `allreduce_group` in
-//! `pac-parallel`). Floating-point addition is not associative, so a
-//! classical ring reduce-scatter — where each chunk is summed in a
-//! *rotated* lane order depending on which rank it settles on — would
-//! produce different low-order bits on different ranks and break the
-//! bit-identity claim against the in-process engine.
+//! `sum = g0; sum += g1; …; sum *= 1/L` (see `allreduce_mean` in
+//! `pac-parallel`, the one reduction every in-process engine calls).
+//! Floating-point addition is not associative, so a classical ring
+//! reduce-scatter — where each chunk is summed in a *rotated* lane order
+//! depending on which rank it settles on — would produce different
+//! low-order bits on different ranks and break the bit-identity claim
+//! against the in-process engine.
 //!
 //! We therefore run a ring **allgather** (`L−1` hops: push the freshest
 //! block right, pull from the left) and then reduce **locally on every
 //! rank in lane order** — exactly the same float-op sequence as
-//! `allreduce_group`, on every rank. This moves `(L−1)·G` bytes per rank
+//! `allreduce_mean`, on every rank. This moves `(L−1)·G` bytes per rank
 //! instead of reduce-scatter's `2·(L−1)/L·G`, a deliberate bandwidth
 //! trade: at PAC's adapter-gradient sizes (the whole point of Parallel
 //! Adapters is that `G` is small) bit-reproducibility is worth more than
@@ -83,7 +84,7 @@ pub fn write_back_grads(stage: &mut StageModel, sums: &[Tensor]) {
 
 /// Ring-allgather the per-lane gradient blocks, then reduce locally in
 /// lane order and write the mean back into `stage`. Bitwise-identical to
-/// the in-process `allreduce_group` on the same inputs.
+/// the in-process `allreduce_mean` on the same inputs.
 ///
 /// With `lanes == 1` this is a no-op, matching the in-process early return.
 ///
@@ -142,7 +143,7 @@ pub fn ring_allreduce_mean<C: Conn>(
     }
 
     // Local ordered reduction: identical float-op order to the in-process
-    // allreduce_group — start from lane 0's block, add lanes 1..L−1 in
+    // allreduce_mean — start from lane 0's block, add lanes 1..L−1 in
     // lane order, scale once by 1/L.
     let mut sums = blocks[0].take().expect("lane 0 block present");
     for block in blocks.iter().skip(1) {

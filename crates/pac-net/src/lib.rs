@@ -6,7 +6,7 @@
 //! results on the same seed.
 //!
 //! Every protocol layer is generic over the [`transport`] traits, so the
-//! same coordinator/worker/driver code runs over two transports:
+//! same coordinator/worker code runs over two transports:
 //!
 //! * [`transport::Tcp`] — real sockets (production, `repro --distributed`);
 //! * [`simnet`] — a deterministic in-memory network with a seeded virtual
@@ -32,24 +32,25 @@
 //!   ([`rendezvous::probe_liveness`]) that surface a silent rank as typed
 //!   [`wire::NetError::Stale`] before a pipeline step has to time out.
 //! * [`collective`] — ring allgather + locally-ordered lane reduction:
-//!   the float-op order of the in-process `allreduce_group` on every rank,
+//!   the float-op order of the in-process `allreduce_mean` on every rank,
 //!   which is what keeps distributed gradients bit-identical.
 //! * [`worker`] — one rank: `run_stage` (the same code the in-process
 //!   engine runs, over [`worker::NetStageLinks`]), the collective, a local
 //!   SGD step, lockstep `Done` replies.
-//! * [`multiworld`] — the poll-driven coordinator: one thread multiplexes
-//!   N concurrent tenant worlds over [`transport::PollTransport`]
-//!   readiness wakeups, admitting and retiring jobs on the shared
-//!   rendezvous listener without disturbing the other worlds; all
-//!   per-world state is scoped by [`rendezvous::WorldId`].
-//! * [`driver`] — the coordinator: lockstep stepping, checkpoint
-//!   snapshots, typed [`pac_parallel::EngineError::RankDown`] detection,
-//!   and restart-based recovery over an **elastic membership** — leaves
-//!   via planner `replan_without` → respawn → restore → replay, mid-run
-//!   joins via the dual `replan_with` → catch-up snapshot → resume, and
-//!   straggler mitigation by rebalancing micro-batch row shares from
-//!   measured heartbeat RTT + busy time — all reported through the shared
-//!   `RecoveryReport`.
+//! * [`coordinator`] — the one coordinator: a poll-driven loop that
+//!   multiplexes N concurrent tenant worlds (a solo job is N = 1) over
+//!   [`transport::PollTransport`] readiness wakeups, admitting and
+//!   retiring jobs on the shared rendezvous listener. All per-world state
+//!   is scoped by [`rendezvous::WorldId`]: lockstep stepping, checkpoint
+//!   snapshots (optionally durable through a `pac_store::Store`, with
+//!   bitwise cold restart), fault injection, typed rank-down detection,
+//!   and restart-based recovery over an **elastic membership** — respawn
+//!   in place or leave via planner `replan_without`, mid-run joins and
+//!   partition heals via the dual `replan_with` → catch-up snapshot →
+//!   resume, and straggler mitigation by rebalancing micro-batch row
+//!   shares from measured heartbeat RTT + busy time — all reported
+//!   through the shared `RecoveryReport`. [`config`] holds the job
+//!   configuration and the error type.
 //! * [`spawn`] — the [`spawn::Spawn`] trait: thread workers (tests),
 //!   forked processes (`repro --distributed=N`), or simulated workers
 //!   ([`simnet::SimSpawner`]).
@@ -62,8 +63,8 @@
 pub mod calib;
 pub mod chan;
 pub mod collective;
-pub mod driver;
-pub mod multiworld;
+pub mod config;
+pub mod coordinator;
 pub mod rendezvous;
 pub mod simnet;
 pub mod spawn;
@@ -73,8 +74,10 @@ pub mod worker;
 
 pub use calib::{calibrate_loopback, LinkCalibration, BULK_ACK_NONCE};
 pub use chan::FramedConn;
-pub use driver::{DistConfig, DistError, DistReport, DistTrainer};
-pub use multiworld::{run_multiworld, MultiWorldReport, TenantJob, WorldReport};
+pub use config::{DistConfig, DistError};
+pub use coordinator::{
+    run_multiworld, run_world, MultiWorldReport, RankLoss, TenantJob, WorldReport,
+};
 pub use rendezvous::{
     probe_liveness, world_nonce_base, Admission, Rendezvous, Topology, WorkerConn, WorldId,
 };

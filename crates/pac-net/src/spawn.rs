@@ -8,7 +8,7 @@ use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
 /// How the coordinator brings a world of workers into existence. The
-/// driver is generic over this, so the *same* recovery loop respawns TCP
+/// coordinator is generic over this, so the *same* recovery loop respawns TCP
 /// thread workers, forked processes, and simulated workers.
 pub trait Spawn {
     /// Transport the spawned workers (and the coordinator) communicate over.

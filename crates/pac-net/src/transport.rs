@@ -16,7 +16,7 @@
 //!   this to full socket addresses without touching the protocol code.
 //!
 //! None of the protocol logic (`rendezvous`, `worker`, `collective`,
-//! `driver`) names a socket type — everything is generic over these
+//! `coordinator`) names a socket type — everything is generic over these
 //! traits, so there are no `#[cfg]` forks between production and
 //! simulation paths: the bytes that cross a simulated link are produced
 //! and consumed by the exact code that runs over TCP.
@@ -99,7 +99,7 @@ pub trait PollConn: Conn {
 /// until *some* connection is ready instead of blocking on one of them.
 ///
 /// This is the seam the multi-world coordinator
-/// ([`crate::multiworld`]) runs on. Over TCP readiness comes from
+/// ([`crate::coordinator`]) runs on. Over TCP readiness comes from
 /// non-blocking `peek`s on a short poll cadence; over the simulated
 /// transport the wait participates in the virtual-clock quiescence
 /// protocol, so a poll-driven coordinator blocked here still lets the

@@ -10,7 +10,7 @@
 //! in `pac-bench`).
 
 use pac_model::{EncoderModel, ModelConfig};
-use pac_net::{DistConfig, DistTrainer, Spawner};
+use pac_net::{run_world, DistConfig, RankLoss, Spawner, TenantJob, WorldReport};
 use pac_nn::optim::Sgd;
 use pac_nn::Optimizer;
 use pac_parallel::engine::{HybridEngine, MicroBatch};
@@ -66,15 +66,23 @@ fn inprocess_run(
     (losses, engine.canonical_params())
 }
 
+/// One world over loopback TCP threads that shrinks when it loses a rank.
+fn run(cfg: DistConfig, batches: &[Vec<MicroBatch>], faults: FaultPlan) -> WorldReport {
+    let job = TenantJob {
+        faults,
+        on_rank_loss: RankLoss::Shrink,
+        ..TenantJob::new(0, cfg, batches.to_vec())
+    };
+    run_world(&Spawner::Threads, job).expect("distributed run")
+}
+
 #[test]
 fn distributed_2x2_is_bitwise_identical_to_inprocess() {
     let cfg = DistConfig::loopback(2, 2);
     let batches = make_batches();
 
     let (ref_losses, ref_params) = inprocess_run(&cfg, &batches);
-    let report = DistTrainer::new(cfg)
-        .run(&Spawner::Threads, &batches, &FaultPlan::none())
-        .expect("distributed run");
+    let report = run(cfg, &batches, FaultPlan::none());
 
     assert_eq!(report.losses.len(), ref_losses.len());
     for (t, (d, r)) in report.losses.iter().zip(ref_losses.iter()).enumerate() {
@@ -109,9 +117,7 @@ fn distributed_2x1_pipeline_only_matches_inprocess() {
     let batches = make_batches();
 
     let (ref_losses, ref_params) = inprocess_run(&cfg, &batches);
-    let report = DistTrainer::new(cfg)
-        .run(&Spawner::Threads, &batches, &FaultPlan::none())
-        .expect("distributed run");
+    let report = run(cfg, &batches, FaultPlan::none());
 
     for (d, r) in report.losses.iter().zip(ref_losses.iter()) {
         assert_eq!(d.to_bits(), r.to_bits());
@@ -136,9 +142,7 @@ fn quantized_wire_tracks_f32_within_half_loss() {
     let (ref_losses, _) = inprocess_run(&cfg, &batches);
     let mut qcfg = cfg;
     qcfg.wire_q8 = true;
-    let report = DistTrainer::new(qcfg)
-        .run(&Spawner::Threads, &batches, &FaultPlan::none())
-        .expect("quantized-wire run");
+    let report = run(qcfg, &batches, FaultPlan::none());
 
     assert_eq!(report.losses.len(), ref_losses.len());
     for (t, (d, r)) in report.losses.iter().zip(ref_losses.iter()).enumerate() {
@@ -167,16 +171,12 @@ fn killed_worker_triggers_replan_and_checkpoint_resume() {
     let batches = make_batches();
 
     // Clean reference for the recovery tolerance (the PR 2 criterion).
-    let clean = DistTrainer::new(cfg.clone())
-        .run(&Spawner::Threads, &batches, &FaultPlan::none())
-        .expect("clean run");
+    let clean = run(cfg.clone(), &batches, FaultPlan::none());
 
     // Kill device 1 (stage 0, lane 1) before step 4 — mid-run, after the
     // step-2 checkpoint.
     let faults = FaultPlan::none().with(Fault::FailStop { step: 4, device: 1 });
-    let faulty = DistTrainer::new(cfg)
-        .run(&Spawner::Threads, &batches, &faults)
-        .expect("faulty run must recover");
+    let faulty = run(cfg, &batches, faults);
 
     assert_eq!(faulty.recovery.faults_injected, 1);
     assert_eq!(faulty.recovery.replans, 1, "one replan for one fail-stop");

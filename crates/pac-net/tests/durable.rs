@@ -6,10 +6,13 @@
 //! from commit metadata, the replayed suffix from the deterministic SGD
 //! worker path.
 
-use pac_net::{DistConfig, DistError, DistTrainer, SimConfig, SimNet, SimSpawner};
+use pac_net::{
+    run_world, DistConfig, DistError, RankLoss, SimConfig, SimNet, SimSpawner, TenantJob,
+    WorldReport,
+};
 use pac_parallel::engine::MicroBatch;
 use pac_parallel::{Fault, FaultPlan};
-use pac_store::{DiskStore, Store, StoreError};
+use pac_store::{DiskStore, StoreError};
 use pac_tensor::rng::seeded;
 use rand::Rng;
 use std::fs;
@@ -46,18 +49,25 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// One world, optionally persisting through `store`; the job owns the
+/// store and drops it with the run, so the caller reopens the log.
 fn durable_run(
     sim_seed: u64,
     cfg: DistConfig,
     batches: &[Vec<MicroBatch>],
     faults: &FaultPlan,
-    store: &mut dyn Store,
-) -> (Result<pac_net::DistReport, DistError>, SimNet) {
+    store: Option<DiskStore>,
+) -> (Result<WorldReport, DistError>, SimNet) {
     let net = SimNet::new(SimConfig::clean(sim_seed));
     let _coord = net.register(0);
     let spawner = SimSpawner::new(net.clone());
-    let report = DistTrainer::new(cfg).run_with_store(&spawner, batches, faults, store);
-    (report, net)
+    let job = TenantJob {
+        faults: faults.clone(),
+        store: store.map(|s| Box::new(s) as _),
+        on_rank_loss: RankLoss::Shrink,
+        ..TenantJob::new(0, cfg, batches.to_vec())
+    };
+    (run_world(&spawner, job), net)
 }
 
 /// Kill the checkpoint writer 17 bytes into a commit append (both at the
@@ -69,14 +79,9 @@ fn crash_mid_checkpoint_cold_restart_is_bitwise() {
     let cfg = DistConfig::loopback(2, 2);
     let batches = make_batches();
 
-    // Uninterrupted reference over the default in-memory store.
-    let (reference, net) = {
-        let net = SimNet::new(SimConfig::clean(61));
-        let _coord = net.register(0);
-        let spawner = SimSpawner::new(net.clone());
-        let report = DistTrainer::new(cfg.clone()).run(&spawner, &batches, &FaultPlan::none());
-        (report.expect("reference run"), net)
-    };
+    // Uninterrupted reference with no store at all.
+    let (reference, net) = durable_run(61, cfg.clone(), &batches, &FaultPlan::none(), None);
+    let reference = reference.expect("reference run");
     assert!(net.panics().is_empty(), "worker panics: {:?}", net.panics());
     assert_eq!(reference.losses.len(), batches.len());
 
@@ -93,8 +98,8 @@ fn crash_mid_checkpoint_cold_restart_is_bitwise() {
         // The writer dies mid-append: the job halts with the typed
         // injected-crash error and the torn tail stays on disk.
         {
-            let (mut store, _) = DiskStore::open(&dir).expect("fresh store");
-            let (out, net) = durable_run(62, cfg.clone(), &batches, &faults, &mut store);
+            let (store, _) = DiskStore::open(&dir).expect("fresh store");
+            let (out, net) = durable_run(62, cfg.clone(), &batches, &faults, Some(store));
             match out {
                 Err(DistError::Store(StoreError::Injected { at_byte })) => {
                     assert_eq!(at_byte, 17)
@@ -106,13 +111,14 @@ fn crash_mid_checkpoint_cold_restart_is_bitwise() {
 
         // Cold restart: recovery truncates the torn tail, the run resumes
         // from the last committed cursor, and the trajectory is bitwise.
-        let (mut store, report) = DiskStore::open(&dir).expect("recovery open");
+        let (store, report) = DiskStore::open(&dir).expect("recovery open");
         assert!(
             report.truncated_bytes > 0,
             "[step {crash_step}] the torn append leaves a tail to truncate"
         );
         assert!(report.commits >= 1, "the initial commit is durable");
-        let (resumed, net) = durable_run(63, cfg.clone(), &batches, &FaultPlan::none(), &mut store);
+        let (resumed, net) =
+            durable_run(63, cfg.clone(), &batches, &FaultPlan::none(), Some(store));
         let resumed = resumed.expect("resumed run completes");
         assert!(net.panics().is_empty(), "worker panics: {:?}", net.panics());
 
@@ -162,11 +168,10 @@ fn crash_on_non_checkpoint_step_is_inert() {
         step: 2,
         at_byte: 0,
     });
-    let (mut store, _) = DiskStore::open(&dir).expect("fresh store");
-    let (out, net) = durable_run(64, cfg, &batches, &faults, &mut store);
+    let (store, _) = DiskStore::open(&dir).expect("fresh store");
+    let (out, net) = durable_run(64, cfg, &batches, &faults, Some(store));
     let report = out.expect("crash without a commit to tear is inert");
     assert!(net.panics().is_empty(), "worker panics: {:?}", net.panics());
     assert_eq!(report.losses.len(), batches.len());
-    drop(store);
     fs::remove_dir_all(&dir).ok();
 }

@@ -1,5 +1,5 @@
 //! Elastic-membership acceptance tests: ranks join, leave, and flake
-//! mid-run, and the driver must admit / evict / rebalance them with
+//! mid-run, and the coordinator must admit / evict / rebalance them with
 //! exactly one replan per membership change, full-length loss histories,
 //! and final losses close to the fault-free reference.
 //!
@@ -9,7 +9,8 @@
 
 use pac_model::{EncoderModel, ModelConfig};
 use pac_net::{
-    Buggify, DistConfig, DistError, DistTrainer, SimConfig, SimNet, SimSpawner, Spawner,
+    run_world, Buggify, DistConfig, DistError, RankLoss, SimConfig, SimNet, SimSpawner, Spawn,
+    Spawner, TenantJob, WorldReport,
 };
 use pac_nn::optim::Sgd;
 use pac_nn::Optimizer;
@@ -61,17 +62,37 @@ fn inprocess_final_loss(cfg: &DistConfig, batches: &[Vec<MicroBatch>]) -> f32 {
     last
 }
 
+/// One elastic world: it shrinks when it loses a rank.
+fn run<S>(
+    spawner: &S,
+    cfg: DistConfig,
+    batches: &[Vec<MicroBatch>],
+    faults: &FaultPlan,
+) -> Result<WorldReport, DistError>
+where
+    S: Spawn,
+    S::T: pac_net::PollTransport,
+    <S::T as pac_net::Transport>::Conn: pac_net::PollConn,
+{
+    let job = TenantJob {
+        faults: faults.clone(),
+        on_rank_loss: RankLoss::Shrink,
+        ..TenantJob::new(0, cfg, batches.to_vec())
+    };
+    run_world(spawner, job)
+}
+
 fn sim_run(
     sim_seed: u64,
     dist_cfg: DistConfig,
     batches: &[Vec<MicroBatch>],
     faults: &FaultPlan,
     buggify: Buggify,
-) -> (Result<pac_net::DistReport, DistError>, SimNet) {
+) -> (Result<WorldReport, DistError>, SimNet) {
     let net = SimNet::new(SimConfig::clean(sim_seed));
     let _coord = net.register(0);
     let spawner = SimSpawner::with_buggify(net.clone(), buggify);
-    let report = DistTrainer::new(dist_cfg).run(&spawner, batches, faults);
+    let report = run(&spawner, dist_cfg, batches, faults);
     (report, net)
 }
 
@@ -323,9 +344,7 @@ fn evicted_worker_re_dials_and_is_re_admitted() {
         0,
         0,
     );
-    let report = DistTrainer::new(cfg)
-        .run(&spawner, &batches, &FaultPlan::none())
-        .expect("healed run completes");
+    let report = run(&spawner, cfg, &batches, &FaultPlan::none()).expect("healed run completes");
     assert!(net.panics().is_empty(), "worker panics: {:?}", net.panics());
 
     assert_eq!(report.losses.len(), batches.len(), "full loss history");
@@ -380,9 +399,7 @@ fn rebalance_shifts_shares_away_from_straggler() {
             })
             .collect(),
     };
-    let report = DistTrainer::new(cfg)
-        .run(&Spawner::Threads, &batches, &plan)
-        .expect("straggler run");
+    let report = run(&Spawner::Threads, cfg, &batches, &plan).expect("straggler run");
 
     assert_eq!(report.losses.len(), batches.len(), "full loss history");
     assert_eq!(

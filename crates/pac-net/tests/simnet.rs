@@ -1,5 +1,5 @@
 //! Deterministic-simulation tests: the full distributed runtime —
-//! rendezvous, mesh, 1F1B pipeline, ring collective, driver recovery —
+//! rendezvous, mesh, 1F1B pipeline, ring collective, coordinator recovery —
 //! running over the in-memory simulated transport with a virtual clock,
 //! plus targeted adversary regressions (partial frames straddling read
 //! deadlines, corruption, duplication, version skew).
@@ -9,8 +9,8 @@
 use pac_model::{EncoderModel, ModelConfig};
 use pac_net::simnet::Partition;
 use pac_net::{
-    Buggify, Conn, DistConfig, DistTrainer, Listener, Msg, NetError, SimConfig, SimNet, SimSpawner,
-    Transport,
+    run_world, Buggify, Conn, DistConfig, Listener, Msg, NetError, RankLoss, SimConfig, SimNet,
+    SimSpawner, TenantJob, Transport,
 };
 use pac_nn::optim::Sgd;
 use pac_nn::Optimizer;
@@ -73,12 +73,16 @@ fn sim_run(
     batches: &[Vec<MicroBatch>],
     faults: &FaultPlan,
     buggify: Buggify,
-) -> (Result<pac_net::DistReport, pac_net::DistError>, SimNet) {
+) -> (Result<pac_net::WorldReport, pac_net::DistError>, SimNet) {
     let net = SimNet::new(sim_cfg);
     let _coord = net.register(0);
     let spawner = SimSpawner::with_buggify(net.clone(), buggify);
-    let report = DistTrainer::new(dist_cfg).run(&spawner, batches, faults);
-    (report, net)
+    let job = TenantJob {
+        faults: faults.clone(),
+        on_rank_loss: RankLoss::Shrink,
+        ..TenantJob::new(0, dist_cfg, batches.to_vec())
+    };
+    (run_world(&spawner, job), net)
 }
 
 #[test]

@@ -81,9 +81,11 @@ where
     }
 }
 
-/// Folds per-lane results: every lane's value on success, the most
-/// attributable error (a panic beats anything else) on failure.
-fn fold_lanes<T>(results: Vec<EngineResult<T>>) -> EngineResult<Vec<T>> {
+/// Folds per-lane results into the surviving lanes' values (kept even
+/// when a lane died, so an engine stays usable for recovery) and the most
+/// attributable error: a panic beats anything else, and a disconnection —
+/// what a panic causes in the lanes around it — ranks below everything.
+pub(crate) fn fold_lanes<T>(results: Vec<EngineResult<T>>) -> (Vec<T>, EngineResult<()>) {
     let mut values = Vec::with_capacity(results.len());
     let mut error: Option<EngineError> = None;
     for r in results {
@@ -94,6 +96,7 @@ fn fold_lanes<T>(results: Vec<EngineResult<T>>) -> EngineResult<Vec<T>> {
                     (None, _) => true,
                     (Some(EngineError::LanePanic { .. }), _) => false,
                     (_, EngineError::LanePanic { .. }) => true,
+                    (Some(EngineError::Disconnected { .. }), _) => true,
                     _ => false,
                 };
                 if replace {
@@ -102,21 +105,20 @@ fn fold_lanes<T>(results: Vec<EngineResult<T>>) -> EngineResult<Vec<T>> {
             }
         }
     }
-    match error {
-        Some(e) => Err(e),
-        None => Ok(values),
-    }
+    (values, error.map_or(Ok(()), Err))
 }
 
-/// AllReduce with bounded retry / degrade, shared by both supervised steps.
-/// Returns the outcome; on degrade the caller must remove the reported
-/// replica (its gradients were excluded and not written back).
-fn reduce_supervised(
-    replicas: &mut [Tuner],
-    lane_losses: &[f32],
+/// The supervision every engine puts around its gradient AllReduce at
+/// `step` over `lanes` lanes: a disturbed collective is retried with
+/// backoff up to [`MAX_ALLREDUCE_RETRIES`] times; past the budget it
+/// degrades to the survivors when the plan names an unreachable lane, and
+/// fails otherwise. Returns `(retries, dropped_lane)`; the caller excludes
+/// the dropped lane from the reduction and from its lane set.
+pub(crate) fn supervise_allreduce(
+    lanes: usize,
     step: u64,
     clock: &FaultClock,
-) -> EngineResult<SupervisedOutcome> {
+) -> EngineResult<(u32, Option<usize>)> {
     let (failures, unreachable) = clock.allreduce_fault(step);
     if failures > 0 {
         clock.note(
@@ -139,30 +141,43 @@ fn reduce_supervised(
             TimelineKind::Retry,
             format!("AllReduce attempt {retries} failed, backing off"),
         );
+        // Exponential backoff, capped small: real engines wait for the
+        // link; tests must not.
         std::thread::sleep(Duration::from_micros(100 << retries.min(6)));
     }
-    let mut dropped_lane = None;
-    if failures > retries {
-        match unreachable {
-            Some(dead) if dead < replicas.len() && replicas.len() > 1 => {
-                dropped_lane = Some(dead);
-                clock.note(
-                    step,
-                    TimelineKind::Degraded,
-                    format!(
-                        "dropped unreachable lane {dead}, averaging over {} survivors",
-                        replicas.len() - 1
-                    ),
-                );
-            }
-            _ => {
-                return Err(EngineError::AllReduceFailed {
-                    step,
-                    attempts: retries + 1,
-                });
-            }
-        }
+    if failures <= retries {
+        return Ok((retries, None));
     }
+    // Budget exhausted: the collective is permanently broken.
+    match unreachable {
+        Some(dead) if dead < lanes && lanes > 1 => {
+            clock.note(
+                step,
+                TimelineKind::Degraded,
+                format!(
+                    "dropped unreachable lane {dead}, averaging over {} survivors",
+                    lanes - 1
+                ),
+            );
+            Ok((retries, Some(dead)))
+        }
+        _ => Err(EngineError::AllReduceFailed {
+            step,
+            attempts: retries + 1,
+        }),
+    }
+}
+
+/// Supervised AllReduce of both data-parallel steps. Returns the outcome;
+/// on degrade the caller must remove the reported replica (its gradients
+/// were excluded and not written back).
+fn reduce_supervised(
+    replicas: &mut [Tuner],
+    lane_losses: &[f32],
+    step: u64,
+    clock: &FaultClock,
+) -> EngineResult<SupervisedOutcome> {
+    let (retries, dropped_lane) = supervise_allreduce(replicas.len(), step, clock)?;
     allreduce_mean_excluding(replicas, dropped_lane)?;
     let (sum, count) = lane_losses
         .iter()
@@ -197,34 +212,46 @@ pub fn allreduce_mean_excluding<M: Module>(
     replicas: &mut [M],
     skip: Option<usize>,
 ) -> EngineResult<()> {
-    let n = replicas.len() - usize::from(skip.is_some_and(|s| s < replicas.len()));
-    if n <= 1 {
+    let mut group: Vec<&mut M> = replicas
+        .iter_mut()
+        .enumerate()
+        .filter(|(k, _)| Some(*k) != skip)
+        .map(|(_, r)| r)
+        .collect();
+    if group.len() <= 1 {
         return Ok(());
     }
     let _span = pac_telemetry::span("allreduce");
-    // Gather.
+    allreduce_group(&mut group)
+}
+
+/// AllReduce-mean across a group of replicas (trainable params only):
+/// `sum = g0; sum += g1; …; sum *= 1/n` in group order, written back to
+/// every member. This float-op order is the contract the distributed ring
+/// collective reproduces on every rank.
+///
+/// # Errors
+/// Returns a tensor error if replicas disagree on parameter shapes.
+pub(crate) fn allreduce_group<M: Module>(group: &mut [&mut M]) -> EngineResult<()> {
+    let n = group.len();
+    if n <= 1 {
+        return Ok(());
+    }
     let mut sums: Vec<Tensor> = Vec::new();
     let mut shape_err: Option<TensorError> = None;
-    {
-        let mut first = true;
-        for (k, r) in replicas.iter().enumerate() {
-            if Some(k) == skip {
-                continue;
+    for (gi, r) in group.iter().enumerate() {
+        let mut idx = 0usize;
+        r.visit_params_ref(&mut |p| {
+            if !p.trainable || shape_err.is_some() {
+                return;
             }
-            let mut idx = 0usize;
-            r.visit_params_ref(&mut |p| {
-                if !p.trainable || shape_err.is_some() {
-                    return;
-                }
-                if first {
-                    sums.push(p.grad.clone());
-                } else if let Err(e) = sums[idx].add_assign(&p.grad) {
-                    shape_err = Some(e);
-                }
-                idx += 1;
-            });
-            first = false;
-        }
+            if gi == 0 {
+                sums.push(p.grad.clone());
+            } else if let Err(e) = sums[idx].add_assign(&p.grad) {
+                shape_err = Some(e);
+            }
+            idx += 1;
+        });
     }
     if let Some(e) = shape_err {
         return Err(EngineError::Tensor(e));
@@ -234,15 +261,14 @@ pub fn allreduce_mean_excluding<M: Module>(
         s.scale_in_place(inv);
     }
     if pac_telemetry::enabled() {
+        // Logical comms volume: every lane ships its full gradient set into
+        // the reduction (what a ring AllReduce moves, up to the 2(n−1)/n
+        // factor accounted in the cost model).
         let payload: usize = sums.iter().map(Tensor::size_bytes).sum();
         pac_telemetry::counter_add("allreduce.bytes", (payload * n) as u64);
         pac_telemetry::counter_inc("allreduce.reductions");
     }
-    // Scatter.
-    for (k, r) in replicas.iter_mut().enumerate() {
-        if Some(k) == skip {
-            continue;
-        }
+    for r in group.iter_mut() {
         let mut idx = 0usize;
         r.visit_params(&mut |p| {
             if !p.trainable {
@@ -319,8 +345,9 @@ pub fn dp_step_tokens_supervised(
             })
         })
         .collect();
-    let (losses, lane_acts): (Vec<f32>, Vec<Vec<Tensor>>) =
-        fold_lanes(results)?.into_iter().unzip();
+    let (lanes, verdict) = fold_lanes(results);
+    verdict?;
+    let (losses, lane_acts): (Vec<f32>, Vec<Vec<Tensor>>) = lanes.into_iter().unzip();
     let outcome = reduce_supervised(replicas, &losses, step, clock)?;
     Ok((outcome, lane_acts))
 }
@@ -385,7 +412,8 @@ pub fn dp_step_cached_supervised(
             })
         })
         .collect();
-    let losses = fold_lanes(results)?;
+    let (losses, verdict) = fold_lanes(results);
+    verdict?;
     reduce_supervised(replicas, &losses, step, clock)
 }
 

@@ -17,6 +17,7 @@
 //! same number of times). Non-uniform groups — which require activation
 //! resharding between stages — are covered by the timeline simulator.
 
+use crate::engine::data_parallel::{allreduce_group, fold_lanes, supervise_allreduce};
 use crate::engine::error::{EngineError, EngineResult};
 use crate::engine::pipeline::{run_pipeline_supervised, LaneFaults};
 use crate::faults::{FaultClock, TimelineKind};
@@ -332,86 +333,17 @@ impl HybridEngine {
         });
 
         // Keep every surviving replica even when a lane died, so the
-        // engine stays usable for recovery; report the most attributable
-        // error (a panic over the disconnections it caused).
-        let mut error: Option<EngineError> = None;
-        let mut lane_losses: Vec<f32> = Vec::with_capacity(g);
-        self.lanes = Vec::with_capacity(g);
-        for r in joined {
-            match r {
-                Ok((stages, l)) => {
-                    self.lanes.push(stages);
-                    lane_losses.push(l);
-                }
-                Err(e) => {
-                    let replace = match (&error, &e) {
-                        (None, _) => true,
-                        (Some(EngineError::LanePanic { .. }), _) => false,
-                        (_, EngineError::LanePanic { .. }) => true,
-                        (Some(EngineError::Disconnected { .. }), _) => true,
-                        _ => false,
-                    };
-                    if replace {
-                        error = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = error {
-            return Err(e);
-        }
+        // engine stays usable for recovery.
+        let (survivors, verdict) = fold_lanes(joined);
+        let mut lane_losses: Vec<f32>;
+        (self.lanes, lane_losses) = survivors.into_iter().unzip();
+        verdict?;
 
         // Gradient AllReduce, with bounded retry and degrade-to-survivors.
-        let (failures, unreachable) = clock.allreduce_fault(step);
-        if failures > 0 {
-            clock.note(
-                step,
-                TimelineKind::Injected,
-                format!(
-                    "AllReduce disturbed for {failures} attempt(s){}",
-                    match unreachable {
-                        Some(l) => format!(", lane {l} unreachable"),
-                        None => String::new(),
-                    }
-                ),
-            );
-        }
-        let mut retries = 0u32;
-        while retries < failures && retries < MAX_ALLREDUCE_RETRIES {
-            retries += 1;
-            clock.note(
-                step,
-                TimelineKind::Retry,
-                format!("AllReduce attempt {retries} failed, backing off"),
-            );
-            // Exponential backoff, capped small: real engines wait for the
-            // link; tests must not.
-            std::thread::sleep(std::time::Duration::from_micros(100 << retries.min(6)));
-        }
-        let mut dropped_lane = None;
-        if failures > retries {
-            // Budget exhausted: the collective is permanently broken.
-            match unreachable {
-                Some(dead) if dead < self.lanes.len() && self.lanes.len() > 1 => {
-                    self.lanes.remove(dead);
-                    lane_losses.remove(dead);
-                    dropped_lane = Some(dead);
-                    clock.note(
-                        step,
-                        TimelineKind::Degraded,
-                        format!(
-                            "dropped unreachable lane {dead}, averaging over {} survivors",
-                            self.lanes.len()
-                        ),
-                    );
-                }
-                _ => {
-                    return Err(EngineError::AllReduceFailed {
-                        step,
-                        attempts: retries + 1,
-                    });
-                }
-            }
+        let (retries, dropped_lane) = supervise_allreduce(self.lanes.len(), step, clock)?;
+        if let Some(dead) = dropped_lane {
+            self.lanes.remove(dead);
+            lane_losses.remove(dead);
         }
         {
             let _span = pac_telemetry::span("hybrid.allreduce");
@@ -462,59 +394,6 @@ impl HybridEngine {
         }
         out
     }
-}
-
-/// AllReduce-mean across a group of stage replicas (trainable params only).
-///
-/// # Errors
-/// Returns a tensor error if replicas disagree on parameter shapes.
-fn allreduce_group(group: &mut [&mut StageModel]) -> EngineResult<()> {
-    let n = group.len();
-    if n <= 1 {
-        return Ok(());
-    }
-    let mut sums: Vec<Tensor> = Vec::new();
-    let mut shape_err: Option<TensorError> = None;
-    for (gi, stage) in group.iter().enumerate() {
-        let mut idx = 0usize;
-        stage.visit_params_ref(&mut |p| {
-            if !p.trainable || shape_err.is_some() {
-                return;
-            }
-            if gi == 0 {
-                sums.push(p.grad.clone());
-            } else if let Err(e) = sums[idx].add_assign(&p.grad) {
-                shape_err = Some(e);
-            }
-            idx += 1;
-        });
-    }
-    if let Some(e) = shape_err {
-        return Err(EngineError::Tensor(e));
-    }
-    let inv = 1.0 / n as f32;
-    for s in &mut sums {
-        s.scale_in_place(inv);
-    }
-    if pac_telemetry::enabled() {
-        // Logical comms volume: every lane ships its full gradient set into
-        // the reduction (what a ring AllReduce moves, up to the 2(n−1)/n
-        // factor accounted in the cost model).
-        let payload: usize = sums.iter().map(Tensor::size_bytes).sum();
-        pac_telemetry::counter_add("allreduce.bytes", (payload * n) as u64);
-        pac_telemetry::counter_inc("allreduce.reductions");
-    }
-    for stage in group.iter_mut() {
-        let mut idx = 0usize;
-        stage.visit_params(&mut |p| {
-            if !p.trainable {
-                return;
-            }
-            p.grad = sums[idx].clone();
-            idx += 1;
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]
