@@ -378,7 +378,7 @@ fn serve_demo() {
          tenant 5's second job panics mid-burst\n",
         cfg.tenants, cfg.jobs_per_tenant, cfg.ranks, cfg.returning_every, cfg.cache_slots_per_rank
     );
-    // The planted fault panics inside a rank thread (the scheduler
+    // The planted fault panics inside a rank chunk on the pool (the scheduler
     // catches and attributes it); silence the default hook so the
     // transcript isn't interrupted by a backtrace.
     let prev_hook = std::panic::take_hook();

@@ -104,16 +104,24 @@ impl<S: Store> AdapterRegistry<S> {
     }
 
     /// Publishes `adapter` as the tenant's next version; returns it
-    /// (1-based). The commit is atomic in the store; the index entry is
-    /// added only after the commit succeeds.
+    /// (1-based): [`TrainCheckpoint::to_bytes`] + [`Self::publish_bytes`].
     pub fn publish(
         &mut self,
         tenant: u64,
         adapter: &TrainCheckpoint,
     ) -> Result<u32, RegistryError> {
+        self.publish_bytes(tenant, &adapter.to_bytes()?)
+    }
+
+    /// Publishes already-serialized PACCKPT2 adapter bytes as the
+    /// tenant's next version; returns it (1-based). The commit is atomic
+    /// in the store; the index entry is added only after the commit
+    /// succeeds. The serve tick encodes on the rank that ran the burst
+    /// and calls this from its sequential commit phase, so only the store
+    /// commit holds the tick up.
+    pub fn publish_bytes(&mut self, tenant: u64, payload: &[u8]) -> Result<u32, RegistryError> {
         let version = self.latest_version(tenant).map_or(1, |v| v + 1);
-        let payload = adapter.to_bytes()?;
-        let seq = self.store.commit(&payload, &encode_meta(tenant, version))?;
+        let seq = self.store.commit(payload, &encode_meta(tenant, version))?;
         self.index.entry(tenant).or_default().push((version, seq));
         counter_inc("serve.registry.publishes");
         Ok(version)

@@ -15,14 +15,21 @@
 //!    rotate to the back). Each selected job is routed warm/cold/fresh
 //!    and its adapter is loaded (cache clone vs registry fetch, both
 //!    timed) and pinned.
-//! 2. **Compute** (parallel) — each rank runs its assigned bursts on its
-//!    own executor thread. A burst starts from `reset_to(baseline)` +
-//!    `swap_in(adapter)`, so rank state can never leak between tenants;
-//!    panics are caught per job and attributed to the tenant.
-//! 3. **Commit** (sequential) — completed bursts publish the next
-//!    adapter version to the registry and refresh the rank cache; faulted
-//!    bursts publish nothing (the tenant's last version stands) and the
-//!    fault is booked on the tenant's session alone.
+//! 2. **Compute** (parallel) — the busy ranks' job lists are the chunks
+//!    of one call on the persistent worker pool (`pac_tensor::rayon`, the
+//!    pool the kernels run on): chunks are claimed, not pinned, so `ranks`
+//!    may exceed the pool width, a tick whose jobs all landed on one rank
+//!    runs inline, and a tick starts no OS thread. Everything pure
+//!    about a job happens here: the burst — which starts from
+//!    `reset_to(baseline)` + `swap_in(adapter)`, so rank state can never
+//!    leak between tenants — and the PACCKPT2 encode of its outcome.
+//!    Panics are caught per job inside the chunk and attributed to the
+//!    tenant; the pool never sees them.
+//! 3. **Commit** (sequential) — only what touches shared state: completed
+//!    bursts commit their encoded bytes as the next adapter version and
+//!    move the adapter into the rank cache; faulted bursts publish
+//!    nothing (the tenant's last version stands) and the fault is booked
+//!    on the tenant's session alone.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
@@ -37,24 +44,31 @@ use pac_parallel::{plan_filled, plan_serialized, SimStage, TenantLoad};
 use pac_peft::{AdapterBaseline, ParallelTuner, Technique, TrainCheckpoint};
 use pac_store::{DedupStats, Store};
 use pac_telemetry::{counter_add, counter_inc};
+use pac_tensor::rayon::prelude::*;
 use pac_tensor::rng::seeded;
 
 use crate::cache::{AdapterCache, CacheBudget};
 use crate::registry::{AdapterRegistry, RegistryError};
 use crate::router::{Route, Router};
 
-/// Platform-fatal failure (registry/store). Tenant faults are *not*
-/// errors — they are attributed on the tenant's session.
+/// Platform-fatal failure (configuration, registry/store). Tenant faults
+/// are *not* errors — they are attributed on the tenant's session.
 #[derive(Debug)]
 pub enum ServeError {
     /// The adapter registry (or its store) failed.
     Registry(RegistryError),
+    /// The [`ServeConfig`] cannot schedule anything.
+    InvalidConfig {
+        /// Which field, and why.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Registry(e) => write!(f, "serve registry: {e}"),
+            ServeError::InvalidConfig { reason } => write!(f, "serve config: {reason}"),
         }
     }
 }
@@ -263,6 +277,14 @@ struct PreparedJob {
     adapter: Option<TrainCheckpoint>,
 }
 
+/// What a completed job hands from its rank to the commit phase: the
+/// burst's outcome plus its adapter already serialized for the registry.
+struct Encoded {
+    checkpoint: TrainCheckpoint,
+    losses: Vec<f32>,
+    payload: Vec<u8>,
+}
+
 /// The multi-tenant serve platform over store `S`.
 pub struct ServePlatform<S: Store> {
     cfg: ServeConfig,
@@ -282,7 +304,22 @@ impl<S: Store> ServePlatform<S> {
     /// Builds the platform: one prototype tuner from `cfg.seed`, `ranks`
     /// CoW clones of it, caches under the planned budget, and the
     /// registry over `store` (pre-existing adapters are picked up).
+    ///
+    /// # Errors
+    /// [`ServeError::InvalidConfig`] for a configuration whose scheduling
+    /// loop could admit or sample nothing; registry failures as
+    /// [`ServeError::Registry`].
     pub fn new(cfg: ServeConfig, store: S) -> Result<Self, ServeError> {
+        if cfg.active_window == 0 {
+            return Err(ServeError::InvalidConfig {
+                reason: "active_window is 0: no tenant could ever be admitted",
+            });
+        }
+        if cfg.trajectory_window == 0 {
+            return Err(ServeError::InvalidConfig {
+                reason: "trajectory_window is 0: hit-rate samples are taken every N jobs",
+            });
+        }
         let model = EncDecModel::new(&cfg.model, cfg.n_out, &mut seeded(cfg.seed));
         let proto = ParallelTuner::new(model, cfg.reduction, cfg.n_out, &mut seeded(cfg.seed + 1));
         let baseline = proto.baseline();
@@ -553,48 +590,50 @@ impl<S: Store> ServePlatform<S> {
                 }
             }
 
-            // Phase 2: each rank runs its bursts on its own thread.
+            // Phase 2: the busy ranks' job lists are the chunks of one call
+            // on the persistent pool. Each chunk runs its bursts in order
+            // and serializes what they produced; a panic or a typed
+            // failure anywhere in a job is that tenant's fault.
             let baseline = &self.baseline;
             let buggify = self.cfg.buggify_skip_reset;
-            let mut results: Vec<(PreparedJob, Result<pac_core::BurstOutcome, String>)> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .ranks
-                        .iter_mut()
-                        .zip(assignments)
-                        .filter(|(_, jobs)| !jobs.is_empty())
-                        .map(|(exec, jobs)| {
-                            scope.spawn(move || {
-                                jobs.into_iter()
-                                    .map(|pj| {
-                                        // The planted-bug knob: skip the
-                                        // hygiene reset for fresh tenants.
-                                        let skip = buggify && pj.adapter.is_none();
-                                        let out = catch_unwind(AssertUnwindSafe(|| {
-                                            run_tenant_burst(
-                                                &mut exec.tuner,
-                                                baseline,
-                                                pj.adapter.as_ref(),
-                                                &pj.spec,
-                                                skip,
-                                            )
-                                        }));
-                                        let out = match out {
-                                            Ok(Ok(b)) => Ok(b),
-                                            Ok(Err(e)) => Err(e.to_string()),
-                                            Err(p) => Err(panic_message(p)),
-                                        };
-                                        (pj, out)
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
+            let mut busy: Vec<(&mut RankExecutor, Vec<PreparedJob>)> = self
+                .ranks
+                .iter_mut()
+                .zip(assignments)
+                .filter(|(_, jobs)| !jobs.is_empty())
+                .collect();
+            let per_rank: Vec<Vec<(PreparedJob, Result<Encoded, String>)>> = busy
+                .par_iter_mut()
+                .map(|(exec, jobs)| {
+                    std::mem::take(jobs)
                         .into_iter()
-                        .flat_map(|h| h.join().expect("rank executor thread"))
+                        .map(|pj| {
+                            // The planted-bug knob: skip the hygiene reset
+                            // for fresh tenants.
+                            let skip = buggify && pj.adapter.is_none();
+                            let ran = catch_unwind(AssertUnwindSafe(|| {
+                                let outcome = run_tenant_burst(
+                                    &mut exec.tuner,
+                                    baseline,
+                                    pj.adapter.as_ref(),
+                                    &pj.spec,
+                                    skip,
+                                )
+                                .map_err(|e| e.to_string())?;
+                                let payload =
+                                    outcome.checkpoint.to_bytes().map_err(|e| e.to_string())?;
+                                Ok(Encoded {
+                                    checkpoint: outcome.checkpoint,
+                                    losses: outcome.losses,
+                                    payload,
+                                })
+                            }));
+                            (pj, ran.unwrap_or_else(|p| Err(panic_message(p))))
+                        })
                         .collect()
-                });
+                })
+                .collect();
+            let mut results: Vec<_> = per_rank.into_iter().flatten().collect();
             results.sort_by_key(|(pj, _)| pj.job_idx);
 
             // Phase 3: commit in job order.
@@ -604,11 +643,11 @@ impl<S: Store> ServePlatform<S> {
                 let tenant = pj.spec.tenant;
                 // Locate the rank that ran it to unpin / refresh its cache.
                 match result {
-                    Ok(outcome) => {
-                        let version = self.registry.publish(tenant, &outcome.checkpoint)?;
-                        let final_loss = outcome.losses.last().copied().unwrap_or(f32::NAN);
+                    Ok(done) => {
+                        let version = self.registry.publish_bytes(tenant, &done.payload)?;
+                        let final_loss = done.losses.last().copied().unwrap_or(f32::NAN);
                         if let Some(s) = self.sessions.get_mut(&tenant) {
-                            s.complete_burst(version, &outcome.losses);
+                            s.complete_burst(version, &done.losses);
                         }
                         // Publish-affinity: the fresh version lands in the
                         // cache of the rank that computed it, so the
@@ -624,11 +663,10 @@ impl<S: Store> ServePlatform<S> {
                                 exec.cache.drop_slot(tenant);
                             }
                         }
-                        let evicted = self.ranks[pj.rank].cache.insert(
-                            tenant,
-                            version,
-                            outcome.checkpoint.clone(),
-                        );
+                        let evicted =
+                            self.ranks[pj.rank]
+                                .cache
+                                .insert(tenant, version, done.checkpoint);
                         for victim in evicted {
                             evictions += 1;
                             self.events.push(ServeEvent {
@@ -879,6 +917,21 @@ mod tests {
         let r2 = plain.run(&jobs(6, 1)).unwrap();
         assert_eq!(r2.fill_ticks, 0);
         assert_eq!(r2.fill_bubble_filled, 0.0);
+    }
+
+    #[test]
+    fn a_window_that_admits_nobody_is_rejected_up_front() {
+        let reason = |cfg: ServeConfig| match ServePlatform::new(cfg, MemStore::new()) {
+            Err(ServeError::InvalidConfig { reason }) => reason,
+            Err(other) => panic!("expected InvalidConfig, got {other}"),
+            Ok(_) => panic!("expected InvalidConfig, got a platform"),
+        };
+        let mut cfg = ServeConfig::micro(2);
+        cfg.active_window = 0;
+        assert!(reason(cfg).contains("active_window"));
+        let mut cfg = ServeConfig::micro(2);
+        cfg.trajectory_window = 0;
+        assert!(reason(cfg).contains("trajectory_window"));
     }
 
     #[test]

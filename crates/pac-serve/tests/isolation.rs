@@ -14,11 +14,19 @@
 //! reset between tenants — and asserts the bitwise detector actually
 //! fires. A detector that cannot see the planted bug would be
 //! vacuous.
+//!
+//! The third test pins the same purity against the *executor*: a tick's
+//! rank job lists are chunks claimed from the persistent worker pool, so
+//! which thread runs which rank is racy by design. Outcomes, final losses
+//! and the published registry bytes must not depend on the pool width or
+//! on how many ranks share it, and a tenant's panic must leave the pool
+//! usable for the next run.
 
 use std::collections::BTreeMap;
 
 use pac_serve::{JobSpec, ServeConfig, ServePlatform};
-use pac_store::MemStore;
+use pac_store::{MemStore, Store};
+use pac_tensor::rayon::pool;
 
 const TENANTS: u64 = 8;
 const JOBS_PER_TENANT: usize = 2;
@@ -112,4 +120,105 @@ fn planted_reset_skip_is_caught_by_the_bitwise_detector() {
         diverged.iter().any(|&t| t >= 2),
         "cross-tenant leakage should hit tenants after the first wave, got {diverged:?}"
     );
+}
+
+/// Three rounds over six tenants touching every tick path: tenants 0-2
+/// stay in the window (warm returns), tenants 3-5 park after every job
+/// (backlog re-entry), and tenant 4's second burst panics mid-step, so its
+/// third starts over from the baseline.
+fn mixed_batch() -> Vec<JobSpec> {
+    let mut jobs = Vec::new();
+    for round in 0..3u64 {
+        for tenant in 0..6u64 {
+            jobs.push(JobSpec {
+                tenant,
+                steps: 2,
+                seed: 700 + round,
+                fault_at: (tenant == 4 && round == 1).then_some(1),
+                park: tenant >= 3,
+            });
+        }
+    }
+    jobs
+}
+
+/// Everything a run makes visible, as bit patterns: per-job `(tenant,
+/// version, faulted, loss)`, per-tenant `(version, final loss)`, and the
+/// registry's raw commits keyed by their `(tenant, version)` meta record.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    outcomes: Vec<(u64, u32, bool, u32)>,
+    final_losses: Vec<(u64, u32, u32)>,
+    published: BTreeMap<Vec<u8>, Vec<u8>>,
+}
+
+/// Runs the mixed batch on `ranks` ranks with this thread's pool calls
+/// capped at `width`, then a second, healthy batch on the same platform.
+fn observe(ranks: usize, width: usize) -> Observed {
+    pool::set_max_concurrency(width);
+    let mut platform = ServePlatform::new(ServeConfig::micro(ranks), MemStore::new()).unwrap();
+    let report = platform.run(&mixed_batch()).unwrap();
+
+    assert_eq!((report.jobs_completed, report.jobs_faulted), (17, 1));
+    let faulted: Vec<u64> = report
+        .job_outcomes
+        .iter()
+        .filter(|o| o.faulted)
+        .map(|o| o.tenant)
+        .collect();
+    assert_eq!(faulted, [4], "the fault is attributed to its tenant alone");
+    assert!(report.backbone_shared);
+
+    let store = platform.registry().store();
+    let published = (0..store.commits())
+        .map(|seq| {
+            let c = store.committed(seq).unwrap().expect("commit in range");
+            (c.meta, c.payload)
+        })
+        .collect();
+    let observed = Observed {
+        outcomes: report
+            .job_outcomes
+            .iter()
+            .map(|o| (o.tenant, o.version, o.faulted, o.final_loss.to_bits()))
+            .collect(),
+        final_losses: report
+            .final_losses
+            .iter()
+            .map(|(&t, &(v, l))| (t, v, l.to_bits()))
+            .collect(),
+        published,
+    };
+
+    // The panic was caught inside its chunk: no pool worker died with it,
+    // so the same platform services the next batch in full.
+    let again = platform.run(&batch(None)).unwrap();
+    assert_eq!(again.jobs_completed, TENANTS * JOBS_PER_TENANT as u64);
+    assert_eq!(again.jobs_faulted, 0);
+    pool::set_max_concurrency(usize::MAX);
+    observed
+}
+
+#[test]
+fn serve_is_pool_width_invariant_and_the_pool_survives_a_tenant_panic() {
+    let sequential = observe(2, 1);
+    let full_width = observe(2, usize::MAX);
+    assert_eq!(sequential, full_width, "pool width moved a result");
+    // More ranks than the pool has threads (at any PAC_POOL_THREADS this
+    // suite is run under): chunks are claimed, not pinned.
+    let ranks = 2 * pool::pool_width() + 4;
+    let oversubscribed = observe(ranks, usize::MAX);
+    assert_eq!(sequential, oversubscribed, "{ranks} ranks moved a result");
+
+    // Siblings are untouched by tenant 4's fault: their three versions
+    // are all published, tenant 4 is one short.
+    let versions = |tenant: u64| {
+        sequential
+            .outcomes
+            .iter()
+            .filter(|o| o.0 == tenant && !o.2)
+            .count()
+    };
+    assert!((0..6).filter(|&t| t != 4).all(|t| versions(t) == 3));
+    assert_eq!(versions(4), 2);
 }

@@ -40,6 +40,12 @@ pub mod tensor;
 
 pub use error::{Result, TensorError};
 pub use quant::QTensor;
+/// The persistent worker pool the kernels run on (see [`rayon::pool`]).
+/// Downstream crates fan their own coarse-grained work out through this
+/// re-export instead of each linking a second copy or spawning threads,
+/// so nested calls (a serve rank running a burst that runs matmuls) share
+/// one set of workers and one `PAC_POOL_THREADS` width.
+pub use rayon;
 pub use shape::Shape;
 pub use tensor::Tensor;
 
