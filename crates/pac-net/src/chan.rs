@@ -15,6 +15,7 @@ use crate::transport::{Conn, PollConn};
 use crate::wire::{encode_frame, FrameReader, Msg, NetError};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::time::Duration;
 
 /// A blocking, framed, metered TCP connection.
@@ -62,11 +63,15 @@ impl FramedConn {
         self.stream.peer_addr().ok()
     }
 
-    /// Sends one message as a single frame. Counts `net.bytes_sent` and
-    /// `net.msgs`.
+    /// Sends one message as a single frame.
     pub fn send(&mut self, msg: &Msg) -> Result<(), NetError> {
-        let frame = encode_frame(msg);
-        self.stream.write_all(&frame)?;
+        self.send_frame(&encode_frame(msg))
+    }
+
+    /// Writes one already-encoded frame. Counts `net.bytes_sent` and
+    /// `net.msgs`.
+    pub fn send_frame(&mut self, frame: &[u8]) -> Result<(), NetError> {
+        self.stream.write_all(frame)?;
         self.stream.flush()?;
         pac_telemetry::counter_add("net.bytes_sent", frame.len() as u64);
         pac_telemetry::counter_inc("net.msgs");
@@ -110,25 +115,6 @@ impl FramedConn {
         out
     }
 
-    /// Probe used by the TCP `wait_ready` loop: does the socket have bytes
-    /// (or EOF) for `try_recv` to consume right now?
-    pub(crate) fn poll_readable(&self) -> Result<bool, NetError> {
-        self.stream.set_nonblocking(true)?;
-        let mut probe = [0u8; 1];
-        let got = self.stream.peek(&mut probe);
-        let restore = self.stream.set_nonblocking(false);
-        let ready = match got {
-            // n == 0 is EOF — `try_recv` will surface the typed error.
-            Ok(_) => true,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
-            Err(e) if e.kind() == std::io::ErrorKind::TimedOut => false,
-            // A broken socket is "ready" too: the next `try_recv` reports it.
-            Err(_) => true,
-        };
-        restore?;
-        Ok(ready)
-    }
-
     /// Receives one message and requires it to be of the shape `want`
     /// describes; anything else is a protocol violation.
     pub fn recv_expecting(
@@ -146,9 +132,17 @@ impl FramedConn {
     }
 }
 
+impl AsRawFd for FramedConn {
+    /// The socket itself, for readiness waits; reads and writes still go
+    /// through the connection so framing state stays coherent.
+    fn as_raw_fd(&self) -> RawFd {
+        self.stream.as_raw_fd()
+    }
+}
+
 impl Conn for FramedConn {
-    fn send(&mut self, msg: &Msg) -> Result<(), NetError> {
-        FramedConn::send(self, msg)
+    fn send_frame(&mut self, frame: &[u8]) -> Result<(), NetError> {
+        FramedConn::send_frame(self, frame)
     }
 
     fn recv(&mut self) -> Result<Msg, NetError> {

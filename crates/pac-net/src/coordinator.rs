@@ -56,7 +56,9 @@ use crate::rendezvous::{
 };
 use crate::spawn::{Spawn, SpawnedWorld};
 use crate::transport::{Conn, PollConn, PollTransport, Transport};
-use crate::wire::{decode_frame, encode_frame, Assignment, Msg, NetError};
+use crate::wire::{
+    decode_frame, param_snap_frame, param_snap_frame_len, Assignment, Msg, NetError,
+};
 use pac_cluster::{Cluster, CostModel, DeviceSpec};
 use pac_core::RecoveryReport;
 use pac_parallel::engine::{split_micro_batches_weighted, weighted_shares, MicroBatch};
@@ -262,28 +264,32 @@ impl<C: Conn> Round<C> {
         Some(world)
     }
 
-    /// Fetches parameters of the canonical replica (lane position 0),
-    /// stage by stage. Returns the per-stage entries and the serialized
-    /// snapshot size in bytes; errors are attributed to the rank being
-    /// fetched so a dead canonical rank folds into the rank-down path
-    /// instead of aborting the job.
+    /// Fetches parameters of the canonical replica (lane position 0) of
+    /// every stage. All requests go out before the first reply is read, so
+    /// the stages serialize their snapshots concurrently. Returns the
+    /// per-stage entries and the snapshot's size on the wire (the sum of
+    /// the `ParamSnap` frame lengths); errors are attributed to the rank
+    /// being fetched so a dead canonical rank folds into the rank-down
+    /// path instead of aborting the job.
     fn fetch_params(
         &mut self,
         trainable_only: bool,
     ) -> Result<(StageParams, usize), (usize, NetError)> {
-        let mut stages = Vec::with_capacity(self.topo.stages);
-        let mut bytes = 0usize;
-        for s in 0..self.topo.stages {
-            let rank = self.topo.rank_of(s, 0);
-            let ctrl = &mut self.conns[rank].ctrl;
-            ctrl.send(&Msg::ParamReq { trainable_only })
+        let canonical: Vec<usize> = (0..self.topo.stages)
+            .map(|s| self.topo.rank_of(s, 0))
+            .collect();
+        for &rank in &canonical {
+            self.conns[rank]
+                .ctrl
+                .send(&Msg::ParamReq { trainable_only })
                 .map_err(|e| (rank, e))?;
-            match ctrl.recv().map_err(|e| (rank, e))? {
+        }
+        let mut stages = Vec::with_capacity(canonical.len());
+        let mut bytes = 0usize;
+        for &rank in &canonical {
+            match self.conns[rank].ctrl.recv().map_err(|e| (rank, e))? {
                 Msg::ParamSnap { entries } => {
-                    bytes += encode_frame(&Msg::ParamSnap {
-                        entries: entries.clone(),
-                    })
-                    .len();
+                    bytes += param_snap_frame_len(&entries);
                     stages.push(entries);
                 }
                 _ => return Err((rank, NetError::Malformed("expected ParamSnap"))),
@@ -350,9 +356,7 @@ fn encode_snapshot(stages: &StageParams) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&(stages.len() as u32).to_le_bytes());
     for entries in stages {
-        out.extend_from_slice(&encode_frame(&Msg::ParamSnap {
-            entries: entries.clone(),
-        }));
+        out.extend_from_slice(&param_snap_frame(entries));
     }
     out
 }
@@ -1613,6 +1617,78 @@ mod tests {
         assert_eq!(report.recoveries, 1, "{:?}", report.log);
         assert_eq!(report.final_lanes, 1, "the dead rank's lane left the world");
         assert_eq!(report.recovery.replans, 1);
+    }
+
+    /// A 2-stage × 2-lane round whose ranks are scripted peers on loopback
+    /// TCP. Each canonical peer answers its `ParamReq` only once *both*
+    /// have received theirs, so a fetch that waited for stage 0's reply
+    /// before asking stage 1 fails here.
+    #[test]
+    fn fetch_params_asks_every_stage_first_and_reports_the_frames_bytes() {
+        use crate::transport::{Listener, Tcp};
+        use crate::wire::encode_frame;
+        use std::sync::{Condvar, Mutex};
+
+        let topo = Topology {
+            stages: 2,
+            lanes: 2,
+        };
+        let snaps: Vec<Vec<(String, Tensor)>> = vec![
+            vec![
+                ("s0.w".into(), Tensor::full([3, 5], 0.5)),
+                ("s0.bias".into(), Tensor::full([5], -1.0)),
+            ],
+            vec![("s1.head.weight".into(), Tensor::full([2, 2, 2], 2.0))],
+        ];
+        let timeout = Duration::from_secs(5);
+        let listener = Tcp::LOOPBACK.bind().unwrap();
+        let asked = (Mutex::new(0usize), Condvar::new());
+        std::thread::scope(|scope| {
+            let mut conns = Vec::new();
+            for rank in 0..topo.world() {
+                let mut peer = Tcp::LOOPBACK.connect(listener.port(), timeout).unwrap();
+                conns.push(WorkerConn {
+                    ctrl: listener.accept(timeout, timeout).unwrap(),
+                    data_port: 0,
+                });
+                if topo.lane_of(rank) != 0 {
+                    continue; // never asked: its socket just closes
+                }
+                let entries = snaps[topo.stage_of(rank)].clone();
+                let (asked, changed) = &asked;
+                scope.spawn(move || {
+                    let req = peer.recv().unwrap();
+                    let want = Msg::ParamReq {
+                        trainable_only: true,
+                    };
+                    assert_eq!(req, want);
+                    let mut n = asked.lock().unwrap();
+                    *n += 1;
+                    changed.notify_all();
+                    let (n, _) = changed
+                        .wait_timeout_while(n, timeout / 2, |n| *n < topo.stages)
+                        .unwrap();
+                    assert_eq!(*n, topo.stages, "asked one stage at a time");
+                    drop(n);
+                    peer.send(&Msg::ParamSnap { entries }).unwrap();
+                });
+            }
+            let mut round = Round {
+                conns,
+                world: None,
+                topo,
+            };
+            let (stages, bytes) = round.fetch_params(true).expect("fetch");
+            let frames: usize = snaps
+                .iter()
+                .map(|entries| {
+                    let entries = entries.clone();
+                    encode_frame(&Msg::ParamSnap { entries }).len()
+                })
+                .sum();
+            assert_eq!(bytes, frames);
+            assert_eq!(stages, snaps, "stage order");
+        });
     }
 
     /// Decrements the live-worker count when its thread exits, however it

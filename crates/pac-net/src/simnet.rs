@@ -1084,8 +1084,7 @@ impl SimConn {
 }
 
 impl Conn for SimConn {
-    fn send(&mut self, msg: &Msg) -> Result<(), NetError> {
-        let frame = encode_frame(msg);
+    fn send_frame(&mut self, frame: &[u8]) -> Result<(), NetError> {
         let idx = self.idx;
         let deadline = {
             let st = self.net.lock();
@@ -1103,7 +1102,7 @@ impl Conn for SimConn {
             if alive && !link_has_capacity(st, idx, frame.len()) {
                 return None;
             }
-            Some(send_on(st, idx, &frame))
+            Some(send_on(st, idx, frame))
         })?;
         pac_telemetry::counter_add("net.bytes_sent", frame.len() as u64);
         pac_telemetry::counter_inc("net.msgs");

@@ -22,15 +22,23 @@
 //! and consumed by the exact code that runs over TCP.
 
 use crate::chan::FramedConn;
-use crate::wire::{Msg, NetError};
+use crate::wire::{encode_frame, Msg, NetError};
 use std::fmt::Debug;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::raw::{c_int, c_short};
 use std::time::{Duration, Instant};
 
 /// A framed, blocking, bidirectional connection.
 pub trait Conn: Send + Debug {
+    /// Sends one already-encoded frame (see [`crate::wire::encode_frame`]
+    /// and its borrowed-input siblings).
+    fn send_frame(&mut self, frame: &[u8]) -> Result<(), NetError>;
+
     /// Sends one message as a single frame.
-    fn send(&mut self, msg: &Msg) -> Result<(), NetError>;
+    fn send(&mut self, msg: &Msg) -> Result<(), NetError> {
+        self.send_frame(&encode_frame(msg))
+    }
 
     /// Receives one message, honoring the read deadline. A deadline expiry
     /// mid-frame keeps the partial frame buffered, so a retried `recv`
@@ -99,8 +107,8 @@ pub trait PollConn: Conn {
 /// until *some* connection is ready instead of blocking on one of them.
 ///
 /// This is the seam the multi-world coordinator
-/// ([`crate::coordinator`]) runs on. Over TCP readiness comes from
-/// non-blocking `peek`s on a short poll cadence; over the simulated
+/// ([`crate::coordinator`]) runs on. Over TCP readiness is one `poll(2)`
+/// over the sockets; over the simulated
 /// transport the wait participates in the virtual-clock quiescence
 /// protocol, so a poll-driven coordinator blocked here still lets the
 /// simulation advance deterministically (a spinning `try_recv` loop would
@@ -248,28 +256,183 @@ impl Transport for Tcp {
     }
 }
 
+/// One entry of `poll(2)`'s descriptor set (`struct pollfd`).
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: c_short,
+    revents: c_short,
+}
+
+/// `POLLIN`: data, a FIN or a pending error can be read without blocking.
+const POLLIN: c_short = 0x001;
+
+/// `nfds_t`.
+#[cfg(target_os = "linux")]
+type Nfds = std::os::raw::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type Nfds = std::os::raw::c_uint;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: c_int) -> c_int;
+}
+
 impl PollTransport for Tcp {
-    /// Readiness over TCP is a short-cadence `peek` scan — the same
-    /// poll-against-deadline idiom [`TcpPortListener::accept_deadline`]
-    /// uses. Index order (not OS wake order) decides which ready
-    /// connection is reported, so coordinator behavior stays a function of
-    /// the poll set even over real sockets.
+    /// Readiness over TCP is one `poll(2)` over the sockets: the caller
+    /// sleeps in the kernel until a frame's first byte, a FIN or a socket
+    /// error arrives, and wakes then rather than on a timer tick. Any
+    /// returned event counts — `POLLHUP`/`POLLERR` mean the next
+    /// `try_recv` has a typed error to report. Index order (not OS wake
+    /// order) decides which ready connection is reported, so coordinator
+    /// behavior stays a function of the poll set even over real sockets.
+    ///
+    /// Only the socket is watched: a [`crate::wire::FrameReader`] never
+    /// reads past the frame it is assembling, so a connection holding a
+    /// partial frame has nothing to deliver until the socket is readable
+    /// again.
     fn wait_ready(
         &self,
         conns: &mut [&mut FramedConn],
         wait: Duration,
     ) -> Result<Readiness, NetError> {
+        let mut fds: Vec<PollFd> = conns
+            .iter()
+            .map(|conn| PollFd {
+                fd: conn.as_raw_fd(),
+                events: POLLIN,
+                revents: 0,
+            })
+            .collect();
         let deadline = Instant::now() + wait;
         loop {
-            for (i, conn) in conns.iter().enumerate() {
-                if conn.poll_readable()? {
-                    return Ok(Readiness::Conn(i));
-                }
+            // Rounded up to poll's millisecond grain, so a sub-millisecond
+            // remainder sleeps rather than spins.
+            let left = deadline.saturating_duration_since(Instant::now());
+            let timeout_ms =
+                c_int::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX);
+            // SAFETY: `fds` is a live, exclusively borrowed array of
+            // `fds.len()` `repr(C)` pollfd records, which is what poll(2)
+            // reads and writes; every descriptor belongs to a connection
+            // borrowed for the whole call, so none can be closed under it.
+            let ready = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, timeout_ms) };
+            if ready >= 0 {
+                // Nothing flagged means the wait ran out.
+                let first = fds.iter().position(|fd| fd.revents != 0);
+                return Ok(first.map_or(Readiness::TimedOut, Readiness::Conn));
             }
-            if Instant::now() >= deadline {
-                return Ok(Readiness::TimedOut);
+            // A signal cut the wait short: resume it against the same
+            // deadline. Anything else is a real failure.
+            let err = std::io::Error::last_os_error();
+            if err.kind() != std::io::ErrorKind::Interrupted {
+                return Err(NetError::Io(err));
             }
-            std::thread::sleep(Duration::from_millis(1));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::encode_frame;
+
+    const LONG: Duration = Duration::from_secs(5);
+
+    /// One loopback connection: `(dialer, acceptor)`.
+    fn pair() -> (FramedConn, FramedConn) {
+        let listener = Tcp::LOOPBACK.bind().unwrap();
+        let dialer = Tcp::LOOPBACK.connect(listener.port(), LONG).unwrap();
+        let acceptor = listener.accept(LONG, LONG).unwrap();
+        (dialer, acceptor)
+    }
+
+    fn wait(conns: &mut [&mut FramedConn], wait: Duration) -> Readiness {
+        Tcp::LOOPBACK.wait_ready(conns, wait).unwrap()
+    }
+
+    #[test]
+    fn an_idle_set_times_out_after_the_wait() {
+        let (_a_peer, mut a) = pair();
+        let (_b_peer, mut b) = pair();
+        let bound = Duration::from_millis(30);
+        let t = Instant::now();
+        assert_eq!(wait(&mut [&mut a, &mut b], bound), Readiness::TimedOut);
+        assert!(t.elapsed() >= bound, "returned after {:?}", t.elapsed());
+        assert_eq!(wait(&mut [], Duration::ZERO), Readiness::TimedOut);
+    }
+
+    #[test]
+    fn the_lowest_ready_index_is_reported_first() {
+        let (mut a_peer, mut a) = pair();
+        let (mut b_peer, mut b) = pair();
+        // Highest index first, and each frame confirmed delivered on its
+        // own, so both are pending when the pair is polled.
+        b_peer.send(&Msg::Heartbeat { nonce: 2 }).unwrap();
+        assert_eq!(wait(&mut [&mut b], LONG), Readiness::Conn(0));
+        a_peer.send(&Msg::Heartbeat { nonce: 1 }).unwrap();
+        assert_eq!(wait(&mut [&mut a], LONG), Readiness::Conn(0));
+
+        assert_eq!(wait(&mut [&mut a, &mut b], LONG), Readiness::Conn(0));
+        assert_eq!(a.try_recv().unwrap(), Some(Msg::Heartbeat { nonce: 1 }));
+        assert_eq!(wait(&mut [&mut a, &mut b], LONG), Readiness::Conn(1));
+        assert_eq!(b.try_recv().unwrap(), Some(Msg::Heartbeat { nonce: 2 }));
+        let idle = wait(&mut [&mut a, &mut b], Duration::from_millis(5));
+        assert_eq!(idle, Readiness::TimedOut);
+    }
+
+    #[test]
+    fn a_peer_hanging_up_counts_as_ready() {
+        let (_a_peer, mut a) = pair();
+        let (b_peer, mut b) = pair();
+        drop(b_peer);
+        assert_eq!(wait(&mut [&mut a, &mut b], LONG), Readiness::Conn(1));
+        assert!(matches!(b.try_recv(), Err(NetError::Eof)));
+    }
+
+    #[test]
+    fn a_frame_arriving_mid_wait_ends_the_wait_then_not_at_the_deadline() {
+        let (mut peer, mut conn) = pair();
+        let delay = Duration::from_millis(20);
+        let t = Instant::now();
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(delay);
+            peer.send(&Msg::Ready).unwrap();
+            peer
+        });
+        assert_eq!(wait(&mut [&mut conn], LONG), Readiness::Conn(0));
+        let woke = t.elapsed();
+        assert!(
+            woke >= delay,
+            "woke after {woke:?}, before anything was sent"
+        );
+        assert!(
+            woke < LONG / 5,
+            "woke after {woke:?}: on the deadline's side"
+        );
+        assert_eq!(conn.try_recv().unwrap(), Some(Msg::Ready));
+        sender.join().unwrap();
+    }
+
+    #[test]
+    fn a_partial_frame_held_by_the_reader_is_completed_by_a_later_wakeup() {
+        let (mut peer, mut conn) = pair();
+        let msg = Msg::Fault {
+            observer: 1,
+            blamed: 2,
+            detail: "split across two writes".into(),
+        };
+        let frame = encode_frame(&msg);
+        let (head, tail) = frame.split_at(frame.len() / 2);
+
+        peer.send_frame(head).unwrap();
+        assert_eq!(wait(&mut [&mut conn], LONG), Readiness::Conn(0));
+        assert_eq!(conn.try_recv().unwrap(), None, "half a frame is no frame");
+        // The half now lives in the FrameReader, not the socket: nothing
+        // to report until the peer writes again.
+        let idle = wait(&mut [&mut conn], Duration::from_millis(20));
+        assert_eq!(idle, Readiness::TimedOut);
+
+        peer.send_frame(tail).unwrap();
+        assert_eq!(wait(&mut [&mut conn], LONG), Readiness::Conn(0));
+        assert_eq!(conn.try_recv().unwrap(), Some(msg));
     }
 }

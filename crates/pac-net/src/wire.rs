@@ -4,11 +4,12 @@
 //!
 //! ```text
 //! [0..4)   magic  b"PACN"
-//! [4]      format version (currently 1)
+//! [4]      format version ([`VERSION`], the only one accepted)
 //! [5]      message type tag
 //! [6..10)  payload length, u32 little-endian
 //! [10..)   payload (type-specific)
-//! [..+4)   FNV-1a checksum of the payload, u32 little-endian
+//! [..+4)   [`checksum`] of bytes [4..) so far (version, tag, length,
+//!          payload), u32 little-endian
 //! ```
 //!
 //! Floats are encoded as their IEEE-754 bit patterns (`f32::to_bits`), so
@@ -27,19 +28,19 @@ use pac_parallel::engine::MicroBatch;
 use pac_parallel::schedule::SimEvent;
 use pac_parallel::Schedule;
 use pac_tensor::{QTensor, Tensor};
+use std::borrow::Borrow;
 use std::fmt;
 use std::io::Read;
 
 /// Frame preamble: identifies a PAC net frame.
 pub const MAGIC: [u8; 4] = *b"PACN";
-/// Newest wire format version this build speaks. Frames are stamped with
-/// the *oldest* version that can express their message
-/// ([`Msg::wire_version`]), so a v1 peer interoperates until it is
-/// actually sent a v2-only frame (e.g. [`Msg::ActQ8`]) — which it then
-/// rejects as a typed [`NetError::BadVersion`], never a decode panic.
-pub const VERSION: u8 = 2;
-/// Oldest wire format version this build still accepts.
-pub const MIN_VERSION: u8 = 1;
+/// The wire format version: every frame is stamped with it and a frame
+/// carrying any other value is a typed [`NetError::BadVersion`]. There is
+/// one version because every worker is spawned from the coordinator's own
+/// binary, and because the checksum defines the version — a peer that
+/// computes a different [`checksum`] could not verify a single frame.
+/// Versions 1 and 2 carried a byte-serial FNV-1a trailer.
+pub const VERSION: u8 = 3;
 /// Upper bound on a single frame's payload (defense against a corrupted
 /// length field allocating gigabytes).
 pub const MAX_PAYLOAD: usize = 256 * 1024 * 1024;
@@ -135,24 +136,58 @@ impl From<std::io::Error> for NetError {
 }
 
 const FNV_BASIS: u32 = 0x811c_9dc5;
+const FNV_PRIME: u32 = 0x0100_0193;
+/// Independent checksum lanes: one round consumes `4 * LANES` bytes.
+const LANES: usize = 8;
 
-fn fnv1a(mut h: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
+/// One lane step: FNV-1a's xor-then-multiply over a whole word, then a
+/// rotation so the word's high byte reaches the bits the next multiply
+/// spreads (a multiply alone only carries differences upward). For a fixed
+/// `word` it permutes `h`, and for a fixed `h` it permutes `word` — xor,
+/// multiplication by an odd constant and rotation are all bijections —
+/// which is what the detection guarantee of [`checksum`] rests on.
+#[inline(always)]
+fn mix(h: u32, word: u32) -> u32 {
+    (h ^ word).wrapping_mul(FNV_PRIME).rotate_left(13)
 }
 
-/// FNV-1a over the given bytes. The frame checksum covers the header's
-/// version, tag, and length fields *plus* the payload, so a bit-flip
-/// anywhere after the magic is caught — a flipped type tag cannot make a
-/// frame silently decode as a different (but structurally valid) message.
-/// Not cryptographic: it guards against truncation and corruption, not
-/// adversaries (the transport is a trusted LAN / loopback, per the paper's
-/// deployment model).
+/// The frame checksum: eight interleaved FNV-style lanes over
+/// little-endian `u32` words, so a round of 32 bytes is eight independent
+/// multiplies instead of 32 dependent ones.
+///
+/// Word `i` of the input goes to lane `i % 8`. After the last whole round
+/// the lanes are folded into one state in lane order, the remaining
+/// `len % 32` bytes are mixed in one at a time, and the input length goes
+/// in last, so inputs that differ only in trailing zero bytes differ.
+///
+/// Every step permutes the state for a fixed input and the input for a
+/// fixed state. One changed byte therefore changes exactly one lane (or
+/// the folded state) at the step that consumes it, and no later step can
+/// map two different states back together: **any single corrupted byte is
+/// detected with certainty**, as with the byte-serial FNV-1a this
+/// replaces; so is any corruption confined to one word of a whole round.
+///
+/// The frame checksum covers the header's version, tag, and length fields
+/// *plus* the payload, so a bit-flip anywhere after the magic is caught —
+/// a flipped type tag cannot make a frame silently decode as a different
+/// (but structurally valid) message. Not cryptographic: it guards against
+/// truncation and corruption, not adversaries (the transport is a trusted
+/// LAN / loopback, per the paper's deployment model).
 pub fn checksum(bytes: &[u8]) -> u32 {
-    fnv1a(FNV_BASIS, bytes)
+    let mut lanes = [FNV_BASIS; LANES];
+    let mut rounds = bytes.chunks_exact(4 * LANES);
+    for round in &mut rounds {
+        for (lane, word) in lanes.iter_mut().zip(round.chunks_exact(4)) {
+            let word = u32::from_le_bytes(word.try_into().expect("chunks of four bytes"));
+            *lane = mix(*lane, word);
+        }
+    }
+    let folded = lanes.into_iter().fold(FNV_BASIS, mix);
+    let tailed = rounds
+        .remainder()
+        .iter()
+        .fold(folded, |h, &b| mix(h, b as u32));
+    mix(tailed, bytes.len() as u32)
 }
 
 /// Which role a freshly-accepted data connection plays, declared by the
@@ -402,6 +437,10 @@ impl PartialEq for Msg {
 
 impl Eq for Msg {}
 
+/// Type tags of the two messages that also have a borrowed encoder.
+const TAG_GRAD_BLOCK: u8 = 10;
+const TAG_PARAM_SNAP: u8 = 13;
+
 impl Msg {
     fn tag(&self) -> u8 {
         match self {
@@ -414,10 +453,10 @@ impl Msg {
             Msg::Step { .. } => 7,
             Msg::Act { .. } => 8,
             Msg::Grad { .. } => 9,
-            Msg::GradBlock { .. } => 10,
+            Msg::GradBlock { .. } => TAG_GRAD_BLOCK,
             Msg::Done { .. } => 11,
             Msg::ParamReq { .. } => 12,
-            Msg::ParamSnap { .. } => 13,
+            Msg::ParamSnap { .. } => TAG_PARAM_SNAP,
             Msg::Fault { .. } => 14,
             Msg::Heartbeat { .. } => 15,
             Msg::HeartbeatAck { .. } => 16,
@@ -428,29 +467,38 @@ impl Msg {
             Msg::JobDone { .. } => 21,
         }
     }
-
-    /// The oldest wire format version able to express this message — what
-    /// [`encode_frame`] stamps into the version byte. Keeping legacy
-    /// messages at v1 means a quantization-unaware peer keeps working
-    /// until an actual v2 frame reaches it.
-    pub fn wire_version(&self) -> u8 {
-        match self {
-            Msg::ActQ8 { .. } | Msg::JobSubmit { .. } | Msg::JobDone { .. } => 2,
-            _ => 1,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Payload encoder / decoder
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
+/// Builds one frame in place: header first (length patched by
+/// [`Enc::seal`]), payload appended by the typed writers, trailer last.
 struct Enc {
     buf: Vec<u8>,
 }
 
 impl Enc {
+    /// Starts a frame of type `tag`.
+    fn frame(tag: u8) -> Enc {
+        let mut buf = Vec::with_capacity(64);
+        buf.extend_from_slice(&MAGIC);
+        buf.push(VERSION);
+        buf.push(tag);
+        buf.extend_from_slice(&[0; 4]);
+        Enc { buf }
+    }
+    /// Patches the payload length into the header and appends the
+    /// checksum of everything after the magic.
+    fn seal(mut self) -> Vec<u8> {
+        let len = self.buf.len() - HEADER_LEN;
+        debug_assert!(len <= MAX_PAYLOAD);
+        self.buf[6..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+        let sum = checksum(&self.buf[4..]);
+        self.buf.extend_from_slice(&sum.to_le_bytes());
+        self.buf
+    }
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -473,28 +521,46 @@ impl Enc {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
     }
-    fn tensor(&mut self, t: &Tensor) {
-        let dims = t.dims();
-        self.u8(dims.len() as u8);
-        for &d in dims {
-            self.u32(d as u32);
-        }
-        for &x in t.data() {
-            self.f32(x);
+    /// A run of floats as their little-endian bit patterns. Sized first
+    /// and filled chunk by chunk, which compiles to a copy on a
+    /// little-endian host and stays correct on a big-endian one.
+    fn f32s(&mut self, xs: &[f32]) {
+        let start = self.buf.len();
+        self.buf.resize(start + xs.len() * 4, 0);
+        for (dst, x) in self.buf[start..].chunks_exact_mut(4).zip(xs) {
+            dst.copy_from_slice(&x.to_le_bytes());
         }
     }
-    fn qtensor(&mut self, q: &QTensor) {
-        let dims = q.dims();
+    fn dims(&mut self, dims: &[usize]) {
         self.u8(dims.len() as u8);
         for &d in dims {
             self.u32(d as u32);
         }
+    }
+    fn tensor(&mut self, t: &Tensor) {
+        self.dims(t.dims());
+        self.f32s(t.data());
+    }
+    fn qtensor(&mut self, q: &QTensor) {
+        self.dims(q.dims());
         self.u32(q.rows() as u32);
-        for &s in q.scales() {
-            self.f32(s);
-        }
+        self.f32s(q.scales());
         // i8 payload travels as raw two's-complement bytes.
         self.buf.extend(q.data().iter().map(|&v| v as u8));
+    }
+    fn grad_block<T: Borrow<Tensor>>(&mut self, origin_lane: u32, tensors: &[T]) {
+        self.u32(origin_lane);
+        self.u32(tensors.len() as u32);
+        for t in tensors {
+            self.tensor(t.borrow());
+        }
+    }
+    fn entries(&mut self, entries: &[(String, Tensor)]) {
+        self.u32(entries.len() as u32);
+        for (name, t) in entries {
+            self.str(name);
+            self.tensor(t);
+        }
     }
     fn stage_data(&mut self, d: &StageData) {
         match d {
@@ -598,7 +664,17 @@ impl<'a> Dec<'a> {
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| NetError::Malformed("string not utf-8"))
     }
-    fn tensor(&mut self) -> Result<Tensor, NetError> {
+    /// Inverse of [`Enc::f32s`]. Callers bound `n` against the payload
+    /// first, so `n * 4` cannot overflow.
+    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, NetError> {
+        let bytes = self.take(n * 4)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("chunks of four bytes")))
+            .collect())
+    }
+    /// Rank-checked dimensions and their (saturating) element count.
+    fn dims(&mut self) -> Result<(Vec<usize>, usize), NetError> {
         let rank = self.u8()? as usize;
         if rank == 0 || rank > MAX_RANK {
             return Err(NetError::Malformed("tensor rank out of range"));
@@ -610,35 +686,23 @@ impl<'a> Dec<'a> {
             numel = numel.saturating_mul(d);
             dims.push(d);
         }
+        Ok((dims, numel))
+    }
+    fn tensor(&mut self) -> Result<Tensor, NetError> {
+        let (dims, numel) = self.dims()?;
         if numel > MAX_NUMEL || numel * 4 > self.b.len() {
             return Err(NetError::Malformed("tensor element count exceeds payload"));
         }
-        let mut data = Vec::with_capacity(numel);
-        for _ in 0..numel {
-            data.push(self.f32()?);
-        }
+        let data = self.f32s(numel)?;
         Tensor::from_vec(data, dims).map_err(|_| NetError::Malformed("tensor shape inconsistent"))
     }
     fn qtensor(&mut self) -> Result<QTensor, NetError> {
-        let rank = self.u8()? as usize;
-        if rank == 0 || rank > MAX_RANK {
-            return Err(NetError::Malformed("qtensor rank out of range"));
-        }
-        let mut dims = Vec::with_capacity(rank);
-        let mut numel: usize = 1;
-        for _ in 0..rank {
-            let d = self.u32()? as usize;
-            numel = numel.saturating_mul(d);
-            dims.push(d);
-        }
+        let (dims, numel) = self.dims()?;
         let rows = self.u32()? as usize;
         if numel > MAX_NUMEL || rows.saturating_mul(4).saturating_add(numel) > self.b.len() {
             return Err(NetError::Malformed("qtensor size exceeds payload"));
         }
-        let mut scales = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            scales.push(self.f32()?);
-        }
+        let scales = self.f32s(rows)?;
         let data: Vec<i8> = self.take(numel)?.iter().map(|&b| b as i8).collect();
         QTensor::from_parts(dims, scales, data)
             .map_err(|_| NetError::Malformed("qtensor parts inconsistent"))
@@ -701,8 +765,7 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn encode_payload(msg: &Msg) -> Vec<u8> {
-    let mut e = Enc::default();
+fn encode_payload(e: &mut Enc, msg: &Msg) {
     match msg {
         Msg::Hello { slot, listen_port } => {
             e.u32(*slot);
@@ -745,13 +808,7 @@ fn encode_payload(msg: &Msg) -> Vec<u8> {
             });
         }
         Msg::Ready | Msg::Shutdown => {}
-        Msg::Restore { entries } | Msg::ParamSnap { entries } => {
-            e.u32(entries.len() as u32);
-            for (name, t) in entries {
-                e.str(name);
-                e.tensor(t);
-            }
-        }
+        Msg::Restore { entries } | Msg::ParamSnap { entries } => e.entries(entries),
         Msg::Step {
             step,
             die,
@@ -812,13 +869,7 @@ fn encode_payload(msg: &Msg) -> Vec<u8> {
         Msg::GradBlock {
             origin_lane,
             tensors,
-        } => {
-            e.u32(*origin_lane);
-            e.u32(tensors.len() as u32);
-            for t in tensors {
-                e.tensor(t);
-            }
-        }
+        } => e.grad_block(*origin_lane, tensors),
         Msg::Done {
             rank,
             loss_sum,
@@ -856,7 +907,6 @@ fn encode_payload(msg: &Msg) -> Vec<u8> {
             }
         }
     }
-    e.buf
 }
 
 fn decode_payload(tag: u8, payload: &[u8]) -> Result<Msg, NetError> {
@@ -964,7 +1014,7 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Msg, NetError> {
             micro: d.u32()?,
             grad: d.tensor()?,
         },
-        10 => {
+        TAG_GRAD_BLOCK => {
             let origin_lane = d.u32()?;
             let n = d.len(5)?;
             let mut tensors = Vec::with_capacity(n);
@@ -995,7 +1045,7 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Msg, NetError> {
         12 => Msg::ParamReq {
             trainable_only: d.bool()?,
         },
-        13 => Msg::ParamSnap {
+        TAG_PARAM_SNAP => Msg::ParamSnap {
             entries: d.entries()?,
         },
         14 => Msg::Fault {
@@ -1042,27 +1092,41 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Msg, NetError> {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Serializes `msg` into one complete frame (header + payload + checksum).
-pub fn encode_frame(msg: &Msg) -> Vec<u8> {
-    let payload = encode_payload(msg);
-    debug_assert!(payload.len() <= MAX_PAYLOAD);
-    let mut frame = Vec::with_capacity(14 + payload.len());
-    frame.extend_from_slice(&MAGIC);
-    frame.push(msg.wire_version());
-    frame.push(msg.tag());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    // Checksum covers everything after the magic: version, tag, length,
-    // payload.
-    let sum = checksum(&frame[4..]);
-    frame.extend_from_slice(&sum.to_le_bytes());
-    frame
-}
-
 /// Frame header size: magic + version + tag + payload length.
 pub const HEADER_LEN: usize = 10;
 /// Bytes a frame occupies beyond its payload: header + trailing checksum.
 const OVERHEAD: usize = HEADER_LEN + 4;
+
+/// Serializes `msg` into one complete frame (header + payload + checksum).
+pub fn encode_frame(msg: &Msg) -> Vec<u8> {
+    let mut e = Enc::frame(msg.tag());
+    encode_payload(&mut e, msg);
+    e.seal()
+}
+
+/// The frame of a [`Msg::GradBlock`] encoded from borrowed gradients —
+/// byte for byte what [`encode_frame`] produces for the owned message,
+/// without assembling one.
+pub fn grad_block_frame<T: Borrow<Tensor>>(origin_lane: u32, tensors: &[T]) -> Vec<u8> {
+    let mut e = Enc::frame(TAG_GRAD_BLOCK);
+    e.grad_block(origin_lane, tensors);
+    e.seal()
+}
+
+/// The frame of a [`Msg::ParamSnap`] encoded from borrowed entries.
+pub fn param_snap_frame(entries: &[(String, Tensor)]) -> Vec<u8> {
+    let mut e = Enc::frame(TAG_PARAM_SNAP);
+    e.entries(entries);
+    e.seal()
+}
+
+/// Size of the frame [`param_snap_frame`] produces, without encoding it:
+/// per entry a length-prefixed name, a rank byte, the dimensions and the
+/// elements.
+pub fn param_snap_frame_len(entries: &[(String, Tensor)]) -> usize {
+    let each = |(name, t): &(String, Tensor)| 4 + name.len() + 1 + 4 * t.rank() + 4 * t.numel();
+    OVERHEAD + 4 + entries.iter().map(each).sum::<usize>()
+}
 
 /// Anything [`FrameReader`] can pull bytes from. `Ok(n)` delivers `n > 0`
 /// bytes; end-of-stream and deadline expiry are *errors* ([`NetError::Eof`]
@@ -1092,6 +1156,10 @@ impl<R: Read + ?Sized> ByteSource for IoSource<'_, R> {
     }
 }
 
+/// Most bytes a [`FrameReader`] asks its source for (and zero-fills ahead
+/// of) in one read.
+const READ_STEP: usize = 64 * 1024;
+
 /// Incremental frame decoder that survives read deadlines mid-frame.
 ///
 /// A one-shot `read_frame` holds its progress in locals, so a timeout that
@@ -1106,6 +1174,10 @@ impl<R: Read + ?Sized> ByteSource for IoSource<'_, R> {
 /// Unrecoverable protocol errors (bad magic/version, oversize, checksum or
 /// payload failures) discard the buffered frame: stream framing is already
 /// lost, so there is nothing coherent to resume into.
+///
+/// The buffer grows in steps of [`READ_STEP`] as bytes arrive, so a header
+/// that claims [`MAX_PAYLOAD`] and then stalls or hangs up costs the
+/// receiver one step, not the claimed size.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -1141,8 +1213,11 @@ impl FrameReader {
         loop {
             let goal = self.need.unwrap_or(HEADER_LEN);
             while self.buf.len() < goal {
+                // Grow by at most one step beyond what has arrived: the
+                // length field is the peer's claim, and memory must follow
+                // bytes received, not bytes promised.
                 let have = self.buf.len();
-                self.buf.resize(goal, 0);
+                self.buf.resize(goal.min(have + READ_STEP), 0);
                 match src.read_bytes(&mut self.buf[have..]) {
                     Ok(n) => self.buf.truncate(have + n),
                     Err(e) => {
@@ -1158,7 +1233,7 @@ impl FrameReader {
                     self.reset();
                     return Err(NetError::BadMagic(m));
                 }
-                if !(MIN_VERSION..=VERSION).contains(&self.buf[4]) {
+                if self.buf[4] != VERSION {
                     let v = self.buf[4];
                     self.reset();
                     return Err(NetError::BadVersion(v));
@@ -1173,7 +1248,6 @@ impl FrameReader {
             }
             // Whole frame buffered: verify checksum, decode, clear state.
             let total = goal;
-            let version = self.buf[4];
             let tag = self.buf[5];
             let got = u32::from_le_bytes(self.buf[total - 4..total].try_into().unwrap());
             let expected = checksum(&self.buf[4..total - 4]);
@@ -1183,14 +1257,7 @@ impl FrameReader {
             }
             let decoded = decode_payload(tag, &self.buf[HEADER_LEN..total - 4]);
             self.reset();
-            let msg = decoded?;
-            // A frame may not claim an older version than its message
-            // needs: a v1-stamped ActQ8 is a forgery or corruption, not a
-            // frame a v1 peer could ever have produced.
-            if msg.wire_version() > version {
-                return Err(NetError::BadVersion(version));
-            }
-            return Ok((msg, total));
+            return Ok((decoded?, total));
         }
     }
 }
@@ -1214,6 +1281,12 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Msg, usize), NetError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // Computed by an independent implementation of the definition in
+    // `checksum`'s doc comment, over `noise(n)`.
+    const GOLDEN_EMPTY: u32 = 0xb512_8356;
+    const GOLDEN_31: u32 = 0x73da_f5db;
+    const GOLDEN_4K: u32 = 0x653e_3541;
 
     fn roundtrip(msg: &Msg) -> Msg {
         let frame = encode_frame(msg);
@@ -1258,14 +1331,12 @@ mod tests {
     }
 
     #[test]
-    fn job_messages_roundtrip_as_v2_frames() {
+    fn job_messages_roundtrip() {
         let submit = Msg::JobSubmit {
             tenant: 0xdead_beef,
             steps: 3,
             seed: 42,
         };
-        let frame = encode_frame(&submit);
-        assert_eq!(frame[4], 2, "job admission must travel as a v2 frame");
         assert_eq!(&roundtrip(&submit), &submit);
         let done = Msg::JobDone {
             tenant: u64::MAX,
@@ -1307,30 +1378,33 @@ mod tests {
 
     #[test]
     fn tensor_payloads_roundtrip_bitwise() {
-        let weird = vec![
+        let weird = [
             f32::NAN,
             f32::from_bits(0x7fc0_1234), // NaN with payload bits
+            f32::from_bits(0xffa5_5aa5), // negative signalling NaN
             -0.0,
             0.0,
             f32::MIN_POSITIVE / 4.0, // subnormal
+            f32::from_bits(1),       // smallest subnormal
             f32::INFINITY,
             f32::NEG_INFINITY,
             1.5e-42,
         ];
-        let t = Tensor::from_vec(weird.clone(), vec![2, 4]).unwrap();
-        let msg = Msg::Grad {
-            micro: 2,
-            grad: t.clone(),
-        };
-        match roundtrip(&msg) {
-            Msg::Grad { micro, grad } => {
-                assert_eq!(micro, 2);
-                assert_eq!(grad.dims(), t.dims());
-                for (a, b) in grad.data().iter().zip(weird.iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "bitwise f32 transport");
+        // Sizes on both sides of the codec's vector width, and one
+        // gradient-sized block.
+        for numel in [1usize, 7, 8, 9, 25_600] {
+            let data: Vec<f32> = (0..numel).map(|i| weird[i % weird.len()]).collect();
+            let t = Tensor::from_vec(data.clone(), vec![numel]).unwrap();
+            match roundtrip(&Msg::Grad { micro: 2, grad: t }) {
+                Msg::Grad { micro, grad } => {
+                    assert_eq!(micro, 2);
+                    assert_eq!(grad.dims(), [numel]);
+                    for (a, b) in grad.data().iter().zip(&data) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "bitwise f32 transport");
+                    }
                 }
+                other => panic!("wrong message decoded: {other:?}"),
             }
-            other => panic!("wrong message decoded: {other:?}"),
         }
     }
 
@@ -1373,15 +1447,13 @@ mod tests {
     }
 
     #[test]
-    fn act_q8_roundtrips_and_stamps_v2() {
+    fn act_q8_roundtrips() {
         let t = Tensor::from_vec(vec![0.5, -1.25, 3.0, 0.0, 2.5, -0.75], vec![1, 2, 3]).unwrap();
         let msg = Msg::ActQ8 {
             micro: 4,
             logits: false,
             q: QTensor::quantize(&t),
         };
-        let frame = encode_frame(&msg);
-        assert_eq!(frame[4], 2, "ActQ8 must travel as a v2 frame");
         assert_eq!(roundtrip(&msg), msg);
         match roundtrip(&msg) {
             Msg::ActQ8 { micro, logits, q } => {
@@ -1392,27 +1464,129 @@ mod tests {
             }
             other => panic!("wrong message decoded: {other:?}"),
         }
-        // Legacy traffic keeps stamping v1, so quantization-unaware peers
-        // stay compatible until an ActQ8 actually reaches them.
-        assert_eq!(encode_frame(&Msg::Ready)[4], 1);
-        assert_eq!(encode_frame(&Msg::Heartbeat { nonce: 1 })[4], 1);
+    }
+
+    /// Overwrites the frame's trailer with the checksum of its current
+    /// bytes, so only what the test changed can trip the decoder.
+    fn reseal(frame: &mut [u8]) {
+        let body = frame.len() - 4;
+        let sum = checksum(&frame[4..body]);
+        frame[body..].copy_from_slice(&sum.to_le_bytes());
     }
 
     #[test]
-    fn act_q8_in_a_v1_frame_is_rejected_as_bad_version() {
+    fn every_frame_is_stamped_with_the_one_version_and_older_stamps_are_rejected() {
         let t = Tensor::from_vec(vec![1.0, 2.0], vec![1, 2]).unwrap();
-        let mut frame = encode_frame(&Msg::ActQ8 {
-            micro: 0,
-            logits: true,
-            q: QTensor::quantize(&t),
+        let msgs = [
+            Msg::Ready,
+            Msg::Heartbeat { nonce: 1 },
+            Msg::JobSubmit {
+                tenant: 1,
+                steps: 1,
+                seed: 1,
+            },
+            Msg::ActQ8 {
+                micro: 0,
+                logits: true,
+                q: QTensor::quantize(&t),
+            },
+        ];
+        for msg in &msgs {
+            let mut frame = encode_frame(msg);
+            assert_eq!(frame[4], VERSION);
+            for old in [1u8, 2] {
+                frame[4] = old;
+                reseal(&mut frame);
+                assert!(
+                    matches!(decode_frame(&frame), Err(NetError::BadVersion(v)) if v == old),
+                    "a v{old} stamp on {msg:?} must be a typed version error"
+                );
+            }
+        }
+    }
+
+    /// Deterministic filler that touches every bit position.
+    fn noise(n: usize) -> Vec<u8> {
+        (0..n as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 23) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn checksum_golden_values_are_pinned() {
+        // The checksum *is* the wire format: a change here is a new
+        // VERSION, and debug and release builds must agree on it.
+        assert_eq!(checksum(&[]), GOLDEN_EMPTY);
+        assert_eq!(checksum(&noise(31)), GOLDEN_31);
+        assert_eq!(checksum(&noise(4096)), GOLDEN_4K);
+    }
+
+    #[test]
+    fn checksum_sees_every_byte_and_the_length() {
+        let lens = (0..=100).chain((1..=8).flat_map(|k| [32 * k - 1, 32 * k, 32 * k + 1]));
+        for len in lens {
+            let clean = noise(len);
+            let want = checksum(&clean);
+            for at in 0..len {
+                for mask in [0x01u8, 0x80, 0xff] {
+                    let mut bad = clean.clone();
+                    bad[at] ^= mask;
+                    assert_ne!(checksum(&bad), want, "len {len}, byte {at}, mask {mask:#x}");
+                }
+            }
+            // Length mix-in: zero padding is not invisible.
+            let mut padded = vec![0u8; len];
+            let unpadded = checksum(&padded);
+            padded.push(0);
+            assert_ne!(checksum(&padded), unpadded, "len {len} vs {}", len + 1);
+        }
+    }
+
+    #[test]
+    fn any_flipped_byte_of_a_frame_is_rejected_at_every_payload_length() {
+        // Payload length = 12 + detail length: straddles the checksum's
+        // 32-byte round boundary (which starts 6 bytes before the payload)
+        // from every side.
+        for detail_len in (0..=100).chain([32 * 8 - 19, 32 * 8 - 18, 32 * 8 - 17]) {
+            let frame = encode_frame(&Msg::Fault {
+                observer: 1,
+                blamed: 2,
+                detail: "x".repeat(detail_len),
+            });
+            decode_frame(&frame).expect("clean frame decodes");
+            for at in 0..frame.len() {
+                let mut bad = frame.clone();
+                bad[at] ^= 0x10;
+                let got = decode_frame(&bad);
+                assert!(got.is_err(), "detail {detail_len}, byte {at}: {got:?}");
+                if at >= HEADER_LEN {
+                    assert!(
+                        matches!(got, Err(NetError::BadChecksum { .. })),
+                        "payload and trailer flips are checksum errors, got {got:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn borrowed_encoders_match_the_owned_message_byte_for_byte() {
+        let a = Tensor::from_vec(vec![1.0, -2.0, 3.5], vec![3]).unwrap();
+        let b = Tensor::from_vec(vec![0.25; 6], vec![2, 3]).unwrap();
+        let owned = encode_frame(&Msg::GradBlock {
+            origin_lane: 3,
+            tensors: vec![a.clone(), b.clone()],
         });
-        // Forge a v1 stamp (and re-seal the checksum so only the version
-        // inconsistency can trip the decoder).
-        frame[4] = 1;
-        let len = frame.len();
-        let sum = checksum(&frame[4..len - 4]);
-        frame[len - 4..].copy_from_slice(&sum.to_le_bytes());
-        assert!(matches!(decode_frame(&frame), Err(NetError::BadVersion(1))));
+        assert_eq!(grad_block_frame(3, &[&a, &b]), owned);
+        assert_eq!(grad_block_frame(3, &[a.clone(), b.clone()]), owned);
+
+        let entries = vec![("enc.w".to_string(), a), ("enc.bias".to_string(), b)];
+        let owned = encode_frame(&Msg::ParamSnap {
+            entries: entries.clone(),
+        });
+        assert_eq!(param_snap_frame(&entries), owned);
+        assert_eq!(param_snap_frame_len(&entries), owned.len());
+        assert_eq!(param_snap_frame_len(&[]), param_snap_frame(&[]).len());
     }
 
     #[test]
@@ -1518,6 +1692,40 @@ mod tests {
         assert_eq!(got, msg);
         assert_eq!(n, frame.len());
         assert!(!reader.mid_frame(), "state cleared after a whole frame");
+    }
+
+    #[test]
+    fn a_header_claiming_max_payload_costs_one_read_step_not_256_mib() {
+        let mut header = encode_frame(&Msg::Ready)[..HEADER_LEN].to_vec();
+        header[6..HEADER_LEN].copy_from_slice(&(MAX_PAYLOAD as u32).to_le_bytes());
+        let bound = 4 * READ_STEP;
+
+        // The peer hangs up right after the header…
+        let mut reader = FrameReader::new();
+        let mut src = Stutter {
+            script: [Ok(header.clone())].into_iter().collect(),
+        };
+        assert!(matches!(reader.read_from(&mut src), Err(NetError::Eof)));
+        assert!(reader.buf.capacity() <= bound, "{}", reader.buf.capacity());
+
+        // …or stalls, trickles a little, and stalls again: the partial
+        // frame stays resumable and memory follows the bytes received.
+        let mut reader = FrameReader::new();
+        let mut src = Stutter {
+            script: [
+                Ok(header),
+                Err(NetError::Timeout),
+                Ok(vec![7; 1000]),
+                Err(NetError::Timeout),
+            ]
+            .into_iter()
+            .collect(),
+        };
+        assert!(matches!(reader.read_from(&mut src), Err(NetError::Timeout)));
+        assert!(matches!(reader.read_from(&mut src), Err(NetError::Timeout)));
+        assert!(reader.mid_frame());
+        assert_eq!(reader.buf.len(), HEADER_LEN + 1000);
+        assert!(reader.buf.capacity() <= bound, "{}", reader.buf.capacity());
     }
 
     #[test]

@@ -78,8 +78,10 @@ fn fnv1a32(mut h: u32, bytes: &[u8]) -> u32 {
     h
 }
 
-/// 32-bit FNV-1a record checksum — the same framing idiom as
-/// `pac-net::wire::checksum`.
+/// 32-bit FNV-1a record checksum. The framing idiom (checksum over
+/// everything after the magic) is `pac-net`'s; the function is not — wire
+/// frames carry `pac_net::wire::checksum`, this on-disk format keeps the
+/// byte-serial FNV-1a its existing logs were written with.
 pub fn checksum(bytes: &[u8]) -> u32 {
     fnv1a32(FNV32_BASIS, bytes)
 }
