@@ -1,12 +1,16 @@
 //! pac-bench: the perf-trajectory harness.
 //!
 //! Benchmarks the training hot path and records the results to a JSON file
-//! (default `BENCH_PR13.json`) so the repo carries its own measured perf
-//! history:
+//! (default `BENCH_PR18.json`; the committed file of that name embeds a
+//! parent and a change run of this harness under `pac_bench`, next to the
+//! end-to-end A/B of the reference benchmark) so the repo carries its own
+//! measured perf history:
 //!
 //! 1. **Kernels** — the small parallel matmul (64×64×64, just past the
 //!    parallel threshold) through the allocating API and through
-//!    `matmul_into` with a reused output buffer; and the `elementwise`
+//!    `matmul_into` with a reused output buffer; the `matmul_gflops`
+//!    group, `nn`/`nt`/`tn` single-threaded at the three backbone shapes of
+//!    `pac_solo` and the attention-score shape; and the `elementwise`
 //!    group, the non-matmul half of a layer: GELU forward and fused
 //!    backward, tanh, `softmax_rows` and one Adam step through their
 //!    product entry points at `[104,1024]` (the `pac_solo` feed-forward
@@ -118,7 +122,7 @@ fn main() {
             } else if serve {
                 "BENCH_PR9.json".to_string()
             } else {
-                "BENCH_PR13.json".to_string()
+                "BENCH_PR18.json".to_string()
             }
         });
     if multiworld {
@@ -178,6 +182,43 @@ fn main() {
             bch.iter(|| ops::matmul_into(black_box(&a), black_box(&b), &mut out).expect("matmul"))
         });
         g.finish();
+    }
+
+    // The register-tiled microkernel at the shapes that decide `pac_solo`
+    // (QKV/O projection, feed-forward up and down at 104 tokens) and the
+    // per-head attention scores, capped to the calling thread so the figure
+    // is the kernel's and not the pool's.
+    const MATMUL_SHAPES: [(usize, usize, usize); 4] = [
+        (104, 256, 1024),
+        (104, 1024, 256),
+        (104, 256, 256),
+        (13, 64, 13),
+    ];
+    {
+        pool::set_max_concurrency(1);
+        let mut g = c.benchmark_group("matmul_gflops");
+        let mut out = Tensor::zeros([0]);
+        for (m, k, n) in MATMUL_SHAPES {
+            let a = init::randn(&mut rng, [m, k], 1.0);
+            let b = init::randn(&mut rng, [k, n], 1.0);
+            let (at, bt) = (a.transpose_2d(), b.transpose_2d());
+            g.throughput(Throughput::Elements((2 * m * k * n) as u64)); // FLOPs
+            g.bench_function(&format!("nn_{m}x{k}x{n}"), |bch| {
+                bch.iter(|| ops::matmul_into(black_box(&a), black_box(&b), &mut out).expect("nn"))
+            });
+            g.bench_function(&format!("nt_{m}x{k}x{n}"), |bch| {
+                bch.iter(|| {
+                    ops::matmul_nt_into(black_box(&a), black_box(&bt), &mut out).expect("nt")
+                })
+            });
+            g.bench_function(&format!("tn_{m}x{k}x{n}"), |bch| {
+                bch.iter(|| {
+                    ops::matmul_tn_into(black_box(&at), black_box(&b), &mut out).expect("tn")
+                })
+            });
+        }
+        g.finish();
+        pool::set_max_concurrency(usize::MAX);
     }
 
     // Elementwise: every bench goes through the entry point the layers
@@ -474,6 +515,18 @@ fn main() {
         }
     }
 
+    println!("\nmatmul, single-threaded GFLOP/s (p50):");
+    let mut matmul_json = Vec::new();
+    for (m, k, n) in MATMUL_SHAPES {
+        let gflops =
+            |kind: &str| (2 * m * k * n) as f64 / p50(&format!("matmul_gflops/{kind}_{m}x{k}x{n}"));
+        let (nn, nt, tn) = (gflops("nn"), gflops("nt"), gflops("tn"));
+        println!("  [{m},{k}]x[{k},{n}]  nn {nn:>6.1}  nt {nt:>6.1}  tn {tn:>6.1}");
+        matmul_json.push(format!(
+            "\"{m}x{k}x{n}\": {{\"nn\": {nn:.1}, \"nt\": {nt:.1}, \"tn\": {tn:.1}}}"
+        ));
+    }
+
     let mut json = String::from("{\n  \"benches\": [\n");
     for (i, r) in results.iter().enumerate() {
         json.push_str(&format!(
@@ -489,6 +542,10 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
+    json.push_str(&format!(
+        "  \"matmul_gflops_single_thread\": {{{}}},\n",
+        matmul_json.join(", ")
+    ));
     json.push_str(&format!(
         "  \"elementwise_ns_per_element\": {{{}}},\n",
         elementwise_json.join(", ")

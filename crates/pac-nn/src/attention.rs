@@ -108,6 +108,21 @@ impl MultiHeadAttention {
         }
     }
 
+    /// Writes an `[s, dh]` head block into its slot of a `[b*s, heads*dh]`
+    /// destination: [`Self::add_head_block`] into zeros without the read.
+    /// It stores `0.0 + x`, not `x`, so that a `-0.0` (an FMA product that
+    /// underflows) comes out `+0.0` as it does there, bit for bit.
+    fn write_head_block(dst: &mut Tensor, src: &Tensor, b: usize, h: usize, s: usize, dh: usize) {
+        let (_, cols) = dst.as_2d();
+        let dst = dst.data_mut();
+        for (ti, srow) in src.data().chunks_exact(dh).take(s).enumerate() {
+            let at = (b * s + ti) * cols + h * dh;
+            for (d, v) in dst[at..at + dh].iter_mut().zip(srow) {
+                *d = 0.0 + v;
+            }
+        }
+    }
+
     /// Forward pass.
     ///
     /// * `x`  — `[batch, s_q, d]` query-side input.
@@ -135,7 +150,7 @@ impl MultiHeadAttention {
         let (k, k_ctx) = self.wk.forward(kv)?;
         let (v, v_ctx) = self.wv.forward(kv)?;
 
-        let mut o_concat = Tensor::zeros([batch * s_q, d]);
+        let mut o_concat = scratch::take([batch * s_q, d]);
         let mut attn_saved = Vec::with_capacity(batch * self.heads);
         let mut scores = scratch::take_for(s_q * s_kv);
         let mut ob = scratch::take_for(s_q * dh);
@@ -157,7 +172,7 @@ impl MultiHeadAttention {
                 }
                 let attn = reduce::softmax_rows(&scores);
                 ops::matmul_into(&attn, &vb, &mut ob)?;
-                Self::add_head_block(&mut o_concat, &ob, b, h, s_q, dh);
+                Self::write_head_block(&mut o_concat, &ob, b, h, s_q, dh);
                 attn_saved.push(attn);
                 scratch::put(qb);
                 scratch::put(kb_);
@@ -333,6 +348,28 @@ mod tests {
             let rowsum: f32 = attn.row(i).unwrap().iter().sum();
             assert!((rowsum - 1.0).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn head_block_write_equals_accumulation_into_zeros_bitwise() {
+        // -0.0 is the one input on which `x` and `0.0 + x` differ; a matmul
+        // output can hold it (FMA underflow), so the write must add too.
+        let (s, dh, heads) = (3, 4, 2);
+        let mut src = init::randn(&mut seeded(43), [s, dh], 1.0);
+        src.set(&[0, 1], -0.0).unwrap();
+        src.set(&[2, 3], -0.0).unwrap();
+        let mut written = Tensor::zeros([2 * s, heads * dh]);
+        let mut added = written.clone();
+        for (b, h) in [(0, 1), (1, 0)] {
+            MultiHeadAttention::write_head_block(&mut written, &src, b, h, s, dh);
+            MultiHeadAttention::add_head_block(&mut added, &src, b, h, s, dh);
+        }
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&written), bits(&added));
+        assert_eq!(
+            written.get(&[0, dh + 1]).unwrap().to_bits(),
+            0.0f32.to_bits()
+        );
     }
 
     #[test]

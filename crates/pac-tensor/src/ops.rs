@@ -26,19 +26,23 @@
 //! Results are therefore bitwise identical at any pool width and under any
 //! row partition of A (a rank's shard of a batch equals the same rows of the
 //! whole batch) — what distributed ≡ in-process and tenant ≡ solo stand on.
-//! They are bitwise-stable **per CPU class**, not across classes: the
-//! AVX2+FMA clone rounds once per multiply-add, the portable clone twice, so
-//! the ranks of one world must be homogeneous.
+//! They are bitwise-stable **per CPU class**, not across classes: the two
+//! FMA clones (AVX2 and AVX-512, which agree bit for bit) round once per
+//! multiply-add, the portable clone twice, so the ranks of one world must
+//! all have FMA or all lack it. [`matmul_nt`] packs Bᵀ and runs the same
+//! microkernel, so `matmul_nt(a, b) ≡ matmul(a, bᵀ)` bitwise.
 
 use crate::error::{Result, TensorError};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 
-/// Row-panel size for parallel work distribution.
-pub(crate) const PANEL: usize = 32;
+/// Row-panel size for parallel work distribution: a multiple of the 6- and
+/// 8-row tile heights, so only a product's last chunk holds partial tiles.
+pub(crate) const PANEL: usize = 48;
 /// Minimum FLOP count (2·m·n·k) below which kernels stay single-threaded —
-/// even pooled parallelism costs a notify/wait handshake per call.
-const PAR_THRESHOLD_FLOPS: usize = 1 << 18;
+/// even pooled parallelism costs a notify/wait handshake per call — and on
+/// 256-bit tiles (see the size line in [`crate::simd`]).
+pub(crate) const PAR_THRESHOLD_FLOPS: usize = 1 << 18;
 
 fn check_inner(op: &'static str, a: &Tensor, b: &Tensor, ak: usize, bk: usize) -> Result<()> {
     if ak != bk {

@@ -1,41 +1,85 @@
-//! Register-tiled matmul kernels: the implementation behind every product in
-//! [`crate::ops`].
+//! The register-tiled matmul microkernel: the implementation behind every
+//! product in [`crate::ops`].
 //!
-//! The kernels hold a small register tile of C in [`f32x8`] accumulators
-//! across the whole k-loop, so each output element is loaded and stored
-//! exactly once and each B vector load is amortized over [`MR`] rows.
+//! One tile body (`tile`) holds an `MRS × NR` block of C in vector
+//! accumulators across the whole k-loop, so each output element is stored
+//! exactly once, each B vector load is amortized over `MRS` rows and the
+//! bias is added in the store. The body is written once over the
+//! `Vector` trait and compiled three times, each clone sizing the tile to
+//! its register file:
 //!
-//! [`f32x8`] is a `wide`-style safe lane type: a `#[repr(align(32))]`
-//! wrapper over `[f32; 8]` whose per-lane loops the compiler collapses to
-//! packed vector instructions at `opt-level ≥ 2` on any SSE2-class target
-//! (no `std::arch` intrinsics). On x86-64 the chunk kernels additionally
-//! carry a runtime-dispatched AVX2+FMA clone: the *same* lane code compiled
-//! under `#[target_feature(enable = "avx2,fma")]`, where the per-lane
-//! `mul_add` lowers to `vfmadd` instead of a libm call. Feature presence is
-//! probed once with `is_x86_64_feature_detected!`; targets without AVX2/FMA
-//! (and non-x86 targets) always take the portable clone — the choice is
-//! observed from the platform, never set by a caller. The only `unsafe` in
-//! this module is the calls into those `#[target_feature]` functions, each
-//! guarded by that probe.
+//! | clone     | tile  | accumulators | vector    | rounding per step  |
+//! |-----------|-------|--------------|-----------|--------------------|
+//! | portable  | 2×16  | 8 of 16 xmm  | [`f32x8`] | multiply, then add |
+//! | AVX2+FMA  | 6×16  | 12 of 16 ymm | [`f32x8`] | one (`vfmadd`)     |
+//! | AVX-512   | 8×32  | 16 of 32 zmm | `Zmm`   | one (`vfmadd`)     |
+//!
+//! [`f32x8`] is a `wide`-style safe lane type whose per-lane loops the
+//! compiler collapses to packed instructions, and the AVX2+FMA clone is the
+//! same lane code compiled under `#[target_feature]`. Sixteen lanes do not
+//! survive that treatment, so `Zmm` alone wraps `std::arch` intrinsics.
+//!
+//! Every `MRS` of a clone is its own outlined function (row-major and
+//! column-walking A are a const parameter as well): inlined into one chunk
+//! function the variants fight over registers, spill the accumulators and
+//! the k-loop stops vectorizing. The clones sit behind fn-pointer tables
+//! (`TileSet`) that the single chunk driver (`mm_chunk`) indexes by the
+//! rows left in a block. Which table serves a column strip is observed from
+//! the platform and the product, never set by a caller (features are probed
+//! once with `is_x86_feature_detected!`):
+//!
+//! * a full 16-column strip runs the AVX2+FMA clone when the CPU has it,
+//!   the portable clone otherwise;
+//! * the ragged strip (`n % 16` columns) is copied into a zero-padded
+//!   `k × 16` per-thread strip and runs the portable clone on every CPU:
+//!   multiply-then-add in k order;
+//! * **the one size line** is `Clones::probed`: on `avx512f` CPUs a full
+//!   32-column strip runs the 8×32 clone when the whole product reaches
+//!   `PAR_THRESHOLD_FLOPS` — the line above which `crate::ops::dispatch`
+//!   fans a product out over the pool, so there is one constant and one
+//!   rule: *small products run inline on 256-bit tiles, large ones pooled
+//!   on 512-bit tiles*. Both sides are measured (`tuning_ab` in
+//!   `BENCH_PR18.json`): every backbone product of `pac_solo` is above the
+//!   line, where the 512-bit tile takes `op_ms` from 0.71× of the parent's
+//!   to 0.56×; every hidden-32 product of the serve workloads is below it,
+//!   where the 256-bit tile wins `serve_warm` by 1.7 % in 9 of 10
+//!   alternating pairs (`serve_churn`: 7 of 10, unresolved).
+//!
+//! `C = A · Bᵀ` has no kernel of its own: the B rows of a strip are packed,
+//! transposed, into the same `k × NR` per-thread strip and the `nn` tile runs
+//! over it, so `matmul_nt(a, b) ≡ matmul(a, bᵀ)` bit for bit.
 //!
 //! Determinism and accuracy: tiles partition output rows and columns only;
 //! every output element accumulates over k in one fixed order whatever tile
-//! it lands in (an [`MR`]-row tile and a 1-row remainder tile run the same
-//! per-element recurrence), so a result depends on its A row, its B column
-//! and `(k, n)` alone — not on `m`, the row offset, or the pool width. The
-//! FMA clone rounds once per multiply-add where the portable clone rounds
-//! twice, so bits differ *across CPU classes* (see [`crate::ops`]). Both
-//! stay within the 2-ULP-per-accumulation-step bound validated against the
+//! or clone it lands in, so a result depends on its A row, its B column and
+//! `(k, n)` alone — not on `m`, the row offset, the pool width or the size
+//! line. The two FMA clones run the same recurrence on the same columns
+//! (fused for columns `< n − n % 16`, multiply-then-add beyond), so **they
+//! agree bitwise and AVX2 and AVX-512 ranks may share a world**; the
+//! portable clone rounds twice per step everywhere, so bits differ between
+//! the FMA and the non-FMA CPU class (see [`crate::ops`]). All stay within
+//! the 2-ULP-per-accumulation-step bound validated against the
 //! f64-accumulated [`crate::ops::matmul_ref`] in `tests/simd_tiled.rs`.
+//!
+//! The `unsafe` in this module is the calls into the `#[target_feature]`
+//! clones, each guarded by its probe, and the five intrinsics behind `Zmm`.
+//! A vector can only be made by the `unsafe` `Vector::splat` / `load`, so
+//! the probe obligation travels with the type: safe code cannot reach an
+//! AVX-512 instruction.
 
 use crate::ops::dispatch;
+#[cfg(target_arch = "x86_64")]
+use core::arch::x86_64::{
+    __m512, _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_storeu_ps,
+};
 use core::ops::{Add, AddAssign, Mul};
+use std::cell::RefCell;
 
-/// Rows per register tile: each k-step broadcasts `MR` A elements against
-/// the same pair of B vectors, so B traffic is cut `MR`-fold.
-pub(crate) const MR: usize = 4;
-/// Columns per register tile (two `f32x8` lanes).
-pub(crate) const NR: usize = 16;
+/// Columns of a 256-bit strip (two [`f32x8`] per row) and the granularity of
+/// the fused/unfused column split.
+const NR: usize = 16;
+/// Tile height of the portable clone.
+const MR_PORTABLE: usize = 2;
 
 /// Eight `f32` lanes with 32-byte alignment.
 ///
@@ -86,13 +130,6 @@ impl f32x8 {
             }
         }))
     }
-
-    /// Sum of all eight lanes, reduced pairwise over a fixed tree.
-    #[inline(always)]
-    pub fn hsum(self) -> f32 {
-        let v = self.0;
-        ((v[0] + v[4]) + (v[2] + v[6])) + ((v[1] + v[5]) + (v[3] + v[7]))
-    }
 }
 
 impl Add for f32x8 {
@@ -118,6 +155,100 @@ impl Mul for f32x8 {
     }
 }
 
+/// What the microkernel needs from a vector register.
+///
+/// The two constructors are `unsafe` and everything that takes a value is
+/// safe: holding a `V` is the proof that the CPU runs `V`'s instructions.
+trait Vector: Copy + Add<Output = Self> {
+    /// Lanes per register.
+    const W: usize;
+    /// # Safety
+    /// The CPU must support the instruction set `Self` is written in.
+    unsafe fn splat(v: f32) -> Self;
+    /// Loads `W` consecutive floats from `src` (must hold ≥ `W`).
+    ///
+    /// # Safety
+    /// As [`Vector::splat`].
+    unsafe fn load(src: &[f32]) -> Self;
+    /// Stores the lanes into `dst` (must hold ≥ `W`).
+    fn store(self, dst: &mut [f32]);
+    /// `self * b + c` per lane, rounded once if `FMA` and twice if not.
+    fn mul_add<const FMA: bool>(self, b: Self, c: Self) -> Self;
+}
+
+impl Vector for f32x8 {
+    const W: usize = 8;
+    // Plain lane code: the constructors ask nothing of the CPU.
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> Self {
+        f32x8::splat(v)
+    }
+    #[inline(always)]
+    unsafe fn load(src: &[f32]) -> Self {
+        f32x8::load(src)
+    }
+    #[inline(always)]
+    fn store(self, dst: &mut [f32]) {
+        f32x8::store(self, dst);
+    }
+    #[inline(always)]
+    fn mul_add<const FMA: bool>(self, b: Self, c: Self) -> Self {
+        self.mul_add_sel::<FMA>(b, c)
+    }
+}
+
+/// One zmm register. Sixteen array lanes do not survive the optimizer the
+/// way eight do (at 8×32 it spills the accumulators and turns the
+/// column-walking k-loop into gathers), so this one type is written with
+/// intrinsics.
+///
+/// Its methods execute AVX-512F instructions unconditionally. A value can
+/// only come from the unsafe [`Vector::splat`] / [`Vector::load`], whose
+/// caller vouches for the feature, so the safe methods on a value are sound.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Zmm(__m512);
+
+#[cfg(target_arch = "x86_64")]
+impl Add for Zmm {
+    type Output = Zmm;
+    #[inline(always)]
+    fn add(self, rhs: Zmm) -> Zmm {
+        // SAFETY: register-only arithmetic; a `Zmm` exists, so avx512f does.
+        Zmm(unsafe { _mm512_add_ps(self.0, rhs.0) })
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Vector for Zmm {
+    const W: usize = 16;
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> Self {
+        // SAFETY: register-only; the caller vouches for avx512f.
+        Zmm(unsafe { _mm512_set1_ps(v) })
+    }
+    #[inline(always)]
+    unsafe fn load(src: &[f32]) -> Self {
+        let src = &src[..16];
+        // SAFETY: `src` holds 16 floats and the load is unaligned; the
+        // caller vouches for avx512f.
+        Zmm(unsafe { _mm512_loadu_ps(src.as_ptr()) })
+    }
+    #[inline(always)]
+    fn store(self, dst: &mut [f32]) {
+        let dst = &mut dst[..16];
+        // SAFETY: `dst` holds 16 floats and the store is unaligned; a `Zmm`
+        // exists, so avx512f does.
+        unsafe { _mm512_storeu_ps(dst.as_mut_ptr(), self.0) }
+    }
+    /// Always fused: this clone exists only on FMA hardware.
+    #[inline(always)]
+    fn mul_add<const FMA: bool>(self, b: Self, c: Self) -> Self {
+        // SAFETY: register-only arithmetic; a `Zmm` exists, so avx512f does.
+        Zmm(unsafe { _mm512_fmadd_ps(self.0, b.0, c.0) })
+    }
+}
+
 /// Whether this CPU has AVX2+FMA (probed once, cached).
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn avx2_fma() -> bool {
@@ -126,272 +257,390 @@ pub(crate) fn avx2_fma() -> bool {
     *HAVE.get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
 }
 
-/// Geometry of one matmul chunk: all fields are indices into flat slices.
-///
-/// `A[r, kk] = ad[r * a_row_stride + kk * a_k_stride]` — row-major A for
-/// `C = A·B`, column-walking A for `C = Aᵀ·B`.
+/// Whether this CPU also has AVX-512F (probed once, cached).
+#[cfg(target_arch = "x86_64")]
+fn avx512() -> bool {
+    use std::sync::OnceLock;
+    static HAVE: OnceLock<bool> = OnceLock::new();
+    *HAVE.get_or_init(|| avx2_fma() && is_x86_feature_detected!("avx512f"))
+}
+
+/// One column strip of a product, as a tile sees it: `B[kk, j] =
+/// b[kk * ldb + j]` for the tile's columns `j`.
 #[derive(Clone, Copy)]
-struct MmGeom {
+struct Strip<'a> {
+    b: &'a [f32],
+    ldb: usize,
     k: usize,
-    n: usize,
-    a_row_stride: usize,
-    a_k_stride: usize,
-    /// First output row of this chunk (offset into A's rows).
-    r0: usize,
+    /// The strip's slice of the bias (holds at least a tile's width).
+    bias: Option<&'a [f32]>,
 }
 
-/// One `MRS`×[`NR`] register tile of `C += A · B`: `MRS` is a const so the
-/// accumulator array lives in registers and the inner loop fully unrolls.
+/// The microkernel: one `MRS × 2·W` register tile of `C = A · B (+ bias)`.
+///
+/// `a` starts at the tile's first A element and `c` at its first C element
+/// (row stride `ldc`). With `COLS = false` A is row-major (`A[r, kk] =
+/// a[r * lda + kk]`, the row slices hoisted out of the k-loop); with `COLS =
+/// true` it is walked column-wise for `C = Aᵀ · B` (`A[r, kk] = a[kk * lda +
+/// r]`, `MRS` contiguous floats per step). `MRS` is a const so the
+/// accumulators live in registers and the inner loops fully unroll.
+///
+/// # Safety
+/// The CPU must support the instruction set `V` is written in.
 #[inline(always)]
-fn tile_mrxnr<const MRS: usize, const FMA: bool>(
-    ad: &[f32],
-    bd: &[f32],
-    g: MmGeom,
-    ri: usize,
-    c0: usize,
-    chunk: &mut [f32],
+unsafe fn tile<V: Vector, const MRS: usize, const FMA: bool, const COLS: bool>(
+    a: &[f32],
+    lda: usize,
+    s: Strip<'_>,
+    c: &mut [f32],
+    ldc: usize,
 ) {
-    let a_base = (g.r0 + ri) * g.a_row_stride;
-    let mut acc = [[f32x8::ZERO; 2]; MRS];
-    for kk in 0..g.k {
-        let brow = kk * g.n + c0;
-        let b0 = f32x8::load(&bd[brow..]);
-        let b1 = f32x8::load(&bd[brow + 8..]);
-        for (r, accr) in acc.iter_mut().enumerate() {
-            let a = f32x8::splat(ad[a_base + r * g.a_row_stride + kk * g.a_k_stride]);
-            accr[0] = a.mul_add_sel::<FMA>(b0, accr[0]);
-            accr[1] = a.mul_add_sel::<FMA>(b1, accr[1]);
-        }
-    }
-    for (r, accr) in acc.iter().enumerate() {
-        let crow = (ri + r) * g.n + c0;
-        accr[0].store(&mut chunk[crow..]);
-        accr[1].store(&mut chunk[crow + 8..]);
-    }
-}
-
-/// Scalar edge for the columns `c0..n` (tail narrower than [`NR`]).
-#[inline(always)]
-fn tile_edge(
-    ad: &[f32],
-    bd: &[f32],
-    g: MmGeom,
-    ri: usize,
-    rows: usize,
-    c0: usize,
-    chunk: &mut [f32],
-) {
-    for r in 0..rows {
-        let a_base = (g.r0 + ri + r) * g.a_row_stride;
-        let crow = &mut chunk[(ri + r) * g.n + c0..(ri + r + 1) * g.n];
-        for kk in 0..g.k {
-            let aik = ad[a_base + kk * g.a_k_stride];
-            let brow = &bd[kk * g.n + c0..kk * g.n + g.n];
-            for (c, bv) in crow.iter_mut().zip(brow.iter()) {
-                *c += aik * bv;
+    let rows: [&[f32]; MRS] =
+        core::array::from_fn(|r| if COLS { a } else { &a[r * lda..r * lda + s.k] });
+    // SAFETY (every `V::splat` and `V::load` below): the caller's contract.
+    let mut acc = [[unsafe { V::splat(0.0) }; 2]; MRS];
+    for kk in 0..s.k {
+        let brow = &s.b[kk * s.ldb..kk * s.ldb + 2 * V::W];
+        let bv = unsafe { [V::load(brow), V::load(&brow[V::W..])] };
+        let acol = if COLS {
+            &a[kk * lda..kk * lda + MRS]
+        } else {
+            a
+        };
+        for r in 0..MRS {
+            let av = unsafe { V::splat(if COLS { acol[r] } else { rows[r][kk] }) };
+            for v in 0..2 {
+                acc[r][v] = av.mul_add::<FMA>(bv[v], acc[r][v]);
             }
         }
     }
+    // Indexed, not iterated: borrowing `acc` keeps a copy of it on the stack
+    // that the k-loop then stores to on every step.
+    for r in 0..MRS {
+        let crow = &mut c[r * ldc..r * ldc + 2 * V::W];
+        for v in 0..2 {
+            // The bias joins only after the full k-accumulation.
+            let x = match s.bias {
+                Some(bias) => acc[r][v] + unsafe { V::load(&bias[v * V::W..]) },
+                None => acc[r][v],
+            };
+            x.store(&mut crow[v * V::W..]);
+        }
+    }
 }
 
-/// Tiles one dispatch chunk of `C = A · B (+ bias)` / `C = Aᵀ · B`.
-#[inline(always)]
-fn mm_chunk_body<const FMA: bool>(
-    ad: &[f32],
-    bd: &[f32],
-    biasd: Option<&[f32]>,
-    g: MmGeom,
-    chunk: &mut [f32],
+/// An outlined tile: the fn-pointer type the [`TileSet`] tables hold.
+type TileFn = unsafe fn(&[f32], usize, Strip<'_>, &mut [f32], usize);
+
+/// One clone of the microkernel: its tiles by row count, for both A
+/// layouts. `row_major[i]` and `col_walk[i]` are the `(i + 1)`-row tiles, so
+/// the table length is the clone's tile height.
+struct TileSet {
+    /// Columns per tile.
+    nr: usize,
+    row_major: &'static [TileFn],
+    col_walk: &'static [TileFn],
+}
+
+/// Portable clone: `MRS × 16` over `f32x8` pairs, multiply-then-add.
+#[inline(never)]
+fn tile_portable<const MRS: usize, const COLS: bool>(
+    a: &[f32],
+    lda: usize,
+    s: Strip<'_>,
+    c: &mut [f32],
+    ldc: usize,
 ) {
-    let n = g.n;
-    let rows = chunk.len() / n;
-    let n_main = n - n % NR;
-    let mut ri = 0;
-    while ri < rows {
-        let mr = (rows - ri).min(MR);
-        for c0 in (0..n_main).step_by(NR) {
-            match mr {
-                4 => tile_mrxnr::<4, FMA>(ad, bd, g, ri, c0, chunk),
-                3 => tile_mrxnr::<3, FMA>(ad, bd, g, ri, c0, chunk),
-                2 => tile_mrxnr::<2, FMA>(ad, bd, g, ri, c0, chunk),
-                _ => tile_mrxnr::<1, FMA>(ad, bd, g, ri, c0, chunk),
-            }
-        }
-        if n_main < n {
-            tile_edge(ad, bd, g, ri, mr, n_main, chunk);
-        }
-        ri += mr;
-    }
-    if let Some(bias) = biasd {
-        for ri in 0..rows {
-            let crow = &mut chunk[ri * n..(ri + 1) * n];
-            for (c, bv) in crow.iter_mut().zip(bias.iter()) {
-                *c += bv;
-            }
-        }
-    }
+    // SAFETY: `f32x8` compiled without target features runs anywhere.
+    unsafe { tile::<f32x8, MRS, false, COLS>(a, lda, s, c, ldc) }
 }
 
-/// AVX2+FMA clone of [`mm_chunk_body`].
+/// AVX2+FMA clone: `MRS × 16` in ymm accumulators.
 ///
 /// # Safety
 /// Caller must have verified AVX2 and FMA support (see [`avx2_fma`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn mm_chunk_avx(
-    ad: &[f32],
-    bd: &[f32],
-    biasd: Option<&[f32]>,
-    g: MmGeom,
-    chunk: &mut [f32],
+#[inline(never)]
+unsafe fn tile_avx2<const MRS: usize, const COLS: bool>(
+    a: &[f32],
+    lda: usize,
+    s: Strip<'_>,
+    c: &mut [f32],
+    ldc: usize,
 ) {
-    mm_chunk_body::<true>(ad, bd, biasd, g, chunk);
+    // SAFETY: the caller's contract covers this function's target features.
+    unsafe { tile::<f32x8, MRS, true, COLS>(a, lda, s, c, ldc) }
 }
 
-#[inline]
-fn mm_chunk(ad: &[f32], bd: &[f32], biasd: Option<&[f32]>, g: MmGeom, chunk: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_fma() {
-        // SAFETY: avx2_fma() verified both required target features.
-        unsafe { mm_chunk_avx(ad, bd, biasd, g, chunk) };
-        return;
-    }
-    mm_chunk_body::<false>(ad, bd, biasd, g, chunk);
+/// AVX-512 clone: `MRS × 32` in zmm accumulators.
+///
+/// # Safety
+/// Caller must have verified AVX-512F, AVX2 and FMA support (see
+/// [`avx512`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+#[inline(never)]
+unsafe fn tile_avx512<const MRS: usize, const COLS: bool>(
+    a: &[f32],
+    lda: usize,
+    s: Strip<'_>,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    // SAFETY: the caller's contract is `Zmm`'s.
+    unsafe { tile::<Zmm, MRS, true, COLS>(a, lda, s, c, ldc) }
 }
 
-/// Shared driver of the tiled `C = A · B` (+ bias) and `C = Aᵀ · B`
-/// kernels: the two differ only in how `A[r, kk]` is addressed, captured
-/// by the strides in `g` (whose `r0` is overwritten per chunk).
-fn mm_tiled_strided(
-    ad: &[f32],
-    bd: &[f32],
-    biasd: Option<&[f32]>,
-    m: usize,
-    g: MmGeom,
-    out: &mut [f32],
-) {
-    let kernel = |r0: usize, chunk: &mut [f32]| {
-        mm_chunk(ad, bd, biasd, MmGeom { r0, ..g }, chunk);
+/// The tiles of clone `$f` for 1, 2, … rows, one A layout.
+macro_rules! tiles {
+    ($f:ident, $cols:literal, $($mrs:literal)+) => {
+        &[$($f::<$mrs, $cols> as TileFn),+]
     };
-    dispatch(out, g.n, 2 * m * g.n * g.k, kernel);
+}
+
+static PORTABLE: TileSet = TileSet {
+    nr: NR,
+    row_major: tiles!(tile_portable, false, 1 2),
+    col_walk: tiles!(tile_portable, true, 1 2),
+};
+
+#[cfg(target_arch = "x86_64")]
+static AVX2: TileSet = TileSet {
+    nr: NR,
+    row_major: tiles!(tile_avx2, false, 1 2 3 4 5 6),
+    col_walk: tiles!(tile_avx2, true, 1 2 3 4 5 6),
+};
+
+#[cfg(target_arch = "x86_64")]
+static AVX512: TileSet = TileSet {
+    nr: 2 * NR,
+    row_major: tiles!(tile_avx512, false, 1 2 3 4 5 6 7 8),
+    col_walk: tiles!(tile_avx512, true, 1 2 3 4 5 6 7 8),
+};
+
+/// Which clones serve a product: `fused` its full 16-column strips, `wide`
+/// (when present) its full 32-column strips; the ragged strip is always
+/// [`PORTABLE`]'s.
+#[derive(Clone, Copy)]
+struct Clones {
+    fused: &'static TileSet,
+    wide: Option<&'static TileSet>,
+}
+
+impl Clones {
+    /// The clones this CPU supports for a product of `flops` (`2·m·n·k`):
+    /// the one place the size line is drawn.
+    fn probed(flops: usize) -> Clones {
+        #[cfg(target_arch = "x86_64")]
+        if avx2_fma() {
+            return Clones {
+                fused: &AVX2,
+                wide: (flops >= crate::ops::PAR_THRESHOLD_FLOPS && avx512()).then_some(&AVX512),
+            };
+        }
+        let _ = flops;
+        Clones {
+            fused: &PORTABLE,
+            wide: None,
+        }
+    }
+}
+
+/// One product: the operands' flat slices and how they are laid out.
+#[derive(Clone, Copy)]
+struct Product<'a> {
+    a: &'a [f32],
+    b: &'a [f32],
+    bias: Option<&'a [f32]>,
+    k: usize,
+    n: usize,
+    /// `A[r, kk] = a[r * k + kk]`, or `a[kk * m + r]` when set (`Aᵀ · B`).
+    a_cols: Option<usize>,
+    /// `B[kk, c] = b[kk * n + c]`, or `b[c * k + kk]` when set (`A · Bᵀ`).
+    b_transposed: bool,
+}
+
+/// Fills the `k × nr` `strip` with columns `c0 .. c0 + cols` of B,
+/// zero-padded on the right so the padding multiplies to exact zeros.
+fn pack_strip(p: Product<'_>, c0: usize, cols: usize, nr: usize, strip: &mut [f32]) {
+    if p.b_transposed {
+        if cols < nr {
+            strip.fill(0.0);
+        }
+        // Sixteen k-rows of the strip at a time: the block stays in L1
+        // while each B row contributes one cache line to it.
+        for (kb, dst) in strip.chunks_mut(16 * nr).enumerate() {
+            for j in 0..cols {
+                let src = &p.b[(c0 + j) * p.k + kb * 16..][..dst.len() / nr];
+                for (t, &v) in src.iter().enumerate() {
+                    dst[t * nr + j] = v;
+                }
+            }
+        }
+    } else {
+        for (kk, dst) in strip.chunks_exact_mut(nr).enumerate() {
+            let src = &p.b[kk * p.n + c0..kk * p.n + c0 + cols];
+            dst[..cols].copy_from_slice(src);
+            dst[cols..].fill(0.0);
+        }
+    }
+}
+
+/// The chunk driver: rows `r0 ..` of the product into `chunk`, column strip
+/// by column strip (a strip of B stays cache-resident while the chunk's
+/// rows sweep over it), each strip by the clone its width selects. `packed`
+/// is the buffer a strip is packed into when it has to be; it only grows.
+///
+/// # Safety
+/// The CPU must have the target features of both `clones` (true of
+/// [`Clones::probed`]).
+unsafe fn mm_chunk(
+    clones: Clones,
+    p: Product<'_>,
+    r0: usize,
+    chunk: &mut [f32],
+    packed: &mut Vec<f32>,
+) {
+    let (k, n) = (p.k, p.n);
+    let rows = chunk.len() / n;
+    let mut c0 = 0;
+    while c0 < n {
+        let left = n - c0;
+        let (set, cols) = match clones.wide {
+            Some(wide) if left >= wide.nr => (wide, wide.nr),
+            _ if left >= NR => (clones.fused, NR),
+            _ => (&PORTABLE, left),
+        };
+        // The ragged strip runs full-width tiles on padded operands into a
+        // padded block of C, of which the live columns are copied out.
+        let ragged = cols < set.nr;
+        let (b, ldb) = if p.b_transposed || ragged {
+            if packed.len() < k * set.nr {
+                packed.resize(k * set.nr, 0.0);
+            }
+            let strip = &mut packed[..k * set.nr];
+            pack_strip(p, c0, cols, set.nr, strip);
+            (&*strip, set.nr)
+        } else {
+            // Clamped (here and for A below): both operands are empty at k = 0.
+            (&p.b[c0.min(p.b.len())..], n)
+        };
+        let mut bias_pad = [0.0f32; NR];
+        let bias = match p.bias {
+            Some(bias) if ragged => {
+                bias_pad[..cols].copy_from_slice(&bias[c0..]);
+                Some(&bias_pad[..])
+            }
+            Some(bias) => Some(&bias[c0..]),
+            None => None,
+        };
+        let s = Strip { b, ldb, k, bias };
+        let (tiles, lda) = match p.a_cols {
+            Some(m) => (set.col_walk, m),
+            None => (set.row_major, k),
+        };
+        let mut ri = 0;
+        while ri < rows {
+            let mrs = (rows - ri).min(tiles.len());
+            let a0 = match p.a_cols {
+                Some(_) => r0 + ri,
+                None => (r0 + ri) * k,
+            };
+            let (a, tile) = (&p.a[a0.min(p.a.len())..], tiles[mrs - 1]);
+            let c = &mut chunk[ri * n + c0..];
+            // SAFETY (both calls): `set` is PORTABLE (safe code) or one of
+            // `clones`, whose target features the caller vouches for.
+            if ragged {
+                let mut block = [0.0f32; MR_PORTABLE * NR];
+                unsafe { tile(a, lda, s, &mut block, NR) };
+                for (crow, brow) in c.chunks_mut(n).zip(block.chunks(NR)).take(mrs) {
+                    crow[..cols].copy_from_slice(&brow[..cols]);
+                }
+            } else {
+                unsafe { tile(a, lda, s, c, n) };
+            }
+            ri += mrs;
+        }
+        c0 += cols;
+    }
+}
+
+thread_local! {
+    /// This thread's packed strip of B, kept at the largest `k × NR` it has
+    /// served. It is not taken from [`crate::scratch`]: a best-fit search of
+    /// the free list per product cost the hidden-32 serve burst 12 %.
+    static STRIP: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Shared entry of the four products: fans [`mm_chunk`] out over the row
+/// chunks of the `m × n` output.
+fn mm_tiled(p: Product<'_>, m: usize, out: &mut [f32]) {
+    let flops = 2 * m * p.n * p.k;
+    let clones = Clones::probed(flops);
+    let kernel = |r0: usize, chunk: &mut [f32]| {
+        // SAFETY: `probed` hands out only clones whose features it detected.
+        STRIP.with_borrow_mut(|strip| unsafe { mm_chunk(clones, p, r0, chunk, strip) })
+    };
+    dispatch(out, p.n, flops, kernel);
 }
 
 /// Tiled `C[m,n] = A[m,k] · B[k,n] (+ bias)`.
 pub(crate) fn mm_bias_tiled(
-    ad: &[f32],
-    bd: &[f32],
-    biasd: Option<&[f32]>,
+    a: &[f32],
+    b: &[f32],
+    bias: Option<&[f32]>,
     m: usize,
     k: usize,
     n: usize,
     out: &mut [f32],
 ) {
-    let g = MmGeom {
+    let p = Product {
+        a,
+        b,
+        bias,
         k,
         n,
-        a_row_stride: k,
-        a_k_stride: 1,
-        r0: 0,
+        a_cols: None,
+        b_transposed: false,
     };
-    mm_tiled_strided(ad, bd, biasd, m, g, out);
+    mm_tiled(p, m, out);
 }
 
 /// Tiled `C[m,n] = A[k,m]ᵀ · B[k,n]`: same microkernel with A addressed
-/// column-wise (`A[r, kk] = ad[kk * m + r]`).
-pub(crate) fn tn_tiled(ad: &[f32], bd: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    let g = MmGeom {
+/// column-wise (`A[r, kk] = a[kk * m + r]`).
+pub(crate) fn tn_tiled(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    let p = Product {
+        a,
+        b,
+        bias: None,
         k,
         n,
-        a_row_stride: 1,
-        a_k_stride: m,
-        r0: 0,
+        a_cols: Some(m),
+        b_transposed: false,
     };
-    mm_tiled_strided(ad, bd, None, m, g, out);
+    mm_tiled(p, m, out);
 }
 
-/// One row of `C = A · Bᵀ` against `NRD` B rows at once: `NRD` independent
-/// vector accumulators over the shared k-walk, horizontally summed at the
-/// end (a multi-accumulator dot has no serial `acc +=` dependency chain).
-#[inline(always)]
-fn dot_tile<const NRD: usize, const FMA: bool>(
-    arow: &[f32],
-    bd: &[f32],
-    k: usize,
-    c0: usize,
-    crow: &mut [f32],
-) {
-    let k_main = k - k % 8;
-    let brows: [&[f32]; NRD] = core::array::from_fn(|j| &bd[(c0 + j) * k..(c0 + j + 1) * k]);
-    let mut acc = [f32x8::ZERO; NRD];
-    for kk in (0..k_main).step_by(8) {
-        let av = f32x8::load(&arow[kk..]);
-        for j in 0..NRD {
-            let bv = f32x8::load(&brows[j][kk..]);
-            acc[j] = av.mul_add_sel::<FMA>(bv, acc[j]);
-        }
-    }
-    for (j, a) in acc.iter().enumerate() {
-        let mut s = a.hsum();
-        // k-tail: scalar, appended after the vector partial sums.
-        for kk in k_main..k {
-            s += arow[kk] * brows[j][kk];
-        }
-        crow[c0 + j] = s;
-    }
-}
-
-/// Tiles one dispatch chunk of `C = A · Bᵀ`.
-#[inline(always)]
-fn nt_chunk_body<const FMA: bool>(
-    ad: &[f32],
-    bd: &[f32],
-    k: usize,
-    n: usize,
-    r0: usize,
-    chunk: &mut [f32],
-) {
-    let rows = chunk.len() / n;
-    let n_main = n - n % MR;
-    for ri in 0..rows {
-        let arow = &ad[(r0 + ri) * k..(r0 + ri + 1) * k];
-        let crow = &mut chunk[ri * n..(ri + 1) * n];
-        for c0 in (0..n_main).step_by(MR) {
-            dot_tile::<MR, FMA>(arow, bd, k, c0, crow);
-        }
-        for c0 in n_main..n {
-            dot_tile::<1, FMA>(arow, bd, k, c0, crow);
-        }
-    }
-}
-
-/// AVX2+FMA clone of [`nt_chunk_body`].
-///
-/// # Safety
-/// Caller must have verified AVX2 and FMA support (see [`avx2_fma`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn nt_chunk_avx(ad: &[f32], bd: &[f32], k: usize, n: usize, r0: usize, chunk: &mut [f32]) {
-    nt_chunk_body::<true>(ad, bd, k, n, r0, chunk);
-}
-
-/// Tiled `C[m,n] = A[m,k] · B[n,k]ᵀ` (B row-major, i.e. dot products of
-/// contiguous rows).
-pub(crate) fn nt_tiled(ad: &[f32], bd: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    let kernel = |r0: usize, chunk: &mut [f32]| {
-        #[cfg(target_arch = "x86_64")]
-        if avx2_fma() {
-            // SAFETY: avx2_fma() verified both required target features.
-            unsafe { nt_chunk_avx(ad, bd, k, n, r0, chunk) };
-            return;
-        }
-        nt_chunk_body::<false>(ad, bd, k, n, r0, chunk);
+/// Tiled `C[m,n] = A[m,k] · B[n,k]ᵀ` (B row-major): same microkernel over
+/// transposed-packed strips of B.
+pub(crate) fn nt_tiled(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    let p = Product {
+        a,
+        b,
+        bias: None,
+        k,
+        n,
+        a_cols: None,
+        b_transposed: true,
     };
-    dispatch(out, n, 2 * m * n * k, kernel);
+    mm_tiled(p, m, out);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{init, rng::seeded};
 
     #[test]
     fn f32x8_lane_arithmetic() {
@@ -401,37 +650,112 @@ mod tests {
         let mut out = [0.0f32; 8];
         c.store(&mut out);
         assert_eq!(out, [3.0, 5.0, 7.0, 9.0, 11.0, 13.0, 15.0, 17.0]);
-        assert_eq!(b.hsum(), 36.0);
         let d = a.mul_add_sel::<false>(b, f32x8::splat(1.0));
         assert_eq!(d.0, c.0);
     }
 
-    #[test]
-    fn portable_and_dispatched_chunks_agree_within_tolerance() {
-        // Whichever clone the runtime dispatch picks, it must agree with
-        // the portable body to FMA-rounding tolerance.
-        let k = 23;
-        let n = 37;
-        let rows = 9;
-        let ad: Vec<f32> = (0..rows * k)
-            .map(|i| ((i * 37 % 97) as f32 - 48.0) / 31.0)
-            .collect();
-        let bd: Vec<f32> = (0..k * n)
-            .map(|i| ((i * 53 % 89) as f32 - 44.0) / 29.0)
-            .collect();
-        let g = MmGeom {
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `nn` (with bias), `tn` and `nt` of one `(m, k, n)` as a single chunk
+    /// through the given clones, concatenated.
+    ///
+    /// Safety: as [`mm_chunk`].
+    unsafe fn products(clones: Clones, m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut rng = seeded((m * 10_007 + k * 101 + n) as u64);
+        let a = init::randn(&mut rng, [m, k], 1.0);
+        let b = init::randn(&mut rng, [k, n], 1.0);
+        let bias = init::randn(&mut rng, [n], 1.0);
+        let (at, bt) = (a.transpose_2d(), b.transpose_2d());
+        let nn = Product {
+            a: a.data(),
+            b: b.data(),
+            bias: Some(bias.data()),
             k,
             n,
-            a_row_stride: k,
-            a_k_stride: 1,
-            r0: 0,
+            a_cols: None,
+            b_transposed: false,
         };
-        let mut portable = vec![0.0f32; rows * n];
-        mm_chunk_body::<false>(&ad, &bd, None, g, &mut portable);
-        let mut dispatched = vec![0.0f32; rows * n];
-        mm_chunk(&ad, &bd, None, g, &mut dispatched);
-        for (p, d) in portable.iter().zip(dispatched.iter()) {
-            assert!((p - d).abs() <= 1e-4, "{p} vs {d}");
+        let tn = Product {
+            a: at.data(),
+            bias: None,
+            a_cols: Some(m),
+            ..nn
+        };
+        let nt = Product {
+            b: bt.data(),
+            bias: None,
+            b_transposed: true,
+            ..nn
+        };
+        let mut out = vec![0.0f32; 3 * m * n];
+        for (p, chunk) in [nn, tn, nt].into_iter().zip(out.chunks_mut(m * n)) {
+            unsafe { mm_chunk(clones, p, 0, chunk, &mut Vec::new()) };
+        }
+        out
+    }
+
+    /// The edge shapes of `tests/simd_tiled.rs`, plus every column count
+    /// around the 16- and 32-wide strip boundaries at tile-height remainders.
+    fn edge_shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = vec![
+            (1, 1, 1),
+            (4, 8, 16),
+            (5, 9, 17),
+            (3, 7, 15),
+            (4, 16, 4),
+            (6, 64, 48),
+            (33, 65, 31),
+            (64, 64, 64),
+            (128, 96, 130),
+        ];
+        for n in [13, 16, 17, 31, 32, 33, 48] {
+            shapes.extend([(7, 23, n), (17, 40, n)]);
+        }
+        shapes
+    }
+
+    #[test]
+    fn avx2_and_avx512_clones_agree_bitwise() {
+        #[cfg(target_arch = "x86_64")]
+        if avx512() {
+            let narrow = Clones {
+                fused: &AVX2,
+                wide: None,
+            };
+            let wide = Clones {
+                wide: Some(&AVX512),
+                ..narrow
+            };
+            for (m, k, n) in edge_shapes() {
+                // SAFETY: avx512() vouches for both clones.
+                let (got, want) = unsafe { (products(wide, m, k, n), products(narrow, m, k, n)) };
+                assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n}");
+            }
+            return;
+        }
+        println!("skipped: this CPU has no avx512f, so there is one FMA clone to run");
+    }
+
+    #[test]
+    fn portable_and_dispatched_chunks_agree_within_tolerance() {
+        // Whichever clones the probes pick, at any remainder of their tile
+        // heights (2, 6 and 8), they must agree with the portable clone to
+        // FMA-rounding tolerance. The size line is lifted so that the wide
+        // clone, where there is one, runs too.
+        let portable = Clones {
+            fused: &PORTABLE,
+            wide: None,
+        };
+        let dispatched = Clones::probed(usize::MAX);
+        let (k, n) = (23, 70);
+        for m in [1, 2, 5, 6, 7, 8, 9, 13, 17] {
+            // SAFETY: PORTABLE is safe code; `probed` detected the rest.
+            let (p, d) = unsafe { (products(portable, m, k, n), products(dispatched, m, k, n)) };
+            for (p, d) in p.iter().zip(d.iter()) {
+                assert!((p - d).abs() <= 1e-4, "m = {m}: {p} vs {d}");
+            }
         }
     }
 }

@@ -54,20 +54,25 @@ fn assert_within_2ulp_per_step(
     }
 }
 
+/// k % 8 ∈ {0, odd}, n % 16 ∈ {0, <16 tails}, n % 32 on both sides of 16,
+/// m at several remainders of the tile heights (2, 6, 8), and two
+/// parallel-threshold crossers.
+const EDGE_SHAPES: [(usize, usize, usize); 10] = [
+    (1, 1, 1),
+    (4, 8, 16),
+    (5, 9, 17),
+    (3, 7, 15),
+    (6, 64, 48),
+    (33, 65, 31),
+    (64, 64, 64),
+    (128, 96, 130),
+    (13, 64, 13),
+    (104, 256, 80),
+];
+
 #[test]
 fn matmul_handles_all_edge_shapes() {
-    // k % 8 ∈ {0, odd}, n % 16 ∈ {0, <16 tails}, m % 4 ∈ {0..3}, and a
-    // parallel-threshold crosser.
-    for &(m, k, n) in &[
-        (1, 1, 1),
-        (4, 8, 16),
-        (5, 9, 17),
-        (3, 7, 15),
-        (6, 64, 48),
-        (33, 65, 31),
-        (64, 64, 64),
-        (128, 96, 130),
-    ] {
+    for &(m, k, n) in &EDGE_SHAPES {
         let a = tensor_of(1000 + m as u64, m, k);
         let b = tensor_of(2000 + n as u64, k, n);
         let got = ops::matmul(&a, &b).unwrap();
@@ -75,6 +80,35 @@ fn matmul_handles_all_edge_shapes() {
         let bd = b.data().to_vec();
         assert_within_2ulp_per_step(&got, &a, |kk, c| bd[kk * n + c], m, k, n);
     }
+}
+
+#[test]
+fn nn_tn_and_addmm_bits_are_pinned_on_fma_cpus() {
+    // Tiles partition rows and columns only, so re-tiling must not move a
+    // bit: the literal is the FNV-1a of these outputs at PR 17, before the
+    // 6×16 / 8×32 tiles (4×16 tiles, scalar column edge, bias in a second
+    // pass), on an AVX2+FMA CPU. The portable class rounds differently.
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for &(m, k, n) in &EDGE_SHAPES {
+            let a = tensor_of(1000 + m as u64, m, k);
+            let b = tensor_of(2000 + n as u64, k, n);
+            let bias = tensor_of(3000 + n as u64, 1, n);
+            for out in [
+                ops::matmul(&a, &b).unwrap(),
+                ops::addmm(&a, &b, &bias).unwrap(),
+                ops::matmul_tn(&a.transpose_2d(), &b).unwrap(),
+            ] {
+                for word in bits(&out) {
+                    hash = (hash ^ u64::from(word)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(hash, 0xfa0f_ee9c_f2a1_4cda, "{hash:#018x}");
+        return;
+    }
+    println!("skipped: the pinned bits are those of the AVX2+FMA class");
 }
 
 #[test]
@@ -97,6 +131,26 @@ fn nt_and_tn_handle_edge_shapes() {
         let tn = ops::matmul_tn(&at, &b).unwrap();
         let bd = b.data().to_vec();
         assert_within_2ulp_per_step(&tn, &a, |kk, c| bd[kk * n + c], m, k, n);
+    }
+}
+
+#[test]
+fn nt_equals_nn_of_the_explicit_transpose_bitwise() {
+    // k % 8 != 0, n < 16, the attention-score shape, a ragged strip after
+    // wide ones, and a product past the parallel threshold.
+    for &(m, k, n) in &[
+        (5, 9, 17),
+        (3, 7, 15),
+        (13, 64, 13),
+        (33, 65, 31),
+        (20, 30, 77),
+        (104, 256, 256),
+    ] {
+        let a = tensor_of(600 + n as u64, m, k);
+        let b = tensor_of(700 + n as u64, n, k);
+        let nt = ops::matmul_nt(&a, &b).unwrap();
+        let nn = ops::matmul(&a, &b.transpose_2d()).unwrap();
+        assert_eq!(bits(&nt), bits(&nn), "{m}x{k}x{n}");
     }
 }
 
@@ -142,8 +196,17 @@ fn addmm_adds_bias_after_accumulation() {
 fn products_are_bitwise_stable_across_pool_widths() {
     // 2·m·n·k straddles PAR_THRESHOLD_FLOPS (1 << 18): the first shape runs
     // the sequential branch, the second sits exactly on the threshold, the
-    // rest fan out over PANEL-row chunks (the last with a ragged final one).
-    for &(m, k, n) in &[(64, 32, 63), (64, 32, 64), (104, 64, 48), (130, 96, 70)] {
+    // rest fan out over PANEL-row (48) chunks: a ragged final one of 8, 34,
+    // 5 and 2 rows, and whole chunks only.
+    for &(m, k, n) in &[
+        (64, 32, 63),
+        (64, 32, 64),
+        (104, 64, 48),
+        (130, 96, 70),
+        (53, 64, 48),
+        (96, 48, 33),
+        (146, 128, 96),
+    ] {
         let a = tensor_of(81, m, k);
         let b = tensor_of(82, k, n);
         let bt = b.transpose_2d();
@@ -170,9 +233,11 @@ fn products_are_bitwise_stable_across_pool_widths() {
 #[test]
 fn rows_of_a_product_equal_the_same_rows_computed_alone() {
     // Row-partition invariance: rows r0..r1 of an m = 104 product (parallel,
-    // PANEL- and MR-aligned tiles) equal the same rows computed as their own
-    // m = r1 - r0 call (sequential, tiles aligned to r0 instead). The
-    // offsets are deliberately not multiples of MR (4) or PANEL (32).
+    // PANEL-aligned chunks of whole tiles) equal the same rows computed as
+    // their own m = r1 - r0 call (sequential, tiles aligned to r0 instead).
+    // The offsets are deliberately not multiples of a tile height (2, 6, 8)
+    // or of PANEL (48), and the lengths 1..=24 cover every remainder mod 6
+    // and 8.
     let (m, k, n) = (104usize, 64usize, 48usize);
     let a = tensor_of(91, m, k);
     let b = tensor_of(92, k, n);
@@ -180,7 +245,9 @@ fn rows_of_a_product_equal_the_same_rows_computed_alone() {
     let nn = ops::matmul(&a, &b).unwrap();
     let nt = ops::matmul_nt(&a, &bt).unwrap();
     let tn = ops::matmul_tn(&a.transpose_2d(), &b).unwrap();
-    for &(r0, r1) in &[(0, 104), (1, 7), (5, 38), (33, 104), (50, 51), (3, 103)] {
+    let mut ranges = vec![(0, 104), (5, 38), (33, 104), (50, 51), (3, 103)];
+    ranges.extend((1..=24).map(|len| (47 - len % 5, 47 - len % 5 + len)));
+    for &(r0, r1) in &ranges {
         let part = a.slice_rows(r0..r1).unwrap();
         let want = |full: &Tensor| bits(&full.slice_rows(r0..r1).unwrap());
         assert_eq!(
