@@ -1,14 +1,15 @@
 //! pac-bench: the perf-trajectory harness.
 //!
 //! Benchmarks the training hot path and records the results to a JSON file
-//! (default `BENCH_PR18.json`; the committed file of that name embeds a
+//! (default `BENCH_PR19.json`; the committed file of that name embeds a
 //! parent and a change run of this harness under `pac_bench`, next to the
 //! end-to-end A/B of the reference benchmark) so the repo carries its own
 //! measured perf history:
 //!
-//! 1. **Kernels** — the small parallel matmul (64×64×64, just past the
-//!    parallel threshold) through the allocating API and through
-//!    `matmul_into` with a reused output buffer; the `matmul_gflops`
+//! 1. **Kernels** — the small matmul (64×64×64, 2^19 FLOPs: fanned out
+//!    over the pool under the 2^18 dispatch line its `pooled` record was
+//!    named under, inline since PR 19) through the allocating API and
+//!    through `matmul_into` with a reused output buffer; the `matmul_gflops`
 //!    group, `nn`/`nt`/`tn` single-threaded at the three backbone shapes of
 //!    `pac_solo` and the attention-score shape; and the `elementwise`
 //!    group, the non-matmul half of a layer: GELU forward and fused
@@ -122,7 +123,7 @@ fn main() {
             } else if serve {
                 "BENCH_PR9.json".to_string()
             } else {
-                "BENCH_PR18.json".to_string()
+                "BENCH_PR19.json".to_string()
             }
         });
     if multiworld {
@@ -166,7 +167,7 @@ fn main() {
         budget
     );
 
-    // ---- 1. Kernels: small parallel matmul, allocating and reused-out ----
+    // ---- 1. Kernels: small matmul, allocating and reused-out ----
     let mut rng = seeded(7);
     let a = init::randn(&mut rng, [64, 64], 1.0);
     let b = init::randn(&mut rng, [64, 64], 1.0);

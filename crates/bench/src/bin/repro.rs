@@ -789,6 +789,15 @@ fn telemetry_report() {
             get("net.msgs"),
             get("net.allreduce.ns") as f64 / 1e6
         );
+        // Fan-out of the rank processes (their pools are not this
+        // process's, which the `pool:` line above covers): a product under
+        // the pooled-dispatch line runs on the rank thread itself.
+        let steps = get("multiworld.steps").max(1) as f64;
+        println!(
+            "net pool: {:.1} parallel call(s), {:.1} chunk task(s) per step on the ranks ({steps} step(s))",
+            get("net.pool.parallel_calls") as f64 / steps,
+            get("net.pool.tasks") as f64 / steps
+        );
     }
 
     // Elastic membership: how many ranks left the pool mid-run, and how

@@ -207,7 +207,9 @@ pub struct TcpPortListener {
 }
 
 impl TcpPortListener {
-    /// Accepts with a hard wall-clock deadline on a non-blocking listener.
+    /// Accepts with a hard wall-clock deadline on a non-blocking listener:
+    /// between attempts the caller sleeps in `poll(2)` on the listening
+    /// socket, so it returns when a dial lands, not on a timer tick.
     fn accept_deadline(&self, deadline: Instant) -> Result<(TcpStream, SocketAddr), NetError> {
         self.inner.set_nonblocking(true)?;
         loop {
@@ -216,11 +218,13 @@ impl TcpPortListener {
                     s.set_nonblocking(false)?;
                     return Ok((s, a));
                 }
+                // `poll_readable` only says a dial was queued: it may have
+                // been reset since, so readiness leads back to `accept`.
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
+                    let mut fds = [PollFd::readable(self.inner.as_raw_fd())];
+                    if !poll_readable(&mut fds, deadline)? {
                         return Err(NetError::Timeout);
                     }
-                    std::thread::sleep(Duration::from_millis(2));
                 }
                 Err(e) => return Err(e.into()),
             }
@@ -264,7 +268,19 @@ struct PollFd {
     revents: c_short,
 }
 
-/// `POLLIN`: data, a FIN or a pending error can be read without blocking.
+impl PollFd {
+    /// Watches `fd` for `POLLIN`.
+    fn readable(fd: RawFd) -> PollFd {
+        PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        }
+    }
+}
+
+/// `POLLIN`: data, a FIN, a queued connection or a pending error can be
+/// taken without blocking.
 const POLLIN: c_short = 0x001;
 
 /// `nfds_t`.
@@ -275,6 +291,32 @@ type Nfds = std::os::raw::c_uint;
 
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: c_int) -> c_int;
+}
+
+/// Sleeps in `poll(2)` until a descriptor of `fds` reports an event or
+/// `deadline` passes; `false` means the deadline passed with nothing
+/// flagged. The caller must keep every descriptor open for the whole call.
+fn poll_readable(fds: &mut [PollFd], deadline: Instant) -> Result<bool, NetError> {
+    loop {
+        // Rounded up to poll's millisecond grain, so a sub-millisecond
+        // remainder sleeps rather than spins.
+        let left = deadline.saturating_duration_since(Instant::now());
+        let timeout_ms = c_int::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX);
+        // SAFETY: `fds` is a live, exclusively borrowed array of
+        // `fds.len()` `repr(C)` pollfd records, which is what poll(2)
+        // reads and writes; the caller holds every descriptor's owner
+        // borrowed for the whole call, so none can be closed under it.
+        let ready = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, timeout_ms) };
+        if ready >= 0 {
+            return Ok(ready > 0);
+        }
+        // A signal cut the wait short: resume it against the same
+        // deadline. Anything else is a real failure.
+        let err = std::io::Error::last_os_error();
+        if err.kind() != std::io::ErrorKind::Interrupted {
+            return Err(NetError::Io(err));
+        }
+    }
 }
 
 impl PollTransport for Tcp {
@@ -297,36 +339,12 @@ impl PollTransport for Tcp {
     ) -> Result<Readiness, NetError> {
         let mut fds: Vec<PollFd> = conns
             .iter()
-            .map(|conn| PollFd {
-                fd: conn.as_raw_fd(),
-                events: POLLIN,
-                revents: 0,
-            })
+            .map(|conn| PollFd::readable(conn.as_raw_fd()))
             .collect();
-        let deadline = Instant::now() + wait;
-        loop {
-            // Rounded up to poll's millisecond grain, so a sub-millisecond
-            // remainder sleeps rather than spins.
-            let left = deadline.saturating_duration_since(Instant::now());
-            let timeout_ms =
-                c_int::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX);
-            // SAFETY: `fds` is a live, exclusively borrowed array of
-            // `fds.len()` `repr(C)` pollfd records, which is what poll(2)
-            // reads and writes; every descriptor belongs to a connection
-            // borrowed for the whole call, so none can be closed under it.
-            let ready = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, timeout_ms) };
-            if ready >= 0 {
-                // Nothing flagged means the wait ran out.
-                let first = fds.iter().position(|fd| fd.revents != 0);
-                return Ok(first.map_or(Readiness::TimedOut, Readiness::Conn));
-            }
-            // A signal cut the wait short: resume it against the same
-            // deadline. Anything else is a real failure.
-            let err = std::io::Error::last_os_error();
-            if err.kind() != std::io::ErrorKind::Interrupted {
-                return Err(NetError::Io(err));
-            }
-        }
+        poll_readable(&mut fds, Instant::now() + wait)?;
+        // Nothing flagged means the wait ran out.
+        let first = fds.iter().position(|fd| fd.revents != 0);
+        Ok(first.map_or(Readiness::TimedOut, Readiness::Conn))
     }
 }
 
@@ -347,6 +365,56 @@ mod tests {
 
     fn wait(conns: &mut [&mut FramedConn], wait: Duration) -> Readiness {
         Tcp::LOOPBACK.wait_ready(conns, wait).unwrap()
+    }
+
+    #[test]
+    fn an_accept_returns_when_the_dial_lands_not_on_a_timer_tick() {
+        // The listener is already waiting when each dial starts (the
+        // dialer holds off for longer than any sleep grain an accept loop
+        // could have), so dial → accept-return is the wake-up latency
+        // alone. A 2 ms sleep between non-blocking attempts gives a median
+        // of about 1 ms here; a wait in poll(2) gives tens of µs.
+        const DIALS: usize = 21;
+        let listener = Tcp::LOOPBACK.bind().unwrap();
+        let port = listener.port();
+        let (waiting_tx, waiting_rx) = std::sync::mpsc::channel::<()>();
+        let (dialed_tx, dialed_rx) = std::sync::mpsc::channel::<(Instant, FramedConn)>();
+        let dialer = std::thread::spawn(move || {
+            for () in waiting_rx {
+                std::thread::sleep(Duration::from_millis(3));
+                let t0 = Instant::now();
+                let conn = Tcp::LOOPBACK.connect(port, LONG).unwrap();
+                dialed_tx.send((t0, conn)).unwrap();
+            }
+        });
+        let mut latencies: Vec<Duration> = (0..DIALS)
+            .map(|_| {
+                waiting_tx.send(()).unwrap();
+                let _accepted = listener.accept(LONG, LONG).unwrap();
+                let returned = Instant::now();
+                let (dialed, _conn) = dialed_rx.recv().unwrap();
+                returned.saturating_duration_since(dialed)
+            })
+            .collect();
+        drop(waiting_tx);
+        dialer.join().unwrap();
+        latencies.sort();
+        let median = latencies[DIALS / 2];
+        assert!(
+            median < Duration::from_micros(500),
+            "median dial -> accept return {median:?} of {latencies:?}"
+        );
+    }
+
+    #[test]
+    fn an_accept_with_nobody_dialing_times_out_at_its_deadline() {
+        let listener = Tcp::LOOPBACK.bind().unwrap();
+        let bound = Duration::from_millis(30);
+        let t = Instant::now();
+        let got = listener.accept(bound, LONG);
+        assert!(matches!(got, Err(NetError::Timeout)), "{got:?}");
+        assert!(t.elapsed() >= bound, "returned after {:?}", t.elapsed());
+        assert!(t.elapsed() < LONG / 5, "returned after {:?}", t.elapsed());
     }
 
     #[test]

@@ -577,6 +577,13 @@ fn run_worker_once<T: Transport>(
                 let counters = if mode == RunMode::Process {
                     let mut rows = pac_telemetry::snapshot_prefix("net.");
                     rows.extend(pac_telemetry::snapshot_prefix("allreduce."));
+                    // The pool counts in the runtime, not in the registry:
+                    // this rank's fan-out travels with its traffic.
+                    if pac_telemetry::enabled() {
+                        let pool = pac_tensor::rayon::pool::stats();
+                        rows.push(("net.pool.parallel_calls".into(), pool.parallel_calls));
+                        rows.push(("net.pool.tasks".into(), pool.tasks));
+                    }
                     rows
                 } else {
                     Vec::new()

@@ -31,6 +31,52 @@
 //! multiply-add, the portable clone twice, so the ranks of one world must
 //! all have FMA or all lack it. [`matmul_nt`] packs Bᵀ and runs the same
 //! microkernel, so `matmul_nt(a, b) ≡ matmul(a, bᵀ)` bitwise.
+//!
+//! # The pooled-dispatch line
+//!
+//! `dispatch` fans a product out over the pool from [`PAR_THRESHOLD_FLOPS`]
+//! = 2^22 FLOPs (`2·m·n·k`) up and runs anything smaller on the calling
+//! thread. By the contract above the line moves time, never a bit.
+//!
+//! *The rule.* A hand-off to a spinning pool thread costs 2–6 µs, to a
+//! parked one 20–35 µs (`vendor/rayon/src/pool.rs`), and a call pays two.
+//! A product is worth fanning out when it lasts several spinning hand-offs
+//! with the helper idle — about one parked hand-off — so the line is
+//! *single-thread kernel GFLOP/s × that time*, rounded to a power of two:
+//! 130–150 GFLOP/s × 28–32 µs ≈ 4.2 MFLOP. Whoever makes the kernels
+//! faster, or the hand-off cheaper, measures both sides again. A caller
+//! with a slower kernel states its cost in FLOPs of this one: the scalar
+//! int8 loop of [`crate::quant`] (8–9.6 GFLOP/s) multiplies by 16, so it
+//! fans out from 2^18 of its own FLOPs, the same ≈ 32 µs.
+//!
+//! *What set it (2026-10, 2 vCPUs, AVX-512, `BENCH_PR19.json`).* One caller
+//! with an idle, spinning helper — the pool's best case — inline against
+//! pooled: `[64,32]×[32,128]` (2^19) 3.5 against 5.0 µs, `[128,32]×[32,128]`
+//! (2^20) 7.5 against 11.1, `[64,128]×[128,128]` (2^21) 15.0 against 13.5,
+//! `[64,128]×[128,256]` (2^22) 29.8 against 25.1, 2^23 57 against 40, the
+//! `pac_solo` backbone products (13.6–54.5 MFLOP) 85 against 58 and 420
+//! against 237. Below 2^21 fanning out loses even so; at 2^21 it wins
+//! 1.5 µs, less than one hand-off; from 2^22 it wins more than one. (That
+//! is the pool's best of four runs: in two the host gave the helper no CPU
+//! and pooled read inline + 0.4–8 µs at every size up to 2^23.) When
+//! the callers are themselves concurrent threads (the four ranks of a 2×2
+//! thread world on two cores) a pooled product loses outright: every
+//! feed-forward product of `dist_world` is 2^19, 96 pool calls per step,
+//! and with the line at 2^20 or above the step's `op_ms` fell 3.89 → 2.80
+//! and its CPU 7.1 → 4.6 ms; `multi_world`, whose `(2,1)` worlds' products
+//! are exactly 2^20, and `pac_solo`, whose 1.7-MFLOP side-network products
+//! stop fanning out, reach their plateau at 2^21 (CPU 3.87 → 3.26 ms,
+//! `op_ms` 86.0 → 83.3), flat from there to 2^24. 2^22 is the first value
+//! on that plateau at which the best case wins more than a hand-off.
+//!
+//! *Why it had gone stale.* The previous value, 2^18, dated from the
+//! scalar kernels of the first commit. PRs 12 and 18 made the kernels 6–20×
+//! faster at the benchmark's own shape (`[104,256]×[256,1024]`, pool width
+//! 2: `matmul_nn` 2468 → 380 µs, `matmul_nt` 11020 → 558 µs, the
+//! benchmark's baseline against the median of seven traced runs of the
+//! parent) and nothing tied the constant to them:
+//! 2^18 FLOPs had become 2 µs of arithmetic, less than the hand-off that
+//! was meant to speed it up.
 
 use crate::error::{Result, TensorError};
 use crate::tensor::Tensor;
@@ -39,10 +85,10 @@ use rayon::prelude::*;
 /// Row-panel size for parallel work distribution: a multiple of the 6- and
 /// 8-row tile heights, so only a product's last chunk holds partial tiles.
 pub(crate) const PANEL: usize = 48;
-/// Minimum FLOP count (2·m·n·k) below which kernels stay single-threaded —
-/// even pooled parallelism costs a notify/wait handshake per call — and on
-/// 256-bit tiles (see the size line in [`crate::simd`]).
-pub(crate) const PAR_THRESHOLD_FLOPS: usize = 1 << 18;
+/// The pooled-dispatch line: a product of fewer FLOPs (2·m·n·k) runs inline
+/// on the calling thread, see "The pooled-dispatch line" in the module docs
+/// for the measurement that set it and the rule for setting it again.
+pub(crate) const PAR_THRESHOLD_FLOPS: usize = 1 << 22;
 
 fn check_inner(op: &'static str, a: &Tensor, b: &Tensor, ak: usize, bk: usize) -> Result<()> {
     if ak != bk {
@@ -55,8 +101,10 @@ fn check_inner(op: &'static str, a: &Tensor, b: &Tensor, ak: usize, bk: usize) -
     Ok(())
 }
 
-/// Runs `kernel` over `out` sequentially below the FLOP threshold, else in
-/// parallel over fixed PANEL-row chunks (same chunking at every width).
+/// Runs `kernel` over `out` on the calling thread when `flops` (the cost
+/// of the whole product in FLOPs of the f32 tile) is below
+/// [`PAR_THRESHOLD_FLOPS`], else in parallel over fixed PANEL-row chunks
+/// (same chunking at every width).
 /// An empty output (`m == 0` or `n == 0`) runs nothing: the chunk kernels
 /// divide by `n` to recover their row count.
 pub(crate) fn dispatch(

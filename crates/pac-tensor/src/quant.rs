@@ -27,6 +27,13 @@ use crate::tensor::Tensor;
 
 /// Largest quantized magnitude: symmetric grid `[-127, 127]`.
 const QMAX: f32 = 127.0;
+/// What a FLOP of the scalar i8×i8→i32 loop costs in FLOPs of the f32 tile,
+/// the unit [`dispatch`]'s line is drawn in: 8.1–9.6 GFLOP/s against
+/// 130–150 single-threaded (2026-10, `BENCH_PR19.json`), so an int8 product
+/// still fans out from 2^18 of its own FLOPs, which last the same ≈ 32 µs
+/// as 2^22 of the tile's. With the factor left out the int8 epoch of
+/// `pac-bench` went 3.9 → 4.4 ms.
+const I8_LOOP_COST: usize = 16;
 
 /// Per-row absmax-quantized int8 tensor (frozen-side storage format).
 ///
@@ -196,7 +203,7 @@ pub fn qmatmul_nt_into(a: &QTensor, b: &QTensor, out: &mut Tensor) -> Result<()>
             }
         }
     };
-    dispatch(out.data_mut(), n, 2 * m * n * k, kernel);
+    dispatch(out.data_mut(), n, I8_LOOP_COST * 2 * m * n * k, kernel);
     Ok(())
 }
 
@@ -345,9 +352,12 @@ mod tests {
     #[test]
     fn integer_accumulation_is_pool_width_invariant() {
         let mut rng = seeded(37);
-        // Big enough to cross PAR_THRESHOLD_FLOPS so the parallel path runs.
-        let a = init::randn(&mut rng, [128, 96], 1.0);
-        let b = init::randn(&mut rng, [130, 96], 1.0);
+        // Past the pooled-dispatch line, so the chunked path runs: two
+        // whole 48-row chunks and a ragged one of 32.
+        let (m, k, n) = (128, 96, 130);
+        assert!(I8_LOOP_COST * 2 * m * n * k >= crate::ops::PAR_THRESHOLD_FLOPS);
+        let a = init::randn(&mut rng, [m, k], 1.0);
+        let b = init::randn(&mut rng, [n, k], 1.0);
         let qa = QTensor::quantize(&a);
         let qb = QTensor::quantize(&b);
         let mut reference = Tensor::zeros([0]);

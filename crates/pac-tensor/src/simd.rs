@@ -33,17 +33,26 @@
 //! * the ragged strip (`n % 16` columns) is copied into a zero-padded
 //!   `k × 16` per-thread strip and runs the portable clone on every CPU:
 //!   multiply-then-add in k order;
-//! * **the one size line** is `Clones::probed`: on `avx512f` CPUs a full
-//!   32-column strip runs the 8×32 clone when the whole product reaches
-//!   `PAR_THRESHOLD_FLOPS` — the line above which `crate::ops::dispatch`
-//!   fans a product out over the pool, so there is one constant and one
-//!   rule: *small products run inline on 256-bit tiles, large ones pooled
-//!   on 512-bit tiles*. Both sides are measured (`tuning_ab` in
-//!   `BENCH_PR18.json`): every backbone product of `pac_solo` is above the
-//!   line, where the 512-bit tile takes `op_ms` from 0.71× of the parent's
-//!   to 0.56×; every hidden-32 product of the serve workloads is below it,
-//!   where the 256-bit tile wins `serve_warm` by 1.7 % in 9 of 10
-//!   alternating pairs (`serve_churn`: 7 of 10, unresolved).
+//! * **the 512-bit size line** is `Clones::probed`: on `avx512f` CPUs a
+//!   full 32-column strip runs the 8×32 clone when the whole product
+//!   reaches `WIDE_TILE_FLOPS` = 2^18 FLOPs (`2·m·n·k`). Both sides are
+//!   measured. PR 18 (2026-09, `tuning_ab` in `BENCH_PR18.json`): every
+//!   backbone product of `pac_solo` is above the line, where the 512-bit
+//!   tile takes `op_ms` from 0.71× of its parent's to 0.56×; every
+//!   hidden-32 product of the serve workloads is below it, where the
+//!   256-bit tile wins `serve_warm` by 1.7 % in 9 of 10 alternating pairs
+//!   (`serve_churn`: 7 of 10, unresolved). Until PR 19 the line was the
+//!   pooled-dispatch constant of [`crate::ops`], because both happened to
+//!   be 2^18; they answer different questions — this one is *tile width
+//!   against the rows and columns a product has*, that one *kernel time
+//!   against a thread hand-off* — and moved apart when that one went to
+//!   2^22: the 2^19–2^20 feed-forward products of `dist_world` and
+//!   `multi_world` run inline now and still want the wide tile (PR 19,
+//!   2026-10, `one_line_vs_two_lines` in `BENCH_PR19.json`: with this line
+//!   riding up to 2^22 as well, `dist_world` `op_ms` is 3.10 against 2.98 ms,
+//!   10 of 10 alternating pairs, `multi_world` 2.01 against 1.78, 4 of 4).
+//!   Re-derive it by that A/B — `serve_warm` on one side, `dist_world` on
+//!   the other — whenever a tile's shape changes.
 //!
 //! `C = A · Bᵀ` has no kernel of its own: the B rows of a strip are packed,
 //! transposed, into the same `k × NR` per-thread strip and the `nn` tile runs
@@ -80,6 +89,10 @@ use std::cell::RefCell;
 const NR: usize = 16;
 /// Tile height of the portable clone.
 const MR_PORTABLE: usize = 2;
+/// The 512-bit size line: a product of at least this many FLOPs (2·m·n·k)
+/// runs its full 32-column strips on the 8×32 clone, see "the 512-bit size
+/// line" in the module docs for the measurements that set it.
+const WIDE_TILE_FLOPS: usize = 1 << 18;
 
 /// Eight `f32` lanes with 32-byte alignment.
 ///
@@ -436,7 +449,7 @@ impl Clones {
         if avx2_fma() {
             return Clones {
                 fused: &AVX2,
-                wide: (flops >= crate::ops::PAR_THRESHOLD_FLOPS && avx512()).then_some(&AVX512),
+                wide: (flops >= WIDE_TILE_FLOPS && avx512()).then_some(&AVX512),
             };
         }
         let _ = flops;

@@ -13,15 +13,16 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
-/// All four kernels over shapes big enough to cross the parallel
-/// threshold, plus one small (sequential) shape.
+/// All four kernels at `[104,256]×[256,80]` (4.26 MFLOP, past the 2^22
+/// pooled-dispatch line of `pac_tensor::ops`: chunks of 48, 48 and 8 rows
+/// on the pool), plus one small (inline) shape.
 fn kernel_suite(seed: u64) -> Vec<Tensor> {
     let mut rng = seeded(seed);
-    let a = init::randn(&mut rng, [96, 64], 1.0);
-    let b = init::randn(&mut rng, [64, 80], 1.0);
+    let a = init::randn(&mut rng, [104, 256], 1.0);
+    let b = init::randn(&mut rng, [256, 80], 1.0);
     let bias = init::randn(&mut rng, [80], 1.0);
-    let bt = init::randn(&mut rng, [80, 64], 1.0);
-    let at = init::randn(&mut rng, [64, 96], 1.0);
+    let bt = init::randn(&mut rng, [80, 256], 1.0);
+    let at = init::randn(&mut rng, [256, 104], 1.0);
     let sa = init::randn(&mut rng, [4, 6], 1.0);
     let sb = init::randn(&mut rng, [6, 3], 1.0);
     vec![
@@ -63,9 +64,10 @@ fn kernels_are_bitwise_identical_across_widths_and_concurrent_callers() {
 #[test]
 fn into_kernels_match_allocating_kernels_bitwise_under_width_stress() {
     let mut rng = seeded(777);
-    let a = init::randn(&mut rng, [64, 48], 1.0);
-    let b = init::randn(&mut rng, [48, 64], 1.0);
-    let bias = init::randn(&mut rng, [64], 1.0);
+    // 4.7 MFLOP: pooled, two whole 48-row chunks.
+    let a = init::randn(&mut rng, [96, 256], 1.0);
+    let b = init::randn(&mut rng, [256, 96], 1.0);
+    let bias = init::randn(&mut rng, [96], 1.0);
     for w in [1usize, 3, 8] {
         rayon::pool::set_max_concurrency(w);
         let alloc = ops::addmm(&a, &b, &bias).unwrap();

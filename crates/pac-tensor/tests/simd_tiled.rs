@@ -55,8 +55,9 @@ fn assert_within_2ulp_per_step(
 }
 
 /// k % 8 ∈ {0, odd}, n % 16 ∈ {0, <16 tails}, n % 32 on both sides of 16,
-/// m at several remainders of the tile heights (2, 6, 8), and two
-/// parallel-threshold crossers.
+/// m at several remainders of the tile heights (2, 6, 8), and one product
+/// past the pooled-dispatch line (the last; the eighth was one under the
+/// 2^18 line).
 const EDGE_SHAPES: [(usize, usize, usize); 10] = [
     (1, 1, 1),
     (4, 8, 16),
@@ -192,20 +193,33 @@ fn addmm_adds_bias_after_accumulation() {
     assert_eq!(bits(&fused), bits(&want));
 }
 
+/// `ops::PAR_THRESHOLD_FLOPS`, which is private to the crate: a product of
+/// `2·m·n·k` FLOPs at or above it fans out over the pool. The test below
+/// checks its copy against the pool's own call counter, so a moved line
+/// fails here until the shapes are picked again.
+const POOLED_FROM_FLOPS: usize = 1 << 22;
+
 #[test]
 fn products_are_bitwise_stable_across_pool_widths() {
-    // 2·m·n·k straddles PAR_THRESHOLD_FLOPS (1 << 18): the first shape runs
-    // the sequential branch, the second sits exactly on the threshold, the
-    // rest fan out over PANEL-row (48) chunks: a ragged final one of 8, 34,
-    // 5 and 2 rows, and whole chunks only.
+    // The first shape is just under the pooled-dispatch line and runs
+    // inline, the second sits exactly on it, the rest fan out over
+    // PANEL-row (48) chunks: a ragged final one of 8, 34, 5 and 2 rows,
+    // and whole chunks only. The last four are the products of the
+    // reference benchmark that were pooled under the 2^18 line and run
+    // inline under this one (the hidden-32 feed-forward of `dist_world` and
+    // `multi_world`, the hidden-256 side network of `pac_solo`).
     for &(m, k, n) in &[
-        (64, 32, 63),
-        (64, 32, 64),
-        (104, 64, 48),
-        (130, 96, 70),
-        (53, 64, 48),
-        (96, 48, 33),
-        (146, 128, 96),
+        (64, 128, 255),
+        (64, 128, 256),
+        (104, 256, 96),
+        (130, 256, 70),
+        (53, 512, 80),
+        (146, 128, 128),
+        (96, 256, 97),
+        (64, 32, 128),
+        (128, 32, 128),
+        (104, 256, 32),
+        (104, 32, 128),
     ] {
         let a = tensor_of(81, m, k);
         let b = tensor_of(82, k, n);
@@ -224,7 +238,16 @@ fn products_are_bitwise_stable_across_pool_widths() {
         let reference = suite();
         for w in [2usize, 4] {
             rayon::pool::set_max_concurrency(w);
+            // The counter only grows, whatever other tests run beside this
+            // one, so "at least the suite's four" is safe to assert.
+            let calls = rayon::pool::stats().parallel_calls;
             assert_eq!(suite(), reference, "{m}x{k}x{n} diverged at width {w}");
+            if 2 * m * k * n >= POOLED_FROM_FLOPS {
+                assert!(
+                    rayon::pool::stats().parallel_calls - calls >= 4,
+                    "{m}x{k}x{n} ran inline: the pooled-dispatch line moved, pick the shapes again"
+                );
+            }
         }
         rayon::pool::set_max_concurrency(usize::MAX);
     }
