@@ -1,7 +1,7 @@
 //! pac-bench: the perf-trajectory harness.
 //!
 //! Benchmarks the training hot path and records the results to a JSON file
-//! (default `BENCH_PR19.json`; the committed file of that name embeds a
+//! (default `BENCH_PR22.json`; the committed file of that name embeds a
 //! parent and a change run of this harness under `pac_bench`, next to the
 //! end-to-end A/B of the reference benchmark) so the repo carries its own
 //! measured perf history:
@@ -25,10 +25,9 @@
 //!    of committed PACCKPT2 snapshots after a simulated `kill -9`: log scan
 //!    alone, and the full open → decode → restore-into-module path a
 //!    restarted trainer pays before its first step.
-//! 5. **int8 frozen half** — Parallel-Adapters epoch with the quantized
-//!    backbone forward vs f32, plus the byte accounting the quantization
-//!    exists for: activation-cache resident bytes and Act-edge wire
-//!    frame bytes, f32 vs int8.
+//! 5. **q8 storage and transport** — the Parallel-Adapters epoch, and
+//!    the byte accounting the quantization exists for: activation-cache
+//!    resident bytes and Act-edge wire frame bytes, f32 vs int8.
 //! 6. **Distributed int8 wire** — a real 2×2 loopback run with `wire_q8`
 //!    on vs off; the final-loss delta lands in the JSON next to the byte
 //!    cuts it justifies.
@@ -92,8 +91,7 @@ fn epoch(
 }
 
 /// One Parallel-Adapters training epoch through the [`Tuner`] dispatch:
-/// frozen-backbone forward (f32 or int8, depending on whether
-/// `quantize_backbone` ran), side-network backward, SGD step.
+/// frozen-backbone forward, side-network backward, SGD step.
 fn tuner_epoch(tuner: &mut Tuner, batches: &[(Vec<Vec<usize>>, Vec<usize>)], opt: &mut Sgd) -> f32 {
     let mut loss_sum = 0.0;
     for (toks, targets) in batches {
@@ -123,7 +121,7 @@ fn main() {
             } else if serve {
                 "BENCH_PR9.json".to_string()
             } else {
-                "BENCH_PR19.json".to_string()
+                "BENCH_PR22.json".to_string()
             }
         });
     if multiworld {
@@ -363,11 +361,9 @@ fn main() {
         (log_bytes, n_commits)
     };
 
-    // ---- 5. int8 frozen half: quantized forward + byte accounting ----
-    // Epoch timing: the Parallel-Adapters tuner with its frozen backbone
-    // forward in f32 vs per-row absmax int8 (`quantize_backbone`). The
-    // trainable side network is identical in both; only the frozen
-    // matmuls change representation.
+    // ---- 5. q8 storage and transport: PA epoch + byte accounting ----
+    // Epoch timing: the Parallel-Adapters tuner, frozen backbone forward
+    // and trainable side network.
     {
         let cfg = ModelConfig::micro(2, 0, 32, 2);
         let batches = mini_batches(13, 4, 8, 12);
@@ -375,14 +371,6 @@ fn main() {
         g.throughput(Throughput::Elements(4 * 8));
         g.bench_function("f32_backbone", |bch| {
             let mut tuner = Tuner::new(Technique::parallel_default(), &cfg, 2, &mut seeded(14));
-            let mut opt = Sgd::new(0.05);
-            bch.iter(|| black_box(tuner_epoch(&mut tuner, &batches, &mut opt)))
-        });
-        g.bench_function("int8_backbone", |bch| {
-            let mut tuner = Tuner::new(Technique::parallel_default(), &cfg, 2, &mut seeded(14));
-            if let Tuner::Parallel(pt) = &mut tuner {
-                assert!(pt.quantize_backbone() > 0, "no frozen linear engaged");
-            }
             let mut opt = Sgd::new(0.05);
             bch.iter(|| black_box(tuner_epoch(&mut tuner, &batches, &mut opt)))
         });
@@ -423,7 +411,7 @@ fn main() {
     let cache_cut = cache_f32_bytes as f64 / cache_q8_bytes.max(1) as f64;
     let wire_cut = wire_f32_bytes as f64 / wire_q8_bytes.max(1) as f64;
     println!(
-        "\nint8 frozen half, h=768 seq=32 x12 layers: cache {cache_f32_bytes} -> {cache_q8_bytes} B \
+        "\nq8 storage and transport, h=768 seq=32 x12 layers: cache {cache_f32_bytes} -> {cache_q8_bytes} B \
          ({cache_cut:.2}x), Act edge {wire_f32_bytes} -> {wire_q8_bytes} B ({wire_cut:.2}x)"
     );
 
@@ -484,12 +472,10 @@ fn main() {
             .map(|r| r.p95_ns as f64)
             .expect("bench ran")
     };
-    let pa_epoch_speedup = p50("pa_epoch_micro/f32_backbone") / p50("pa_epoch_micro/int8_backbone");
     let pstats = pool::stats();
     let sstats = scratch::stats();
-    println!("\nint8 backbone epoch speedup (f32/int8): {pa_epoch_speedup:.2}x");
     println!(
-        "cold restore ({restore_commits} commits, {restore_log_bytes} B log): open p50 {:.1} us, \
+        "\ncold restore ({restore_commits} commits, {restore_log_bytes} B log): open p50 {:.1} us, \
          open+decode+restore p50 {:.1} us / p95 {:.1} us",
         p50("cold_restore/open_log") / 1e3,
         p50("cold_restore/open_decode_restore") / 1e3,
@@ -571,7 +557,6 @@ fn main() {
         "  \"int8\": {{\"cache_f32_bytes\": {cache_f32_bytes}, \"cache_q8_bytes\": {cache_q8_bytes}, \
          \"cache_cut\": {cache_cut:.3}, \"act_wire_f32_bytes\": {wire_f32_bytes}, \
          \"act_wire_q8_bytes\": {wire_q8_bytes}, \"act_wire_cut\": {wire_cut:.3}, \
-         \"pa_epoch_speedup\": {pa_epoch_speedup:.3}, \
          \"dist_final_loss_f32_wire\": {dist_f32_loss:.6}, \
          \"dist_final_loss_q8_wire\": {dist_q8_loss:.6}}}\n"
     ));

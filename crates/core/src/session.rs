@@ -883,6 +883,40 @@ mod tests {
     }
 
     #[test]
+    fn int8_cache_session_tracks_the_f32_cache() {
+        let cfg = ModelConfig::micro(2, 1, 32, 2);
+        let run = |cache_int8: bool| {
+            PacSession::new(PacConfig {
+                devices: 2,
+                epochs: 3,
+                cache_int8,
+                ..Default::default()
+            })
+            .run(&cfg, TaskKind::Sst2, 48, 16)
+            .unwrap()
+        };
+        let (f32_run, q8_run) = (run(false), run(true));
+        // Epoch 1 fills the cache from the f32 forward either way; later
+        // epochs read b_i back within half a quantization step.
+        assert_eq!(
+            f32_run.epoch_losses[0].to_bits(),
+            q8_run.epoch_losses[0].to_bits()
+        );
+        for (a, b) in f32_run.epoch_losses[1..]
+            .iter()
+            .zip(&q8_run.epoch_losses[1..])
+        {
+            assert!((a - b).abs() < 1e-2, "f32 {a} vs int8 {b}");
+        }
+        assert_eq!(f32_run.metric, q8_run.metric);
+        let (f, q) = (&f32_run.cache_stats, &q8_run.cache_stats);
+        assert_eq!((f.entries, f.hits), (q.entries, q.hits));
+        assert_eq!(f.logical_bytes, q.logical_bytes);
+        assert_eq!(f.bytes, f.logical_bytes);
+        assert!(q.bytes * 3 < q.logical_bytes, "{} B resident", q.bytes);
+    }
+
+    #[test]
     fn single_device_session_works() {
         let cfg = ModelConfig::micro(1, 1, 16, 2);
         let session = PacSession::new(PacConfig {

@@ -62,12 +62,13 @@ pub struct CostModel {
     pub seq: usize,
     /// Decoder sequence length.
     pub dec_seq: usize,
-    /// Account frozen-side activation storage and Act-edge transfers as
-    /// per-row absmax int8 (1 byte per element + one f32 scale per token
-    /// row) instead of f32. Mirrors the runtime's int8 activation cache
-    /// and `wire_q8` Act frames; trainable-side bytes (side context,
-    /// gradients, optimizer state) stay f32 — quantization never touches
-    /// a gradient path.
+    /// Account exactly two things as per-row absmax int8 (1 byte per
+    /// element + one f32 scale per token row) instead of f32: the retained
+    /// `b_i` of Parallel Adapters (the runtime's int8 activation cache) and
+    /// the boundary bytes of a forward Act edge (`wire_q8` `ActQ8` frames).
+    /// Weights stay f32 for every technique — no engine runs on int8
+    /// weights — and so do trainable-side bytes (side context, gradients,
+    /// optimizer state): quantization never touches a gradient path.
     pub int8_frozen: bool,
 }
 
@@ -83,9 +84,10 @@ impl CostModel {
         }
     }
 
-    /// The same cost model with frozen-side int8 accounting switched on
-    /// (Eq. 4–6 memory ceilings and link-transfer terms see the ~4×
-    /// smaller cached-activation and Act-edge bytes).
+    /// The same cost model with int8 accounting of the cached `b_i` and
+    /// the Act edges switched on (the Eq. 4–6 memory ceilings see the ~4×
+    /// smaller retained activations, the link-transfer terms the ~4×
+    /// smaller boundary bytes; weight bytes are unchanged).
     pub fn with_int8_frozen(mut self) -> Self {
         self.int8_frozen = true;
         self
@@ -272,18 +274,6 @@ impl CostModel {
                 Technique::Full => 0,
                 _ => self.technique_layer_trainable_bytes(role),
             };
-            // Under Parallel Adapters the backbone is frozen *and* never
-            // backpropagated through (dx = 0), so with int8 accounting its
-            // resident weights are the quantized copy alone: 1 byte per
-            // parameter plus one f32 scale per hidden-width row. Other
-            // techniques need f32 weights for dX/dW and keep them.
-            let resident_weight_bytes = if self.int8_frozen
-                && matches!(self.technique, Technique::ParallelAdapters { .. })
-            {
-                base_params + 4 * base_params.div_ceil(c.hidden.max(1)) + tech_bytes
-            } else {
-                base_params * 4 + tech_bytes
-            };
             let boundary_tokens = match role {
                 LayerRole::Encoder => self.seq,
                 LayerRole::Decoder => self.dec_seq,
@@ -300,7 +290,7 @@ impl CostModel {
                 fwd_flops: fwd,
                 dx_flops: dx,
                 dw_flops: dw,
-                weight_bytes: resident_weight_bytes,
+                weight_bytes: base_params * 4 + tech_bytes,
                 trainable_bytes: self.technique_layer_trainable_bytes(role),
                 retained_act_bytes: self.layer_retained_act_bytes(role),
                 boundary_bytes,
@@ -450,21 +440,18 @@ mod tests {
         let bi_ratio = (1024.0 * 4.0) / (1024.0 + 4.0);
         assert!(bi_ratio > 3.9);
         // FLOPs and trainable/weight bytes are untouched — int8 is a
-        // storage/transport knob, not a compute model change.
+        // storage/transport knob, not a compute model change: every
+        // engine holds and multiplies f32 weights.
         assert_eq!(f.fwd_flops, q.fwd_flops);
         assert_eq!(f.trainable_bytes, q.trainable_bytes);
-        // Frozen backbone weights shrink ~4× under PA (no backbone
-        // backward, so the int8 copy alone serves forward).
-        let w_ratio = f.weight_bytes as f64 / q.weight_bytes as f64;
-        assert!((3.0..4.0).contains(&w_ratio), "weight ratio {w_ratio}");
+        assert_eq!(f.weight_bytes, q.weight_bytes);
         // Backbone-backprop techniques keep f32 retained activations:
         // those sit on a gradient path and are out of quantization scope.
         let lora_f = CostModel::new(model(), Technique::lora_default(), 128);
         let lora_q = CostModel::new(model(), Technique::lora_default(), 128).with_int8_frozen();
-        assert_eq!(
-            lora_f.layer_costs()[0].retained_act_bytes,
-            lora_q.layer_costs()[0].retained_act_bytes
-        );
+        let (lf, lq) = (&lora_f.layer_costs()[0], &lora_q.layer_costs()[0]);
+        assert_eq!(lf.retained_act_bytes, lq.retained_act_bytes);
+        assert_eq!(lf.weight_bytes, lq.weight_bytes);
     }
 
     #[test]

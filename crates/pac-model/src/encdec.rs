@@ -241,43 +241,6 @@ impl EncDecModel {
             }
         });
     }
-
-    /// Switches every *frozen* linear projection in the transformer stacks
-    /// (and the head, if frozen) to the dequant-free int8 forward path.
-    /// Embeddings and LayerNorms stay f32 — they are lookups and vector
-    /// ops, not matmuls. Returns how many linears engaged.
-    pub fn quantize_frozen(&mut self) -> usize {
-        let mut n = 0;
-        for l in self.encoder.iter_mut().chain(self.decoder.iter_mut()) {
-            n += l.quantize_frozen();
-        }
-        n + usize::from(self.head.quantize_frozen())
-    }
-
-    /// Resident bytes of all quantized weights (telemetry companion of
-    /// [`EncDecModel::quantize_frozen`]).
-    pub fn quantized_weight_bytes(&self) -> usize {
-        let per_layer = |l: &pac_nn::TransformerLayer| {
-            let mha = |a: &pac_nn::MultiHeadAttention| {
-                a.wq.quantized_bytes()
-                    + a.wk.quantized_bytes()
-                    + a.wv.quantized_bytes()
-                    + a.wo.quantized_bytes()
-            };
-            let mut b =
-                mha(&l.self_attn) + l.ffn.up.quantized_bytes() + l.ffn.down.quantized_bytes();
-            if let Some((_, cross)) = &l.cross_attn {
-                b += mha(cross);
-            }
-            b
-        };
-        self.encoder
-            .iter()
-            .chain(self.decoder.iter())
-            .map(per_layer)
-            .sum::<usize>()
-            + self.head.quantized_bytes()
-    }
 }
 
 impl Module for EncDecModel {

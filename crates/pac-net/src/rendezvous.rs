@@ -237,7 +237,7 @@ const MAX_STRAY_ACKS: usize = 8;
 /// lockstep steps. Probes carry nonces `nonce_base + rank`; acks with a
 /// nonce outside that window are *dropped* (a late bulk ack or a stale
 /// sweep's echo must not vouch for this sweep — the calibration bug class),
-/// bounded by [`MAX_STRAY_ACKS`]. All probes are sent before any ack is
+/// bounded by `MAX_STRAY_ACKS`. All probes are sent before any ack is
 /// awaited, so the sweep costs one RTT, not `world` of them.
 ///
 /// Returns per-rank round-trip times on the transport clock

@@ -1175,7 +1175,7 @@ const READ_STEP: usize = 64 * 1024;
 /// payload failures) discard the buffered frame: stream framing is already
 /// lost, so there is nothing coherent to resume into.
 ///
-/// The buffer grows in steps of [`READ_STEP`] as bytes arrive, so a header
+/// The buffer grows in steps of `READ_STEP` as bytes arrive, so a header
 /// that claims [`MAX_PAYLOAD`] and then stalls or hangs up costs the
 /// receiver one step, not the claimed size.
 #[derive(Debug, Default)]
@@ -1472,6 +1472,33 @@ mod tests {
         let body = frame.len() - 4;
         let sum = checksum(&frame[4..body]);
         frame[body..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    #[test]
+    fn act_q8_scale_count_must_be_the_row_count() {
+        let t = Tensor::from_vec(vec![0.5, -1.25, 3.0, 0.0, 2.5, -0.75], vec![1, 2, 3]).unwrap();
+        let mut frame = encode_frame(&Msg::ActQ8 {
+            micro: 4,
+            logits: false,
+            q: QTensor::quantize(&t),
+        });
+        // Payload: micro u32, logits u8, rank u8, three u32 dims, then the
+        // scale count and the scales. Claim three scales for the same six
+        // elements (3 divides 6; the folded row count is 2) and splice a
+        // third one in.
+        let rows_at = HEADER_LEN + 4 + 1 + 1 + 3 * 4;
+        assert_eq!(frame[rows_at..rows_at + 4], 2u32.to_le_bytes());
+        frame[rows_at..rows_at + 4].copy_from_slice(&3u32.to_le_bytes());
+        let scale = frame[rows_at + 4..rows_at + 8].to_vec();
+        frame.splice(rows_at + 4..rows_at + 4, scale);
+        let len = (frame.len() - OVERHEAD) as u32;
+        frame[6..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+        reseal(&mut frame);
+        let got = decode_frame(&frame);
+        assert!(
+            matches!(got, Err(NetError::Malformed("qtensor parts inconsistent"))),
+            "every scale would land on the wrong elements, got {got:?}"
+        );
     }
 
     #[test]

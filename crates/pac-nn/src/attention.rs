@@ -71,15 +71,6 @@ impl MultiHeadAttention {
         self.dim
     }
 
-    /// Quantizes every frozen projection (see [`Linear::quantize_frozen`]);
-    /// returns how many engaged.
-    pub fn quantize_frozen(&mut self) -> usize {
-        usize::from(self.wq.quantize_frozen())
-            + usize::from(self.wk.quantize_frozen())
-            + usize::from(self.wv.quantize_frozen())
-            + usize::from(self.wo.quantize_frozen())
-    }
-
     /// Extracts the `[s, dh]` block of head `h`, batch `b` from a
     /// `[b*s, heads*dh]` tensor.
     fn head_block(t: &Tensor, b: usize, h: usize, s: usize, dh: usize) -> Tensor {

@@ -36,12 +36,6 @@ impl FeedForward {
         }
     }
 
-    /// Quantizes every frozen projection (see [`Linear::quantize_frozen`]);
-    /// returns how many engaged.
-    pub fn quantize_frozen(&mut self) -> usize {
-        usize::from(self.up.quantize_frozen()) + usize::from(self.down.quantize_frozen())
-    }
-
     /// Forward pass over the 2-D view of `x`.
     ///
     /// # Errors

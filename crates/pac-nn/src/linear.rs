@@ -1,7 +1,7 @@
 //! Fully-connected (dense) layer.
 
 use crate::param::{Module, Param};
-use pac_tensor::{init, ops, quant, reduce, scratch, QTensor, Result, Tensor};
+use pac_tensor::{init, ops, reduce, scratch, Result, Tensor};
 use rand::Rng;
 
 /// Per-micro-batch context saved by [`Linear::forward`] for the backward
@@ -21,11 +21,6 @@ pub struct Linear {
     pub b: Option<Param>,
     in_dim: usize,
     out_dim: usize,
-    /// Per-row absmax-quantized weight, stored transposed (`[out, in]`) so
-    /// the dequant-free int8 product runs in nt form. Present only after
-    /// [`Linear::quantize_frozen`]; the f32 weight stays resident for the
-    /// backward pass (`dx = dy·Wᵀ` still propagates through frozen layers).
-    qw_t: Option<QTensor>,
 }
 
 impl Linear {
@@ -36,7 +31,6 @@ impl Linear {
             b: bias.then(|| Param::new(format!("{name}.b"), Tensor::zeros([out_dim]))),
             in_dim,
             out_dim,
-            qw_t: None,
         }
     }
 
@@ -53,7 +47,6 @@ impl Linear {
             b: b.map(|t| Param::new(format!("{name}.b"), t)),
             in_dim,
             out_dim,
-            qw_t: None,
         }
     }
 
@@ -67,46 +60,15 @@ impl Linear {
         self.out_dim
     }
 
-    /// Switches the forward pass to the dequant-free int8 product by
-    /// quantizing the weight (per-row absmax over the transposed `[out,
-    /// in]` layout). Refuses — returning `false` — while the weight is
-    /// trainable: quantization is strictly a frozen-side optimization, and
-    /// a stale `QTensor` must never shadow a weight the optimizer updates.
-    pub fn quantize_frozen(&mut self) -> bool {
-        if self.w.trainable {
-            return false;
-        }
-        self.qw_t = Some(QTensor::quantize(&self.w.value.transpose_2d()));
-        true
-    }
-
-    /// Drops the quantized weight, restoring the exact f32 forward path.
-    pub fn dequantize_weights(&mut self) {
-        self.qw_t = None;
-    }
-
-    /// Whether the forward pass currently runs the int8 product.
-    pub fn is_quantized(&self) -> bool {
-        self.qw_t.is_some()
-    }
-
-    /// Resident bytes of the quantized weight (0 when not quantized).
-    pub fn quantized_bytes(&self) -> usize {
-        self.qw_t.as_ref().map_or(0, QTensor::size_bytes)
-    }
-
     /// Forward pass. `x` is interpreted as `[rows, in_dim]` via the 2-D view.
     ///
     /// # Errors
     /// Propagates shape mismatches from the underlying matmul.
     pub fn forward(&self, x: &Tensor) -> Result<(Tensor, LinearCtx)> {
         let mut y = scratch::take_for(x.as_2d().0 * self.out_dim);
-        match (&self.qw_t, &self.b) {
-            (Some(qw), b) => {
-                quant::qlinear_forward_into(x, qw, b.as_ref().map(|b| &b.value), &mut y)?
-            }
-            (None, Some(b)) => ops::addmm_into(x, &self.w.value, &b.value, &mut y)?,
-            (None, None) => ops::matmul_into(x, &self.w.value, &mut y)?,
+        match &self.b {
+            Some(b) => ops::addmm_into(x, &self.w.value, &b.value, &mut y)?,
+            None => ops::matmul_into(x, &self.w.value, &mut y)?,
         }
         Ok((y, LinearCtx { x: x.clone() }))
     }
@@ -225,43 +187,6 @@ mod tests {
         let (_, ctx) = l.forward(&x).unwrap();
         let dx = l.backward(&ctx, &Tensor::ones([2, 3])).unwrap();
         assert_eq!(l.w.grad.norm(), 0.0);
-        assert!(dx.norm() > 0.0);
-    }
-
-    #[test]
-    fn quantize_refuses_trainable_and_engages_when_frozen() {
-        let mut rng = seeded(6);
-        let mut l = Linear::new("l", &mut rng, 8, 6, true);
-        assert!(!l.quantize_frozen(), "trainable weight must not quantize");
-        assert!(!l.is_quantized());
-        l.freeze_all();
-        assert!(l.quantize_frozen());
-        assert!(l.is_quantized());
-        // int8 payload (out*in) + one f32 scale per out row.
-        assert_eq!(l.quantized_bytes(), 6 * 8 + 6 * 4);
-        l.dequantize_weights();
-        assert!(!l.is_quantized());
-        assert_eq!(l.quantized_bytes(), 0);
-    }
-
-    #[test]
-    fn quantized_forward_tracks_f32_within_quant_error() {
-        let mut rng = seeded(7);
-        let mut l = Linear::new("l", &mut rng, 16, 12, true);
-        l.freeze_all();
-        let x = init::randn(&mut rng, [5, 16], 1.0);
-        let (exact, _) = l.forward(&x).unwrap();
-        l.quantize_frozen();
-        let (q8, _) = l.forward(&x).unwrap();
-        assert_eq!(q8.dims(), exact.dims());
-        // Both operands carry ≤ half-step error over k=16 terms; the
-        // practical deviation at unit-scale data is far below 0.1.
-        for (a, b) in exact.data().iter().zip(q8.data().iter()) {
-            assert!((a - b).abs() < 0.1, "{a} vs {b}");
-        }
-        // Backward still runs off the resident f32 weight.
-        let (_, ctx) = l.forward(&x).unwrap();
-        let dx = l.backward(&ctx, &Tensor::ones([5, 12])).unwrap();
         assert!(dx.norm() > 0.0);
     }
 

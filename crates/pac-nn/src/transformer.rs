@@ -93,17 +93,6 @@ impl TransformerLayer {
         self.cross_attn.is_some()
     }
 
-    /// Quantizes every frozen linear projection in the layer (attention and
-    /// FFN; LayerNorms stay f32 — their parameters are vectors, not
-    /// matmuls). Returns how many linears engaged.
-    pub fn quantize_frozen(&mut self) -> usize {
-        let mut n = self.self_attn.quantize_frozen() + self.ffn.quantize_frozen();
-        if let Some((_, cross)) = &mut self.cross_attn {
-            n += cross.quantize_frozen();
-        }
-        n
-    }
-
     /// Forward pass. `enc` must be `Some` for decoder layers and is ignored
     /// by encoder layers.
     ///

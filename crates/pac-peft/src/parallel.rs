@@ -325,14 +325,6 @@ impl ParallelTuner {
         ParallelTuner { model, side }
     }
 
-    /// Quantizes the frozen backbone's linear projections to int8 (per-row
-    /// absmax, EDGE-LLM-style frozen-side compression). The side network is
-    /// untouched — it is the trainable half. Returns how many linears
-    /// engaged.
-    pub fn quantize_backbone(&mut self) -> usize {
-        self.model.quantize_frozen()
-    }
-
     /// Epoch-1 forward: frozen backbone forward (to produce the `b_i`), then
     /// the side network.
     ///
@@ -586,43 +578,6 @@ mod tests {
             opt.step(&mut t);
         }
         assert!(last < first * 0.8, "first {first} last {last}");
-    }
-
-    #[test]
-    fn quantized_backbone_still_trains_and_stays_close() {
-        // EDGE-LLM scope check: quantizing the frozen half perturbs the
-        // b_i slightly but the side network trains on them all the same,
-        // and logits stay close to the f32 reference.
-        let mut t = tuner(163);
-        let batch = toks(164, 3);
-        let (f32_logits, _) = t.forward_full(&batch).unwrap();
-        let engaged = t.quantize_backbone();
-        assert!(engaged > 0, "no frozen linear engaged");
-        let (q8_logits, ctx) = t.forward_full(&batch).unwrap();
-        for (a, b) in f32_logits.data().iter().zip(q8_logits.data().iter()) {
-            assert!((a - b).abs() < 0.35, "{a} vs {b}");
-        }
-        // Cached forward from quantized-backbone acts is still exact
-        // w.r.t. the quantized full forward (cache purity is unaffected).
-        let (cached, _) = t.forward_cached(&ctx.layer_outputs).unwrap();
-        assert!(cached.approx_eq(&q8_logits, 0.0));
-        // And training from those acts still reduces the loss.
-        let targets = [0usize, 1, 0];
-        let mut opt = Adam::new(1e-2);
-        let mut first = 0.0;
-        let mut last = 0.0;
-        for i in 0..20 {
-            let (logits, sctx) = t.forward_cached(&ctx.layer_outputs).unwrap();
-            let (loss, dl) = cross_entropy(&logits, &targets).unwrap();
-            if i == 0 {
-                first = loss;
-            }
-            last = loss;
-            t.zero_grads();
-            t.backward(&sctx, &dl).unwrap();
-            opt.step(&mut t);
-        }
-        assert!(last < first, "first {first} last {last}");
     }
 
     #[test]

@@ -157,15 +157,15 @@ fn golden_memory_pressure_forces_deeper_pipeline() {
     );
 }
 
-/// The same three golden clusters re-planned with frozen-side int8
-/// accounting (`CostModel::with_int8_frozen`): quantized cache/wire/weight
-/// bytes change what Eq. 4–6 consider feasible. The headline delta is the
-/// memory-pressure cluster — a BART-Large f32 replica exceeds one Nano's
-/// ceiling and forces a 2-stage pipeline, while the ~4×-smaller int8
-/// replica fits, so pure data parallelism (the latency-optimal shape)
-/// becomes plannable on identical hardware.
+/// The same three golden clusters re-planned with q8 cache/wire accounting
+/// (`CostModel::with_int8_frozen`): the retained `b_i` and the Act edges
+/// shrink ~4×, the weights do not — every engine holds them in f32. The
+/// memory-pressure cluster is bound by exactly those weights (a BART-Large
+/// f32 replica exceeds one Nano's ceiling), so it has no 1-stage candidate
+/// under either accounting: the planner emits nothing the runtime cannot
+/// hold.
 #[test]
-fn golden_int8_replan_fits_where_f32_exceeded_the_ceiling() {
+fn golden_q8_accounting_keeps_the_weight_bound_cluster_at_two_stages() {
     let lean = Technique::ParallelAdapters { reduction: 64 };
     let nanos = || {
         vec![
@@ -186,19 +186,13 @@ fn golden_int8_replan_fits_where_f32_exceeded_the_ceiling() {
     );
     assert!(f32_out.candidates.iter().all(|c| c.stages >= 2));
 
-    // int8 accounting: the quantized replica fits a single Nano, pure DP
-    // appears and wins.
+    // q8 accounting: smaller activations, same weights, same verdict.
     let q8_cost = CostModel::new(ModelConfig::bart_large(), lean, 64).with_int8_frozen();
     let q8_out = plan_cost(nanos(), LinkSpec::gigabit(), &q8_cost, 8);
     assert!(
-        q8_out.candidates.iter().any(|c| c.stages == 1),
-        "int8 accounting must make the 1-stage plan memory-feasible"
+        q8_out.candidates.iter().all(|c| c.stages >= 2),
+        "q8 cache/wire accounting must not make the f32 replica fit one Nano"
     );
-    assert_eq!(
-        fingerprint(&q8_out),
-        "stages=1 micro=2 plan=[0..24)x[0, 1, 2] devices=[0, 1, 2]"
-    );
-    assert!(q8_out.best.stages.len() < f32_out.best.stages.len());
 
     // The other two golden clusters were never memory-bound, so int8
     // accounting must not change their selected shapes — only (possibly)

@@ -21,7 +21,7 @@
 //! the workspace; the f64-accumulated [`matmul_ref`] is the test oracle.
 //!
 //! Determinism contract: parallelism only partitions output rows into fixed
-//! [`PANEL`]-row chunks, and each output element walks k in one fixed order,
+//! `PANEL`-row chunks, and each output element walks k in one fixed order,
 //! so an element is a pure function of its A row, its B column and `(k, n)`.
 //! Results are therefore bitwise identical at any pool width and under any
 //! row partition of A (a rank's shard of a batch equals the same rows of the
@@ -34,7 +34,7 @@
 //!
 //! # The pooled-dispatch line
 //!
-//! `dispatch` fans a product out over the pool from [`PAR_THRESHOLD_FLOPS`]
+//! `dispatch` fans a product out over the pool from `PAR_THRESHOLD_FLOPS`
 //! = 2^22 FLOPs (`2·m·n·k`) up and runs anything smaller on the calling
 //! thread. By the contract above the line moves time, never a bit.
 //!
@@ -44,10 +44,7 @@
 //! with the helper idle — about one parked hand-off — so the line is
 //! *single-thread kernel GFLOP/s × that time*, rounded to a power of two:
 //! 130–150 GFLOP/s × 28–32 µs ≈ 4.2 MFLOP. Whoever makes the kernels
-//! faster, or the hand-off cheaper, measures both sides again. A caller
-//! with a slower kernel states its cost in FLOPs of this one: the scalar
-//! int8 loop of [`crate::quant`] (8–9.6 GFLOP/s) multiplies by 16, so it
-//! fans out from 2^18 of its own FLOPs, the same ≈ 32 µs.
+//! faster, or the hand-off cheaper, measures both sides again.
 //!
 //! *What set it (2026-10, 2 vCPUs, AVX-512, `BENCH_PR19.json`).* One caller
 //! with an idle, spinning helper — the pool's best case — inline against
@@ -101,10 +98,9 @@ fn check_inner(op: &'static str, a: &Tensor, b: &Tensor, ak: usize, bk: usize) -
     Ok(())
 }
 
-/// Runs `kernel` over `out` on the calling thread when `flops` (the cost
-/// of the whole product in FLOPs of the f32 tile) is below
-/// [`PAR_THRESHOLD_FLOPS`], else in parallel over fixed PANEL-row chunks
-/// (same chunking at every width).
+/// Runs `kernel` over `out` on the calling thread when `flops` (`2·m·n·k`
+/// of the whole product) is below [`PAR_THRESHOLD_FLOPS`], else in parallel
+/// over fixed PANEL-row chunks (same chunking at every width).
 /// An empty output (`m == 0` or `n == 0`) runs nothing: the chunk kernels
 /// divide by `n` to recover their row count.
 pub(crate) fn dispatch(

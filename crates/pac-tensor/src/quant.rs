@@ -1,45 +1,26 @@
-//! Per-row absmax int8 quantization for the *frozen* half of the model.
+//! Per-row absmax int8 codec for the *frozen* half of the model.
 //!
 //! Pluto-and-Charon freezes the backbone and trains only the side network,
-//! so everything the backbone produces — frozen weights, cached boundary
+//! so what the backbone produces for later reuse — cached boundary
 //! activations, Act frames on the wire — is read-only data whose precision
-//! is a storage/transport decision, not a training one. EDGE-LLM-style
-//! layerwise compression of exactly this frozen side preserves tuning
-//! quality, and that is the scope here: [`QTensor`] never appears on a
-//! gradient path.
+//! is a storage/transport decision, not a training one. That is the scope
+//! here: [`QTensor`] is a format to store and ship such tensors in, it never
+//! appears on a gradient path, and no kernel computes on it — consumers
+//! [`QTensor::dequantize_into`] an f32 buffer and run the one f32 matmul.
 //!
 //! Scheme: symmetric per-row absmax. For each row of the 2-D view
 //! (leading dims folded, exactly like [`Tensor::as_2d`]) the scale is
 //! `absmax / 127`, values are `round(v / scale)` clamped to `[-127, 127]`
 //! (`-128` unused, keeping the grid symmetric), and dequantization is
 //! `q * scale`. A row of zeros gets scale `0` and dequantizes to zeros.
-//!
-//! The int8×int8 product kernel [`qmatmul_nt_into`] accumulates in `i32`
-//! (exact — no rounding inside the k-loop) and applies the two per-row
-//! scales once per output element, so no dequantized f32 copy of either
-//! operand ever materializes. Integer accumulation is order-independent,
-//! which means the quantized path keeps the workspace's pool-width
-//! bitwise-determinism contract for free.
 
 use crate::error::{Result, TensorError};
-use crate::ops::dispatch;
 use crate::tensor::Tensor;
 
 /// Largest quantized magnitude: symmetric grid `[-127, 127]`.
 const QMAX: f32 = 127.0;
-/// What a FLOP of the scalar i8×i8→i32 loop costs in FLOPs of the f32 tile,
-/// the unit [`dispatch`]'s line is drawn in: 8.1–9.6 GFLOP/s against
-/// 130–150 single-threaded (2026-10, `BENCH_PR19.json`), so an int8 product
-/// still fans out from 2^18 of its own FLOPs, which last the same ≈ 32 µs
-/// as 2^22 of the tile's. With the factor left out the int8 epoch of
-/// `pac-bench` went 3.9 → 4.4 ms.
-const I8_LOOP_COST: usize = 16;
 
 /// Per-row absmax-quantized int8 tensor (frozen-side storage format).
-///
-/// The `i32` accumulator in [`qmatmul_nt_into`] bounds the inner dimension:
-/// `k · 127²` must stay below `i32::MAX`, i.e. `k < ~133 000` — far above
-/// any k this workspace produces (hidden widths are ≤ a few thousand).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QTensor {
     dims: Vec<usize>,
@@ -82,21 +63,26 @@ impl QTensor {
     /// Rebuilds a `QTensor` from its serialized parts (wire decode path).
     ///
     /// # Errors
-    /// Returns [`TensorError::ShapeMismatch`] when the part lengths are
-    /// inconsistent with `dims`.
+    /// Returns [`TensorError::ShapeMismatch`] unless there is exactly one
+    /// scale per folded row of `dims` (the [`Tensor::as_2d`] view
+    /// [`QTensor::quantize`] works on) and one payload byte per element.
     pub fn from_parts(dims: Vec<usize>, scales: Vec<f32>, data: Vec<i8>) -> Result<QTensor> {
-        let numel: usize = dims.iter().product();
-        let rows = scales.len();
-        if rows == 0 || numel != data.len() || !numel.is_multiple_of(rows) {
+        // Checked: `dims` comes off the wire, the products must not wrap.
+        let (lead, row_len) = match dims.as_slice() {
+            [] => (&[][..], 1),
+            [lead @ .., cols] => (lead, *cols),
+        };
+        let rows = lead.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+        if rows != Some(scales.len()) || scales.len().checked_mul(row_len) != Some(data.len()) {
             return Err(TensorError::ShapeMismatch {
                 op: "qtensor_from_parts",
                 lhs: dims,
-                rhs: vec![rows, data.len()],
+                rhs: vec![scales.len(), data.len()],
             });
         }
         Ok(QTensor {
-            row_len: numel / rows,
             dims,
+            row_len,
             scales,
             data,
         })
@@ -161,92 +147,10 @@ impl QTensor {
     }
 }
 
-/// `C[m,n] = Aq[m,k] · Bq[n,k]ᵀ`, both operands int8, written into `out`.
-///
-/// The nt form is the one where per-row scales factor cleanly: every
-/// output element touches exactly one row of A and one row of B, so
-/// `C[r,c] = sa[r] · sb[c] · Σ_k qa[r,k]·qb[c,k]` with the k-sum exact in
-/// `i32`. Frozen weights are therefore stored pre-transposed (`[out, in]`)
-/// by their owners.
-///
-/// # Errors
-/// Returns [`TensorError::ShapeMismatch`] if the inner dimensions differ.
-pub fn qmatmul_nt_into(a: &QTensor, b: &QTensor, out: &mut Tensor) -> Result<()> {
-    let (m, k) = (a.rows(), a.row_len());
-    let (n, bk) = (b.rows(), b.row_len());
-    if k != bk {
-        return Err(TensorError::ShapeMismatch {
-            op: "qmatmul_nt",
-            lhs: a.dims.clone(),
-            rhs: b.dims.clone(),
-        });
-    }
-    out.reset_to([m, n]);
-    let ad = &a.data;
-    let bd = &b.data;
-    let sa = &a.scales;
-    let sb = &b.scales;
-
-    let kernel = |r0: usize, chunk: &mut [f32]| {
-        let rows = chunk.len() / n;
-        for ri in 0..rows {
-            let r = r0 + ri;
-            let arow = &ad[r * k..(r + 1) * k];
-            let crow = &mut chunk[ri * n..(ri + 1) * n];
-            for (c, cval) in crow.iter_mut().enumerate() {
-                let brow = &bd[c * k..(c + 1) * k];
-                let mut acc = 0i32;
-                for (&x, &y) in arow.iter().zip(brow.iter()) {
-                    acc += x as i32 * y as i32;
-                }
-                *cval = acc as f32 * (sa[r] * sb[c]);
-            }
-        }
-    };
-    dispatch(out.data_mut(), n, I8_LOOP_COST * 2 * m * n * k, kernel);
-    Ok(())
-}
-
-/// Quantized frozen-linear forward: `y = x · Wᵀq (+ bias)` where `qw_t`
-/// holds the weight pre-transposed to `[out, in]`. The activation `x` is
-/// quantized on the fly (per row of the folded 2-D view), the product runs
-/// dequant-free in int8, and the bias is added in f32 after rescale.
-///
-/// # Errors
-/// Returns [`TensorError::ShapeMismatch`] on inner-dimension or bias-width
-/// mismatch.
-pub fn qlinear_forward_into(
-    x: &Tensor,
-    qw_t: &QTensor,
-    bias: Option<&Tensor>,
-    out: &mut Tensor,
-) -> Result<()> {
-    let qx = QTensor::quantize(x);
-    qmatmul_nt_into(&qx, qw_t, out)?;
-    if let Some(bias) = bias {
-        let n = qw_t.rows();
-        if bias.numel() != n {
-            return Err(TensorError::ShapeMismatch {
-                op: "qlinear_bias",
-                lhs: vec![qx.rows(), n],
-                rhs: bias.dims().to_vec(),
-            });
-        }
-        let bd = bias.data();
-        for row in out.data_mut().chunks_mut(n) {
-            for (c, bv) in row.iter_mut().zip(bd.iter()) {
-                *c += bv;
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::init;
-    use crate::ops::{matmul_nt, matmul_nt_into};
     use crate::rng::seeded;
 
     #[test]
@@ -297,78 +201,12 @@ mod tests {
     }
 
     #[test]
-    fn qmatmul_tracks_f32_reference() {
-        let mut rng = seeded(29);
-        for &(m, k, n) in &[(2, 8, 3), (16, 64, 16), (31, 33, 9)] {
-            let a = init::randn(&mut rng, [m, k], 1.0);
-            let b = init::randn(&mut rng, [n, k], 1.0);
-            let qa = QTensor::quantize(&a);
-            let qb = QTensor::quantize(&b);
-            let mut qc = Tensor::zeros([0]);
-            qmatmul_nt_into(&qa, &qb, &mut qc).unwrap();
-            let fc = matmul_nt(&a, &b).unwrap();
-            // Per-element error bound: each operand is within half a step
-            // of its f32 value, so the dot of k terms is within
-            // k * (|a|max * stepb + |b|max * stepa) + O(step²) — loose
-            // practical bound below.
-            for r in 0..m {
-                for c in 0..n {
-                    let err = (qc.data()[r * n + c] - fc.data()[r * n + c]).abs();
-                    let bound = k as f32
-                        * (qa.row_step(r) * 127.0 * qb.scales()[c]
-                            + qb.row_step(c) * 127.0 * qa.scales()[r])
-                        + 1e-4;
-                    assert!(
-                        err <= bound,
-                        "{m}x{k}x{n} [{r},{c}]: err {err} bound {bound}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn qlinear_matches_quantized_weight_matmul() {
-        let mut rng = seeded(31);
-        let x = init::randn(&mut rng, [5, 12], 1.0);
-        let w_t = init::randn(&mut rng, [7, 12], 0.3); // [out, in]
-        let bias = init::randn(&mut rng, [7], 0.1);
-        let qw = QTensor::quantize(&w_t);
-
-        let mut got = Tensor::zeros([0]);
-        qlinear_forward_into(&x, &qw, Some(&bias), &mut got).unwrap();
-
-        // Reference: same quantization of x, dequantized product + bias.
-        let qx = QTensor::quantize(&x);
-        let mut want = Tensor::zeros([0]);
-        matmul_nt_into(&qx.dequantize(), &qw.dequantize(), &mut want).unwrap();
-        let want = want.add_row_broadcast(&bias).unwrap();
-        for (g, w) in got.data().iter().zip(want.data().iter()) {
-            assert!((g - w).abs() <= 1e-3, "{g} vs {w}");
-        }
-        assert!(qlinear_forward_into(&x, &qw, Some(&Tensor::zeros([3])), &mut got).is_err());
-    }
-
-    #[test]
-    fn integer_accumulation_is_pool_width_invariant() {
-        let mut rng = seeded(37);
-        // Past the pooled-dispatch line, so the chunked path runs: two
-        // whole 48-row chunks and a ragged one of 32.
-        let (m, k, n) = (128, 96, 130);
-        assert!(I8_LOOP_COST * 2 * m * n * k >= crate::ops::PAR_THRESHOLD_FLOPS);
-        let a = init::randn(&mut rng, [m, k], 1.0);
-        let b = init::randn(&mut rng, [n, k], 1.0);
-        let qa = QTensor::quantize(&a);
-        let qb = QTensor::quantize(&b);
-        let mut reference = Tensor::zeros([0]);
-        qmatmul_nt_into(&qa, &qb, &mut reference).unwrap();
-        let bits: Vec<u32> = reference.data().iter().map(|v| v.to_bits()).collect();
-        for &w in &[1usize, 2, 8] {
-            rayon::pool::set_max_concurrency(w);
-            let mut again = Tensor::zeros([0]);
-            qmatmul_nt_into(&qa, &qb, &mut again).unwrap();
-            let again_bits: Vec<u32> = again.data().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(bits, again_bits, "width {w}");
-        }
+    fn from_parts_requires_one_scale_per_folded_row() {
+        // A scale count that divides the element count but is not the
+        // folded row count would put every scale on the wrong elements.
+        assert!(QTensor::from_parts(vec![2, 3], vec![1.0; 3], vec![0; 6]).is_err());
+        assert!(QTensor::from_parts(vec![1, 2, 3], vec![1.0; 3], vec![0; 6]).is_err());
+        let q = QTensor::from_parts(vec![1, 2, 3], vec![1.0; 2], vec![0; 6]).unwrap();
+        assert_eq!((q.rows(), q.row_len()), (2, 3));
     }
 }
