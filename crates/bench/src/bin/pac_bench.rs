@@ -34,12 +34,6 @@
 //!
 //! Usage: `pac-bench [--quick] [--out PATH]`.
 //!
-//! `pac-bench --serve [--tenants N] [--ranks N]` runs the PR 9 serve
-//! benchmark instead: N tenants (default 1000) × 2 jobs each through one
-//! loopback serve world (default 8 ranks), recording tenants/sec, the
-//! cache-hit-rate trajectory, resident adapter bytes against the
-//! eviction budget, and registry dedup to `BENCH_PR9.json`.
-//!
 //! `pac-bench --multiworld [--tenants N]` runs the multi-world benchmark
 //! instead: N tenant training worlds (default 6) multiplexed by the
 //! coordinator vs the same coordinator fed the same worlds one at a time,
@@ -108,7 +102,6 @@ fn tuner_epoch(tuner: &mut Tuner, batches: &[(Vec<Vec<usize>>, Vec<usize>)], opt
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let serve = args.iter().any(|a| a == "--serve");
     let multiworld = args.iter().any(|a| a == "--multiworld");
     let out_path = args
         .iter()
@@ -118,8 +111,6 @@ fn main() {
         .unwrap_or_else(|| {
             if multiworld {
                 "BENCH_PR14.json".to_string()
-            } else if serve {
-                "BENCH_PR9.json".to_string()
             } else {
                 "BENCH_PR22.json".to_string()
             }
@@ -132,27 +123,6 @@ fn main() {
             .and_then(|s| s.parse().ok())
             .unwrap_or(if quick { 3 } else { 6 });
         multiworld_bench(tenants, &out_path);
-        return;
-    }
-    if serve {
-        let tenants: u64 = args
-            .iter()
-            .position(|a| a == "--tenants")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(if quick { 100 } else { 1000 });
-        let ranks: usize = args
-            .iter()
-            .position(|a| a == "--ranks")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(8);
-        let cache_slots: Option<usize> = args
-            .iter()
-            .position(|a| a == "--cache-slots")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok());
-        serve_bench(tenants, ranks, cache_slots, &out_path);
         return;
     }
     let budget = Duration::from_millis(if quick { 40 } else { 250 });
@@ -316,8 +286,7 @@ fn main() {
     // segment log (CRC every record, truncate any torn tail), pull the
     // latest committed snapshot, decode the PACCKPT2 framing, and load the
     // tensors into a live module. Each commit comes from a differently
-    // seeded tuner so no chunk dedups away — the worst-case log, every
-    // blob unique, all of it scanned on open.
+    // seeded tuner; every snapshot in the log is scanned on open.
     let (restore_log_bytes, restore_commits) = {
         let cfg = ModelConfig::micro(2, 0, 32, 2);
         let n_commits = if quick { 4u64 } else { 8 };
@@ -734,123 +703,5 @@ fn multiworld_bench(tenants: usize, out_path: &str) {
     ));
     json.push_str("  }\n}\n");
     std::fs::write(out_path, &json).expect("write multiworld bench");
-    println!("\nwrote {out_path}");
-}
-
-/// The PR 9 serve benchmark: `tenants` × 2 jobs through one loopback
-/// serve world of `ranks` rank executors, measured end to end (TCP
-/// admission → route → burst → publish → reply).
-fn serve_bench(tenants: u64, ranks: usize, cache_slots: Option<usize>, out_path: &str) {
-    use pac_serve::{run_loopback_demo, DemoConfig};
-
-    println!("pac-bench --serve: {tenants} tenants x 2 jobs over {ranks} ranks (loopback TCP)\n");
-    let mut cfg = DemoConfig::new(tenants, ranks);
-    if let Some(slots) = cache_slots {
-        cfg.cache_slots_per_rank = slots;
-    }
-    let report = run_loopback_demo(&cfg).expect("serve demo");
-    let s = &report.serve;
-    assert_eq!(
-        report.acks.len() as u64,
-        tenants * 2,
-        "every job must be acked"
-    );
-
-    let loads = s.warm_hits + s.cold_misses;
-    let hit_rate = if loads > 0 {
-        s.warm_hits as f64 / loads as f64
-    } else {
-        0.0
-    };
-    let (steps_min, steps_max) = s.serviced_spread();
-    let wait_max = s.fairness.iter().map(|&(_, _, w)| w).max().unwrap_or(0);
-    println!(
-        "jobs: {} completed, {} faulted in {} ticks ({:.1} tenant jobs/sec)",
-        s.jobs_completed, s.jobs_faulted, s.ticks, s.tenants_per_sec
-    );
-    println!(
-        "cache: {} warm / {} cold ({:.1}% hit rate), {} fresh, {} evictions",
-        s.warm_hits,
-        s.cold_misses,
-        100.0 * hit_rate,
-        s.fresh_starts,
-        s.evictions
-    );
-    println!(
-        "load cost: warm {} ns avg vs cold {} ns avg ({:.1}x)",
-        s.warm_ns_avg,
-        s.cold_ns_avg,
-        s.cold_ns_avg as f64 / s.warm_ns_avg.max(1) as f64
-    );
-    println!(
-        "resident adapters: peak {} B under budget {} B (device ceiling {} B, adapter {} B)",
-        s.resident_peak_bytes, s.budget_bytes, s.device_ceiling_bytes, s.adapter_bytes
-    );
-    println!(
-        "backbone: shared={} ({} B x {} extra ranks = {} B saved by CoW)",
-        s.backbone_shared,
-        s.backbone_bytes,
-        ranks - 1,
-        s.cow_shared_bytes
-    );
-    println!(
-        "registry: {} tenants, dedup {} chunks / {} B shared",
-        s.tenants_published, s.dedup.chunks_deduped, s.dedup.bytes_shared
-    );
-    println!("fairness: serviced steps {steps_min}..{steps_max}, max wait {wait_max} ticks");
-
-    let mut json = String::from("{\n  \"serve\": {\n");
-    json.push_str(&format!(
-        "    \"tenants\": {tenants}, \"ranks\": {ranks}, \"jobs\": {},\n",
-        tenants * 2
-    ));
-    json.push_str(&format!(
-        "    \"jobs_completed\": {}, \"jobs_faulted\": {}, \"ticks\": {},\n",
-        s.jobs_completed, s.jobs_faulted, s.ticks
-    ));
-    json.push_str(&format!(
-        "    \"elapsed_secs\": {:.3}, \"tenants_per_sec\": {:.1},\n",
-        s.elapsed_secs, s.tenants_per_sec
-    ));
-    json.push_str(&format!(
-        "    \"warm_hits\": {}, \"cold_misses\": {}, \"fresh_starts\": {}, \
-         \"evictions\": {}, \"hit_rate\": {:.4},\n",
-        s.warm_hits, s.cold_misses, s.fresh_starts, s.evictions, hit_rate
-    ));
-    json.push_str(&format!(
-        "    \"warm_load_avg_ns\": {}, \"cold_load_avg_ns\": {},\n",
-        s.warm_ns_avg, s.cold_ns_avg
-    ));
-    json.push_str("    \"hit_rate_trajectory\": [\n");
-    for (i, (jobs_done, rate)) in s.hit_rate_trajectory.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"jobs\": {jobs_done}, \"hit_rate\": {rate:.4}}}{}\n",
-            if i + 1 < s.hit_rate_trajectory.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    json.push_str("    ],\n");
-    json.push_str(&format!(
-        "    \"resident_peak_bytes\": {}, \"budget_bytes\": {}, \
-         \"device_ceiling_bytes\": {}, \"adapter_bytes\": {},\n",
-        s.resident_peak_bytes, s.budget_bytes, s.device_ceiling_bytes, s.adapter_bytes
-    ));
-    json.push_str(&format!(
-        "    \"dedup\": {{\"chunks_deduped\": {}, \"bytes_shared\": {}}},\n",
-        s.dedup.chunks_deduped, s.dedup.bytes_shared
-    ));
-    json.push_str(&format!(
-        "    \"backbone_shared\": {}, \"backbone_bytes\": {}, \"cow_shared_bytes\": {},\n",
-        s.backbone_shared, s.backbone_bytes, s.cow_shared_bytes
-    ));
-    json.push_str(&format!(
-        "    \"fairness\": {{\"serviced_steps_min\": {steps_min}, \
-         \"serviced_steps_max\": {steps_max}, \"wait_ticks_max\": {wait_max}}}\n"
-    ));
-    json.push_str("  }\n}\n");
-    std::fs::write(out_path, &json).expect("write serve bench");
     println!("\nwrote {out_path}");
 }

@@ -91,9 +91,9 @@ pub enum Fault {
     },
     /// The coordinator is killed `at_byte` bytes into the durable
     /// checkpoint append at this step — the crash adversary for the
-    /// write → fsync → commit-record protocol. Runs persisting through a
-    /// crash-capable store die mid-append (possibly inside the commit
-    /// record itself); a cold restart must recover the last committed
+    /// one-record-per-commit append. Runs persisting through a
+    /// crash-capable store die mid-append, wherever in the commit record
+    /// the offset lands; a cold restart must recover the last committed
     /// snapshot. Runs without a durable store ignore the event.
     Crash {
         /// Global step whose checkpoint append is torn.

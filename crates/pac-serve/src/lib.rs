@@ -5,12 +5,11 @@
 //! each tenant fine-tuning *their* adapter in short bursts against the
 //! shared CoW backbone. Three subsystems compose:
 //!
-//! * [`registry`] — versioned, content-addressed adapter storage through
-//!   the [`pac_store::Store`] trait. Every publish is one PACCKPT2 commit
-//!   tagged `(tenant, version)`; 4 KiB chunk dedup means near-identical
-//!   adapters (same shapes, slightly different weights) share most of
-//!   their bytes, and the registry's index is rebuilt from the log alone,
-//!   so a crashed coordinator recovers its whole tenant catalog.
+//! * [`registry`] — versioned adapter storage through the
+//!   [`pac_store::Store`] trait. Every publish is one PACCKPT2 commit
+//!   tagged `(tenant, version)`, and the registry's index is rebuilt from
+//!   the log alone, so a crashed coordinator recovers its whole tenant
+//!   catalog.
 //! * [`cache`] — per-rank resident-adapter cache under a byte budget
 //!   derived from the planner's device-memory ceiling (Eq. 4–6 via
 //!   [`pac_cluster::CostModel`]), with LRU-with-pin eviction: an adapter

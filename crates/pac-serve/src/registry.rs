@@ -1,19 +1,16 @@
-//! Versioned adapter registry over the content-addressed [`Store`].
+//! Versioned adapter registry over a [`Store`].
 //!
 //! Each publish commits the tenant's PACCKPT2 adapter bytes with a
 //! 16-byte `PACT` meta record `(tenant, version)`. Versions are 1-based
 //! and monotonic per tenant; the store retains every commit, so any
 //! historical version stays fetchable (`committed(seq)`), and the whole
 //! tenant index is rebuilt by scanning the log — no side index to lose.
-//! Chunk-level dedup in the store makes the marginal cost of the
-//! thousandth near-identical adapter a fraction of its nominal size;
-//! [`AdapterRegistry::dedup_stats`] is the receipt.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use pac_peft::{CheckpointError, TrainCheckpoint};
-use pac_store::{DedupStats, Store, StoreError};
+use pac_store::{Store, StoreError};
 use pac_telemetry::counter_inc;
 
 /// Magic prefix of a registry meta record.
@@ -180,11 +177,6 @@ impl<S: Store> AdapterRegistry<S> {
     /// Number of versions published for `tenant`.
     pub fn versions(&self, tenant: u64) -> usize {
         self.index.get(&tenant).map_or(0, Vec::len)
-    }
-
-    /// Cross-tenant chunk-sharing ledger from the backing store.
-    pub fn dedup_stats(&self) -> DedupStats {
-        self.store.dedup_stats()
     }
 
     /// The backing store.

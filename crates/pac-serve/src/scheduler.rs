@@ -42,7 +42,7 @@ use pac_model::{EncDecModel, ModelConfig};
 use pac_nn::Module;
 use pac_parallel::{plan_filled, plan_serialized, SimStage, TenantLoad};
 use pac_peft::{AdapterBaseline, ParallelTuner, Technique, TrainCheckpoint};
-use pac_store::{DedupStats, Store};
+use pac_store::Store;
 use pac_telemetry::{counter_add, counter_inc};
 use pac_tensor::rayon::prelude::*;
 use pac_tensor::rng::seeded;
@@ -221,8 +221,6 @@ pub struct ServeReport {
     pub device_ceiling_bytes: u64,
     /// One adapter's serialized size.
     pub adapter_bytes: u64,
-    /// Registry chunk-dedup ledger.
-    pub dedup: DedupStats,
     /// Whether every rank's backbone aliases the prototype's storage.
     pub backbone_shared: bool,
     /// Serialized backbone parameter bytes (one copy).
@@ -795,7 +793,6 @@ impl<S: Store> ServePlatform<S> {
             budget_bytes: self.budget.budget_bytes * self.ranks.len() as u64,
             device_ceiling_bytes: self.budget.device_ceiling_bytes,
             adapter_bytes: self.adapter_bytes,
-            dedup: self.registry.dedup_stats(),
             backbone_shared,
             backbone_bytes,
             cow_shared_bytes: backbone_bytes * (self.ranks.len() as u64 - 1),
@@ -883,11 +880,6 @@ mod tests {
             "second bursts should find warm adapters"
         );
         assert!(!report.hit_rate_trajectory.is_empty());
-        // Dedup accounting rides along from the store. (Dense f32 Adam
-        // updates touch every chunk at micro scale, so sharing between
-        // *trained* versions can be zero here; the >50%-sharing property
-        // for near-identical adapters is pinned by pac-store's test.)
-        assert_eq!(report.dedup, platform.registry().dedup_stats());
         // Fairness: every tenant serviced the same number of steps.
         let (lo, hi) = report.serviced_spread();
         assert_eq!((lo, hi), (4, 4));

@@ -2,36 +2,42 @@
 //! snapshots.
 //!
 //! Every recovery path in the workspace (session rollback, elastic
-//! catch-up, the distributed driver's `checkpoint_every` snapshots)
-//! ultimately serializes a `PACCKPT2` blob. This crate gives those blobs a
-//! durable home that survives `kill -9`:
+//! catch-up, the distributed driver's `checkpoint_every` snapshots, the
+//! serve registry's adapter versions) ultimately serializes a `PACCKPT2`
+//! blob. This crate gives those blobs a durable home that survives
+//! `kill -9`:
 //!
 //! ```text
 //! segment file  seg-000000.wal (rotated at a byte threshold)
 //!
-//!   record  := magic "PACS" · version u8 · tag u8 · len u32 LE
+//!   record  := magic "PACS" · version u8 (2) · tag u8 · len u32 LE
 //!              · payload[len] · crc u32 LE        (FNV-1a over
 //!                                                  version..payload)
-//!   blob    := tag 1, payload = chunk-hash u64 LE · chunk bytes
-//!   commit  := tag 2, payload = seq u64 · snapshot-len u64
-//!              · meta-len u32 · meta · chunk-count u32 · hash u64 ...
+//!   commit  := tag 2, payload = seq u64 LE · meta-len u32 LE · meta
+//!              · snapshot bytes
 //! ```
 //!
-//! **Atomicity.** A snapshot is written as its missing chunk blobs, an
-//! `fsync` barrier, then one commit record, then a second `fsync`. A crash
-//! at *any* byte offset therefore leaves either (a) a fully committed
-//! snapshot, or (b) a torn tail after the last commit record. [`DiskStore::open`]
-//! scans the log front to back verifying every CRC; the first invalid or
-//! incomplete record and everything after it is truncated away — never
-//! decoded, never panicking — and the dropped byte count is reported in a
-//! typed [`OpenReport`]. Recovery always lands on the last *committed*
-//! snapshot.
+//! **A snapshot is one record.** What reaches the store is only ever the
+//! trainable side of a model (an adapter and its Adam moments, a stage's
+//! parameters), and a dense f32 update changes every part of it at every
+//! step, so there is nothing for two commits to share: each is written
+//! whole. `len` is a `u32` capped at 256 MiB, which makes 256 MiB − 12
+//! bytes the largest `meta + snapshot` a commit accepts; a larger one is
+//! refused with [`StoreError::Oversize`] before a byte is written.
 //!
-//! **Dedup.** Snapshot payloads are chunked and keyed by content hash
-//! (64-bit FNV-1a), so near-identical checkpoints — e.g. per-tenant
-//! adapter deltas that share a frozen backbone — reuse each other's blob
-//! records. Hash collisions cannot corrupt data: a dedup hit is only taken
-//! when the stored chunk bytes compare equal.
+//! **Atomicity.** A commit is one append and one `fsync`. A crash at *any*
+//! byte offset therefore leaves either (a) a fully committed snapshot, or
+//! (b) a torn tail after the last commit record, and nothing else: no state
+//! of the log holds data that no commit owns. [`DiskStore::open`] scans the
+//! log front to back verifying every CRC; the first incomplete record or
+//! failed CRC and everything after it is truncated away — never decoded,
+//! never panicking — and the dropped byte count is reported in a typed
+//! [`OpenReport`]. Recovery always lands on the last *committed* snapshot.
+//!
+//! **Only torn bytes are truncated.** A record that passes its CRC is whole:
+//! if it is not one this build can read (a log written under another
+//! [`VERSION`], an unknown tag, a commit out of sequence), `open` returns
+//! the typed error and leaves every file as it found it.
 //!
 //! Failures are typed [`StoreError`]s in the same discipline as
 //! `pac-net`'s `NetError`: malformed input is rejected, never unwrapped.
@@ -42,7 +48,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -51,14 +56,15 @@ use std::path::{Path, PathBuf};
 /// First bytes of every record.
 pub const MAGIC: [u8; 4] = *b"PACS";
 /// On-disk format version.
-pub const VERSION: u8 = 1;
-/// Chunk size for content-addressed dedup. Small enough that an adapter
-/// delta maps to a handful of chunks, large enough to amortize framing.
+pub const VERSION: u8 = 2;
+/// The stride at which the reference benchmark's store probe varies its
+/// payloads (`benchmark/src/probes.rs`). Nothing in this crate reads it.
 pub const CHUNK_BYTES: usize = 4096;
 
-const TAG_BLOB: u8 = 1;
+/// The one record type. Tag 1 was version 1's chunk blob and stays retired.
 const TAG_COMMIT: u8 = 2;
-/// Refuse absurd payload lengths outright instead of allocating them.
+/// Largest record payload: bounds what `open` allocates for a length read
+/// off disk, and with it the largest snapshot `commit` accepts.
 const MAX_PAYLOAD: u32 = 256 * 1024 * 1024;
 /// Record header: magic + version + tag + len.
 const HEADER: usize = 4 + 1 + 1 + 4;
@@ -67,58 +73,19 @@ const DEFAULT_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 
 const FNV32_BASIS: u32 = 0x811c_9dc5;
 const FNV32_PRIME: u32 = 0x0100_0193;
-const FNV64_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a32(mut h: u32, bytes: &[u8]) -> u32 {
+/// 32-bit FNV-1a record checksum. The framing idiom (checksum over
+/// everything after the magic) is `pac-net`'s; the function is not — wire
+/// frames carry `pac_net::wire::checksum`, this on-disk format keeps the
+/// byte-serial FNV-1a of version 1, so a record of either version verifies
+/// the same way and `open` can tell a foreign version from a torn tail.
+pub fn checksum(bytes: &[u8]) -> u32 {
+    let mut h = FNV32_BASIS;
     for &b in bytes {
         h ^= b as u32;
         h = h.wrapping_mul(FNV32_PRIME);
     }
     h
-}
-
-/// 32-bit FNV-1a record checksum. The framing idiom (checksum over
-/// everything after the magic) is `pac-net`'s; the function is not — wire
-/// frames carry `pac_net::wire::checksum`, this on-disk format keeps the
-/// byte-serial FNV-1a its existing logs were written with.
-pub fn checksum(bytes: &[u8]) -> u32 {
-    fnv1a32(FNV32_BASIS, bytes)
-}
-
-/// 64-bit FNV-1a content hash used as the dedup key for snapshot chunks.
-pub fn content_hash(bytes: &[u8]) -> u64 {
-    let mut h = FNV64_BASIS;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV64_PRIME);
-    }
-    h
-}
-
-/// [`content_hash`] of every [`CHUNK_BYTES`] chunk of `payload`, in order.
-///
-/// FNV-1a is one dependent multiply per byte, so a single chain leaves
-/// the multiplier idle most of the time; four whole chunks are hashed per
-/// pass in independent chains instead. Same values, chunk for chunk.
-fn chunk_hashes(payload: &[u8]) -> Vec<u64> {
-    let mut hashes = Vec::with_capacity(payload.len().div_ceil(CHUNK_BYTES));
-    let mut quads = payload.chunks_exact(4 * CHUNK_BYTES);
-    for quad in &mut quads {
-        let (a, rest) = quad.split_at(CHUNK_BYTES);
-        let (b, rest) = rest.split_at(CHUNK_BYTES);
-        let (c, d) = rest.split_at(CHUNK_BYTES);
-        let mut h = [FNV64_BASIS; 4];
-        for (((&a, &b), &c), &d) in a.iter().zip(b).zip(c).zip(d) {
-            h[0] = (h[0] ^ a as u64).wrapping_mul(FNV64_PRIME);
-            h[1] = (h[1] ^ b as u64).wrapping_mul(FNV64_PRIME);
-            h[2] = (h[2] ^ c as u64).wrapping_mul(FNV64_PRIME);
-            h[3] = (h[3] ^ d as u64).wrapping_mul(FNV64_PRIME);
-        }
-        hashes.extend(h);
-    }
-    hashes.extend(quads.remainder().chunks(CHUNK_BYTES).map(content_hash));
-    hashes
 }
 
 /// A typed failure of the store. Same discipline as `NetError`: corrupt or
@@ -141,10 +108,13 @@ pub enum StoreError {
         /// CRC carried in the record trailer.
         got: u32,
     },
-    /// A record declared a payload longer than the store accepts.
+    /// A record payload of this many bytes is longer than the store
+    /// accepts: declared by a record on disk, or asked of
+    /// [`Store::commit`] (the snapshot plus its metadata must fit one
+    /// record).
     Oversize(u64),
-    /// A structurally invalid record or commit (bad lengths, missing
-    /// chunks, hash mismatch).
+    /// A structurally invalid record or commit (bad lengths, a commit out
+    /// of sequence).
     Malformed(&'static str),
     /// The [`CrashPoint`] adversary tore the writer down mid-append. The
     /// store behaves as a killed process from here on: every further write
@@ -215,48 +185,6 @@ pub struct Committed {
     pub meta: Vec<u8>,
 }
 
-/// Cross-tenant dedup accounting: how much payload a store *didn't* have
-/// to hold because a commit referenced chunks an earlier commit already
-/// stored. Near-identical personal adapters (same backbone, same shapes,
-/// slightly different weights) share most of their 4 KiB chunks, so these
-/// numbers are the registry's "bytes saved by multi-tenancy" ledger.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DedupStats {
-    /// Chunk references resolved against an already-resident chunk.
-    pub chunks_deduped: u64,
-    /// Payload bytes those shared chunks covered (the storage avoided).
-    pub bytes_shared: u64,
-}
-
-fn note_dedup(stats: &mut DedupStats, chunk_len: usize) {
-    stats.chunks_deduped += 1;
-    stats.bytes_shared += chunk_len as u64;
-    pac_telemetry::counter_inc("store.dedup_hits");
-    pac_telemetry::counter_inc("store.chunks_deduped");
-    pac_telemetry::counter_add("store.bytes_shared", chunk_len as u64);
-}
-
-/// Reassembles a committed payload from its chunk-hash list.
-fn reassemble(
-    chunks: &HashMap<u64, Vec<u8>>,
-    hashes: &[u64],
-    payload_len: u64,
-) -> Result<Vec<u8>, StoreError> {
-    let mut payload = Vec::with_capacity((payload_len as usize).min(1 << 20));
-    for h in hashes {
-        let chunk = chunks
-            .get(h)
-            .ok_or(StoreError::Malformed("committed chunk missing from log"))?;
-        payload.extend_from_slice(chunk);
-    }
-    if payload.len() as u64 != payload_len {
-        return Err(StoreError::Malformed(
-            "reassembled snapshot length mismatch",
-        ));
-    }
-    Ok(payload)
-}
-
 /// What [`DiskStore::open`] found and did: how much log it scanned, how
 /// many commits survived, and how many torn-tail bytes it truncated.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -265,8 +193,6 @@ pub struct OpenReport {
     pub segments: usize,
     /// Committed snapshots found in the log.
     pub commits: u64,
-    /// Unique chunk blobs found in the log.
-    pub blobs: usize,
     /// Valid log bytes retained.
     pub bytes_kept: u64,
     /// Torn or corrupt tail bytes truncated away (0 for a clean log).
@@ -278,7 +204,9 @@ pub struct OpenReport {
 /// byte-identical; [`DiskStore`] survives `kill -9`.
 pub trait Store {
     /// Atomically commits one snapshot payload plus caller cursor
-    /// metadata; returns the commit sequence number.
+    /// metadata; returns the commit sequence number. A snapshot that does
+    /// not fit one record (see the crate docs) is refused with
+    /// [`StoreError::Oversize`] and nothing is written.
     fn commit(&mut self, payload: &[u8], meta: &[u8]) -> Result<u64, StoreError>;
     /// The latest committed snapshot, if any.
     fn latest(&self) -> Result<Option<Committed>, StoreError>;
@@ -288,10 +216,6 @@ pub trait Store {
     fn committed(&self, seq: u64) -> Result<Option<Committed>, StoreError>;
     /// Number of snapshots committed so far (including recovered ones).
     fn commits(&self) -> u64;
-    /// Cross-commit chunk sharing observed through this handle.
-    fn dedup_stats(&self) -> DedupStats {
-        DedupStats::default()
-    }
     /// Arms the [`CrashPoint`] adversary: the writer dies `at_byte` bytes
     /// into its subsequent appends. No-op for stores without a writer to
     /// kill (the in-memory impl).
@@ -300,17 +224,40 @@ pub trait Store {
     }
 }
 
-/// Volatile [`Store`]: commits live in process memory, chunked and
-/// content-addressed exactly like [`DiskStore`] (same 4 KiB chunks, same
-/// dedup key, same collision rejection) but with no durability. The
-/// default store for in-process tests and the loopback serve demo, where
-/// dedup accounting still matters but `kill -9` does not.
+/// Every commit a store holds, indexed by seq: `(payload, meta)`.
+type Log = Vec<(Vec<u8>, Vec<u8>)>;
+
+fn read_back(log: &Log, seq: u64) -> Option<Committed> {
+    let (payload, meta) = log.get(usize::try_from(seq).ok()?)?;
+    Some(Committed {
+        seq,
+        payload: payload.clone(),
+        meta: meta.clone(),
+    })
+}
+
+/// Length of the commit record payload that carries `payload_len` snapshot
+/// bytes and `meta_len` metadata bytes, or [`StoreError::Oversize`] when
+/// one record cannot hold them. Both stores refuse the same commits, so a
+/// run that passes over a [`MemStore`] also fits a [`DiskStore`], and
+/// nothing is acknowledged that [`DiskStore::open`] would read back as a
+/// torn tail.
+fn commit_body_len(payload_len: usize, meta_len: usize) -> Result<u32, StoreError> {
+    let body = (payload_len as u64)
+        .saturating_add(meta_len as u64)
+        .saturating_add(8 + 4);
+    if body > MAX_PAYLOAD as u64 {
+        return Err(StoreError::Oversize(body));
+    }
+    Ok(body as u32)
+}
+
+/// Volatile [`Store`]: commits live in process memory, with no durability.
+/// The default store for in-process tests and the serve platform, where
+/// `kill -9` does not matter.
 #[derive(Debug, Default)]
 pub struct MemStore {
-    chunks: HashMap<u64, Vec<u8>>,
-    // Per commit: chunk-hash list, payload length, caller metadata.
-    log: Vec<(Vec<u64>, u64, Vec<u8>)>,
-    stats: DedupStats,
+    log: Log,
 }
 
 impl MemStore {
@@ -318,28 +265,12 @@ impl MemStore {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Bytes held by unique chunks (what dedup actually keeps resident).
-    pub fn chunk_bytes(&self) -> u64 {
-        self.chunks.values().map(|c| c.len() as u64).sum()
-    }
 }
 
 impl Store for MemStore {
     fn commit(&mut self, payload: &[u8], meta: &[u8]) -> Result<u64, StoreError> {
-        let hashes = chunk_hashes(payload);
-        for (chunk, &hash) in payload.chunks(CHUNK_BYTES).zip(&hashes) {
-            match self.chunks.get(&hash) {
-                Some(existing) if existing == chunk => {
-                    note_dedup(&mut self.stats, chunk.len());
-                }
-                Some(_) => return Err(StoreError::Malformed("chunk hash collision")),
-                None => {
-                    self.chunks.insert(hash, chunk.to_vec());
-                }
-            }
-        }
-        self.log.push((hashes, payload.len() as u64, meta.to_vec()));
+        commit_body_len(payload.len(), meta.len())?;
+        self.log.push((payload.to_vec(), meta.to_vec()));
         Ok(self.log.len() as u64 - 1)
     }
 
@@ -348,22 +279,11 @@ impl Store for MemStore {
     }
 
     fn committed(&self, seq: u64) -> Result<Option<Committed>, StoreError> {
-        let Some((hashes, payload_len, meta)) = self.log.get(seq as usize) else {
-            return Ok(None);
-        };
-        Ok(Some(Committed {
-            seq,
-            payload: reassemble(&self.chunks, hashes, *payload_len)?,
-            meta: meta.clone(),
-        }))
+        Ok(read_back(&self.log, seq))
     }
 
     fn commits(&self) -> u64 {
         self.log.len() as u64
-    }
-
-    fn dedup_stats(&self) -> DedupStats {
-        self.stats
     }
 }
 
@@ -377,13 +297,9 @@ pub struct DiskStore {
     seg_len: u64,
     segment_bytes: u64,
     segments: usize,
-    chunks: HashMap<u64, Vec<u8>>,
-    // Per commit, indexed by seq: chunk-hash list, payload length, meta.
-    log: Vec<(Vec<u64>, u64, Vec<u8>)>,
-    commits: u64,
+    log: Log,
     commit_sizes: Vec<u64>,
     bytes_written: u64,
-    stats: DedupStats,
     crash: Option<(u64, u64)>,
 }
 
@@ -391,36 +307,28 @@ fn segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("seg-{index:06}.wal"))
 }
 
-fn encode_record(tag: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER + payload.len() + 4);
+fn encode_commit(seq: u64, payload: &[u8], meta: &[u8]) -> Result<Vec<u8>, StoreError> {
+    let len = commit_body_len(payload.len(), meta.len())?;
+    let mut out = Vec::with_capacity(HEADER + len as usize + 4);
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
-    out.push(tag);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.push(TAG_COMMIT);
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&(meta.len() as u32).to_le_bytes());
+    out.extend_from_slice(meta);
     out.extend_from_slice(payload);
     let crc = checksum(&out[4..]);
     out.extend_from_slice(&crc.to_le_bytes());
-    out
+    Ok(out)
 }
 
-/// One record parsed off the log during the open scan.
-enum Record<'a> {
-    Blob {
-        hash: u64,
-        data: &'a [u8],
-    },
-    Commit {
-        seq: u64,
-        payload_len: u64,
-        meta: &'a [u8],
-        hashes: Vec<u64>,
-    },
-}
-
-/// Parses the record starting at `bytes[0..]`. Returns the record and its
-/// total encoded length, or a typed reason the bytes are not a record —
-/// the open scan treats any error as the start of the torn tail.
-fn parse_record(bytes: &[u8]) -> Result<(Record<'_>, usize), StoreError> {
+/// The whole record at the front of `bytes`: its `version..payload` bytes
+/// (what the CRC covers, verified) and its total encoded length. Version
+/// and tag are not looked at: every version of the format frames its
+/// records this way. An error is a typed reason the bytes are not a whole
+/// record — the open scan treats any of them as the start of the torn tail.
+fn whole_record(bytes: &[u8]) -> Result<(&[u8], usize), StoreError> {
     if bytes.len() < HEADER + 4 {
         return Err(StoreError::Malformed("incomplete record header"));
     }
@@ -429,10 +337,6 @@ fn parse_record(bytes: &[u8]) -> Result<(Record<'_>, usize), StoreError> {
         m.copy_from_slice(&bytes[..4]);
         return Err(StoreError::BadMagic(m));
     }
-    if bytes[4] != VERSION {
-        return Err(StoreError::BadVersion(bytes[4]));
-    }
-    let tag = bytes[5];
     let len = u32::from_le_bytes([bytes[6], bytes[7], bytes[8], bytes[9]]);
     if len > MAX_PAYLOAD {
         return Err(StoreError::Oversize(len as u64));
@@ -441,73 +345,58 @@ fn parse_record(bytes: &[u8]) -> Result<(Record<'_>, usize), StoreError> {
     if bytes.len() < total {
         return Err(StoreError::Malformed("record extends past end of segment"));
     }
-    let payload = &bytes[HEADER..HEADER + len as usize];
-    let got = u32::from_le_bytes([
-        bytes[total - 4],
-        bytes[total - 3],
-        bytes[total - 2],
-        bytes[total - 1],
-    ]);
-    let expected = checksum(&bytes[4..HEADER + len as usize]);
+    let (covered, trailer) = bytes[4..total].split_at(total - 8);
+    let got = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
+    let expected = checksum(covered);
     if got != expected {
         return Err(StoreError::BadChecksum { expected, got });
     }
-    let record = match tag {
-        TAG_BLOB => {
-            if payload.len() < 8 {
-                return Err(StoreError::Malformed("blob record shorter than its hash"));
-            }
-            let hash = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-            let data = &payload[8..];
-            if content_hash(data) != hash {
-                return Err(StoreError::Malformed(
-                    "blob content does not match its hash",
-                ));
-            }
-            Record::Blob { hash, data }
-        }
-        TAG_COMMIT => {
-            if payload.len() < 8 + 8 + 4 {
-                return Err(StoreError::Malformed("commit record header truncated"));
-            }
-            let seq = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-            let payload_len = u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes"));
-            let meta_len =
-                u32::from_le_bytes(payload[16..20].try_into().expect("4 bytes")) as usize;
-            let rest = &payload[20..];
-            if rest.len() < meta_len + 4 {
-                return Err(StoreError::Malformed("commit meta extends past record"));
-            }
-            let meta = &rest[..meta_len];
-            let count =
-                u32::from_le_bytes(rest[meta_len..meta_len + 4].try_into().expect("4 bytes"))
-                    as usize;
-            let hash_bytes = &rest[meta_len + 4..];
-            if hash_bytes.len() != count * 8 {
-                return Err(StoreError::Malformed("commit hash list length mismatch"));
-            }
-            let hashes = hash_bytes
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-                .collect();
-            Record::Commit {
-                seq,
-                payload_len,
-                meta,
-                hashes,
-            }
-        }
-        other => return Err(StoreError::BadTag(other)),
-    };
-    Ok((record, total))
+    Ok((covered, total))
+}
+
+/// One commit record read off the log during the open scan.
+struct Commit<'a> {
+    seq: u64,
+    meta: &'a [u8],
+    payload: &'a [u8],
+}
+
+/// Decodes the CRC-verified `version..payload` bytes of a record. These
+/// bytes are what some writer made durable, so an error here is not a torn
+/// tail: the open scan returns it and touches nothing.
+fn decode_commit(covered: &[u8]) -> Result<Commit<'_>, StoreError> {
+    if covered[0] != VERSION {
+        return Err(StoreError::BadVersion(covered[0]));
+    }
+    if covered[1] != TAG_COMMIT {
+        return Err(StoreError::BadTag(covered[1]));
+    }
+    // `covered` starts behind the magic: version, tag, len, then the body.
+    let body = &covered[HEADER - 4..];
+    if body.len() < 8 + 4 {
+        return Err(StoreError::Malformed("commit record header truncated"));
+    }
+    let seq = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
+    let meta_len = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes")) as usize;
+    let rest = &body[12..];
+    if rest.len() < meta_len {
+        return Err(StoreError::Malformed("commit meta extends past record"));
+    }
+    let (meta, payload) = rest.split_at(meta_len);
+    Ok(Commit { seq, meta, payload })
 }
 
 impl DiskStore {
     /// Opens (or creates) a store at `dir`, recovering from any torn tail:
     /// the log is scanned front to back, every record CRC-verified, and
-    /// the first invalid or incomplete record — plus everything after it —
-    /// truncated away. Returns the recovered store and a typed report of
-    /// what was kept and what was dropped.
+    /// the first incomplete or CRC-failing record — plus everything after
+    /// it — truncated away. Returns the recovered store and a typed report
+    /// of what was kept and what was dropped.
+    ///
+    /// # Errors
+    /// A record that passes its CRC but is not the next commit of this
+    /// format ([`StoreError::BadVersion`], [`StoreError::BadTag`],
+    /// [`StoreError::Malformed`]) fails the open with no file modified.
     pub fn open(dir: impl AsRef<Path>) -> Result<(Self, OpenReport), StoreError> {
         Self::open_with_segment_bytes(dir, DEFAULT_SEGMENT_BYTES)
     }
@@ -539,9 +428,7 @@ impl DiskStore {
             File::create(segment_path(&dir, 0))?;
         }
 
-        let mut chunks: HashMap<u64, Vec<u8>> = HashMap::new();
-        let mut log: Vec<(Vec<u64>, u64, Vec<u8>)> = Vec::new();
-        let mut commits = 0u64;
+        let mut log = Log::new();
         let mut report = OpenReport::default();
         // (segment index, byte offset) where the valid log ends.
         let mut cut: Option<(u64, u64)> = None;
@@ -551,45 +438,17 @@ impl DiskStore {
             File::open(segment_path(&dir, idx))?.read_to_end(&mut bytes)?;
             let mut off = 0usize;
             while off < bytes.len() {
-                match parse_record(&bytes[off..]) {
-                    Ok((record, total)) => {
-                        match record {
-                            Record::Blob { hash, data } => {
-                                chunks.entry(hash).or_insert_with(|| data.to_vec());
-                            }
-                            Record::Commit {
-                                seq,
-                                payload_len,
-                                meta,
-                                hashes,
-                            } => {
-                                let known: u64 = hashes
-                                    .iter()
-                                    .map(|h| chunks.get(h).map_or(0, |c| c.len() as u64))
-                                    .sum();
-                                if hashes.iter().any(|h| !chunks.contains_key(h))
-                                    || known != payload_len
-                                {
-                                    // A commit referencing chunks the log
-                                    // does not hold is as torn as a bad CRC.
-                                    cut = Some((idx, off as u64));
-                                    break 'scan;
-                                }
-                                // `seq` is informational; recovery indexes
-                                // commits by their order in the log.
-                                let _ = seq;
-                                log.push((hashes, payload_len, meta.to_vec()));
-                                commits += 1;
-                            }
-                        }
-                        off += total;
-                        report.bytes_kept += total as u64;
-                    }
-                    Err(_) => {
-                        cut = Some((idx, off as u64));
-                        break 'scan;
-                    }
+                let Ok((covered, total)) = whole_record(&bytes[off..]) else {
+                    cut = Some((idx, off as u64));
+                    break 'scan;
+                };
+                let commit = decode_commit(covered)?;
+                if commit.seq != log.len() as u64 {
+                    return Err(StoreError::Malformed("commit record out of sequence"));
                 }
+                log.push((commit.payload.to_vec(), commit.meta.to_vec()));
+                off += total;
+                report.bytes_kept += total as u64;
             }
         }
 
@@ -617,8 +476,7 @@ impl DiskStore {
         let seg_len = fs::metadata(segment_path(&dir, seg_index))?.len();
 
         report.segments = indices.len();
-        report.commits = commits;
-        report.blobs = chunks.len();
+        report.commits = log.len() as u64;
         pac_telemetry::gauge_set("store.segments", indices.len() as u64);
 
         Ok((
@@ -629,12 +487,9 @@ impl DiskStore {
                 seg_len,
                 segment_bytes,
                 segments: indices.len(),
-                chunks,
                 log,
-                commits,
                 commit_sizes: Vec::new(),
                 bytes_written: 0,
-                stats: DedupStats::default(),
                 crash: None,
             },
             report,
@@ -700,59 +555,14 @@ impl DiskStore {
 
 impl Store for DiskStore {
     fn commit(&mut self, payload: &[u8], meta: &[u8]) -> Result<u64, StoreError> {
+        let seq = self.log.len() as u64;
+        let record = encode_commit(seq, payload, meta)?;
         self.maybe_rotate()?;
-        let before = self.bytes_written;
-
-        // Phase 1: append every chunk blob this snapshot needs and does
-        // not already share with an earlier one.
-        let hashes = chunk_hashes(payload);
-        let mut wrote_blob = false;
-        for (chunk, &hash) in payload.chunks(CHUNK_BYTES).zip(&hashes) {
-            match self.chunks.get(&hash) {
-                // Content-addressed hit: only trust the hash when the
-                // bytes really are identical.
-                Some(existing) if existing == chunk => {
-                    note_dedup(&mut self.stats, chunk.len());
-                    continue;
-                }
-                Some(_) => {
-                    return Err(StoreError::Malformed("chunk hash collision"));
-                }
-                None => {}
-            }
-            let mut blob = Vec::with_capacity(8 + chunk.len());
-            blob.extend_from_slice(&hash.to_le_bytes());
-            blob.extend_from_slice(chunk);
-            let rec = encode_record(TAG_BLOB, &blob);
-            self.write_raw(&rec)?;
-            self.chunks.insert(hash, chunk.to_vec());
-            wrote_blob = true;
-        }
-
-        // Phase 2: fsync barrier — the commit record must never be durable
-        // before the chunks it references.
-        if wrote_blob {
-            self.seg_file.sync_data()?;
-        }
-
-        // Phase 3: the commit record, then make it durable.
-        let seq = self.commits;
-        let mut body = Vec::with_capacity(8 + 8 + 4 + meta.len() + 4 + hashes.len() * 8);
-        body.extend_from_slice(&seq.to_le_bytes());
-        body.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        body.extend_from_slice(&(meta.len() as u32).to_le_bytes());
-        body.extend_from_slice(meta);
-        body.extend_from_slice(&(hashes.len() as u32).to_le_bytes());
-        for h in &hashes {
-            body.extend_from_slice(&h.to_le_bytes());
-        }
-        let rec = encode_record(TAG_COMMIT, &body);
-        self.write_raw(&rec)?;
+        self.write_raw(&record)?;
         self.seg_file.sync_data()?;
 
-        self.log.push((hashes, payload.len() as u64, meta.to_vec()));
-        self.commits += 1;
-        self.commit_sizes.push(self.bytes_written - before);
+        self.log.push((payload.to_vec(), meta.to_vec()));
+        self.commit_sizes.push(record.len() as u64);
         Ok(seq)
     }
 
@@ -761,22 +571,11 @@ impl Store for DiskStore {
     }
 
     fn committed(&self, seq: u64) -> Result<Option<Committed>, StoreError> {
-        let Some((hashes, payload_len, meta)) = self.log.get(seq as usize) else {
-            return Ok(None);
-        };
-        Ok(Some(Committed {
-            seq,
-            payload: reassemble(&self.chunks, hashes, *payload_len)?,
-            meta: meta.clone(),
-        }))
+        Ok(read_back(&self.log, seq))
     }
 
     fn commits(&self) -> u64 {
-        self.commits
-    }
-
-    fn dedup_stats(&self) -> DedupStats {
-        self.stats
+        self.log.len() as u64
     }
 
     fn arm_crash(&mut self, at_byte: u64) {
@@ -787,36 +586,6 @@ impl Store for DiskStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    fn serial_chunk_hashes(payload: &[u8]) -> Vec<u64> {
-        payload.chunks(CHUNK_BYTES).map(content_hash).collect()
-    }
-
-    #[test]
-    fn interleaved_chunk_hashes_equal_content_hash_around_chunk_boundaries() {
-        let c = CHUNK_BYTES;
-        for len in [0, 1, c - 1, c, c + 1, 4 * c, 5 * c - 1, 8 * c, 9 * c + 7] {
-            // Period 251 does not divide a chunk, so every chunk differs.
-            let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-            assert_eq!(
-                chunk_hashes(&payload),
-                serial_chunk_hashes(&payload),
-                "payload of {len} bytes"
-            );
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn interleaved_chunk_hashes_equal_content_hash(
-            payload in prop::collection::vec(0u8..=u8::MAX, 0..10 * CHUNK_BYTES),
-        ) {
-            prop_assert_eq!(chunk_hashes(&payload), serial_chunk_hashes(&payload));
-        }
-    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("pac-store-test-{tag}-{}", std::process::id()));
@@ -852,26 +621,6 @@ mod tests {
         assert_eq!(last.seq, 1);
         assert_eq!(last.payload, b"snapshot-one-larger");
         assert_eq!(last.meta, b"meta-1");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn identical_payload_chunks_are_deduped() {
-        let dir = tmp_dir("dedup");
-        let payload: Vec<u8> = (0..3 * CHUNK_BYTES).map(|i| (i % 251) as u8).collect();
-        let (mut store, _) = DiskStore::open(&dir).expect("open");
-        store.commit(&payload, b"a").expect("first");
-        let before = store.bytes_written();
-        store.commit(&payload, b"b").expect("second");
-        let second_cost = store.bytes_written() - before;
-        // The second commit shares every chunk: it only pays for its
-        // commit record, far below one chunk.
-        assert!(
-            second_cost < CHUNK_BYTES as u64,
-            "dedup failed: second commit cost {second_cost} bytes"
-        );
-        let last = store.latest().expect("latest").expect("some");
-        assert_eq!(last.payload, payload);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -956,20 +705,111 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// A record framed by hand, not by `encode_commit`: any version, any
+    /// tag, a CRC that holds.
+    fn framed(version: u8, tag: u8, payload: &[u8]) -> Vec<u8> {
+        let mut rec = MAGIC.to_vec();
+        rec.push(version);
+        rec.push(tag);
+        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        rec.extend_from_slice(payload);
+        let crc = checksum(&rec[4..]);
+        rec.extend_from_slice(&crc.to_le_bytes());
+        rec
+    }
+
     #[test]
-    fn mem_store_dedups_chunks_with_accounting() {
-        let mut store = MemStore::new();
-        let payload: Vec<u8> = (0..3 * CHUNK_BYTES).map(|i| (i % 253) as u8).collect();
-        store.commit(&payload, b"a").expect("first");
-        assert_eq!(store.dedup_stats(), DedupStats::default());
-        store.commit(&payload, b"b").expect("second");
-        let stats = store.dedup_stats();
-        assert_eq!(stats.chunks_deduped, 3);
-        assert_eq!(stats.bytes_shared, payload.len() as u64);
-        // Unique chunk bytes did not grow on the second commit.
-        assert_eq!(store.chunk_bytes(), payload.len() as u64);
-        let last = store.latest().expect("latest").expect("some");
-        assert_eq!(last.payload, payload);
+    fn crc_valid_record_of_another_format_fails_open_and_is_not_truncated() {
+        // seq 5, no meta, no snapshot: a whole commit body, but never the
+        // next one of a log of zero or one commits.
+        let commit_body = [5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+        // (label, record, the typed error `open` must return, rendered)
+        let cases = [
+            // A version-1 log opens with a chunk blob: hash, then bytes.
+            (
+                "v1",
+                framed(1, 1, &[7u8; 24]),
+                "unsupported store version 1",
+            ),
+            (
+                "tag",
+                framed(VERSION, 9, &commit_body),
+                "unknown record tag 9",
+            ),
+            (
+                "short",
+                framed(VERSION, TAG_COMMIT, &commit_body[..11]),
+                "malformed record: commit record header truncated",
+            ),
+            (
+                "seq",
+                framed(VERSION, TAG_COMMIT, &commit_body),
+                "malformed record: commit record out of sequence",
+            ),
+        ];
+        for (label, record, want) in cases {
+            for prior in [0usize, 1] {
+                let dir = tmp_dir(&format!("foreign-{label}-{prior}"));
+                let (mut store, _) = DiskStore::open(&dir).expect("open");
+                for _ in 0..prior {
+                    store.commit(b"", b"").expect("prior commit");
+                }
+                drop(store);
+                let seg = segment_path(&dir, 0);
+                let mut bytes = fs::read(&seg).expect("read segment");
+                bytes.extend_from_slice(&record);
+                fs::write(&seg, &bytes).expect("append foreign record");
+
+                let err = match DiskStore::open(&dir) {
+                    Err(e) => e,
+                    Ok((_, report)) => panic!("[{label}/{prior}] opened: {report:?}"),
+                };
+                assert_eq!(err.to_string(), want, "[{label}/{prior}]");
+                assert_eq!(
+                    fs::read(&seg).expect("read segment"),
+                    bytes,
+                    "[{label}/{prior}] the refused log was modified"
+                );
+                fs::remove_dir_all(&dir).ok();
+            }
+        }
+    }
+
+    #[test]
+    fn oversize_commit_is_refused_before_a_byte_is_written() {
+        let max = MAX_PAYLOAD as usize;
+        assert_eq!(commit_body_len(max - 12, 0).expect("fits"), MAX_PAYLOAD);
+        assert_eq!(commit_body_len(0, max - 12).expect("fits"), MAX_PAYLOAD);
+        assert_eq!(commit_body_len(max - 20, 8).expect("fits"), MAX_PAYLOAD);
+        for (payload_len, meta_len) in [(max - 11, 0), (0, max - 11), (max - 19, 8)] {
+            assert!(matches!(
+                commit_body_len(payload_len, meta_len),
+                Err(StoreError::Oversize(n)) if n == MAX_PAYLOAD as u64 + 1
+            ));
+        }
+        assert!(matches!(
+            commit_body_len(usize::MAX, usize::MAX),
+            Err(StoreError::Oversize(_))
+        ));
+
+        // One byte over, through both stores. The zeroed allocation is
+        // never touched, so it costs address space, not memory.
+        let dir = tmp_dir("oversize");
+        let snapshot = vec![0u8; max - 19];
+        let mut mem = MemStore::new();
+        let (mut disk, _) = DiskStore::open(&dir).expect("open");
+        for store in [&mut mem as &mut dyn Store, &mut disk as &mut dyn Store] {
+            assert!(matches!(
+                store.commit(&snapshot, b"8 bytes!"),
+                Err(StoreError::Oversize(_))
+            ));
+            assert_eq!(store.commits(), 0);
+        }
+        assert_eq!(disk.bytes_written(), 0);
+        assert_eq!(fs::metadata(segment_path(&dir, 0)).expect("stat").len(), 0);
+        // The refusal is not a crash: the handle still commits.
+        disk.commit(b"fits", b"").expect("commit after refusal");
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

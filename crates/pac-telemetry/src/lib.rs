@@ -17,7 +17,7 @@
 //! `serve.route.warm` / `serve.route.cold` / `serve.route.fresh`,
 //! `serve.wait.ticks`, `serve.steps.serviced`, and
 //! `serve.jobs.completed` / `serve.jobs.faulted` — the fairness and
-//! hit-rate ledgers `pac-bench --serve` reports. Spans append `.ns` and
+//! hit-rate ledgers a `ServeReport` sums up. Spans append `.ns` and
 //! `.calls` to their base name.
 //!
 //! The registry is deliberately global (a process models one training
