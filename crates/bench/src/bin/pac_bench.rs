@@ -22,7 +22,7 @@
 //!    framed TCP channel, folded into a [`pac_cluster::LinkSpec::measured`]
 //!    and fed to the planner next to the paper's assumed 128 Mbps LAN.
 //! 4. **Cold restore** — reopening a durable [`pac_store::DiskStore`] log
-//!    of committed PACCKPT2 snapshots after a simulated `kill -9`: log scan
+//!    of committed PACCKPT3 snapshots after a simulated `kill -9`: log scan
 //!    alone, and the full open → decode → restore-into-module path a
 //!    restarted trainer pays before its first step.
 //! 5. **q8 storage and transport** — the Parallel-Adapters epoch, and
@@ -284,7 +284,7 @@ fn main() {
     // ---- 4. Cold restore: durable log open + decode + restore ----
     // A restarted trainer pays exactly this before its first step: scan the
     // segment log (CRC every record, truncate any torn tail), pull the
-    // latest committed snapshot, decode the PACCKPT2 framing, and load the
+    // latest committed snapshot, decode the PACCKPT3 framing, and load the
     // tensors into a live module. Each commit comes from a differently
     // seeded tuner; every snapshot in the log is scanned on open.
     let (restore_log_bytes, restore_commits) = {

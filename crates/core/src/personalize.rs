@@ -11,7 +11,7 @@
 use pac_data::Tokenizer;
 use pac_model::EncDecModel;
 use pac_nn::{cross_entropy, Adam, LrSchedule, Module, Optimizer};
-use pac_peft::{checkpoint, ActivationCache, CacheStats, CheckpointError, Technique, Tuner};
+use pac_peft::{ActivationCache, CacheStats, CheckpointError, Technique, TrainCheckpoint, Tuner};
 use pac_tensor::rng::seeded;
 use pac_tensor::{reduce, Result};
 
@@ -179,15 +179,16 @@ impl Personalizer {
     /// # Errors
     /// Propagates checkpoint serialization errors.
     pub fn export_adapter(&self) -> std::result::Result<Vec<u8>, CheckpointError> {
-        checkpoint::to_bytes(&self.tuner)
+        TrainCheckpoint::capture(&self.tuner, 0, 0, 0).to_bytes()
     }
 
     /// Imports a previously exported personalization.
     ///
     /// # Errors
-    /// Fails on malformed bytes or architecture mismatch.
+    /// Fails on malformed bytes or architecture mismatch; on error the
+    /// personalization is unchanged.
     pub fn import_adapter(&mut self, bytes: &[u8]) -> std::result::Result<(), CheckpointError> {
-        checkpoint::from_bytes(&mut self.tuner, bytes)
+        TrainCheckpoint::from_bytes(bytes)?.restore(&mut self.tuner)
     }
 
     /// Activation-cache statistics (entries, bytes, hits, misses).

@@ -4,7 +4,7 @@
 //! The paper fine-tunes *one* user's side network over a frozen backbone;
 //! a serve deployment multiplexes thousands of such users over the same
 //! backbone. Each user is a **tenant** owning exactly one personal adapter
-//! (side-network weights + Adam moments, serialized as a `PACCKPT2`
+//! (side-network weights + Adam moments, serialized as a `PACCKPT3`
 //! checkpoint). A tenant interacts with the platform in **bursts**: attach
 //! the adapter, run a few cached-training steps on the tenant's private
 //! rows, detach, publish the new adapter version.

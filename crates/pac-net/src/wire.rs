@@ -27,7 +27,7 @@ use pac_model::StageData;
 use pac_parallel::engine::MicroBatch;
 use pac_parallel::schedule::SimEvent;
 use pac_parallel::Schedule;
-use pac_tensor::{QTensor, Tensor};
+use pac_tensor::{bytes, QTensor, Tensor};
 use std::borrow::Borrow;
 use std::fmt;
 use std::io::Read;
@@ -135,60 +135,15 @@ impl From<std::io::Error> for NetError {
     }
 }
 
-const FNV_BASIS: u32 = 0x811c_9dc5;
-const FNV_PRIME: u32 = 0x0100_0193;
-/// Independent checksum lanes: one round consumes `4 * LANES` bytes.
-const LANES: usize = 8;
-
-/// One lane step: FNV-1a's xor-then-multiply over a whole word, then a
-/// rotation so the word's high byte reaches the bits the next multiply
-/// spreads (a multiply alone only carries differences upward). For a fixed
-/// `word` it permutes `h`, and for a fixed `h` it permutes `word` — xor,
-/// multiplication by an odd constant and rotation are all bijections —
-/// which is what the detection guarantee of [`checksum`] rests on.
-#[inline(always)]
-fn mix(h: u32, word: u32) -> u32 {
-    (h ^ word).wrapping_mul(FNV_PRIME).rotate_left(13)
-}
-
-/// The frame checksum: eight interleaved FNV-style lanes over
-/// little-endian `u32` words, so a round of 32 bytes is eight independent
-/// multiplies instead of 32 dependent ones.
+/// The frame checksum, `pac_tensor::bytes::checksum` (eight interleaved
+/// FNV-style lanes; any single corrupted byte is detected with certainty),
+/// shared with the `PACCKPT3` checkpoint trailer.
 ///
-/// Word `i` of the input goes to lane `i % 8`. After the last whole round
-/// the lanes are folded into one state in lane order, the remaining
-/// `len % 32` bytes are mixed in one at a time, and the input length goes
-/// in last, so inputs that differ only in trailing zero bytes differ.
-///
-/// Every step permutes the state for a fixed input and the input for a
-/// fixed state. One changed byte therefore changes exactly one lane (or
-/// the folded state) at the step that consumes it, and no later step can
-/// map two different states back together: **any single corrupted byte is
-/// detected with certainty**, as with the byte-serial FNV-1a this
-/// replaces; so is any corruption confined to one word of a whole round.
-///
-/// The frame checksum covers the header's version, tag, and length fields
+/// A frame's checksum covers the header's version, tag, and length fields
 /// *plus* the payload, so a bit-flip anywhere after the magic is caught —
 /// a flipped type tag cannot make a frame silently decode as a different
-/// (but structurally valid) message. Not cryptographic: it guards against
-/// truncation and corruption, not adversaries (the transport is a trusted
-/// LAN / loopback, per the paper's deployment model).
-pub fn checksum(bytes: &[u8]) -> u32 {
-    let mut lanes = [FNV_BASIS; LANES];
-    let mut rounds = bytes.chunks_exact(4 * LANES);
-    for round in &mut rounds {
-        for (lane, word) in lanes.iter_mut().zip(round.chunks_exact(4)) {
-            let word = u32::from_le_bytes(word.try_into().expect("chunks of four bytes"));
-            *lane = mix(*lane, word);
-        }
-    }
-    let folded = lanes.into_iter().fold(FNV_BASIS, mix);
-    let tailed = rounds
-        .remainder()
-        .iter()
-        .fold(folded, |h, &b| mix(h, b as u32));
-    mix(tailed, bytes.len() as u32)
-}
+/// (but structurally valid) message.
+pub use pac_tensor::bytes::checksum;
 
 /// Which role a freshly-accepted data connection plays, declared by the
 /// dialer in its first frame ([`Msg::LinkHdr`]).
@@ -521,15 +476,9 @@ impl Enc {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
     }
-    /// A run of floats as their little-endian bit patterns. Sized first
-    /// and filled chunk by chunk, which compiles to a copy on a
-    /// little-endian host and stays correct on a big-endian one.
+    /// A run of floats as their little-endian bit patterns.
     fn f32s(&mut self, xs: &[f32]) {
-        let start = self.buf.len();
-        self.buf.resize(start + xs.len() * 4, 0);
-        for (dst, x) in self.buf[start..].chunks_exact_mut(4).zip(xs) {
-            dst.copy_from_slice(&x.to_le_bytes());
-        }
+        bytes::put_f32s(&mut self.buf, xs);
     }
     fn dims(&mut self, dims: &[usize]) {
         self.u8(dims.len() as u8);
@@ -667,11 +616,7 @@ impl<'a> Dec<'a> {
     /// Inverse of [`Enc::f32s`]. Callers bound `n` against the payload
     /// first, so `n * 4` cannot overflow.
     fn f32s(&mut self, n: usize) -> Result<Vec<f32>, NetError> {
-        let bytes = self.take(n * 4)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("chunks of four bytes")))
-            .collect())
+        Ok(bytes::f32s_from_le(self.take(n * 4)?))
     }
     /// Rank-checked dimensions and their (saturating) element count.
     fn dims(&mut self) -> Result<(Vec<usize>, usize), NetError> {

@@ -2,151 +2,49 @@
 //!
 //! PAC's deployment story is "one backbone, many personalizations": the
 //! frozen backbone ships once, and each personalization is only the
-//! technique's trainable parameters — megabytes, not gigabytes. This module
-//! serializes exactly that trainable set in a small self-describing binary
-//! format:
+//! technique's trainable parameters — megabytes, not gigabytes. A
+//! [`TrainCheckpoint`] is exactly that trainable set plus what a run needs
+//! to resume it — per-parameter optimizer moments and the training cursor —
+//! in one small self-describing binary format, `PACCKPT3`:
 //!
 //! ```text
-//! magic "PACCKPT1" · u32 entry count · entries… · u32 FNV-1a checksum
-//! entry: u32 name len · name bytes · u32 rank · u64 dims… · f32 data…
-//! ```
-//!
-//! [`TrainCheckpoint`] extends this for *mid-run* recovery snapshots: it
-//! also carries per-parameter optimizer moments and the training cursor, so
-//! a session that loses a device can repartition and resume exactly where
-//! it stopped:
-//!
-//! ```text
-//! magic "PACCKPT2" · u64 epoch · u64 step · u64 adam_t · u32 entry count · entries…
-//!                  · u32 FNV-1a checksum
+//! magic "PACCKPT3" · u64 epoch · u64 step · u64 adam_t · u32 entry count · entries…
+//!                  · u32 checksum
 //! entry: u32 name len · name bytes · u32 rank · u64 dims… ·
 //!        u8 moment flags (bit0 = m, bit1 = v) · f32 value… · [f32 m…] · [f32 v…]
 //! ```
 //!
-//! All integers are little-endian. Both formats end in a 32-bit FNV-1a
-//! checksum over every preceding byte (the same framing idiom as
-//! `pac-net`'s wire protocol): a single flipped byte anywhere in the
-//! stream is rejected as [`CheckpointError::Format`] before any state is
-//! applied. Loading matches parameters by name and verifies shapes, so a
-//! checkpoint from a different architecture fails loudly instead of
-//! silently corrupting weights.
+//! All integers are little-endian and floats travel as their bit patterns.
+//! The trailer is [`pac_tensor::bytes::checksum`] over every preceding byte
+//! — the function that ends `pac-net`'s wire frames — so a single flipped
+//! byte anywhere is rejected as [`CheckpointError::Format`] with certainty.
+//! The checksum defines the format: `PACCKPT2` (the same layout under a
+//! byte-serial FNV-1a trailer, as an older build's `DiskStore` log may
+//! hold) is refused with a `Format` error that names it, and there is no
+//! reader for it or for the weights-only format before it.
+//!
+//! Encoding fills one buffer of [`TrainCheckpoint::size_bytes`] bytes.
+//! Decoding checks the magic, verifies the trailer over the whole buffer,
+//! then parses from a borrowed cursor: every length is checked against the
+//! bytes that remain before anything is allocated for it, and the last
+//! entry must end exactly at the trailer. Restoring matches parameters by
+//! name and checks every name, shape and the coverage both ways before it
+//! writes anything, so a snapshot from a different architecture fails
+//! loudly and leaves the module as it was.
 
 use pac_nn::Module;
-use pac_tensor::Tensor;
-use std::io::{self, Read, Write};
+use pac_tensor::{bytes, Tensor};
+use std::collections::HashMap;
 
-const MAGIC: &[u8; 8] = b"PACCKPT1";
-const TRAIN_MAGIC: &[u8; 8] = b"PACCKPT2";
-
-const FNV_BASIS: u32 = 0x811c_9dc5;
-const FNV_PRIME: u32 = 0x0100_0193;
-
-fn fnv1a(mut h: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        h ^= b as u32;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Writer shim that folds every written byte into a running FNV-1a hash;
-/// [`HashWriter::finish`] appends the 4-byte checksum trailer.
-struct HashWriter<'a, W: Write> {
-    inner: &'a mut W,
-    hash: u32,
-}
-
-impl<'a, W: Write> HashWriter<'a, W> {
-    fn new(inner: &'a mut W) -> Self {
-        HashWriter {
-            inner,
-            hash: FNV_BASIS,
-        }
-    }
-
-    fn finish(self) -> Result<(), CheckpointError> {
-        self.inner.write_all(&self.hash.to_le_bytes())?;
-        Ok(())
-    }
-}
-
-impl<W: Write> Write for HashWriter<'_, W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.inner.write_all(buf)?;
-        self.hash = fnv1a(self.hash, buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// Reader shim mirroring [`HashWriter`]; [`HashReader::verify_trailer`]
-/// reads the 4-byte checksum and rejects any stream whose bytes do not
-/// hash to it.
-struct HashReader<'a, R: Read> {
-    inner: &'a mut R,
-    hash: u32,
-}
-
-impl<'a, R: Read> HashReader<'a, R> {
-    fn new(inner: &'a mut R) -> Self {
-        HashReader {
-            inner,
-            hash: FNV_BASIS,
-        }
-    }
-
-    fn verify_trailer(self) -> Result<(), CheckpointError> {
-        let expected = self.hash;
-        let mut b = [0u8; 4];
-        self.inner.read_exact(&mut b)?;
-        let got = u32::from_le_bytes(b);
-        if got != expected {
-            return Err(CheckpointError::Format(format!(
-                "checksum mismatch: stream hashes to {expected:#010x}, trailer says {got:#010x}"
-            )));
-        }
-        Ok(())
-    }
-}
-
-impl<R: Read> Read for HashReader<'_, R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.hash = fnv1a(self.hash, &buf[..n]);
-        Ok(n)
-    }
-}
-
-/// Number of elements `dims` describes, rejecting products that overflow
-/// `usize` or exceed the plausibility bound — a flipped byte in a dim must
-/// never panic the decoder or drive a giant allocation.
-fn checked_numel(dims: &[usize]) -> Result<usize, CheckpointError> {
-    let numel = dims
-        .iter()
-        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-        .ok_or_else(|| CheckpointError::Format("tensor dimension product overflows".into()))?;
-    if numel > 1 << 30 {
-        return Err(CheckpointError::Format(format!(
-            "implausible tensor size {numel}"
-        )));
-    }
-    Ok(numel)
-}
-
-/// Preallocation cap for length-prefixed vectors: corrupt lengths within
-/// the plausibility bound must not transiently allocate gigabytes before
-/// the stream runs dry.
-const PREALLOC_CAP: usize = 1 << 16;
+const MAGIC: &[u8; 8] = b"PACCKPT3";
+/// The previous format's magic, refused by name.
+const OLD_MAGIC: &[u8; 8] = b"PACCKPT2";
 
 /// Errors produced by checkpoint (de)serialization.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// The byte stream is not a PAC checkpoint (bad magic or truncation).
+    /// The bytes are not a `PACCKPT3` checkpoint (bad magic, an older
+    /// format, checksum mismatch, truncation or trailing bytes).
     Format(String),
     /// The checkpoint does not match the module (missing/extra/mis-shaped
     /// parameters).
@@ -156,7 +54,6 @@ pub enum CheckpointError {
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
             CheckpointError::Format(m) => write!(f, "malformed checkpoint: {m}"),
             CheckpointError::Mismatch(m) => write!(f, "checkpoint mismatch: {m}"),
         }
@@ -165,144 +62,70 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-impl From<io::Error> for CheckpointError {
-    fn from(e: io::Error) -> Self {
-        CheckpointError::Io(e)
-    }
+fn format_err(m: impl Into<String>) -> CheckpointError {
+    CheckpointError::Format(m.into())
 }
 
-/// Serializes every *trainable* parameter of `module` into `w`.
-///
-/// # Errors
-/// Returns I/O errors from the writer.
-pub fn save_trainable<M: Module>(module: &M, w: &mut impl Write) -> Result<(), CheckpointError> {
-    let mut entries: Vec<(String, Tensor)> = Vec::new();
-    module.visit_params_ref(&mut |p| {
-        if p.trainable {
-            entries.push((p.name.clone(), p.value.clone()));
-        }
-    });
-    let mut hw = HashWriter::new(w);
-    hw.write_all(MAGIC)?;
-    hw.write_all(&(entries.len() as u32).to_le_bytes())?;
-    for (name, value) in &entries {
-        hw.write_all(&(name.len() as u32).to_le_bytes())?;
-        hw.write_all(name.as_bytes())?;
-        hw.write_all(&(value.rank() as u32).to_le_bytes())?;
-        for &d in value.dims() {
-            hw.write_all(&(d as u64).to_le_bytes())?;
-        }
-        for &v in value.data() {
-            hw.write_all(&v.to_le_bytes())?;
-        }
-    }
-    hw.finish()
+/// Borrowed parse position in a checksum-verified body.
+struct Cursor<'a> {
+    b: &'a [u8],
 }
 
-/// Deserializes a checkpoint previously written by [`save_trainable`] into
-/// `module`'s trainable parameters (matched by name).
-///
-/// # Errors
-/// Fails on malformed streams, unknown parameter names, shape mismatches,
-/// or trainable parameters missing from the checkpoint.
-pub fn load_trainable<M: Module>(module: &mut M, r: &mut impl Read) -> Result<(), CheckpointError> {
-    let mut hr = HashReader::new(r);
-    let mut magic = [0u8; 8];
-    hr.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(CheckpointError::Format("bad magic".into()));
-    }
-    let count = read_u32(&mut hr)? as usize;
-    let mut loaded: std::collections::HashMap<String, Tensor> = std::collections::HashMap::new();
-    for _ in 0..count {
-        let name_len = read_u32(&mut hr)? as usize;
-        if name_len > 4096 {
-            return Err(CheckpointError::Format(format!(
-                "implausible name length {name_len}"
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
+        if self.b.len() < n {
+            return Err(format_err(format!(
+                "truncated: {n} bytes wanted, {} left",
+                self.b.len()
             )));
         }
-        let mut name_bytes = vec![0u8; name_len];
-        hr.read_exact(&mut name_bytes)?;
-        let name = String::from_utf8(name_bytes)
-            .map_err(|_| CheckpointError::Format("non-UTF-8 parameter name".into()))?;
-        let rank = read_u32(&mut hr)? as usize;
-        if rank > 8 {
-            return Err(CheckpointError::Format(format!("implausible rank {rank}")));
-        }
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(read_u64(&mut hr)? as usize);
-        }
-        let numel = checked_numel(&dims)?;
-        let mut data = Vec::with_capacity(numel.min(PREALLOC_CAP));
-        let mut buf = [0u8; 4];
-        for _ in 0..numel {
-            hr.read_exact(&mut buf)?;
-            data.push(f32::from_le_bytes(buf));
-        }
-        let t = Tensor::from_vec(data, dims)
-            .map_err(|e| CheckpointError::Format(format!("tensor rebuild failed: {e}")))?;
-        loaded.insert(name, t);
+        let (head, tail) = self.b.split_at(n);
+        self.b = tail;
+        Ok(head)
     }
-    // Reject any damaged stream *before* touching the module.
-    hr.verify_trailer()?;
 
-    // Apply, verifying full coverage both ways.
-    let mut error: Option<CheckpointError> = None;
-    let mut applied = 0usize;
-    module.visit_params(&mut |p| {
-        if !p.trainable || error.is_some() {
-            return;
-        }
-        match loaded.get(&p.name) {
-            Some(t) if t.dims() == p.value.dims() => {
-                p.value = t.clone();
-                applied += 1;
-            }
-            Some(t) => {
-                error = Some(CheckpointError::Mismatch(format!(
-                    "{}: shape {:?} vs checkpoint {:?}",
-                    p.name,
-                    p.value.dims(),
-                    t.dims()
-                )));
-            }
-            None => {
-                error = Some(CheckpointError::Mismatch(format!(
-                    "trainable parameter {} absent from checkpoint",
-                    p.name
-                )));
-            }
-        }
-    });
-    if let Some(e) = error {
-        return Err(e);
+    fn u8(&mut self) -> Result<u8, CheckpointError> {
+        Ok(self.take(1)?[0])
     }
-    if applied != loaded.len() {
-        return Err(CheckpointError::Mismatch(format!(
-            "checkpoint has {} entries but module consumed {applied}",
-            loaded.len()
-        )));
+
+    fn u32(&mut self) -> Result<u32, CheckpointError> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
-    Ok(())
+
+    fn u64(&mut self) -> Result<u64, CheckpointError> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
+    }
+
+    /// `numel` floats shaped `dims`; the bytes are checked to be there
+    /// before the tensor is allocated.
+    fn tensor(&mut self, dims: &[usize], numel: usize) -> Result<Tensor, CheckpointError> {
+        if numel > self.b.len() / 4 {
+            return Err(format_err(format!(
+                "truncated: {numel} floats wanted, {} bytes left",
+                self.b.len()
+            )));
+        }
+        let data = bytes::f32s_from_le(self.take(4 * numel)?);
+        Tensor::from_vec(data, dims.to_vec())
+            .map_err(|e| format_err(format!("tensor rebuild failed: {e}")))
+    }
 }
 
-/// Serializes to an in-memory buffer.
-///
-/// # Errors
-/// Propagates [`save_trainable`] errors (none for in-memory writers).
-pub fn to_bytes<M: Module>(module: &M) -> Result<Vec<u8>, CheckpointError> {
-    let mut out = Vec::new();
-    save_trainable(module, &mut out)?;
-    Ok(out)
-}
-
-/// Deserializes from an in-memory buffer.
-///
-/// # Errors
-/// Propagates [`load_trainable`] errors.
-pub fn from_bytes<M: Module>(module: &mut M, bytes: &[u8]) -> Result<(), CheckpointError> {
-    load_trainable(module, &mut &bytes[..])
+/// Number of elements `dims` describes, rejecting products that overflow
+/// or exceed the plausibility bound.
+fn checked_numel(dims: &[usize]) -> Result<usize, CheckpointError> {
+    let numel = dims
+        .iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+        .ok_or_else(|| format_err("tensor dimension product overflows"))?;
+    if numel > 1 << 30 {
+        return Err(format_err(format!("implausible tensor size {numel}")));
+    }
+    Ok(numel)
 }
 
 /// One trainable parameter's full training state inside a
@@ -313,6 +136,43 @@ struct TrainEntry {
     value: Tensor,
     opt_m: Option<Tensor>,
     opt_v: Option<Tensor>,
+}
+
+impl TrainEntry {
+    fn parse(c: &mut Cursor<'_>) -> Result<Self, CheckpointError> {
+        let name_len = c.u32()? as usize;
+        if name_len > 4096 {
+            return Err(format_err(format!("implausible name length {name_len}")));
+        }
+        let name = std::str::from_utf8(c.take(name_len)?)
+            .map_err(|_| format_err("non-UTF-8 parameter name"))?
+            .to_owned();
+        let rank = c.u32()? as usize;
+        if rank > 8 {
+            return Err(format_err(format!("implausible rank {rank}")));
+        }
+        let dims = (0..rank)
+            .map(|_| usize::try_from(c.u64()?).map_err(|_| format_err("dimension overflows usize")))
+            .collect::<Result<Vec<_>, _>>()?;
+        let numel = checked_numel(&dims)?;
+        let flags = c.u8()?;
+        if flags > 3 {
+            return Err(format_err(format!("unknown moment flags {flags:#04x}")));
+        }
+        let value = c.tensor(&dims, numel)?;
+        let opt_m = (flags & 1 != 0)
+            .then(|| c.tensor(&dims, numel))
+            .transpose()?;
+        let opt_v = (flags & 2 != 0)
+            .then(|| c.tensor(&dims, numel))
+            .transpose()?;
+        Ok(TrainEntry {
+            name,
+            value,
+            opt_m,
+            opt_v,
+        })
+    }
 }
 
 /// A lightweight mid-run recovery snapshot: trainable (adapter) parameter
@@ -381,23 +241,19 @@ impl TrainCheckpoint {
     /// # Errors
     /// Fails on unknown names, shape mismatches, or trainable parameters
     /// missing from the snapshot — the module must be the same
-    /// architecture the snapshot came from.
+    /// architecture the snapshot came from. Everything is checked before
+    /// anything is written: on error `module` is unchanged.
     pub fn restore<M: Module>(&self, module: &mut M) -> Result<(), CheckpointError> {
-        let by_name: std::collections::HashMap<&str, &TrainEntry> =
+        let by_name: HashMap<&str, &TrainEntry> =
             self.entries.iter().map(|e| (e.name.as_str(), e)).collect();
         let mut error: Option<CheckpointError> = None;
-        let mut applied = 0usize;
-        module.visit_params(&mut |p| {
+        let mut matched = 0usize;
+        module.visit_params_ref(&mut |p| {
             if !p.trainable || error.is_some() {
                 return;
             }
             match by_name.get(p.name.as_str()) {
-                Some(e) if e.value.dims() == p.value.dims() => {
-                    p.value = e.value.clone();
-                    p.opt_m = e.opt_m.clone();
-                    p.opt_v = e.opt_v.clone();
-                    applied += 1;
-                }
+                Some(e) if e.value.dims() == p.value.dims() => matched += 1,
                 Some(e) => {
                     error = Some(CheckpointError::Mismatch(format!(
                         "{}: shape {:?} vs snapshot {:?}",
@@ -417,127 +273,108 @@ impl TrainCheckpoint {
         if let Some(e) = error {
             return Err(e);
         }
-        if applied != self.entries.len() {
+        if matched != self.entries.len() {
             return Err(CheckpointError::Mismatch(format!(
-                "snapshot has {} entries but module consumed {applied}",
+                "snapshot has {} entries but module consumed {matched}",
                 self.entries.len()
             )));
         }
+        module.visit_params(&mut |p| {
+            if !p.trainable {
+                return;
+            }
+            if let Some(e) = by_name.get(p.name.as_str()) {
+                p.value = e.value.clone();
+                p.opt_m = e.opt_m.clone();
+                p.opt_v = e.opt_v.clone();
+            }
+        });
         Ok(())
     }
 
-    /// Serializes the snapshot (format in the module docs).
+    /// Serializes the snapshot (format in the module docs) into one buffer
+    /// of exactly [`TrainCheckpoint::size_bytes`] bytes.
     ///
     /// # Errors
-    /// Returns I/O errors from the writer.
-    pub fn write(&self, w: &mut impl Write) -> Result<(), CheckpointError> {
-        let mut hw = HashWriter::new(w);
-        hw.write_all(TRAIN_MAGIC)?;
-        hw.write_all(&self.epoch.to_le_bytes())?;
-        hw.write_all(&self.step.to_le_bytes())?;
-        hw.write_all(&self.adam_t.to_le_bytes())?;
-        hw.write_all(&(self.entries.len() as u32).to_le_bytes())?;
-        for e in &self.entries {
-            hw.write_all(&(e.name.len() as u32).to_le_bytes())?;
-            hw.write_all(e.name.as_bytes())?;
-            hw.write_all(&(e.value.rank() as u32).to_le_bytes())?;
-            for &d in e.value.dims() {
-                hw.write_all(&(d as u64).to_le_bytes())?;
-            }
-            let flags = u8::from(e.opt_m.is_some()) | (u8::from(e.opt_v.is_some()) << 1);
-            hw.write_all(&[flags])?;
-            for &v in e.value.data() {
-                hw.write_all(&v.to_le_bytes())?;
-            }
-            for t in [&e.opt_m, &e.opt_v].into_iter().flatten() {
-                for &v in t.data() {
-                    hw.write_all(&v.to_le_bytes())?;
-                }
-            }
-        }
-        hw.finish()
-    }
-
-    /// Serializes to an in-memory buffer.
-    ///
-    /// # Errors
-    /// Propagates [`TrainCheckpoint::write`] errors (none for in-memory
-    /// writers).
+    /// None: the codec only writes to memory. The `Result` is the
+    /// signature existing callers match on.
     pub fn to_bytes(&self) -> Result<Vec<u8>, CheckpointError> {
         let mut out = Vec::with_capacity(self.size_bytes());
-        self.write(&mut out)?;
+        out.extend_from_slice(MAGIC);
+        for v in [self.epoch, self.step, self.adam_t] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
+        for e in &self.entries {
+            out.extend_from_slice(&(e.name.len() as u32).to_le_bytes());
+            out.extend_from_slice(e.name.as_bytes());
+            out.extend_from_slice(&(e.value.rank() as u32).to_le_bytes());
+            for &d in e.value.dims() {
+                out.extend_from_slice(&(d as u64).to_le_bytes());
+            }
+            out.push(u8::from(e.opt_m.is_some()) | (u8::from(e.opt_v.is_some()) << 1));
+            bytes::put_f32s(&mut out, e.value.data());
+            for t in [&e.opt_m, &e.opt_v].into_iter().flatten() {
+                bytes::put_f32s(&mut out, t.data());
+            }
+        }
+        let sum = bytes::checksum(&out);
+        out.extend_from_slice(&sum.to_le_bytes());
+        debug_assert_eq!(out.len(), self.size_bytes());
         Ok(out)
     }
 
-    /// Deserializes a snapshot written by [`TrainCheckpoint::write`].
+    /// Deserializes a snapshot written by [`TrainCheckpoint::to_bytes`].
     ///
     /// # Errors
-    /// Fails on bad magic, truncation, or implausible dimensions.
-    pub fn read(r: &mut impl Read) -> Result<Self, CheckpointError> {
-        let mut hr = HashReader::new(r);
-        let mut magic = [0u8; 8];
-        hr.read_exact(&mut magic)?;
-        if &magic != TRAIN_MAGIC {
-            return Err(CheckpointError::Format("bad magic".into()));
+    /// [`CheckpointError::Format`] on a bad or older magic, a checksum
+    /// mismatch, truncation, implausible dimensions, or bytes after the
+    /// last entry.
+    pub fn from_bytes(input: &[u8]) -> Result<Self, CheckpointError> {
+        if input.len() < MAGIC.len() + 4 {
+            return Err(format_err(format!("truncated: {} bytes", input.len())));
         }
-        let epoch = read_u64(&mut hr)?;
-        let step = read_u64(&mut hr)?;
-        let adam_t = read_u64(&mut hr)?;
-        let count = read_u32(&mut hr)? as usize;
-        let mut entries = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            let name_len = read_u32(&mut hr)? as usize;
-            if name_len > 4096 {
-                return Err(CheckpointError::Format(format!(
-                    "implausible name length {name_len}"
-                )));
+        match &input[..MAGIC.len()] {
+            m if m == MAGIC => {}
+            m if m == OLD_MAGIC => {
+                return Err(format_err(
+                    "PACCKPT2 snapshot from an older build: this build reads PACCKPT3 only",
+                ))
             }
-            let mut name_bytes = vec![0u8; name_len];
-            hr.read_exact(&mut name_bytes)?;
-            let name = String::from_utf8(name_bytes)
-                .map_err(|_| CheckpointError::Format("non-UTF-8 parameter name".into()))?;
-            let rank = read_u32(&mut hr)? as usize;
-            if rank > 8 {
-                return Err(CheckpointError::Format(format!("implausible rank {rank}")));
-            }
-            let mut dims = Vec::with_capacity(rank);
-            for _ in 0..rank {
-                dims.push(read_u64(&mut hr)? as usize);
-            }
-            let numel = checked_numel(&dims)?;
-            let mut flags = [0u8; 1];
-            hr.read_exact(&mut flags)?;
-            let read_tensor = |r: &mut dyn Read| -> Result<Tensor, CheckpointError> {
-                let mut data = Vec::with_capacity(numel.min(PREALLOC_CAP));
-                let mut buf = [0u8; 4];
-                for _ in 0..numel {
-                    r.read_exact(&mut buf)?;
-                    data.push(f32::from_le_bytes(buf));
-                }
-                Tensor::from_vec(data, dims.clone())
-                    .map_err(|e| CheckpointError::Format(format!("tensor rebuild failed: {e}")))
-            };
-            let value = read_tensor(&mut hr)?;
-            let opt_m = if flags[0] & 1 != 0 {
-                Some(read_tensor(&mut hr)?)
-            } else {
-                None
-            };
-            let opt_v = if flags[0] & 2 != 0 {
-                Some(read_tensor(&mut hr)?)
-            } else {
-                None
-            };
-            entries.push(TrainEntry {
-                name,
-                value,
-                opt_m,
-                opt_v,
-            });
+            _ => return Err(format_err("bad magic")),
         }
-        // A snapshot that hashes wrong is corrupt, no matter how plausibly
-        // it parsed.
-        hr.verify_trailer()?;
+        let (body, trailer) = input.split_at(input.len() - 4);
+        let got = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
+        let expected = bytes::checksum(body);
+        if got != expected {
+            return Err(format_err(format!(
+                "checksum mismatch: bytes hash to {expected:#010x}, trailer says {got:#010x}"
+            )));
+        }
+
+        let mut c = Cursor {
+            b: &body[MAGIC.len()..],
+        };
+        let epoch = c.u64()?;
+        let step = c.u64()?;
+        let adam_t = c.u64()?;
+        let count = c.u32()? as usize;
+        // An entry takes at least its name length, rank and flags.
+        if count > c.b.len() / 9 {
+            return Err(format_err(format!(
+                "{count} entries cannot fit in {} bytes",
+                c.b.len()
+            )));
+        }
+        let entries = (0..count)
+            .map(|_| TrainEntry::parse(&mut c))
+            .collect::<Result<Vec<_>, _>>()?;
+        if !c.b.is_empty() {
+            return Err(format_err(format!(
+                "{} bytes after the last entry",
+                c.b.len()
+            )));
+        }
         Ok(TrainCheckpoint {
             epoch,
             step,
@@ -545,26 +382,6 @@ impl TrainCheckpoint {
             entries,
         })
     }
-
-    /// Deserializes from an in-memory buffer.
-    ///
-    /// # Errors
-    /// Propagates [`TrainCheckpoint::read`] errors.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        TrainCheckpoint::read(&mut &bytes[..])
-    }
-}
-
-fn read_u32(r: &mut impl Read) -> Result<u32, CheckpointError> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> Result<u64, CheckpointError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
 }
 
 #[cfg(test)]
@@ -581,6 +398,15 @@ mod tests {
         (0..b)
             .map(|_| (0..4).map(|_| rng.gen_range(0..64)).collect())
             .collect()
+    }
+
+    /// An adapter export: the trainable set at a zero cursor.
+    fn to_bytes<M: Module>(module: &M) -> Result<Vec<u8>, CheckpointError> {
+        TrainCheckpoint::capture(module, 0, 0, 0).to_bytes()
+    }
+
+    fn from_bytes<M: Module>(module: &mut M, bytes: &[u8]) -> Result<(), CheckpointError> {
+        TrainCheckpoint::from_bytes(bytes)?.restore(module)
     }
 
     #[test]
@@ -745,11 +571,6 @@ mod tests {
         let snap = TrainCheckpoint::capture(&t, 1, 7, 7);
         let bytes = snap.to_bytes().unwrap();
 
-        // PACCKPT1 bytes are not a train checkpoint (and vice versa).
-        assert!(matches!(
-            TrainCheckpoint::from_bytes(&to_bytes(&t).unwrap()),
-            Err(CheckpointError::Format(_))
-        ));
         // Truncation.
         assert!(TrainCheckpoint::from_bytes(&bytes[..bytes.len() / 2]).is_err());
         // Restoring into a different architecture fails loudly.
@@ -759,6 +580,48 @@ mod tests {
             snap.restore(&mut other),
             Err(CheckpointError::Mismatch(_))
         ));
+    }
+
+    #[test]
+    fn bytes_after_the_trailer_are_rejected() {
+        let cfg = ModelConfig::micro(1, 1, 16, 2);
+        let t = Tuner::new(Technique::parallel_default(), &cfg, 2, &mut seeded(728));
+        let bytes = TrainCheckpoint::capture(&t, 0, 1, 1).to_bytes().unwrap();
+        for tail in [&b"garbage"[..], &[0], &bytes[bytes.len() - 4..]] {
+            let mut long = bytes.clone();
+            long.extend_from_slice(tail);
+            assert!(
+                matches!(
+                    TrainCheckpoint::from_bytes(&long),
+                    Err(CheckpointError::Format(_))
+                ),
+                "{} trailing byte(s) accepted",
+                tail.len()
+            );
+        }
+    }
+
+    #[test]
+    fn rejected_restore_leaves_the_module_untouched() {
+        // The head is the last parameter visited: a restore that wrote while
+        // it validated had overwritten the whole side network by the time
+        // the head's shape failed.
+        let cfg = ModelConfig::micro(1, 1, 16, 2);
+        let mut donor = Tuner::new(Technique::parallel_default(), &cfg, 2, &mut seeded(726));
+        donor.visit_params(&mut |p| p.value.map_in_place(|v| v + 0.5));
+        let snap = TrainCheckpoint::capture(&donor, 0, 0, 0);
+        let mut recipient = Tuner::new(Technique::parallel_default(), &cfg, 3, &mut seeded(727));
+        let before = TrainCheckpoint::capture(&recipient, 0, 0, 0)
+            .to_bytes()
+            .unwrap();
+        assert!(matches!(
+            snap.restore(&mut recipient),
+            Err(CheckpointError::Mismatch(_))
+        ));
+        let after = TrainCheckpoint::capture(&recipient, 0, 0, 0)
+            .to_bytes()
+            .unwrap();
+        assert!(before == after, "a rejected restore wrote parameters");
     }
 
     #[test]

@@ -36,9 +36,7 @@ pub mod tuner;
 
 pub use adapters::AdapterTuner;
 pub use cache::{ActivationCache, CachePrecision, CacheStats};
-pub use checkpoint::{
-    from_bytes, load_trainable, save_trainable, to_bytes, CheckpointError, TrainCheckpoint,
-};
+pub use checkpoint::{CheckpointError, TrainCheckpoint};
 pub use full::FullTuner;
 pub use lora::LoraTuner;
 pub use memory::{MemoryBreakdown, MemoryModel};

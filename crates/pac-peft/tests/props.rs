@@ -3,7 +3,7 @@
 
 use pac_model::ModelConfig;
 use pac_nn::{cross_entropy, Module};
-use pac_peft::{checkpoint, ActivationCache, Technique, Tuner};
+use pac_peft::{ActivationCache, Technique, TrainCheckpoint, Tuner};
 use pac_tensor::rng::seeded;
 use proptest::prelude::*;
 use rand::Rng;
@@ -87,9 +87,9 @@ proptest! {
                 p.value.map_in_place(|v| v * 1.1 + 0.003);
             }
         });
-        let bytes = checkpoint::to_bytes(&donor).unwrap();
+        let bytes = TrainCheckpoint::capture(&donor, 0, 0, 0).to_bytes().unwrap();
         let mut recipient = Tuner::new(technique, &model, 2, &mut seeded(seed));
-        checkpoint::from_bytes(&mut recipient, &bytes).unwrap();
+        TrainCheckpoint::from_bytes(&bytes).unwrap().restore(&mut recipient).unwrap();
 
         let batch = toks(seed.wrapping_add(9), 2, 4);
         let (a, _) = donor.forward(&batch).unwrap();

@@ -6,7 +6,7 @@
 //! shared CoW backbone. Three subsystems compose:
 //!
 //! * [`registry`] — versioned adapter storage through the
-//!   [`pac_store::Store`] trait. Every publish is one PACCKPT2 commit
+//!   [`pac_store::Store`] trait. Every publish is one PACCKPT3 commit
 //!   tagged `(tenant, version)`, and the registry's index is rebuilt from
 //!   the log alone, so a crashed coordinator recovers its whole tenant
 //!   catalog.

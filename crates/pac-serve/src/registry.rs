@@ -1,6 +1,6 @@
 //! Versioned adapter registry over a [`Store`].
 //!
-//! Each publish commits the tenant's PACCKPT2 adapter bytes with a
+//! Each publish commits the tenant's PACCKPT3 adapter bytes with a
 //! 16-byte `PACT` meta record `(tenant, version)`. Versions are 1-based
 //! and monotonic per tenant; the store retains every commit, so any
 //! historical version stays fetchable (`committed(seq)`), and the whole
@@ -41,7 +41,7 @@ fn decode_meta(meta: &[u8]) -> Option<(u64, u32)> {
 pub enum RegistryError {
     /// The backing [`Store`] failed.
     Store(StoreError),
-    /// Adapter bytes failed to encode or decode as PACCKPT2.
+    /// Adapter bytes failed to encode or decode as PACCKPT3.
     Checkpoint(CheckpointError),
     /// A fetched commit's meta did not match the index (corrupt index
     /// rebuild or a store that reordered history — never expected).
@@ -110,7 +110,7 @@ impl<S: Store> AdapterRegistry<S> {
         self.publish_bytes(tenant, &adapter.to_bytes()?)
     }
 
-    /// Publishes already-serialized PACCKPT2 adapter bytes as the
+    /// Publishes already-serialized PACCKPT3 adapter bytes as the
     /// tenant's next version; returns it (1-based). The commit is atomic
     /// in the store; the index entry is added only after the commit
     /// succeeds. The serve tick encodes on the rank that ran the burst

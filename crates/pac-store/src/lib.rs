@@ -3,7 +3,7 @@
 //!
 //! Every recovery path in the workspace (session rollback, elastic
 //! catch-up, the distributed driver's `checkpoint_every` snapshots, the
-//! serve registry's adapter versions) ultimately serializes a `PACCKPT2`
+//! serve registry's adapter versions) ultimately serializes a `PACCKPT3`
 //! blob. This crate gives those blobs a durable home that survives
 //! `kill -9`:
 //!
@@ -76,7 +76,8 @@ const FNV32_PRIME: u32 = 0x0100_0193;
 
 /// 32-bit FNV-1a record checksum. The framing idiom (checksum over
 /// everything after the magic) is `pac-net`'s; the function is not — wire
-/// frames carry `pac_net::wire::checksum`, this on-disk format keeps the
+/// frames and the `PACCKPT3` snapshots inside these records carry
+/// `pac_tensor::bytes::checksum`, this on-disk format keeps the
 /// byte-serial FNV-1a of version 1, so a record of either version verifies
 /// the same way and `open` can tell a foreign version from a torn tail.
 pub fn checksum(bytes: &[u8]) -> u32 {

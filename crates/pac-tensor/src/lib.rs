@@ -26,6 +26,7 @@
 
 #![deny(missing_docs)]
 
+pub mod bytes;
 pub mod elementwise;
 pub mod error;
 pub mod init;
