@@ -131,6 +131,35 @@ fn corpus_is_real_snapshots() {
     }
 }
 
+/// Damaged bytes decode only when they equal an original.
+fn decodes_only_to_an_original(bytes: &[u8]) -> Result<(), TestCaseError> {
+    match TrainCheckpoint::from_bytes(bytes) {
+        Ok(_) => prop_assert!(
+            corpus().iter().any(|c| c == bytes),
+            "damaged bytes ({} long) decoded",
+            bytes.len()
+        ),
+        Err(CheckpointError::Format(_)) => {}
+        Err(e) => prop_assert!(false, "decode is a format check only, got {e:?}"),
+    }
+    Ok(())
+}
+
+/// `bytes` resealed with a fresh trailer decode only to a snapshot that
+/// re-encodes to exactly those bytes.
+fn resealed_decodes_only_to_what_it_encodes(mut bytes: Vec<u8>) -> Result<(), TestCaseError> {
+    if let Some(body) = bytes.len().checked_sub(4) {
+        let sum = checksum(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    }
+    match TrainCheckpoint::from_bytes(&bytes) {
+        Ok(ck) => prop_assert_eq!(ck.to_bytes().expect("encode"), bytes),
+        Err(CheckpointError::Format(_)) => {}
+        Err(e) => prop_assert!(false, "decode is a format check only, got {e:?}"),
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -142,15 +171,7 @@ proptest! {
             1..=4,
         ),
     ) {
-        let bytes = mutated(which, &mutations);
-        match TrainCheckpoint::from_bytes(&bytes) {
-            Ok(_) => prop_assert!(
-                corpus().contains(&bytes),
-                "damaged bytes ({} long) decoded", bytes.len()
-            ),
-            Err(CheckpointError::Format(_)) => {}
-            Err(e) => prop_assert!(false, "decode is a format check only, got {e:?}"),
-        }
+        decodes_only_to_an_original(&mutated(which, &mutations))?;
     }
 
     #[test]
@@ -161,15 +182,36 @@ proptest! {
             1..=4,
         ),
     ) {
-        let mut bytes = mutated(which, &mutations);
-        if let Some(body) = bytes.len().checked_sub(4) {
-            let sum = checksum(&bytes[..body]);
-            bytes[body..].copy_from_slice(&sum.to_le_bytes());
-        }
-        match TrainCheckpoint::from_bytes(&bytes) {
-            Ok(ck) => prop_assert_eq!(ck.to_bytes().expect("encode"), bytes),
-            Err(CheckpointError::Format(_)) => {}
-            Err(e) => prop_assert!(false, "decode is a format check only, got {e:?}"),
-        }
+        resealed_decodes_only_to_what_it_encodes(mutated(which, &mutations))?;
+    }
+}
+
+// The nightly budget: the same properties over many more seeded cases
+// (`cargo test --release -p pac-core --test checkpoint_fuzz -- --ignored`).
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(5_000_000))]
+
+    #[test]
+    #[ignore = "nightly budget"]
+    fn mutated_snapshots_decode_only_to_an_original_deep(
+        which in 0usize..2,
+        mutations in prop::collection::vec(
+            (0u8..5, 0usize..1_000_000, 0usize..1_000_000, 1u8..=255),
+            1..=4,
+        ),
+    ) {
+        decodes_only_to_an_original(&mutated(which, &mutations))?;
+    }
+
+    #[test]
+    #[ignore = "nightly budget"]
+    fn resealed_mutations_decode_only_to_what_they_encode_deep(
+        which in 0usize..2,
+        mutations in prop::collection::vec(
+            (0u8..5, 0usize..1_000_000, 0usize..1_000_000, 1u8..=255),
+            1..=4,
+        ),
+    ) {
+        resealed_decodes_only_to_what_it_encodes(mutated(which, &mutations))?;
     }
 }

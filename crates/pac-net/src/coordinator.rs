@@ -147,7 +147,10 @@ impl TenantJob {
         }
     }
 
-    /// Rejects a job the coordinator could only fail on mid-flight.
+    /// Rejects a job the coordinator could only fail on mid-flight: every
+    /// world of it would fail the same way (a rank panics or refuses its
+    /// assignment), and a respawning world would fail again at the same
+    /// cursor, forever.
     fn validate(&self) -> Result<(), DistError> {
         let reject = |reason: String| {
             Err(DistError::InvalidJob {
@@ -155,12 +158,28 @@ impl TenantJob {
                 reason,
             })
         };
-        let lanes = self.cfg.lanes;
+        let cfg = &self.cfg;
+        let lanes = cfg.lanes;
         if lanes == 0 {
             return reject("zero lanes".into());
         }
-        if self.cfg.partition.is_empty() {
+        if cfg.partition.is_empty() {
             return reject("empty stage partition".into());
+        }
+        if cfg.heads == 0 || !cfg.hidden.is_multiple_of(cfg.heads) {
+            return reject(format!(
+                "hidden {} does not split into {} head(s)",
+                cfg.hidden, cfg.heads
+            ));
+        }
+        if cfg.partition.contains(&0) || cfg.partition.iter().sum::<usize>() != cfg.enc_layers {
+            return reject(format!(
+                "partition {:?} does not cover {} layer(s) with non-empty stages",
+                cfg.partition, cfg.enc_layers
+            ));
+        }
+        if cfg.n_out == 0 {
+            return reject("n_out is zero".into());
         }
         let Some(first) = self.batches.first() else {
             return reject("no batches".into());
@@ -173,6 +192,32 @@ impl TenantJob {
             return reject(format!(
                 "a micro-batch of {min_rows} row(s) cannot be split across {lanes} lane(s)"
             ));
+        }
+        let model = cfg.model_config();
+        for (toks, targets) in self.batches.iter().flatten() {
+            if targets.len() != toks.len() {
+                return reject(format!(
+                    "{} target(s) for {} row(s) in a micro-batch",
+                    targets.len(),
+                    toks.len()
+                ));
+            }
+            if let Some(&t) = targets.iter().find(|&&t| t >= cfg.n_out) {
+                return reject(format!("target {t} is not below n_out {}", cfg.n_out));
+            }
+            let seq = toks.first().map_or(0, Vec::len);
+            if toks.iter().any(|row| row.len() != seq) {
+                return reject("rows of unequal length in a micro-batch".into());
+            }
+            if seq > model.max_seq {
+                return reject(format!(
+                    "rows of {seq} tokens exceed max_seq {}",
+                    model.max_seq
+                ));
+            }
+            if let Some(&id) = toks.iter().flatten().find(|&&id| id >= model.vocab) {
+                return reject(format!("token id {id} is not below vocab {}", model.vocab));
+            }
         }
         Ok(())
     }
@@ -1829,32 +1874,19 @@ mod tests {
         assert!(net.panics().is_empty(), "worker panics: {:?}", net.panics());
     }
 
-    /// A malformed job is rejected with a typed error naming its tenant
-    /// before anything is spawned — even when a well-formed sibling rides
-    /// in the same submission.
-    #[test]
-    fn malformed_jobs_are_rejected_before_anything_is_spawned() {
+    type Edit = fn(&mut TenantJob);
+
+    /// Submits each edit of a well-formed job beside an untouched sibling and
+    /// asserts the edited job is rejected, naming its tenant and a reason
+    /// containing the case's needle, with no worker launched.
+    fn assert_rejected_before_spawn(cases: &[(&str, Edit)]) {
         let good = || TenantJob::new(1, cfg_for(23, 2, 2), batches_for(13, 2, 2));
-        type Edit = fn(&mut TenantJob);
         let bad = |edit: Edit| {
             let mut job = TenantJob::new(7, cfg_for(24, 2, 2), batches_for(14, 2, 2));
             edit(&mut job);
             job
         };
-        let cases: [(&str, Edit); 6] = [
-            ("zero lanes", |j| j.cfg.lanes = 0),
-            ("empty stage partition", |j| j.cfg.partition.clear()),
-            ("no batches", |j| j.batches.clear()),
-            ("constant and non-zero", |j| j.batches[1].clear()),
-            ("constant and non-zero", |j| {
-                j.batches[1].pop();
-            }),
-            ("cannot be split across 2 lane(s)", |j| {
-                j.batches[1][0].0.truncate(1);
-                j.batches[1][0].1.truncate(1);
-            }),
-        ];
-        for (needle, edit) in cases {
+        for &(needle, edit) in cases {
             let net = SimNet::new(SimConfig::clean(53));
             let _coord = net.register(0);
             let spawner = ShortSpawner::new(&net, u32::MAX, 0);
@@ -1870,10 +1902,68 @@ mod tests {
                 "[{needle}] a worker was launched for a rejected submission"
             );
         }
+    }
+
+    /// A malformed job is rejected with a typed error naming its tenant
+    /// before anything is spawned — even when a well-formed sibling rides
+    /// in the same submission.
+    #[test]
+    fn malformed_jobs_are_rejected_before_anything_is_spawned() {
+        assert_rejected_before_spawn(&[
+            ("zero lanes", |j| j.cfg.lanes = 0),
+            ("empty stage partition", |j| j.cfg.partition.clear()),
+            ("no batches", |j| j.batches.clear()),
+            ("constant and non-zero", |j| j.batches[1].clear()),
+            ("constant and non-zero", |j| {
+                j.batches[1].pop();
+            }),
+            ("cannot be split across 2 lane(s)", |j| {
+                j.batches[1][0].0.truncate(1);
+                j.batches[1][0].1.truncate(1);
+            }),
+        ]);
         // An empty submission is trivially complete.
         let net = SimNet::new(SimConfig::clean(53));
         let _coord = net.register(0);
         let report = run_multiworld(&SimSpawner::new(net), Vec::new()).expect("empty run");
         assert!(report.worlds.is_empty());
+    }
+
+    /// A job every world of which fails the same way — a rank panics
+    /// building the model, refuses its stage, or indexes past a table — is
+    /// rejected up front too. Unchecked, the model cases kill the sibling's
+    /// run with a socket error, and the data cases respawn a `Respawn` world
+    /// at the same cursor until the process runs out of thread stacks.
+    #[test]
+    fn jobs_that_can_only_fail_are_rejected_before_anything_is_spawned() {
+        assert_rejected_before_spawn(&[
+            ("does not split into 0 head(s)", |j| j.cfg.heads = 0),
+            ("hidden 30 does not split into 4 head(s)", |j| {
+                j.cfg.hidden = 30;
+                j.cfg.heads = 4;
+            }),
+            ("partition [2, 3] does not cover 4 layer(s)", |j| {
+                j.cfg.partition = vec![2, 3]
+            }),
+            ("partition [4, 0] does not cover", |j| {
+                j.cfg.partition = vec![4, 0]
+            }),
+            ("n_out is zero", |j| j.cfg.n_out = 0),
+            ("token id 64 is not below vocab 64", |j| {
+                j.batches[1][0].0[2][1] = 64
+            }),
+            ("unequal length", |j| j.batches[0][1].0[3].push(5)),
+            ("rows of 40 tokens exceed max_seq 32", |j| {
+                for row in &mut j.batches[1][1].0 {
+                    row.resize(40, 1);
+                }
+            }),
+            ("target 2 is not below n_out 2", |j| {
+                j.batches[1][1].1[0] = 2
+            }),
+            ("3 target(s) for 4 row(s)", |j| {
+                j.batches[0][0].1.pop();
+            }),
+        ]);
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::linear::{Linear, LinearCtx};
 use crate::param::{Module, Param};
+use pac_tensor::ops::{Bias, Block, Form, View};
 use pac_tensor::{ops, reduce, scratch, Result, Tensor, TensorError};
 use rand::Rng;
 
@@ -16,8 +17,10 @@ pub struct AttentionCtx {
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    /// Softmax attention weights per (batch, head), each `[s, s_kv]`.
-    attn: Vec<Tensor>,
+    /// Softmax attention weights, `[batch·heads·s_q, s_kv]`: the `[s_q,
+    /// s_kv]` block of (batch row `b`, head `h`) starts at row
+    /// `(b·heads + h)·s_q`.
+    attn: Tensor,
     /// Concatenated per-head outputs before the output projection.
     o_ctx: LinearCtx,
     batch: usize,
@@ -71,47 +74,11 @@ impl MultiHeadAttention {
         self.dim
     }
 
-    /// Extracts the `[s, dh]` block of head `h`, batch `b` from a
-    /// `[b*s, heads*dh]` tensor.
-    fn head_block(t: &Tensor, b: usize, h: usize, s: usize, dh: usize) -> Tensor {
-        let (_, cols) = t.as_2d();
-        let mut out = scratch::take_for(s * dh);
-        out.reset_to([s, dh]);
-        let dst = out.data_mut();
-        for ti in 0..s {
-            let r = b * s + ti;
-            dst[ti * dh..(ti + 1) * dh]
-                .copy_from_slice(&t.data()[r * cols + h * dh..r * cols + (h + 1) * dh]);
-        }
-        out
-    }
-
-    /// Accumulates an `[s, dh]` head block back into a `[b*s, heads*dh]`
-    /// destination.
-    fn add_head_block(dst: &mut Tensor, src: &Tensor, b: usize, h: usize, s: usize, dh: usize) {
-        let (_, cols) = dst.as_2d();
-        for ti in 0..s {
-            let r = b * s + ti;
-            let drow = &mut dst.data_mut()[r * cols + h * dh..r * cols + (h + 1) * dh];
-            for (d, v) in drow.iter_mut().zip(&src.data()[ti * dh..(ti + 1) * dh]) {
-                *d += v;
-            }
-        }
-    }
-
-    /// Writes an `[s, dh]` head block into its slot of a `[b*s, heads*dh]`
-    /// destination: [`Self::add_head_block`] into zeros without the read.
-    /// It stores `0.0 + x`, not `x`, so that a `-0.0` (an FMA product that
-    /// underflows) comes out `+0.0` as it does there, bit for bit.
-    fn write_head_block(dst: &mut Tensor, src: &Tensor, b: usize, h: usize, s: usize, dh: usize) {
-        let (_, cols) = dst.as_2d();
-        let dst = dst.data_mut();
-        for (ti, srow) in src.data().chunks_exact(dh).take(s).enumerate() {
-            let at = (b * s + ti) * cols + h * dh;
-            for (d, v) in dst[at..at + dh].iter_mut().zip(srow) {
-                *d = 0.0 + v;
-            }
-        }
+    /// Head `h` of batch row `b` in a `[batch·s, d]` projection: `s` rows of
+    /// `dh` columns at row stride `d`, read and written where it lies.
+    fn head(&self, b: usize, h: usize, s: usize) -> Block {
+        let dh = self.dim / self.heads;
+        Block::of(self.dim, b * s, s, h * dh, dh)
     }
 
     /// Forward pass.
@@ -120,6 +87,11 @@ impl MultiHeadAttention {
     /// * `kv` — `[batch, s_kv, d]` key/value-side input (`x` itself for
     ///   self-attention).
     /// * `causal` — apply a lower-triangular mask (decoder self-attention).
+    ///
+    /// Each head's products read its columns of the projections in place
+    /// and write its context straight into its columns of the
+    /// concatenation; its scores are normalized in place in the saved
+    /// attention buffer.
     ///
     /// # Errors
     /// Returns shape errors if the inputs are not rank-3 `[b, s, d]` with
@@ -142,36 +114,30 @@ impl MultiHeadAttention {
         let (v, v_ctx) = self.wv.forward(kv)?;
 
         let mut o_concat = scratch::take([batch * s_q, d]);
-        let mut attn_saved = Vec::with_capacity(batch * self.heads);
-        let mut scores = scratch::take_for(s_q * s_kv);
-        let mut ob = scratch::take_for(s_q * dh);
-        for b in 0..batch {
-            for h in 0..self.heads {
-                let qb = Self::head_block(&q, b, h, s_q, dh);
-                let kb_ = Self::head_block(&k, b, h, s_kv, dh);
-                let vb = Self::head_block(&v, b, h, s_kv, dh);
-                ops::matmul_nt_into(&qb, &kb_, &mut scores)?;
-                scores.scale_in_place(scale);
-                if causal {
-                    for i in 0..s_q {
-                        for j in 0..s_kv {
-                            if j > i {
-                                scores.data_mut()[i * s_kv + j] = f32::NEG_INFINITY;
-                            }
-                        }
-                    }
-                }
-                let attn = reduce::softmax_rows(&scores);
-                ops::matmul_into(&attn, &vb, &mut ob)?;
-                Self::write_head_block(&mut o_concat, &ob, b, h, s_q, dh);
-                attn_saved.push(attn);
-                scratch::put(qb);
-                scratch::put(kb_);
-                scratch::put(vb);
+        let mut attn = Tensor::zeros([batch * self.heads * s_q, s_kv]);
+        let scores = Block::dense(s_q, s_kv);
+        let (o, probs) = (o_concat.data_mut(), attn.data_mut());
+        for bh in 0..batch * self.heads {
+            let (b, h) = (bh / self.heads, bh % self.heads);
+            let p = &mut probs[bh * s_q * s_kv..(bh + 1) * s_q * s_kv];
+            let qh = View::new(q.data(), self.head(b, h, s_q));
+            let kh = View::new(k.data(), self.head(b, h, s_kv));
+            ops::matmul_strided(Form::Nt, qh, kh, Bias::None, p, scores)?;
+            for s in p.iter_mut() {
+                *s *= scale;
             }
+            if causal {
+                for (i, row) in p.chunks_exact_mut(s_kv).enumerate() {
+                    row.iter_mut()
+                        .skip(i + 1)
+                        .for_each(|s| *s = f32::NEG_INFINITY);
+                }
+            }
+            reduce::softmax_rows_in_place(p, s_kv);
+            let vh = View::new(v.data(), self.head(b, h, s_kv));
+            let p = View::new(p, scores);
+            ops::matmul_strided(Form::Nn, p, vh, Bias::Zero, o, self.head(b, h, s_q))?;
         }
-        scratch::put(scores);
-        scratch::put(ob);
 
         let (y, o_ctx) = self.wo.forward(&o_concat)?;
         let y = y.reshape([batch, s_q, d])?;
@@ -184,7 +150,7 @@ impl MultiHeadAttention {
                 q,
                 k,
                 v,
-                attn: attn_saved,
+                attn,
                 o_ctx,
                 batch,
                 s_q,
@@ -196,6 +162,10 @@ impl MultiHeadAttention {
     /// Backward pass. Returns `(dx, dkv)`: the gradient w.r.t. the
     /// query-side input and the key/value-side input. For self-attention the
     /// caller adds them together.
+    ///
+    /// Like the forward pass, each head reads its blocks of Q/K/V/dO in
+    /// place and writes its blocks of dQ/dK/dV through the product's store;
+    /// the softmax gradient overwrites the one `[s_q, s_kv]` buffer in place.
     ///
     /// # Errors
     /// Propagates shape errors from the constituent matmuls.
@@ -212,46 +182,37 @@ impl MultiHeadAttention {
         let mut dk = scratch::take([batch * s_kv, d]);
         let mut dv = scratch::take([batch * s_kv, d]);
 
-        let mut d_attn = scratch::take_for(s_q * s_kv);
-        let mut dv_bh = scratch::take_for(s_kv * dh);
-        let mut dq_bh = scratch::take_for(s_q * dh);
-        let mut dk_bh = scratch::take_for(s_kv * dh);
-        for b in 0..batch {
-            for h in 0..self.heads {
-                let attn = &ctx.attn[b * self.heads + h];
-                let do_bh = Self::head_block(&d_oconcat, b, h, s_q, dh);
-                let vb = Self::head_block(&ctx.v, b, h, s_kv, dh);
-                let qb = Self::head_block(&ctx.q, b, h, s_q, dh);
-                let kb = Self::head_block(&ctx.k, b, h, s_kv, dh);
+        let scores = Block::dense(s_q, s_kv);
+        let mut d_scores = scratch::take([s_q, s_kv]);
+        let ds = d_scores.data_mut();
+        let (dqd, dkd, dvd) = (dq.data_mut(), dk.data_mut(), dv.data_mut());
+        for bh in 0..batch * self.heads {
+            let (b, h) = (bh / self.heads, bh % self.heads);
+            let (qh, kvh) = (self.head(b, h, s_q), self.head(b, h, s_kv));
+            let do_h = View::new(d_oconcat.data(), qh);
+            let attn = &ctx.attn.data()[bh * s_q * s_kv..(bh + 1) * s_q * s_kv];
+            let attn = View::new(attn, scores);
 
-                // o = attn · v
-                ops::matmul_nt_into(&do_bh, &vb, &mut d_attn)?;
-                ops::matmul_tn_into(attn, &do_bh, &mut dv_bh)?;
+            // o = attn · v
+            let vh = View::new(ctx.v.data(), kvh);
+            ops::matmul_strided(Form::Nt, do_h, vh, Bias::None, ds, scores)?;
+            ops::matmul_strided(Form::Tn, attn, do_h, Bias::Zero, dvd, kvh)?;
 
-                // attn = softmax(scores); masked entries have attn == 0 so
-                // their gradient is exactly zero through the softmax Jacobian.
-                let mut ds = reduce::softmax_rows_backward(attn, &d_attn)?;
-                ds.scale_in_place(scale);
-
-                // scores = q · kᵀ (· scale, already folded into ds)
-                ops::matmul_into(&ds, &kb, &mut dq_bh)?;
-                ops::matmul_tn_into(&ds, &qb, &mut dk_bh)?;
-
-                Self::add_head_block(&mut dq, &dq_bh, b, h, s_q, dh);
-                Self::add_head_block(&mut dk, &dk_bh, b, h, s_kv, dh);
-                Self::add_head_block(&mut dv, &dv_bh, b, h, s_kv, dh);
-
-                scratch::put(do_bh);
-                scratch::put(vb);
-                scratch::put(qb);
-                scratch::put(kb);
-                scratch::put(ds);
+            // attn = softmax(scores); masked entries have attn == 0 so
+            // their gradient is exactly zero through the softmax Jacobian.
+            reduce::softmax_rows_backward_in_place(attn.data, ds, s_kv);
+            for g in ds.iter_mut() {
+                *g *= scale;
             }
+
+            // scores = q · kᵀ (· scale, already folded into ds)
+            let ds = View::new(ds, scores);
+            let kh = View::new(ctx.k.data(), kvh);
+            ops::matmul_strided(Form::Nn, ds, kh, Bias::Zero, dqd, qh)?;
+            let q_h = View::new(ctx.q.data(), qh);
+            ops::matmul_strided(Form::Tn, ds, q_h, Bias::Zero, dkd, kvh)?;
         }
-        scratch::put(d_attn);
-        scratch::put(dv_bh);
-        scratch::put(dq_bh);
-        scratch::put(dk_bh);
+        scratch::put(d_scores);
         scratch::put(d_oconcat);
 
         let dx = self.wq.backward(&ctx.q_ctx, &dq)?;
@@ -316,6 +277,22 @@ mod tests {
     }
 
     #[test]
+    fn empty_sequences_run_forward_and_backward() {
+        let mut a = mha(29, 8, 2);
+        let mut rng = seeded(28);
+        let x = init::randn(&mut rng, [2, 3, 8], 1.0);
+        let none = Tensor::zeros([2, 0, 8]);
+        // No queries, and queries over no keys (their context is zero).
+        for (q, kv) in [(&none, &x), (&x, &none), (&none, &none)] {
+            let (y, ctx) = a.forward(q, kv, false).unwrap();
+            assert_eq!(y.dims(), q.dims());
+            let (dx, dkv) = a.backward(&ctx, &y).unwrap();
+            assert_eq!((dx.dims(), dkv.dims()), (q.dims(), kv.dims()));
+            assert!(y.all_finite() && dx.all_finite() && dkv.all_finite());
+        }
+    }
+
+    #[test]
     fn rejects_bad_ranks_and_dims() {
         let a = mha(32, 8, 2);
         let x2d = Tensor::zeros([3, 8]);
@@ -331,7 +308,7 @@ mod tests {
         let mut rng = seeded(34);
         let x = init::randn(&mut rng, [1, 4, 4], 1.0);
         let (_, ctx) = a.forward(&x, &x, true).unwrap();
-        let attn = &ctx.attn[0];
+        let attn = &ctx.attn;
         for i in 0..4 {
             for j in (i + 1)..4 {
                 assert_eq!(attn.get(&[i, j]).unwrap(), 0.0, "future leak at ({i},{j})");
@@ -342,18 +319,35 @@ mod tests {
     }
 
     #[test]
-    fn head_block_write_equals_accumulation_into_zeros_bitwise() {
-        // -0.0 is the one input on which `x` and `0.0 + x` differ; a matmul
-        // output can hold it (FMA underflow), so the write must add too.
-        let (s, dh, heads) = (3, 4, 2);
-        let mut src = init::randn(&mut seeded(43), [s, dh], 1.0);
-        src.set(&[0, 1], -0.0).unwrap();
-        src.set(&[2, 3], -0.0).unwrap();
+    fn head_store_equals_accumulation_into_zeros_bitwise() {
+        // -0.0 is the one input on which `x` and `0.0 + x` differ; an FMA sum
+        // of products that underflow rounds to it (row 0 · column 1 here, on
+        // a full 16-column strip of an FMA CPU), so the store into a head
+        // block must add a zero too.
+        let (s, k, dh, heads) = (3, 5, 16, 2);
+        let mut rng = seeded(43);
+        let mut a = init::randn(&mut rng, [s, k], 1.0);
+        let mut b = init::randn(&mut rng, [k, dh], 1.0);
+        for kk in 0..k {
+            a.set(&[0, kk], 1e-30).unwrap();
+            b.set(&[kk, 1], -1e-30).unwrap();
+        }
+        let dense = ops::matmul(&a, &b).unwrap();
+        assert_eq!(dense.get(&[0, 1]).unwrap(), 0.0);
+        let attn = mha(43, heads * dh, heads);
         let mut written = Tensor::zeros([2 * s, heads * dh]);
         let mut added = written.clone();
-        for (b, h) in [(0, 1), (1, 0)] {
-            MultiHeadAttention::write_head_block(&mut written, &src, b, h, s, dh);
-            MultiHeadAttention::add_head_block(&mut added, &src, b, h, s, dh);
+        for (bi, h) in [(0, 1), (1, 0)] {
+            let at = attn.head(bi, h, s);
+            let a = View::new(a.data(), Block::dense(s, k));
+            let b = View::new(b.data(), Block::dense(k, dh));
+            ops::matmul_strided(Form::Nn, a, b, Bias::Zero, written.data_mut(), at).unwrap();
+            for (r, row) in dense.data().chunks_exact(dh).enumerate() {
+                let dst = &mut added.data_mut()[at.offset + r * at.stride..][..dh];
+                for (d, v) in dst.iter_mut().zip(row) {
+                    *d += v;
+                }
+            }
         }
         let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&written), bits(&added));

@@ -325,13 +325,8 @@ proptest! {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// One to four mutations of a real three-segment log. Whatever they
-    /// leave, `open` does not panic and does one of two things. It
-    /// recovers: the surviving commits are bitwise the first k originals in
-    /// order, and a second `open` finds nothing more to truncate. Or it
-    /// refuses with a typed error, having met a CRC-valid record that is
-    /// not the next commit (a duplicate, a segment's tail moved to another):
-    /// then no file has changed.
+    /// One to four mutations of a real three-segment log: see
+    /// [`mutated_log_property`].
     #[test]
     fn mutated_log_opens_to_a_committed_prefix_or_is_refused_untouched(
         mutations in prop::collection::vec(
@@ -340,53 +335,85 @@ proptest! {
         ),
         case in 0u32..1_000_000,
     ) {
-        let dir = tmp_dir(&format!("fuzz-{case}"));
-        {
-            let (mut store, _) =
-                DiskStore::open_with_segment_bytes(&dir, FUZZ_SEGMENT_BYTES).expect("open");
-            for i in 0..FUZZ_COMMITS {
-                store.commit(&payload(i), &meta(i)).expect("commit");
-            }
-        }
-        let files: Vec<PathBuf> =
-            (0..3).map(|i| dir.join(format!("seg-{i:06}.wal"))).collect();
-        prop_assert!(!dir.join("seg-000003.wal").exists());
-        let pristine: Vec<Vec<u8>> =
-            files.iter().map(|f| fs::read(f).expect("read segment")).collect();
-        let mut segs = pristine.clone();
-        for &(kind, a, b, mask) in &mutations {
-            mutate(&mut segs, &pristine, kind, a, b, mask);
-        }
-        for (file, bytes) in files.iter().zip(&segs) {
-            fs::write(file, bytes).expect("write mutated segment");
-        }
-
-        match DiskStore::open_with_segment_bytes(&dir, FUZZ_SEGMENT_BYTES) {
-            Ok((store, report)) => {
-                prop_assert!(report.commits <= FUZZ_COMMITS as u64);
-                prop_assert_eq!(report.bytes_kept, report.commits * RECORD);
-                for i in 0..report.commits as usize {
-                    let got = store.committed(i as u64).expect("committed").expect("some");
-                    prop_assert_eq!(got.seq, i as u64);
-                    prop_assert_eq!(got.payload, payload(i));
-                    prop_assert_eq!(got.meta, meta(i));
-                }
-                drop(store);
-                let (_, again) =
-                    DiskStore::open_with_segment_bytes(&dir, FUZZ_SEGMENT_BYTES).expect("reopen");
-                prop_assert_eq!(again.truncated_bytes, 0);
-                prop_assert_eq!(again.commits, report.commits);
-            }
-            Err(e) => {
-                prop_assert!(
-                    matches!(e, StoreError::Malformed(_)),
-                    "refused with {e:?}"
-                );
-                for (file, bytes) in files.iter().zip(&segs) {
-                    prop_assert_eq!(&fs::read(file).expect("read segment"), bytes);
-                }
-            }
-        }
-        fs::remove_dir_all(&dir).ok();
+        mutated_log_property(&mutations, case)?;
     }
+}
+
+// The nightly budget: the same property over many more seeded cases
+// (`cargo test --release -p pac-store --test torn_tail -- --ignored`).
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(50_000))]
+
+    #[test]
+    #[ignore = "nightly budget"]
+    fn mutated_log_opens_to_a_committed_prefix_or_is_refused_untouched_deep(
+        mutations in prop::collection::vec(
+            (0u8..5, 0usize..1_000_000, 0usize..1_000_000, 1u8..=255),
+            1..=4,
+        ),
+        case in 0u32..1_000_000,
+    ) {
+        mutated_log_property(&mutations, case)?;
+    }
+}
+
+/// Whatever one to four mutations of a real three-segment log leave, `open`
+/// does not panic and does one of two things. It recovers: the surviving
+/// commits are bitwise the first k originals in order, and a second `open`
+/// finds nothing more to truncate. Or it refuses with a typed error, having
+/// met a CRC-valid record that is not the next commit (a duplicate, a
+/// segment's tail moved to another): then no file has changed.
+fn mutated_log_property(
+    mutations: &[(u8, usize, usize, u8)],
+    case: u32,
+) -> Result<(), TestCaseError> {
+    let dir = tmp_dir(&format!("fuzz-{case}"));
+    {
+        let (mut store, _) =
+            DiskStore::open_with_segment_bytes(&dir, FUZZ_SEGMENT_BYTES).expect("open");
+        for i in 0..FUZZ_COMMITS {
+            store.commit(&payload(i), &meta(i)).expect("commit");
+        }
+    }
+    let files: Vec<PathBuf> = (0..3)
+        .map(|i| dir.join(format!("seg-{i:06}.wal")))
+        .collect();
+    prop_assert!(!dir.join("seg-000003.wal").exists());
+    let pristine: Vec<Vec<u8>> = files
+        .iter()
+        .map(|f| fs::read(f).expect("read segment"))
+        .collect();
+    let mut segs = pristine.clone();
+    for &(kind, a, b, mask) in mutations {
+        mutate(&mut segs, &pristine, kind, a, b, mask);
+    }
+    for (file, bytes) in files.iter().zip(&segs) {
+        fs::write(file, bytes).expect("write mutated segment");
+    }
+
+    match DiskStore::open_with_segment_bytes(&dir, FUZZ_SEGMENT_BYTES) {
+        Ok((store, report)) => {
+            prop_assert!(report.commits <= FUZZ_COMMITS as u64);
+            prop_assert_eq!(report.bytes_kept, report.commits * RECORD);
+            for i in 0..report.commits as usize {
+                let got = store.committed(i as u64).expect("committed").expect("some");
+                prop_assert_eq!(got.seq, i as u64);
+                prop_assert_eq!(got.payload, payload(i));
+                prop_assert_eq!(got.meta, meta(i));
+            }
+            drop(store);
+            let (_, again) =
+                DiskStore::open_with_segment_bytes(&dir, FUZZ_SEGMENT_BYTES).expect("reopen");
+            prop_assert_eq!(again.truncated_bytes, 0);
+            prop_assert_eq!(again.commits, report.commits);
+        }
+        Err(e) => {
+            prop_assert!(matches!(e, StoreError::Malformed(_)), "refused with {e:?}");
+            for (file, bytes) in files.iter().zip(&segs) {
+                prop_assert_eq!(&fs::read(file).expect("read segment"), bytes);
+            }
+        }
+    }
+    fs::remove_dir_all(&dir).ok();
+    Ok(())
 }

@@ -17,7 +17,8 @@
 //!
 //! * [`gelu`] / [`gelu_backward`] (`dy ⊙ gelu'(x)`, one `exp` per element),
 //! * [`tanh`] / [`tanh_backward`],
-//! * [`exp_sub`] — the `exp(x - max)` pass of `softmax_rows`,
+//! * [`exp_sub`] / [`exp_sub_in_place`] — the `exp(x - max)` pass of
+//!   softmax,
 //! * [`adam_step`] — moments, bias correction and weight update in one loop.
 //!
 //! Nothing here calls libm, so ranks of one world need not share a libc.
@@ -247,6 +248,34 @@ fn map<const N: usize, K: Kernel<N>>(k: K, xs: [&[f32]; N], out: &mut [f32]) {
     map_body::<false, N, K>(k, xs, out);
 }
 
+/// `x[i] = k(x[i])`: [`map`] of one operand over itself.
+#[inline(always)]
+fn map_in_place_body<const FMA: bool, K: Kernel<1>>(k: K, x: &mut [f32]) {
+    for v in x.iter_mut() {
+        *v = k.apply::<FMA>([*v]);
+    }
+}
+
+/// AVX2+FMA clone of [`map_in_place_body`].
+///
+/// # Safety
+/// Caller must have verified AVX2 and FMA support (see `simd::avx2_fma`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn map_in_place_avx<K: Kernel<1>>(k: K, x: &mut [f32]) {
+    map_in_place_body::<true, K>(k, x);
+}
+
+fn map_in_place<K: Kernel<1>>(k: K, x: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::avx2_fma() {
+        // SAFETY: avx2_fma() verified both required target features.
+        unsafe { map_in_place_avx(k, x) };
+        return;
+    }
+    map_in_place_body::<false, K>(k, x);
+}
+
 /// Tanh-approximated GELU, `out[i] = x[i] / (1 + e^(-2u(x[i])))` with
 /// `u = √(2/π)·(x + 0.044715·x³)` — the same function as
 /// `0.5·x·(1 + tanh u)`.
@@ -287,6 +316,11 @@ pub fn tanh_backward(x: &[f32], dy: &[f32], out: &mut [f32]) {
 /// Panics if the slice lengths differ (programming error).
 pub fn exp_sub(x: &[f32], shift: f32, out: &mut [f32]) {
     map(ExpSub(shift), [x], out);
+}
+
+/// `x[i] = e^(x[i] - shift)`: [`exp_sub`] over its own input, bit for bit.
+pub fn exp_sub_in_place(x: &mut [f32], shift: f32) {
+    map_in_place(ExpSub(shift), x);
 }
 
 /// The per-step constants of one Adam update.

@@ -15,6 +15,13 @@
 //! wrappers over the `_into` forms, so both families compute **bitwise
 //! identical** results.
 //!
+//! [`matmul_strided`] runs any of the three on row-strided [`Block`]s of
+//! wider buffers — an attention head's columns of a `[rows, d]` projection,
+//! read and written where they lie — and equals the dense `_into` product
+//! of the copied blocks bit for bit; its [`Bias::Zero`] store reproduces
+//! accumulating the product into a zeroed destination. Every product, dense
+//! or strided, runs through the one tiled routine behind it.
+//!
 //! All kernels view their operands through the 2-D interpretation of
 //! [`Tensor::as_2d`] (leading dimensions folded into rows) and run the
 //! register-tiled [`crate::simd`] kernels — the one matmul implementation in
@@ -78,6 +85,7 @@
 use crate::error::{Result, TensorError};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Row-panel size for parallel work distribution: a multiple of the 6- and
 /// 8-row tile heights, so only a product's last chunk holds partial tiles.
@@ -100,12 +108,14 @@ fn check_inner(op: &'static str, a: &Tensor, b: &Tensor, ak: usize, bk: usize) -
 
 /// Runs `kernel` over `out` on the calling thread when `flops` (`2·m·n·k`
 /// of the whole product) is below [`PAR_THRESHOLD_FLOPS`], else in parallel
-/// over fixed PANEL-row chunks (same chunking at every width).
+/// over fixed PANEL-row chunks (same chunking at every width). Row `r` of the
+/// output starts at `out[r * ldc]`, so a chunk of a block inside a wider C
+/// also spans the other columns of its rows, which the kernel leaves alone.
 /// An empty output (`m == 0` or `n == 0`) runs nothing: the chunk kernels
-/// divide by `n` to recover their row count.
+/// divide by `ldc` to recover their row count.
 pub(crate) fn dispatch(
     out: &mut [f32],
-    n: usize,
+    ldc: usize,
     flops: usize,
     kernel: impl Fn(usize, &mut [f32]) + Sync,
 ) {
@@ -115,10 +125,226 @@ pub(crate) fn dispatch(
     if flops < PAR_THRESHOLD_FLOPS {
         kernel(0, out);
     } else {
-        out.par_chunks_mut(PANEL * n)
+        out.par_chunks_mut(PANEL * ldc)
             .enumerate()
             .for_each(|(p, chunk)| kernel(p * PANEL, chunk));
     }
+}
+
+/// Which product a call computes, from operands as they are stored.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Form {
+    /// `C[m,n] = A[m,k] · B[k,n]`.
+    Nn,
+    /// `C[m,n] = A[m,k] · B[n,k]ᵀ`.
+    Nt,
+    /// `C[m,n] = A[k,m]ᵀ · B[k,n]`.
+    Tn,
+}
+
+/// A row-strided block of a flat row-major buffer: `rows × cols` elements,
+/// element `(r, c)` at `offset + r * stride + c`.
+///
+/// Attention head `h` of batch row `b` in a `[batch·s, heads·dh]` tensor is
+/// `Block::of(heads·dh, b·s, s, h·dh, dh)`: no copy, just where it lies.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Block {
+    /// Flat index of element `(0, 0)`.
+    pub offset: usize,
+    /// Rows of the block.
+    pub rows: usize,
+    /// Columns of the block.
+    pub cols: usize,
+    /// Distance between the starts of consecutive rows (at least `cols`).
+    pub stride: usize,
+}
+
+impl Block {
+    /// A whole dense `rows × cols` matrix.
+    pub fn dense(rows: usize, cols: usize) -> Block {
+        Block {
+            offset: 0,
+            rows,
+            cols,
+            stride: cols,
+        }
+    }
+
+    /// Rows `row .. row + rows`, columns `col .. col + cols` of a row-major
+    /// matrix `stride` columns wide. An offset past `usize` saturates, so a
+    /// product rejects the block instead of wrapping it.
+    pub fn of(stride: usize, row: usize, rows: usize, col: usize, cols: usize) -> Block {
+        Block {
+            offset: row.saturating_mul(stride).saturating_add(col),
+            rows,
+            cols,
+            stride,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.rows == 0 || self.cols == 0
+    }
+
+    /// The flat range the block touches: from its first element to its
+    /// last row's last column (empty for an empty block).
+    fn span(&self) -> Range<usize> {
+        if self.is_empty() {
+            return 0..0;
+        }
+        self.offset..self.offset + (self.rows - 1) * self.stride + self.cols
+    }
+
+    /// Checks that the block's rows do not overlap and that it lies inside
+    /// a buffer of `len` floats.
+    fn check(&self, len: usize) -> Result<()> {
+        if self.is_empty() {
+            return Ok(());
+        }
+        if self.cols > self.stride {
+            return Err(TensorError::IndexOutOfBounds {
+                index: self.cols,
+                bound: self.stride,
+            });
+        }
+        let end = (self.rows - 1)
+            .checked_mul(self.stride)
+            .and_then(|x| x.checked_add(self.offset))
+            .and_then(|x| x.checked_add(self.cols));
+        match end {
+            Some(end) if end <= len => Ok(()),
+            _ => Err(TensorError::IndexOutOfBounds {
+                index: end.unwrap_or(usize::MAX),
+                bound: len,
+            }),
+        }
+    }
+}
+
+/// An operand of [`matmul_strided`]: a [`Block`] of a buffer.
+#[derive(Clone, Copy, Debug)]
+pub struct View<'a> {
+    /// The buffer the block lies in.
+    pub data: &'a [f32],
+    /// Where in `data` the operand is.
+    pub block: Block,
+}
+
+impl<'a> View<'a> {
+    /// The block of `data` at `block`.
+    pub fn new(data: &'a [f32], block: Block) -> View<'a> {
+        View { data, block }
+    }
+
+    /// From the block's first element to its last (the caller checked it).
+    fn window(&self) -> &'a [f32] {
+        &self.data[self.block.span()]
+    }
+}
+
+/// What a product's store adds to each fully accumulated element.
+#[derive(Clone, Copy, Debug)]
+pub enum Bias<'a> {
+    /// Nothing: the sum is stored as it is.
+    None,
+    /// `+0.0`, which turns a `−0.0` sum into `+0.0` and leaves every other
+    /// value alone: the bits of adding the product into a zeroed
+    /// destination, with no read of it.
+    Zero,
+    /// `bias[c]` for column `c`.
+    Row(&'a [f32]),
+}
+
+/// The one routine behind every product: `form` of `a` and `b` into the
+/// block `at` of `c`, through [`crate::simd`]. Shapes and bounds are the
+/// caller's to check.
+fn tiled(form: Form, a: View<'_>, b: View<'_>, bias: Bias<'_>, c: &mut [f32], at: Block) {
+    let k = match form {
+        Form::Tn => a.block.rows,
+        Form::Nn | Form::Nt => a.block.cols,
+    };
+    let p = crate::simd::Product {
+        a: a.window(),
+        lda: a.block.stride,
+        a_cols: form == Form::Tn,
+        b: b.window(),
+        ldb: b.block.stride,
+        b_transposed: form == Form::Nt,
+        bias,
+        k,
+        n: at.cols,
+    };
+    crate::simd::mm_tiled(p, at.rows, &mut c[at.span()], at.stride);
+}
+
+/// `form` of two strided operands into the block `at` of `c`, every other
+/// element of `c` untouched: the dense `_into` products on blocks of wider
+/// buffers, with no copy in or out.
+///
+/// Bitwise equal to the dense product on copies of the blocks (plus
+/// `bias`): an output element is a pure function of its A row, its B column
+/// and `(k, n)` whatever the strides, runs on the tile the same FLOP count
+/// selects, and fans out over the same `PANEL`-row chunks from the
+/// pooled-dispatch line up (see the module docs).
+///
+/// # Errors
+/// [`TensorError::ShapeMismatch`] if the blocks' shapes do not make the
+/// product `form` into `at`, or a row bias is not `at.cols` long;
+/// [`TensorError::IndexOutOfBounds`] if a block's rows overlap (`cols >
+/// stride`) or it overruns its buffer.
+pub fn matmul_strided(
+    form: Form,
+    a: View<'_>,
+    b: View<'_>,
+    bias: Bias<'_>,
+    c: &mut [f32],
+    at: Block,
+) -> Result<()> {
+    let (ab, bb) = (a.block, b.block);
+    // (m, k) of A and (k, n) of B as the product reads them.
+    let ((m, k), (bk, n)) = match form {
+        Form::Nn => ((ab.rows, ab.cols), (bb.rows, bb.cols)),
+        Form::Nt => ((ab.rows, ab.cols), (bb.cols, bb.rows)),
+        Form::Tn => ((ab.cols, ab.rows), (bb.rows, bb.cols)),
+    };
+    let mismatch = |lhs: [usize; 2], rhs: [usize; 2]| TensorError::ShapeMismatch {
+        op: "matmul_strided",
+        lhs: lhs.to_vec(),
+        rhs: rhs.to_vec(),
+    };
+    if k != bk {
+        return Err(mismatch([ab.rows, ab.cols], [bb.rows, bb.cols]));
+    }
+    if (m, n) != (at.rows, at.cols) {
+        return Err(mismatch([m, n], [at.rows, at.cols]));
+    }
+    if let Bias::Row(row) = bias {
+        if row.len() != n {
+            return Err(mismatch([m, n], [1, row.len()]));
+        }
+    }
+    ab.check(a.data.len())?;
+    bb.check(b.data.len())?;
+    at.check(c.len())?;
+    tiled(form, a, b, bias, c, at);
+    Ok(())
+}
+
+/// `form` of two dense tensors whose `(m, k)` and `(k, n)` the caller
+/// checked, into `out` reset to `[m, n]`.
+fn dense_into(form: Form, a: &Tensor, b: &Tensor, bias: Bias<'_>, out: &mut Tensor) {
+    let ((ar, ac), (br, bc)) = (a.as_2d(), b.as_2d());
+    let (m, n) = match form {
+        Form::Nn => (ar, bc),
+        Form::Nt => (ar, br),
+        Form::Tn => (ac, bc),
+    };
+    out.reset_to([m, n]);
+    let (a, b) = (
+        View::new(a.data(), Block::dense(ar, ac)),
+        View::new(b.data(), Block::dense(br, bc)),
+    );
+    tiled(form, a, b, bias, out.data_mut(), Block::dense(m, n));
 }
 
 /// `C[m,n] = A[m,k] · B[k,n]`, written into `out` (reshaped and zeroed;
@@ -172,9 +398,8 @@ fn mm_bias_into(
             });
         }
     }
-    out.reset_to([m, n]);
-    let biasd = bias.map(Tensor::data);
-    crate::simd::mm_bias_tiled(a.data(), b.data(), biasd, m, k, n, out.data_mut());
+    let bias = bias.map_or(Bias::None, |bias| Bias::Row(bias.data()));
+    dense_into(Form::Nn, a, b, bias, out);
     Ok(())
 }
 
@@ -193,11 +418,10 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// Returns [`TensorError::ShapeMismatch`] if the inner dimensions differ.
 pub fn matmul_nt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
-    let (m, k) = a.as_2d();
-    let (n, bk) = b.as_2d();
+    let (_, k) = a.as_2d();
+    let (_, bk) = b.as_2d();
     check_inner("matmul_nt", a, b, k, bk)?;
-    out.reset_to([m, n]);
-    crate::simd::nt_tiled(a.data(), b.data(), m, k, n, out.data_mut());
+    dense_into(Form::Nt, a, b, Bias::None, out);
     Ok(())
 }
 
@@ -217,11 +441,10 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// Returns [`TensorError::ShapeMismatch`] if the leading (shared) dimensions
 /// differ.
 pub fn matmul_tn_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
-    let (k, m) = a.as_2d();
-    let (bk, n) = b.as_2d();
+    let (k, _) = a.as_2d();
+    let (bk, _) = b.as_2d();
     check_inner("matmul_tn", a, b, k, bk)?;
-    out.reset_to([m, n]);
-    crate::simd::tn_tiled(a.data(), b.data(), m, k, n, out.data_mut());
+    dense_into(Form::Tn, a, b, Bias::None, out);
     Ok(())
 }
 

@@ -1,24 +1,31 @@
 //! Row-wise reductions and normalizations over the 2-D view.
 
 use crate::elementwise;
-use crate::error::Result;
+use crate::error::{Result, TensorError};
 use crate::tensor::Tensor;
 
 /// Numerically-stable softmax along the last dimension.
 ///
 /// Rows of the 2-D view are normalized independently:
-/// `y_ij = exp(x_ij - max_i) / Σ_j exp(x_ij - max_i)`. The `exp` pass runs
-/// the vectorized [`crate::elementwise::exp_sub`]; the denominator is summed
-/// in column order, so a row's result depends on that row alone.
+/// `y_ij = exp(x_ij - max_i) / Σ_j exp(x_ij - max_i)`. A copy of `x` run
+/// through [`softmax_rows_in_place`].
 pub fn softmax_rows(x: &Tensor) -> Tensor {
-    let (rows, cols) = x.as_2d();
-    let mut out = Tensor::zeros(x.shape().clone());
-    let od = out.data_mut();
-    for r in 0..rows {
-        let xrow = &x.data()[r * cols..(r + 1) * cols];
-        let row = &mut od[r * cols..(r + 1) * cols];
-        let m = xrow.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        elementwise::exp_sub(xrow, m, row);
+    let mut out = x.clone();
+    softmax_rows_in_place(out.data_mut(), x.as_2d().1);
+    out
+}
+
+/// [`softmax_rows`] of the `cols`-wide rows of `x`, in place. The `exp`
+/// pass runs the vectorized [`crate::elementwise::exp_sub_in_place`]; the
+/// maximum and the denominator are taken in column order, so a row's result
+/// depends on that row alone.
+pub fn softmax_rows_in_place(x: &mut [f32], cols: usize) {
+    if cols == 0 {
+        return;
+    }
+    for row in x.chunks_exact_mut(cols) {
+        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        elementwise::exp_sub_in_place(row, m);
         let mut denom = 0.0f32;
         for v in row.iter() {
             denom += *v;
@@ -28,28 +35,49 @@ pub fn softmax_rows(x: &Tensor) -> Tensor {
             *v *= inv;
         }
     }
-    out
 }
 
 /// Backward pass of row-wise softmax.
 ///
 /// Given `y = softmax(x)` and upstream gradient `dy`, returns
-/// `dx_ij = y_ij * (dy_ij - Σ_k dy_ik * y_ik)`.
+/// `dx_ij = y_ij * (dy_ij - Σ_k dy_ik * y_ik)`. A copy of `dy` run through
+/// [`softmax_rows_backward_in_place`].
 ///
 /// # Errors
 /// Returns a shape error if `y` and `dy` differ in shape.
 pub fn softmax_rows_backward(y: &Tensor, dy: &Tensor) -> Result<Tensor> {
-    let (rows, cols) = y.as_2d();
-    let mut dx = y.zip_map(dy, "softmax_backward", |a, b| a * b)?;
-    for r in 0..rows {
-        let dot: f32 = dx.data()[r * cols..(r + 1) * cols].iter().sum();
-        let yrow = &y.data()[r * cols..(r + 1) * cols];
-        let drow = &mut dx.data_mut()[r * cols..(r + 1) * cols];
-        for (d, yv) in drow.iter_mut().zip(yrow.iter()) {
+    if y.shape() != dy.shape() {
+        return Err(TensorError::ShapeMismatch {
+            op: "softmax_backward",
+            lhs: y.dims().to_vec(),
+            rhs: dy.dims().to_vec(),
+        });
+    }
+    let mut dx = dy.clone();
+    softmax_rows_backward_in_place(y.data(), dx.data_mut(), y.as_2d().1);
+    Ok(dx)
+}
+
+/// [`softmax_rows_backward`] over the `cols`-wide rows of `y` and `dy`,
+/// overwriting `dy` with the input gradient. The row sum runs in column
+/// order.
+///
+/// # Panics
+/// Panics if `y` and `dy` differ in length (programming error).
+pub fn softmax_rows_backward_in_place(y: &[f32], dy: &mut [f32], cols: usize) {
+    assert_eq!(y.len(), dy.len(), "softmax backward operand length");
+    if cols == 0 {
+        return;
+    }
+    for (yrow, drow) in y.chunks_exact(cols).zip(dy.chunks_exact_mut(cols)) {
+        for (d, yv) in drow.iter_mut().zip(yrow) {
+            *d *= yv;
+        }
+        let dot: f32 = drow.iter().sum();
+        for (d, yv) in drow.iter_mut().zip(yrow) {
             *d -= dot * yv;
         }
     }
-    Ok(dx)
 }
 
 /// Sum over rows of the 2-D view, producing a length-`cols` tensor.

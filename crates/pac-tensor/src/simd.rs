@@ -58,6 +58,12 @@
 //! transposed, into the same `k × NR` per-thread strip and the `nn` tile runs
 //! over it, so `matmul_nt(a, b) ≡ matmul(a, bᵀ)` bit for bit.
 //!
+//! Every operand has a row stride (`lda`, `ldb`, `ldc`), so a product can
+//! read and write blocks of wider matrices in place: the strip packing, the
+//! direct-B path, the tile calls and the ragged copy-out all step rows by
+//! it. A stride changes addresses only, never which elements meet in which
+//! order, so a block's product is the dense product of its copy.
+//!
 //! Determinism and accuracy: tiles partition output rows and columns only;
 //! every output element accumulates over k in one fixed order whatever tile
 //! or clone it lands in, so a result depends on its A row, its B column and
@@ -76,7 +82,7 @@
 //! the probe obligation travels with the type: safe code cannot reach an
 //! AVX-512 instruction.
 
-use crate::ops::dispatch;
+use crate::ops::{dispatch, Bias};
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::{
     __m512, _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_storeu_ps,
@@ -460,19 +466,29 @@ impl Clones {
     }
 }
 
-/// One product: the operands' flat slices and how they are laid out.
+/// One product: the operands' flat slices, their row strides and how they
+/// are laid out. A dense operand's stride is its row length; a block of a
+/// wider matrix (one attention head's columns of a `[rows, d]` tensor) has
+/// the wider matrix's.
 #[derive(Clone, Copy)]
-struct Product<'a> {
-    a: &'a [f32],
-    b: &'a [f32],
-    bias: Option<&'a [f32]>,
-    k: usize,
-    n: usize,
-    /// `A[r, kk] = a[r * k + kk]`, or `a[kk * m + r]` when set (`Aᵀ · B`).
-    a_cols: Option<usize>,
-    /// `B[kk, c] = b[kk * n + c]`, or `b[c * k + kk]` when set (`A · Bᵀ`).
-    b_transposed: bool,
+pub(crate) struct Product<'a> {
+    pub(crate) a: &'a [f32],
+    /// `A[r, kk] = a[r * lda + kk]`, or `a[kk * lda + r]` when `a_cols`.
+    pub(crate) lda: usize,
+    /// A is walked column-wise: `C = Aᵀ · B`.
+    pub(crate) a_cols: bool,
+    pub(crate) b: &'a [f32],
+    /// `B[kk, c] = b[kk * ldb + c]`, or `b[c * ldb + kk]` when `b_transposed`.
+    pub(crate) ldb: usize,
+    /// B is stored transposed: `C = A · Bᵀ`.
+    pub(crate) b_transposed: bool,
+    pub(crate) bias: Bias<'a>,
+    pub(crate) k: usize,
+    pub(crate) n: usize,
 }
+
+/// A strip-wide zero bias: what [`Bias::Zero`] adds.
+static ZERO_BIAS: [f32; 2 * NR] = [0.0; 2 * NR];
 
 /// Fills the `k × nr` `strip` with columns `c0 .. c0 + cols` of B,
 /// zero-padded on the right so the padding multiplies to exact zeros.
@@ -485,7 +501,7 @@ fn pack_strip(p: Product<'_>, c0: usize, cols: usize, nr: usize, strip: &mut [f3
         // while each B row contributes one cache line to it.
         for (kb, dst) in strip.chunks_mut(16 * nr).enumerate() {
             for j in 0..cols {
-                let src = &p.b[(c0 + j) * p.k + kb * 16..][..dst.len() / nr];
+                let src = &p.b[(c0 + j) * p.ldb + kb * 16..][..dst.len() / nr];
                 for (t, &v) in src.iter().enumerate() {
                     dst[t * nr + j] = v;
                 }
@@ -493,17 +509,18 @@ fn pack_strip(p: Product<'_>, c0: usize, cols: usize, nr: usize, strip: &mut [f3
         }
     } else {
         for (kk, dst) in strip.chunks_exact_mut(nr).enumerate() {
-            let src = &p.b[kk * p.n + c0..kk * p.n + c0 + cols];
+            let src = &p.b[kk * p.ldb + c0..kk * p.ldb + c0 + cols];
             dst[..cols].copy_from_slice(src);
             dst[cols..].fill(0.0);
         }
     }
 }
 
-/// The chunk driver: rows `r0 ..` of the product into `chunk`, column strip
-/// by column strip (a strip of B stays cache-resident while the chunk's
-/// rows sweep over it), each strip by the clone its width selects. `packed`
-/// is the buffer a strip is packed into when it has to be; it only grows.
+/// The chunk loop: rows `r0 ..` of the product into `chunk` (row `r` of
+/// the chunk at `chunk[r * ldc ..]`), column strip by column strip (a strip
+/// of B stays cache-resident while the chunk's rows sweep over it), each
+/// strip by the clone its width selects. `packed` is the buffer a strip is
+/// packed into when it has to be; it only grows.
 ///
 /// # Safety
 /// The CPU must have the target features of both `clones` (true of
@@ -513,10 +530,12 @@ unsafe fn mm_chunk(
     p: Product<'_>,
     r0: usize,
     chunk: &mut [f32],
+    ldc: usize,
     packed: &mut Vec<f32>,
 ) {
     let (k, n) = (p.k, p.n);
-    let rows = chunk.len() / n;
+    // The last row holds only its `n` live columns.
+    let rows = (chunk.len() + ldc - n) / ldc;
     let mut c0 = 0;
     while c0 < n {
         let left = n - c0;
@@ -537,41 +556,40 @@ unsafe fn mm_chunk(
             (&*strip, set.nr)
         } else {
             // Clamped (here and for A below): both operands are empty at k = 0.
-            (&p.b[c0.min(p.b.len())..], n)
+            (&p.b[c0.min(p.b.len())..], p.ldb)
         };
         let mut bias_pad = [0.0f32; NR];
         let bias = match p.bias {
-            Some(bias) if ragged => {
+            Bias::None => None,
+            Bias::Zero => Some(&ZERO_BIAS[..]),
+            Bias::Row(bias) if ragged => {
                 bias_pad[..cols].copy_from_slice(&bias[c0..]);
                 Some(&bias_pad[..])
             }
-            Some(bias) => Some(&bias[c0..]),
-            None => None,
+            Bias::Row(bias) => Some(&bias[c0..]),
         };
         let s = Strip { b, ldb, k, bias };
-        let (tiles, lda) = match p.a_cols {
-            Some(m) => (set.col_walk, m),
-            None => (set.row_major, k),
+        let tiles = if p.a_cols {
+            set.col_walk
+        } else {
+            set.row_major
         };
         let mut ri = 0;
         while ri < rows {
             let mrs = (rows - ri).min(tiles.len());
-            let a0 = match p.a_cols {
-                Some(_) => r0 + ri,
-                None => (r0 + ri) * k,
-            };
+            let a0 = if p.a_cols { r0 + ri } else { (r0 + ri) * p.lda };
             let (a, tile) = (&p.a[a0.min(p.a.len())..], tiles[mrs - 1]);
-            let c = &mut chunk[ri * n + c0..];
+            let c = &mut chunk[ri * ldc + c0..];
             // SAFETY (both calls): `set` is PORTABLE (safe code) or one of
             // `clones`, whose target features the caller vouches for.
             if ragged {
                 let mut block = [0.0f32; MR_PORTABLE * NR];
-                unsafe { tile(a, lda, s, &mut block, NR) };
-                for (crow, brow) in c.chunks_mut(n).zip(block.chunks(NR)).take(mrs) {
+                unsafe { tile(a, p.lda, s, &mut block, NR) };
+                for (crow, brow) in c.chunks_mut(ldc).zip(block.chunks(NR)).take(mrs) {
                     crow[..cols].copy_from_slice(&brow[..cols]);
                 }
             } else {
-                unsafe { tile(a, lda, s, c, n) };
+                unsafe { tile(a, p.lda, s, c, ldc) };
             }
             ri += mrs;
         }
@@ -586,68 +604,17 @@ thread_local! {
     static STRIP: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Shared entry of the four products: fans [`mm_chunk`] out over the row
-/// chunks of the `m × n` output.
-fn mm_tiled(p: Product<'_>, m: usize, out: &mut [f32]) {
+/// The entry of every product: `m` rows of `p` into `out`, row `r` at
+/// `out[r * ldc ..]` (`ldc = p.n` when C is dense), fanned out over row
+/// chunks by [`dispatch`]. `out` ends at the last row's `n`-th column.
+pub(crate) fn mm_tiled(p: Product<'_>, m: usize, out: &mut [f32], ldc: usize) {
     let flops = 2 * m * p.n * p.k;
     let clones = Clones::probed(flops);
     let kernel = |r0: usize, chunk: &mut [f32]| {
         // SAFETY: `probed` hands out only clones whose features it detected.
-        STRIP.with_borrow_mut(|strip| unsafe { mm_chunk(clones, p, r0, chunk, strip) })
+        STRIP.with_borrow_mut(|strip| unsafe { mm_chunk(clones, p, r0, chunk, ldc, strip) })
     };
-    dispatch(out, p.n, flops, kernel);
-}
-
-/// Tiled `C[m,n] = A[m,k] · B[k,n] (+ bias)`.
-pub(crate) fn mm_bias_tiled(
-    a: &[f32],
-    b: &[f32],
-    bias: Option<&[f32]>,
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) {
-    let p = Product {
-        a,
-        b,
-        bias,
-        k,
-        n,
-        a_cols: None,
-        b_transposed: false,
-    };
-    mm_tiled(p, m, out);
-}
-
-/// Tiled `C[m,n] = A[k,m]ᵀ · B[k,n]`: same microkernel with A addressed
-/// column-wise (`A[r, kk] = a[kk * m + r]`).
-pub(crate) fn tn_tiled(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    let p = Product {
-        a,
-        b,
-        bias: None,
-        k,
-        n,
-        a_cols: Some(m),
-        b_transposed: false,
-    };
-    mm_tiled(p, m, out);
-}
-
-/// Tiled `C[m,n] = A[m,k] · B[n,k]ᵀ` (B row-major): same microkernel over
-/// transposed-packed strips of B.
-pub(crate) fn nt_tiled(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    let p = Product {
-        a,
-        b,
-        bias: None,
-        k,
-        n,
-        a_cols: None,
-        b_transposed: true,
-    };
-    mm_tiled(p, m, out);
+    dispatch(out, ldc, flops, kernel);
 }
 
 #[cfg(test)]
@@ -683,28 +650,32 @@ mod tests {
         let (at, bt) = (a.transpose_2d(), b.transpose_2d());
         let nn = Product {
             a: a.data(),
+            lda: k,
+            a_cols: false,
             b: b.data(),
-            bias: Some(bias.data()),
+            ldb: n,
+            b_transposed: false,
+            bias: Bias::Row(bias.data()),
             k,
             n,
-            a_cols: None,
-            b_transposed: false,
         };
         let tn = Product {
             a: at.data(),
-            bias: None,
-            a_cols: Some(m),
+            lda: m,
+            a_cols: true,
+            bias: Bias::None,
             ..nn
         };
         let nt = Product {
             b: bt.data(),
-            bias: None,
+            ldb: k,
             b_transposed: true,
+            bias: Bias::None,
             ..nn
         };
         let mut out = vec![0.0f32; 3 * m * n];
         for (p, chunk) in [nn, tn, nt].into_iter().zip(out.chunks_mut(m * n)) {
-            unsafe { mm_chunk(clones, p, 0, chunk, &mut Vec::new()) };
+            unsafe { mm_chunk(clones, p, 0, chunk, n, &mut Vec::new()) };
         }
         out
     }

@@ -77,3 +77,46 @@ fn into_kernels_match_allocating_kernels_bitwise_under_width_stress() {
     }
     rayon::pool::set_max_concurrency(usize::MAX);
 }
+
+#[test]
+fn strided_products_above_the_dispatch_line_are_bitwise_identical_across_widths() {
+    // `[104,256]·[256,96]` (5.1 MFLOP, pooled: chunks of 48, 48 and 8 rows)
+    // with A, B and C each a column block of a wider buffer, the way an
+    // attention head reads and writes its projections, in all three forms.
+    use ops::{Bias, Block, Form, View};
+    let (m, k, n) = (104, 256, 96);
+    let mut rng = seeded(26);
+    let wide = |rng: &mut _, rows: usize, cols: usize| init::randn(rng, [rows, cols + 40], 1.0);
+    let a = wide(&mut rng, m, k);
+    let at = wide(&mut rng, k, m);
+    let b = wide(&mut rng, k, n);
+    let bt = wide(&mut rng, n, k);
+    fn block(t: &Tensor, rows: usize, cols: usize) -> View<'_> {
+        View::new(t.data(), Block::of(cols + 40, 0, rows, 24, cols))
+    }
+    let suite = || {
+        [
+            (Form::Nn, block(&a, m, k), block(&b, k, n)),
+            (Form::Nt, block(&a, m, k), block(&bt, n, k)),
+            (Form::Tn, block(&at, k, m), block(&b, k, n)),
+        ]
+        .map(|(form, av, bv)| {
+            let mut c = vec![7.0f32; m * (n + 40)];
+            let out = Block::of(n + 40, 0, m, 16, n);
+            ops::matmul_strided(form, av, bv, Bias::Zero, &mut c, out).unwrap();
+            c.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+        })
+    };
+    rayon::pool::set_max_concurrency(1);
+    let reference = suite();
+    for w in [2usize, 8] {
+        rayon::pool::set_max_concurrency(w);
+        let calls = rayon::pool::stats().parallel_calls;
+        assert_eq!(suite(), reference, "width {w}");
+        assert!(
+            rayon::pool::stats().parallel_calls - calls >= 3,
+            "the strided products ran inline: pick a shape above the dispatch line"
+        );
+    }
+    rayon::pool::set_max_concurrency(usize::MAX);
+}

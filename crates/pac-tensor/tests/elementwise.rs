@@ -207,6 +207,23 @@ fn every_kernel_is_position_independent() {
 }
 
 #[test]
+fn exp_sub_in_place_equals_exp_sub_bitwise() {
+    // Softmax normalises its rows in place: the in-place pass must be the
+    // out-of-place one, body and tail alike.
+    let pool: Vec<f32> = (0..96)
+        .map(|i| ((i * 37 % 41) as f32 - 20.0) * 0.41)
+        .collect();
+    for len in 0..72 {
+        let xs = &pool[len % 7..len % 7 + len];
+        let mut out = vec![0.0f32; len];
+        elementwise::exp_sub(xs, 1.25, &mut out);
+        let mut inplace = xs.to_vec();
+        elementwise::exp_sub_in_place(&mut inplace, 1.25);
+        assert_eq!(bits(&inplace), bits(&out), "len {len}");
+    }
+}
+
+#[test]
 fn adam_step_is_position_independent() {
     let c = AdamCoeffs {
         lr: 1e-2,
