@@ -32,14 +32,11 @@
 //!    on vs off; the final-loss delta lands in the JSON next to the byte
 //!    cuts it justifies.
 //!
-//! Usage: `pac-bench [--quick] [--out PATH]`.
-//!
-//! `pac-bench --multiworld [--tenants N]` runs the multi-world benchmark
-//! instead: N tenant training worlds (default 6) multiplexed by the
-//! coordinator vs the same coordinator fed the same worlds one at a time,
-//! recording wall-clock tenants/sec both ways, the bitwise solo-equality
-//! check, and the `bubble_fraction` of the co-scheduled pipeline plan
-//! before/after cross-tenant bubble filling to `BENCH_PR14.json`.
+//! Usage: `pac-bench [--quick] [--out PATH]`. Any other argument, or
+//! `--out` without a path, prints the usage and exits non-zero before
+//! anything runs or is written. Multiplexed against one-at-a-time worlds
+//! is the reference benchmark's `multi_world` workload
+//! (`pac-net.multiworld.overlap_ratio`), not a mode of this binary.
 
 use criterion::{black_box, Criterion, Throughput};
 use pac_model::StageData;
@@ -51,6 +48,7 @@ use pac_store::{DiskStore, Store};
 use pac_tensor::{init, ops, reduce, rng::seeded, scratch, QTensor, Tensor};
 use rand::Rng as _;
 use rayon::pool;
+use std::process::ExitCode;
 use std::time::Duration;
 
 fn mini_batches(seed: u64, m: usize, b: usize, s: usize) -> Vec<(Vec<Vec<usize>>, Vec<usize>)> {
@@ -99,32 +97,48 @@ fn tuner_epoch(tuner: &mut Tuner, batches: &[(Vec<Vec<usize>>, Vec<usize>)], opt
     loss_sum
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let multiworld = args.iter().any(|a| a == "--multiworld");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| {
-            if multiworld {
-                "BENCH_PR14.json".to_string()
-            } else {
-                "BENCH_PR22.json".to_string()
+struct Args {
+    quick: bool,
+    out_path: String,
+}
+
+/// Every argument must be known and complete: a typo or a dangling `--out`
+/// would otherwise run the full suite and overwrite the default JSON.
+fn parse_args() -> Result<Args, String> {
+    let mut args = Args {
+        quick: false,
+        out_path: "BENCH_PR22.json".to_string(),
+    };
+    let mut it = std::env::args().skip(1);
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--quick" => args.quick = true,
+            "--out" => {
+                args.out_path = it
+                    .next()
+                    .filter(|p| !p.starts_with("--"))
+                    .ok_or("--out needs a path")?;
             }
-        });
-    if multiworld {
-        let tenants: usize = args
-            .iter()
-            .position(|a| a == "--tenants")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(if quick { 3 } else { 6 });
-        multiworld_bench(tenants, &out_path);
-        return;
+            _ => return Err(format!("unknown argument: {a}")),
+        }
     }
+    Ok(args)
+}
+
+fn main() -> ExitCode {
+    let Args { quick, out_path } = match parse_args() {
+        Ok(a) => a,
+        Err(msg) => {
+            eprintln!(
+                "pac-bench: {msg}\n\
+                 usage: pac-bench [--quick] [--out PATH]\n\
+                 \n\
+                 --quick     40 ms per bench instead of 250, smaller calibration\n\
+                 --out PATH  where the JSON goes (default BENCH_PR22.json)"
+            );
+            return ExitCode::FAILURE;
+        }
+    };
     let budget = Duration::from_millis(if quick { 40 } else { 250 });
     let mut c = Criterion::default().measurement_time(budget);
 
@@ -532,176 +546,5 @@ fn main() {
     json.push_str("}\n");
     std::fs::write(&out_path, &json).expect("write bench trajectory");
     println!("\nwrote {out_path}");
-}
-
-/// The multi-world benchmark: `tenants` training worlds multiplexed by the
-/// coordinator vs the same coordinator fed the same worlds one at a time
-/// — so the ratio measures multiplexing and nothing else — plus the
-/// analytic bubble accounting for co-scheduling their pipeline slots.
-fn multiworld_bench(tenants: usize, out_path: &str) {
-    use pac_net::{
-        run_multiworld, run_world, DistConfig, SimConfig, SimNet, SimSpawner, TenantJob,
-    };
-    use pac_parallel::engine::MicroBatch;
-    use pac_parallel::{plan_filled, plan_serialized, SimStage, TenantLoad};
-    use std::time::Instant;
-
-    // Tenant worlds rotate through small distinct shapes `(stages, lanes)`
-    // so the coordinator multiplexes heterogeneous worlds, as phase F of
-    // the simsweep does.
-    const SHAPES: [(usize, usize); 3] = [(2, 1), (2, 2), (3, 1)];
-    const STEPS: usize = 4;
-    const MICROS: usize = 2;
-    let cfg_for = |t: usize| {
-        let (stages, lanes) = SHAPES[t % SHAPES.len()];
-        let mut cfg = DistConfig::loopback(stages, lanes);
-        cfg.seed = 900 + t as u64;
-        cfg
-    };
-    // Batches are heavy enough (16 rows x 24 tokens) that per-step compute,
-    // not the coordinator's poll granularity, dominates each world's time —
-    // that is the regime the overlap exists for.
-    let batches_for = |t: usize| -> Vec<Vec<MicroBatch>> {
-        let mut rng = seeded(7000 + t as u64);
-        (0..STEPS)
-            .map(|_| {
-                (0..MICROS)
-                    .map(|_| {
-                        let rows: Vec<Vec<usize>> = (0..16)
-                            .map(|_| (0..24).map(|_| rng.gen_range(0..64usize)).collect())
-                            .collect();
-                        let labels: Vec<usize> =
-                            (0..16).map(|_| rng.gen_range(0..2usize)).collect();
-                        (rows, labels)
-                    })
-                    .collect()
-            })
-            .collect()
-    };
-
-    println!(
-        "pac-bench --multiworld: {tenants} tenant worlds x {STEPS} steps through one \
-         coordinator\n"
-    );
-
-    // Serialized baseline: the same coordinator, one job at a time — each
-    // tenant's world brought up, trained, and torn down in sequence.
-    let t0 = Instant::now();
-    let mut solo_losses: Vec<Vec<f32>> = Vec::new();
-    for t in 0..tenants {
-        let net = SimNet::new(SimConfig::clean(40 + t as u64));
-        let _coord = net.register(0);
-        let spawner = SimSpawner::new(net.clone());
-        let job = TenantJob::new(t as u64, cfg_for(t), batches_for(t));
-        let report = run_world(&spawner, job).expect("solo tenant run");
-        solo_losses.push(report.losses);
-    }
-    let serialized_secs = t0.elapsed().as_secs_f64();
-
-    // One coordinator, every world admitted up front.
-    let t1 = Instant::now();
-    let net = SimNet::new(SimConfig::clean(41));
-    let _coord = net.register(0);
-    let spawner = SimSpawner::new(net.clone());
-    let jobs: Vec<TenantJob> = (0..tenants)
-        .map(|t| TenantJob::new(t as u64, cfg_for(t), batches_for(t)))
-        .collect();
-    let report = run_multiworld(&spawner, jobs).expect("multiworld run");
-    let multiworld_secs = t1.elapsed().as_secs_f64();
-    assert!(net.panics().is_empty(), "multiworld world panicked");
-    assert_eq!(report.worlds.len(), tenants, "every tenant must retire");
-
-    // The speedup only counts if isolation held: every tenant's trajectory
-    // must match its solo run bitwise.
-    let bitwise_solo_equal = (0..tenants).all(|t| {
-        let world = report
-            .worlds
-            .iter()
-            .find(|w| w.tenant == t as u64)
-            .expect("tenant retired");
-        world.losses.len() == solo_losses[t].len()
-            && world
-                .losses
-                .iter()
-                .zip(solo_losses[t].iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    });
-    assert!(
-        bitwise_solo_equal,
-        "multi-world trajectories diverged from solo runs"
-    );
-
-    // Bubble accounting for co-scheduling the tenants' pipeline slots over
-    // the shared backbone: the same micro-batch streams planned back to
-    // back vs through the cross-tenant filling planner.
-    let loads: Vec<TenantLoad> = (0..tenants)
-        .map(|t| {
-            let f = 0.5 + (t % 5) as f64 * 0.25;
-            TenantLoad {
-                stages: vec![
-                    SimStage {
-                        fwd_s: f,
-                        bwd_s: 2.0 * f,
-                        send_fwd_s: 0.1,
-                        send_bwd_s: 0.1,
-                        weight_bytes: 0,
-                        act_bytes_per_mb: 0,
-                        fixed_bytes: 0,
-                        allreduce_s: 0.0,
-                    };
-                    3
-                ],
-                micros: MICROS,
-            }
-        })
-        .collect();
-    let bubble_unbatched = plan_serialized(&loads).combined.bubble_fraction;
-    let bubble_filled = plan_filled(&loads).combined.bubble_fraction;
-
-    let serialized_tps = tenants as f64 / serialized_secs.max(1e-9);
-    let multiworld_tps = tenants as f64 / multiworld_secs.max(1e-9);
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "serialized: {serialized_secs:.3} s ({serialized_tps:.2} tenants/sec), \
-         multiworld: {multiworld_secs:.3} s ({multiworld_tps:.2} tenants/sec, \
-         max {} worlds concurrent, {cpus} CPU(s))",
-        report.max_concurrent
-    );
-    if cpus == 1 {
-        println!(
-            "note: on 1 CPU total compute is the bound either way; the wall-clock \
-             columns can only separate on multicore hosts"
-        );
-    }
-    println!("bitwise solo equality: {bitwise_solo_equal}");
-    println!(
-        "bubble_fraction: unbatched {bubble_unbatched:.4} -> filled {bubble_filled:.4} \
-         ({:.1}% of slot time reclaimed)",
-        100.0 * (bubble_unbatched - bubble_filled)
-    );
-
-    let mut json = String::from("{\n  \"multiworld\": {\n");
-    json.push_str(&format!(
-        "    \"tenants\": {tenants}, \"steps_per_tenant\": {STEPS}, \"micros\": {MICROS},\n"
-    ));
-    json.push_str(&format!(
-        "    \"serialized_secs\": {serialized_secs:.6}, \
-         \"serialized_tenants_per_sec\": {serialized_tps:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"multiworld_secs\": {multiworld_secs:.6}, \
-         \"multiworld_tenants_per_sec\": {multiworld_tps:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"max_concurrent\": {}, \"steps_total\": {}, \"cpus\": {cpus}, \
-         \"bitwise_solo_equal\": {bitwise_solo_equal},\n",
-        report.max_concurrent, report.steps_total
-    ));
-    json.push_str(&format!(
-        "    \"bubble_fraction_unbatched\": {bubble_unbatched:.6}, \
-         \"bubble_fraction_filled\": {bubble_filled:.6}\n"
-    ));
-    json.push_str("  }\n}\n");
-    std::fs::write(out_path, &json).expect("write multiworld bench");
-    println!("\nwrote {out_path}");
+    ExitCode::SUCCESS
 }

@@ -36,11 +36,11 @@
 //!   churn (a leave, then a join wave) beside clean siblings. Every
 //!   tenant's losses and final parameters must be *bitwise identical* to
 //!   its own one-job run, the whole multi-world schedule must be
-//!   byte-identical on re-run, each world's recovery log must name only
-//!   its own ranks, and filling the tenants' pipeline bubbles
-//!   ([`pac_parallel::fill`]) must come in *strictly below* the unbatched
-//!   serialized baseline's `bubble_fraction`. `--multiworld` runs this
-//!   phase alone.
+//!   byte-identical on re-run, and each world's recovery log must name
+//!   only its own ranks. The tenants' solo references differ pairwise in
+//!   their first loss and in their final parameters, so a world that ran
+//!   on another tenant's state could not pass the bitwise check by
+//!   coincidence. `--multiworld` runs this phase alone.
 //!
 //! A failing seed is reported with its event trace dumped to
 //! `simsweep-trace-seed-<K>-<phase>.txt` (one file per phase, never
@@ -48,25 +48,21 @@
 //! from `--seed=K` alone — no schedule, no timing, no environment needed.
 //!
 //! `--planted` runs the harness self-tests: a worker buggified to apply
-//! its local gradient *before* the AllReduce, a joiner buggified to
-//! skip its catch-up `Restore`, and a bubble-filling executor with a
-//! planted cross-tenant [`SlotLeak`] must all be caught (divergence from
-//! the reference run) within the seed budget.
+//! its local gradient *before* the AllReduce and a joiner buggified to
+//! skip its catch-up `Restore` must both be caught (divergence from the
+//! reference run) within the seed budget.
 
 #![deny(missing_docs)]
 
-use pac_model::{EncoderModel, ModelConfig, StageModel};
+use pac_model::{EncoderModel, ModelConfig};
 use pac_net::{
     run_multiworld, run_world, Buggify, DistConfig, DistError, Partition, RankLoss, SimConfig,
     SimNet, SimSpawner, TenantJob, WorldReport,
 };
 use pac_nn::optim::Sgd;
-use pac_nn::{Module, Optimizer};
-use pac_parallel::engine::{run_pipeline_mini_batch, HybridEngine, MicroBatch};
-use pac_parallel::fill::{run_filled_mini_batch, FillTenant, SlotLeak};
-use pac_parallel::{
-    plan_filled, plan_serialized, Fault, FaultPlan, Schedule, SimStage, TenantLoad,
-};
+use pac_nn::Optimizer;
+use pac_parallel::engine::{HybridEngine, MicroBatch};
+use pac_parallel::{Fault, FaultPlan, Schedule};
 use pac_store::{Committed, DiskStore, Store, StoreError};
 use pac_tensor::rng::seeded;
 use rand::Rng;
@@ -704,7 +700,8 @@ const F_SHAPES: [(usize, usize); 3] = [(2, 1), (2, 2), (3, 1)];
 const F_STEPS: usize = 3;
 
 /// Phase F's per-tenant job config: tenant-distinct model seed so a
-/// cross-tenant leak of state can never be bitwise coincidental.
+/// cross-tenant leak of state can never be bitwise coincidental
+/// ([`f_references`] asserts that the references tell tenants apart).
 fn f_cfg(t: usize) -> DistConfig {
     let (stages, lanes) = F_SHAPES[t];
     let mut cfg = DistConfig::loopback(stages, lanes);
@@ -799,6 +796,27 @@ fn f_references() -> FRefs {
         refs.churn.losses, refs.clean[F_CHURN_TENANT].losses,
         "phase F churn plan never changed the membership"
     );
+    // Phase F can only see a world trained on another tenant's model or
+    // data if no two tenants' references coincide.
+    let param_bits = |r: &Reference| -> Vec<(String, Vec<u32>)> {
+        r.params
+            .iter()
+            .map(|(n, t)| (n.clone(), t.data().iter().map(|v| v.to_bits()).collect()))
+            .collect()
+    };
+    for (i, a) in refs.clean.iter().enumerate() {
+        for (j, b) in refs.clean.iter().enumerate().skip(i + 1) {
+            assert_ne!(
+                a.losses[0].to_bits(),
+                b.losses[0].to_bits(),
+                "phase F tenants {i} and {j} share their step-0 loss"
+            );
+            assert!(
+                param_bits(a) != param_bits(b),
+                "phase F tenants {i} and {j} end on the same parameters"
+            );
+        }
+    }
     refs
 }
 
@@ -814,10 +832,7 @@ fn f_references() -> FRefs {
 /// * the dead rank is recovered in, and logged by, its own world only —
 ///   sibling worlds see zero recoveries and no `rank .. down` lines;
 /// * the whole multi-world schedule is a pure function of the seed: a
-///   second run yields byte-identical net traces, end times, and logs;
-/// * filling the tenants' pipeline bubbles plans *strictly below* the
-///   unbatched back-to-back baseline's `bubble_fraction`, and the filled
-///   plan itself re-plans byte-identically.
+///   second run yields byte-identical net traces, end times, and logs.
 fn phase_f(seed: u64, refs: &FRefs) -> Result<(), (String, SimNet)> {
     let tenants = 2 + (seed % 2) as usize;
     let stagger = 1 + seed % 2;
@@ -965,48 +980,6 @@ fn phase_f(seed: u64, refs: &FRefs) -> Result<(), (String, SimNet)> {
         ));
     }
 
-    // Continuous batching: co-scheduling these tenants' pipeline slots must
-    // plan strictly fewer bubbles than running them back to back. Stage
-    // count is fixed (the shared backbone); per-tenant compute costs vary
-    // by seed so the sweep covers many cost ratios.
-    let loads: Vec<TenantLoad> = (0..tenants)
-        .map(|t| {
-            let f = 0.5 + ((seed + t as u64) % 5) as f64 * 0.25;
-            TenantLoad {
-                stages: vec![
-                    SimStage {
-                        fwd_s: f,
-                        bwd_s: 2.0 * f,
-                        send_fwd_s: 0.1,
-                        send_bwd_s: 0.1,
-                        weight_bytes: 0,
-                        act_bytes_per_mb: 0,
-                        fixed_bytes: 0,
-                        allreduce_s: 0.0,
-                    };
-                    3
-                ],
-                micros: MICROS,
-            }
-        })
-        .collect();
-    let filled = plan_filled(&loads);
-    let serial = plan_serialized(&loads);
-    if filled.combined.bubble_fraction >= serial.combined.bubble_fraction {
-        return Err((
-            format!(
-                "F: bubble filling did not beat the unbatched baseline: {:.4} vs {:.4}",
-                filled.combined.bubble_fraction, serial.combined.bubble_fraction
-            ),
-            net_b,
-        ));
-    }
-    if filled.trace_lines() != plan_filled(&loads).trace_lines() {
-        return Err((
-            "F: filled plan is not a pure function of its loads".to_string(),
-            net_b,
-        ));
-    }
     Ok(())
 }
 
@@ -1073,70 +1046,6 @@ fn planted_churn_probe(seed: u64, batches: &[Vec<MicroBatch>]) -> bool {
         // the probe is inconclusive, not a catch.
         (Err(_), _) => false,
         (Ok(_), Err(_)) => true,
-    }
-}
-
-/// Every gradient bit of a stage chain, flattened in visit order.
-fn grad_bits(stages: &[StageModel]) -> Vec<u32> {
-    let mut bits = Vec::new();
-    for st in stages {
-        st.visit_params_ref(&mut |p| bits.extend(p.grad.data().iter().map(|v| v.to_bits())));
-    }
-    bits
-}
-
-/// The isolation planted-bug self-test: a bubble-filled run with a planted
-/// [`SlotLeak`] — one tenant silently consuming another tenant's boundary
-/// activation — must be caught by the bitwise comparison against each
-/// tenant's solo pipeline run (or fail typed). If the harness can't see a
-/// cross-tenant leak we planted, it can't see one we didn't.
-fn planted_fill_probe(seed: u64) -> bool {
-    let tenant = |model_seed: u64, data_seed: u64| {
-        let cfg = ModelConfig::micro(4, 0, 16, 2);
-        let model = EncoderModel::new(&cfg, 2, &mut seeded(model_seed));
-        let mut rng = seeded(data_seed);
-        let micro_batches: Vec<MicroBatch> = (0..MICROS)
-            .map(|_| {
-                let rows: Vec<Vec<usize>> = (0..2)
-                    .map(|_| (0..4).map(|_| rng.gen_range(0..64usize)).collect())
-                    .collect();
-                let labels: Vec<usize> = (0..2).map(|_| rng.gen_range(0..2usize)).collect();
-                (rows, labels)
-            })
-            .collect();
-        (model, micro_batches)
-    };
-    let inputs = [
-        tenant(400 + seed, 500 + seed),
-        tenant(600 + seed, 700 + seed),
-    ];
-    let solos: Vec<_> = inputs
-        .iter()
-        .map(|(m, mbs)| {
-            run_pipeline_mini_batch(
-                m.clone().partition(&[2, 2]).expect("partition"),
-                mbs.clone(),
-                Schedule::OneFOneB,
-            )
-            .expect("solo pipeline run")
-        })
-        .collect();
-    let tenants: Vec<FillTenant> = inputs
-        .iter()
-        .map(|(m, mbs)| FillTenant {
-            stages: m.clone().partition(&[2, 2]).expect("partition"),
-            micro_batches: mbs.clone(),
-        })
-        .collect();
-    let leak = SlotLeak {
-        from_slot: (seed % 4) as usize,
-    };
-    match run_filled_mini_batch(tenants, Some(leak)) {
-        // A typed failure also counts as "caught": the bug was surfaced.
-        Err(_) => true,
-        Ok(run) => solos.iter().zip(run.tenants.iter()).any(|(s, f)| {
-            s.loss.to_bits() != f.loss.to_bits() || grad_bits(&s.stages) != grad_bits(&f.stages)
-        }),
     }
 }
 
@@ -1210,9 +1119,8 @@ fn parse_args() -> Result<Args, String> {
                  --seeds=N    sweep seeds 0..N (default 200)\n\
                  --seed=K     reproduce one seed, always dumping its trace\n\
                  --quick      phase B on every 10th seed, phases D/E/F on every 5th/10th\n\
-                 --planted    self-test: planted AllReduce-ordering, skipped\n\
-                 \u{20}             catch-up, and cross-tenant slot-leak bugs must\n\
-                 \u{20}             all be caught\n\
+                 --planted    self-test: the planted AllReduce-ordering and\n\
+                 \u{20}             skipped catch-up bugs must both be caught\n\
                  --churn      phase D (elastic churn) only\n\
                  --durable    phase E (durable crash-recovery) only\n\
                  --multiworld phase F (multi-world chaos) only\n\
@@ -1242,7 +1150,6 @@ fn main() -> ExitCode {
         let reference = inprocess_run(&DistConfig::loopback(2, 2), &batches);
         let mut allreduce_at: Option<u64> = None;
         let mut churn_at: Option<u64> = None;
-        let mut leak_at: Option<u64> = None;
         for seed in 0..args.seeds {
             if allreduce_at.is_none() && planted_probe(seed, &batches, &reference) {
                 allreduce_at = Some(seed);
@@ -1250,12 +1157,9 @@ fn main() -> ExitCode {
             if churn_at.is_none() && planted_churn_probe(seed, &batches) {
                 churn_at = Some(seed);
             }
-            if leak_at.is_none() && planted_fill_probe(seed) {
-                leak_at = Some(seed);
-            }
-            if let (Some(a), Some(c), Some(l)) = (allreduce_at, churn_at, leak_at) {
+            if let (Some(a), Some(c)) = (allreduce_at, churn_at) {
                 println!(
-                    "planted: AllReduce ordering bug caught at seed {a}, skipped catch-up bug caught at seed {c}, cross-tenant slot leak caught at seed {l} ({:.1}s)",
+                    "planted: both bugs caught: AllReduce ordering bug at seed {a}, skipped catch-up bug at seed {c} ({:.1}s)",
                     t0.elapsed().as_secs_f64()
                 );
                 return ExitCode::SUCCESS;
@@ -1270,12 +1174,6 @@ fn main() -> ExitCode {
         if churn_at.is_none() {
             eprintln!(
                 "planted: skipped catch-up bug NOT caught in {} seeds — the harness is blind",
-                args.seeds
-            );
-        }
-        if leak_at.is_none() {
-            eprintln!(
-                "planted: cross-tenant slot leak NOT caught in {} seeds — the harness is blind",
                 args.seeds
             );
         }

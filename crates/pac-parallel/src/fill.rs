@@ -1,38 +1,25 @@
-//! Cross-tenant pipeline **bubble filling**: when a tenant's 1F1B schedule
-//! would leave a stage idle (a pipeline bubble, measured by
-//! [`SimResult::bubble_fraction`]), fill the slot with a ready micro-batch
+//! Cross-tenant pipeline **bubble filling**, as a plan: when a tenant's
+//! 1F1B schedule would leave a stage idle (a pipeline bubble, measured by
+//! [`SimResult::bubble_fraction`]), the slot goes to a ready micro-batch
 //! from another tenant sharing the frozen backbone.
 //!
-//! Two layers, mirroring the rest of `pac-parallel`:
+//! [`plan_filled`] is a deterministic work-conserving timeline planner.
+//! Each tenant keeps its *own* per-stage op queue (exactly
+//! [`stage_op_sequence`] under [`Schedule::OneFOneB`]); a shared stage only
+//! ever executes queue **heads**, so per-tenant op order and the 1F1B
+//! in-flight bound are preserved *structurally* — they cannot be violated
+//! no matter how slots interleave. [`plan_serialized`] is the unbatched
+//! baseline: the same tenants run back-to-back with a full flush between
+//! them.
 //!
-//! * [`plan_filled`] — a deterministic work-conserving timeline planner.
-//!   Each tenant keeps its *own* per-stage op queue (exactly
-//!   [`stage_op_sequence`] under [`Schedule::OneFOneB`]); a shared stage
-//!   only ever executes queue **heads**, so per-tenant op order and the
-//!   1F1B in-flight bound are preserved *structurally* — they cannot be
-//!   violated no matter how slots interleave. [`plan_serialized`] is the
-//!   unbatched baseline: the same tenants run back-to-back with a full
-//!   flush between them.
-//! * [`run_filled_mini_batch`] — a real executor that runs several
-//!   tenants' mini-batches through their own [`StageModel`] chains in one
-//!   interleaved slot order, with **strictly separate per-tenant gradient
-//!   streams**: every tensor a tenant touches lives in that tenant's own
-//!   state, so each tenant's loss and accumulated gradients are *bitwise
-//!   identical* to its solo
-//!   [`run_pipeline_mini_batch`](crate::engine::run_pipeline_mini_batch)
-//!   run. The [`SlotLeak`] knob deliberately breaks that isolation at one
-//!   slot (a planted bug) so determinism harnesses can prove they would
-//!   catch a real one.
+//! Nothing executes these plans: the reference benchmark reads a filled
+//! bubble fraction and a single-tenant makespan prediction from them.
+//! Running one would mean the pac-net coordinator ordering each rank's ops
+//! from [`FilledPlan::ops`].
 
-use crate::engine::error::{EngineError, EngineResult};
-use crate::engine::MicroBatch;
 use crate::schedule::{
     simulate_pipeline, stage_op_sequence, Op, Schedule, SimEvent, SimResult, SimStage,
 };
-use pac_model::{StageCtx, StageData, StageModel};
-use pac_nn::cross_entropy;
-use pac_tensor::Tensor;
-use std::collections::HashMap;
 
 /// One tenant's load for the timeline planner: its per-stage costs (the
 /// backbone partition is shared, so every tenant has the same stage
@@ -85,30 +72,12 @@ pub struct FilledPlan {
     /// The combined timeline over the shared stages — its
     /// `bubble_fraction` is the headline metric bubble filling improves.
     pub combined: SimResult,
-    /// Each tenant's own slots replayed in isolation (per-tenant order and
-    /// in-flight accounting).
-    pub per_tenant: Vec<SimResult>,
 }
 
 impl FilledPlan {
-    /// Deterministic one-line-per-slot rendering with exact `f64` bits —
-    /// two runs of the same plan must produce byte-identical lines, which
-    /// is what the simsweep determinism harness diffs.
-    pub fn trace_lines(&self) -> Vec<String> {
-        self.ops
-            .iter()
-            .map(|o| {
-                format!(
-                    "t{} s{} m{} {} {:016x}-{:016x}",
-                    o.tenant,
-                    o.stage,
-                    o.micro,
-                    if o.forward { 'F' } else { 'B' },
-                    o.start.to_bits(),
-                    o.end.to_bits()
-                )
-            })
-            .collect()
+    fn new(ops: Vec<FilledOp>, s_n: usize) -> Self {
+        let combined = SimResult::from_events(ops.iter().map(FilledOp::event).collect(), s_n);
+        FilledPlan { ops, combined }
     }
 }
 
@@ -128,22 +97,6 @@ fn check_loads(tenants: &[TenantLoad]) -> usize {
         );
     }
     s_n
-}
-
-fn results_from_ops(ops: &[FilledOp], s_n: usize, t_n: usize) -> (SimResult, Vec<SimResult>) {
-    let combined = SimResult::from_events(ops.iter().map(FilledOp::event).collect(), s_n);
-    let per_tenant = (0..t_n)
-        .map(|t| {
-            SimResult::from_events(
-                ops.iter()
-                    .filter(|o| o.tenant == t)
-                    .map(FilledOp::event)
-                    .collect(),
-                s_n,
-            )
-        })
-        .collect();
-    (combined, per_tenant)
 }
 
 /// Plans a work-conserving filled timeline: whenever a shared stage is
@@ -239,13 +192,7 @@ pub fn plan_filled(tenants: &[TenantLoad]) -> FilledPlan {
         remaining -= 1;
     }
 
-    pac_telemetry::counter_inc("fill.plans");
-    let (combined, per_tenant) = results_from_ops(&ops, s_n, t_n);
-    FilledPlan {
-        ops,
-        combined,
-        per_tenant,
-    }
+    FilledPlan::new(ops, s_n)
 }
 
 /// The unbatched baseline: every tenant runs its solo
@@ -281,247 +228,12 @@ pub fn plan_serialized(tenants: &[TenantLoad]) -> FilledPlan {
             .then(a.stage.cmp(&b.stage))
             .then(a.tenant.cmp(&b.tenant))
     });
-    let (combined, per_tenant) = results_from_ops(&ops, s_n, tenants.len());
-    FilledPlan {
-        ops,
-        combined,
-        per_tenant,
-    }
-}
-
-/// One tenant's real workload for [`run_filled_mini_batch`]: its own stage
-/// chain (adapters private, frozen backbone shared copy-on-write at the
-/// tensor layer) and its own micro-batches.
-pub struct FillTenant {
-    /// The tenant's pipeline stages, in order. All tenants must have the
-    /// same stage count.
-    pub stages: Vec<StageModel>,
-    /// `(tokens, class_targets)` per micro-batch.
-    pub micro_batches: Vec<MicroBatch>,
-}
-
-/// A **planted isolation bug** for determinism harnesses: starting at
-/// forward-consume slot `from_slot`, the first cross-tenant opportunity
-/// delivers the most recent boundary activation produced by *another*
-/// tenant in place of the victim's own. The victim's trajectory silently
-/// diverges from its solo run — exactly the failure mode the bitwise
-/// equivalence checks exist to catch.
-#[derive(Debug, Clone, Copy)]
-pub struct SlotLeak {
-    /// First forward-consume slot (global count of stage>0 forward inputs,
-    /// in execution order) at which the leak may fire.
-    pub from_slot: usize,
-}
-
-/// One tenant's outcome from a filled run.
-pub struct FilledOutcome {
-    /// The tenant's stages with gradients accumulated.
-    pub stages: Vec<StageModel>,
-    /// Mean loss over the tenant's micro-batches.
-    pub loss: f32,
-}
-
-/// Outcome of [`run_filled_mini_batch`] over all tenants.
-pub struct FilledRun {
-    /// Per-tenant outcomes, in input order.
-    pub tenants: Vec<FilledOutcome>,
-    /// Which tenant consumed a leaked activation, if a [`SlotLeak`] fired.
-    /// Recorded for test assertions only — harnesses must *detect* the
-    /// divergence themselves, bitwise, without reading this field.
-    pub leak_victim: Option<usize>,
-}
-
-struct TenantState {
-    stages: Vec<StageModel>,
-    ctxs: HashMap<(usize, usize), StageCtx>,
-    logits: HashMap<usize, Tensor>,
-    fwd_mail: HashMap<(usize, usize), StageData>,
-    bwd_mail: HashMap<(usize, usize), Tensor>,
-    loss_sum: f32,
-}
-
-/// Runs every tenant's mini-batch through its own stage chain in one
-/// deterministic interleaved slot order (a unit-cost [`plan_filled`]
-/// timeline), on the current thread.
-///
-/// Per-tenant state — activations, gradients, contexts, logits — is fully
-/// disjoint, and each tenant's ops execute in its exact solo 1F1B order
-/// with the same math as
-/// [`run_stage`](crate::engine::run_stage) (loss scaled by that tenant's
-/// own `1 / M`), so every tenant's loss and accumulated gradients are
-/// bitwise identical to its solo pipeline run — unless a [`SlotLeak`] is
-/// planted.
-///
-/// # Errors
-/// [`EngineError::Tensor`] on empty/mismatched inputs or stage math
-/// failures.
-pub fn run_filled_mini_batch(
-    tenants: Vec<FillTenant>,
-    leak: Option<SlotLeak>,
-) -> EngineResult<FilledRun> {
-    if tenants.is_empty()
-        || tenants
-            .iter()
-            .any(|t| t.stages.is_empty() || t.micro_batches.is_empty())
-    {
-        return Err(EngineError::Tensor(
-            pac_tensor::TensorError::ShapeMismatch {
-                op: "filled run needs tenants with at least one stage and one micro-batch",
-                lhs: vec![tenants.len()],
-                rhs: Vec::new(),
-            },
-        ));
-    }
-    let s_n = tenants[0].stages.len();
-    if tenants.iter().any(|t| t.stages.len() != s_n) {
-        return Err(EngineError::Tensor(
-            pac_tensor::TensorError::ShapeMismatch {
-                op: "filled run: every tenant must have the same stage count",
-                lhs: vec![s_n],
-                rhs: tenants.iter().map(|t| t.stages.len()).collect(),
-            },
-        ));
-    }
-
-    // Slot order: a unit-cost plan — compute costs are equal, so the
-    // interleaving is decided purely by readiness and the deterministic
-    // (stage, tenant) tie-break. Any valid interleaving preserves
-    // per-tenant bitwise results; this one is reproducible.
-    let loads: Vec<TenantLoad> = tenants
-        .iter()
-        .map(|t| TenantLoad {
-            stages: vec![
-                SimStage {
-                    fwd_s: 1.0,
-                    bwd_s: 1.0,
-                    send_fwd_s: 0.0,
-                    send_bwd_s: 0.0,
-                    weight_bytes: 0,
-                    act_bytes_per_mb: 0,
-                    fixed_bytes: 0,
-                    allreduce_s: 0.0,
-                };
-                s_n
-            ],
-            micros: t.micro_batches.len(),
-        })
-        .collect();
-    let plan = plan_filled(&loads);
-
-    let micro_batches: Vec<Vec<MicroBatch>> =
-        tenants.iter().map(|t| t.micro_batches.clone()).collect();
-    let mut states: Vec<TenantState> = tenants
-        .into_iter()
-        .map(|t| TenantState {
-            stages: t.stages,
-            ctxs: HashMap::new(),
-            logits: HashMap::new(),
-            fwd_mail: HashMap::new(),
-            bwd_mail: HashMap::new(),
-            loss_sum: 0.0,
-        })
-        .collect();
-
-    let mut consume_slot = 0usize;
-    let mut last_boundary: Option<(usize, StageData)> = None;
-    let mut leak_armed = leak;
-    let mut leak_victim: Option<usize> = None;
-
-    for op in &plan.ops {
-        let (t, s, m) = (op.tenant, op.stage, op.micro);
-        let m_n = micro_batches[t].len();
-        if op.forward {
-            // Leaks target boundary activations — the only cross-stage
-            // tensor traffic — so stage-0 token inputs are never affected.
-            let input = if s == 0 {
-                StageData::Tokens(micro_batches[t][m].0.clone())
-            } else {
-                let mut chosen = states[t]
-                    .fwd_mail
-                    .remove(&(s, m))
-                    .expect("activation missing for forward (scheduler bug)");
-                if let Some(lk) = leak_armed {
-                    if consume_slot >= lk.from_slot {
-                        if let Some((src, data)) = &last_boundary {
-                            if *src != t {
-                                // The planted bug: another tenant's
-                                // activation crosses the stream boundary.
-                                chosen = data.clone();
-                                leak_armed = None;
-                                leak_victim = Some(t);
-                                pac_telemetry::counter_inc("fill.leaks_injected");
-                            }
-                        }
-                    }
-                }
-                consume_slot += 1;
-                chosen
-            };
-            let st = &mut states[t];
-            let (out, ctx) = st.stages[s].forward(input)?;
-            st.ctxs.insert((s, m), ctx);
-            match out {
-                StageData::Logits(l) => {
-                    st.logits.insert(m, l);
-                }
-                other => {
-                    if leak_armed.is_some() {
-                        last_boundary = Some((t, other.clone()));
-                    }
-                    st.fwd_mail.insert((s + 1, m), other);
-                }
-            }
-        } else {
-            let grad = if s == s_n - 1 {
-                let logits = states[t]
-                    .logits
-                    .remove(&m)
-                    .expect("logits missing for backward (scheduler bug)");
-                let (loss, dl) = cross_entropy(&logits, &micro_batches[t][m].1)?;
-                states[t].loss_sum += loss;
-                dl.scale(1.0 / m_n as f32)
-            } else {
-                states[t]
-                    .bwd_mail
-                    .remove(&(s, m))
-                    .expect("gradient missing for backward (scheduler bug)")
-            };
-            let st = &mut states[t];
-            let ctx = st
-                .ctxs
-                .remove(&(s, m))
-                .expect("ctx missing for backward (scheduler bug)");
-            let upstream = st.stages[s].backward(&ctx, &grad)?;
-            ctx.recycle();
-            pac_tensor::scratch::put(grad);
-            if let Some(g) = upstream {
-                assert!(s > 0, "first stage produced an upstream gradient");
-                st.bwd_mail.insert((s - 1, m), g);
-            }
-        }
-    }
-
-    pac_telemetry::counter_inc("fill.runs");
-    let outcomes = states
-        .into_iter()
-        .enumerate()
-        .map(|(t, st)| FilledOutcome {
-            stages: st.stages,
-            loss: st.loss_sum / micro_batches[t].len() as f32,
-        })
-        .collect();
-    Ok(FilledRun {
-        tenants: outcomes,
-        leak_victim,
-    })
+    FilledPlan::new(ops, s_n)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_pipeline_mini_batch;
-    use pac_model::{EncoderModel, ModelConfig};
-    use pac_nn::Module;
     use pac_tensor::rng::seeded;
     use proptest::prelude::*;
     use rand::Rng as _;
@@ -627,8 +339,16 @@ mod tests {
             let filled = plan_filled(&loads);
 
             // Determinism: replanning is bitwise identical.
-            let again = plan_filled(&loads);
-            prop_assert_eq!(filled.trace_lines(), again.trace_lines());
+            let bits = |plan: &FilledPlan| -> Vec<_> {
+                plan.ops
+                    .iter()
+                    .map(|o| {
+                        let (start, end) = (o.start.to_bits(), o.end.to_bits());
+                        (o.tenant, o.stage, o.micro, o.forward, start, end)
+                    })
+                    .collect()
+            };
+            prop_assert_eq!(bits(&filled), bits(&plan_filled(&loads)));
 
             // No per-tenant reorder: each (tenant, stage) slot subsequence
             // is exactly the tenant's solo 1F1B op sequence.
@@ -681,130 +401,5 @@ mod tests {
                 serial.combined.bubble_fraction
             );
         }
-    }
-
-    fn model(seed: u64, layers: usize) -> EncoderModel {
-        let cfg = ModelConfig::micro(layers, 0, 16, 2);
-        EncoderModel::new(&cfg, 2, &mut seeded(seed))
-    }
-
-    fn micro_batches(
-        seed: u64,
-        m: usize,
-        b: usize,
-        s: usize,
-    ) -> Vec<(Vec<Vec<usize>>, Vec<usize>)> {
-        let mut rng = seeded(seed);
-        (0..m)
-            .map(|_| {
-                let toks: Vec<Vec<usize>> = (0..b)
-                    .map(|_| (0..s).map(|_| rng.gen_range(0..64)).collect())
-                    .collect();
-                let targets: Vec<usize> = (0..b).map(|_| rng.gen_range(0..2)).collect();
-                (toks, targets)
-            })
-            .collect()
-    }
-
-    fn grads(stages: &[StageModel]) -> Vec<(String, Vec<u32>)> {
-        let mut out = Vec::new();
-        for st in stages {
-            st.visit_params_ref(&mut |p| {
-                out.push((
-                    p.name.clone(),
-                    p.grad.data().iter().map(|v| v.to_bits()).collect(),
-                ));
-            });
-        }
-        out
-    }
-
-    #[test]
-    fn filled_execution_is_bitwise_identical_to_each_solo_run() {
-        let inputs = [
-            (model(300, 4), micro_batches(310, 2, 2, 4)),
-            (model(301, 4), micro_batches(311, 3, 2, 4)),
-        ];
-        let solos: Vec<_> = inputs
-            .iter()
-            .map(|(m, mbs)| {
-                let stages = m.clone().partition(&[2, 2]).unwrap();
-                run_pipeline_mini_batch(stages, mbs.clone(), Schedule::OneFOneB).unwrap()
-            })
-            .collect();
-        let tenants: Vec<FillTenant> = inputs
-            .iter()
-            .map(|(m, mbs)| FillTenant {
-                stages: m.clone().partition(&[2, 2]).unwrap(),
-                micro_batches: mbs.clone(),
-            })
-            .collect();
-        let run = run_filled_mini_batch(tenants, None).unwrap();
-        assert!(run.leak_victim.is_none());
-        for (t, (solo, filled)) in solos.iter().zip(&run.tenants).enumerate() {
-            assert_eq!(
-                solo.loss.to_bits(),
-                filled.loss.to_bits(),
-                "tenant {t} loss drifted"
-            );
-            assert_eq!(
-                grads(&solo.stages),
-                grads(&filled.stages),
-                "tenant {t} grads"
-            );
-        }
-    }
-
-    #[test]
-    fn planted_slot_leak_poisons_exactly_one_tenant() {
-        let inputs = [
-            (model(302, 4), micro_batches(312, 2, 2, 4)),
-            (model(303, 4), micro_batches(313, 2, 2, 4)),
-        ];
-        let solos: Vec<_> = inputs
-            .iter()
-            .map(|(m, mbs)| {
-                let stages = m.clone().partition(&[2, 2]).unwrap();
-                run_pipeline_mini_batch(stages, mbs.clone(), Schedule::OneFOneB).unwrap()
-            })
-            .collect();
-        let tenants: Vec<FillTenant> = inputs
-            .iter()
-            .map(|(m, mbs)| FillTenant {
-                stages: m.clone().partition(&[2, 2]).unwrap(),
-                micro_batches: mbs.clone(),
-            })
-            .collect();
-        let run = run_filled_mini_batch(tenants, Some(SlotLeak { from_slot: 0 })).unwrap();
-        let victim = run.leak_victim.expect("leak must fire");
-        for (t, (solo, filled)) in solos.iter().zip(&run.tenants).enumerate() {
-            let same = grads(&solo.stages) == grads(&filled.stages)
-                && solo.loss.to_bits() == filled.loss.to_bits();
-            if t == victim {
-                assert!(
-                    !same,
-                    "victim tenant {t} did not diverge — leak had no effect"
-                );
-            } else {
-                assert!(same, "non-victim tenant {t} was contaminated");
-            }
-        }
-    }
-
-    #[test]
-    fn mismatched_or_empty_tenants_are_typed_errors() {
-        assert!(run_filled_mini_batch(Vec::new(), None).is_err());
-        let m = model(304, 2);
-        let bad = vec![
-            FillTenant {
-                stages: m.clone().partition(&[1, 1]).unwrap(),
-                micro_batches: micro_batches(314, 1, 2, 4),
-            },
-            FillTenant {
-                stages: m.partition(&[2]).unwrap(),
-                micro_batches: micro_batches(315, 1, 2, 4),
-            },
-        ];
-        assert!(run_filled_mini_batch(bad, None).is_err());
     }
 }

@@ -30,10 +30,7 @@ pub mod simulate;
 
 pub use engine::{EngineError, EngineResult};
 pub use faults::{Fault, FaultClock, FaultPlan, TimelineEvent, TimelineKind};
-pub use fill::{
-    plan_filled, plan_serialized, run_filled_mini_batch, FillTenant, FilledOp, FilledPlan,
-    FilledRun, SlotLeak, TenantLoad,
-};
+pub use fill::{plan_filled, plan_serialized, FilledOp, FilledPlan, TenantLoad};
 pub use plan::{ParallelPlan, StageAssignment};
 pub use schedule::{Schedule, SimResult, SimStage};
 pub use simulate::{

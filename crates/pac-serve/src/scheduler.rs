@@ -40,7 +40,6 @@ use pac_cluster::{CostModel, DeviceSpec};
 use pac_core::{run_tenant_burst, BurstSpec, TenantPhase, TenantSession};
 use pac_model::{EncDecModel, ModelConfig};
 use pac_nn::Module;
-use pac_parallel::{plan_filled, plan_serialized, SimStage, TenantLoad};
 use pac_peft::{AdapterBaseline, ParallelTuner, Technique, TrainCheckpoint};
 use pac_store::Store;
 use pac_telemetry::{counter_add, counter_inc};
@@ -132,13 +131,6 @@ pub struct ServeConfig {
     /// Planted bug: skip the baseline hygiene reset for fresh tenants
     /// (the isolation self-test's target).
     pub buggify_skip_reset: bool,
-    /// Cross-tenant bubble filling: when ≥ 2 tenants are co-scheduled on
-    /// one tick, plan their bursts through
-    /// [`pac_parallel::fill::plan_filled`] (the multiworld coordinator's
-    /// slot schedule) instead of treating each tenant's pipeline as
-    /// exclusive, and book the bubble-fraction gap vs the serialized
-    /// baseline on the report and `serve.fill.*` counters.
-    pub fill_bubbles: bool,
 }
 
 impl ServeConfig {
@@ -159,7 +151,6 @@ impl ServeConfig {
             active_window: 4 * ranks.max(1),
             trajectory_window: 100,
             buggify_skip_reset: false,
-            fill_bubbles: false,
         }
     }
 }
@@ -233,14 +224,6 @@ pub struct ServeReport {
     pub final_losses: BTreeMap<u64, (u32, f32)>,
     /// `(tenant, serviced_steps, wait_ticks)` fairness ledger.
     pub fairness: Vec<(u64, u64, u64)>,
-    /// Ticks on which ≥ 2 co-scheduled tenants were planned through the
-    /// bubble-filling schedule (0 unless [`ServeConfig::fill_bubbles`]).
-    pub fill_ticks: u64,
-    /// Mean combined bubble fraction of the filled plans over those ticks.
-    pub fill_bubble_filled: f64,
-    /// Mean combined bubble fraction of the serialized (unbatched)
-    /// baseline over the same ticks — filling must come in below this.
-    pub fill_bubble_serialized: f64,
     /// Per-job outcomes in input order.
     pub job_outcomes: Vec<JobOutcome>,
     /// Full transcript.
@@ -407,8 +390,6 @@ impl<S: Store> ServePlatform<S> {
         let mut trajectory: Vec<(u64, f64)> = Vec::new();
         let (mut win_warm, mut win_cold) = (0u64, 0u64);
         let mut resident_peak = 0u64;
-        let mut fill_ticks = 0u64;
-        let (mut fill_filled_sum, mut fill_serial_sum) = (0.0f64, 0.0f64);
 
         loop {
             // Admission: top the active window up from the backlog.
@@ -543,49 +524,6 @@ impl<S: Store> ServePlatform<S> {
                     },
                     adapter,
                 });
-            }
-
-            // Cross-tenant bubble filling: when this tick co-scheduled
-            // ≥ 2 tenants, plan their bursts through the multiworld slot
-            // schedule and book the bubble-fraction gap against running
-            // each tenant's pipeline exclusively. At micro scale the
-            // bursts below still execute whole per rank — the plan is the
-            // coordinator's co-scheduling decision, surfaced here so
-            // operators can see what filling buys before enabling it on a
-            // real pipeline deployment.
-            if self.cfg.fill_bubbles {
-                let loads: Vec<TenantLoad> = assignments
-                    .iter()
-                    .flatten()
-                    .map(|pj| TenantLoad {
-                        // Synthetic two-stage backbone split with the
-                        // paper's fwd:bwd ≈ 1:2 cost ratio; one micro-batch
-                        // per burst step. Deterministic by construction.
-                        stages: vec![
-                            SimStage {
-                                fwd_s: 1.0,
-                                bwd_s: 2.0,
-                                send_fwd_s: 0.1,
-                                send_bwd_s: 0.1,
-                                weight_bytes: 0,
-                                act_bytes_per_mb: 0,
-                                fixed_bytes: 0,
-                                allreduce_s: 0.0,
-                            };
-                            2
-                        ],
-                        micros: pj.spec.steps.max(1),
-                    })
-                    .collect();
-                if loads.len() >= 2 {
-                    let filled = plan_filled(&loads);
-                    let serial = plan_serialized(&loads);
-                    fill_ticks += 1;
-                    fill_filled_sum += filled.combined.bubble_fraction;
-                    fill_serial_sum += serial.combined.bubble_fraction;
-                    counter_inc("serve.fill.ticks");
-                    counter_add("serve.fill.tenants", loads.len() as u64);
-                }
             }
 
             // Phase 2: the busy ranks' job lists are the chunks of one call
@@ -799,17 +737,6 @@ impl<S: Store> ServePlatform<S> {
             tenants_published: self.registry.tenants() as u64,
             final_losses,
             fairness,
-            fill_ticks,
-            fill_bubble_filled: if fill_ticks > 0 {
-                fill_filled_sum / fill_ticks as f64
-            } else {
-                0.0
-            },
-            fill_bubble_serialized: if fill_ticks > 0 {
-                fill_serial_sum / fill_ticks as f64
-            } else {
-                0.0
-            },
             job_outcomes: outcomes
                 .into_iter()
                 .map(|o| o.expect("every job ran"))
@@ -888,27 +815,6 @@ mod tests {
             .job_outcomes
             .iter()
             .all(|o| !o.faulted && o.version >= 1));
-    }
-
-    #[test]
-    fn bubble_filling_beats_the_serialized_plan_on_co_scheduled_ticks() {
-        let mut cfg = ServeConfig::micro(2);
-        cfg.fill_bubbles = true;
-        let mut platform = ServePlatform::new(cfg, MemStore::new()).unwrap();
-        let report = platform.run(&jobs(6, 1)).unwrap();
-        assert!(report.fill_ticks > 0, "2 ranks over 6 tenants co-schedule");
-        assert!(
-            report.fill_bubble_filled < report.fill_bubble_serialized,
-            "filled {} vs serialized {}",
-            report.fill_bubble_filled,
-            report.fill_bubble_serialized
-        );
-
-        // Off by default: the knob must not change existing reports.
-        let mut plain = ServePlatform::new(ServeConfig::micro(2), MemStore::new()).unwrap();
-        let r2 = plain.run(&jobs(6, 1)).unwrap();
-        assert_eq!(r2.fill_ticks, 0);
-        assert_eq!(r2.fill_bubble_filled, 0.0);
     }
 
     #[test]
