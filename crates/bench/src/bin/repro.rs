@@ -801,8 +801,8 @@ fn telemetry_report() {
     }
 
     // Elastic membership: how many ranks left the pool mid-run, and how
-    // many of those were flagged by the heartbeat sweep's staleness
-    // deadline rather than a step timeout.
+    // many of those were flagged by the staleness deadline of the
+    // heartbeat riding a step rather than a step timeout.
     let (leaves, stale) = (get("membership.leaves"), get("membership.stale_probes"));
     if leaves + stale > 0 {
         println!("membership: {leaves} leave(s), {stale} stale liveness probe(s)");

@@ -17,7 +17,8 @@
 //!   never a hang past the virtual-time horizon), and running the same
 //!   seed twice produces a byte-identical event trace.
 //! * **D (elastic churn)** — a lane leaves (fail-stop or a partition that
-//!   silences it until the heartbeat sweep flags it stale) and a fresh
+//!   silences it until the heartbeat riding a step goes unacked past its
+//!   deadline and flags it stale) and a fresh
 //!   device joins mid-run: the run must recover a full-length loss
 //!   trajectory with exactly one replan per membership change, end close
 //!   to the fault-free loss, and stay byte-identical across two runs of
@@ -478,8 +479,8 @@ fn phase_d(
         // No fail-stop is injected in this variant, so the one leave in
         // the timeline is necessarily the partitioned rank being evicted
         // for silence. *Which* deadline trips first is seed-dependent —
-        // a stale liveness probe, a missing step verdict, a failed
-        // dispatch or snapshot fetch against the closed socket, or a
+        // a stale liveness probe, a missing step verdict or snapshot, a
+        // failed dispatch against the closed socket, or a
         // data-plane peer blaming the silent rank — but every leave
         // replan renders as "rank R down (...)".
         let silent_leave = events

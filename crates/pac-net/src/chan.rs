@@ -11,8 +11,8 @@
 //!   `repro --telemetry` can put *measured* traffic next to the planner's
 //!   *modeled* communication volume.
 
-use crate::transport::{Conn, PollConn};
-use crate::wire::{encode_frame, FrameReader, Msg, NetError};
+use crate::transport::{recv_dontwait, Conn, PollConn};
+use crate::wire::{encode_frame, ByteSource, FrameReader, Msg, NetError};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
@@ -92,27 +92,21 @@ impl FramedConn {
     /// Receives one message if bytes are already available, without
     /// blocking. `Ok(None)` means would-block: no bytes, or a frame still
     /// partially in flight (the partial stays buffered in the
-    /// [`FrameReader`] and a later `try_recv`/`recv` resumes it).
+    /// [`FrameReader`] and a later `try_recv`/`recv` resumes it). Each read
+    /// is one `recv(2)` with `MSG_DONTWAIT`, so the socket itself never
+    /// leaves blocking mode.
     pub fn try_recv(&mut self) -> Result<Option<Msg>, NetError> {
-        self.stream.set_nonblocking(true)?;
-        let got = self
+        match self
             .reader
-            .read_from(&mut crate::wire::IoSource(&mut self.stream));
-        // Restore blocking mode before interpreting the result so an early
-        // return can never leave the socket non-blocking for `recv`.
-        let restore = self.stream.set_nonblocking(false);
-        let out = match got {
+            .read_from(&mut DontWait(self.stream.as_raw_fd()))
+        {
             Ok((msg, n)) => {
                 pac_telemetry::counter_add("net.bytes_recv", n as u64);
                 Ok(Some(msg))
             }
-            // On a non-blocking socket, `IoSource` surfaces `WouldBlock`
-            // as `Timeout` — here that means "not ready", not a deadline.
-            Err(NetError::Timeout) => Ok(None),
+            Err(NetError::WouldBlock) => Ok(None),
             Err(e) => Err(e),
-        };
-        restore?;
-        out
+        }
     }
 
     /// Receives one message and requires it to be of the shape `want`
@@ -128,6 +122,26 @@ impl FramedConn {
         } else {
             let _ = want;
             Err(NetError::Malformed("unexpected message for protocol state"))
+        }
+    }
+}
+
+/// The non-blocking byte source behind [`FramedConn::try_recv`]: an empty
+/// socket is [`NetError::WouldBlock`], end of stream [`NetError::Eof`].
+struct DontWait(RawFd);
+
+impl ByteSource for DontWait {
+    fn read_bytes(&mut self, buf: &mut [u8]) -> Result<usize, NetError> {
+        loop {
+            match recv_dontwait(self.0, buf) {
+                Ok(0) => return Err(NetError::Eof),
+                Ok(n) => return Ok(n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    return Err(NetError::WouldBlock)
+                }
+                Err(e) => return Err(e.into()),
+            }
         }
     }
 }
@@ -196,6 +210,36 @@ mod tests {
             Err(NetError::Timeout) => {}
             other => panic!("expected timeout, got {other:?}"),
         }
+        t.join().unwrap();
+    }
+
+    /// A non-blocking read leaves the socket blocking: the next `recv`
+    /// still sleeps out its whole read deadline instead of failing at once.
+    #[test]
+    fn try_recv_leaves_the_socket_blocking() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let t = std::thread::spawn(move || {
+            let (s, _) = listener.accept().unwrap();
+            std::thread::sleep(Duration::from_millis(400));
+            drop(s);
+        });
+        let mut conn = FramedConn::connect(addr, Duration::from_secs(5)).unwrap();
+        assert_eq!(conn.try_recv().unwrap(), None, "idle connection");
+        let deadline = Duration::from_millis(50);
+        conn.set_timeout(Some(deadline)).unwrap();
+        let start = std::time::Instant::now();
+        match conn.recv() {
+            Err(NetError::Timeout) => {}
+            other => panic!("expected timeout, got {other:?}"),
+        }
+        // A socket left non-blocking fails the read within microseconds;
+        // the margin only absorbs the kernel's timer-tick rounding.
+        assert!(
+            start.elapsed() >= deadline / 2,
+            "recv returned after {:?}",
+            start.elapsed()
+        );
         t.join().unwrap();
     }
 

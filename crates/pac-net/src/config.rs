@@ -94,11 +94,11 @@ pub struct DistConfig {
     pub net_timeout: Duration,
     /// How long to wait for the whole world to rendezvous.
     pub setup_timeout: Duration,
-    /// Probe liveness with a heartbeat sweep before every this-many-th
-    /// step (0 disables sweeps). A rank that misses the sweep deadline is
+    /// Probe liveness with a heartbeat riding every this-many-th step
+    /// (0 disables probes). A rank that misses the probe deadline is
     /// treated as departed *before* a broken pipeline step has to time out.
     pub heartbeat_every: usize,
-    /// Per-rank deadline for answering a liveness sweep.
+    /// Per-rank deadline for acking a liveness probe, from dispatch.
     pub liveness_timeout: Duration,
     /// Rebalance micro-batch row shares toward fast lanes when measured
     /// per-lane step cost (busy time + control RTT) diverges.

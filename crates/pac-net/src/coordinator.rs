@@ -7,10 +7,12 @@
 //! parameters **bitwise identical** on the same seed and batches (with
 //! SGD; see [`crate::worker`] for why Adam is excluded). Every control
 //! connection of every active world joins one
-//! [`PollTransport::wait_ready`] wakeup, verdicts drain through
-//! non-blocking [`PollConn::try_recv`] sweeps in a fixed `(world, rank)`
-//! order, and jobs are admitted and retired on the job-lifetime rendezvous
-//! listener without disturbing the other worlds.
+//! [`PollTransport::wait_ready`] wakeup, verdicts, heartbeat acks and
+//! snapshots drain through non-blocking [`PollConn::try_recv`] sweeps in a
+//! fixed `(world, rank)` order, and jobs are admitted and retired on the
+//! job-lifetime rendezvous listener without disturbing the other worlds.
+//! Between a world's dispatch and its settle the loop never blocks on one
+//! of its ranks, so one world's silent rank cannot stall its siblings.
 //!
 //! Everything the coordinator knows about one world lives in that world's
 //! [`WorldId`]-tagged entry — worker handles, heartbeat nonce windows
@@ -24,19 +26,26 @@
 //! * **before dispatch** — advance the world's fault clock, admit a
 //!   planned join wave ([`Fault::Join`](pac_parallel::Fault)) or a healed
 //!   re-dialer through the planner's `replan_with`, map injected
-//!   fail-stops and straggler stalls, sweep liveness
-//!   ([`probe_liveness`], surfacing [`NetError::Stale`] before a step has
-//!   to time out), then broadcast the `Step`.
-//! * **settle** — once every rank has a verdict, commit the loss, fold
-//!   measured busy time + heartbeat RTT into the per-lane EWMA and
-//!   rebalance row shares (`split_micro_batches_weighted`) when lanes
-//!   diverge, and take the periodic snapshot.
-//! * **rank down** — a missing verdict, a peer's blame, a failed probe,
-//!   dispatch or snapshot fetch. The job's [`RankLoss`] decides between
-//!   respawning the same topology and shrinking the world through
-//!   `replan_without`.
-//! * **retire** — fetch the final parameters and hand back the
-//!   [`WorldReport`].
+//!   fail-stops and straggler stalls, then write each rank's frames of the
+//!   step: a `Heartbeat` on the liveness cadence (nonce-matched, in the
+//!   world's own window), the `Step`, and — when the step ends on the
+//!   snapshot cadence or ends the job — a `ParamReq` to every canonical
+//!   rank. A worker serves its control socket in order, so it acks before
+//!   it computes and ships its parameters right after its `Done`.
+//! * **settle** — once every rank has its verdict plus the ack and
+//!   snapshot it was asked for, commit the loss, fold measured busy time +
+//!   heartbeat RTT into the per-lane EWMA and rebalance row shares
+//!   (`split_micro_batches_weighted`) when lanes diverge, and keep the
+//!   snapshot the step carried. A probed rank that has not acked
+//!   `liveness_timeout` after dispatch is [`NetError::Stale`]: it owes
+//!   nothing more, and the step fails as soon as its peers have reported,
+//!   without waiting for the step deadline.
+//! * **rank down** — a missing verdict, ack or snapshot, a stale probe, a
+//!   peer's blame or a failed dispatch. The half-run step is discarded.
+//!   The job's [`RankLoss`] decides between respawning the same topology
+//!   and shrinking the world through `replan_without`.
+//! * **retire** — hand back the final parameters the last step carried
+//!   and the [`WorldReport`].
 //!
 //! Join, heal, leave and respawn all end in the same routine: change the
 //! lane membership, release the old round, launch the new one restored
@@ -51,9 +60,7 @@
 //! byte-identical traces across repeats.
 
 use crate::config::{DistConfig, DistError};
-use crate::rendezvous::{
-    probe_liveness, world_nonce_base, Rendezvous, Topology, WorkerConn, WorldId,
-};
+use crate::rendezvous::{world_nonce_base, Rendezvous, Topology, WorkerConn, WorldId};
 use crate::spawn::{Spawn, SpawnedWorld};
 use crate::transport::{Conn, PollConn, PollTransport, Transport};
 use crate::wire::{
@@ -84,6 +91,11 @@ const REBALANCE_RATIO: f64 = 1.75;
 /// How long the re-admission poll waits for a pending re-dial. Kept tiny:
 /// an absent re-dialer is the common case and must not stall the loop.
 const REDIAL_POLL: Duration = Duration::from_millis(5);
+
+/// Most stray heartbeat acks tolerated from one rank in one step: a rank
+/// has at most one probe outstanding, so more than a handful of nonces
+/// from outside the step's window means the stream lost framing.
+const MAX_STRAY_ACKS: usize = 8;
 
 /// What a world does when it loses a rank — the one behavioural choice a
 /// job states.
@@ -309,37 +321,29 @@ impl<C: Conn> Round<C> {
         Some(world)
     }
 
-    /// Fetches parameters of the canonical replica (lane position 0) of
-    /// every stage. All requests go out before the first reply is read, so
-    /// the stages serialize their snapshots concurrently. Returns the
-    /// per-stage entries and the snapshot's size on the wire (the sum of
-    /// the `ParamSnap` frame lengths); errors are attributed to the rank
-    /// being fetched so a dead canonical rank folds into the rank-down
-    /// path instead of aborting the job.
-    fn fetch_params(
-        &mut self,
-        trainable_only: bool,
-    ) -> Result<(StageParams, usize), (usize, NetError)> {
+    /// Fetches the trainable parameters of the canonical replica (lane
+    /// position 0) of every stage — only while the round is idle: a
+    /// running step carries its own snapshot request. All requests go out
+    /// before the first reply is read, so the stages serialize their
+    /// snapshots concurrently. Returns the per-stage entries and the
+    /// snapshot's size on the wire.
+    fn fetch_params(&mut self) -> Result<(StageParams, usize), NetError> {
         let canonical: Vec<usize> = (0..self.topo.stages)
             .map(|s| self.topo.rank_of(s, 0))
             .collect();
         for &rank in &canonical {
-            self.conns[rank]
-                .ctrl
-                .send(&Msg::ParamReq { trainable_only })
-                .map_err(|e| (rank, e))?;
+            self.conns[rank].ctrl.send(&Msg::ParamReq {
+                trainable_only: true,
+            })?;
         }
         let mut stages = Vec::with_capacity(canonical.len());
-        let mut bytes = 0usize;
         for &rank in &canonical {
-            match self.conns[rank].ctrl.recv().map_err(|e| (rank, e))? {
-                Msg::ParamSnap { entries } => {
-                    bytes += param_snap_frame_len(&entries);
-                    stages.push(entries);
-                }
-                _ => return Err((rank, NetError::Malformed("expected ParamSnap"))),
+            match self.conns[rank].ctrl.recv()? {
+                Msg::ParamSnap { entries } => stages.push(entries),
+                _ => return Err(NetError::Malformed("expected ParamSnap")),
             }
         }
+        let bytes = snapshot_bytes(&stages);
         Ok((stages, bytes))
     }
 }
@@ -381,6 +385,15 @@ struct Host<'a, S: Spawn> {
 
 /// Named parameter tensors for each pipeline stage, canonical-lane order.
 type StageParams = Vec<Vec<(String, Tensor)>>;
+
+/// A snapshot's size on the wire: the sum of its `ParamSnap` frame
+/// lengths.
+fn snapshot_bytes(stages: &StageParams) -> usize {
+    stages
+        .iter()
+        .map(|entries| param_snap_frame_len(entries))
+        .sum()
+}
 
 #[derive(Default)]
 struct Snapshot {
@@ -549,13 +562,251 @@ enum Verdict {
     Failed(String),
 }
 
+/// A reply a step asked one rank for on top of its verdict.
+enum Awaited<T> {
+    NotAsked,
+    Waiting,
+    Got(T),
+}
+
+impl<T> Awaited<T> {
+    fn asked(ask: bool) -> Self {
+        if ask {
+            Awaited::Waiting
+        } else {
+            Awaited::NotAsked
+        }
+    }
+
+    fn waiting(&self) -> bool {
+        matches!(self, Awaited::Waiting)
+    }
+}
+
+/// What a step's `ParamSnap` frames become once it settles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SnapKind {
+    /// The periodic snapshot: trainable parameters at the new cursor.
+    Periodic,
+    /// The job's final parameters, frozen ones included.
+    Final,
+}
+
+impl SnapKind {
+    /// How a canonical rank lost before its `ParamSnap` is logged.
+    fn what(self) -> &'static str {
+        match self {
+            SnapKind::Periodic => "snapshot fetch",
+            SnapKind::Final => "final fetch",
+        }
+    }
+}
+
+/// One rank's share of an in-flight step.
+struct RankSlot {
+    verdict: Option<Verdict>,
+    /// The step's heartbeat round trip, dispatch to ack.
+    ack: Awaited<u64>,
+    /// A canonical rank's parameters after the step's update.
+    snap: Awaited<Vec<(String, Tensor)>>,
+    /// Acks with a nonce outside this step's window.
+    strays: usize,
+}
+
+impl RankSlot {
+    /// Nothing more is due from this rank for this step: it failed, or it
+    /// delivered its verdict and everything it was asked for.
+    fn complete(&self) -> bool {
+        match self.verdict {
+            None => false,
+            Some(Verdict::Failed(_)) => true,
+            Some(Verdict::Done { .. }) => !self.ack.waiting() && !self.snap.waiting(),
+        }
+    }
+
+    fn fail(&mut self, detail: String) {
+        self.verdict = Some(Verdict::Failed(detail));
+    }
+}
+
 /// One dispatched-but-unfinished lockstep step.
 struct Pending {
     die_rank: Option<usize>,
-    verdicts: Vec<Option<Verdict>>,
+    ranks: Vec<RankSlot>,
     /// Rank a surviving peer blamed via `Fault`, if any.
     first_blame: Option<(usize, String)>,
+    /// Transport clock when the step's frames went out.
     dispatched_ns: u64,
+    /// Rank 0's heartbeat nonce when the step probes liveness; rank `r`
+    /// is sent `base + r`.
+    nonce_base: Option<u64>,
+    snap: Option<SnapKind>,
+    /// Probed ranks must have acked by this transport-clock time.
+    ack_deadline_ns: u64,
+    /// Ranks still owing a frame after this time fail the step.
+    step_deadline_ns: u64,
+    /// The first probed rank that missed its ack deadline.
+    stale: Option<(usize, String)>,
+}
+
+impl Pending {
+    fn new(
+        topo: Topology,
+        cfg: &DistConfig,
+        now_ns: u64,
+        nonce_base: Option<u64>,
+        snap: Option<SnapKind>,
+        die_rank: Option<usize>,
+    ) -> Self {
+        let ranks = (0..topo.world())
+            .map(|rank| RankSlot {
+                verdict: None,
+                ack: Awaited::asked(nonce_base.is_some()),
+                snap: Awaited::asked(snap.is_some() && topo.lane_of(rank) == 0),
+                strays: 0,
+            })
+            .collect();
+        Pending {
+            die_rank,
+            ranks,
+            first_blame: None,
+            dispatched_ns: now_ns,
+            nonce_base,
+            snap,
+            ack_deadline_ns: now_ns.saturating_add(cfg.liveness_timeout.as_nanos() as u64),
+            step_deadline_ns: now_ns.saturating_add(cfg.net_timeout.as_nanos() as u64),
+            stale: None,
+        }
+    }
+
+    /// Writes `rank`'s frames of this step in the order the worker serves
+    /// them: the heartbeat, the `Step`, then the snapshot request.
+    fn send<C: Conn>(&self, rank: usize, conn: &mut C, step: &Msg) -> Result<(), NetError> {
+        if let Some(base) = self.nonce_base {
+            conn.send(&Msg::Heartbeat {
+                nonce: base + rank as u64,
+            })?;
+        }
+        conn.send(step)?;
+        if self.ranks[rank].snap.waiting() {
+            conn.send(&Msg::ParamReq {
+                trainable_only: self.snap == Some(SnapKind::Periodic),
+            })?;
+        }
+        Ok(())
+    }
+
+    /// Ready to settle: nothing more is due from any rank.
+    fn settled(&self) -> bool {
+        self.ranks.iter().all(RankSlot::complete)
+    }
+
+    /// When [`Pending::drain`] next acts without a frame: the ack deadline
+    /// while a probed rank still owes its ack, else the step deadline.
+    fn deadline_ns(&self) -> u64 {
+        if self.ranks.iter().any(|r| r.ack.waiting() && !r.complete()) {
+            self.ack_deadline_ns.min(self.step_deadline_ns)
+        } else {
+            self.step_deadline_ns
+        }
+    }
+
+    /// Collects whatever has arrived: `try_recv` never blocks, and a
+    /// partial frame stays buffered in the connection for the next wakeup.
+    /// From the ack deadline on, a probed rank that never acked is stale;
+    /// from the step deadline on, every rank still owing a frame fails.
+    fn drain<C: PollConn>(&mut self, conns: &mut [WorkerConn<C>], now_ns: u64) {
+        for (rank, wc) in conns.iter_mut().enumerate() {
+            while !self.ranks[rank].complete() {
+                match wc.ctrl.try_recv() {
+                    Ok(None) => break,
+                    Ok(Some(msg)) => self.take(rank, msg, now_ns),
+                    // A rank that vanished without blaming anyone is the
+                    // prime suspect — peers that *observed* a failure say
+                    // so via Fault before exiting.
+                    Err(e) => {
+                        let owed = self.owed(rank);
+                        self.ranks[rank].fail(format!("{owed}: {e}"));
+                    }
+                }
+            }
+        }
+        if now_ns >= self.ack_deadline_ns {
+            for (rank, slot) in self.ranks.iter_mut().enumerate() {
+                if slot.ack.waiting() && !slot.complete() {
+                    let detail = format!("liveness probe: {}", NetError::Stale);
+                    self.stale.get_or_insert((rank, detail.clone()));
+                    slot.fail(detail);
+                }
+            }
+        }
+        if now_ns >= self.step_deadline_ns {
+            for rank in 0..self.ranks.len() {
+                if !self.ranks[rank].complete() {
+                    let owed = self.owed(rank);
+                    self.ranks[rank].fail(format!("{owed}: poll deadline"));
+                }
+            }
+        }
+    }
+
+    /// Files one frame from `rank`.
+    fn take(&mut self, rank: usize, msg: Msg, now_ns: u64) {
+        let world = self.ranks.len() as u64;
+        let own = self.nonce_base.map(|base| base + rank as u64);
+        let in_window = |nonce: u64| {
+            self.nonce_base
+                .is_some_and(|base| (base..base + world).contains(&nonce))
+        };
+        let slot = &mut self.ranks[rank];
+        match msg {
+            Msg::HeartbeatAck { nonce } if own == Some(nonce) && slot.ack.waiting() => {
+                slot.ack = Awaited::Got(now_ns.saturating_sub(self.dispatched_ns));
+            }
+            // A late bulk ack or an earlier probe's echo must not vouch
+            // for this step.
+            Msg::HeartbeatAck { nonce } if !in_window(nonce) => {
+                slot.strays += 1;
+                if slot.strays > MAX_STRAY_ACKS {
+                    let e = NetError::Malformed("probe drowned in stray acks");
+                    slot.fail(format!("liveness probe: {e}"));
+                }
+            }
+            Msg::Done {
+                loss_sum,
+                busy_ns,
+                events,
+                ..
+            } if slot.verdict.is_none() => {
+                slot.verdict = Some(Verdict::Done {
+                    loss_sum,
+                    busy_ns,
+                    events,
+                });
+            }
+            Msg::Fault { blamed, detail, .. } if slot.verdict.is_none() => {
+                self.first_blame.get_or_insert((blamed as usize, detail));
+                slot.fail("observed a peer fault".to_string());
+            }
+            // Served after `Done`, so a snapshot before the verdict is as
+            // much a violation as one nobody asked for.
+            Msg::ParamSnap { entries } if slot.snap.waiting() && slot.verdict.is_some() => {
+                slot.snap = Awaited::Got(entries);
+            }
+            other => slot.fail(format!("protocol violation: {other:?}")),
+        }
+    }
+
+    /// What `rank` still owes this step, as its loss is logged.
+    fn owed(&self, rank: usize) -> &'static str {
+        let slot = &self.ranks[rank];
+        match self.snap {
+            _ if slot.verdict.is_none() => "no step verdict",
+            _ if slot.ack.waiting() => "liveness probe",
+            Some(kind) => kind.what(),
+            None => unreachable!("rank {rank} owes this step nothing"),
+        }
+    }
 }
 
 /// One live world and every piece of coordinator state scoped to it.
@@ -578,8 +829,11 @@ struct World<S: Spawn> {
     next_fresh_lane: usize,
     lane_weights: Vec<f64>,
     lane_cost_ewma: Vec<f64>,
-    /// Per-rank control RTTs from the latest liveness sweep.
+    /// Per-rank heartbeat RTTs from the latest probed step.
     last_rtts: Vec<u64>,
+    /// The canonical replica's parameters, carried back by the job's last
+    /// step.
+    final_params: Vec<(String, Tensor)>,
     /// Ranks evicted without a `Shutdown` whose re-dial has not been
     /// answered yet; the world polls the listener only while this is
     /// non-zero, so it never adopts a dialer it did not lose.
@@ -652,6 +906,7 @@ where
             lane_weights: vec![1.0; lanes],
             lane_cost_ewma: vec![0.0; lanes],
             last_rtts: Vec::new(),
+            final_params: Vec::new(),
             evicted: 0,
             pending: None,
             last_events: Vec::new(),
@@ -675,7 +930,7 @@ where
                 w.snapshot = snapshot;
             }
             None => {
-                w.checkpoint("initial snapshot").map_err(|(_, e)| e)?;
+                w.checkpoint("initial snapshot")?;
                 w.persist()?;
             }
         }
@@ -716,10 +971,16 @@ where
         );
     }
 
-    /// Fetches the canonical trainable parameters into the world's
-    /// in-memory snapshot at the current cursor.
-    fn checkpoint(&mut self, what: &str) -> Result<(), (usize, NetError)> {
-        let (stages, bytes) = self.round.fetch_params(true)?;
+    /// Fetches the canonical trainable parameters of the idle round into
+    /// the world's in-memory snapshot at the current cursor.
+    fn checkpoint(&mut self, what: &str) -> Result<(), NetError> {
+        let (stages, bytes) = self.round.fetch_params()?;
+        self.keep_snapshot(what, stages, bytes);
+        Ok(())
+    }
+
+    /// Makes `stages` the world's snapshot at the current cursor.
+    fn keep_snapshot(&mut self, what: &str, stages: StageParams, bytes: usize) {
         self.checkpoints += 1;
         self.checkpoint_bytes += bytes;
         self.note(TimelineKind::Checkpoint, format!("{what} ({bytes} B)"));
@@ -728,7 +989,6 @@ where
             next_t: self.t,
             losses_len: self.losses.len(),
         };
-        Ok(())
     }
 
     /// Commits the snapshot through the job's store, if it has one: the
@@ -826,7 +1086,7 @@ where
         self.note(TimelineKind::Join, format!("{how} via replan_with"));
         self.note_replan("", &out);
         let what = format!("catch-up snapshot at step cursor {}", self.t);
-        self.checkpoint(&what).map_err(|(_, e)| e)?;
+        self.checkpoint(&what)?;
         self.persist()?;
         // Revive departed original lane ids smallest first, then mint
         // fresh ones.
@@ -961,10 +1221,11 @@ where
     }
 
     /// Starts the world's next lockstep step: membership events and fault
-    /// injection due at this step, the liveness sweep, then one `Step` per
-    /// rank — micro-batch payloads only to the stages that consume them
-    /// (first and last). A rank lost on the way restarts the world and
-    /// leaves it idle for the loop's next pass.
+    /// injection due at this step, then each rank's frames — micro-batch
+    /// payloads only to the stages that consume them (first and last), the
+    /// heartbeat and snapshot request riding along. Nothing here waits on a
+    /// rank. A rank lost on the way restarts the world and leaves it idle
+    /// for the loop's next pass.
     fn dispatch(&mut self, host: &mut Host<'_, S>) -> Result<(), DistError> {
         self.clock.advance();
         let step = self.clock.current_step();
@@ -1013,26 +1274,28 @@ where
             })
             .collect();
 
-        // Liveness sweep on this world's own nonce window: a silent rank
-        // is surfaced *now* instead of wedging the pipeline until the step
-        // deadline, and the verdict can only ever name this world's ranks.
-        if cfg.heartbeat_every > 0 && step.is_multiple_of(cfg.heartbeat_every as u64) {
-            match probe_liveness(
-                &host.transport,
-                &mut self.round.conns,
-                world_nonce_base(self.id, step),
-                cfg.liveness_timeout,
-                cfg.net_timeout,
-            ) {
-                Ok(rtts) => self.last_rtts = rtts,
-                Err((rank, e)) => {
-                    if matches!(e, NetError::Stale) {
-                        pac_telemetry::counter_inc("membership.stale_probes");
-                    }
-                    return self.rank_down(host, rank, &format!("liveness probe: {e}"));
-                }
-            }
-        }
+        // The probe rides the step on this world's own nonce window, so an
+        // ack can only ever vouch for this world's ranks; the snapshot
+        // request rides it when the step ends on the snapshot cadence or
+        // ends the job.
+        let probe = cfg.heartbeat_every > 0 && step.is_multiple_of(cfg.heartbeat_every as u64);
+        let next_t = self.t + 1;
+        let every = cfg.checkpoint_every;
+        let snap = if next_t == self.job.batches.len() {
+            Some(SnapKind::Final)
+        } else if every > 0 && next_t.is_multiple_of(every) {
+            Some(SnapKind::Periodic)
+        } else {
+            None
+        };
+        let pending = Pending::new(
+            topo,
+            cfg,
+            host.transport.now_ns(),
+            probe.then(|| world_nonce_base(self.id, step)),
+            snap,
+            die_rank,
+        );
 
         let lane_mbs = split_micro_batches_weighted(&self.job.batches[self.t], &self.lane_weights)?;
         for rank in 0..topo.world() {
@@ -1048,77 +1311,29 @@ where
                     Vec::new()
                 },
             };
-            if let Err(e) = self.round.conns[rank].ctrl.send(&msg) {
+            if let Err(e) = pending.send(rank, &mut self.round.conns[rank].ctrl, &msg) {
                 return self.rank_down(host, rank, &format!("step dispatch: {e}"));
             }
         }
-        self.pending = Some(Pending {
-            die_rank,
-            verdicts: (0..topo.world()).map(|_| None).collect(),
-            first_blame: None,
-            dispatched_ns: host.transport.now_ns(),
-        });
+        self.pending = Some(pending);
         Ok(())
     }
 
-    /// Collects whatever step verdicts have arrived, one per rank:
-    /// `try_recv` never blocks, and a partial frame stays buffered in the
-    /// connection for the next wakeup. A step that outlived the world's
-    /// net deadline resolves every still-silent rank as failed.
-    fn drain(&mut self, now_ns: u64) {
-        let Some(p) = self.pending.as_mut() else {
-            return;
-        };
-        for (rank, wc) in self.round.conns.iter_mut().enumerate() {
-            while p.verdicts[rank].is_none() {
-                p.verdicts[rank] = Some(match wc.ctrl.try_recv() {
-                    Ok(None) => break,
-                    Ok(Some(Msg::Done {
-                        loss_sum,
-                        busy_ns,
-                        events,
-                        ..
-                    })) => Verdict::Done {
-                        loss_sum,
-                        busy_ns,
-                        events,
-                    },
-                    Ok(Some(Msg::Fault { blamed, detail, .. })) => {
-                        p.first_blame.get_or_insert((blamed as usize, detail));
-                        Verdict::Failed("observed a peer fault".to_string())
-                    }
-                    Ok(Some(other)) => Verdict::Failed(format!("protocol violation: {other:?}")),
-                    // A rank that vanished without blaming anyone is the
-                    // prime suspect — peers that *observed* a failure say
-                    // so via Fault before exiting.
-                    Err(e) => Verdict::Failed(format!("no step verdict: {e}")),
-                });
-            }
-        }
-        let deadline_ns = self.job.cfg.net_timeout.as_nanos() as u64;
-        if now_ns.saturating_sub(p.dispatched_ns) > deadline_ns {
-            for v in p.verdicts.iter_mut().filter(|v| v.is_none()) {
-                *v = Some(Verdict::Failed(
-                    "no step verdict: poll deadline".to_string(),
-                ));
-            }
-        }
-    }
-
-    /// Once every rank has a verdict: commit the step (loss, straggler
-    /// EWMA, periodic snapshot) or attribute the failure and recover.
-    /// Returns whether a step was completed.
+    /// Once nothing more is due from any rank: commit the step (loss,
+    /// straggler EWMA, the snapshot it carried) or attribute the failure
+    /// and recover. Returns whether a step was completed.
     fn settle(&mut self, host: &mut Host<'_, S>) -> Result<bool, DistError> {
-        let settled = |p: &Pending| p.verdicts.iter().all(Option::is_some);
-        if !self.pending.as_ref().is_some_and(settled) {
+        if !self.pending.as_ref().is_some_and(Pending::settled) {
             return Ok(false);
         }
         let p = self.pending.take().expect("checked pending");
         let topo = self.round.topo;
         let mut dones = Vec::with_capacity(topo.world());
+        let mut rtts = Vec::with_capacity(topo.world());
+        let mut snaps = StageParams::new();
         let mut first_silent = None;
-        for (rank, v) in p.verdicts.into_iter().enumerate() {
-            match v.expect("settled step has a verdict per rank") {
+        for (rank, slot) in p.ranks.into_iter().enumerate() {
+            match slot.verdict.expect("settled step has a verdict per rank") {
                 Verdict::Done {
                     loss_sum,
                     busy_ns,
@@ -1128,14 +1343,26 @@ where
                     first_silent.get_or_insert((rank, detail));
                 }
             }
+            if let Awaited::Got(rtt) = slot.ack {
+                rtts.push(rtt);
+            }
+            // Canonical ranks come in stage order.
+            if let Awaited::Got(entries) = slot.snap {
+                snaps.push(entries);
+            }
         }
         if let Some(silent) = first_silent {
-            // Attribution priority: the rank we deliberately killed, then
-            // the rank a surviving peer blamed, then the first rank that
-            // went silent on the control plane.
-            let (rank, detail) = match p.die_rank {
-                Some(r) => (r, "injected fail-stop".to_string()),
-                None => p.first_blame.unwrap_or(silent),
+            // Attribution priority: a rank that missed its liveness
+            // deadline, the rank we deliberately killed, then the rank a
+            // surviving peer blamed, then the first rank that went silent
+            // on the control plane.
+            let (rank, detail) = match (p.stale, p.die_rank) {
+                (Some(stale), _) => {
+                    pac_telemetry::counter_inc("membership.stale_probes");
+                    stale
+                }
+                (None, Some(r)) => (r, "injected fail-stop".to_string()),
+                (None, None) => p.first_blame.unwrap_or(silent),
             };
             self.rank_down(host, rank, &detail)?;
             return Ok(false);
@@ -1157,20 +1384,23 @@ where
         self.t += 1;
         pac_telemetry::counter_inc("multiworld.steps");
 
+        if p.nonce_base.is_some() {
+            self.last_rtts = rtts;
+        }
         let remaining = self.t < self.job.batches.len();
         if self.job.cfg.rebalance && topo.lanes > 1 && remaining {
             let busy_ns: Vec<u64> = dones.iter().map(|d| d.1).collect();
             self.rebalance(&busy_ns);
         }
-        let every = self.job.cfg.checkpoint_every;
-        if every > 0 && self.t.is_multiple_of(every) && remaining {
-            // A canonical rank dying under the snapshot fetch is a
-            // membership event like any other, not the end of the job.
-            let what = format!("snapshot at step cursor {}", self.t);
-            match self.checkpoint(&what) {
-                Ok(()) => self.persist()?,
-                Err((rank, e)) => self.rank_down(host, rank, &format!("snapshot fetch: {e}"))?,
+        match p.snap {
+            Some(SnapKind::Periodic) => {
+                let what = format!("snapshot at step cursor {}", self.t);
+                let bytes = snapshot_bytes(&snaps);
+                self.keep_snapshot(&what, snaps, bytes);
+                self.persist()?;
             }
+            Some(SnapKind::Final) => self.final_params = snaps.into_iter().flatten().collect(),
+            None => {}
         }
         Ok(true)
     }
@@ -1216,26 +1446,19 @@ where
         }
     }
 
-    /// Out of batches: fetch the final parameters and leave, listener and
-    /// sibling worlds untouched. A rank dying under the final fetch is a
-    /// failure like any other — the world recovers, replays, and reaches
-    /// retirement again (`None`).
-    fn retire(&mut self, host: &mut Host<'_, S>) -> Result<Option<WorldReport>, DistError> {
-        let stages = match self.round.fetch_params(false) {
-            Ok((stages, _)) => stages,
-            Err((rank, e)) => {
-                self.rank_down(host, rank, &format!("final fetch: {e}"))?;
-                return Ok(None);
-            }
-        };
+    /// Out of batches: hand back the final parameters the last step
+    /// carried and leave, listener and sibling worlds untouched. (A rank
+    /// lost before its final `ParamSnap` failed that step like any other:
+    /// the world recovered and replayed before it got here.)
+    fn retire(&mut self, host: &mut Host<'_, S>) -> WorldReport {
         host.graveyard.0.extend(self.round.release());
         pac_telemetry::counter_inc("multiworld.retirements");
         let timeline = self.clock.timeline();
-        Ok(Some(WorldReport {
+        WorldReport {
             tenant: self.job.tenant,
             world: self.id,
             losses: std::mem::take(&mut self.losses),
-            final_params: stages.into_iter().flatten().collect(),
+            final_params: std::mem::take(&mut self.final_params),
             log: timeline
                 .iter()
                 .map(|e| format!("{}: {}", self.id, e.detail))
@@ -1252,7 +1475,7 @@ where
             last_events: std::mem::take(&mut self.last_events),
             stages: self.stages(),
             final_lanes: self.alive_lanes.len(),
-        }))
+        }
     }
 }
 
@@ -1327,8 +1550,8 @@ where
             if w.pending.is_none() {
                 if w.t < w.job.batches.len() {
                     w.dispatch(&mut host)?;
-                } else if let Some(report) = w.retire(&mut host)? {
-                    reports[w.job_idx] = Some(report);
+                } else {
+                    reports[w.job_idx] = Some(w.retire(&mut host));
                     active.remove(i);
                     continue;
                 }
@@ -1339,32 +1562,48 @@ where
         // ---- Readiness: block until some control connection can make
         // progress. Under simnet this wait joins the quiescence census, so
         // the virtual clock advances to the next delivery instead of the
-        // coordinator spinning it into a livelock. Only ranks whose step
-        // verdict is still outstanding join the poll set: a dead rank's
+        // coordinator spinning it into a livelock. Exactly the ranks that
+        // still owe their step a frame — verdict, heartbeat ack or
+        // snapshot — join the poll set. Leaving one out would miss its
+        // frames; keeping a finished one in would spin: a dead rank's
         // connection stays "ready" (FIN) forever after its verdict is
         // recorded, and polling it again would wake instantly in a loop
         // that never blocks — freezing the virtual clock while the other
-        // ranks' verdicts are still in flight.
+        // ranks' frames are still in flight. The wait also ends at the
+        // earliest deadline a step still has, so a deadline is acted on at
+        // its own instant: under simnet the instant a rank's frame lands
+        // can also hold that rank's peers exiting, and tearing their round
+        // down in it would race them.
+        let now = host.transport.now_ns();
+        let wait = active
+            .iter()
+            .filter_map(|w| w.pending.as_ref().map(Pending::deadline_ns))
+            .min()
+            .map_or(POLL_WAIT, |d| {
+                POLL_WAIT.min(Duration::from_nanos(d.saturating_sub(now)))
+            });
         let mut conns: Vec<&mut ConnOf<S>> = Vec::new();
         for w in active.iter_mut() {
             let Some(p) = w.pending.as_ref() else {
                 continue;
             };
-            for (rank, wc) in w.round.conns.iter_mut().enumerate() {
-                if p.verdicts[rank].is_none() {
+            for (slot, wc) in p.ranks.iter().zip(w.round.conns.iter_mut()) {
+                if !slot.complete() {
                     conns.push(&mut wc.ctrl);
                 }
             }
         }
         if !conns.is_empty() {
-            host.transport.wait_ready(&mut conns, POLL_WAIT)?;
+            host.transport.wait_ready(&mut conns, wait)?;
             pac_telemetry::counter_inc("multiworld.wakeups");
         }
 
         // ---- Drain & settle, in fixed (world, rank) order; each world
         // commits or recovers strictly within its own scope.
         for w in active.iter_mut() {
-            w.drain(host.transport.now_ns());
+            if let Some(p) = w.pending.as_mut() {
+                p.drain(&mut w.round.conns, host.transport.now_ns());
+            }
             if w.settle(&mut host)? {
                 steps_total += 1;
             }
@@ -1403,7 +1642,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simnet::{SimConfig, SimNet, SimSpawner, WORKERS_PER_GEN};
+    use crate::simnet::{SimConfig, SimConn, SimNet, SimSpawner, WORKERS_PER_GEN};
     use crate::worker::{run_worker_on, Buggify, RunMode};
     use pac_parallel::Fault;
     use pac_tensor::rng::seeded;
@@ -1622,46 +1861,296 @@ mod tests {
         }
     }
 
-    /// The canonical rank of a shrink-policy world dies under the *final*
-    /// parameter fetch: the world drops the lane, replays from its
-    /// snapshot and still retires with a full loss history. The crash is
-    /// walked back from the end of the clean run's virtual timeline until
-    /// it lands inside the fetch; every crash time on the way must also
-    /// end in a completed job.
-    #[test]
-    fn rank_dying_under_the_final_fetch_is_recovered() {
-        let cfg = cfg_for(19, 2, 2);
-        let batches = batches_for(9, 3, 2);
-        let run = |crash: Option<(u64, u32)>| {
-            let mut sim = SimConfig::clean(95);
-            sim.crashes.extend(crash);
-            let net = SimNet::new(sim);
-            let _coord = net.register(0);
-            let spawner = SimSpawner::new(net.clone());
-            let mut job = TenantJob::new(1, cfg.clone(), batches.clone());
-            job.on_rank_loss = RankLoss::Shrink;
-            let report = run_world(&spawner, job).expect("job completes");
-            assert!(net.panics().is_empty(), "panics: {:?}", net.panics());
-            (report, net.now_ns())
-        };
-        let (clean, t_end) = run(None);
-        assert_eq!(clean.recoveries, 0);
+    /// How one scripted rank strays from the protocol; the default answers
+    /// every frame the way a worker does.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Quirk {
+        /// Acks with a nonce from outside the step's window, sent ahead of
+        /// every real one.
+        stray_acks: usize,
+        /// Never ack a heartbeat.
+        mute: bool,
+        /// Hang up instead of answering the `ParamReq` with this index
+        /// among the ones the rank receives (0 is admission's initial
+        /// snapshot) — after the step's `Done`, before its `ParamSnap`.
+        hang_up_on_req: Option<usize>,
+    }
 
-        let mut hit = None;
-        'walk: for back in 1..=80u64 {
-            for actor in 1..=4u32 {
-                let (report, _) = run(Some((t_end - back * 10_000, actor)));
-                assert_eq!(report.losses.len(), batches.len(), "{:?}", report.log);
-                if report.log.iter().any(|l| l.contains("final fetch")) {
-                    hit = Some(report);
-                    break 'walk;
+    /// Scripted ranks on simnet: each rendezvouses and answers frames in
+    /// order like a worker that does not train — `Done` with a fixed loss,
+    /// `ParamSnap` one tensor per stage — except that the rank at
+    /// `(launch, slot)` of `target` behaves as its `Quirk` says.
+    struct ScriptedSpawner {
+        net: SimNet,
+        launches: AtomicU32,
+        target: (u32, u32, Quirk),
+    }
+
+    impl ScriptedSpawner {
+        fn new(net: &SimNet, launch: u32, slot: u32, quirk: Quirk) -> Self {
+            ScriptedSpawner {
+                net: net.clone(),
+                launches: AtomicU32::new(0),
+                target: (launch, slot, quirk),
+            }
+        }
+    }
+
+    impl Spawn for ScriptedSpawner {
+        type T = SimNet;
+
+        fn transport(&self) -> SimNet {
+            self.net.clone()
+        }
+
+        fn launch(&self, coord_port: u16, world: usize) -> std::io::Result<SpawnedWorld> {
+            let generation = self.launches.fetch_add(1, Ordering::SeqCst);
+            let actors: Vec<u32> = (0..world as u32)
+                .map(|slot| generation * WORKERS_PER_GEN + slot + 1)
+                .collect();
+            for &actor in &actors {
+                self.net.preregister(actor);
+            }
+            let mut out = SpawnedWorld::default();
+            for (slot, &actor) in actors.iter().enumerate() {
+                let net = self.net.clone();
+                let (g, s, quirk) = self.target;
+                let quirk = if (g, s) == (generation, slot as u32) {
+                    quirk
+                } else {
+                    Quirk::default()
+                };
+                out.threads.push(std::thread::spawn(move || {
+                    let _guard = net.adopt(actor);
+                    let _ = scripted_rank(&net, coord_port, slot as u32, quirk);
+                }));
+            }
+            out.sim = Some(self.net.clone());
+            Ok(out)
+        }
+    }
+
+    fn scripted_rank(net: &SimNet, port: u16, slot: u32, quirk: Quirk) -> Result<(), NetError> {
+        let mut ctrl = net.connect(port, Duration::from_secs(10))?;
+        ctrl.send(&Msg::Hello {
+            slot,
+            listen_port: 0,
+        })?;
+        let Msg::Assign(asg) = ctrl.recv()? else {
+            return Ok(());
+        };
+        ctrl.recv()?; // the peer table: a scripted rank wires no mesh
+        ctrl.send(&Msg::Ready)?;
+        let mut reqs = 0;
+        loop {
+            match ctrl.recv()? {
+                Msg::Heartbeat { nonce } => {
+                    for _ in 0..quirk.stray_acks {
+                        ctrl.send(&Msg::HeartbeatAck { nonce: u64::MAX })?;
+                    }
+                    if !quirk.mute {
+                        ctrl.send(&Msg::HeartbeatAck { nonce })?;
+                    }
+                }
+                Msg::Step { .. } => ctrl.send(&Msg::Done {
+                    rank: asg.rank,
+                    loss_sum: 1.0,
+                    busy_ns: 0,
+                    events: Vec::new(),
+                })?,
+                Msg::ParamReq { .. } => {
+                    if quirk.hang_up_on_req == Some(reqs) {
+                        return Ok(());
+                    }
+                    reqs += 1;
+                    let entries = vec![(format!("s{}.w", asg.stage), Tensor::full([2], 0.5))];
+                    ctrl.send(&Msg::ParamSnap { entries })?;
+                }
+                Msg::Restore { .. } => {}
+                _ => {
+                    return ctrl.send(&Msg::Stats {
+                        counters: Vec::new(),
+                    })
                 }
             }
         }
-        let report = hit.expect("no crash time landed inside the final fetch");
+    }
+
+    /// Dispatches one probed step to a fresh scripted round whose slot 1
+    /// behaves as `quirk`, then drains it the way the poll loop does until
+    /// it settles.
+    fn one_probed_step(cfg: &DistConfig, quirk: Quirk) -> Pending {
+        let net = SimNet::new(SimConfig::clean(54));
+        let _coord = net.register(0);
+        let spawner = ScriptedSpawner::new(&net, 0, 1, quirk);
+        let host = Host {
+            spawner: &spawner,
+            transport: net.clone(),
+            rdv: Rendezvous::bind_on(&net).expect("bind"),
+            graveyard: Graveyard::default(),
+        };
+        let job = TenantJob::new(0, cfg.clone(), batches_for(0, 1, 2));
+        let mut round = start_round(&host, &job, cfg.lanes, None, Vec::new()).expect("round");
+        let base = world_nonce_base(WorldId(0), 0);
+        let mut p = Pending::new(round.topo, cfg, net.now_ns(), Some(base), None, None);
+        let step = Msg::Step {
+            step: 0,
+            die: false,
+            stall_ms: 0,
+            micro_batches: Vec::new(),
+        };
+        for (rank, wc) in round.conns.iter_mut().enumerate() {
+            p.send(rank, &mut wc.ctrl, &step).expect("dispatch");
+        }
+        while !p.settled() {
+            let mut conns: Vec<&mut SimConn> = p
+                .ranks
+                .iter()
+                .zip(round.conns.iter_mut())
+                .filter(|(slot, _)| !slot.complete())
+                .map(|(_, wc)| &mut wc.ctrl)
+                .collect();
+            net.wait_ready(&mut conns, POLL_WAIT).expect("wait");
+            p.drain(&mut round.conns, net.now_ns());
+        }
+        p
+    }
+
+    /// Heartbeats ride the step: every rank's ack is matched to its own
+    /// nonce, its round trip from dispatch is measured on the transport
+    /// clock, and up to `MAX_STRAY_ACKS` acks with nonces from outside the
+    /// step's window ahead of it are dropped without failing the rank.
+    #[test]
+    fn acks_ride_the_step_with_their_rtt_measured_and_stray_acks_dropped() {
+        let cfg = cfg_for(25, 2, 2);
+        let quirk = Quirk {
+            stray_acks: MAX_STRAY_ACKS,
+            ..Quirk::default()
+        };
+        let p = one_probed_step(&cfg, quirk);
+        assert_eq!(p.stale, None);
+        let one_way = SimConfig::clean(0).base_latency_ns;
+        let strays: Vec<usize> = p.ranks.iter().map(|r| r.strays).collect();
+        assert_eq!(strays, [0, MAX_STRAY_ACKS, 0, 0]);
+        for (rank, slot) in p.ranks.iter().enumerate() {
+            assert!(
+                matches!(slot.verdict, Some(Verdict::Done { .. })),
+                "rank {rank}"
+            );
+            match slot.ack {
+                Awaited::Got(rtt) => assert!(rtt >= 2 * one_way, "rank {rank}: rtt {rtt} ns"),
+                _ => panic!("rank {rank} has no ack"),
+            }
+        }
+    }
+
+    /// More than `MAX_STRAY_ACKS` stray acks from one rank in one step is
+    /// a typed failure of that rank, never an unbounded loop.
+    #[test]
+    fn a_flood_of_stray_acks_fails_the_rank() {
+        let quirk = Quirk {
+            stray_acks: MAX_STRAY_ACKS + 1,
+            ..Quirk::default()
+        };
+        let p = one_probed_step(&cfg_for(26, 2, 2), quirk);
+        for (rank, slot) in p.ranks.iter().enumerate() {
+            match (&slot.verdict, rank) {
+                (Some(Verdict::Failed(detail)), 1) => assert_eq!(
+                    detail,
+                    "liveness probe: malformed payload: probe drowned in stray acks"
+                ),
+                (Some(Verdict::Done { .. }), 0 | 2 | 3) => {}
+                _ => panic!("rank {rank} settled wrong"),
+            }
+        }
+    }
+
+    /// A probed rank that computes its step but never acks is `Stale` once
+    /// `liveness_timeout` has passed since dispatch — long before the step
+    /// deadline: the step fails, its result is discarded, and the
+    /// respawned world replays it.
+    #[test]
+    fn a_silent_rank_is_stale_at_its_liveness_deadline() {
+        let mut cfg = cfg_for(27, 2, 2);
+        cfg.liveness_timeout = Duration::from_secs(1);
+        let mute = Quirk {
+            mute: true,
+            ..Quirk::default()
+        };
+        let p = one_probed_step(&cfg, mute);
+        assert_eq!(p.stale.as_ref().map(|(rank, _)| *rank), Some(1));
+        for (rank, slot) in p.ranks.iter().enumerate() {
+            match (&slot.verdict, rank) {
+                (Some(Verdict::Failed(detail)), 1) => {
+                    assert_eq!(detail, "liveness probe: peer missed its liveness deadline")
+                }
+                (Some(Verdict::Done { .. }), 0 | 2 | 3) => {}
+                _ => panic!("rank {rank} settled wrong"),
+            }
+        }
+
+        let net = SimNet::new(SimConfig::clean(56));
+        let _coord = net.register(0);
+        let spawner = ScriptedSpawner::new(&net, 0, 1, mute);
+        let report = run_world(&spawner, TenantJob::new(1, cfg, batches_for(15, 3, 2)))
+            .expect("respawned world completes");
+        assert!(net.now_ns() > 1_000_000_000, "evicted before its deadline");
         assert_eq!(report.recoveries, 1, "{:?}", report.log);
-        assert_eq!(report.final_lanes, 1, "the dead rank's lane left the world");
-        assert_eq!(report.recovery.replans, 1);
+        assert_eq!(report.losses.len(), 3);
+        assert!(
+            report.log.iter().any(|l| l.contains(
+                "rank 1 down (stage 0, lane 1): liveness probe: peer missed its liveness deadline"
+            )),
+            "{:?}",
+            report.log
+        );
+    }
+
+    /// A canonical rank of a shrink-policy world hangs up after its `Done`
+    /// but before the `ParamSnap` its step asked for — the periodic
+    /// snapshot's or the job's final parameters. Either way the step is
+    /// discarded, the world drops the lane, rewinds to its previous
+    /// snapshot and still retires with a full loss history.
+    #[test]
+    fn rank_dying_under_the_final_fetch_is_recovered() {
+        let mut cfg = cfg_for(19, 2, 2);
+        cfg.checkpoint_every = 2;
+        // Requests: 0 = the initial snapshot, 1 = the periodic one riding
+        // step 1 (kept at cursor 2), 2 = the final one riding step 2.
+        for (req, what, cursor) in [(1, "snapshot fetch", 0), (2, "final fetch", 2)] {
+            let net = SimNet::new(SimConfig::clean(95));
+            let _coord = net.register(0);
+            let quirk = Quirk {
+                hang_up_on_req: Some(req),
+                ..Quirk::default()
+            };
+            let spawner = ScriptedSpawner::new(&net, 0, 0, quirk);
+            let mut job = TenantJob::new(1, cfg.clone(), batches_for(9, 3, 2));
+            job.on_rank_loss = RankLoss::Shrink;
+            let report = run_world(&spawner, job).expect("job completes");
+            assert_eq!(report.losses.len(), 3, "{what}: {:?}", report.log);
+            assert_eq!(report.recoveries, 1, "{what}: {:?}", report.log);
+            assert_eq!(report.final_lanes, 1, "the dead rank's lane left the world");
+            assert_eq!(report.recovery.replans, 1);
+            assert!(
+                report
+                    .log
+                    .iter()
+                    .any(|l| l.contains(&format!("rank 0 down ({what}: "))),
+                "{what}: {:?}",
+                report.log
+            );
+            let rewound = format!("replaying from step cursor {cursor} over 1 lane(s)");
+            assert!(
+                report.log.iter().any(|l| l.contains(&rewound)),
+                "{what}: {:?}",
+                report.log
+            );
+            // Two stages of one tensor each. The lost step's snapshot was
+            // never kept: the initial one and the periodic one at cursor 2.
+            assert_eq!(report.final_params.len(), 2);
+            assert_eq!(report.recovery.checkpoints, 2, "{what}");
+        }
     }
 
     /// A 2-stage × 2-lane round whose ranks are scripted peers on loopback
@@ -1723,7 +2212,7 @@ mod tests {
                 world: None,
                 topo,
             };
-            let (stages, bytes) = round.fetch_params(true).expect("fetch");
+            let (stages, bytes) = round.fetch_params().expect("fetch");
             let frames: usize = snaps
                 .iter()
                 .map(|entries| {

@@ -28,9 +28,8 @@
 //!   (elastic joiners dial the same port mid-run), rank assignment in
 //!   arrival order (workers rebuild the model from the shared seed, so no
 //!   weights ship at startup), worker-side mesh wiring (pipeline + ring
-//!   edges), and heartbeat liveness sweeps
-//!   ([`rendezvous::probe_liveness`]) that surface a silent rank as typed
-//!   [`wire::NetError::Stale`] before a pipeline step has to time out.
+//!   edges), and per-world heartbeat nonce windows
+//!   ([`rendezvous::world_nonce_base`]).
 //! * [`collective`] — ring allgather + locally-ordered lane reduction:
 //!   the float-op order of the in-process `allreduce_mean` on every rank,
 //!   which is what keeps distributed gradients bit-identical.
@@ -40,7 +39,11 @@
 //! * [`coordinator`] — the one coordinator: a poll-driven loop that
 //!   multiplexes N concurrent tenant worlds (a solo job is N = 1) over
 //!   [`transport::PollTransport`] readiness wakeups, admitting and
-//!   retiring jobs on the shared rendezvous listener. All per-world state
+//!   retiring jobs on the shared rendezvous listener. The liveness probe
+//!   and the snapshot request travel with each step's frames and their
+//!   answers drain with its verdicts, so a probed rank that stays silent
+//!   surfaces as typed [`wire::NetError::Stale`] before the step has to
+//!   time out, without stalling sibling worlds. All per-world state
 //!   is scoped by [`rendezvous::WorldId`]: lockstep stepping, checkpoint
 //!   snapshots (optionally durable through a `pac_store::Store`, with
 //!   bitwise cold restart), fault injection, typed rank-down detection,
@@ -78,9 +81,7 @@ pub use config::{DistConfig, DistError};
 pub use coordinator::{
     run_multiworld, run_world, MultiWorldReport, RankLoss, TenantJob, WorldReport,
 };
-pub use rendezvous::{
-    probe_liveness, world_nonce_base, Admission, Rendezvous, Topology, WorkerConn, WorldId,
-};
+pub use rendezvous::{world_nonce_base, Admission, Rendezvous, Topology, WorkerConn, WorldId};
 pub use simnet::{Partition, SimConfig, SimConn, SimNet, SimSpawner};
 pub use spawn::{Spawn, SpawnedWorld, Spawner};
 pub use transport::{Conn, Listener, PollConn, PollTransport, Readiness, Tcp, Transport};

@@ -49,15 +49,15 @@ impl fmt::Display for WorldId {
     }
 }
 
-/// Heartbeat nonces are namespaced per sweep: `step * NONCE_STRIDE + rank`
-/// within a world. Worlds never approach this many ranks, and the product
+/// Heartbeat nonces are namespaced per probed step: `step * NONCE_STRIDE +
+/// rank` within a world. Worlds never approach this many ranks, and the product
 /// never reaches the reserved bulk-ack nonce (`u64::MAX`).
 pub const NONCE_STRIDE: u64 = 4096;
 
-/// Nonce window base for `world`'s sweep at `step`. Each world owns a
-/// disjoint `2^32`-wide nonce space, so a stale ack replayed across a
+/// Nonce window base for `world`'s heartbeats at `step`. Each world owns
+/// a disjoint `2^32`-wide nonce space, so a stale ack replayed across a
 /// recovery respawn — or a frame corrupted into another world's window —
-/// can never vouch for a liveness sweep it was not issued by. World 0
+/// can never vouch for a liveness probe it was not sent by. World 0
 /// reduces to the historical `step * NONCE_STRIDE`, keeping single-world
 /// traces unchanged.
 pub fn world_nonce_base(world: WorldId, step: u64) -> u64 {
@@ -225,79 +225,6 @@ pub enum Admission<C: Conn> {
         /// Seed for the tenant's private workload rows.
         seed: u64,
     },
-}
-
-/// Most stray heartbeat acks tolerated per rank before a probe gives up:
-/// in a lockstep protocol at most one sweep is ever outstanding, so more
-/// than a handful of unissued nonces means the stream lost framing.
-const MAX_STRAY_ACKS: usize = 8;
-
-/// Sweeps a heartbeat over every control connection and collects the acks
-/// under a per-rank `deadline` — the coordinator's liveness check between
-/// lockstep steps. Probes carry nonces `nonce_base + rank`; acks with a
-/// nonce outside that window are *dropped* (a late bulk ack or a stale
-/// sweep's echo must not vouch for this sweep — the calibration bug class),
-/// bounded by `MAX_STRAY_ACKS`. All probes are sent before any ack is
-/// awaited, so the sweep costs one RTT, not `world` of them.
-///
-/// Returns per-rank round-trip times on the transport clock
-/// ([`Transport::now_ns`]: virtual under simnet, wall over TCP). A rank
-/// missing its deadline fails the sweep with `(rank,`[`NetError::Stale`]`)`
-/// — a membership verdict the driver turns into lane recovery without
-/// waiting for EOF. Read deadlines are restored to `restore_timeout`
-/// before returning, success or not.
-pub fn probe_liveness<T: Transport>(
-    transport: &T,
-    conns: &mut [WorkerConn<T::Conn>],
-    nonce_base: u64,
-    deadline: Duration,
-    restore_timeout: Duration,
-) -> Result<Vec<u64>, (usize, NetError)> {
-    let n = conns.len();
-    let issued = |nonce: u64| nonce >= nonce_base && nonce < nonce_base + n as u64;
-    let t0 = transport.now_ns();
-    for (rank, w) in conns.iter_mut().enumerate() {
-        w.ctrl
-            .send(&Msg::Heartbeat {
-                nonce: nonce_base + rank as u64,
-            })
-            .map_err(|e| (rank, e))?;
-    }
-    let mut rtts = vec![0u64; n];
-    let mut sweep: Result<(), (usize, NetError)> = Ok(());
-    'ranks: for (rank, w) in conns.iter_mut().enumerate() {
-        if w.ctrl.set_timeout(Some(deadline)).is_err() {
-            sweep = Err((rank, NetError::Stale));
-            break;
-        }
-        for _ in 0..=MAX_STRAY_ACKS {
-            match w.ctrl.recv() {
-                Ok(Msg::HeartbeatAck { nonce }) if nonce == nonce_base + rank as u64 => {
-                    rtts[rank] = transport.now_ns().saturating_sub(t0);
-                    continue 'ranks;
-                }
-                Ok(Msg::HeartbeatAck { nonce }) if !issued(nonce) => continue,
-                Ok(_) => {
-                    sweep = Err((rank, NetError::Malformed("unexpected message during probe")));
-                    break 'ranks;
-                }
-                Err(NetError::Timeout) => {
-                    sweep = Err((rank, NetError::Stale));
-                    break 'ranks;
-                }
-                Err(e) => {
-                    sweep = Err((rank, e));
-                    break 'ranks;
-                }
-            }
-        }
-        sweep = Err((rank, NetError::Malformed("probe drowned in stray acks")));
-        break;
-    }
-    for w in conns.iter_mut() {
-        let _ = w.ctrl.set_timeout(Some(restore_timeout));
-    }
-    sweep.map(|()| rtts)
 }
 
 /// A worker's fully-wired data plane.
@@ -518,90 +445,5 @@ mod tests {
             .accept_world(1, Duration::from_millis(60), Duration::from_secs(1))
             .unwrap_err();
         assert!(matches!(err, NetError::Timeout));
-    }
-
-    /// Spawns `world` echo peers: each Hellos in, then answers heartbeats
-    /// until the control conn closes. `stray` peers prepend an ack with an
-    /// unissued nonce before every real ack (a late bulk ack, in spirit).
-    /// `mute` peers never answer at all.
-    fn echo_world(
-        world: usize,
-        port: u16,
-        stray: bool,
-        mute: Option<usize>,
-    ) -> Vec<std::thread::JoinHandle<()>> {
-        (0..world)
-            .map(|slot| {
-                std::thread::spawn(move || {
-                    let mut c = Tcp::LOOPBACK.connect(port, Duration::from_secs(5)).unwrap();
-                    c.send(&Msg::Hello {
-                        slot: slot as u32,
-                        listen_port: 2000 + slot as u16,
-                    })
-                    .unwrap();
-                    loop {
-                        match c.recv() {
-                            Ok(Msg::Heartbeat { nonce }) => {
-                                if mute == Some(slot) {
-                                    continue;
-                                }
-                                if stray {
-                                    c.send(&Msg::HeartbeatAck { nonce: u64::MAX }).unwrap();
-                                }
-                                c.send(&Msg::HeartbeatAck { nonce }).unwrap();
-                            }
-                            _ => return,
-                        }
-                    }
-                })
-            })
-            .collect()
-    }
-
-    #[test]
-    fn probe_liveness_measures_rtts_and_drops_stray_acks() {
-        let rdv = Rendezvous::bind_on(&Tcp::LOOPBACK).unwrap();
-        let handles = echo_world(3, rdv.port(), true, None);
-        let mut conns = rdv
-            .accept_world(3, Duration::from_secs(5), Duration::from_secs(5))
-            .unwrap();
-        let rtts = probe_liveness(
-            &Tcp::LOOPBACK,
-            &mut conns,
-            4096,
-            Duration::from_secs(5),
-            Duration::from_secs(5),
-        )
-        .expect("all peers alive despite stray acks");
-        assert_eq!(rtts.len(), 3);
-        drop(conns);
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn probe_liveness_reports_a_silent_rank_as_stale() {
-        let rdv = Rendezvous::bind_on(&Tcp::LOOPBACK).unwrap();
-        // Arrival order is nondeterministic, so any rank may be the mute
-        // slot — the probe must name *some* rank, with a Stale verdict.
-        let handles = echo_world(2, rdv.port(), false, Some(1));
-        let mut conns = rdv
-            .accept_world(2, Duration::from_secs(5), Duration::from_secs(5))
-            .unwrap();
-        let (rank, err) = probe_liveness(
-            &Tcp::LOOPBACK,
-            &mut conns,
-            0,
-            Duration::from_millis(80),
-            Duration::from_secs(5),
-        )
-        .expect_err("the mute rank must miss its deadline");
-        assert!(rank < 2);
-        assert!(matches!(err, NetError::Stale), "got {err:?}");
-        drop(conns);
-        for h in handles {
-            h.join().unwrap();
-        }
     }
 }

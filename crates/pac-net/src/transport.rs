@@ -26,7 +26,7 @@ use crate::wire::{encode_frame, Msg, NetError};
 use std::fmt::Debug;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
-use std::os::raw::{c_int, c_short};
+use std::os::raw::{c_int, c_short, c_void};
 use std::time::{Duration, Instant};
 
 /// A framed, blocking, bidirectional connection.
@@ -289,8 +289,26 @@ type Nfds = std::os::raw::c_ulong;
 #[cfg(not(target_os = "linux"))]
 type Nfds = std::os::raw::c_uint;
 
+/// `MSG_DONTWAIT`: this one `recv` returns `EAGAIN` instead of blocking.
+#[cfg(target_os = "linux")]
+const MSG_DONTWAIT: c_int = 0x40;
+#[cfg(not(target_os = "linux"))]
+const MSG_DONTWAIT: c_int = 0x80;
+
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: c_int) -> c_int;
+    fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
+}
+
+/// One `recv(2)` on `fd` with `MSG_DONTWAIT`: takes what the socket holds
+/// without blocking and without switching the socket out of blocking mode.
+/// `Ok(0)` is end of stream; an empty socket is `ErrorKind::WouldBlock`.
+pub(crate) fn recv_dontwait(fd: RawFd, buf: &mut [u8]) -> std::io::Result<usize> {
+    // SAFETY: `buf` is a live, exclusively borrowed region of `buf.len()`
+    // bytes, which is all recv(2) writes; the caller owns `fd` for the
+    // whole call.
+    let n = unsafe { recv(fd, buf.as_mut_ptr().cast(), buf.len(), MSG_DONTWAIT) };
+    usize::try_from(n).map_err(|_| std::io::Error::last_os_error())
 }
 
 /// Sleeps in `poll(2)` until a descriptor of `fds` reports an event or

@@ -71,8 +71,8 @@ pub struct Buggify {
     pub skip_catch_up_restore: bool,
     /// Swallow `Heartbeat` probes without acking — a rank whose control
     /// plane has gone silent while its data plane still computes. The
-    /// driver must evict it with typed [`NetError::Stale`] from the
-    /// liveness sweep instead of hanging on a step verdict.
+    /// coordinator must evict it with typed [`NetError::Stale`] at the
+    /// liveness probe's deadline instead of hanging on a step verdict.
     pub mute_heartbeats: bool,
     /// Swallow only the *first* heartbeat this worker ever receives — a
     /// transient control-plane partition that heals. The flag is scoped to
