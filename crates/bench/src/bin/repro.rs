@@ -17,9 +17,9 @@
 //! Pass `--faults[=SPEC]` to run a micro PAC session under deterministic
 //! fault injection and print the recovery timeline. `SPEC` uses the
 //! `FaultPlan` schema (`kind@key=value,…;…`), e.g.
-//! `--faults='fail-stop@step=9,device=2;allreduce@step=3,failures=2'`;
-//! without a spec a demonstration plan (fail-stop + transient AllReduce +
-//! straggler) is used.
+//! `--faults='fail-stop@step=9,device=2;lane-panic@step=3,lane=0'`;
+//! without a spec a demonstration plan (straggler + lane panic +
+//! fail-stop) is used. A malformed spec prints the schema and exits 2.
 //!
 //! Pass `--distributed=N` (N = 2 or 4) to fork N worker **processes** on
 //! loopback TCP and train a micro model over real sockets: 2 → a 2-stage
@@ -593,10 +593,10 @@ fn faults_demo(spec: &str) {
     use pac_tensor::rng::seeded;
 
     let plan = if spec.is_empty() {
-        // Demonstration plan: one permanent loss, one transient AllReduce
-        // hiccup, one slow lane.
+        // Demonstration plan: one slow lane, one crashing lane, one device
+        // that leaves; lanes and devices are named by their original ids.
         FaultPlan::parse(
-            "allreduce@step=3,failures=2;straggler@step=5,lane=0,delay-ms=20;\
+            "straggler@step=5,lane=0,delay-ms=20;lane-panic@step=7,lane=1;\
              fail-stop@step=9,device=2",
         )
         .expect("built-in demo spec parses")
@@ -605,7 +605,7 @@ fn faults_demo(spec: &str) {
             Ok(p) => p,
             Err(e) => {
                 eprintln!("bad --faults spec: {e}");
-                eprintln!("schema: kind@key=value,...;...  kinds: lane-panic(step,lane,stage) fail-stop(step,device) straggler(step,lane,delay-ms) allreduce(step,failures[,lane])");
+                eprintln!("schema: kind@key=value,...;...  kinds: lane-panic(step,lane) fail-stop(step,device) straggler(step,lane,delay-ms) join(step) crash(step,at-byte)");
                 std::process::exit(2);
             }
         }
@@ -623,20 +623,27 @@ fn faults_demo(spec: &str) {
     });
     let cfg = ModelConfig::micro(2, 1, 16, 2);
     let backbone = pac_model::EncDecModel::new(&cfg, TaskKind::Sst2.n_out(), &mut seeded(42));
+    // A planted lane panic is caught and attributed by the session; keep
+    // the default hook's report for any other panic.
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let planted = info
+            .payload()
+            .downcast_ref::<String>()
+            .is_some_and(|m| m.starts_with("injected fault"));
+        if !planted {
+            default_hook(info);
+        }
+    }));
     match session.run_with_faults(backbone, TaskKind::Sst2, 36, 12, &plan) {
         Ok(report) => {
             let r = &report.recovery;
             println!("recovery timeline:");
             println!("{}", render_events(&r.timeline));
             println!(
-                "summary: {} fault(s) injected, {} retry(ies), {} replan(s), \
+                "summary: {} fault(s) injected, {} replan(s), \
                  {} checkpoint(s) ({} B), {} of 3 device(s) finished",
-                r.faults_injected,
-                r.retries,
-                r.replans,
-                r.checkpoints,
-                r.checkpoint_bytes,
-                r.final_devices
+                r.faults_injected, r.replans, r.checkpoints, r.checkpoint_bytes, r.final_devices
             );
             println!(
                 "metric {:.1} after epochs {:?}",

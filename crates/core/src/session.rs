@@ -61,8 +61,6 @@ impl Default for PacConfig {
 pub struct RecoveryReport {
     /// Faults from the plan that actually fired.
     pub faults_injected: usize,
-    /// Transient AllReduce retries across the whole run.
-    pub retries: u32,
     /// Times the planner produced a new plan over surviving devices.
     pub replans: u32,
     /// Training checkpoints snapshotted (including the initial one).
@@ -84,7 +82,6 @@ impl RecoveryReport {
     /// coordinator.
     pub fn from_timeline(
         timeline: Vec<TimelineEvent>,
-        retries: u32,
         replans: u32,
         checkpoints: usize,
         checkpoint_bytes: usize,
@@ -95,7 +92,6 @@ impl RecoveryReport {
                 .iter()
                 .filter(|e| e.kind == TimelineKind::Injected)
                 .count(),
-            retries,
             replans,
             checkpoints,
             checkpoint_bytes,
@@ -199,17 +195,17 @@ impl PacSession {
     }
 
     /// Like [`PacSession::run_with_backbone`] but executing under a
-    /// [`FaultPlan`]: lane panics, stragglers, and transient AllReduce
-    /// failures are supervised by the engines, while fail-stop device
-    /// losses trigger the session's recovery loop — replan over the
-    /// survivors, restore the last [`TrainCheckpoint`], and replay from its
-    /// cursor. The report's [`RecoveryReport`] records what happened.
+    /// [`FaultPlan`]. Stragglers stall their replica. A fail-stop, or a lane
+    /// panic caught by the data-parallel step, loses that device for good:
+    /// the session replans over the survivors, restores the last
+    /// [`TrainCheckpoint`], and replays from its cursor. Plan faults name a
+    /// lane by its original device id, so a fault planned after a loss
+    /// still lands on the device it names. The report's [`RecoveryReport`]
+    /// records what happened.
     ///
     /// # Errors
     /// Returns [`EngineError::Unplannable`] when failures leave no viable
-    /// device pool, [`EngineError::AllReduceFailed`] when a transient fault
-    /// outlives its retry budget with no identifiable lane, and tensor
-    /// errors from training itself.
+    /// device pool, and tensor errors from training itself.
     pub fn run_with_faults(
         &self,
         backbone: pac_model::EncDecModel,
@@ -293,7 +289,6 @@ impl PacSession {
         let clock = FaultClock::new(faults.clone());
         let mut alive: Vec<usize> = (0..n_dev).collect();
         let mut failed: Vec<usize> = Vec::new();
-        let mut retries_total = 0u32;
         let mut replans = 0u32;
         let mut checkpoints = 0usize;
         let mut checkpoint_bytes = 0usize;
@@ -418,15 +413,15 @@ impl PacSession {
                                 )
                             })
                             .collect();
-                        dp_step_tokens_supervised(&mut replicas, &shards, &clock).map(
-                            |(out, lane_acts)| {
+                        dp_step_tokens_supervised(&mut replicas, &alive, &shards, &clock).map(
+                            |(loss, lane_acts)| {
                                 for (k, acts) in lane_acts.iter().enumerate() {
                                     if !acts.is_empty() {
                                         let ids = &batch.ids[k * share..(k + 1) * share];
                                         cache.insert_batch(ids, acts);
                                     }
                                 }
-                                out
+                                loss
                             },
                         )
                     } else {
@@ -443,6 +438,7 @@ impl PacSession {
                             .collect();
                         dp_step_cached_supervised(
                             &mut replicas,
+                            &alive,
                             &shards,
                             task.is_regression(),
                             &clock,
@@ -450,37 +446,9 @@ impl PacSession {
                     };
 
                     match result {
-                        Ok(out) => {
-                            retries_total += out.retries;
-                            sum += out.loss;
+                        Ok(loss) => {
+                            sum += loss;
                             count += 1;
-                            if let Some(pos) = out.dropped_lane {
-                                // The engine already degraded this step to
-                                // the survivors (rescaled averaging), so
-                                // their state is consistent — drop the
-                                // unreachable lane permanently and replan,
-                                // no rollback needed.
-                                let dev = alive.remove(pos);
-                                failed.push(dev);
-                                replicas.remove(pos);
-                                opts.remove(pos);
-                                let outcome = planner.replan_without(&cost, &failed).ok_or(
-                                    EngineError::Unplannable {
-                                        survivors: alive.len(),
-                                    },
-                                )?;
-                                plan = outcome.best;
-                                makespan = outcome.best_makespan_s;
-                                replans += 1;
-                                clock.note(
-                                    step,
-                                    TimelineKind::Replan,
-                                    format!(
-                                        "device {dev} unreachable; {} survivors, makespan {makespan:.2}s",
-                                        alive.len()
-                                    ),
-                                );
-                            }
                             for (r, o) in replicas.iter_mut().zip(opts.iter_mut()) {
                                 o.step(r);
                             }
@@ -581,7 +549,6 @@ impl PacSession {
         let metric = evaluate(&mut replicas[0], &eval)?;
         let recovery = RecoveryReport::from_timeline(
             clock.timeline(),
-            retries_total,
             replans,
             checkpoints,
             checkpoint_bytes,

@@ -1465,7 +1465,6 @@ where
                 .collect(),
             recovery: RecoveryReport::from_timeline(
                 timeline,
-                0,
                 self.replans,
                 self.checkpoints,
                 self.checkpoint_bytes,

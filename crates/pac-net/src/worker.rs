@@ -23,7 +23,7 @@ use crate::wire::{Assignment, Msg, NetError};
 use pac_model::{EncoderModel, ModelConfig, StageData, StageModel};
 use pac_nn::optim::{Optimizer, Sgd};
 use pac_nn::Module;
-use pac_parallel::engine::{run_stage, LaneFaults, MicroBatch, StageLinks};
+use pac_parallel::engine::{run_stage, MicroBatch, StageLinks};
 use pac_parallel::schedule::SimEvent;
 use pac_parallel::{EngineError, EngineResult};
 use pac_tensor::rng::seeded;
@@ -274,12 +274,6 @@ fn run_step<C: Conn>(
     stage.zero_grads();
 
     let epoch = Instant::now();
-    let faults = LaneFaults {
-        lane: k,
-        step,
-        panic_stage: None,
-        delay: None,
-    };
     let mut links = NetStageLinks {
         prev: state.mesh.prev.as_mut(),
         next: state.mesh.next.as_mut(),
@@ -307,7 +301,6 @@ fn run_step<C: Conn>(
         mbs,
         &mut links,
         &epoch,
-        &faults,
     )?;
     stage = run.stage;
 

@@ -9,12 +9,11 @@
 //!
 //! Execution is supervised: replica work runs under `catch_unwind`, so a
 //! crashing lane surfaces as [`EngineError::LanePanic`] instead of tearing
-//! the process down; a disturbed AllReduce is retried up to
-//! [`MAX_ALLREDUCE_RETRIES`] times and past the budget degrades to the
-//! surviving replicas with correctly rescaled averaging.
+//! the process down. The `_supervised` steps inject a [`FaultClock`]'s lane
+//! panics and stragglers, keyed by each replica's original lane id, for the
+//! session's fail-stop/replan loop.
 
 use crate::engine::error::{EngineError, EngineResult};
-use crate::engine::hybrid::{SupervisedOutcome, MAX_ALLREDUCE_RETRIES};
 use crate::faults::{FaultClock, TimelineKind};
 use pac_nn::{cross_entropy, mse, Module};
 use pac_peft::Tuner;
@@ -30,19 +29,23 @@ struct LaneCtx {
     delay: Option<Duration>,
 }
 
-fn lane_ctxs(n: usize, step: u64, clock: &FaultClock) -> Vec<LaneCtx> {
-    (0..n)
-        .map(|k| {
-            let panic = clock.lane_panic_stage(step, k).is_some();
+/// The injections of `step` for replica `k`, queried by its original lane
+/// id `lanes[k]`; errors stay attributed to the position `k`.
+fn lane_ctxs(lanes: &[usize], step: u64, clock: &FaultClock) -> Vec<LaneCtx> {
+    lanes
+        .iter()
+        .enumerate()
+        .map(|(k, &id)| {
+            let panic = clock.lane_panic(step, id);
             if panic {
-                clock.note(step, TimelineKind::Injected, format!("lane {k} panics"));
+                clock.note(step, TimelineKind::Injected, format!("lane {id} panics"));
             }
-            let delay = clock.straggler_delay(step, k);
+            let delay = clock.straggler_delay(step, id);
             if let Some(d) = delay {
                 clock.note(
                     step,
                     TimelineKind::Injected,
-                    format!("lane {k} straggles {}ms", d.as_millis()),
+                    format!("lane {id} straggles {}ms", d.as_millis()),
                 );
             }
             LaneCtx {
@@ -108,90 +111,6 @@ pub(crate) fn fold_lanes<T>(results: Vec<EngineResult<T>>) -> (Vec<T>, EngineRes
     (values, error.map_or(Ok(()), Err))
 }
 
-/// The supervision every engine puts around its gradient AllReduce at
-/// `step` over `lanes` lanes: a disturbed collective is retried with
-/// backoff up to [`MAX_ALLREDUCE_RETRIES`] times; past the budget it
-/// degrades to the survivors when the plan names an unreachable lane, and
-/// fails otherwise. Returns `(retries, dropped_lane)`; the caller excludes
-/// the dropped lane from the reduction and from its lane set.
-pub(crate) fn supervise_allreduce(
-    lanes: usize,
-    step: u64,
-    clock: &FaultClock,
-) -> EngineResult<(u32, Option<usize>)> {
-    let (failures, unreachable) = clock.allreduce_fault(step);
-    if failures > 0 {
-        clock.note(
-            step,
-            TimelineKind::Injected,
-            format!(
-                "AllReduce disturbed for {failures} attempt(s){}",
-                match unreachable {
-                    Some(l) => format!(", lane {l} unreachable"),
-                    None => String::new(),
-                }
-            ),
-        );
-    }
-    let mut retries = 0u32;
-    while retries < failures && retries < MAX_ALLREDUCE_RETRIES {
-        retries += 1;
-        clock.note(
-            step,
-            TimelineKind::Retry,
-            format!("AllReduce attempt {retries} failed, backing off"),
-        );
-        // Exponential backoff, capped small: real engines wait for the
-        // link; tests must not.
-        std::thread::sleep(Duration::from_micros(100 << retries.min(6)));
-    }
-    if failures <= retries {
-        return Ok((retries, None));
-    }
-    // Budget exhausted: the collective is permanently broken.
-    match unreachable {
-        Some(dead) if dead < lanes && lanes > 1 => {
-            clock.note(
-                step,
-                TimelineKind::Degraded,
-                format!(
-                    "dropped unreachable lane {dead}, averaging over {} survivors",
-                    lanes - 1
-                ),
-            );
-            Ok((retries, Some(dead)))
-        }
-        _ => Err(EngineError::AllReduceFailed {
-            step,
-            attempts: retries + 1,
-        }),
-    }
-}
-
-/// Supervised AllReduce of both data-parallel steps. Returns the outcome;
-/// on degrade the caller must remove the reported replica (its gradients
-/// were excluded and not written back).
-fn reduce_supervised(
-    replicas: &mut [Tuner],
-    lane_losses: &[f32],
-    step: u64,
-    clock: &FaultClock,
-) -> EngineResult<SupervisedOutcome> {
-    let (retries, dropped_lane) = supervise_allreduce(replicas.len(), step, clock)?;
-    allreduce_mean_excluding(replicas, dropped_lane)?;
-    let (sum, count) = lane_losses
-        .iter()
-        .enumerate()
-        .filter(|(k, _)| Some(*k) != dropped_lane)
-        .fold((0.0f32, 0usize), |(s, c), (_, l)| (s + l, c + 1));
-    Ok(SupervisedOutcome {
-        loss: sum / count as f32,
-        step,
-        retries,
-        dropped_lane,
-    })
-}
-
 /// Averages trainable gradients across replicas in place (AllReduce-mean).
 ///
 /// Replicas must have identical parameter structure.
@@ -199,28 +118,10 @@ fn reduce_supervised(
 /// # Errors
 /// Returns a tensor error if replicas disagree on parameter shapes.
 pub fn allreduce_mean<M: Module>(replicas: &mut [M]) -> EngineResult<()> {
-    allreduce_mean_excluding(replicas, None)
-}
-
-/// [`allreduce_mean`] over the replicas except `skip` (a degraded,
-/// unreachable lane): the mean rescales over the k participating replicas
-/// and is written back only to them.
-///
-/// # Errors
-/// Returns a tensor error if replicas disagree on parameter shapes.
-pub fn allreduce_mean_excluding<M: Module>(
-    replicas: &mut [M],
-    skip: Option<usize>,
-) -> EngineResult<()> {
-    let mut group: Vec<&mut M> = replicas
-        .iter_mut()
-        .enumerate()
-        .filter(|(k, _)| Some(*k) != skip)
-        .map(|(_, r)| r)
-        .collect();
-    if group.len() <= 1 {
+    if replicas.len() <= 1 {
         return Ok(());
     }
+    let mut group: Vec<&mut M> = replicas.iter_mut().collect();
     let _span = pac_telemetry::span("allreduce");
     allreduce_group(&mut group)
 }
@@ -294,32 +195,32 @@ pub fn dp_step_tokens(
     replicas: &mut [Tuner],
     shards: &[(Vec<Vec<usize>>, Vec<usize>)],
 ) -> EngineResult<f32> {
+    let lanes: Vec<usize> = (0..replicas.len()).collect();
     let clock = FaultClock::quiet();
     clock.advance();
-    dp_step_tokens_supervised(replicas, shards, &clock).map(|(o, _)| o.loss)
+    dp_step_tokens_supervised(replicas, &lanes, shards, &clock).map(|(loss, _)| loss)
 }
 
-/// [`dp_step_tokens`] under a [`FaultClock`]: injects the clock's faults
-/// for the current step, catches lane panics, retries/degrades the
-/// AllReduce. On `dropped_lane = Some(k)` the caller must remove replica
-/// `k` (its gradients were excluded and not written back).
+/// [`dp_step_tokens`] under a [`FaultClock`]: injects the clock's lane
+/// panics and stragglers for the current step and catches lane panics.
+/// `lanes[k]` is replica `k`'s original lane id, which the plan's faults
+/// name; a failure is attributed to the position `k`.
 ///
-/// Next to the outcome it hands back, per lane, the backbone layer outputs
+/// Next to the mean loss it hands back, per lane, the backbone layer outputs
 /// of that lane's forward ([`Tuner::cacheable_acts`]; empty for techniques
 /// that produce none), so a caller filling an activation cache during
 /// epoch 1 does not run the frozen backbone a second time.
 ///
 /// # Errors
-/// [`EngineError::LanePanic`] when a replica dies,
-/// [`EngineError::AllReduceFailed`] when the collective exhausts its retry
-/// budget with no lane to blame, [`EngineError::Tensor`] on count/shape
-/// mismatches.
+/// [`EngineError::LanePanic`] when a replica dies, [`EngineError::Tensor`]
+/// on count/shape mismatches.
 pub fn dp_step_tokens_supervised(
     replicas: &mut [Tuner],
+    lanes: &[usize],
     shards: &[(Vec<Vec<usize>>, Vec<usize>)],
     clock: &FaultClock,
-) -> EngineResult<(SupervisedOutcome, Vec<Vec<Tensor>>)> {
-    if replicas.len() != shards.len() || replicas.is_empty() {
+) -> EngineResult<(f32, Vec<Vec<Tensor>>)> {
+    if replicas.len() != shards.len() || replicas.len() != lanes.len() || replicas.is_empty() {
         return Err(EngineError::Tensor(TensorError::ShapeMismatch {
             op: "dp_step_tokens",
             lhs: vec![replicas.len()],
@@ -327,7 +228,7 @@ pub fn dp_step_tokens_supervised(
         }));
     }
     let step = clock.current_step();
-    let ctxs = lane_ctxs(replicas.len(), step, clock);
+    let ctxs = lane_ctxs(lanes, step, clock);
     let _span = pac_telemetry::span("dp.step_tokens");
     let results: Vec<EngineResult<(f32, Vec<Tensor>)>> = replicas
         .par_iter_mut()
@@ -345,11 +246,16 @@ pub fn dp_step_tokens_supervised(
             })
         })
         .collect();
-    let (lanes, verdict) = fold_lanes(results);
+    let (values, verdict) = fold_lanes(results);
     verdict?;
-    let (losses, lane_acts): (Vec<f32>, Vec<Vec<Tensor>>) = lanes.into_iter().unzip();
-    let outcome = reduce_supervised(replicas, &losses, step, clock)?;
-    Ok((outcome, lane_acts))
+    let (losses, lane_acts): (Vec<f32>, Vec<Vec<Tensor>>) = values.into_iter().unzip();
+    allreduce_mean(replicas)?;
+    Ok((mean(&losses), lane_acts))
+}
+
+/// Mean of the lanes' losses, summed in lane order.
+fn mean(losses: &[f32]) -> f32 {
+    losses.iter().sum::<f32>() / losses.len() as f32
 }
 
 /// One cache-enabled data-parallel step (PAC epochs ≥ 2, paper §5.2): each
@@ -367,9 +273,10 @@ pub fn dp_step_cached(
     shards: &[(Vec<Tensor>, Vec<f32>)],
     regression: bool,
 ) -> EngineResult<f32> {
+    let lanes: Vec<usize> = (0..replicas.len()).collect();
     let clock = FaultClock::quiet();
     clock.advance();
-    dp_step_cached_supervised(replicas, shards, regression, &clock).map(|o| o.loss)
+    dp_step_cached_supervised(replicas, &lanes, shards, regression, &clock)
 }
 
 /// [`dp_step_cached`] under a [`FaultClock`]; same supervision contract as
@@ -379,11 +286,12 @@ pub fn dp_step_cached(
 /// As [`dp_step_tokens_supervised`].
 pub fn dp_step_cached_supervised(
     replicas: &mut [Tuner],
+    lanes: &[usize],
     shards: &[(Vec<Tensor>, Vec<f32>)],
     regression: bool,
     clock: &FaultClock,
-) -> EngineResult<SupervisedOutcome> {
-    if replicas.len() != shards.len() || replicas.is_empty() {
+) -> EngineResult<f32> {
+    if replicas.len() != shards.len() || replicas.len() != lanes.len() || replicas.is_empty() {
         return Err(EngineError::Tensor(TensorError::ShapeMismatch {
             op: "dp_step_cached",
             lhs: vec![replicas.len()],
@@ -391,7 +299,7 @@ pub fn dp_step_cached_supervised(
         }));
     }
     let step = clock.current_step();
-    let ctxs = lane_ctxs(replicas.len(), step, clock);
+    let ctxs = lane_ctxs(lanes, step, clock);
     let _span = pac_telemetry::span("dp.step_cached");
     let results: Vec<EngineResult<f32>> = replicas
         .par_iter_mut()
@@ -414,32 +322,8 @@ pub fn dp_step_cached_supervised(
         .collect();
     let (losses, verdict) = fold_lanes(results);
     verdict?;
-    reduce_supervised(replicas, &losses, step, clock)
-}
-
-/// Redistribution step between PAC phase 1 and phase 2 (paper §5.2):
-/// equalizes replica parameters by broadcasting replica 0's trainable
-/// values (in a real deployment this is the collective that also ships the
-/// activation cache).
-pub fn broadcast_params(replicas: &mut [Tuner]) {
-    if replicas.len() <= 1 {
-        return;
-    }
-    let mut values: Vec<Tensor> = Vec::new();
-    replicas[0].visit_params_ref(&mut |p| {
-        if p.trainable {
-            values.push(p.value.clone());
-        }
-    });
-    for r in replicas[1..].iter_mut() {
-        let mut idx = 0usize;
-        r.visit_params(&mut |p| {
-            if p.trainable {
-                p.value = values[idx].clone();
-                idx += 1;
-            }
-        });
-    }
+    allreduce_mean(replicas)?;
+    Ok(mean(&losses))
 }
 
 #[cfg(test)]
@@ -584,7 +468,8 @@ mod tests {
         // Parallel Adapters: exactly the bits a stand-alone forward caches.
         let base = Tuner::new(Technique::parallel_default(), &cfg, 2, &mut seeded(230));
         let mut replicas = vec![base.clone(), base.clone()];
-        let (_, lane_acts) = dp_step_tokens_supervised(&mut replicas, &shards, &clock).unwrap();
+        let (_, lane_acts) =
+            dp_step_tokens_supervised(&mut replicas, &[0, 1], &shards, &clock).unwrap();
         assert_eq!(lane_acts.len(), 2);
         for ((tokens, _), acts) in shards.iter().zip(&lane_acts) {
             let mut alone = base.clone();
@@ -596,7 +481,8 @@ mod tests {
         // A technique with nothing to cache hands back empty lanes.
         let plain = Tuner::new(Technique::adapters_default(), &cfg, 2, &mut seeded(230));
         let mut replicas = vec![plain.clone(), plain];
-        let (_, lane_acts) = dp_step_tokens_supervised(&mut replicas, &shards, &clock).unwrap();
+        let (_, lane_acts) =
+            dp_step_tokens_supervised(&mut replicas, &[0, 1], &shards, &clock).unwrap();
         assert!(lane_acts.iter().all(Vec::is_empty));
     }
 
@@ -610,41 +496,15 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_synchronizes_parameters() {
-        let cfg = ModelConfig::micro(1, 1, 16, 2);
-        let a = Tuner::new(Technique::parallel_default(), &cfg, 2, &mut seeded(219));
-        let b = Tuner::new(Technique::parallel_default(), &cfg, 2, &mut seeded(220));
-        let mut replicas = vec![a, b];
-        broadcast_params(&mut replicas);
-        let mut p0: Vec<Tensor> = Vec::new();
-        replicas[0].visit_params_ref(&mut |p| {
-            if p.trainable {
-                p0.push(p.value.clone());
-            }
-        });
-        let mut idx = 0;
-        replicas[1].visit_params_ref(&mut |p| {
-            if p.trainable {
-                assert!(p.value.approx_eq(&p0[idx], 0.0));
-                idx += 1;
-            }
-        });
-    }
-
-    #[test]
     fn injected_replica_panic_is_caught_and_attributed() {
         let cfg = ModelConfig::micro(1, 1, 16, 2);
         let base = Tuner::new(Technique::adapters_default(), &cfg, 2, &mut seeded(221));
         let mut replicas = vec![base.clone(), base];
         let shards = vec![batch(222, 2, 4), batch(223, 2, 4)];
-        let plan = FaultPlan::none().with(Fault::LanePanic {
-            step: 0,
-            lane: 1,
-            stage: 0,
-        });
+        let plan = FaultPlan::none().with(Fault::LanePanic { step: 0, lane: 1 });
         let clock = FaultClock::new(plan);
         clock.advance();
-        let err = dp_step_tokens_supervised(&mut replicas, &shards, &clock)
+        let err = dp_step_tokens_supervised(&mut replicas, &[0, 1], &shards, &clock)
             .expect_err("injected panic must surface");
         match err {
             EngineError::LanePanic { lane, message, .. } => {
@@ -653,86 +513,5 @@ mod tests {
             }
             other => panic!("expected LanePanic, got {other}"),
         }
-    }
-
-    #[test]
-    fn transient_allreduce_retry_is_bitwise_identical() {
-        let cfg = ModelConfig::micro(1, 1, 16, 2);
-        let base = Tuner::new(Technique::adapters_default(), &cfg, 2, &mut seeded(224));
-        let shards = vec![batch(225, 2, 4), batch(226, 2, 4)];
-
-        let mut clean = vec![base.clone(), base.clone()];
-        dp_step_tokens(&mut clean, &shards).unwrap();
-
-        let mut faulted = vec![base.clone(), base];
-        let plan = FaultPlan::none().with(Fault::AllReduceTransient {
-            step: 0,
-            failures: 2,
-            lane: None,
-        });
-        let clock = FaultClock::new(plan);
-        clock.advance();
-        let (out, _) = dp_step_tokens_supervised(&mut faulted, &shards, &clock).unwrap();
-        assert_eq!(out.retries, 2);
-        assert_eq!(out.dropped_lane, None);
-
-        for (c, f) in clean.iter().zip(&faulted) {
-            let mut cg: Vec<Tensor> = Vec::new();
-            c.visit_params_ref(&mut |p| cg.push(p.grad.clone()));
-            let mut idx = 0;
-            f.visit_params_ref(&mut |p| {
-                assert!(
-                    p.grad.approx_eq(&cg[idx], 0.0),
-                    "retry changed gradient bits at param {idx}"
-                );
-                idx += 1;
-            });
-        }
-    }
-
-    #[test]
-    fn exhausted_allreduce_degrades_to_survivors() {
-        let cfg = ModelConfig::micro(1, 1, 16, 2);
-        let base = Tuner::new(Technique::adapters_default(), &cfg, 2, &mut seeded(227));
-        let (tokens, targets) = batch(228, 4, 4);
-
-        // Monolithic reference over the surviving (first two) rows.
-        let mut mono = base.clone();
-        let (logits, ctx) = mono.forward(&tokens[..2]).unwrap();
-        let (_, dl) = cross_entropy(&logits, &targets[..2]).unwrap();
-        mono.backward(&ctx, &dl).unwrap();
-        let mut expected: Vec<Tensor> = Vec::new();
-        mono.visit_params_ref(&mut |p| {
-            if p.trainable {
-                expected.push(p.grad.clone());
-            }
-        });
-
-        let mut replicas = vec![base.clone(), base];
-        let shards = vec![
-            (tokens[..2].to_vec(), targets[..2].to_vec()),
-            (tokens[2..].to_vec(), targets[2..].to_vec()),
-        ];
-        let plan = FaultPlan::none().with(Fault::AllReduceTransient {
-            step: 0,
-            failures: MAX_ALLREDUCE_RETRIES + 2,
-            lane: Some(1),
-        });
-        let clock = FaultClock::new(plan);
-        clock.advance();
-        let (out, _) = dp_step_tokens_supervised(&mut replicas, &shards, &clock).unwrap();
-        assert_eq!(out.dropped_lane, Some(1));
-        assert_eq!(out.retries, MAX_ALLREDUCE_RETRIES);
-
-        let mut idx = 0usize;
-        replicas[0].visit_params_ref(&mut |p| {
-            if p.trainable {
-                assert!(
-                    p.grad.approx_eq(&expected[idx], 1e-5),
-                    "degraded grad {idx} diverged"
-                );
-                idx += 1;
-            }
-        });
     }
 }

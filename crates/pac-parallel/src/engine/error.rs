@@ -4,8 +4,8 @@
 //! threads are joined, panics are converted into [`EngineError::LanePanic`]
 //! carrying the failing lane/stage, and channel teardown from a neighbor's
 //! death surfaces as [`EngineError::Disconnected`]. Callers (the session's
-//! recovery loop, tests, benches) decide whether to retry, degrade, replan,
-//! or abort.
+//! recovery loop, the pac-net coordinator, tests, benches) decide whether to
+//! replan, respawn, or abort.
 
 use pac_tensor::TensorError;
 use std::fmt;
@@ -54,13 +54,6 @@ pub enum EngineError {
         step: u64,
         /// Human-readable transport diagnosis (EOF vs timeout vs reset).
         detail: String,
-    },
-    /// The gradient AllReduce failed every attempt of the bounded retry.
-    AllReduceFailed {
-        /// Global step whose collective failed.
-        step: u64,
-        /// Attempts made (1 initial + retries).
-        attempts: u32,
     },
     /// Recovery is impossible: no lanes/devices left to run on.
     NoSurvivors,
@@ -125,9 +118,6 @@ impl fmt::Display for EngineError {
                     "rank {rank} (lane {lane}) unreachable at step {step}: {detail}"
                 ),
             },
-            EngineError::AllReduceFailed { step, attempts } => {
-                write!(f, "AllReduce failed {attempts} attempt(s) at step {step}")
-            }
             EngineError::NoSurvivors => write!(f, "no surviving lanes to run on"),
             EngineError::Unplannable { survivors } => {
                 write!(f, "no feasible plan for {survivors} surviving device(s)")
@@ -167,7 +157,6 @@ impl EngineError {
             EngineError::LanePanic { .. }
                 | EngineError::Disconnected { .. }
                 | EngineError::RankDown { .. }
-                | EngineError::AllReduceFailed { .. }
         )
     }
 

@@ -7,20 +7,19 @@
 //! slices, and at mini-batch end each stage's gradient is AllReduce-averaged
 //! across lanes.
 //!
-//! Execution is supervised: lane threads are joined as `Result`s, a panic
-//! becomes [`EngineError::LanePanic`] and removes only the dead lane, a
-//! disturbed AllReduce gets a bounded retry with backoff
-//! ([`MAX_ALLREDUCE_RETRIES`]) and, past the budget, degrades to the
-//! surviving lanes with `1/k` rescaled averaging.
+//! The engine is the in-process reference that pac-net's distributed
+//! worlds are checked against bit for bit; it injects no faults. Lane
+//! threads are joined as `Result`s, so a failure comes back as a typed
+//! error attributed to its lane and stage, and only the failed lane is
+//! removed.
 //!
 //! This engine supports uniform group widths (every stage replicated the
 //! same number of times). Non-uniform groups — which require activation
 //! resharding between stages — are covered by the timeline simulator.
 
-use crate::engine::data_parallel::{allreduce_group, fold_lanes, supervise_allreduce};
+use crate::engine::data_parallel::{allreduce_group, fold_lanes};
 use crate::engine::error::{EngineError, EngineResult};
-use crate::engine::pipeline::{run_pipeline_supervised, LaneFaults};
-use crate::faults::{FaultClock, TimelineKind};
+use crate::engine::pipeline::run_lane;
 use crate::schedule::Schedule;
 use pac_model::StageModel;
 use pac_nn::{Module, Optimizer, Param};
@@ -140,26 +139,6 @@ pub fn split_micro_batches_weighted(
     Ok(lanes)
 }
 
-/// Bounded retry budget for a disturbed gradient AllReduce: the collective
-/// is attempted `1 + MAX_ALLREDUCE_RETRIES` times before the engine
-/// degrades (unreachable lane known) or gives up.
-pub const MAX_ALLREDUCE_RETRIES: u32 = 3;
-
-/// What a supervised mini-batch reported back.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SupervisedOutcome {
-    /// Mean loss across the lanes that contributed to the update.
-    pub loss: f32,
-    /// Global step this mini-batch ran as (from the [`FaultClock`]).
-    pub step: u64,
-    /// AllReduce attempts that failed and were retried.
-    pub retries: u32,
-    /// Lane dropped by AllReduce degradation this step (index into the
-    /// lane order *before* the call), if any. The caller must drop the
-    /// matching optimizer.
-    pub dropped_lane: Option<usize>,
-}
-
 /// Hybrid-parallel training engine over real threads.
 #[derive(Debug)]
 pub struct HybridEngine {
@@ -227,42 +206,19 @@ impl HybridEngine {
     /// pipelines each lane on its own threads, then AllReduces gradients
     /// across lanes per stage. Returns the mean loss.
     ///
+    /// On a lane failure the failed lane's replica is removed and the
+    /// survivors are kept; their gradients are partial, so callers must
+    /// `zero_grads` before reusing them.
+    ///
     /// # Errors
-    /// Returns an error if a micro-batch cannot be split evenly across the
-    /// lanes (keeps gradient averaging exact), or any supervised failure
-    /// from [`HybridEngine::run_supervised`].
+    /// [`EngineError::Tensor`] on uneven splits or math failures — the root
+    /// cause, not the [`EngineError::Disconnected`] it caused in the lane's
+    /// other stages — and [`EngineError::LanePanic`] when a stage thread
+    /// panics.
     pub fn run_mini_batch(
         &mut self,
         micro_batches: &[(Vec<Vec<usize>>, Vec<usize>)],
     ) -> EngineResult<f32> {
-        let clock = FaultClock::quiet();
-        clock.advance();
-        self.run_supervised(micro_batches, &clock).map(|o| o.loss)
-    }
-
-    /// Runs one supervised mini-batch against the clock's current step,
-    /// injecting whatever the clock's [`FaultPlan`](crate::faults::FaultPlan)
-    /// schedules there. The caller owns the loop and must call
-    /// [`FaultClock::advance`] once per mini-batch before this.
-    ///
-    /// On a lane failure the dead lane's replica is removed and the
-    /// survivors are kept, so the engine remains usable; the survivors'
-    /// gradients are partial, so callers must `zero_grads` before reusing
-    /// them. AllReduce disturbances are retried up to
-    /// [`MAX_ALLREDUCE_RETRIES`] times; past that, a known-unreachable lane
-    /// is dropped and averaging rescales over the `k` survivors.
-    ///
-    /// # Errors
-    /// [`EngineError::LanePanic`] / [`EngineError::Disconnected`] when a
-    /// lane dies, [`EngineError::AllReduceFailed`] when the collective
-    /// exhausts its budget with no lane to blame, [`EngineError::Tensor`]
-    /// on uneven splits or math failures.
-    pub fn run_supervised(
-        &mut self,
-        micro_batches: &[(Vec<Vec<usize>>, Vec<usize>)],
-        clock: &FaultClock,
-    ) -> EngineResult<SupervisedOutcome> {
-        let step = clock.current_step();
         let g = self.group_width();
         // Per-lane slices of every micro-batch.
         let lane_inputs = split_micro_batches(micro_batches, g)?;
@@ -274,46 +230,16 @@ impl HybridEngine {
             pac_telemetry::counter_inc("hybrid.runs");
         }
 
-        // Injection points for this step, logged before the threads start
-        // so the timeline reads in causal order.
-        let lane_faults: Vec<LaneFaults> = (0..g)
-            .map(|k| {
-                let panic_stage = clock.lane_panic_stage(step, k);
-                if let Some(s) = panic_stage {
-                    clock.note(
-                        step,
-                        TimelineKind::Injected,
-                        format!("lane {k} panic at stage {s}"),
-                    );
-                }
-                let delay = clock.straggler_delay(step, k);
-                if let Some(d) = delay {
-                    clock.note(
-                        step,
-                        TimelineKind::Injected,
-                        format!("lane {k} straggles {}ms", d.as_millis()),
-                    );
-                }
-                LaneFaults {
-                    lane: k,
-                    step,
-                    panic_stage,
-                    delay,
-                }
-            })
-            .collect();
-
         let schedule = self.schedule;
         let lanes = std::mem::take(&mut self.lanes);
         let joined: Vec<EngineResult<(Vec<StageModel>, f32)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = lanes
                 .into_iter()
                 .zip(lane_inputs)
-                .zip(&lane_faults)
-                .map(|((stage_chain, input), faults)| {
+                .enumerate()
+                .map(|(k, (stage_chain, input))| {
                     scope.spawn(move || {
-                        run_pipeline_supervised(stage_chain, input, schedule, faults)
-                            .map(|out| (out.stages, out.loss))
+                        run_lane(stage_chain, input, schedule, k).map(|out| (out.stages, out.loss))
                     })
                 })
                 .collect();
@@ -325,7 +251,7 @@ impl HybridEngine {
                     Err(payload) => Err(EngineError::LanePanic {
                         lane: k,
                         stage: None,
-                        step,
+                        step: 0,
                         message: EngineError::panic_message(payload.as_ref()),
                     }),
                 })
@@ -333,18 +259,12 @@ impl HybridEngine {
         });
 
         // Keep every surviving replica even when a lane died, so the
-        // engine stays usable for recovery.
+        // engine stays usable.
         let (survivors, verdict) = fold_lanes(joined);
-        let mut lane_losses: Vec<f32>;
+        let lane_losses: Vec<f32>;
         (self.lanes, lane_losses) = survivors.into_iter().unzip();
         verdict?;
 
-        // Gradient AllReduce, with bounded retry and degrade-to-survivors.
-        let (retries, dropped_lane) = supervise_allreduce(self.lanes.len(), step, clock)?;
-        if let Some(dead) = dropped_lane {
-            self.lanes.remove(dead);
-            lane_losses.remove(dead);
-        }
         {
             let _span = pac_telemetry::span("hybrid.allreduce");
             for s in 0..self.num_stages() {
@@ -353,13 +273,7 @@ impl HybridEngine {
                 allreduce_group(&mut group)?;
             }
         }
-        let loss = lane_losses.iter().sum::<f32>() / lane_losses.len() as f32;
-        Ok(SupervisedOutcome {
-            loss,
-            step,
-            retries,
-            dropped_lane,
-        })
+        Ok(lane_losses.iter().sum::<f32>() / lane_losses.len() as f32)
     }
 
     /// Zeroes gradients on every replica.
@@ -399,7 +313,6 @@ impl HybridEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{Fault, FaultPlan};
     use pac_model::{EncoderModel, ModelConfig};
     use pac_nn::{cross_entropy, Sgd};
     use pac_tensor::rng::seeded;
@@ -637,145 +550,28 @@ mod tests {
     }
 
     #[test]
-    fn injected_lane_panic_keeps_the_survivors() {
+    fn a_compute_error_beats_the_disconnections_it_caused() {
+        // Lane 1's rows of the second micro-batch carry a target past the
+        // two classes: its last stage fails in cross-entropy, and the
+        // lane's first stage then loses its backward link. The engine must
+        // return the compute error, promptly.
         let m = model(237, 2);
-        let stages = m.partition(&[1, 1]).unwrap();
-        let mut engine = HybridEngine::new(stages, 3, Schedule::OneFOneB);
-        let plan = FaultPlan::none().with(Fault::LanePanic {
-            step: 0,
-            lane: 1,
-            stage: 0,
+        let mut engine = HybridEngine::new(m.partition(&[1, 1]).unwrap(), 2, Schedule::OneFOneB);
+        let mut mbs = micro_batches(238, 2, 4, 4);
+        mbs[1].1[3] = 7;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let out = engine.run_mini_batch(&mbs);
+            tx.send((out, engine.group_width())).unwrap();
         });
-        let clock = FaultClock::new(plan);
-        clock.advance();
-        let mbs = micro_batches(238, 2, 3, 4);
-        let err = engine
-            .run_supervised(&mbs, &clock)
-            .expect_err("injected panic must surface");
-        assert_eq!(err.lane(), Some(1));
-        assert!(err.is_recoverable());
-        assert_eq!(engine.group_width(), 2, "dead lane removed, survivors kept");
-        // Survivors are structurally intact: a clean retry on the
-        // remaining width works (2 lanes divide the 4-row batches evenly).
-        engine.zero_grads();
-        clock.advance();
-        let mbs = micro_batches(239, 2, 4, 4);
-        engine.run_supervised(&mbs, &clock).unwrap();
-    }
-
-    #[test]
-    fn transient_allreduce_retry_is_bitwise_identical() {
-        let m = model(240, 2);
-        let mbs = micro_batches(241, 2, 4, 4);
-
-        let stages = m.clone().partition(&[1, 1]).unwrap();
-        let mut clean = HybridEngine::new(stages, 2, Schedule::OneFOneB);
-        clean.run_mini_batch(&mbs).unwrap();
-
-        let stages = m.partition(&[1, 1]).unwrap();
-        let mut faulted = HybridEngine::new(stages, 2, Schedule::OneFOneB);
-        let plan = FaultPlan::none().with(Fault::AllReduceTransient {
-            step: 0,
-            failures: 2,
-            lane: None,
-        });
-        let clock = FaultClock::new(plan);
-        clock.advance();
-        let out = faulted.run_supervised(&mbs, &clock).unwrap();
-        assert_eq!(out.retries, 2);
-        assert_eq!(out.dropped_lane, None);
-
-        // Retry must not change a single bit of the gradients.
-        for (cl, fl) in clean.lanes.iter().zip(&faulted.lanes) {
-            for (cs, fs) in cl.iter().zip(fl) {
-                let mut clean_grads: Vec<Tensor> = Vec::new();
-                cs.visit_params_ref(&mut |p| clean_grads.push(p.grad.clone()));
-                let mut idx = 0;
-                fs.visit_params_ref(&mut |p| {
-                    assert!(
-                        p.grad.approx_eq(&clean_grads[idx], 0.0),
-                        "retry changed gradient bits at param {idx}"
-                    );
-                    idx += 1;
-                });
-            }
+        let (out, width) = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("engine hung on a compute error");
+        run.join().expect("engine thread");
+        match out {
+            Err(EngineError::Tensor(TensorError::IndexOutOfBounds { index: 7, bound: 2 })) => {}
+            other => panic!("expected the cross-entropy error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn exhausted_allreduce_with_unreachable_lane_degrades_and_rescales() {
-        let m = model(242, 2);
-        let mbs = micro_batches(243, 2, 4, 4);
-        let g = 2usize;
-
-        // Monolithic reference over the SURVIVING rows only (lane 1 takes
-        // the second half of each micro-batch; lane 0's rows survive).
-        let mut mono = m.clone();
-        let surviving_tokens: Vec<Vec<usize>> = mbs
-            .iter()
-            .flat_map(|(t, _)| t[..t.len() / g].to_vec())
-            .collect();
-        let surviving_targets: Vec<usize> = mbs
-            .iter()
-            .flat_map(|(_, t)| t[..t.len() / g].to_vec())
-            .collect();
-        let (logits, ctx) = mono.forward(&surviving_tokens).unwrap();
-        let (_, dl) = cross_entropy(&logits, &surviving_targets).unwrap();
-        mono.backward(&ctx, &dl).unwrap();
-        let mut mono_grads: HashMap<String, Tensor> = HashMap::new();
-        mono.visit_params_ref(&mut |p| {
-            mono_grads.insert(p.name.clone(), p.grad.clone());
-        });
-
-        let stages = m.partition(&[1, 1]).unwrap();
-        let mut engine = HybridEngine::new(stages, g, Schedule::OneFOneB);
-        let plan = FaultPlan::none().with(Fault::AllReduceTransient {
-            step: 0,
-            failures: MAX_ALLREDUCE_RETRIES + 5,
-            lane: Some(1),
-        });
-        let clock = FaultClock::new(plan);
-        clock.advance();
-        let out = engine.run_supervised(&mbs, &clock).unwrap();
-        assert_eq!(out.retries, MAX_ALLREDUCE_RETRIES);
-        assert_eq!(out.dropped_lane, Some(1));
-        assert_eq!(engine.group_width(), 1);
-
-        for stage in &engine.lanes[0] {
-            stage.visit_params_ref(&mut |p| {
-                if !p.trainable {
-                    return;
-                }
-                let mg = &mono_grads[&p.name];
-                assert!(
-                    p.grad.approx_eq(mg, 1e-4),
-                    "degraded grad mismatch {}: |Δ|={}",
-                    p.name,
-                    p.grad.sub(mg).unwrap().norm()
-                );
-            });
-        }
-    }
-
-    #[test]
-    fn exhausted_allreduce_without_suspect_lane_errors_out() {
-        let m = model(244, 2);
-        let stages = m.partition(&[1, 1]).unwrap();
-        let mut engine = HybridEngine::new(stages, 2, Schedule::OneFOneB);
-        let plan = FaultPlan::none().with(Fault::AllReduceTransient {
-            step: 0,
-            failures: MAX_ALLREDUCE_RETRIES + 1,
-            lane: None,
-        });
-        let clock = FaultClock::new(plan);
-        clock.advance();
-        let mbs = micro_batches(245, 2, 4, 4);
-        match engine.run_supervised(&mbs, &clock) {
-            Err(EngineError::AllReduceFailed { step, attempts }) => {
-                assert_eq!(step, 0);
-                assert_eq!(attempts, MAX_ALLREDUCE_RETRIES + 1);
-            }
-            other => panic!("expected AllReduceFailed, got {other:?}"),
-        }
+        assert_eq!(width, 1, "the failed lane is removed, the survivor kept");
     }
 }

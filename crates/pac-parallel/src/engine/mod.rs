@@ -6,10 +6,14 @@
 //! the timeline simulator models (1F1B pipelining, data-parallel gradient
 //! averaging, and their hybrid) are *correct*, not just fast on paper.
 //!
-//! All engines are *supervised*: worker panics are caught and attributed
-//! ([`error::EngineError`]), transient AllReduce failures get bounded
-//! retries, and permanent lane loss degrades to the survivors — see
-//! [`crate::faults`] for the deterministic injection machinery.
+//! The pipeline and hybrid engines are the bitwise references pac-net's
+//! distributed worlds are checked against, and carry no fault layer of
+//! their own: real faults are handled once, by the pac-net coordinator.
+//! Every engine joins its workers as `Result`s, so a panic or a compute
+//! error comes back as an attributed [`error::EngineError`], never a
+//! cascading panic. Only the data-parallel `_supervised` steps read a
+//! [`crate::faults::FaultClock`] (lane panics and stragglers, for
+//! `PacSession`'s fail-stop/replan loop).
 
 pub mod data_parallel;
 pub mod error;
@@ -17,15 +21,13 @@ pub mod hybrid;
 pub mod pipeline;
 
 pub use data_parallel::{
-    allreduce_mean, allreduce_mean_excluding, dp_step_cached, dp_step_cached_supervised,
-    dp_step_tokens, dp_step_tokens_supervised,
+    allreduce_mean, dp_step_cached, dp_step_cached_supervised, dp_step_tokens,
+    dp_step_tokens_supervised,
 };
 pub use error::{EngineError, EngineResult};
 pub use hybrid::{
     split_micro_batches, split_micro_batches_weighted, weighted_shares, HybridEngine, MicroBatch,
-    SupervisedOutcome, MAX_ALLREDUCE_RETRIES,
 };
 pub use pipeline::{
-    run_pipeline_mini_batch, run_pipeline_supervised, run_stage, ChannelLinks, LaneFaults,
-    PipelineOutcome, StageLinks, StageRun,
+    run_pipeline_mini_batch, run_stage, ChannelLinks, PipelineOutcome, StageLinks, StageRun,
 };

@@ -9,6 +9,8 @@
 //! Execution is supervised: stage threads return typed results, panics are
 //! caught at join and attributed to their stage, and a neighbor's death
 //! surfaces as [`EngineError::Disconnected`] instead of a cascading panic.
+//! The engine injects no faults: it is the reference the distributed
+//! workers, which run the same [`run_stage`], are checked against.
 
 use crate::engine::error::{EngineError, EngineResult};
 use crate::schedule::{stage_op_sequence, Op, Schedule, SimEvent};
@@ -17,29 +19,7 @@ use pac_model::{StageCtx, StageData, StageModel};
 use pac_nn::cross_entropy;
 use pac_tensor::Tensor;
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
-
-/// Fault-injection instructions for one lane of a pipeline run, produced by
-/// a [`FaultClock`](crate::faults::FaultClock) (or
-/// [`LaneFaults::none`] for a healthy run).
-#[derive(Debug, Clone, Default)]
-pub struct LaneFaults {
-    /// Lane index, used to attribute errors in multi-lane (hybrid) runs.
-    pub lane: usize,
-    /// Global step, echoed into errors for the recovery timeline.
-    pub step: u64,
-    /// Inject a panic when this stage starts the mini-batch.
-    pub panic_stage: Option<usize>,
-    /// Stall the lane for this long before computing (straggler).
-    pub delay: Option<Duration>,
-}
-
-impl LaneFaults {
-    /// No injection: supervise only.
-    pub fn none() -> Self {
-        LaneFaults::default()
-    }
-}
+use std::time::Instant;
 
 /// Result of running one mini-batch through the real pipeline.
 #[derive(Debug)]
@@ -207,29 +187,26 @@ impl StageLinks for ChannelLinks {
 /// `1 / M` so the accumulated gradient equals the full-batch mean gradient.
 ///
 /// # Errors
-/// Returns [`EngineError::LanePanic`] when a stage thread panics (caught at
-/// join, never propagated), [`EngineError::Disconnected`] when a stage
-/// loses its neighbor, and [`EngineError::Tensor`] on math/shape failures
-/// or empty inputs.
+/// The root cause of a failed run: [`EngineError::LanePanic`] when a stage
+/// thread panics (caught at join, never propagated), else
+/// [`EngineError::Tensor`] on math/shape failures or empty inputs, and
+/// [`EngineError::Disconnected`] only when a stage lost its neighbor for
+/// no other reported cause.
 pub fn run_pipeline_mini_batch(
     stages: Vec<StageModel>,
     micro_batches: Vec<(Vec<Vec<usize>>, Vec<usize>)>,
     schedule: Schedule,
 ) -> EngineResult<PipelineOutcome> {
-    run_pipeline_supervised(stages, micro_batches, schedule, &LaneFaults::none())
+    run_lane(stages, micro_batches, schedule, 0)
 }
 
-/// [`run_pipeline_mini_batch`] with fault injection: the supervised entry
-/// point used by the hybrid engine and the fault-injection test suite.
-///
-/// # Errors
-/// As [`run_pipeline_mini_batch`]; injected panics surface as
-/// [`EngineError::LanePanic`] with the lane/stage/step from `faults`.
-pub fn run_pipeline_supervised(
+/// [`run_pipeline_mini_batch`] as lane `lane` of a hybrid run: errors are
+/// attributed to that lane.
+pub(crate) fn run_lane(
     stages: Vec<StageModel>,
     micro_batches: Vec<(Vec<Vec<usize>>, Vec<usize>)>,
     schedule: Schedule,
-    faults: &LaneFaults,
+    lane: usize,
 ) -> EngineResult<PipelineOutcome> {
     if stages.is_empty() || micro_batches.is_empty() {
         return Err(EngineError::Tensor(
@@ -274,12 +251,9 @@ pub fn run_pipeline_supervised(
             } else {
                 Vec::new()
             };
-            let faults = faults.clone();
             handles.push(scope.spawn(move || {
-                let mut links = ChannelLinks::new(faults.lane, s, fwd_tx, fwd_rx, bwd_tx, bwd_rx);
-                run_stage(
-                    stage, s, s_n, m_n, schedule, &mb_inputs, &mut links, &epoch, &faults,
-                )
+                let mut links = ChannelLinks::new(lane, s, fwd_tx, fwd_rx, bwd_tx, bwd_rx);
+                run_stage(stage, s, s_n, m_n, schedule, &mb_inputs, &mut links, &epoch)
             }));
         }
         handles
@@ -287,9 +261,9 @@ pub fn run_pipeline_supervised(
             .enumerate()
             .map(|(s, h)| {
                 h.join().map_err(|payload| EngineError::LanePanic {
-                    lane: faults.lane,
+                    lane,
                     stage: Some(s),
-                    step: faults.step,
+                    step: 0,
                     message: EngineError::panic_message(payload.as_ref()),
                 })
             })
@@ -376,18 +350,7 @@ pub fn run_stage<L: StageLinks>(
     mb_inputs: &[(Vec<Vec<usize>>, Vec<usize>)],
     links: &mut L,
     epoch: &Instant,
-    faults: &LaneFaults,
 ) -> EngineResult<StageRun> {
-    if let (0, Some(delay)) = (s, faults.delay) {
-        // Straggler injection: stalling the first stage stalls the lane.
-        std::thread::sleep(delay);
-    }
-    if faults.panic_stage == Some(s) {
-        panic!(
-            "injected fault: lane {} panics at stage {s} (step {})",
-            faults.lane, faults.step
-        );
-    }
     let ops = stage_op_sequence(schedule, s, s_n, m_n);
     let mut ctxs: HashMap<usize, StageCtx> = HashMap::new();
     let mut outputs: HashMap<usize, Tensor> = HashMap::new();
@@ -626,53 +589,29 @@ mod tests {
     }
 
     #[test]
-    fn injected_stage_panic_is_caught_and_attributed() {
-        let m = model(210, 4);
-        let mbs = micro_batches(211, 3, 2, 4);
-        let stages = m.partition(&[1, 1, 1, 1]).unwrap();
-        let faults = LaneFaults {
-            lane: 3,
-            step: 9,
-            panic_stage: Some(2),
-            delay: None,
-        };
-        let err = run_pipeline_supervised(stages, mbs, Schedule::OneFOneB, &faults)
-            .expect_err("injected panic must fail the run");
-        match err {
-            EngineError::LanePanic {
-                lane,
-                stage,
-                step,
-                message,
-            } => {
-                assert_eq!(lane, 3);
-                assert_eq!(stage, Some(2));
-                assert_eq!(step, 9);
-                assert!(message.contains("injected fault"), "{message}");
-            }
-            other => panic!("expected LanePanic, got {other}"),
-        }
-    }
-
-    #[test]
-    fn straggler_delay_slows_but_does_not_corrupt() {
-        let m = model(212, 2);
-        let mbs = micro_batches(213, 2, 2, 4);
-        let (_, mono) = monolithic_grads(&m, &mbs);
-        let mono_map: HashMap<String, Tensor> = mono.into_iter().collect();
+    fn a_compute_error_beats_the_disconnections_it_caused() {
+        // The second micro-batch carries a target past the two classes: the
+        // last stage fails in cross-entropy, and stage 0 then loses its
+        // backward link. The run must return the compute error, promptly.
+        let m = model(210, 2);
+        let mut mbs = micro_batches(211, 3, 2, 4);
+        mbs[1].1[1] = 5;
         let stages = m.partition(&[1, 1]).unwrap();
-        let faults = LaneFaults {
-            delay: Some(Duration::from_millis(30)),
-            ..LaneFaults::none()
-        };
-        let out = run_pipeline_supervised(stages, mbs, Schedule::OneFOneB, &faults).unwrap();
-        assert!(
-            out.wall_s >= 0.03,
-            "stall must show up in wall time: {}",
-            out.wall_s
-        );
-        for (name, g) in pipeline_grads(&out) {
-            assert!(g.approx_eq(&mono_map[&name], 1e-4), "{name}");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = std::thread::spawn(move || {
+            tx.send(run_pipeline_mini_batch(stages, mbs, Schedule::OneFOneB).map(|o| o.loss))
+                .unwrap();
+        });
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("pipeline hung on a compute error");
+        run.join().expect("pipeline thread");
+        match out {
+            Err(EngineError::Tensor(pac_tensor::TensorError::IndexOutOfBounds {
+                index: 5,
+                bound: 2,
+            })) => {}
+            other => panic!("expected the cross-entropy error, got {other:?}"),
         }
     }
 

@@ -1,28 +1,29 @@
 //! Deterministic fault injection for the training runtime.
 //!
 //! PAC fine-tunes on a pool of flaky consumer edge devices, so every
-//! recovery path — lane supervision, AllReduce retry, checkpoint + replan —
-//! must be exercised by tests that reproduce bit-for-bit. A [`FaultPlan`]
-//! is a declarative list of failures pinned to precise injection points
-//! (global step, lane, stage); a [`FaultClock`] carries the plan through a
-//! run, answers the engines' "does anything fail here?" queries, and logs a
-//! recovery timeline that `repro --faults` renders.
+//! recovery path — fail-stop replan, checkpoint resume, elastic joins,
+//! durable cold restarts — must be exercised by tests that reproduce
+//! bit-for-bit. A [`FaultPlan`] is a declarative list of failures pinned to
+//! a global step and keyed by an original lane or device id, which stays
+//! the same however the survivors renumber; a [`FaultClock`] carries the
+//! plan through a run, answers the run loops' "does anything fail here?"
+//! queries, and logs a recovery timeline that `repro --faults` renders.
+//! Plans are pure data — no wall-clock, no global RNG — so a plan plus a
+//! session seed fully determines a run.
 //!
-//! Plans are seedable two ways: written explicitly (tests pin exact
-//! injection points) or generated pseudo-randomly from a seed with
-//! [`FaultPlan::scattered`] (soak tests sweep seeds). Both are pure data —
-//! no wall-clock, no global RNG — so a plan plus a session seed fully
-//! determines a run.
+//! Two run loops read a plan: the pac-net coordinator (fail-stop, straggler,
+//! join, crash) and `pac_core::PacSession`'s data-parallel loop (lane panic,
+//! straggler, fail-stop, crash). The in-process pipeline and hybrid engines
+//! read none: they are the references those runs are checked against.
 //!
 //! The textual schema (accepted by [`FaultPlan::parse`] and `repro
-//! --faults`) is `kind@key=value,...` joined by `;`:
+//! --faults`) is `kind@key=value,...` joined by `;`. Each kind takes exactly
+//! the keys below, each once:
 //!
 //! ```text
+//! lane-panic@step=3,lane=0
 //! fail-stop@step=5,device=1
-//! lane-panic@step=3,lane=0,stage=1
 //! straggler@step=2,lane=1,delay-ms=40
-//! allreduce@step=4,failures=2
-//! allreduce@step=4,failures=9,lane=1      # unreachable peer: degrade
 //! join@step=6                             # a device offers to join
 //! crash@step=3,at-byte=17                 # kill the checkpoint writer
 //! ```
@@ -40,15 +41,13 @@ use std::time::Duration;
 /// indices, so a fault fires exactly once.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Fault {
-    /// The lane's worker thread panics when the given stage starts the
-    /// mini-batch (models a crashing process / driver fault).
+    /// The lane's replica panics when it starts the mini-batch (models a
+    /// crashing process).
     LanePanic {
         /// Global step at which the panic fires.
         step: u64,
-        /// Lane (data-parallel replica) that panics.
+        /// Original id of the lane (data-parallel replica) that panics.
         lane: usize,
-        /// Pipeline stage inside the lane where the panic is raised.
-        stage: usize,
     },
     /// The device leaves the pool permanently before executing this step
     /// (powered off, left the LAN). Recovery requires a replan.
@@ -63,23 +62,10 @@ pub enum Fault {
     Straggler {
         /// Global step the delay applies to.
         step: u64,
-        /// Lane that stalls.
+        /// Original id of the lane that stalls.
         lane: usize,
         /// Stall duration in milliseconds.
         delay_ms: u64,
-    },
-    /// The gradient AllReduce at this step fails `failures` consecutive
-    /// attempts before succeeding. If `failures` exceeds the engines'
-    /// bounded retry budget, the collective is treated as permanently
-    /// broken: with `lane` set the engine drops that (unreachable) lane and
-    /// degrades to the survivors; with `lane` unset the step errors out.
-    AllReduceTransient {
-        /// Global step whose AllReduce is disturbed.
-        step: u64,
-        /// Number of consecutive failing attempts.
-        failures: u32,
-        /// Unreachable lane to drop if the retry budget is exhausted.
-        lane: Option<usize>,
     },
     /// A new device offers to join the pool before this step (powered on,
     /// came back in LAN range). Elastic runtimes admit it through the
@@ -110,7 +96,6 @@ impl Fault {
             Fault::LanePanic { step, .. }
             | Fault::FailStop { step, .. }
             | Fault::Straggler { step, .. }
-            | Fault::AllReduceTransient { step, .. }
             | Fault::Join { step }
             | Fault::Crash { step, .. } => *step,
         }
@@ -120,9 +105,7 @@ impl Fault {
 impl fmt::Display for Fault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Fault::LanePanic { step, lane, stage } => {
-                write!(f, "lane-panic@step={step},lane={lane},stage={stage}")
-            }
+            Fault::LanePanic { step, lane } => write!(f, "lane-panic@step={step},lane={lane}"),
             Fault::FailStop { step, device } => {
                 write!(f, "fail-stop@step={step},device={device}")
             }
@@ -131,17 +114,6 @@ impl fmt::Display for Fault {
                 lane,
                 delay_ms,
             } => write!(f, "straggler@step={step},lane={lane},delay-ms={delay_ms}"),
-            Fault::AllReduceTransient {
-                step,
-                failures,
-                lane,
-            } => {
-                write!(f, "allreduce@step={step},failures={failures}")?;
-                if let Some(l) = lane {
-                    write!(f, ",lane={l}")?;
-                }
-                Ok(())
-            }
             Fault::Join { step } => write!(f, "join@step={step}"),
             Fault::Crash { step, at_byte } => {
                 write!(f, "crash@step={step},at-byte={at_byte}")
@@ -150,7 +122,7 @@ impl fmt::Display for Fault {
     }
 }
 
-/// A deterministic, seedable schedule of failures for one training run.
+/// A deterministic schedule of failures for one training run.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// The injected failures, in no particular order.
@@ -175,109 +147,75 @@ impl FaultPlan {
         self
     }
 
-    /// Generates a pseudo-random plan from `seed`: roughly one fault per
-    /// eight steps, scattered over `steps` steps, `devices` devices, and
-    /// `stages` stages. The same seed always yields the same plan.
-    pub fn scattered(seed: u64, steps: u64, devices: usize, stages: usize) -> Self {
-        use rand::Rng as _;
-        let mut rng = pac_tensor::rng::seeded(seed ^ 0xFA17_FA17_FA17_FA17);
-        let mut faults = Vec::new();
-        let n = (steps / 8).max(1);
-        for _ in 0..n {
-            let step = rng.gen_range(0..steps.max(1));
-            let lane = rng.gen_range(0..devices.max(1));
-            match rng.gen_range(0..3u32) {
-                0 => faults.push(Fault::Straggler {
-                    step,
-                    lane,
-                    delay_ms: rng.gen_range(1..20),
-                }),
-                1 => faults.push(Fault::AllReduceTransient {
-                    step,
-                    failures: rng.gen_range(1..3),
-                    lane: None,
-                }),
-                _ => faults.push(Fault::LanePanic {
-                    step,
-                    lane,
-                    stage: rng.gen_range(0..stages.max(1)),
-                }),
-            }
-        }
-        FaultPlan { faults }
-    }
-
     /// Parses the textual schema (see module docs). Whitespace around
     /// separators is ignored; an empty string is the empty plan.
     ///
     /// # Errors
-    /// Returns a human-readable description of the first malformed clause.
+    /// Returns a human-readable description of the first malformed clause,
+    /// naming it: an unknown kind, a key its kind does not take, a repeated
+    /// or missing key, or a value that is not an integer.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut faults = Vec::new();
-        for clause in spec.split(';') {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
+        for clause in spec.split(';').map(str::trim).filter(|c| !c.is_empty()) {
             let (kind, args) = clause
                 .split_once('@')
                 .ok_or_else(|| format!("'{clause}': expected kind@key=value,..."))?;
-            let mut step: Option<u64> = None;
-            let mut lane: Option<usize> = None;
-            let mut stage: Option<usize> = None;
-            let mut device: Option<usize> = None;
-            let mut delay_ms: Option<u64> = None;
-            let mut failures: Option<u32> = None;
-            let mut at_byte: Option<u64> = None;
+            let kind = kind.trim();
+            // The keys each kind takes, all required, and how its values
+            // (in key order) build the fault.
+            type Build = fn(&[u64]) -> Fault;
+            let (keys, build): (&[&str], Build) = match kind {
+                "lane-panic" => (&["step", "lane"], |v| Fault::LanePanic {
+                    step: v[0],
+                    lane: id(v[1]),
+                }),
+                "fail-stop" => (&["step", "device"], |v| Fault::FailStop {
+                    step: v[0],
+                    device: id(v[1]),
+                }),
+                "straggler" => (&["step", "lane", "delay-ms"], |v| Fault::Straggler {
+                    step: v[0],
+                    lane: id(v[1]),
+                    delay_ms: v[2],
+                }),
+                "join" => (&["step"], |v| Fault::Join { step: v[0] }),
+                "crash" => (&["step", "at-byte"], |v| Fault::Crash {
+                    step: v[0],
+                    at_byte: v[1],
+                }),
+                other => return Err(format!("unknown fault kind '{other}' in '{clause}'")),
+            };
+            let mut values: Vec<Option<u64>> = vec![None; keys.len()];
             for kv in args.split(',') {
                 let (k, v) = kv
                     .split_once('=')
-                    .ok_or_else(|| format!("'{kv}': expected key=value"))?;
-                let (k, v) = (k.trim(), v.trim());
-                let parse_err = |e| format!("'{kv}': {e}");
-                match k {
-                    "step" => step = Some(v.parse().map_err(|_| parse_err("bad integer"))?),
-                    "lane" => lane = Some(v.parse().map_err(|_| parse_err("bad integer"))?),
-                    "stage" => stage = Some(v.parse().map_err(|_| parse_err("bad integer"))?),
-                    "device" => device = Some(v.parse().map_err(|_| parse_err("bad integer"))?),
-                    "delay-ms" => delay_ms = Some(v.parse().map_err(|_| parse_err("bad integer"))?),
-                    "failures" => failures = Some(v.parse().map_err(|_| parse_err("bad integer"))?),
-                    "at-byte" => at_byte = Some(v.parse().map_err(|_| parse_err("bad integer"))?),
-                    other => return Err(format!("unknown key '{other}' in '{clause}'")),
+                    .ok_or_else(|| format!("'{kv}': expected key=value in '{clause}'"))?;
+                let k = k.trim();
+                let i = keys
+                    .iter()
+                    .position(|&key| key == k)
+                    .ok_or_else(|| format!("{kind} takes no key '{k}' in '{clause}'"))?;
+                if values[i].is_some() {
+                    return Err(format!("repeated key '{k}' in '{clause}'"));
                 }
+                let value = v.trim().parse();
+                values[i] = Some(value.map_err(|_| format!("'{kv}': bad integer in '{clause}'"))?);
             }
-            let step = step.ok_or_else(|| format!("'{clause}': missing step="))?;
-            let fault = match kind.trim() {
-                "lane-panic" => Fault::LanePanic {
-                    step,
-                    lane: lane.ok_or_else(|| format!("'{clause}': missing lane="))?,
-                    stage: stage.ok_or_else(|| format!("'{clause}': missing stage="))?,
-                },
-                "fail-stop" => Fault::FailStop {
-                    step,
-                    device: device.ok_or_else(|| format!("'{clause}': missing device="))?,
-                },
-                "straggler" => Fault::Straggler {
-                    step,
-                    lane: lane.ok_or_else(|| format!("'{clause}': missing lane="))?,
-                    delay_ms: delay_ms.ok_or_else(|| format!("'{clause}': missing delay-ms="))?,
-                },
-                "allreduce" => Fault::AllReduceTransient {
-                    step,
-                    failures: failures.ok_or_else(|| format!("'{clause}': missing failures="))?,
-                    lane,
-                },
-                "join" => Fault::Join { step },
-                "crash" => Fault::Crash {
-                    step,
-                    at_byte: at_byte.ok_or_else(|| format!("'{clause}': missing at-byte="))?,
-                },
-                other => return Err(format!("unknown fault kind '{other}'")),
-            };
-            faults.push(fault);
+            let values = keys
+                .iter()
+                .zip(values)
+                .map(|(key, v)| v.ok_or_else(|| format!("'{clause}': missing {key}=")))
+                .collect::<Result<Vec<u64>, String>>()?;
+            faults.push(build(&values));
         }
         Ok(FaultPlan { faults })
     }
+}
+
+/// A lane or device id from a parsed plan. One past the address width
+/// names no lane, like any id past the pool, rather than wrapping onto one.
+fn id(value: u64) -> usize {
+    usize::try_from(value).unwrap_or(usize::MAX)
 }
 
 impl fmt::Display for FaultPlan {
@@ -303,10 +241,9 @@ pub struct TimelineEvent {
 pub enum TimelineKind {
     /// A fault from the plan fired.
     Injected,
-    /// A transient failure was retried.
+    /// The pac-net coordinator lost a rank and respawned its world on the
+    /// same topology (`RankLoss::Respawn`), to replay from the snapshot.
     Retry,
-    /// The engine dropped a lane and continued on the survivors.
-    Degraded,
     /// A training checkpoint was snapshotted.
     Checkpoint,
     /// The planner produced a new plan over the surviving devices.
@@ -325,7 +262,6 @@ impl fmt::Display for TimelineKind {
         let s = match self {
             TimelineKind::Injected => "inject",
             TimelineKind::Retry => "retry",
-            TimelineKind::Degraded => "degrade",
             TimelineKind::Checkpoint => "checkpoint",
             TimelineKind::Replan => "replan",
             TimelineKind::Resume => "resume",
@@ -337,10 +273,10 @@ impl fmt::Display for TimelineKind {
 }
 
 /// Carries a [`FaultPlan`] through a run: counts global steps, answers the
-/// engines' injection queries, and records the recovery timeline.
+/// run loop's injection queries, and records the recovery timeline.
 ///
-/// The driver that owns the mini-batch loop (the session, an engine run in
-/// isolation, or a test) calls [`FaultClock::advance`] once per mini-batch;
+/// The code that owns the mini-batch loop (the session, a coordinator
+/// world, or a test) calls [`FaultClock::advance`] once per mini-batch;
 /// all queries are against explicit step numbers so concurrent lane threads
 /// need no further synchronization.
 #[derive(Debug, Default)]
@@ -391,19 +327,16 @@ impl FaultClock {
         })
     }
 
-    /// Stage at which `lane` must panic during `step`, if any.
-    pub fn lane_panic_stage(&self, step: u64, lane: usize) -> Option<usize> {
-        self.plan.faults.iter().find_map(|f| match f {
-            Fault::LanePanic {
-                step: s,
-                lane: l,
-                stage,
-            } if *s == step && *l == lane => Some(*stage),
-            _ => None,
-        })
+    /// True when the lane with original id `lane` must panic during `step`.
+    pub fn lane_panic(&self, step: u64, lane: usize) -> bool {
+        self.plan
+            .faults
+            .iter()
+            .any(|f| matches!(f, Fault::LanePanic { step: s, lane: l } if *s == step && *l == lane))
     }
 
-    /// Straggler delay for `lane` at `step`, if any.
+    /// Straggler delay for the lane with original id `lane` at `step`, if
+    /// any.
     pub fn straggler_delay(&self, step: u64, lane: usize) -> Option<Duration> {
         self.plan.faults.iter().find_map(|f| match f {
             Fault::Straggler {
@@ -413,13 +346,6 @@ impl FaultClock {
             } if *s == step && *l == lane => Some(Duration::from_millis(*delay_ms)),
             _ => None,
         })
-    }
-
-    /// True when at least one device offers to join the pool before
-    /// `step`. Convenience over [`FaultClock::joins`] for callers that
-    /// only care whether a membership event is due.
-    pub fn join(&self, step: u64) -> bool {
-        self.joins(step) > 0
     }
 
     /// How many devices offer to join the pool before `step`. Repeated
@@ -444,31 +370,12 @@ impl FaultClock {
         })
     }
 
-    /// AllReduce disturbance at `step`: `(failing_attempts, unreachable
-    /// lane)`. `(0, None)` when the collective is healthy.
-    pub fn allreduce_fault(&self, step: u64) -> (u32, Option<usize>) {
-        self.plan
-            .faults
-            .iter()
-            .find_map(|f| match f {
-                Fault::AllReduceTransient {
-                    step: s,
-                    failures,
-                    lane,
-                } if *s == step => Some((*failures, *lane)),
-                _ => None,
-            })
-            .unwrap_or((0, None))
-    }
-
     /// Appends an event to the recovery timeline and mirrors it into
-    /// telemetry (`faults.injected`, `recovery.retries`,
-    /// `recovery.replans`, …).
+    /// telemetry (`faults.injected`, `recovery.replans`, …).
     pub fn note(&self, step: u64, kind: TimelineKind, detail: impl Into<String>) {
         let counter = match kind {
             TimelineKind::Injected => "faults.injected",
             TimelineKind::Retry => "recovery.retries",
-            TimelineKind::Degraded => "recovery.degraded",
             TimelineKind::Checkpoint => "checkpoint.snapshots",
             TimelineKind::Replan => "recovery.replans",
             TimelineKind::Resume => "recovery.resumes",
@@ -487,15 +394,9 @@ impl FaultClock {
     pub fn timeline(&self) -> Vec<TimelineEvent> {
         self.log.lock().unwrap().clone()
     }
-
-    /// Renders the timeline as aligned `step  kind  detail` lines.
-    pub fn render_timeline(&self) -> String {
-        render_events(&self.timeline())
-    }
 }
 
-/// Renders a recovery timeline as aligned `step  kind  detail` lines
-/// (what [`FaultClock::render_timeline`] produces for its own log).
+/// Renders a recovery timeline as aligned `step  kind  detail` lines.
 pub fn render_events(events: &[TimelineEvent]) -> String {
     if events.is_empty() {
         return "(no faults injected, no recovery actions)".into();
@@ -516,12 +417,11 @@ mod tests {
 
     #[test]
     fn parse_round_trips_every_kind() {
-        let spec = "lane-panic@step=3,lane=0,stage=1;fail-stop@step=5,device=2;\
-                    straggler@step=2,lane=1,delay-ms=40;allreduce@step=4,failures=2;\
-                    allreduce@step=6,failures=9,lane=1;join@step=7;\
+        let spec = "lane-panic@step=3,lane=0;fail-stop@step=5,device=2;\
+                    straggler@step=2,lane=1,delay-ms=40;join@step=7;\
                     crash@step=8,at-byte=17";
         let plan = FaultPlan::parse(spec).unwrap();
-        assert_eq!(plan.faults.len(), 7);
+        assert_eq!(plan.faults.len(), 5);
         let rendered = plan.to_string();
         assert_eq!(FaultPlan::parse(&rendered).unwrap(), plan);
     }
@@ -530,48 +430,42 @@ mod tests {
     fn parse_rejects_malformed_specs() {
         for bad in [
             "nonsense",
-            "lane-panic@lane=0,stage=1",       // missing step
+            "lane-panic@lane=0",               // missing step
             "fail-stop@step=1",                // missing device
             "warp-core-breach@step=1,lane=0",  // unknown kind
-            "allreduce@step=x,failures=1",     // bad integer
+            "join@step=x",                     // bad integer
             "straggler@step=1,lane=0,wait=10", // unknown key
             "crash@step=1",                    // missing at-byte
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "accepted: {bad}");
+        }
+        // A key the kind does not take, a repeated key, the removed
+        // `allreduce` kind and `stage` key: refused, naming the clause.
+        for bad in [
+            "join@step=1;fail-stop@step=1,device=0,lane=1",
+            "join@step=1,step=2",
+            "fail-stop@step=1,device=0,device=0",
+            "allreduce@step=1,failures=1",
+            "lane-panic@step=3,lane=0,stage=1",
+            "crash@step=1,at-byte=2,device=0",
+        ] {
+            let clause = bad.rsplit(';').next().unwrap();
+            let err = FaultPlan::parse(bad).expect_err(bad);
+            assert!(err.contains(clause), "{bad}: {err}");
         }
         assert!(FaultPlan::parse("").unwrap().is_empty());
         assert!(FaultPlan::parse("  ;  ").unwrap().is_empty());
     }
 
     #[test]
-    fn scattered_is_deterministic_in_the_seed() {
-        let a = FaultPlan::scattered(7, 32, 4, 2);
-        let b = FaultPlan::scattered(7, 32, 4, 2);
-        let c = FaultPlan::scattered(8, 32, 4, 2);
-        assert_eq!(a, b);
-        assert_ne!(a, c, "different seeds should differ (overwhelmingly)");
-        assert!(!a.is_empty());
-        assert!(a.faults.iter().all(|f| f.step() < 32));
-    }
-
-    #[test]
     fn clock_answers_point_queries() {
         let plan = FaultPlan::none()
             .with(Fault::FailStop { step: 2, device: 1 })
-            .with(Fault::LanePanic {
-                step: 1,
-                lane: 0,
-                stage: 1,
-            })
+            .with(Fault::LanePanic { step: 1, lane: 0 })
             .with(Fault::Straggler {
                 step: 3,
                 lane: 2,
                 delay_ms: 15,
-            })
-            .with(Fault::AllReduceTransient {
-                step: 4,
-                failures: 2,
-                lane: Some(1),
             })
             .with(Fault::Join { step: 5 })
             .with(Fault::Crash {
@@ -584,13 +478,11 @@ mod tests {
         assert_eq!(clock.current_step(), 1);
         assert_eq!(clock.fail_stop(2), Some(1));
         assert_eq!(clock.fail_stop(0), None);
-        assert_eq!(clock.lane_panic_stage(1, 0), Some(1));
-        assert_eq!(clock.lane_panic_stage(1, 1), None);
+        assert!(clock.lane_panic(1, 0));
+        assert!(!clock.lane_panic(1, 1));
         assert_eq!(clock.straggler_delay(3, 2), Some(Duration::from_millis(15)));
-        assert_eq!(clock.allreduce_fault(4), (2, Some(1)));
-        assert_eq!(clock.allreduce_fault(5), (0, None));
-        assert!(clock.join(5));
-        assert!(!clock.join(4));
+        assert_eq!(clock.joins(5), 1);
+        assert_eq!(clock.joins(4), 0);
         assert_eq!(clock.crash_point(6), Some(17));
         assert_eq!(clock.crash_point(5), None);
     }
@@ -604,7 +496,7 @@ mod tests {
         let t = clock.timeline();
         assert_eq!(t.len(), 3);
         assert_eq!(t[0].kind, TimelineKind::Injected);
-        let text = clock.render_timeline();
+        let text = render_events(&t);
         assert!(text.contains("replan"));
         assert!(text.contains("device 1 fail-stop"));
     }

@@ -13,11 +13,12 @@
 //!   Both are tested for *bitwise gradient equivalence* against
 //!   single-device training, which is what entitles the simulated timelines
 //!   to stand in for real runs.
-//! * [`faults`] — **deterministic fault injection**: a seedable
-//!   [`FaultPlan`] pins failures (lane panics, fail-stops, stragglers,
-//!   AllReduce disturbances) to precise steps so the engines' supervision,
-//!   retry, degrade, and checkpoint-recovery paths are reproducible in
-//!   tests.
+//! * [`faults`] — **deterministic fault injection**: a [`FaultPlan`] pins
+//!   five kinds of failure (lane panic, fail-stop, straggler, join, crash)
+//!   to a global step and an original lane or device id, so the pac-net
+//!   coordinator's and `PacSession`'s recovery paths are reproducible in
+//!   tests. The pipeline and hybrid engines read no plan: they are the
+//!   references those paths are checked against.
 
 #![deny(missing_docs)]
 

@@ -4,8 +4,9 @@
 //! rows a thread computes, never the per-row accumulation order, so every
 //! kernel result is bitwise identical whatever the effective width — even
 //! when many caller threads with different width caps hammer the shared
-//! pool at once. The fault-tolerance suite (transient AllReduce retries
-//! being bitwise no-ops) depends on this.
+//! pool at once. Every bitwise recovery check (a replay from a snapshot,
+//! a cold restart, a respawned world matching an uninterrupted run)
+//! depends on this.
 
 use pac_tensor::{init, ops, rng::seeded, Tensor};
 
