@@ -18,11 +18,6 @@ pub struct EncDecCtx {
     positions: Vec<usize>,
     enc_ctxs: Vec<TransformerLayerCtx>,
     dec_ctxs: Vec<TransformerLayerCtx>,
-    /// Per-backbone-layer outputs (encoder layers then decoder layers).
-    ///
-    /// These are the `b_i` activations the paper's Parallel Adapters consume
-    /// and the activation cache stores.
-    pub layer_outputs: Vec<Tensor>,
     /// Final encoder output fed to every decoder layer's cross-attention.
     pub enc_out: Tensor,
     final_ln: LayerNormCtx,
@@ -133,16 +128,47 @@ impl EncDecModel {
     /// # Errors
     /// Propagates shape errors from the constituent layers.
     pub fn forward(&self, tokens: &[Vec<usize>]) -> Result<(Tensor, EncDecCtx)> {
+        let (logits, _, ctx) = self.run(tokens, true)?;
+        Ok((logits, ctx.expect("a recording run returns its context")))
+    }
+
+    /// Forward pass of a frozen backbone, which no backward will traverse:
+    /// `tokens → (logits, layer outputs)`, the outputs being encoder layers
+    /// then decoder layers. These are the `b_i` activations the paper's
+    /// Parallel Adapters consume and the activation cache stores. No layer
+    /// keeps a context, and every intermediate is recycled as soon as it is
+    /// dead; the bits are those of [`EncDecModel::forward`].
+    ///
+    /// # Errors
+    /// Propagates shape errors from the constituent layers.
+    pub fn forward_frozen(&self, tokens: &[Vec<usize>]) -> Result<(Tensor, Vec<Tensor>)> {
+        let (logits, layer_outputs, _) = self.run(tokens, false)?;
+        Ok((logits, layer_outputs))
+    }
+
+    /// The body both forwards run; `record` keeps what the backward reads.
+    fn run(
+        &self,
+        tokens: &[Vec<usize>],
+        record: bool,
+    ) -> Result<(Tensor, Vec<Tensor>, Option<EncDecCtx>)> {
         let batch = tokens.len();
         let d = self.config.hidden;
         let (mut x, positions) = self.embed_batch(tokens)?;
         let seq = tokens[0].len();
 
+        let run_layer = |layer: &TransformerLayer, x: &Tensor, enc: Option<&Tensor>| {
+            if record {
+                layer.forward(x, enc).map(|(y, ctx)| (y, Some(ctx)))
+            } else {
+                layer.forward_frozen(x, enc).map(|y| (y, None))
+            }
+        };
         let mut enc_ctxs = Vec::with_capacity(self.encoder.len());
         let mut layer_outputs = Vec::with_capacity(self.num_layers());
         for layer in &self.encoder {
-            let (y, ctx) = layer.forward(&x, None)?;
-            enc_ctxs.push(ctx);
+            let (y, ctx) = run_layer(layer, &x, None)?;
+            enc_ctxs.extend(ctx);
             layer_outputs.push(y.clone());
             x = y;
         }
@@ -156,30 +182,31 @@ impl EncDecModel {
 
         let mut dec_ctxs = Vec::with_capacity(self.decoder.len());
         for layer in &self.decoder {
-            let (y, ctx) = layer.forward(&xd, Some(&enc_out))?;
-            dec_ctxs.push(ctx);
+            let (y, ctx) = run_layer(layer, &xd, Some(&enc_out))?;
+            dec_ctxs.extend(ctx);
             layer_outputs.push(y.clone());
             xd = y;
         }
 
-        let (normed, final_ln) = self.final_ln.forward(&xd)?;
-        let (logits, head_ctx) = self.head.forward(&normed)?;
-
-        Ok((
-            logits,
-            EncDecCtx {
-                tokens: tokens.to_vec(),
-                positions,
-                enc_ctxs,
-                dec_ctxs,
-                layer_outputs,
-                enc_out,
-                final_ln,
-                head_ctx,
-                batch,
-                seq,
-            },
-        ))
+        let (normed, final_ln) = if record {
+            let (normed, ctx) = self.final_ln.forward(&xd)?;
+            (normed, Some(ctx))
+        } else {
+            (self.final_ln.forward_frozen(&xd)?, None)
+        };
+        let logits = self.head.forward_frozen(&normed)?;
+        let ctx = final_ln.map(|final_ln| EncDecCtx {
+            tokens: tokens.to_vec(),
+            positions,
+            enc_ctxs,
+            dec_ctxs,
+            enc_out,
+            final_ln,
+            head_ctx: LinearCtx { x: normed },
+            batch,
+            seq,
+        });
+        Ok((logits, layer_outputs, ctx))
     }
 
     /// Full backward pass from `dlogits` (`[batch, n_out]`); accumulates
@@ -293,11 +320,11 @@ mod tests {
     fn forward_produces_logits_and_layer_outputs() {
         let m = micro_model(80);
         let toks = batch(81, 3, 5, 64);
-        let (logits, ctx) = m.forward(&toks).unwrap();
+        let (logits, layer_outputs) = m.forward_frozen(&toks).unwrap();
         assert_eq!(logits.dims(), &[3, 3]);
-        assert_eq!(ctx.layer_outputs.len(), 4);
-        assert_eq!(ctx.layer_outputs[0].dims(), &[3, 5, 16]); // encoder
-        assert_eq!(ctx.layer_outputs[3].dims(), &[3, 1, 16]); // decoder
+        assert_eq!(layer_outputs.len(), 4);
+        assert_eq!(layer_outputs[0].dims(), &[3, 5, 16]); // encoder
+        assert_eq!(layer_outputs[3].dims(), &[3, 1, 16]); // decoder
         assert!(logits.all_finite());
     }
 
@@ -409,7 +436,7 @@ mod tests {
         let mut m = micro_model(90);
         m.freeze_backbone();
         let toks = batch(91, 2, 4, 64);
-        let (_, ctx1) = m.forward(&toks).unwrap();
+        let (_, outputs1) = m.forward_frozen(&toks).unwrap();
         // Train the head a bit.
         let mut opt = Adam::new(1e-2);
         for _ in 0..3 {
@@ -419,8 +446,8 @@ mod tests {
             m.backward(&ctx, &dl).unwrap();
             opt.step(&mut m);
         }
-        let (_, ctx2) = m.forward(&toks).unwrap();
-        for (a, b) in ctx1.layer_outputs.iter().zip(ctx2.layer_outputs.iter()) {
+        let (_, outputs2) = m.forward_frozen(&toks).unwrap();
+        for (a, b) in outputs1.iter().zip(outputs2.iter()) {
             assert!(a.approx_eq(b, 0.0), "cached activations would be stale");
         }
     }

@@ -97,6 +97,21 @@ impl MultiHeadAttention {
     /// Returns shape errors if the inputs are not rank-3 `[b, s, d]` with
     /// matching batch and model dimensions.
     pub fn forward(&self, x: &Tensor, kv: &Tensor, causal: bool) -> Result<(Tensor, AttentionCtx)> {
+        let (y, ctx) = self.run(x, kv, causal, true)?;
+        Ok((y, ctx.expect("a recording run returns its context")))
+    }
+
+    /// The one forward body; `record` keeps what the backward reads.
+    /// Without it (a frozen layer's forward) every head's scores are
+    /// normalized in one reused `[s_q, s_kv]` block and the projections go
+    /// back to the scratch pool once they are dead.
+    pub(crate) fn run(
+        &self,
+        x: &Tensor,
+        kv: &Tensor,
+        causal: bool,
+        record: bool,
+    ) -> Result<(Tensor, Option<AttentionCtx>)> {
         let (batch, s_q, d) = Self::expect_bsd("attention", x)?;
         let (kb, s_kv, kd) = Self::expect_bsd("attention", kv)?;
         if kb != batch || kd != d || d != self.dim {
@@ -109,17 +124,24 @@ impl MultiHeadAttention {
         let dh = d / self.heads;
         let scale = 1.0 / (dh as f32).sqrt();
 
-        let (q, q_ctx) = self.wq.forward(x)?;
-        let (k, k_ctx) = self.wk.forward(kv)?;
-        let (v, v_ctx) = self.wv.forward(kv)?;
+        let q = self.wq.forward_frozen(x)?;
+        let k = self.wk.forward_frozen(kv)?;
+        let v = self.wv.forward_frozen(kv)?;
 
+        // The backward reads every head's weights; a frozen forward needs
+        // each only until its context product.
+        let mut attn = if record {
+            Tensor::zeros([batch * self.heads * s_q, s_kv])
+        } else {
+            scratch::take([s_q, s_kv])
+        };
         let mut o_concat = scratch::take([batch * s_q, d]);
-        let mut attn = Tensor::zeros([batch * self.heads * s_q, s_kv]);
         let scores = Block::dense(s_q, s_kv);
         let (o, probs) = (o_concat.data_mut(), attn.data_mut());
         for bh in 0..batch * self.heads {
             let (b, h) = (bh / self.heads, bh % self.heads);
-            let p = &mut probs[bh * s_q * s_kv..(bh + 1) * s_q * s_kv];
+            let slot = if record { bh } else { 0 };
+            let p = &mut probs[slot * s_q * s_kv..(slot + 1) * s_q * s_kv];
             let qh = View::new(q.data(), self.head(b, h, s_q));
             let kh = View::new(k.data(), self.head(b, h, s_kv));
             ops::matmul_strided(Form::Nt, qh, kh, Bias::None, p, scores)?;
@@ -139,24 +161,27 @@ impl MultiHeadAttention {
             ops::matmul_strided(Form::Nn, p, vh, Bias::Zero, o, self.head(b, h, s_q))?;
         }
 
-        let (y, o_ctx) = self.wo.forward(&o_concat)?;
-        let y = y.reshape([batch, s_q, d])?;
-        Ok((
-            y,
-            AttentionCtx {
-                q_ctx,
-                k_ctx,
-                v_ctx,
-                q,
-                k,
-                v,
-                attn,
-                o_ctx,
-                batch,
-                s_q,
-                s_kv,
+        let ctx = record.then(|| AttentionCtx {
+            q_ctx: LinearCtx { x: x.clone() },
+            k_ctx: LinearCtx { x: kv.clone() },
+            v_ctx: LinearCtx { x: kv.clone() },
+            q: q.clone(),
+            k: k.clone(),
+            v: v.clone(),
+            attn: attn.clone(),
+            o_ctx: LinearCtx {
+                x: o_concat.clone(),
             },
-        ))
+            batch,
+            s_q,
+            s_kv,
+        });
+        for dead in [q, k, v, attn] {
+            scratch::put(dead);
+        }
+        let y = self.wo.forward_frozen(&o_concat)?;
+        scratch::put(o_concat);
+        Ok((y.reshape([batch, s_q, d])?, ctx))
     }
 
     /// Backward pass. Returns `(dx, dkv)`: the gradient w.r.t. the
@@ -286,6 +311,7 @@ mod tests {
         for (q, kv) in [(&none, &x), (&x, &none), (&none, &none)] {
             let (y, ctx) = a.forward(q, kv, false).unwrap();
             assert_eq!(y.dims(), q.dims());
+            assert_eq!(a.run(q, kv, false, false).unwrap().0, y);
             let (dx, dkv) = a.backward(&ctx, &y).unwrap();
             assert_eq!((dx.dims(), dkv.dims()), (q.dims(), kv.dims()));
             assert!(y.all_finite() && dx.all_finite() && dkv.all_finite());

@@ -3,7 +3,7 @@
 use crate::activation::Activation;
 use crate::linear::{Linear, LinearCtx};
 use crate::param::{Module, Param};
-use pac_tensor::{Result, Tensor};
+use pac_tensor::{scratch, Result, Tensor};
 use rand::Rng;
 
 /// Context saved by [`FeedForward::forward`].
@@ -41,17 +41,26 @@ impl FeedForward {
     /// # Errors
     /// Propagates shape mismatches from the projections.
     pub fn forward(&self, x: &Tensor) -> Result<(Tensor, FeedForwardCtx)> {
-        let (hidden_pre, up_ctx) = self.up.forward(x)?;
+        let (y, ctx) = self.run(x, true)?;
+        Ok((y, ctx.expect("a recording run returns its context")))
+    }
+
+    /// The one forward body; `record` keeps what the backward reads.
+    /// Without it both `[rows, ff_dim]` hidden buffers go back to the
+    /// scratch pool as soon as they are dead.
+    pub(crate) fn run(&self, x: &Tensor, record: bool) -> Result<(Tensor, Option<FeedForwardCtx>)> {
+        let hidden_pre = self.up.forward_frozen(x)?;
         let hidden = self.act.forward(&hidden_pre);
-        let (y, down_ctx) = self.down.forward(&hidden)?;
-        Ok((
-            y,
-            FeedForwardCtx {
-                up_ctx,
-                hidden_pre,
-                down_ctx,
-            },
-        ))
+        let kept_pre = record.then(|| hidden_pre.clone());
+        scratch::put(hidden_pre);
+        let y = self.down.forward_frozen(&hidden)?;
+        let ctx = kept_pre.map(|hidden_pre| FeedForwardCtx {
+            up_ctx: LinearCtx { x: x.clone() },
+            hidden_pre,
+            down_ctx: LinearCtx { x: hidden.clone() },
+        });
+        scratch::put(hidden);
+        Ok((y, ctx))
     }
 
     /// Backward pass; accumulates parameter grads, returns `dx`.
@@ -61,9 +70,9 @@ impl FeedForward {
     pub fn backward(&mut self, ctx: &FeedForwardCtx, dy: &Tensor) -> Result<Tensor> {
         let d_hidden = self.down.backward(&ctx.down_ctx, dy)?;
         let d_pre = self.act.backward(&ctx.hidden_pre, &d_hidden);
-        pac_tensor::scratch::put(d_hidden);
+        scratch::put(d_hidden);
         let dx = self.up.backward(&ctx.up_ctx, &d_pre)?;
-        pac_tensor::scratch::put(d_pre);
+        scratch::put(d_pre);
         Ok(dx)
     }
 }

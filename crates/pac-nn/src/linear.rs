@@ -65,12 +65,21 @@ impl Linear {
     /// # Errors
     /// Propagates shape mismatches from the underlying matmul.
     pub fn forward(&self, x: &Tensor) -> Result<(Tensor, LinearCtx)> {
+        Ok((self.forward_frozen(x)?, LinearCtx { x: x.clone() }))
+    }
+
+    /// [`Linear::forward`] without the context: the product alone, holding
+    /// no reference to `x`, so the caller can recycle it.
+    ///
+    /// # Errors
+    /// Propagates shape mismatches from the underlying matmul.
+    pub fn forward_frozen(&self, x: &Tensor) -> Result<Tensor> {
         let mut y = scratch::take_for(x.as_2d().0 * self.out_dim);
         match &self.b {
             Some(b) => ops::addmm_into(x, &self.w.value, &b.value, &mut y)?,
             None => ops::matmul_into(x, &self.w.value, &mut y)?,
         }
-        Ok((y, LinearCtx { x: x.clone() }))
+        Ok(y)
     }
 
     /// Backward pass: accumulates `dW = xᵀ·dy`, `db = Σ dy`, returns
@@ -82,6 +91,18 @@ impl Linear {
     /// # Errors
     /// Propagates shape mismatches from the underlying matmuls.
     pub fn backward(&mut self, ctx: &LinearCtx, dy: &Tensor) -> Result<Tensor> {
+        self.backward_params(ctx, dy)?;
+        let mut dx = scratch::take_for(dy.as_2d().0 * self.in_dim);
+        ops::matmul_nt_into(dy, &self.w.value, &mut dx)?;
+        Ok(dx)
+    }
+
+    /// [`Linear::backward`] without `dx`: accumulates the weight and bias
+    /// gradients only, for a layer whose input needs no gradient.
+    ///
+    /// # Errors
+    /// Propagates shape mismatches from the underlying matmul.
+    pub fn backward_params(&mut self, ctx: &LinearCtx, dy: &Tensor) -> Result<()> {
         if self.w.trainable {
             let mut dw = scratch::take_for(self.in_dim * self.out_dim);
             ops::matmul_tn_into(&ctx.x, dy, &mut dw)?;
@@ -95,9 +116,7 @@ impl Linear {
                 b.accumulate_grad(&db);
             }
         }
-        let mut dx = scratch::take_for(dy.as_2d().0 * self.in_dim);
-        ops::matmul_nt_into(dy, &self.w.value, &mut dx)?;
-        Ok(dx)
+        Ok(())
     }
 }
 
@@ -188,6 +207,25 @@ mod tests {
         let dx = l.backward(&ctx, &Tensor::ones([2, 3])).unwrap();
         assert_eq!(l.w.grad.norm(), 0.0);
         assert!(dx.norm() > 0.0);
+    }
+
+    #[test]
+    fn backward_params_is_backward_without_dx() {
+        let mut rng = seeded(6);
+        let mut full = Linear::new("l", &mut rng, 5, 3, true);
+        let x = init::randn(&mut rng, [4, 5], 1.0);
+        let dy = init::randn(&mut rng, [4, 3], 1.0);
+        let (y, ctx) = full.forward(&x).unwrap();
+        assert_eq!(full.forward_frozen(&x).unwrap(), y);
+        let mut params_only = full.clone();
+        full.backward(&ctx, &dy).unwrap();
+        params_only.backward_params(&ctx, &dy).unwrap();
+        let bits = |l: &Linear| {
+            let mut v = Vec::new();
+            l.visit_params_ref(&mut |p| v.extend(p.grad.data().iter().map(|g| g.to_bits())));
+            v
+        };
+        assert_eq!(bits(&params_only), bits(&full));
     }
 
     #[test]

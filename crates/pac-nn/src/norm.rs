@@ -1,7 +1,7 @@
 //! Layer normalization over the last dimension.
 
 use crate::param::{Module, Param};
-use pac_tensor::{Result, Tensor, TensorError};
+use pac_tensor::{scratch, Result, Tensor, TensorError};
 
 /// Context saved by [`LayerNorm::forward`]: the normalized activations and
 /// per-row inverse standard deviations.
@@ -45,6 +45,22 @@ impl LayerNorm {
     /// # Errors
     /// Returns a shape error if the last dimension differs from `dim`.
     pub fn forward(&self, x: &Tensor) -> Result<(Tensor, LayerNormCtx)> {
+        let (y, ctx) = self.run(x, true)?;
+        Ok((y, ctx.expect("a recording run returns its context")))
+    }
+
+    /// [`LayerNorm::forward`] without the context: no `x̂` is kept.
+    ///
+    /// # Errors
+    /// Returns a shape error if the last dimension differs from `dim`.
+    pub fn forward_frozen(&self, x: &Tensor) -> Result<Tensor> {
+        Ok(self.run(x, false)?.0)
+    }
+
+    /// The row pass both forwards run: `x̂ = (x − μ)·(1/σ)` is written to
+    /// the output row, copied to the context when `record` is set, then
+    /// scaled and shifted in place.
+    pub(crate) fn run(&self, x: &Tensor, record: bool) -> Result<(Tensor, Option<LayerNormCtx>)> {
         let (rows, cols) = x.as_2d();
         if cols != self.dim {
             return Err(TensorError::ShapeMismatch {
@@ -53,28 +69,39 @@ impl LayerNorm {
                 rhs: vec![self.dim],
             });
         }
-        let mut x_hat = x.clone();
-        let mut inv_std = Vec::with_capacity(rows);
-        for r in 0..rows {
-            let row = &mut x_hat.data_mut()[r * cols..(r + 1) * cols];
-            let mean: f32 = row.iter().sum::<f32>() / cols as f32;
-            let var: f32 = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / cols as f32;
+        // A recorded output lives on in the next layer's context; a frozen
+        // one goes back to the scratch pool when it is dead.
+        let mut ctx = record.then(|| LayerNormCtx {
+            x_hat: Tensor::zeros(x.dims()),
+            inv_std: Vec::with_capacity(rows),
+        });
+        let mut y = if record {
+            Tensor::zeros(x.dims())
+        } else {
+            scratch::take(x.dims())
+        };
+        let (g, b) = (self.gamma.value.data(), self.beta.value.data());
+        for (r, (xr, yr)) in x
+            .data()
+            .chunks_exact(cols)
+            .zip(y.data_mut().chunks_exact_mut(cols))
+            .enumerate()
+        {
+            let mean: f32 = xr.iter().sum::<f32>() / cols as f32;
+            let var: f32 = xr.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / cols as f32;
             let is = 1.0 / (var + self.eps).sqrt();
-            for v in row.iter_mut() {
-                *v = (*v - mean) * is;
+            for (h, v) in yr.iter_mut().zip(xr) {
+                *h = (*v - mean) * is;
             }
-            inv_std.push(is);
-        }
-        let mut y = x_hat.clone();
-        let g = self.gamma.value.data();
-        let b = self.beta.value.data();
-        for r in 0..rows {
-            let row = &mut y.data_mut()[r * cols..(r + 1) * cols];
-            for (j, v) in row.iter_mut().enumerate() {
-                *v = *v * g[j] + b[j];
+            if let Some(ctx) = &mut ctx {
+                ctx.x_hat.data_mut()[r * cols..(r + 1) * cols].copy_from_slice(yr);
+                ctx.inv_std.push(is);
+            }
+            for ((v, g), b) in yr.iter_mut().zip(g).zip(b) {
+                *v = *v * g + b;
             }
         }
-        Ok((y, LayerNormCtx { x_hat, inv_std }))
+        Ok((y, ctx))
     }
 
     /// Backward pass. Accumulates `dγ`, `dβ`; returns `dx`.

@@ -4,7 +4,7 @@ use crate::attention::{AttentionCtx, MultiHeadAttention};
 use crate::feedforward::{FeedForward, FeedForwardCtx};
 use crate::norm::{LayerNorm, LayerNormCtx};
 use crate::param::{Module, Param};
-use pac_tensor::{Result, Tensor};
+use pac_tensor::{scratch, Result, Tensor};
 use rand::Rng;
 
 /// Context saved by [`TransformerLayer::forward`].
@@ -104,11 +104,35 @@ impl TransformerLayer {
         x: &Tensor,
         enc: Option<&Tensor>,
     ) -> Result<(Tensor, TransformerLayerCtx)> {
+        let (y, ctx) = self.run(x, enc, true)?;
+        Ok((y, ctx.expect("a recording run returns its context")))
+    }
+
+    /// [`TransformerLayer::forward`] for a frozen layer: no sub-block keeps
+    /// a context, and every intermediate goes back to the scratch pool as
+    /// soon as it is dead. Same kernels in the same order, so the same bits.
+    ///
+    /// # Errors
+    /// As [`TransformerLayer::forward`].
+    pub fn forward_frozen(&self, x: &Tensor, enc: Option<&Tensor>) -> Result<Tensor> {
+        Ok(self.run(x, enc, false)?.0)
+    }
+
+    /// The body both forwards run; `record` keeps what the backward reads.
+    /// Each residual sum is taken in place in the branch's output
+    /// (`b + x` has the bits of `x + b`).
+    fn run(
+        &self,
+        x: &Tensor,
+        enc: Option<&Tensor>,
+        record: bool,
+    ) -> Result<(Tensor, Option<TransformerLayerCtx>)> {
         let dims = x.dims().to_vec();
 
-        let (n1, ln1_ctx) = self.ln1.forward(x)?;
-        let (a, attn_ctx) = self.self_attn.forward(&n1, &n1, self.causal)?;
-        let h1 = x.add(&a)?;
+        let (n1, ln1_ctx) = self.ln1.run(x, record)?;
+        let (mut h1, attn_ctx) = self.self_attn.run(&n1, &n1, self.causal, record)?;
+        scratch::put(n1);
+        h1.add_assign(x)?;
 
         let (h2, cross_ctx) = if let Some((lnc, cross)) = &self.cross_attn {
             let enc = enc.ok_or(pac_tensor::TensorError::RankMismatch {
@@ -116,28 +140,36 @@ impl TransformerLayer {
                 expected: 3,
                 actual: 0,
             })?;
-            let (nc, lnc_ctx) = lnc.forward(&h1)?;
-            let (c, cctx) = cross.forward(&nc, enc, false)?;
-            (h1.add(&c)?, Some((lnc_ctx, cctx)))
+            let (nc, lnc_ctx) = lnc.run(&h1, record)?;
+            let (mut h2, cctx) = cross.run(&nc, enc, false, record)?;
+            scratch::put(nc);
+            h2.add_assign(&h1)?;
+            scratch::put(h1);
+            (h2, lnc_ctx.zip(cctx))
         } else {
             (h1, None)
         };
 
-        let (n2, ln2_ctx) = self.ln2.forward(&h2)?;
-        let (f, ffn_ctx) = self.ffn.forward(&n2)?;
-        let y = h2.add(&f.reshape(dims.clone())?)?;
+        let (n2, ln2_ctx) = self.ln2.run(&h2, record)?;
+        let (f, ffn_ctx) = self.ffn.run(&n2, record)?;
+        scratch::put(n2);
+        let mut y = f.reshape(dims.clone())?;
+        y.add_assign(&h2)?;
+        scratch::put(h2);
 
-        Ok((
-            y,
-            TransformerLayerCtx {
-                ln1: ln1_ctx,
-                attn: attn_ctx,
-                cross: cross_ctx,
-                ln2: ln2_ctx,
-                ffn: ffn_ctx,
-                dims,
-            },
-        ))
+        let ctx =
+            ln1_ctx
+                .zip(attn_ctx)
+                .zip(ln2_ctx.zip(ffn_ctx))
+                .map(|((ln1, attn), (ln2, ffn))| TransformerLayerCtx {
+                    ln1,
+                    attn,
+                    cross: cross_ctx,
+                    ln2,
+                    ffn,
+                    dims,
+                });
+        Ok((y, ctx))
     }
 
     /// Backward pass. Returns `(dx, d_enc)`; `d_enc` is `Some` only for
@@ -232,6 +264,24 @@ mod tests {
         let (y, _) = l.forward(&x, Some(&enc)).unwrap();
         assert_eq!(y.dims(), &[1, 3, 8]);
         assert!(l.is_decoder());
+    }
+
+    #[test]
+    fn frozen_forward_has_the_recording_forwards_bits() {
+        let mut rng = seeded(66);
+        let enc = TransformerLayer::encoder("e", &mut rng, 8, 2, 16, Activation::Gelu);
+        let dec = TransformerLayer::decoder("d", &mut rng, 8, 2, 16, Activation::Gelu);
+        let x = init::randn(&mut rng, [2, 5, 8], 1.0);
+        let xd = init::randn(&mut rng, [2, 3, 8], 1.0);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let want = enc.forward(&x, None).unwrap().0;
+        assert_eq!(bits(&enc.forward_frozen(&x, None).unwrap()), bits(&want));
+        let want = dec.forward(&xd, Some(&x)).unwrap().0;
+        assert_eq!(
+            bits(&dec.forward_frozen(&xd, Some(&x)).unwrap()),
+            bits(&want)
+        );
+        assert!(dec.forward_frozen(&xd, None).is_err());
     }
 
     #[test]

@@ -35,12 +35,15 @@ pub type MicroBatch = (Vec<Vec<usize>>, Vec<usize>);
 ///
 /// # Errors
 /// [`EngineError::Tensor`] when any micro-batch's row count is not a
-/// multiple of `g` (uneven shares would break exact gradient averaging).
+/// multiple of `g` (uneven shares would break exact gradient averaging) or
+/// differs from its target count.
 pub fn split_micro_batches(
     micro_batches: &[MicroBatch],
     g: usize,
 ) -> EngineResult<Vec<Vec<MicroBatch>>> {
-    for (toks, _) in micro_batches {
+    for mb in micro_batches {
+        check_targets(mb)?;
+        let toks = &mb.0;
         if toks.len() % g != 0 {
             return Err(EngineError::Tensor(TensorError::ShapeMismatch {
                 op: "hybrid micro-batch must split evenly across lanes",
@@ -108,6 +111,19 @@ pub fn weighted_shares(rows: usize, weights: &[f64]) -> EngineResult<Vec<usize>>
     Ok(shares)
 }
 
+/// A micro-batch carries one target per token row: both splits slice the
+/// two alike, and a short target list must not panic the caller's thread.
+fn check_targets((toks, targets): &MicroBatch) -> EngineResult<()> {
+    if targets.len() != toks.len() {
+        return Err(EngineError::Tensor(TensorError::ShapeMismatch {
+            op: "micro-batch needs one target per token row",
+            lhs: vec![toks.len()],
+            rhs: vec![targets.len()],
+        }));
+    }
+    Ok(())
+}
+
 /// The weighted generalization of [`split_micro_batches`]: every
 /// micro-batch is cut into *contiguous* row ranges sized by
 /// [`weighted_shares`], lane `k` taking the `k`-th range. With equal
@@ -118,14 +134,17 @@ pub fn weighted_shares(rows: usize, weights: &[f64]) -> EngineResult<Vec<usize>>
 ///
 /// # Errors
 /// [`EngineError::Tensor`] when any micro-batch has fewer rows than lanes
-/// or the weights are degenerate (see [`weighted_shares`]).
+/// or a target count unequal to its row count, or the weights are
+/// degenerate (see [`weighted_shares`]).
 pub fn split_micro_batches_weighted(
     micro_batches: &[MicroBatch],
     weights: &[f64],
 ) -> EngineResult<Vec<Vec<MicroBatch>>> {
     let g = weights.len();
     let mut lanes: Vec<Vec<MicroBatch>> = vec![Vec::with_capacity(micro_batches.len()); g];
-    for (toks, targets) in micro_batches {
+    for mb in micro_batches {
+        check_targets(mb)?;
+        let (toks, targets) = mb;
         let shares = weighted_shares(toks.len(), weights)?;
         let mut start = 0usize;
         for (k, &share) in shares.iter().enumerate() {
@@ -384,6 +403,29 @@ mod tests {
             assert_eq!(&rejoined_toks, toks, "lane ranges must tile the rows");
             assert_eq!(&rejoined_targets, targets);
         }
+    }
+
+    #[test]
+    fn short_targets_are_a_typed_error_not_a_panic() {
+        let mut mbs = micro_batches(79, 2, 4, 5);
+        mbs[1].1.truncate(1);
+        let mut engine = HybridEngine::new(
+            model(79, 4).partition(&[2, 2]).unwrap(),
+            2,
+            Schedule::OneFOneB,
+        );
+        for err in [
+            engine.run_mini_batch(&mbs).unwrap_err(),
+            split_micro_batches(&mbs, 2).unwrap_err(),
+            split_micro_batches_weighted(&mbs, &[3.0, 1.0]).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, EngineError::Tensor(TensorError::ShapeMismatch { .. })),
+                "{err}"
+            );
+        }
+        mbs[1].1.extend([0, 1, 0, 1]);
+        assert!(split_micro_batches(&mbs, 2).is_err());
     }
 
     #[test]

@@ -218,8 +218,8 @@ impl ParallelAdapters {
         for i in (0..ctx.layers.len()).rev() {
             let lctx = &ctx.layers[i];
             let d_pre = self.act.backward(&lctx.pre, &d_a);
-            // Down-projection grads; input gradient (into b_i) discarded.
-            let _ = self.down[i].backward(&lctx.down_ctx, &d_pre)?;
+            // Down-projection grads only: b_i is frozen, so no `dx` into it.
+            self.down[i].backward_params(&lctx.down_ctx, &d_pre)?;
             if let Some((rctx, pooled)) = &lctx.rec {
                 let mut d_prev = self.rec[i - 1].backward(rctx, &d_pre)?; // [b*s, r]
                 if let Some(orig_s) = pooled {
@@ -248,10 +248,11 @@ fn expect_bsd(t: &Tensor) -> Result<(usize, usize, usize)> {
 /// Mean over the sequence dimension: `[b, s, w] → [b, 1, w]`.
 fn pool_seq(x: &Tensor, b: usize, s: usize, w: usize) -> Result<Tensor> {
     let mut out = Tensor::zeros([b, 1, w]);
+    let (src, dst) = (x.data(), out.data_mut());
     for bi in 0..b {
         for si in 0..s {
             for j in 0..w {
-                out.data_mut()[bi * w + j] += x.data()[(bi * s + si) * w + j] / s as f32;
+                dst[bi * w + j] += src[(bi * s + si) * w + j] / s as f32;
             }
         }
     }
@@ -262,10 +263,11 @@ fn pool_seq(x: &Tensor, b: usize, s: usize, w: usize) -> Result<Tensor> {
 /// receiving `dy / s`.
 fn unpool_seq(dy: &Tensor, b: usize, s: usize, w: usize) -> Result<Tensor> {
     let mut out = Tensor::zeros([b, s, w]);
+    let (src, dst) = (dy.data(), out.data_mut());
     for bi in 0..b {
         for si in 0..s {
             for j in 0..w {
-                out.data_mut()[(bi * s + si) * w + j] = dy.data()[bi * w + j] / s as f32;
+                dst[(bi * s + si) * w + j] = src[bi * w + j] / s as f32;
             }
         }
     }
@@ -326,18 +328,19 @@ impl ParallelTuner {
     }
 
     /// Epoch-1 forward: frozen backbone forward (to produce the `b_i`), then
-    /// the side network.
+    /// the side network. No backward ever enters the backbone, so its
+    /// forward keeps no activation beyond the `b_i` themselves.
     ///
     /// # Errors
     /// Propagates shape errors.
     pub fn forward_full(&self, tokens: &[Vec<usize>]) -> Result<(Tensor, ParallelCtx)> {
-        let (_backbone_logits, bctx) = self.model.forward(tokens)?;
-        let (logits, side) = self.side.forward_from_acts(&bctx.layer_outputs)?;
+        let (_backbone_logits, layer_outputs) = self.model.forward_frozen(tokens)?;
+        let (logits, side) = self.side.forward_from_acts(&layer_outputs)?;
         Ok((
             logits,
             ParallelCtx {
                 side,
-                layer_outputs: bctx.layer_outputs,
+                layer_outputs,
             },
         ))
     }
