@@ -34,7 +34,9 @@ pub use systems::{estimate_cell, CellResult, System};
 pub use tenant::{
     run_tenant_burst, BurstOutcome, BurstSpec, TenantError, TenantPhase, TenantSession,
 };
-pub use trainer::{evaluate, finetune, finetune_with_cache, TrainConfig, TrainReport};
+pub use trainer::{
+    evaluate, evaluate_replicas, finetune, finetune_with_cache, TrainConfig, TrainReport,
+};
 
 /// Common imports for PAC users.
 pub mod prelude {

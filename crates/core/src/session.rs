@@ -1,7 +1,7 @@
 //! The end-to-end PAC workflow (paper Figure 4, Steps 0–5), executed for
 //! real at micro scale across simulated devices (threads).
 
-use crate::trainer::evaluate;
+use crate::trainer::{evaluate_replicas, shard};
 use pac_cluster::{Cluster, CostModel};
 use pac_data::{Dataset, TaskKind};
 use pac_model::ModelConfig;
@@ -14,6 +14,7 @@ use pac_planner::Planner;
 use pac_store::{MemStore, Store};
 use pac_tensor::rng::seeded;
 use pac_tensor::{Result, Tensor};
+use std::ops::Range;
 
 /// Configuration for a PAC fine-tuning session.
 #[derive(Debug, Clone, Copy)]
@@ -24,7 +25,9 @@ pub struct PacConfig {
     pub reduction: usize,
     /// Fine-tuning epochs (epoch 1 fills the cache).
     pub epochs: usize,
-    /// Global mini-batch size (split across devices).
+    /// Global mini-batch size, split across the devices by rows (the first
+    /// devices take one row more when they do not divide it). At least
+    /// `devices`.
     pub batch_size: usize,
     /// Adam learning rate.
     pub lr: f32,
@@ -205,7 +208,9 @@ impl PacSession {
     ///
     /// # Errors
     /// Returns [`EngineError::Unplannable`] when failures leave no viable
-    /// device pool, and tensor errors from training itself.
+    /// device pool, and tensor errors from training itself — among them a
+    /// [`pac_tensor::TensorError::ShapeMismatch`] when `devices` exceeds
+    /// `batch_size`, so that no batch could give every device a row.
     pub fn run_with_faults(
         &self,
         backbone: pac_model::EncDecModel,
@@ -251,6 +256,15 @@ impl PacSession {
         let model_cfg = backbone.config.clone();
         let model_cfg = &model_cfg;
         let n_dev = cfg.devices.max(1);
+        if n_dev > cfg.batch_size {
+            return Err(EngineError::Tensor(
+                pac_tensor::TensorError::ShapeMismatch {
+                    op: "PacSession: more devices than rows in a batch",
+                    lhs: vec![n_dev],
+                    rhs: vec![cfg.batch_size],
+                },
+            ));
+        }
 
         // Step 0: backbone + Parallel Adapters.
         let technique = Technique::ParallelAdapters {
@@ -263,9 +277,10 @@ impl PacSession {
 
         // Steps 1–2: profile + plan (on the cluster model; the micro model's
         // own shape is used so the plan is structurally valid for it).
+        let plan_span = pac_telemetry::span("session.plan");
         let cluster = Cluster::nanos(n_dev);
         let cost = CostModel::new(model_cfg.clone(), technique, 16);
-        let planner = Planner::paper_defaults(cluster, cfg.batch_size.max(n_dev));
+        let planner = Planner::paper_defaults(cluster, cfg.batch_size);
         let (plan, makespan) = match planner.plan(&cost) {
             Some(outcome) => (outcome.best, outcome.best_makespan_s),
             None => (
@@ -273,6 +288,7 @@ impl PacSession {
                 f64::NAN,
             ),
         };
+        drop(plan_span);
 
         // Step 3 happened inside the tuner (backbone frozen).
         // Steps 4–5: replicated training across devices, supervised by the
@@ -369,10 +385,9 @@ impl PacSession {
             while idx < batches.len() {
                 let batch = &batches[idx];
                 let n_live = alive.len();
-                if batch.len() < n_live {
-                    idx += 1;
-                    continue; // drop ragged tail batches (cannot shard evenly)
-                }
+                // Lane `k`'s rows: every row of the batch has a lane (a lane
+                // of a short tail batch may have none).
+                let rows = |k: usize| shard(batch.len(), n_live, k);
                 clock.advance();
                 let step = clock.current_step();
 
@@ -396,44 +411,47 @@ impl PacSession {
                     for r in replicas.iter_mut() {
                         r.zero_grads();
                     }
-                    let share = batch.len() / n_live;
-                    let usable = share * n_live;
-
-                    let result = if epoch == 0 || !cache_has_all(&cache, &batch.ids[..usable]) {
+                    let result = if epoch == 0 || !cache_has_all(&cache, &batch.ids) {
                         // Phase 1: full forwards. The step's own forward is
                         // the cache fill (paper §5.2: activations are cached
                         // *during* the epoch-1 pass), so the frozen backbone
                         // runs once per row.
                         let _span = pac_telemetry::span("session.phase1");
-                        let shards: Vec<(Vec<Vec<usize>>, Vec<usize>)> = (0..n_live)
+                        let shards: Vec<(Vec<Vec<usize>>, Vec<f32>)> = (0..n_live)
                             .map(|k| {
                                 (
-                                    batch.tokens[k * share..(k + 1) * share].to_vec(),
-                                    class_targets(batch, k * share, (k + 1) * share, task),
+                                    batch.tokens[rows(k)].to_vec(),
+                                    targets(batch, rows(k), task),
                                 )
                             })
                             .collect();
-                        dp_step_tokens_supervised(&mut replicas, &alive, &shards, &clock).map(
-                            |(loss, lane_acts)| {
-                                for (k, acts) in lane_acts.iter().enumerate() {
-                                    if !acts.is_empty() {
-                                        let ids = &batch.ids[k * share..(k + 1) * share];
-                                        cache.insert_batch(ids, acts);
-                                    }
-                                }
-                                loss
-                            },
+                        dp_step_tokens_supervised(
+                            &mut replicas,
+                            &alive,
+                            &shards,
+                            task.is_regression(),
+                            &clock,
                         )
+                        .map(|(loss, lane_acts)| {
+                            for (k, acts) in lane_acts.iter().enumerate() {
+                                if !acts.is_empty() {
+                                    cache.insert_batch(&batch.ids[rows(k)], acts);
+                                }
+                            }
+                            loss
+                        })
                     } else {
                         // Phase 2: cache-only DP training.
                         let _span = pac_telemetry::span("session.phase2");
                         let shards: Vec<(Vec<Tensor>, Vec<f32>)> = (0..n_live)
                             .map(|k| {
-                                let ids = &batch.ids[k * share..(k + 1) * share];
-                                let acts = cache.get_batch(ids).expect("cache warm after epoch 1");
-                                let targets =
-                                    float_targets(batch, k * share, (k + 1) * share, task);
-                                (acts, targets)
+                                let ids = &batch.ids[rows(k)];
+                                let acts = if ids.is_empty() {
+                                    Vec::new()
+                                } else {
+                                    cache.get_batch(ids).expect("cache warm after epoch 1")
+                                };
+                                (acts, targets(batch, rows(k), task))
                             })
                             .collect();
                         dp_step_cached_supervised(
@@ -546,7 +564,10 @@ impl PacSession {
             count = 0;
         }
 
-        let metric = evaluate(&mut replicas[0], &eval)?;
+        let metric = {
+            let _span = pac_telemetry::span("session.evaluate");
+            evaluate_replicas(&mut replicas, &eval)?
+        };
         let recovery = RecoveryReport::from_timeline(
             clock.timeline(),
             replans,
@@ -685,23 +706,10 @@ fn cache_has_all(cache: &ActivationCache, ids: &[u64]) -> bool {
     ids.iter().all(|&id| cache.contains(id))
 }
 
-fn class_targets(batch: &pac_data::Batch, lo: usize, hi: usize, task: TaskKind) -> Vec<usize> {
-    if task.is_regression() {
-        // dp_step_tokens computes cross-entropy; regression tasks use the
-        // cached path exclusively after epoch 1 — for epoch 1 we bucket the
-        // score into {0, 1} halves, an acceptable warm-up signal for the
-        // frozen-backbone phase (documented substitution).
-        batch.labels[lo..hi]
-            .iter()
-            .map(|l| usize::from(l.score() >= 2.5))
-            .collect()
-    } else {
-        batch.labels[lo..hi].iter().map(|l| l.class()).collect()
-    }
-}
-
-fn float_targets(batch: &pac_data::Batch, lo: usize, hi: usize, task: TaskKind) -> Vec<f32> {
-    batch.labels[lo..hi]
+/// The targets of `rows` of `batch`: scores for a regression task (MSE),
+/// class ids otherwise (cross-entropy).
+fn targets(batch: &pac_data::Batch, rows: Range<usize>, task: TaskKind) -> Vec<f32> {
+    batch.labels[rows]
         .iter()
         .map(|l| {
             if task.is_regression() {
@@ -881,6 +889,71 @@ mod tests {
         assert_eq!(f.logical_bytes, q.logical_bytes);
         assert_eq!(f.bytes, f.logical_bytes);
         assert!(q.bytes * 3 < q.logical_bytes, "{} B resident", q.bytes);
+    }
+
+    #[test]
+    fn stsb_session_completes_with_finite_losses() {
+        // Epoch 1 trains the one-logit regression head on the scores (MSE),
+        // as the cached epochs do.
+        let cfg = ModelConfig::micro(1, 1, 16, 2);
+        let report = PacSession::new(PacConfig {
+            devices: 2,
+            epochs: 3,
+            batch_size: 8,
+            ..Default::default()
+        })
+        .run(&cfg, TaskKind::StsB, 24, 8)
+        .expect("STS-B session");
+        assert_eq!(report.epoch_losses.len(), 3);
+        assert!(
+            report.epoch_losses.iter().all(|l| l.is_finite()),
+            "{:?}",
+            report.epoch_losses
+        );
+        assert!(report.metric.is_finite(), "metric {}", report.metric);
+    }
+
+    #[test]
+    fn every_row_trains_and_is_cached_whatever_the_device_count() {
+        // 64 rows in batches of 16 over 1–6 devices: 3, 5 and 6 devices do
+        // not divide the batch. Epoch 1 caches every row, every later epoch
+        // reads every row from the cache.
+        let (train_n, epochs) = (64, 3);
+        let cfg = ModelConfig::micro(1, 1, 16, 2);
+        for devices in 1..=6 {
+            let report = PacSession::new(PacConfig {
+                devices,
+                epochs,
+                batch_size: 16,
+                ..Default::default()
+            })
+            .run(&cfg, TaskKind::Sst2, train_n, 8)
+            .expect("session");
+            let stats = report.cache_stats;
+            assert_eq!(stats.entries, train_n, "{devices} devices");
+            assert_eq!(stats.hits, (epochs - 1) * train_n, "{devices} devices");
+            assert_eq!(stats.misses, 0, "{devices} devices");
+            assert!(report
+                .epoch_losses
+                .iter()
+                .all(|&l| l.is_finite() && l > 0.0));
+        }
+    }
+
+    #[test]
+    fn more_devices_than_batch_rows_is_a_typed_error() {
+        let cfg = ModelConfig::micro(1, 1, 16, 2);
+        let err = PacSession::new(PacConfig {
+            devices: 5,
+            batch_size: 4,
+            ..Default::default()
+        })
+        .run(&cfg, TaskKind::Sst2, 16, 8)
+        .expect_err("five devices cannot share batches of four rows");
+        assert!(
+            matches!(err, pac_tensor::TensorError::ShapeMismatch { ref lhs, ref rhs, .. } if lhs == &[5] && rhs == &[4]),
+            "{err}"
+        );
     }
 
     #[test]

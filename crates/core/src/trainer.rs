@@ -4,6 +4,8 @@ use pac_data::{metrics, Batch, Dataset, TaskKind};
 use pac_nn::{cross_entropy, cross_entropy_smoothed, mse, Adam, LrSchedule, Module, Optimizer};
 use pac_peft::{ActivationCache, Technique, Tuner};
 use pac_tensor::{reduce, Result, Tensor};
+use rayon::prelude::*;
+use std::ops::Range;
 
 /// Hyperparameters for a fine-tuning run.
 #[derive(Debug, Clone, Copy)]
@@ -180,22 +182,62 @@ pub fn finetune_with_cache(
     })
 }
 
-/// Evaluates `tuner` on `ds`, returning the task metric on [0, 100].
+/// Evaluates `tuner` on `ds`, returning the task metric on [0, 100]: the
+/// one-replica [`evaluate_replicas`].
 ///
 /// # Errors
 /// Propagates shape errors from the model.
 pub fn evaluate(tuner: &mut Tuner, ds: &Dataset) -> Result<f64> {
+    evaluate_replicas(std::slice::from_mut(tuner), ds)
+}
+
+/// Evaluates identical `replicas` on `ds`, returning the task metric on
+/// [0, 100]. Each eval batch's rows are split across the replicas in order,
+/// the first replicas one row longer when they do not divide the batch, and
+/// forwarded concurrently. A row's logits do not depend on
+/// the rows beside it, so the metric is bitwise the one a single replica
+/// gets forwarding every batch whole.
+///
+/// # Errors
+/// [`pac_tensor::TensorError::ShapeMismatch`] for an empty replica list;
+/// shape errors from the model.
+pub fn evaluate_replicas(replicas: &mut [Tuner], ds: &Dataset) -> Result<f64> {
+    let n = replicas.len();
+    if n == 0 {
+        return Err(pac_tensor::TensorError::ShapeMismatch {
+            op: "evaluate_replicas",
+            lhs: vec![0],
+            rhs: vec![ds.len()],
+        });
+    }
     let mut class_pred = Vec::new();
     let mut class_truth = Vec::new();
     let mut score_pred = Vec::new();
     let mut score_truth = Vec::new();
     for batch in ds.batches(16, 0, 0) {
-        let (logits, _) = tuner.forward(&batch.tokens)?;
+        let shards: Vec<Result<Option<Tensor>>> = replicas
+            .par_iter_mut()
+            .enumerate()
+            .map(|(k, tuner)| {
+                let rows = shard(batch.len(), n, k);
+                if rows.is_empty() {
+                    return Ok(None);
+                }
+                let (logits, _) = tuner.forward(&batch.tokens[rows])?;
+                Ok(Some(logits))
+            })
+            .collect();
+        for logits in shards {
+            let Some(logits) = logits? else { continue };
+            if ds.task.is_regression() {
+                score_pred.extend(logits.data().iter().copied());
+            } else {
+                class_pred.extend(reduce::argmax_rows(&logits));
+            }
+        }
         if ds.task.is_regression() {
-            score_pred.extend(logits.data().iter().copied());
             score_truth.extend(batch.scores());
         } else {
-            class_pred.extend(reduce::argmax_rows(&logits));
             class_truth.extend(batch.classes());
         }
     }
@@ -206,6 +248,15 @@ pub fn evaluate(tuner: &mut Tuner, ds: &Dataset) -> Result<f64> {
         &score_pred,
         &score_truth,
     ))
+}
+
+/// Lane `k`'s rows of a `rows`-row batch split over `lanes` lanes:
+/// contiguous and in lane order, the first `rows % lanes` lanes one row
+/// longer than the rest (empty when there are more lanes than rows).
+pub(crate) fn shard(rows: usize, lanes: usize, k: usize) -> Range<usize> {
+    let (base, extra) = (rows / lanes, rows % lanes);
+    let lo = k * base + k.min(extra);
+    lo..lo + base + usize::from(k < extra)
 }
 
 #[cfg(test)]
@@ -367,6 +418,52 @@ mod tests {
         .unwrap();
         assert!(report.epoch_losses.iter().all(|l| l.is_finite()));
         assert!(report.epoch_losses.last().unwrap() < &report.epoch_losses[0]);
+    }
+
+    #[test]
+    fn metric_is_bitwise_the_same_on_one_two_and_three_replicas() {
+        // Eval sizes 1, 16 and 17: one row (two replicas idle), one whole
+        // batch of 16, and a batch of 16 plus a one-row batch.
+        let cfg = ModelConfig::micro(2, 1, 16, 2);
+        for task in [TaskKind::Sst2, TaskKind::StsB] {
+            let tuner = Tuner::new(
+                Technique::parallel_default(),
+                &cfg,
+                task.n_out(),
+                &mut seeded(405),
+            );
+            for eval_n in [1, 16, 17] {
+                let ds = Dataset::generate(task, eval_n, 13, 6);
+                let want = evaluate(&mut tuner.clone(), &ds).unwrap();
+                for n in [1, 2, 3] {
+                    let mut replicas = vec![tuner.clone(); n];
+                    let got = evaluate_replicas(&mut replicas, &ds).unwrap();
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{task:?}, {eval_n} rows, {n} replicas"
+                    );
+                }
+            }
+        }
+        assert!(evaluate_replicas(&mut [], &Dataset::generate(TaskKind::Sst2, 4, 13, 6)).is_err());
+    }
+
+    #[test]
+    fn shards_cover_every_row_in_order() {
+        for rows in 0..20 {
+            for lanes in 1..8 {
+                let parts: Vec<_> = (0..lanes).map(|k| shard(rows, lanes, k)).collect();
+                assert_eq!(parts[0].start, 0);
+                assert_eq!(parts[lanes - 1].end, rows);
+                assert!(parts.windows(2).all(|w| w[0].end == w[1].start));
+                assert!(parts
+                    .iter()
+                    .all(|p| p.len() == rows / lanes || p.len() == rows / lanes + 1));
+            }
+        }
+        assert_eq!(shard(16, 2, 1), 8..16);
+        assert_eq!(shard(16, 6, 5), 14..16);
     }
 
     #[test]

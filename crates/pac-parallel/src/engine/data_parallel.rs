@@ -5,7 +5,11 @@
 //! and writes the result back into every replica — semantically a ring
 //! AllReduce. With equal shard sizes this is bit-for-bit the mean-gradient
 //! of the concatenated batch, which the tests verify against single-device
-//! training.
+//! training. Shards of unequal size (a batch its lanes do not divide) are
+//! row-weighted: a lane's loss gradient is scaled by its share of the rows
+//! times the lane count before the mean, a factor of exactly 1.0 when the
+//! shares are equal, so the equal-share bits do not move. A lane with no
+//! rows computes nothing and weighs nothing.
 //!
 //! Execution is supervised: replica work runs under `catch_unwind`, so a
 //! crashing lane surfaces as [`EngineError::LanePanic`] instead of tearing
@@ -182,6 +186,39 @@ pub(crate) fn allreduce_group<M: Module>(group: &mut [&mut M]) -> EngineResult<(
     Ok(())
 }
 
+/// Each lane's weight in a step's means: its share of the step's rows (its
+/// target count) times the lane count. Equal shares weigh exactly 1.0
+/// (`x / x`), so the weighted means are bitwise the plain ones.
+fn lane_weights<T>(shards: &[(T, Vec<f32>)]) -> Vec<f32> {
+    let total: usize = shards.iter().map(|(_, targets)| targets.len()).sum();
+    shards
+        .iter()
+        .map(|(_, targets)| (targets.len() * shards.len()) as f32 / total.max(1) as f32)
+        .collect()
+}
+
+/// A lane's loss on `logits` against `targets` and its gradient scaled by
+/// the lane's `weight`: MSE on scores when `regression`, cross-entropy on
+/// the classes the targets hold otherwise.
+fn lane_loss(
+    logits: &Tensor,
+    targets: &[f32],
+    regression: bool,
+    weight: f32,
+) -> EngineResult<(f32, Tensor)> {
+    let (loss, mut dl) = if regression {
+        let target = Tensor::from_vec(targets.to_vec(), [targets.len(), 1])?;
+        mse(logits, &target)?
+    } else {
+        let classes: Vec<usize> = targets.iter().map(|&t| t as usize).collect();
+        cross_entropy(logits, &classes)?
+    };
+    if weight != 1.0 {
+        dl.scale_in_place(weight);
+    }
+    Ok((loss, dl))
+}
+
 /// One data-parallel step over token shards: each replica computes its
 /// shard's gradient concurrently; gradients are then AllReduce-averaged.
 ///
@@ -198,13 +235,20 @@ pub fn dp_step_tokens(
     let lanes: Vec<usize> = (0..replicas.len()).collect();
     let clock = FaultClock::quiet();
     clock.advance();
-    dp_step_tokens_supervised(replicas, &lanes, shards, &clock).map(|(loss, _)| loss)
+    let shards: Vec<(Vec<Vec<usize>>, Vec<f32>)> = shards
+        .iter()
+        .map(|(tokens, classes)| (tokens.clone(), classes.iter().map(|&c| c as f32).collect()))
+        .collect();
+    dp_step_tokens_supervised(replicas, &lanes, &shards, false, &clock).map(|(loss, _)| loss)
 }
 
 /// [`dp_step_tokens`] under a [`FaultClock`]: injects the clock's lane
 /// panics and stragglers for the current step and catches lane panics.
 /// `lanes[k]` is replica `k`'s original lane id, which the plan's faults
-/// name; a failure is attributed to the position `k`.
+/// name; a failure is attributed to the position `k`. `shards[k]` is
+/// `(tokens, targets)`, the targets scores for MSE when `regression` and
+/// class ids otherwise (as [`dp_step_cached_supervised`] takes them); shards
+/// may differ in size, and may be empty (see the module docs).
 ///
 /// Next to the mean loss it hands back, per lane, the backbone layer outputs
 /// of that lane's forward ([`Tuner::cacheable_acts`]; empty for techniques
@@ -217,7 +261,8 @@ pub fn dp_step_tokens(
 pub fn dp_step_tokens_supervised(
     replicas: &mut [Tuner],
     lanes: &[usize],
-    shards: &[(Vec<Vec<usize>>, Vec<usize>)],
+    shards: &[(Vec<Vec<usize>>, Vec<f32>)],
+    regression: bool,
     clock: &FaultClock,
 ) -> EngineResult<(f32, Vec<Vec<Tensor>>)> {
     if replicas.len() != shards.len() || replicas.len() != lanes.len() || replicas.is_empty() {
@@ -229,15 +274,19 @@ pub fn dp_step_tokens_supervised(
     }
     let step = clock.current_step();
     let ctxs = lane_ctxs(lanes, step, clock);
+    let weights = lane_weights(shards);
     let _span = pac_telemetry::span("dp.step_tokens");
     let results: Vec<EngineResult<(f32, Vec<Tensor>)>> = replicas
         .par_iter_mut()
         .zip(shards.par_iter())
-        .zip(ctxs.par_iter())
-        .map(|((tuner, (tokens, targets)), ctx)| {
+        .zip(ctxs.par_iter().zip(weights.par_iter()))
+        .map(|((tuner, (tokens, targets)), (ctx, &weight))| {
             supervised_lane(ctx, step, || {
+                if targets.is_empty() {
+                    return Ok((0.0, Vec::new()));
+                }
                 let (logits, fwd) = tuner.forward(tokens)?;
-                let (loss, dl) = cross_entropy(&logits, targets)?;
+                let (loss, dl) = lane_loss(&logits, targets, regression, weight)?;
                 tuner.backward(&fwd, &dl)?;
                 let acts = tuner
                     .cacheable_acts(&fwd)
@@ -250,12 +299,13 @@ pub fn dp_step_tokens_supervised(
     verdict?;
     let (losses, lane_acts): (Vec<f32>, Vec<Vec<Tensor>>) = values.into_iter().unzip();
     allreduce_mean(replicas)?;
-    Ok((mean(&losses), lane_acts))
+    Ok((mean(&losses, &weights), lane_acts))
 }
 
-/// Mean of the lanes' losses, summed in lane order.
-fn mean(losses: &[f32]) -> f32 {
-    losses.iter().sum::<f32>() / losses.len() as f32
+/// Row-weighted mean of the lanes' losses, summed in lane order: the plain
+/// mean, bit for bit, when every weight is 1.0.
+fn mean(losses: &[f32], weights: &[f32]) -> f32 {
+    losses.iter().zip(weights).map(|(l, w)| l * w).sum::<f32>() / losses.len() as f32
 }
 
 /// One cache-enabled data-parallel step (PAC epochs ≥ 2, paper §5.2): each
@@ -263,7 +313,8 @@ fn mean(losses: &[f32]) -> f32 {
 /// cached activations.
 ///
 /// `shards[k]` is `(per-layer cached activations, targets)` for replica
-/// `k`; `regression` selects MSE over cross-entropy.
+/// `k`; `regression` selects MSE over cross-entropy. Shards may differ in
+/// size, and may be empty (see the module docs).
 ///
 /// # Errors
 /// Returns an error on count mismatches or if a replica is not a
@@ -300,21 +351,19 @@ pub fn dp_step_cached_supervised(
     }
     let step = clock.current_step();
     let ctxs = lane_ctxs(lanes, step, clock);
+    let weights = lane_weights(shards);
     let _span = pac_telemetry::span("dp.step_cached");
     let results: Vec<EngineResult<f32>> = replicas
         .par_iter_mut()
         .zip(shards.par_iter())
-        .zip(ctxs.par_iter())
-        .map(|((tuner, (acts, targets)), ctx)| {
+        .zip(ctxs.par_iter().zip(weights.par_iter()))
+        .map(|((tuner, (acts, targets)), (ctx, &weight))| {
             supervised_lane(ctx, step, || {
+                if targets.is_empty() {
+                    return Ok(0.0);
+                }
                 let (logits, fwd) = tuner.forward_cached(acts)?;
-                let (loss, dl) = if regression {
-                    let target = Tensor::from_vec(targets.clone(), [targets.len(), 1])?;
-                    mse(&logits, &target)?
-                } else {
-                    let classes: Vec<usize> = targets.iter().map(|&t| t as usize).collect();
-                    cross_entropy(&logits, &classes)?
-                };
+                let (loss, dl) = lane_loss(&logits, targets, regression, weight)?;
                 tuner.backward(&fwd, &dl)?;
                 Ok(loss)
             })
@@ -323,7 +372,7 @@ pub fn dp_step_cached_supervised(
     let (losses, verdict) = fold_lanes(results);
     verdict?;
     allreduce_mean(replicas)?;
-    Ok(mean(&losses))
+    Ok(mean(&losses, &weights))
 }
 
 #[cfg(test)]
@@ -343,6 +392,14 @@ mod tests {
             .collect();
         let targets = (0..b).map(|_| rng.gen_range(0..2)).collect();
         (toks, targets)
+    }
+
+    /// Token shards with their class ids as the supervised step takes them.
+    fn float(shards: &[(Vec<Vec<usize>>, Vec<usize>)]) -> Vec<(Vec<Vec<usize>>, Vec<f32>)> {
+        shards
+            .iter()
+            .map(|(t, y)| (t.clone(), y.iter().map(|&c| c as f32).collect()))
+            .collect()
     }
 
     #[test]
@@ -379,6 +436,47 @@ mod tests {
                         p.grad.approx_eq(&expected[idx], 1e-5),
                         "grad {idx} diverged: |Δ|={}",
                         p.grad.sub(&expected[idx]).unwrap().norm()
+                    );
+                    idx += 1;
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn unequal_and_empty_shards_weigh_by_rows() {
+        // Five rows over two and three lanes, one lane empty in the second
+        // split: the row-weighted mean is the full batch's gradient and loss.
+        let cfg = ModelConfig::micro(2, 1, 16, 2);
+        let base = Tuner::new(Technique::parallel_default(), &cfg, 2, &mut seeded(240));
+        let (tokens, targets) = batch(241, 5, 4);
+        let mut single = base.clone();
+        let (logits, ctx) = single.forward(&tokens).unwrap();
+        let (want_loss, dl) = cross_entropy(&logits, &targets).unwrap();
+        single.backward(&ctx, &dl).unwrap();
+        let mut expected: Vec<Tensor> = Vec::new();
+        single.visit_params_ref(&mut |p| {
+            if p.trainable {
+                expected.push(p.grad.clone());
+            }
+        });
+        for cuts in [vec![0, 3, 5], vec![0, 2, 5, 5]] {
+            let shards: Vec<_> = cuts
+                .windows(2)
+                .map(|w| (tokens[w[0]..w[1]].to_vec(), targets[w[0]..w[1]].to_vec()))
+                .collect();
+            let mut replicas = vec![base.clone(); shards.len()];
+            let loss = dp_step_tokens(&mut replicas, &shards).unwrap();
+            assert!(
+                (loss - want_loss).abs() < 1e-5,
+                "{cuts:?}: {loss} vs {want_loss}"
+            );
+            let mut idx = 0usize;
+            replicas[0].visit_params_ref(&mut |p| {
+                if p.trainable {
+                    assert!(
+                        p.grad.approx_eq(&expected[idx], 1e-5),
+                        "{cuts:?}: grad {idx}"
                     );
                     idx += 1;
                 }
@@ -469,7 +567,8 @@ mod tests {
         let base = Tuner::new(Technique::parallel_default(), &cfg, 2, &mut seeded(230));
         let mut replicas = vec![base.clone(), base.clone()];
         let (_, lane_acts) =
-            dp_step_tokens_supervised(&mut replicas, &[0, 1], &shards, &clock).unwrap();
+            dp_step_tokens_supervised(&mut replicas, &[0, 1], &float(&shards), false, &clock)
+                .unwrap();
         assert_eq!(lane_acts.len(), 2);
         for ((tokens, _), acts) in shards.iter().zip(&lane_acts) {
             let mut alone = base.clone();
@@ -482,7 +581,8 @@ mod tests {
         let plain = Tuner::new(Technique::adapters_default(), &cfg, 2, &mut seeded(230));
         let mut replicas = vec![plain.clone(), plain];
         let (_, lane_acts) =
-            dp_step_tokens_supervised(&mut replicas, &[0, 1], &shards, &clock).unwrap();
+            dp_step_tokens_supervised(&mut replicas, &[0, 1], &float(&shards), false, &clock)
+                .unwrap();
         assert!(lane_acts.iter().all(Vec::is_empty));
     }
 
@@ -504,7 +604,7 @@ mod tests {
         let plan = FaultPlan::none().with(Fault::LanePanic { step: 0, lane: 1 });
         let clock = FaultClock::new(plan);
         clock.advance();
-        let err = dp_step_tokens_supervised(&mut replicas, &[0, 1], &shards, &clock)
+        let err = dp_step_tokens_supervised(&mut replicas, &[0, 1], &float(&shards), false, &clock)
             .expect_err("injected panic must surface");
         match err {
             EngineError::LanePanic { lane, message, .. } => {

@@ -27,9 +27,10 @@
 //! register-tiled [`crate::simd`] kernels — the one matmul implementation in
 //! the workspace; the f64-accumulated [`matmul_ref`] is the test oracle.
 //!
-//! Determinism contract: parallelism only partitions output rows into fixed
-//! `PANEL`-row chunks, and each output element walks k in one fixed order,
-//! so an element is a pure function of its A row, its B column and `(k, n)`.
+//! Determinism contract: parallelism only partitions the output — a pooled
+//! product hands each thread whole column strips of C, no reduction crosses
+//! a thread — and each output element walks k in one fixed order, so an
+//! element is a pure function of its A row, its B column and `(k, n)`.
 //! Results are therefore bitwise identical at any pool width and under any
 //! row partition of A (a rank's shard of a batch equals the same rows of the
 //! whole batch) — what distributed ≡ in-process and tenant ≡ solo stand on.
@@ -41,9 +42,24 @@
 //!
 //! # The pooled-dispatch line
 //!
-//! `dispatch` fans a product out over the pool from `PAR_THRESHOLD_FLOPS`
-//! = 2^22 FLOPs (`2·m·n·k`) up and runs anything smaller on the calling
-//! thread. By the contract above the line moves time, never a bit.
+//! A product fans out over the pool from `PAR_THRESHOLD_FLOPS` = 2^22 FLOPs
+//! (`2·m·n·k`) up and runs anything smaller on the calling thread. By the
+//! contract above the line moves time, never a bit.
+//!
+//! *What fans out.* The unit of pooled work is one column strip of C — the
+//! strips the tiles already walk: full 32-column strips on the AVX-512
+//! clone, then 16-column ones, then the ragged tail (`crate::simd`). Each
+//! unit packs its strip of B once into its thread's strip buffer and sweeps
+//! every row of C over it, writing only its own columns; a product with a
+//! single strip runs inline. The unit used to be a 48-row panel of C, and
+//! every panel re-read (and for `nt` re-transposed) all of B: the three
+//! panels of the `pac_solo` feed-forward `[104,256]×[256,1024]` read B three
+//! times at a 4 KiB row stride. On the 2 vCPUs that set the line (2026-10,
+//! AVX-512), which share one core's FMA throughput (a 16-accumulator
+//! AVX-512 loop: 166–173 GFLOP/s on one thread, 174–176 on two), fanning out
+//! buys overlap, never more FLOPs, so work a unit repeats is pure loss: the
+//! column units took `matmul_nt` at that shape from 815–890 to 472–580 µs
+//! and `matmul_nn` from 466–561 to 365–417 µs.
 //!
 //! *The rule.* A hand-off to a spinning pool thread costs 2–6 µs, to a
 //! parked one 20–35 µs (`vendor/rayon/src/pool.rs`), and a call pays two.
@@ -84,12 +100,8 @@
 
 use crate::error::{Result, TensorError};
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 use std::ops::Range;
 
-/// Row-panel size for parallel work distribution: a multiple of the 6- and
-/// 8-row tile heights, so only a product's last chunk holds partial tiles.
-pub(crate) const PANEL: usize = 48;
 /// The pooled-dispatch line: a product of fewer FLOPs (2·m·n·k) runs inline
 /// on the calling thread, see "The pooled-dispatch line" in the module docs
 /// for the measurement that set it and the rule for setting it again.
@@ -104,31 +116,6 @@ fn check_inner(op: &'static str, a: &Tensor, b: &Tensor, ak: usize, bk: usize) -
         });
     }
     Ok(())
-}
-
-/// Runs `kernel` over `out` on the calling thread when `flops` (`2·m·n·k`
-/// of the whole product) is below [`PAR_THRESHOLD_FLOPS`], else in parallel
-/// over fixed PANEL-row chunks (same chunking at every width). Row `r` of the
-/// output starts at `out[r * ldc]`, so a chunk of a block inside a wider C
-/// also spans the other columns of its rows, which the kernel leaves alone.
-/// An empty output (`m == 0` or `n == 0`) runs nothing: the chunk kernels
-/// divide by `ldc` to recover their row count.
-pub(crate) fn dispatch(
-    out: &mut [f32],
-    ldc: usize,
-    flops: usize,
-    kernel: impl Fn(usize, &mut [f32]) + Sync,
-) {
-    if out.is_empty() {
-        return;
-    }
-    if flops < PAR_THRESHOLD_FLOPS {
-        kernel(0, out);
-    } else {
-        out.par_chunks_mut(PANEL * ldc)
-            .enumerate()
-            .for_each(|(p, chunk)| kernel(p * PANEL, chunk));
-    }
 }
 
 /// Which product a call computes, from operands as they are stored.
@@ -284,8 +271,9 @@ fn tiled(form: Form, a: View<'_>, b: View<'_>, bias: Bias<'_>, c: &mut [f32], at
 /// Bitwise equal to the dense product on copies of the blocks (plus
 /// `bias`): an output element is a pure function of its A row, its B column
 /// and `(k, n)` whatever the strides, runs on the tile the same FLOP count
-/// selects, and fans out over the same `PANEL`-row chunks from the
-/// pooled-dispatch line up (see the module docs).
+/// selects, and fans out over the same column strips from the
+/// pooled-dispatch line up (see the module docs). A pooled unit writes only
+/// its own columns of `at`, so the rest of `c` is never touched.
 ///
 /// # Errors
 /// [`TensorError::ShapeMismatch`] if the blocks' shapes do not make the

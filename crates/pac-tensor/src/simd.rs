@@ -20,13 +20,24 @@
 //! survive that treatment, so `Zmm` alone wraps `std::arch` intrinsics.
 //!
 //! Every `MRS` of a clone is its own outlined function (row-major and
-//! column-walking A are a const parameter as well): inlined into one chunk
+//! column-walking A are a const parameter as well): inlined into one driver
 //! function the variants fight over registers, spill the accumulators and
 //! the k-loop stops vectorizing. The clones sit behind fn-pointer tables
-//! (`TileSet`) that the single chunk driver (`mm_chunk`) indexes by the
-//! rows left in a block. Which table serves a column strip is observed from
-//! the platform and the product, never set by a caller (features are probed
-//! once with `is_x86_feature_detected!`):
+//! (`TileSet`) that the single strip driver (`sweep`) indexes by the rows
+//! left in C.
+//!
+//! A product is a list of column strips (`Clones::strips`), left to right,
+//! and a strip is the unit of work: `sweep` runs one strip of B down every
+//! row of C, tile row after tile row, while the strip stays cache-resident.
+//! Below the pooled-dispatch line of [`crate::ops`] (and for a product of a
+//! single strip) `mm_tiled` runs the strips one after another on the
+//! calling thread, reading the full strips of an untransposed B where they
+//! lie; above it, it hands the pool one task per strip, and each task
+//! packs its strip once into its thread's strip buffer — B is read once per
+//! product at any pool width — and writes only its own columns of each row
+//! of C. Which table serves a strip is observed from the platform and the
+//! product, never set by a caller (features are probed once with
+//! `is_x86_feature_detected!`):
 //!
 //! * a full 16-column strip runs the AVX2+FMA clone when the CPU has it,
 //!   the portable clone otherwise;
@@ -62,13 +73,16 @@
 //! read and write blocks of wider matrices in place: the strip packing, the
 //! direct-B path, the tile calls and the ragged copy-out all step rows by
 //! it. A stride changes addresses only, never which elements meet in which
-//! order, so a block's product is the dense product of its copy.
+//! order, so a block's product is the dense product of its copy. Packing a
+//! strip moves values the same way, so a pooled (packed) strip and an
+//! inline (in-place) one produce the same bits.
 //!
-//! Determinism and accuracy: tiles partition output rows and columns only;
-//! every output element accumulates over k in one fixed order whatever tile
-//! or clone it lands in, so a result depends on its A row, its B column and
-//! `(k, n)` alone — not on `m`, the row offset, the pool width or the size
-//! line. The two FMA clones run the same recurrence on the same columns
+//! Determinism and accuracy: tiles and tasks partition output rows and
+//! columns only, no reduction crosses a thread; every output element
+//! accumulates over k in one fixed order whatever tile, task or clone it
+//! lands in, so a result depends on its A row, its B column and `(k, n)`
+//! alone — not on `m`, the row offset, the pool width or either size line.
+//! The two FMA clones run the same recurrence on the same columns
 //! (fused for columns `< n − n % 16`, multiply-then-add beyond), so **they
 //! agree bitwise and AVX2 and AVX-512 ranks may share a world**; the
 //! portable clone rounds twice per step everywhere, so bits differ between
@@ -77,17 +91,22 @@
 //! f64-accumulated [`crate::ops::matmul_ref`] in `tests/simd_tiled.rs`.
 //!
 //! The `unsafe` in this module is the calls into the `#[target_feature]`
-//! clones, each guarded by its probe, and the five intrinsics behind `Zmm`.
-//! A vector can only be made by the `unsafe` `Vector::splat` / `load`, so
-//! the probe obligation travels with the type: safe code cannot reach an
-//! AVX-512 instruction.
+//! clones, each guarded by its probe, the five intrinsics behind `Zmm`, and
+//! C's rows. A vector can only be made by the `unsafe` `Vector::splat` /
+//! `load`, so the probe obligation travels with the type: safe code cannot
+//! reach an AVX-512 instruction. The tasks of a pooled product share every
+//! row of C, so C travels as a raw pointer (`Out`) and a tile (or the
+//! ragged copy-out) makes one slice per row that covers its own columns and
+//! nothing else: no two live `&mut` overlap, and `mm_tiled` keeps the `&mut`
+//! C it was given borrowed, unused, until every task has returned.
 
-use crate::ops::{dispatch, Bias};
+use crate::ops::{Bias, PAR_THRESHOLD_FLOPS};
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::{
     __m512, _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_storeu_ps,
 };
 use core::ops::{Add, AddAssign, Mul};
+use rayon::prelude::*;
 use std::cell::RefCell;
 
 /// Columns of a 256-bit strip (two [`f32x8`] per row) and the granularity of
@@ -297,21 +316,25 @@ struct Strip<'a> {
 
 /// The microkernel: one `MRS × 2·W` register tile of `C = A · B (+ bias)`.
 ///
-/// `a` starts at the tile's first A element and `c` at its first C element
-/// (row stride `ldc`). With `COLS = false` A is row-major (`A[r, kk] =
-/// a[r * lda + kk]`, the row slices hoisted out of the k-loop); with `COLS =
-/// true` it is walked column-wise for `C = Aᵀ · B` (`A[r, kk] = a[kk * lda +
-/// r]`, `MRS` contiguous floats per step). `MRS` is a const so the
-/// accumulators live in registers and the inner loops fully unroll.
+/// `a` starts at the tile's first A element and `c` points at its first C
+/// element (row stride `ldc`). With `COLS = false` A is row-major
+/// (`A[r, kk] = a[r * lda + kk]`, the row slices hoisted out of the
+/// k-loop); with `COLS = true` it is walked column-wise for `C = Aᵀ · B`
+/// (`A[r, kk] = a[kk * lda + r]`, `MRS` contiguous floats per step). `MRS`
+/// is a const so the accumulators live in registers and the inner loops
+/// fully unroll.
 ///
 /// # Safety
-/// The CPU must support the instruction set `V` is written in.
+/// The CPU must support the instruction set `V` is written in, and `c`
+/// must be valid for writes of `2·W` floats at `c + r·ldc` for every
+/// `r < MRS`, none of which any live reference may cover.
 #[inline(always)]
+#[allow(clippy::needless_range_loop)] // the store loop: see its comment
 unsafe fn tile<V: Vector, const MRS: usize, const FMA: bool, const COLS: bool>(
     a: &[f32],
     lda: usize,
     s: Strip<'_>,
-    c: &mut [f32],
+    c: *mut f32,
     ldc: usize,
 ) {
     let rows: [&[f32]; MRS] =
@@ -336,7 +359,8 @@ unsafe fn tile<V: Vector, const MRS: usize, const FMA: bool, const COLS: bool>(
     // Indexed, not iterated: borrowing `acc` keeps a copy of it on the stack
     // that the k-loop then stores to on every step.
     for r in 0..MRS {
-        let crow = &mut c[r * ldc..r * ldc + 2 * V::W];
+        // SAFETY: the caller's contract: these `2·W` floats are this tile's.
+        let crow = unsafe { core::slice::from_raw_parts_mut(c.add(r * ldc), 2 * V::W) };
         for v in 0..2 {
             // The bias joins only after the full k-accumulation.
             let x = match s.bias {
@@ -349,7 +373,7 @@ unsafe fn tile<V: Vector, const MRS: usize, const FMA: bool, const COLS: bool>(
 }
 
 /// An outlined tile: the fn-pointer type the [`TileSet`] tables hold.
-type TileFn = unsafe fn(&[f32], usize, Strip<'_>, &mut [f32], usize);
+type TileFn = unsafe fn(&[f32], usize, Strip<'_>, *mut f32, usize);
 
 /// One clone of the microkernel: its tiles by row count, for both A
 /// layouts. `row_major[i]` and `col_walk[i]` are the `(i + 1)`-row tiles, so
@@ -362,22 +386,27 @@ struct TileSet {
 }
 
 /// Portable clone: `MRS × 16` over `f32x8` pairs, multiply-then-add.
+///
+/// # Safety
+/// `c` as for [`tile`]; the instructions run on any CPU.
 #[inline(never)]
-fn tile_portable<const MRS: usize, const COLS: bool>(
+unsafe fn tile_portable<const MRS: usize, const COLS: bool>(
     a: &[f32],
     lda: usize,
     s: Strip<'_>,
-    c: &mut [f32],
+    c: *mut f32,
     ldc: usize,
 ) {
-    // SAFETY: `f32x8` compiled without target features runs anywhere.
+    // SAFETY: `f32x8` compiled without target features runs anywhere; `c`
+    // is the caller's contract.
     unsafe { tile::<f32x8, MRS, false, COLS>(a, lda, s, c, ldc) }
 }
 
 /// AVX2+FMA clone: `MRS × 16` in ymm accumulators.
 ///
 /// # Safety
-/// Caller must have verified AVX2 and FMA support (see [`avx2_fma`]).
+/// Caller must have verified AVX2 and FMA support (see [`avx2_fma`]); `c`
+/// as for [`tile`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[inline(never)]
@@ -385,10 +414,11 @@ unsafe fn tile_avx2<const MRS: usize, const COLS: bool>(
     a: &[f32],
     lda: usize,
     s: Strip<'_>,
-    c: &mut [f32],
+    c: *mut f32,
     ldc: usize,
 ) {
-    // SAFETY: the caller's contract covers this function's target features.
+    // SAFETY: the caller's contract covers this function's target features
+    // and `c`.
     unsafe { tile::<f32x8, MRS, true, COLS>(a, lda, s, c, ldc) }
 }
 
@@ -396,7 +426,7 @@ unsafe fn tile_avx2<const MRS: usize, const COLS: bool>(
 ///
 /// # Safety
 /// Caller must have verified AVX-512F, AVX2 and FMA support (see
-/// [`avx512`]).
+/// [`avx512`]); `c` as for [`tile`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx2,fma")]
 #[inline(never)]
@@ -404,10 +434,10 @@ unsafe fn tile_avx512<const MRS: usize, const COLS: bool>(
     a: &[f32],
     lda: usize,
     s: Strip<'_>,
-    c: &mut [f32],
+    c: *mut f32,
     ldc: usize,
 ) {
-    // SAFETY: the caller's contract is `Zmm`'s.
+    // SAFETY: the caller's contract is `Zmm`'s, and covers `c`.
     unsafe { tile::<Zmm, MRS, true, COLS>(a, lda, s, c, ldc) }
 }
 
@@ -516,85 +546,135 @@ fn pack_strip(p: Product<'_>, c0: usize, cols: usize, nr: usize, strip: &mut [f3
     }
 }
 
-/// The chunk loop: rows `r0 ..` of the product into `chunk` (row `r` of
-/// the chunk at `chunk[r * ldc ..]`), column strip by column strip (a strip
-/// of B stays cache-resident while the chunk's rows sweep over it), each
-/// strip by the clone its width selects. `packed` is the buffer a strip is
-/// packed into when it has to be; it only grows.
+/// One column strip of a product: columns `c0 .. c0 + cols` on the tiles of
+/// `set`. Only the ragged last strip has `cols < set.nr`.
+#[derive(Clone, Copy)]
+struct Unit {
+    c0: usize,
+    cols: usize,
+    set: &'static TileSet,
+}
+
+impl Clones {
+    /// The column strips of an `n`-column product, left to right: full
+    /// 32-column strips on the wide clone (when there is one), then 16-column
+    /// strips, then the ragged tail on the portable clone.
+    fn strips(self, n: usize) -> impl Iterator<Item = Unit> {
+        let mut c0 = 0;
+        std::iter::from_fn(move || {
+            let left = n.checked_sub(c0).filter(|&left| left > 0)?;
+            let (set, cols) = match self.wide {
+                Some(wide) if left >= wide.nr => (wide, wide.nr),
+                _ if left >= NR => (self.fused, NR),
+                _ => (&PORTABLE, left),
+            };
+            let unit = Unit { c0, cols, set };
+            c0 += cols;
+            Some(unit)
+        })
+    }
+}
+
+/// C as the units of one product share it: row `r` starts at `ptr + r·ldc`.
+/// A unit writes its own columns of each row and nothing else, through
+/// slices made for those columns alone.
+#[derive(Clone, Copy)]
+struct Out {
+    ptr: *mut f32,
+    ldc: usize,
+}
+
+// SAFETY: an `Out` is shared only among the units of one product, which
+// write disjoint columns, and `mm_tiled` keeps the `&mut` it was made from
+// borrowed, and unused, until every unit has returned.
+unsafe impl Send for Out {}
+unsafe impl Sync for Out {}
+
+/// One unit of work: columns `u.c0 .. u.c0 + u.cols` of all `m` rows of the
+/// product into `c`, tile row after tile row over the one strip of B (which
+/// stays cache-resident while every row sweeps it). The strip is packed
+/// into `packed` (which only grows) when `pack` asks for it, when B is
+/// stored transposed and for the ragged strip; otherwise the tiles read B
+/// where it lies. Packing moves values, never which ones meet in which
+/// order, so it does not change a bit.
 ///
 /// # Safety
-/// The CPU must have the target features of both `clones` (true of
-/// [`Clones::probed`]).
-unsafe fn mm_chunk(
-    clones: Clones,
-    p: Product<'_>,
-    r0: usize,
-    chunk: &mut [f32],
-    ldc: usize,
-    packed: &mut Vec<f32>,
-) {
-    let (k, n) = (p.k, p.n);
-    // The last row holds only its `n` live columns.
-    let rows = (chunk.len() + ldc - n) / ldc;
-    let mut c0 = 0;
-    while c0 < n {
-        let left = n - c0;
-        let (set, cols) = match clones.wide {
-            Some(wide) if left >= wide.nr => (wide, wide.nr),
-            _ if left >= NR => (clones.fused, NR),
-            _ => (&PORTABLE, left),
-        };
-        // The ragged strip runs full-width tiles on padded operands into a
-        // padded block of C, of which the live columns are copied out.
-        let ragged = cols < set.nr;
-        let (b, ldb) = if p.b_transposed || ragged {
-            if packed.len() < k * set.nr {
-                packed.resize(k * set.nr, 0.0);
-            }
-            let strip = &mut packed[..k * set.nr];
-            pack_strip(p, c0, cols, set.nr, strip);
-            (&*strip, set.nr)
-        } else {
-            // Clamped (here and for A below): both operands are empty at k = 0.
-            (&p.b[c0.min(p.b.len())..], p.ldb)
-        };
-        let mut bias_pad = [0.0f32; NR];
-        let bias = match p.bias {
-            Bias::None => None,
-            Bias::Zero => Some(&ZERO_BIAS[..]),
-            Bias::Row(bias) if ragged => {
-                bias_pad[..cols].copy_from_slice(&bias[c0..]);
-                Some(&bias_pad[..])
-            }
-            Bias::Row(bias) => Some(&bias[c0..]),
-        };
-        let s = Strip { b, ldb, k, bias };
-        let tiles = if p.a_cols {
-            set.col_walk
-        } else {
-            set.row_major
-        };
-        let mut ri = 0;
-        while ri < rows {
-            let mrs = (rows - ri).min(tiles.len());
-            let a0 = if p.a_cols { r0 + ri } else { (r0 + ri) * p.lda };
-            let (a, tile) = (&p.a[a0.min(p.a.len())..], tiles[mrs - 1]);
-            let c = &mut chunk[ri * ldc + c0..];
-            // SAFETY (both calls): `set` is PORTABLE (safe code) or one of
-            // `clones`, whose target features the caller vouches for.
-            if ragged {
-                let mut block = [0.0f32; MR_PORTABLE * NR];
-                unsafe { tile(a, p.lda, s, &mut block, NR) };
-                for (crow, brow) in c.chunks_mut(ldc).zip(block.chunks(NR)).take(mrs) {
-                    crow[..cols].copy_from_slice(&brow[..cols]);
-                }
-            } else {
-                unsafe { tile(a, p.lda, s, c, ldc) };
-            }
-            ri += mrs;
+/// The CPU must have the target features of `u.set`, and `c` must be valid
+/// for writes to columns `u.c0 .. u.c0 + u.cols` of rows `0 .. m`, which
+/// nothing else may access during the call.
+unsafe fn sweep(p: Product<'_>, m: usize, u: Unit, c: Out, pack: bool, packed: &mut Vec<f32>) {
+    let Unit { c0, cols, set } = u;
+    let k = p.k;
+    // The ragged strip runs full-width tiles on padded operands into a
+    // padded block of C, of which the live columns are copied out.
+    let ragged = cols < set.nr;
+    let (b, ldb) = if pack || p.b_transposed || ragged {
+        if packed.len() < k * set.nr {
+            packed.resize(k * set.nr, 0.0);
         }
-        c0 += cols;
+        let strip = &mut packed[..k * set.nr];
+        pack_strip(p, c0, cols, set.nr, strip);
+        (&*strip, set.nr)
+    } else {
+        // Clamped (here and for A below): both operands are empty at k = 0.
+        (&p.b[c0.min(p.b.len())..], p.ldb)
+    };
+    let mut bias_pad = [0.0f32; NR];
+    let bias = match p.bias {
+        Bias::None => None,
+        Bias::Zero => Some(&ZERO_BIAS[..]),
+        Bias::Row(bias) if ragged => {
+            bias_pad[..cols].copy_from_slice(&bias[c0..]);
+            Some(&bias_pad[..])
+        }
+        Bias::Row(bias) => Some(&bias[c0..]),
+    };
+    let s = Strip { b, ldb, k, bias };
+    let tiles = if p.a_cols {
+        set.col_walk
+    } else {
+        set.row_major
+    };
+    let mut ri = 0;
+    while ri < m {
+        let mrs = (m - ri).min(tiles.len());
+        let a0 = if p.a_cols { ri } else { ri * p.lda };
+        let (a, tile) = (&p.a[a0.min(p.a.len())..], tiles[mrs - 1]);
+        // SAFETY: row `ri < m`, column `c0 < n`: inside C by the contract.
+        let at = unsafe { c.ptr.add(ri * c.ldc + c0) };
+        // SAFETY (both tile calls): `set` is PORTABLE (any CPU) or has the
+        // features the caller vouches for.
+        if ragged {
+            let mut block = [0.0f32; MR_PORTABLE * NR];
+            // SAFETY: `block` holds the tile's `mrs ≤ MR_PORTABLE` rows of
+            // NR floats and nothing else refers to it.
+            unsafe { tile(a, p.lda, s, block.as_mut_ptr(), NR) };
+            for (r, brow) in block.chunks(NR).take(mrs).enumerate() {
+                // SAFETY: columns `c0 .. c0 + cols` of row `ri + r` are
+                // this unit's by the contract.
+                let crow = unsafe { core::slice::from_raw_parts_mut(at.add(r * c.ldc), cols) };
+                crow.copy_from_slice(&brow[..cols]);
+            }
+        } else {
+            // SAFETY: a full strip's tile writes its `set.nr = cols`
+            // columns of rows `ri .. ri + mrs`: this unit's by the contract.
+            unsafe { tile(a, p.lda, s, at, c.ldc) };
+        }
+        ri += mrs;
     }
+}
+
+/// Every unit of `p` on the calling thread, left to right.
+///
+/// # Safety
+/// As [`sweep`], for columns `0 .. p.n`.
+unsafe fn sweep_all(clones: Clones, p: Product<'_>, m: usize, c: Out, pack: bool) {
+    STRIP.with_borrow_mut(|packed| {
+        for u in clones.strips(p.n) {
+            // SAFETY: the caller's contract; `probed` clones only.
+            unsafe { sweep(p, m, u, c, pack, packed) }
+        }
+    });
 }
 
 thread_local! {
@@ -605,16 +685,43 @@ thread_local! {
 }
 
 /// The entry of every product: `m` rows of `p` into `out`, row `r` at
-/// `out[r * ldc ..]` (`ldc = p.n` when C is dense), fanned out over row
-/// chunks by [`dispatch`]. `out` ends at the last row's `n`-th column.
+/// `out[r * ldc ..]` (`ldc = p.n` when C is dense). `out` ends at the last
+/// row's `n`-th column; the columns of a row past `n` belong to someone
+/// else and are never touched.
+///
+/// Below [`PAR_THRESHOLD_FLOPS`], or with a single column strip, the units
+/// run on the calling thread, reading full strips of an untransposed B in
+/// place. Above it they fan out over the pool, one task per unit, each
+/// packing its strip once and sweeping every row: B is read once per
+/// product, whatever the pool width.
 pub(crate) fn mm_tiled(p: Product<'_>, m: usize, out: &mut [f32], ldc: usize) {
+    if m == 0 || p.n == 0 {
+        return;
+    }
+    assert!(
+        ldc >= p.n && out.len() >= (m - 1) * ldc + p.n,
+        "C of {} floats cannot hold {m} rows of {} at stride {ldc}",
+        out.len(),
+        p.n
+    );
     let flops = 2 * m * p.n * p.k;
     let clones = Clones::probed(flops);
-    let kernel = |r0: usize, chunk: &mut [f32]| {
-        // SAFETY: `probed` hands out only clones whose features it detected.
-        STRIP.with_borrow_mut(|strip| unsafe { mm_chunk(clones, p, r0, chunk, ldc, strip) })
+    let c = Out {
+        ptr: out.as_mut_ptr(),
+        ldc,
     };
-    dispatch(out, ldc, flops, kernel);
+    // SAFETY (both branches): `probed` hands out only clones whose features
+    // it detected; `out` holds columns `0 .. n` of rows `0 .. m` (asserted
+    // above) and stays borrowed, untouched, until the units return; the
+    // units partition the columns, so no two write the same element.
+    if flops < PAR_THRESHOLD_FLOPS || clones.strips(p.n).nth(1).is_none() {
+        unsafe { sweep_all(clones, p, m, c, false) };
+    } else {
+        let units: Vec<Unit> = clones.strips(p.n).collect();
+        units.par_iter().for_each(|&u| {
+            STRIP.with_borrow_mut(|packed| unsafe { sweep(p, m, u, c, true, packed) })
+        });
+    }
 }
 
 #[cfg(test)]
@@ -638,11 +745,11 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// `nn` (with bias), `tn` and `nt` of one `(m, k, n)` as a single chunk
-    /// through the given clones, concatenated.
+    /// `nn` (with bias), `tn` and `nt` of one `(m, k, n)` through the given
+    /// clones on this thread, every strip packed when `pack`, concatenated.
     ///
-    /// Safety: as [`mm_chunk`].
-    unsafe fn products(clones: Clones, m: usize, k: usize, n: usize) -> Vec<f32> {
+    /// Safety: the CPU must have the features of `clones`.
+    unsafe fn products(clones: Clones, m: usize, k: usize, n: usize, pack: bool) -> Vec<f32> {
         let mut rng = seeded((m * 10_007 + k * 101 + n) as u64);
         let a = init::randn(&mut rng, [m, k], 1.0);
         let b = init::randn(&mut rng, [k, n], 1.0);
@@ -675,7 +782,11 @@ mod tests {
         };
         let mut out = vec![0.0f32; 3 * m * n];
         for (p, chunk) in [nn, tn, nt].into_iter().zip(out.chunks_mut(m * n)) {
-            unsafe { mm_chunk(clones, p, 0, chunk, n, &mut Vec::new()) };
+            let c = Out {
+                ptr: chunk.as_mut_ptr(),
+                ldc: n,
+            };
+            unsafe { sweep_all(clones, p, m, c, pack) };
         }
         out
     }
@@ -714,7 +825,12 @@ mod tests {
             };
             for (m, k, n) in edge_shapes() {
                 // SAFETY: avx512() vouches for both clones.
-                let (got, want) = unsafe { (products(wide, m, k, n), products(narrow, m, k, n)) };
+                let (got, want) = unsafe {
+                    (
+                        products(wide, m, k, n, false),
+                        products(narrow, m, k, n, false),
+                    )
+                };
                 assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n}");
             }
             return;
@@ -736,10 +852,46 @@ mod tests {
         let (k, n) = (23, 70);
         for m in [1, 2, 5, 6, 7, 8, 9, 13, 17] {
             // SAFETY: PORTABLE is safe code; `probed` detected the rest.
-            let (p, d) = unsafe { (products(portable, m, k, n), products(dispatched, m, k, n)) };
+            let (p, d) = unsafe {
+                (
+                    products(portable, m, k, n, false),
+                    products(dispatched, m, k, n, false),
+                )
+            };
             for (p, d) in p.iter().zip(d.iter()) {
                 assert!((p - d).abs() <= 1e-4, "m = {m}: {p} vs {d}");
             }
+        }
+    }
+
+    #[test]
+    fn packed_strips_equal_strips_read_in_place_bitwise() {
+        // A pooled product packs every strip, an inline one reads the full
+        // strips of an untransposed B where they lie: same bits either way.
+        let clones = Clones::probed(usize::MAX);
+        for (m, k, n) in edge_shapes() {
+            // SAFETY: `probed` detected its clones.
+            let (packed, in_place) = unsafe {
+                (
+                    products(clones, m, k, n, true),
+                    products(clones, m, k, n, false),
+                )
+            };
+            assert_eq!(bits(&packed), bits(&in_place), "{m}x{k}x{n}");
+        }
+    }
+
+    #[test]
+    fn strips_cover_every_column_once_in_order() {
+        let clones = Clones::probed(usize::MAX);
+        for n in [0, 1, 15, 16, 17, 31, 32, 33, 48, 70, 1024] {
+            let mut next = 0;
+            for u in clones.strips(n) {
+                assert_eq!(u.c0, next, "n = {n}");
+                assert!(u.cols > 0 && u.cols <= u.set.nr, "n = {n}");
+                next += u.cols;
+            }
+            assert_eq!(next, n);
         }
     }
 }

@@ -202,9 +202,10 @@ const POOLED_FROM_FLOPS: usize = 1 << 22;
 #[test]
 fn products_are_bitwise_stable_across_pool_widths() {
     // The first shape is just under the pooled-dispatch line and runs
-    // inline, the second sits exactly on it, the rest fan out over
-    // PANEL-row (48) chunks: a ragged final one of 8, 34, 5 and 2 rows,
-    // and whole chunks only. The last four are the products of the
+    // inline, the second sits exactly on it, the rest fan out over their
+    // column strips: whole 32-column strips only, and a 16-column or ragged
+    // last strip after them (a 32-column product would be one strip, which
+    // runs inline). The last four are the products of the
     // reference benchmark that were pooled under the 2^18 line and run
     // inline under this one (the hidden-32 feed-forward of `dist_world` and
     // `multi_world`, the hidden-256 side network of `pac_solo`).
@@ -255,12 +256,11 @@ fn products_are_bitwise_stable_across_pool_widths() {
 
 #[test]
 fn rows_of_a_product_equal_the_same_rows_computed_alone() {
-    // Row-partition invariance: rows r0..r1 of an m = 104 product (parallel,
-    // PANEL-aligned chunks of whole tiles) equal the same rows computed as
-    // their own m = r1 - r0 call (sequential, tiles aligned to r0 instead).
-    // The offsets are deliberately not multiples of a tile height (2, 6, 8)
-    // or of PANEL (48), and the lengths 1..=24 cover every remainder mod 6
-    // and 8.
+    // Row-partition invariance: rows r0..r1 of an m = 104 product (tiles
+    // aligned to row 0) equal the same rows computed as their own m = r1 -
+    // r0 call (tiles aligned to r0 instead). The offsets are deliberately
+    // not multiples of a tile height (2, 6, 8), and the lengths 1..=24 cover
+    // every remainder mod 6 and 8.
     let (m, k, n) = (104usize, 64usize, 48usize);
     let a = tensor_of(91, m, k);
     let b = tensor_of(92, k, n);
@@ -288,6 +288,56 @@ fn rows_of_a_product_equal_the_same_rows_computed_alone() {
             want(&tn),
             "tn rows {r0}..{r1}"
         );
+    }
+}
+
+#[test]
+fn columns_of_a_product_equal_the_same_columns_computed_alone() {
+    // Column-partition invariance, the twin of the rows test: columns
+    // c0..c1 of a pooled m = 104, n = 1000 product (strips aligned to column
+    // 0, one task each) equal the same columns computed as their own
+    // product of B's columns c0..c1 (strips aligned to c0, pooled or inline
+    // by their own size). A column's recurrence is fused unless it lies in
+    // its product's ragged last `n % 16` columns, so every range keeps its
+    // columns on one side of that split: lengths that are multiples of 16
+    // before column 992, and the full product's 8-column tail alone.
+    use ops::{Bias, Block, Form, View};
+    let (m, k, n) = (104usize, 256usize, 1000usize);
+    let a = tensor_of(93, m, k);
+    let at = a.transpose_2d();
+    let b = tensor_of(94, k, n);
+    let bt = b.transpose_2d();
+    let full = [
+        ops::matmul(&a, &b).unwrap(),
+        ops::matmul_nt(&a, &bt).unwrap(),
+        ops::matmul_tn(&at, &b).unwrap(),
+    ];
+    let mut ranges = vec![(0, 992), (16, 48), (8, 24), (5, 37), (100, 228), (976, 992)];
+    ranges.extend([(3, 963), (500, 980), (992, 1000), (995, 998)]);
+    ranges.extend((1..=4).map(|w| (47 + w, 47 + w + 16 * w)));
+    for &(c0, c1) in &ranges {
+        let len = c1 - c0;
+        let b_cols = View::new(b.data(), Block::of(n, 0, k, c0, len));
+        let bt_rows = View::new(bt.data(), Block::of(k, c0, len, 0, k));
+        let alone = [
+            (Form::Nn, View::new(a.data(), Block::dense(m, k)), b_cols),
+            (Form::Nt, View::new(a.data(), Block::dense(m, k)), bt_rows),
+            (Form::Tn, View::new(at.data(), Block::dense(k, m)), b_cols),
+        ];
+        for ((form, av, bv), full) in alone.into_iter().zip(&full) {
+            let mut got = vec![0.0f32; m * len];
+            ops::matmul_strided(form, av, bv, Bias::None, &mut got, Block::dense(m, len)).unwrap();
+            let want: Vec<f32> = full
+                .data()
+                .chunks(n)
+                .flat_map(|row| row[c0..c1].to_vec())
+                .collect();
+            assert_eq!(
+                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "{form:?} columns {c0}..{c1}"
+            );
+        }
     }
 }
 
