@@ -8,11 +8,12 @@ use pac_tensor::{reduce, Result, Tensor, TensorError};
 /// (`(softmax - onehot) / n`).
 ///
 /// # Errors
-/// Returns a shape error if `targets.len()` differs from the row count or a
+/// Returns a shape error if `targets.len()` differs from the row count or
+/// the batch is empty (its mean is undefined), and an index error if a
 /// target id exceeds the class count.
 pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> Result<(f32, Tensor)> {
     let (rows, cols) = logits.as_2d();
-    if targets.len() != rows {
+    if targets.len() != rows || rows == 0 {
         return Err(TensorError::ShapeMismatch {
             op: "cross_entropy",
             lhs: logits.dims().to_vec(),
@@ -43,14 +44,15 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> Result<(f32, Tensor)
 /// the rest. Returns the mean loss and gradient w.r.t. `logits`.
 ///
 /// # Errors
-/// Returns a shape error on length mismatches or out-of-range targets.
+/// Returns a shape error on length mismatches, an empty batch or fewer than
+/// two classes, and an index error on out-of-range targets.
 pub fn cross_entropy_smoothed(
     logits: &Tensor,
     targets: &[usize],
     eps: f32,
 ) -> Result<(f32, Tensor)> {
     let (rows, cols) = logits.as_2d();
-    if targets.len() != rows || cols < 2 {
+    if targets.len() != rows || rows == 0 || cols < 2 {
         return Err(TensorError::ShapeMismatch {
             op: "cross_entropy_smoothed",
             lhs: logits.dims().to_vec(),
@@ -86,9 +88,16 @@ pub fn cross_entropy_smoothed(
 /// Returns the mean loss and the gradient `2(pred - target)/n`.
 ///
 /// # Errors
-/// Returns a shape error if the shapes differ.
+/// Returns a shape error if the shapes differ or hold no element.
 pub fn mse(pred: &Tensor, target: &Tensor) -> Result<(f32, Tensor)> {
     let diff = pred.sub(target)?;
+    if diff.numel() == 0 {
+        return Err(TensorError::ShapeMismatch {
+            op: "mse",
+            lhs: pred.dims().to_vec(),
+            rhs: target.dims().to_vec(),
+        });
+    }
     let n = diff.numel() as f32;
     let loss = diff.data().iter().map(|d| (d * d) as f64).sum::<f64>() as f32 / n;
     let grad = diff.scale(2.0 / n);
@@ -212,6 +221,20 @@ mod tests {
             let num = (mse(&pp, &target).unwrap().0 - mse(&pm, &target).unwrap().0) / (2.0 * eps);
             assert!((num - grad.data()[i]).abs() < 1e-3);
         }
+    }
+
+    /// An empty batch has no mean loss: every loss refuses it rather than
+    /// dividing by its zero row count (the data-parallel step skips an
+    /// empty lane before it reaches a loss).
+    #[test]
+    fn empty_batch_is_a_shape_error() {
+        let empty = Tensor::zeros([0, 2]);
+        let shape_error =
+            |r: Result<(f32, Tensor)>| matches!(r, Err(TensorError::ShapeMismatch { .. }));
+        assert!(shape_error(cross_entropy(&empty, &[])));
+        assert!(shape_error(cross_entropy_smoothed(&empty, &[], 0.1)));
+        assert!(shape_error(mse(&empty, &Tensor::zeros([0, 2]))));
+        assert!(shape_error(mse(&Tensor::zeros([0]), &Tensor::zeros([0]))));
     }
 
     #[test]

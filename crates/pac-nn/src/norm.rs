@@ -1,7 +1,7 @@
 //! Layer normalization over the last dimension.
 
 use crate::param::{Module, Param};
-use pac_tensor::{scratch, Result, Tensor, TensorError};
+use pac_tensor::{reduce, scratch, Result, Tensor, TensorError};
 
 /// Context saved by [`LayerNorm::forward`]: the normalized activations and
 /// per-row inverse standard deviations.
@@ -57,9 +57,9 @@ impl LayerNorm {
         Ok(self.run(x, false)?.0)
     }
 
-    /// The row pass both forwards run: `x̂ = (x − μ)·(1/σ)` is written to
-    /// the output row, copied to the context when `record` is set, then
-    /// scaled and shifted in place.
+    /// The row pass both forwards run ([`reduce::layernorm_rows`]): `x̂ =
+    /// (x − μ)·(1/σ)` is written to the output row, copied to the context
+    /// when `record` is set, then scaled and shifted in place.
     pub(crate) fn run(&self, x: &Tensor, record: bool) -> Result<(Tensor, Option<LayerNormCtx>)> {
         let (rows, cols) = x.as_2d();
         if cols != self.dim {
@@ -73,38 +73,29 @@ impl LayerNorm {
         // one goes back to the scratch pool when it is dead.
         let mut ctx = record.then(|| LayerNormCtx {
             x_hat: Tensor::zeros(x.dims()),
-            inv_std: Vec::with_capacity(rows),
+            inv_std: vec![0.0; rows],
         });
         let mut y = if record {
             Tensor::zeros(x.dims())
         } else {
             scratch::take(x.dims())
         };
-        let (g, b) = (self.gamma.value.data(), self.beta.value.data());
-        for (r, (xr, yr)) in x
-            .data()
-            .chunks_exact(cols)
-            .zip(y.data_mut().chunks_exact_mut(cols))
-            .enumerate()
-        {
-            let mean: f32 = xr.iter().sum::<f32>() / cols as f32;
-            let var: f32 = xr.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / cols as f32;
-            let is = 1.0 / (var + self.eps).sqrt();
-            for (h, v) in yr.iter_mut().zip(xr) {
-                *h = (*v - mean) * is;
-            }
-            if let Some(ctx) = &mut ctx {
-                ctx.x_hat.data_mut()[r * cols..(r + 1) * cols].copy_from_slice(yr);
-                ctx.inv_std.push(is);
-            }
-            for ((v, g), b) in yr.iter_mut().zip(g).zip(b) {
-                *v = *v * g + b;
-            }
+        if cols != 0 {
+            reduce::layernorm_rows(
+                x.data(),
+                self.gamma.value.data(),
+                self.beta.value.data(),
+                self.eps,
+                y.data_mut(),
+                ctx.as_mut()
+                    .map(|c| (c.x_hat.data_mut(), c.inv_std.as_mut_slice())),
+            );
         }
         Ok((y, ctx))
     }
 
-    /// Backward pass. Accumulates `dγ`, `dβ`; returns `dx`.
+    /// Backward pass ([`reduce::layernorm_rows_backward`]). Accumulates
+    /// `dγ`, `dβ`; returns `dx`.
     ///
     /// Uses the standard LayerNorm gradient:
     /// `dx = (1/σ)(dŷ − mean(dŷ) − x̂·mean(dŷ⊙x̂))` with `dŷ = dy⊙γ`.
@@ -120,37 +111,19 @@ impl LayerNorm {
                 rhs: ctx.x_hat.dims().to_vec(),
             });
         }
-        let g = self.gamma.value.data().to_vec();
         let mut dgamma = vec![0.0f32; cols];
         let mut dbeta = vec![0.0f32; cols];
-        let mut dx = Tensor::zeros(dy.dims());
-        for r in 0..rows {
-            let dyr = &dy.data()[r * cols..(r + 1) * cols];
-            let xh = &ctx.x_hat.data()[r * cols..(r + 1) * cols];
-            let is = ctx.inv_std[r];
-
-            // Parameter gradients.
-            for j in 0..cols {
-                dgamma[j] += dyr[j] * xh[j];
-                dbeta[j] += dyr[j];
-            }
-
-            // dŷ = dy ⊙ γ; means needed for the input gradient.
-            let mut mean_dyh = 0.0f32;
-            let mut mean_dyh_xh = 0.0f32;
-            for j in 0..cols {
-                let dyh = dyr[j] * g[j];
-                mean_dyh += dyh;
-                mean_dyh_xh += dyh * xh[j];
-            }
-            mean_dyh /= cols as f32;
-            mean_dyh_xh /= cols as f32;
-
-            let dxr = &mut dx.data_mut()[r * cols..(r + 1) * cols];
-            for j in 0..cols {
-                let dyh = dyr[j] * g[j];
-                dxr[j] = is * (dyh - mean_dyh - xh[j] * mean_dyh_xh);
-            }
+        let mut dx = scratch::take(dy.dims());
+        if cols != 0 {
+            reduce::layernorm_rows_backward(
+                ctx.x_hat.data(),
+                &ctx.inv_std,
+                dy.data(),
+                self.gamma.value.data(),
+                dx.data_mut(),
+                &mut dgamma,
+                &mut dbeta,
+            );
         }
         if self.gamma.trainable {
             self.gamma

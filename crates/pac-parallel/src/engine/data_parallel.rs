@@ -552,6 +552,36 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_cached_lane_is_skipped_before_its_loss() {
+        // A loss on zero rows is a shape error, so an empty shard must
+        // compute nothing: the step's loss is then the other lane's, bit for
+        // bit, for cross-entropy and for MSE (the token step's twin is
+        // `unequal_and_empty_shards_weigh_by_rows`).
+        let cfg = ModelConfig::micro(2, 1, 16, 2);
+        for (regression, n_out) in [(false, 2), (true, 1)] {
+            let base = Tuner::new(Technique::parallel_default(), &cfg, n_out, &mut seeded(250));
+            let (tokens, classes) = batch(251, 3, 4);
+            let mut warm = base.clone();
+            let (_, ctx) = warm.forward(&tokens).unwrap();
+            let acts = warm.cacheable_acts(&ctx).unwrap().to_vec();
+            let targets: Vec<f32> = classes.iter().map(|&c| c as f32).collect();
+            let lane = (acts, targets);
+            let alone =
+                dp_step_cached(&mut [base.clone()], std::slice::from_ref(&lane), regression)
+                    .unwrap();
+            let shards = [lane, (Vec::new(), Vec::new())];
+            let with_empty =
+                dp_step_cached(&mut [base.clone(), base], &shards, regression).unwrap();
+            assert!(alone.is_finite(), "regression {regression}");
+            assert_eq!(
+                with_empty.to_bits(),
+                alone.to_bits(),
+                "regression {regression}"
+            );
+        }
+    }
+
+    #[test]
     fn token_step_hands_back_each_lanes_forward_activations() {
         let bits = |ts: &[Tensor]| -> Vec<Vec<u32>> {
             ts.iter()

@@ -1,24 +1,30 @@
 //! Vectorized elementwise kernels: the transcendental half of a layer.
 //!
 //! Built like [`crate::simd`]: safe code, no `std::arch` intrinsics, each
-//! kernel compiled twice — a portable clone and an AVX2+FMA clone of the
-//! *same* source under `#[target_feature]` — and picked by the one CPU probe
-//! the matmul kernels use. The choice is observed from the platform, never
-//! set by a caller.
+//! kernel compiled three times — a portable clone, an AVX2+FMA clone and an
+//! AVX-512 clone of the *same* source (`map_body`, `adam_body`) under
+//! `#[target_feature]` — and picked by [`Isa::probed`], the one CPU probe
+//! the matmul kernels use. The choice is observed from the platform and the
+//! slice, never set by a caller; the `_on` variants take the clone
+//! explicitly so tests can hold clones against each other.
 //!
 //! A kernel is a branch-free scalar function (range reduction, a fixed
 //! polynomial, selects) applied in a plain loop over equal-length slices,
-//! which the compiler turns into packed code: eight lanes with `vfmadd` in
-//! the AVX2+FMA clone, four on baseline SSE2. (Chunking the slices into
-//! explicit `f32x8` values defeats that: the loop vectorizer then works
-//! *across* chunks and transposes them through shuffles — 1.9 against
-//! 0.7 ns/element for GELU.) One pass over the operands, no intermediate
-//! buffer:
+//! which the compiler turns into packed code: sixteen lanes with `vfmadd`
+//! in the AVX-512 clone, eight in the AVX2+FMA clone, four on baseline
+//! SSE2. (Chunking the slices into explicit `f32x8` values defeats that:
+//! the loop vectorizer then works *across* chunks and transposes them
+//! through shuffles — 1.9 against 0.7 ns/element for GELU.) The 16-lane
+//! loop pays off only on slices long enough for its unrolled step, so the
+//! dispatched kernels run slices under `WIDE_MAP_LEN` (256 elements, set
+//! by measurement on both sides, see there) on the AVX2+FMA clone. One pass
+//! over the operands, no intermediate buffer:
 //!
 //! * [`gelu`] / [`gelu_backward`] (`dy ⊙ gelu'(x)`, one `exp` per element),
 //! * [`tanh`] / [`tanh_backward`],
 //! * [`exp_sub`] / [`exp_sub_in_place`] — the `exp(x - max)` pass of
-//!   softmax,
+//!   softmax, which [`crate::reduce`] runs once per block of rows on its
+//!   own clone,
 //! * [`adam_step`] — moments, bias correction and weight update in one loop.
 //!
 //! Nothing here calls libm, so ranks of one world need not share a libc.
@@ -30,9 +36,11 @@
 //! vector body, the remainder loop and a one-element call agree bit for bit
 //! and an element does not depend on its index, the slice length, alignment
 //! or which rows share the call (`tests/elementwise.rs` pins this). Like the
-//! matmul kernels the bits are stable **per CPU class**: the AVX2+FMA clone
-//! rounds once per multiply-add where the portable clone rounds twice, so
-//! the two agree to a few ULP (pinned in the tests below), not bitwise.
+//! matmul kernels the bits are stable **per CPU class**: the two FMA clones
+//! run the same per-element recurrence, one rounding per multiply-add, so
+//! they agree bit for bit (`tests/elementwise.rs`) and the 512-bit size
+//! line cannot move a result; the portable clone rounds twice, so it agrees
+//! with them to a few ULP (pinned in the tests below), not bitwise.
 //! [`adam_step`] is the exception — no multiply-add is fused, so it is
 //! bitwise identical on every CPU.
 //!
@@ -42,6 +50,8 @@
 //! overflows to `+inf` above `88.376` (libm: `88.723`); `tanh` is exactly
 //! `±1` from `|x| ≥ 10`; `gelu` and `gelu'` are exactly `0` below `-5.5`; NaN
 //! in gives NaN out.
+
+use crate::simd::{Isa, Level};
 
 const LOG2E: f32 = std::f32::consts::LOG2_E;
 /// `ln 2` split so that `n * LN2_HI` is exact for every `|n| ≤ 2^15`.
@@ -215,6 +225,31 @@ impl Kernel<1> for ExpSub {
     }
 }
 
+/// The 512-bit size line: the dispatched kernels run slices of at least
+/// this many elements on the AVX-512 clone and shorter ones on the
+/// AVX2+FMA clone (the two agree bit for bit). The compiler unrolls the
+/// 16-lane loop, and a slice shorter than its unrolled step runs as the
+/// scalar remainder. Measured (Xeon, avx512f, 2.1 GHz, ns per call, 256-bit
+/// against 512-bit clone): `gelu` 70 / 112–152 at 32 elements, 113–139 /
+/// 154–192 at 128, 197–250 / 216–224 at 256, 344–451 / 337–401 at 512,
+/// 3 423 / 2 399 at 4 096; `gelu'` alike; `exp` 54 / 28–31 at 96, even
+/// below; `adam_step` even everywhere. Below the line sit the side
+/// network's `[rows, h/4]` activations of the serve workloads; above it
+/// the feed-forward's `[rows, 4h]`. Softmax runs its `exp` on its own
+/// clone whatever the block size.
+const WIDE_MAP_LEN: usize = 256;
+
+/// The clone the dispatched kernels run on a slice of `len` elements: the
+/// probed one, except under [`WIDE_MAP_LEN`].
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn probed_for(len: usize) -> Isa {
+    match Isa::probed() {
+        #[cfg(target_arch = "x86_64")]
+        Isa(Level::Avx512) if len < WIDE_MAP_LEN => Isa(Level::Avx2Fma),
+        isa => isa,
+    }
+}
+
 /// `out[i] = k(xs[0][i], …)`.
 #[inline(always)]
 fn map_body<const FMA: bool, const N: usize, K: Kernel<N>>(k: K, xs: [&[f32]; N], out: &mut [f32]) {
@@ -228,24 +263,37 @@ fn map_body<const FMA: bool, const N: usize, K: Kernel<N>>(k: K, xs: [&[f32]; N]
 /// AVX2+FMA clone of [`map_body`].
 ///
 /// # Safety
-/// Caller must have verified AVX2 and FMA support (see `simd::avx2_fma`).
+/// Caller must hold an [`Isa`] of at least AVX2+FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn map_avx<const N: usize, K: Kernel<N>>(k: K, xs: [&[f32]; N], out: &mut [f32]) {
+unsafe fn map_avx2<const N: usize, K: Kernel<N>>(k: K, xs: [&[f32]; N], out: &mut [f32]) {
     map_body::<true, N, K>(k, xs, out);
 }
 
-fn map<const N: usize, K: Kernel<N>>(k: K, xs: [&[f32]; N], out: &mut [f32]) {
+/// AVX-512 clone of [`map_body`]: sixteen lanes of the AVX2 clone's
+/// recurrence.
+///
+/// # Safety
+/// Caller must hold the AVX-512 [`Isa`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn map_avx512<const N: usize, K: Kernel<N>>(k: K, xs: [&[f32]; N], out: &mut [f32]) {
+    map_body::<true, N, K>(k, xs, out);
+}
+
+fn map<const N: usize, K: Kernel<N>>(isa: Isa, k: K, xs: [&[f32]; N], out: &mut [f32]) {
     for x in xs {
         assert_eq!(x.len(), out.len(), "elementwise operand length");
     }
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::avx2_fma() {
-        // SAFETY: avx2_fma() verified both required target features.
-        unsafe { map_avx(k, xs, out) };
-        return;
+    match isa.0 {
+        // SAFETY (both arms): an `Isa` value is proof the CPU runs its
+        // instruction set.
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => unsafe { map_avx512(k, xs, out) },
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2Fma => unsafe { map_avx2(k, xs, out) },
+        Level::Portable => map_body::<false, N, K>(k, xs, out),
     }
-    map_body::<false, N, K>(k, xs, out);
 }
 
 /// `x[i] = k(x[i])`: [`map`] of one operand over itself.
@@ -259,21 +307,32 @@ fn map_in_place_body<const FMA: bool, K: Kernel<1>>(k: K, x: &mut [f32]) {
 /// AVX2+FMA clone of [`map_in_place_body`].
 ///
 /// # Safety
-/// Caller must have verified AVX2 and FMA support (see `simd::avx2_fma`).
+/// As [`map_avx2`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn map_in_place_avx<K: Kernel<1>>(k: K, x: &mut [f32]) {
+unsafe fn map_in_place_avx2<K: Kernel<1>>(k: K, x: &mut [f32]) {
     map_in_place_body::<true, K>(k, x);
 }
 
-fn map_in_place<K: Kernel<1>>(k: K, x: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::avx2_fma() {
-        // SAFETY: avx2_fma() verified both required target features.
-        unsafe { map_in_place_avx(k, x) };
-        return;
+/// AVX-512 clone of [`map_in_place_body`].
+///
+/// # Safety
+/// As [`map_avx512`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn map_in_place_avx512<K: Kernel<1>>(k: K, x: &mut [f32]) {
+    map_in_place_body::<true, K>(k, x);
+}
+
+fn map_in_place<K: Kernel<1>>(isa: Isa, k: K, x: &mut [f32]) {
+    match isa.0 {
+        // SAFETY (both arms): as in `map`.
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => unsafe { map_in_place_avx512(k, x) },
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2Fma => unsafe { map_in_place_avx2(k, x) },
+        Level::Portable => map_in_place_body::<false, K>(k, x),
     }
-    map_in_place_body::<false, K>(k, x);
 }
 
 /// Tanh-approximated GELU, `out[i] = x[i] / (1 + e^(-2u(x[i])))` with
@@ -283,7 +342,12 @@ fn map_in_place<K: Kernel<1>>(k: K, x: &mut [f32]) {
 /// # Panics
 /// Panics if the slice lengths differ (programming error).
 pub fn gelu(x: &[f32], out: &mut [f32]) {
-    map(Gelu, [x], out);
+    gelu_on(probed_for(out.len()), x, out);
+}
+
+/// [`gelu`] on the clone `isa`.
+pub fn gelu_on(isa: Isa, x: &[f32], out: &mut [f32]) {
+    map(isa, Gelu, [x], out);
 }
 
 /// Fused GELU backward, `out[i] = dy[i] · gelu'(x[i])`.
@@ -291,7 +355,12 @@ pub fn gelu(x: &[f32], out: &mut [f32]) {
 /// # Panics
 /// Panics if the slice lengths differ (programming error).
 pub fn gelu_backward(x: &[f32], dy: &[f32], out: &mut [f32]) {
-    map(GeluBackward, [x, dy], out);
+    gelu_backward_on(probed_for(out.len()), x, dy, out);
+}
+
+/// [`gelu_backward`] on the clone `isa`.
+pub fn gelu_backward_on(isa: Isa, x: &[f32], dy: &[f32], out: &mut [f32]) {
+    map(isa, GeluBackward, [x, dy], out);
 }
 
 /// `out[i] = tanh(x[i])`.
@@ -299,7 +368,12 @@ pub fn gelu_backward(x: &[f32], dy: &[f32], out: &mut [f32]) {
 /// # Panics
 /// Panics if the slice lengths differ (programming error).
 pub fn tanh(x: &[f32], out: &mut [f32]) {
-    map(Tanh, [x], out);
+    tanh_on(probed_for(out.len()), x, out);
+}
+
+/// [`tanh`] on the clone `isa`.
+pub fn tanh_on(isa: Isa, x: &[f32], out: &mut [f32]) {
+    map(isa, Tanh, [x], out);
 }
 
 /// Fused tanh backward, `out[i] = dy[i] · (1 - tanh²(x[i]))`.
@@ -307,7 +381,12 @@ pub fn tanh(x: &[f32], out: &mut [f32]) {
 /// # Panics
 /// Panics if the slice lengths differ (programming error).
 pub fn tanh_backward(x: &[f32], dy: &[f32], out: &mut [f32]) {
-    map(TanhBackward, [x, dy], out);
+    tanh_backward_on(probed_for(out.len()), x, dy, out);
+}
+
+/// [`tanh_backward`] on the clone `isa`.
+pub fn tanh_backward_on(isa: Isa, x: &[f32], dy: &[f32], out: &mut [f32]) {
+    map(isa, TanhBackward, [x, dy], out);
 }
 
 /// `out[i] = e^(x[i] - shift)`; `shift = 0.0` is plain `exp`.
@@ -315,12 +394,22 @@ pub fn tanh_backward(x: &[f32], dy: &[f32], out: &mut [f32]) {
 /// # Panics
 /// Panics if the slice lengths differ (programming error).
 pub fn exp_sub(x: &[f32], shift: f32, out: &mut [f32]) {
-    map(ExpSub(shift), [x], out);
+    exp_sub_on(probed_for(out.len()), x, shift, out);
+}
+
+/// [`exp_sub`] on the clone `isa`.
+pub fn exp_sub_on(isa: Isa, x: &[f32], shift: f32, out: &mut [f32]) {
+    map(isa, ExpSub(shift), [x], out);
 }
 
 /// `x[i] = e^(x[i] - shift)`: [`exp_sub`] over its own input, bit for bit.
 pub fn exp_sub_in_place(x: &mut [f32], shift: f32) {
-    map_in_place(ExpSub(shift), x);
+    exp_sub_in_place_on(probed_for(x.len()), x, shift);
+}
+
+/// [`exp_sub_in_place`] on the clone `isa`.
+pub fn exp_sub_in_place_on(isa: Isa, x: &mut [f32], shift: f32) {
+    map_in_place(isa, ExpSub(shift), x);
 }
 
 /// The per-step constants of one Adam update.
@@ -354,10 +443,20 @@ fn adam_body(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], c: AdamCoef
 /// AVX2 clone of [`adam_body`] (eight lanes of the same exact operations).
 ///
 /// # Safety
-/// Caller must have verified AVX2 and FMA support (see `simd::avx2_fma`).
+/// As [`map_avx2`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn adam_avx(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], c: AdamCoeffs) {
+unsafe fn adam_avx2(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], c: AdamCoeffs) {
+    adam_body(w, m, v, g, c);
+}
+
+/// AVX-512 clone of [`adam_body`] (sixteen lanes).
+///
+/// # Safety
+/// As [`map_avx512`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn adam_avx512(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], c: AdamCoeffs) {
     adam_body(w, m, v, g, c);
 }
 
@@ -369,17 +468,33 @@ unsafe fn adam_avx(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], c: Ad
 /// # Panics
 /// Panics if the slice lengths differ (programming error).
 pub fn adam_step(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], c: AdamCoeffs) {
+    adam_step_on(probed_for(w.len()), w, m, v, g, c);
+}
+
+/// [`adam_step`] on the clone `isa`.
+///
+/// # Panics
+/// As [`adam_step`].
+pub fn adam_step_on(
+    isa: Isa,
+    w: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    g: &[f32],
+    c: AdamCoeffs,
+) {
     assert!(
         m.len() == w.len() && v.len() == w.len() && g.len() == w.len(),
         "adam_step operand length"
     );
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::avx2_fma() {
-        // SAFETY: avx2_fma() verified both required target features.
-        unsafe { adam_avx(w, m, v, g, c) };
-        return;
+    match isa.0 {
+        // SAFETY (both arms): as in `map`.
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => unsafe { adam_avx512(w, m, v, g, c) },
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2Fma => unsafe { adam_avx2(w, m, v, g, c) },
+        Level::Portable => adam_body(w, m, v, g, c),
     }
-    adam_body(w, m, v, g, c);
 }
 
 #[cfg(test)]
@@ -400,8 +515,8 @@ mod tests {
         xs
     }
 
-    /// Whichever clone the dispatch picks must agree with the portable one
-    /// to FMA-rounding tolerance (bitwise when it *is* the portable one):
+    /// Every clone the CPU runs must agree with the portable one to
+    /// FMA-rounding tolerance (bitwise when it *is* the portable one):
     /// 4 ULP for `exp`/`tanh`, `3e-6` absolute for the rest.
     #[test]
     fn portable_and_dispatched_clones_agree() {
@@ -418,24 +533,26 @@ mod tests {
         let ulp4: fn(f32, f32) -> bool = |p, d| ulps(p, d) <= 4;
         let abs3e6: fn(f32, f32) -> bool = |p, d| (p - d).abs() <= 3e-6;
 
-        map_body::<false, 1, _>(Tanh, [&xs], &mut p);
-        tanh(&xs, &mut d);
-        check("tanh", &p, &d, ulp4);
-        map_body::<false, 1, _>(ExpSub(0.0), [&xs], &mut p);
-        exp_sub(&xs, 0.0, &mut d);
-        check("exp", &p, &d, ulp4);
-        map_body::<false, 1, _>(Gelu, [&xs], &mut p);
-        gelu(&xs, &mut d);
-        check("gelu", &p, &d, abs3e6);
-        map_body::<false, 2, _>(GeluBackward, [&xs, &dy], &mut p);
-        gelu_backward(&xs, &dy, &mut d);
-        check("gelu'", &p, &d, abs3e6);
-        map_body::<false, 2, _>(TanhBackward, [&xs, &dy], &mut p);
-        tanh_backward(&xs, &dy, &mut d);
-        check("tanh'", &p, &d, abs3e6);
+        for isa in Isa::available() {
+            map_body::<false, 1, _>(Tanh, [&xs], &mut p);
+            tanh_on(isa, &xs, &mut d);
+            check("tanh", &p, &d, ulp4);
+            map_body::<false, 1, _>(ExpSub(0.0), [&xs], &mut p);
+            exp_sub_on(isa, &xs, 0.0, &mut d);
+            check("exp", &p, &d, ulp4);
+            map_body::<false, 1, _>(Gelu, [&xs], &mut p);
+            gelu_on(isa, &xs, &mut d);
+            check("gelu", &p, &d, abs3e6);
+            map_body::<false, 2, _>(GeluBackward, [&xs, &dy], &mut p);
+            gelu_backward_on(isa, &xs, &dy, &mut d);
+            check("gelu'", &p, &d, abs3e6);
+            map_body::<false, 2, _>(TanhBackward, [&xs, &dy], &mut p);
+            tanh_backward_on(isa, &xs, &dy, &mut d);
+            check("tanh'", &p, &d, abs3e6);
+        }
     }
 
-    /// Adam uses exact operations only: both clones are bitwise equal.
+    /// Adam uses exact operations only: every clone is bitwise equal.
     #[test]
     fn adam_clones_are_bitwise_equal() {
         let n = 37;
@@ -450,12 +567,15 @@ mod tests {
         };
         let init = |s: f32| -> Vec<f32> { (0..n).map(|i| (i as f32 * s).sin()).collect() };
         let (mut w1, mut m1, mut v1) = (init(0.3), init(0.01), vec![0.5f32; n]);
-        let (mut w2, mut m2, mut v2) = (w1.clone(), m1.clone(), v1.clone());
+        let start = (w1.clone(), m1.clone(), v1.clone());
         adam_body(&mut w1, &mut m1, &mut v1, &g, c);
-        adam_step(&mut w2, &mut m2, &mut v2, &g, c);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&w1), bits(&w2));
-        assert_eq!(bits(&m1), bits(&m2));
-        assert_eq!(bits(&v1), bits(&v2));
+        for isa in Isa::available() {
+            let (mut w2, mut m2, mut v2) = start.clone();
+            adam_step_on(isa, &mut w2, &mut m2, &mut v2, &g, c);
+            assert_eq!(bits(&w1), bits(&w2), "{isa:?}");
+            assert_eq!(bits(&m1), bits(&m2), "{isa:?}");
+            assert_eq!(bits(&v1), bits(&v2), "{isa:?}");
+        }
     }
 }

@@ -303,6 +303,72 @@ fn avx512() -> bool {
     *HAVE.get_or_init(|| avx2_fma() && is_x86_feature_detected!("avx512f"))
 }
 
+/// One clone of the elementwise kernels and the row reductions
+/// ([`crate::elementwise`], [`crate::reduce`]): portable, AVX2+FMA or
+/// AVX-512.
+///
+/// A value can only come from [`Isa::PORTABLE`], [`Isa::probed`] or
+/// [`Isa::available`], so holding one is proof that this CPU runs its
+/// instructions. The kernels run [`Isa::probed`]; the `_on` entry points
+/// take a clone explicitly so tests can hold clones against each other.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Isa(pub(crate) Level);
+
+/// The instruction sets behind an [`Isa`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Level {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    Avx2Fma,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Isa {
+    /// The portable clone: runs on every CPU.
+    pub const PORTABLE: Isa = Isa(Level::Portable);
+
+    /// The widest clone this CPU runs (probed once, cached).
+    pub fn probed() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if avx512() {
+                return Isa(Level::Avx512);
+            }
+            if avx2_fma() {
+                return Isa(Level::Avx2Fma);
+            }
+        }
+        Isa::PORTABLE
+    }
+
+    /// `"portable"`, `"avx2+fma"` or `"avx512"`.
+    pub fn name(self) -> &'static str {
+        match self.0 {
+            Level::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Level::Avx2Fma => "avx2+fma",
+            #[cfg(target_arch = "x86_64")]
+            Level::Avx512 => "avx512",
+        }
+    }
+
+    /// Every clone this CPU runs, narrowest first.
+    pub fn available() -> Vec<Isa> {
+        let mut all = vec![Isa::PORTABLE];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if avx2_fma() {
+                all.push(Isa(Level::Avx2Fma));
+            }
+            if avx512() {
+                all.push(Isa(Level::Avx512));
+            }
+        }
+        all
+    }
+}
+
 /// One column strip of a product, as a tile sees it: `B[kk, j] =
 /// b[kk * ldb + j]` for the tile's columns `j`.
 #[derive(Clone, Copy)]

@@ -1,7 +1,7 @@
 //! Thread-count invariance of the parallel kernels.
 //!
 //! The worker pool's contract: parallelism only partitions *which* output
-//! rows a thread computes, never the per-row accumulation order, so every
+//! columns a thread computes, never an element's accumulation order, so every
 //! kernel result is bitwise identical whatever the effective width — even
 //! when many caller threads with different width caps hammer the shared
 //! pool at once. Every bitwise recovery check (a replay from a snapshot,
@@ -15,8 +15,9 @@ fn bits(t: &Tensor) -> Vec<u32> {
 }
 
 /// All four kernels at `[104,256]×[256,80]` (4.26 MFLOP, past the 2^22
-/// pooled-dispatch line of `pac_tensor::ops`: chunks of 48, 48 and 8 rows
-/// on the pool), plus one small (inline) shape.
+/// pooled-dispatch line of `pac_tensor::ops`: one pool task per column
+/// strip of C — 32, 32 and 16 columns on AVX-512, five of 16 otherwise —
+/// each sweeping all 104 rows), plus one small (inline) shape.
 fn kernel_suite(seed: u64) -> Vec<Tensor> {
     let mut rng = seeded(seed);
     let a = init::randn(&mut rng, [104, 256], 1.0);
@@ -65,7 +66,8 @@ fn kernels_are_bitwise_identical_across_widths_and_concurrent_callers() {
 #[test]
 fn into_kernels_match_allocating_kernels_bitwise_under_width_stress() {
     let mut rng = seeded(777);
-    // 4.7 MFLOP: pooled, two whole 48-row chunks.
+    // 4.7 MFLOP: pooled, one task per column strip (three of 32 columns on
+    // AVX-512, six of 16 otherwise).
     let a = init::randn(&mut rng, [96, 256], 1.0);
     let b = init::randn(&mut rng, [256, 96], 1.0);
     let bias = init::randn(&mut rng, [96], 1.0);
@@ -81,7 +83,7 @@ fn into_kernels_match_allocating_kernels_bitwise_under_width_stress() {
 
 #[test]
 fn strided_products_above_the_dispatch_line_are_bitwise_identical_across_widths() {
-    // `[104,256]·[256,96]` (5.1 MFLOP, pooled: chunks of 48, 48 and 8 rows)
+    // `[104,256]·[256,96]` (5.1 MFLOP, pooled: one task per column strip)
     // with A, B and C each a column block of a wider buffer, the way an
     // attention head reads and writes its projections, in all three forms.
     use ops::{Bias, Block, Form, View};

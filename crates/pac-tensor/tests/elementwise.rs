@@ -1,11 +1,13 @@
 //! Accuracy and determinism contract of the vectorized elementwise kernels.
 //!
 //! (a) accuracy against an `f64` oracle, (b) position independence — vector
-//! body ≡ tail ≡ one-element call, bit for bit — and (d) `softmax_rows` on
-//! the kernel path. The portable-vs-dispatched clone check needs the private
-//! clones and lives in the module's own tests.
+//! body ≡ tail ≡ one-element call, bit for bit — (c) the 512-bit clone ≡
+//! the AVX2+FMA clone, bit for bit, and (d) `softmax_rows` on the kernel
+//! path. The portable-against-vector clone check (a few ULP, not bits)
+//! lives in the module's own tests.
 
 use pac_tensor::elementwise::{self, AdamCoeffs};
+use pac_tensor::simd::Isa;
 use pac_tensor::{reduce, Tensor};
 
 /// Distance in units in the last place (0 for equal values, incl. ±0).
@@ -280,6 +282,122 @@ fn softmax_rows_sum_to_one_and_do_not_depend_on_the_row_count() {
     assert_eq!(y.data()[1], 0.0);
     assert_eq!(y.data()[3], 0.0);
     assert!((y.data()[0] + y.data()[2] - 1.0).abs() < 1e-6);
+}
+
+/// The AVX-512 clone runs the AVX2+FMA clone's per-element recurrence
+/// (the same `map_body` source) on sixteen lanes, so the two agree bit for
+/// bit: on the edge values — saturation, ±0, subnormals, NaN, ±∞ — and on
+/// random slices of every length 0..=70, whose elements land in the vector
+/// body, the remainder loop or both.
+#[test]
+fn the_512_bit_clone_is_bitwise_the_avx2_clone() {
+    let find = |name| Isa::available().into_iter().find(|i| i.name() == name);
+    let (Some(avx2), Some(avx512)) = (find("avx2+fma"), find("avx512")) else {
+        eprintln!("skipped: this CPU has no AVX-512 clone to compare");
+        return;
+    };
+    let edges = [
+        0.0,
+        -0.0,
+        1e-40,
+        -1e-40,
+        f32::MIN_POSITIVE,
+        -f32::MIN_POSITIVE,
+        5.5,
+        -5.5,
+        5.500_001,
+        -5.500_001,
+        10.0,
+        -10.0,
+        -87.336_54,
+        -87.4,
+        88.376_26,
+        88.4,
+        1e30,
+        -1e30,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+    ];
+    let mut state = 0x2545_f491_u32;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 17;
+        state ^= state << 5;
+        (state >> 8) as f32 / (1u32 << 24) as f32
+    };
+    let mut cases: Vec<(Vec<f32>, Vec<f32>)> =
+        vec![(edges.to_vec(), edges.iter().rev().copied().collect())];
+    for len in 0..=70 {
+        let mut draw = |i: usize| {
+            let r = next();
+            if i % 11 == 3 {
+                edges[(r * edges.len() as f32) as usize % edges.len()]
+            } else {
+                r * 24.0 - 12.0
+            }
+        };
+        let xs: Vec<f32> = (0..len).map(&mut draw).collect();
+        let dy: Vec<f32> = (0..len).map(&mut draw).collect();
+        cases.push((xs, dy));
+    }
+    let same = |what: &str, a: &[f32], b: &[f32]| {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b), "{what}, {} elements", a.len());
+    };
+    type On1 = fn(Isa, &[f32], &mut [f32]);
+    type On2 = fn(Isa, &[f32], &[f32], &mut [f32]);
+    let unary: [(&str, On1); 3] = [
+        ("gelu", elementwise::gelu_on),
+        ("tanh", elementwise::tanh_on),
+        ("exp", |isa, x, out| {
+            elementwise::exp_sub_on(isa, x, 0.75, out)
+        }),
+    ];
+    let binary: [(&str, On2); 2] = [
+        ("gelu'", elementwise::gelu_backward_on),
+        ("tanh'", elementwise::tanh_backward_on),
+    ];
+    let c = AdamCoeffs {
+        lr: 1e-2,
+        beta1: 0.9,
+        beta2: 0.999,
+        eps: 1e-8,
+        bc1: 0.271,
+        bc2: 0.003,
+    };
+    for (xs, dy) in &cases {
+        let n = xs.len();
+        for (what, f) in unary {
+            let (mut a, mut b) = (vec![0.0; n], vec![0.0; n]);
+            f(avx2, xs, &mut a);
+            f(avx512, xs, &mut b);
+            same(what, &a, &b);
+        }
+        for (what, f) in binary {
+            let (mut a, mut b) = (vec![0.0; n], vec![0.0; n]);
+            f(avx2, xs, dy, &mut a);
+            f(avx512, xs, dy, &mut b);
+            same(what, &a, &b);
+        }
+        let (mut a, mut b) = (xs.clone(), xs.clone());
+        elementwise::exp_sub_in_place_on(avx2, &mut a, -0.5);
+        elementwise::exp_sub_in_place_on(avx512, &mut b, -0.5);
+        same("exp in place", &a, &b);
+
+        let abs: Vec<f32> = dy.iter().map(|v| v.abs()).collect();
+        let mut sides = [
+            (xs.clone(), dy.clone(), abs.clone()),
+            (xs.clone(), dy.clone(), abs),
+        ];
+        for ((w, m, v), isa) in sides.iter_mut().zip([avx2, avx512]) {
+            elementwise::adam_step_on(isa, w, m, v, xs, c);
+        }
+        let [(w1, m1, v1), (w2, m2, v2)] = &sides;
+        same("adam w", w1, w2);
+        same("adam m", m1, m2);
+        same("adam v", v1, v2);
+    }
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
