@@ -5,7 +5,7 @@
 //! cargo run --release -p pac-bench --bin repro -- table2
 //! ```
 //!
-//! Subcommands: `table1 fig3 table2 table3 fig8 fig9 fig10 fig11 all`
+//! Subcommands: `table1 fig3 table2 table3 fig8 fig9 fig10 fig11 hetero all`
 //! (plus `table3-quick` for a faster quality grid).
 //!
 //! Pass `--telemetry` (with any subcommand, or alone) to enable live
@@ -153,6 +153,7 @@ fn main() {
         "fig9" => fig9(),
         "fig10" => fig10(),
         "fig11" => fig11(),
+        "hetero" => hetero(),
         "telemetry-demo" => telemetry_demo(),
         "all" => {
             table1();
@@ -163,12 +164,13 @@ fn main() {
             fig9();
             fig10();
             fig11();
+            hetero();
             table3(false);
         }
         other => {
             eprintln!("unknown experiment '{other}'");
             eprintln!(
-                "usage: repro [--telemetry] [--faults[=SPEC]] [--distributed=N] [--durable] [--serve] [table1|fig3|table2|table3|table3-quick|fig6|fig8|fig9|fig10|fig11|telemetry-demo|all]"
+                "usage: repro [--telemetry] [--faults[=SPEC]] [--distributed=N] [--durable] [--serve] [table1|fig3|table2|table3|table3-quick|fig6|fig8|fig9|fig10|fig11|hetero|telemetry-demo|all]"
             );
             std::process::exit(2);
         }
@@ -1055,4 +1057,24 @@ fn fig11() {
         );
     }
     println!("\npaper: up to 79.5% per-epoch reduction; ~71% cumulative at 10 epochs");
+}
+
+fn hetero() {
+    header("Extension — heterogeneous, throttled and failed devices (T5-Base, PA, mini-batch 8)");
+    println!(
+        "{:<34} {:<30} {:>11} {:>11}",
+        "Scenario", "grouping", "planned (s)", "naive (s)"
+    );
+    for r in exp::hetero() {
+        let planned = if r.planned_s.is_finite() {
+            format!("{:.3}", r.planned_s)
+        } else {
+            "—".to_string()
+        };
+        println!(
+            "{:<34} {:<30} {:>11} {:>11.3}",
+            r.scenario, r.grouping, planned, r.naive_s
+        );
+    }
+    println!("\nnaive = even pipeline over every device; the planner never loses to it");
 }

@@ -5,10 +5,9 @@ use pac_cluster::{Cluster, CostModel};
 use pac_model::ModelConfig;
 use pac_peft::Technique;
 use pac_planner::Planner;
-use serde::{Deserialize, Serialize};
 
 /// One cell of the Figure 10 table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10Row {
     /// Model label.
     pub model: String,

@@ -7,10 +7,9 @@ use pac_model::ModelConfig;
 use pac_parallel::simulate::simulate_cached_dp_step;
 use pac_peft::{ActivationCache, Technique};
 use pac_planner::Planner;
-use serde::{Deserialize, Serialize};
 
 /// One bar pair of Figure 11.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig11Row {
     /// Model label.
     pub model: String,

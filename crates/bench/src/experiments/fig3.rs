@@ -3,10 +3,9 @@
 use pac_cluster::CostModel;
 use pac_model::ModelConfig;
 use pac_peft::Technique;
-use serde::{Deserialize, Serialize};
 
 /// One bar group of Figure 3.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3Row {
     /// Technique label.
     pub technique: String,

@@ -7,10 +7,9 @@ use pac_model::ModelConfig;
 use pac_parallel::simulate::simulate_cached_dp_step;
 use pac_parallel::{simulate_plan, Schedule};
 use pac_peft::Technique;
-use serde::{Deserialize, Serialize};
 
 /// One bar of Figure 8 (a row per technique/mode).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Row {
     /// Technique/mode label.
     pub label: String,

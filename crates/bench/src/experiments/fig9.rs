@@ -7,10 +7,9 @@ use pac_model::ModelConfig;
 use pac_parallel::{simulate_data_parallel, ParallelPlan};
 use pac_peft::Technique;
 use pac_planner::Planner;
-use serde::{Deserialize, Serialize};
 
 /// One point of Figure 9.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Row {
     /// Model label.
     pub model: String,

@@ -13,10 +13,9 @@ use pac_model::ModelConfig;
 use pac_parallel::{simulate_plan, ParallelPlan, Schedule};
 use pac_peft::Technique;
 use pac_planner::Planner;
-use serde::{Deserialize, Serialize};
 
 /// One scenario row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HeteroRow {
     /// Scenario label.
     pub scenario: String,
@@ -37,7 +36,10 @@ pub fn hetero() -> Vec<HeteroRow> {
 
     let mut scenarios: Vec<(String, Cluster)> = vec![
         ("4× Nano (baseline)".into(), Cluster::nanos(4)),
-        ("smart home (TX2 + 2×Nano + Pi4)".into(), Cluster::smart_home()),
+        (
+            "smart home (TX2 + 2×Nano + Pi4)".into(),
+            Cluster::smart_home(),
+        ),
     ];
     for slow in [2.0f64, 4.0, 8.0] {
         scenarios.push((

@@ -3,10 +3,9 @@
 use pac_model::ModelConfig;
 use pac_peft::memory::{MemoryModel, Phase};
 use pac_peft::Technique;
-use serde::{Deserialize, Serialize};
 
 /// One row of Table 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Row label ("Full", "Adapters", "LoRA", "Parallel Adapters",
     /// "PA + cache", "Inference").

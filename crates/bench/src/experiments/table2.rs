@@ -6,11 +6,10 @@ use pac_core::systems::{estimate_cell, CellResult, System};
 use pac_data::TaskKind;
 use pac_model::ModelConfig;
 use pac_peft::Technique;
-use serde::{Deserialize, Serialize};
 
 /// One row of Table 2: a (technique, system) pair with 12 cells
 /// (3 models × 4 tasks).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Row {
     /// Fine-tuning technique label.
     pub technique: String,

@@ -7,10 +7,9 @@
 use pac_core::quality::{pa_difference_from_mean, run_quality_experiment, QualityCell};
 use pac_data::TaskKind;
 use pac_model::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of the quality grid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table3Outcome {
     /// All (technique, task) cells.
     pub cells: Vec<QualityCell>,

@@ -15,10 +15,13 @@
 //! | Figure 9 (scalability) | [`experiments::fig9`] | `fig9` |
 //! | Figure 10 (device grouping) | [`experiments::fig10`] | `fig10` |
 //! | Figure 11 (cache benefit) | [`experiments::fig11`] | `fig11` |
+//! | Extension: mixed, throttled and failed devices | [`experiments::hetero`] | `hetero` |
 //!
-//! Criterion benches (`cargo bench`) cover kernel throughput, the planner's
-//! "< 3 s" claim, real training-step times, and the ablations called out in
-//! DESIGN.md (1F1B vs GPipe; adapter reduction factor).
+//! Two more binaries ride along. `pac-bench --quick --out PATH` times what
+//! the reference benchmark (`benchmark/`) does not: the matmul and
+//! elementwise kernels, and one training step per technique with and
+//! without the activation cache. `simsweep` runs the deterministic
+//! simulation sweep of the distributed runtime.
 
 #![deny(missing_docs)]
 

@@ -1,7 +1,7 @@
 //! `pac-bench` refuses what it does not understand: an unknown flag, a
-//! mode it no longer has, or `--out` without a path must exit non-zero
-//! before anything runs — and above all before it writes (or overwrites)
-//! its JSON trajectory in the working directory.
+//! mode it no longer has, a missing `--out`, or `--out` without a path must
+//! exit non-zero before anything runs — and above all before it writes (or
+//! overwrites) its JSON trajectory in the working directory.
 
 use std::process::Command;
 
@@ -47,4 +47,6 @@ fn unknown_or_incomplete_arguments_fail_without_writing() {
     rejected(&["--quick", "--out"]);
     rejected(&["--out", "--quick"]);
     rejected(&["extra"]);
+    rejected(&[]);
+    rejected(&["--quick"]);
 }

@@ -7,10 +7,9 @@ use pac_model::{EncDecModel, ModelConfig};
 use pac_peft::{Technique, Tuner};
 use pac_tensor::rng::seeded;
 use pac_tensor::Result;
-use serde::{Deserialize, Serialize};
 
 /// One technique's score on one task.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QualityCell {
     /// Technique name (paper row).
     pub technique: String,

@@ -10,10 +10,9 @@ use pac_parallel::{
 };
 use pac_peft::{ActivationCache, Technique};
 use pac_planner::Planner;
-use serde::{Deserialize, Serialize};
 
 /// The training systems compared in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum System {
     /// Single-device fine-tuning.
     Standalone,
@@ -46,7 +45,7 @@ impl System {
 }
 
 /// One Table-2 cell: either a simulated duration or an OOM verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CellResult {
     /// Training completes in this many hours.
     Hours(f64),

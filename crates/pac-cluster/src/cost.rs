@@ -11,10 +11,9 @@
 
 use pac_model::ModelConfig;
 use pac_peft::Technique;
-use serde::{Deserialize, Serialize};
 
 /// Whether a layer sits in the encoder or decoder stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayerRole {
     /// Encoder layer (processes `seq` tokens).
     Encoder,
@@ -24,7 +23,7 @@ pub enum LayerRole {
 
 /// Per-layer costs, normalized per sample (multiply by the micro-batch size
 /// at the point of use).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LayerCost {
     /// Encoder or decoder.
     pub role: LayerRole,
@@ -148,17 +147,6 @@ impl CostModel {
                 let r = self.side_r() as f64;
                 tokens * (4.0 * h * r / 2.0 + 4.0 * r * r / 2.0) // down h→r + rec r→r (2 FLOPs/madd)
             }
-            Technique::PromptTuning { virtual_tokens } => {
-                // p extra tokens flow through every encoder layer.
-                match role {
-                    LayerRole::Encoder => {
-                        let p = virtual_tokens as f64;
-                        let s = self.seq as f64;
-                        (p / s) * self.backbone_layer_fwd(role)
-                    }
-                    LayerRole::Decoder => 0.0,
-                }
-            }
         }
     }
 
@@ -187,13 +175,6 @@ impl CostModel {
             Technique::ParallelAdapters { .. } => {
                 let r = self.side_r();
                 (h * r + r * r + r) * 4
-            }
-            Technique::PromptTuning { virtual_tokens } => {
-                // The prompt lives at the encoder input; charge it there.
-                match role {
-                    LayerRole::Encoder => virtual_tokens * h * 4 / self.config.enc_layers.max(1),
-                    LayerRole::Decoder => 0,
-                }
             }
         }
     }
@@ -227,13 +208,6 @@ impl CostModel {
                     (tokens * (c.hidden + 3 * r)) * 4
                 }
             }
-            Technique::PromptTuning { virtual_tokens } => {
-                let extra = match role {
-                    LayerRole::Encoder => virtual_tokens * per_token,
-                    LayerRole::Decoder => 0,
-                };
-                (tokens * per_token + scores + extra) * 4
-            }
         }
     }
 
@@ -253,9 +227,7 @@ impl CostModel {
             let fwd = backbone_fwd + tech_fwd;
             let (dx, dw) = match self.technique {
                 Technique::Full => (backbone_fwd, backbone_fwd + tech_fwd),
-                Technique::Adapters { .. }
-                | Technique::Lora { .. }
-                | Technique::PromptTuning { .. } => {
+                Technique::Adapters { .. } | Technique::Lora { .. } => {
                     // dX through the whole backbone; dW only for the
                     // technique's parameters.
                     (backbone_fwd + tech_fwd, 2.0 * tech_fwd)

@@ -1,10 +1,9 @@
 //! Edge-device hardware models.
 
 use crate::network::LinkSpec;
-use serde::{Deserialize, Serialize};
 
 /// An edge device's compute and memory capacities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Device name, e.g. `"Jetson Nano"`.
     pub name: String,
@@ -100,7 +99,7 @@ impl DeviceSpec {
 }
 
 /// A pool of edge devices on a shared LAN.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     /// Member devices.
     pub devices: Vec<DeviceSpec>,

@@ -1,9 +1,7 @@
 //! Network link models.
 
-use serde::{Deserialize, Serialize};
-
 /// A point-to-point link's bandwidth and latency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Bandwidth in bits per second.
     pub bandwidth_bps: f64,

@@ -20,7 +20,6 @@ fn arb_technique() -> impl Strategy<Value = Technique> {
         Just(Technique::adapters_default()),
         Just(Technique::lora_default()),
         Just(Technique::parallel_default()),
-        Just(Technique::prompt_default()),
     ]
 }
 
@@ -57,7 +56,7 @@ proptest! {
     }
 
     /// The forward share of a step is bounded and ordered by technique:
-    /// Full ≤ Adapters/LoRA/Prompt ≤ Parallel Adapters.
+    /// Full ≤ Adapters/LoRA ≤ Parallel Adapters.
     #[test]
     fn fwd_fraction_ordering(model in arb_model(), seq in 32usize..192) {
         let frac = |t: Technique| CostModel::new(model.clone(), t, seq).fwd_fraction();

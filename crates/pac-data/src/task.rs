@@ -1,9 +1,7 @@
 //! GLUE-analog task descriptors.
 
-use serde::{Deserialize, Serialize};
-
 /// The four GLUE tasks the paper evaluates (Table 2/3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// Microsoft Research Paraphrase Corpus — sentence-pair classification.
     Mrpc,

@@ -1,9 +1,7 @@
 //! Architecture descriptors for the LLMs evaluated in the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// Which published model a config describes (or a micro test model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelKind {
     /// T5-Base (Raffel et al. 2020), 0.25 B parameters.
     T5Base,
@@ -21,7 +19,7 @@ pub enum ModelKind {
 /// quantity (parameter count, per-layer sizes) is computed from these fields
 /// with the standard transformer formulas, so the analytic experiments use
 /// the *exact* shapes of the models the paper ran.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelConfig {
     /// Which model family this is.
     pub kind: ModelKind,
@@ -240,15 +238,8 @@ mod tests {
     }
 
     #[test]
-    fn config_serializes() {
+    fn debug_output_names_the_preset() {
         let c = ModelConfig::t5_base();
-        let s = serde_json_like(&c);
-        assert!(s.contains("T5-Base"));
-    }
-
-    // serde round-trip via Debug (serde_json not a dependency; this exercises
-    // the Serialize derive compiles and the Debug output is stable).
-    fn serde_json_like(c: &ModelConfig) -> String {
-        format!("{c:?}")
+        assert!(format!("{c:?}").contains("T5-Base"));
     }
 }

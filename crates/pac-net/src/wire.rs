@@ -1411,6 +1411,25 @@ mod tests {
         }
     }
 
+    #[test]
+    fn act_q8_frame_of_a_bert_base_boundary_is_a_quarter_of_f32() {
+        // One [seq 32, hidden 768] stage boundary: 4 bytes per element in
+        // `Act`, 1 byte per element plus one f32 scale per row in `ActQ8`.
+        let data: Vec<f32> = (0..32 * 768).map(|i| (i as f32 * 0.01).sin()).collect();
+        let t = Tensor::from_vec(data, vec![32, 768]).unwrap();
+        let f32_frame = encode_frame(&Msg::Act {
+            micro: 0,
+            data: StageData::Hidden(t.clone()),
+        });
+        let q8_frame = encode_frame(&Msg::ActQ8 {
+            micro: 0,
+            logits: false,
+            q: QTensor::quantize(&t),
+        });
+        assert_eq!(f32_frame.len(), 98_332);
+        assert_eq!(q8_frame.len(), 24_736);
+    }
+
     /// Overwrites the frame's trailer with the checksum of its current
     /// bytes, so only what the test changed can trip the decoder.
     fn reseal(frame: &mut [u8]) {

@@ -28,7 +28,6 @@
 //! crash@step=3,at-byte=17                 # kill the checkpoint writer
 //! ```
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -39,7 +38,7 @@ use std::time::Duration;
 /// `step` is the global mini-batch index (0-based) counted by the
 /// [`FaultClock`]; replayed steps after a checkpoint restore get fresh
 /// indices, so a fault fires exactly once.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Fault {
     /// The lane's replica panics when it starts the mini-batch (models a
     /// crashing process).
@@ -123,7 +122,7 @@ impl fmt::Display for Fault {
 }
 
 /// A deterministic schedule of failures for one training run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// The injected failures, in no particular order.
     pub faults: Vec<Fault>,
@@ -226,7 +225,7 @@ impl fmt::Display for FaultPlan {
 }
 
 /// What happened during a supervised run, in order — the recovery timeline.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimelineEvent {
     /// Global step the event belongs to.
     pub step: u64,
@@ -237,7 +236,7 @@ pub struct TimelineEvent {
 }
 
 /// Category of a [`TimelineEvent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimelineKind {
     /// A fault from the plan fired.
     Injected,

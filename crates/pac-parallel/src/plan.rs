@@ -1,10 +1,8 @@
 //! Parallelism plans: how layers map to stages and stages to device groups.
 
-use serde::{Deserialize, Serialize};
-
 /// One pipeline stage's assignment: which layers it holds and which devices
 /// replicate it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageAssignment {
     /// Contiguous backbone layer indices `[start, end)` in this stage.
     pub layer_start: usize,
@@ -41,7 +39,7 @@ impl StageAssignment {
 /// assert!(plan.validate(24, 4).is_ok());
 /// assert_eq!(plan.grouping_string(), "[1N] [1N] [1N] [1N]");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParallelPlan {
     /// The stages in pipeline order.
     pub stages: Vec<StageAssignment>,

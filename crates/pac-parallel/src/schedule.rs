@@ -14,10 +14,8 @@
 //! backward releases its forward's activations before the next forward is
 //! admitted.
 
-use serde::{Deserialize, Serialize};
-
 /// Micro-batch scheduling discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
     /// One-forward-one-backward (PipeDream-flush), the paper's choice.
     OneFOneB,
@@ -37,7 +35,7 @@ pub enum Schedule {
 /// One pipeline stage's simulated execution parameters. Times are for one
 /// micro-batch on one device of the stage's group (data-parallel
 /// subdivision is applied by the caller).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimStage {
     /// Forward time per micro-batch (seconds).
     pub fwd_s: f64,
@@ -60,7 +58,7 @@ pub struct SimStage {
 }
 
 /// One executed operation in the simulated timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimEvent {
     /// Stage index.
     pub stage: usize,
@@ -75,7 +73,7 @@ pub struct SimEvent {
 }
 
 /// Outcome of a pipeline simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// End-to-end mini-batch time including AllReduce (seconds).
     pub makespan_s: f64,

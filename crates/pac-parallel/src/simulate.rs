@@ -4,10 +4,9 @@
 use crate::plan::ParallelPlan;
 use crate::schedule::{simulate_pipeline, Schedule, SimResult, SimStage};
 use pac_cluster::{Cluster, CollectiveModel, CostModel};
-use serde::{Deserialize, Serialize};
 
 /// Result of a pure data-parallel (EDDL-style) step simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DpSimResult {
     /// Mini-batch wall time including AllReduce (seconds).
     pub step_s: f64,

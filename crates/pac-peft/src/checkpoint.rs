@@ -412,7 +412,7 @@ mod tests {
     #[test]
     fn round_trip_restores_exact_function() {
         let cfg = ModelConfig::micro(2, 1, 16, 2);
-        for technique in Technique::all_extended() {
+        for technique in Technique::all_paper() {
             let mut donor = Tuner::new(technique, &cfg, 2, &mut seeded(700));
             // Nudge the donor's trainable weights so the checkpoint is
             // distinguishable from init.

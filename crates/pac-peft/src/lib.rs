@@ -30,7 +30,6 @@ pub mod full;
 pub mod lora;
 pub mod memory;
 pub mod parallel;
-pub mod prompt;
 pub mod technique;
 pub mod tuner;
 
@@ -41,6 +40,5 @@ pub use full::FullTuner;
 pub use lora::LoraTuner;
 pub use memory::{MemoryBreakdown, MemoryModel};
 pub use parallel::{AdapterBaseline, ParallelAdapters, ParallelCtx, ParallelTuner, SideCtx};
-pub use prompt::{PromptCtx, PromptTuner};
 pub use technique::Technique;
 pub use tuner::{Tuner, TunerCtx};

@@ -8,10 +8,13 @@
 
 use crate::technique::Technique;
 use pac_model::ModelConfig;
-use serde::{Deserialize, Serialize};
+
+/// Bytes per weight, gradient and activation value: f32, the paper's
+/// setting.
+const VALUE_BYTES: usize = 4;
 
 /// Which phase of fine-tuning memory is being accounted for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Regular training epoch (epoch 1 for PAC; every epoch for baselines).
     Training,
@@ -23,7 +26,7 @@ pub enum Phase {
 }
 
 /// A Table-1-style memory breakdown, in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryBreakdown {
     /// Model weights resident in memory.
     pub weights: usize,
@@ -62,14 +65,6 @@ pub struct MemoryModel {
     /// Optimizer state bytes per trainable parameter (4 = SGD-momentum,
     /// 8 = Adam).
     pub opt_bytes_per_param: usize,
-    /// Bytes per weight/activation value: 4 = f32 (the paper's setting),
-    /// 2 = fp16 mixed precision. Optimizer state stays f32 (master copies).
-    pub value_bytes: usize,
-    /// Activation recomputation (gradient checkpointing, as in the
-    /// related-work on-device trainers Sage/Melon): retain only ~2·√L
-    /// layers of activations and recompute the rest during backward,
-    /// trading one extra forward pass for memory.
-    pub recompute_activations: bool,
 }
 
 impl MemoryModel {
@@ -83,22 +78,7 @@ impl MemoryModel {
             seq: 128,
             dec_seq: 8,
             opt_bytes_per_param: 4,
-            value_bytes: 4,
-            recompute_activations: false,
         }
-    }
-
-    /// Copy with fp16 weights/activations (optimizer master copies stay
-    /// f32).
-    pub fn with_fp16(mut self) -> Self {
-        self.value_bytes = 2;
-        self
-    }
-
-    /// Copy with activation recomputation enabled.
-    pub fn with_recompute(mut self) -> Self {
-        self.recompute_activations = true;
-        self
     }
 
     /// Trainable parameters under this technique.
@@ -110,9 +90,9 @@ impl MemoryModel {
     pub fn weight_bytes(&self, phase: Phase) -> usize {
         let technique_extra = match self.technique {
             Technique::Full => 0,
-            t => t.trainable_params(&self.config) * self.value_bytes,
+            t => t.trainable_params(&self.config) * VALUE_BYTES,
         };
-        let backbone = self.config.total_params() * self.value_bytes;
+        let backbone = self.config.total_params() * VALUE_BYTES;
         match phase {
             Phase::CachedTraining if self.technique.supports_activation_cache() => {
                 // Backbone released: only the side network + head remain.
@@ -127,7 +107,7 @@ impl MemoryModel {
     pub fn gradient_bytes(&self, phase: Phase) -> usize {
         match phase {
             Phase::Inference => 0,
-            _ => self.trainable_params() * self.value_bytes,
+            _ => self.trainable_params() * VALUE_BYTES,
         }
     }
 
@@ -143,16 +123,7 @@ impl MemoryModel {
             + c.dec_layers
                 * (c.attn_score_floats(self.batch, self.dec_seq)
                     + self.batch * c.heads * self.dec_seq * self.seq);
-        let full = (enc + dec + scores) * self.value_bytes;
-        if self.recompute_activations {
-            // √L checkpointing: keep ~2·√L of L layers' activations; the
-            // rest is recomputed during backward (+1 forward of compute).
-            let l = c.total_layers().max(1) as f64;
-            let keep = (2.0 * l.sqrt() / l).min(1.0);
-            (full as f64 * keep).ceil() as usize
-        } else {
-            full
-        }
+        (enc + dec + scores) * VALUE_BYTES
     }
 
     /// Technique-specific extra activations (adapter bottlenecks, LoRA
@@ -182,12 +153,6 @@ impl MemoryModel {
                 let b_inputs = c.enc_layers * h * enc_tokens + c.dec_layers * h * dec_tokens;
                 let side = c.total_layers() * 3 * r * enc_tokens;
                 (b_inputs + side) * 4
-            }
-            Technique::PromptTuning { virtual_tokens } => {
-                // The virtual tokens lengthen the encoder sequence, growing
-                // every retained layer context proportionally.
-                let extra_tokens = self.batch * virtual_tokens;
-                c.enc_layers * c.enc_layer_act_floats_per_token() * extra_tokens * 4
             }
         }
     }
@@ -322,56 +287,6 @@ mod tests {
         assert_eq!(b.activations, 0);
         assert_eq!(b.gradients, 0);
         assert!(b.weights > 0);
-    }
-
-    #[test]
-    fn fp16_roughly_halves_weights_and_activations() {
-        let f32_model = t5l(Technique::Full);
-        let fp16 = t5l(Technique::Full).with_fp16();
-        let a = f32_model.breakdown(Phase::Training);
-        let b = fp16.breakdown(Phase::Training);
-        assert!((b.weights as f64 / a.weights as f64 - 0.5).abs() < 0.01);
-        assert!(
-            b.total() < a.total() * 7 / 10,
-            "{} vs {}",
-            b.total(),
-            a.total()
-        );
-        // Optimizer master state stays f32, so it's not exactly half.
-        assert!(b.activations * 2 > a.activations);
-    }
-
-    #[test]
-    fn recomputation_cuts_retained_activations() {
-        let plain = t5l(Technique::Full);
-        let ckpt = t5l(Technique::Full).with_recompute();
-        let a = plain.breakdown(Phase::Training);
-        let b = ckpt.breakdown(Phase::Training);
-        // √L checkpointing on 48 layers keeps ~2/√48 ≈ 29% of the
-        // intermediates; optimizer state (also counted in "activations")
-        // is untouched, so check the intermediates-only reduction exactly.
-        let opt = plain.trainable_params() * plain.opt_bytes_per_param;
-        let kept = (b.activations - opt) as f64 / (a.activations - opt) as f64;
-        assert!((0.2..0.4).contains(&kept), "kept fraction {kept}");
-        assert!(b.activations < a.activations * 7 / 10);
-        assert_eq!(a.weights, b.weights);
-        // Recomputation composes with fp16.
-        let both = t5l(Technique::Full).with_recompute().with_fp16();
-        assert!(both.breakdown(Phase::Training).total() < b.total());
-    }
-
-    #[test]
-    fn prompt_tuning_costs_more_activations_than_lora() {
-        // The virtual tokens lengthen the encoder sequence, so prompt
-        // tuning's retained activations exceed LoRA's tiny branch.
-        let prompt = t5l(Technique::prompt_default()).breakdown(Phase::Training);
-        let lora = t5l(Technique::lora_default()).breakdown(Phase::Training);
-        assert!(prompt.activations > lora.activations);
-        // But its checkpoint (trainable set) is the smallest of all.
-        assert!(
-            Technique::prompt_default().trainable_params(&ModelConfig::t5_large())
-                < Technique::lora_default().trainable_params(&ModelConfig::t5_large())
-        );
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Fine-tuning technique descriptors and analytic parameter accounting.
 
 use pac_model::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// A fine-tuning technique, with its structural hyperparameters.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(!pa.backprop_through_backbone());        // the gradient highway
 /// assert!(pa.supports_activation_cache());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Technique {
     /// Update every backbone parameter.
     Full,
@@ -39,13 +38,6 @@ pub enum Technique {
         /// Reduction factor `k`.
         reduction: usize,
     },
-    /// Prompt tuning (Lester et al. 2021): trainable virtual-token
-    /// embeddings prepended to the encoder input. An extension technique
-    /// from the paper's related work (§7).
-    PromptTuning {
-        /// Number of virtual tokens `p`.
-        virtual_tokens: usize,
-    },
 }
 
 impl Technique {
@@ -65,11 +57,6 @@ impl Technique {
         Technique::ParallelAdapters { reduction: 8 }
     }
 
-    /// Default prompt tuning (20 virtual tokens, the common setting).
-    pub fn prompt_default() -> Self {
-        Technique::PromptTuning { virtual_tokens: 20 }
-    }
-
     /// Display name matching the paper's tables.
     pub fn name(&self) -> &'static str {
         match self {
@@ -77,7 +64,6 @@ impl Technique {
             Technique::Adapters { .. } => "Adapters",
             Technique::Lora { .. } => "LoRA",
             Technique::ParallelAdapters { .. } => "Parallel Adapters",
-            Technique::PromptTuning { .. } => "Prompt Tuning",
         }
     }
 
@@ -115,7 +101,6 @@ impl Technique {
                 // Plus one up-projection r×h and a side LayerNorm 2h.
                 layers * (h * r + r * r + r) + r * h + 2 * h
             }
-            Technique::PromptTuning { virtual_tokens } => virtual_tokens * h,
         }
     }
 
@@ -144,14 +129,6 @@ impl Technique {
             Technique::lora_default(),
             Technique::parallel_default(),
         ]
-    }
-
-    /// The paper techniques plus the extension techniques implemented in
-    /// this reproduction.
-    pub fn all_extended() -> Vec<Technique> {
-        let mut v = Self::all_paper();
-        v.push(Self::prompt_default());
-        v
     }
 }
 

@@ -4,7 +4,6 @@ use crate::adapters::{AdapterTuner, AdapterTunerCtx};
 use crate::full::FullTuner;
 use crate::lora::LoraTuner;
 use crate::parallel::{ParallelCtx, ParallelTuner, SideCtx};
-use crate::prompt::{PromptCtx, PromptTuner};
 use crate::technique::Technique;
 use pac_model::{EncDecCtx, EncDecModel, ModelConfig};
 use pac_nn::{Module, Param};
@@ -26,8 +25,6 @@ pub enum Tuner {
     Lora(LoraTuner),
     /// Parallel Adapters (the paper's technique).
     Parallel(ParallelTuner),
-    /// Prompt tuning (extension technique).
-    Prompt(PromptTuner),
 }
 
 /// Per-technique forward context.
@@ -41,8 +38,6 @@ pub enum TunerCtx {
     Parallel(ParallelCtx),
     /// Context of a Parallel-Adapters cached forward.
     ParallelCached(SideCtx),
-    /// Context of a prompt-tuning forward.
-    Prompt(PromptCtx),
 }
 
 impl Tuner {
@@ -73,9 +68,6 @@ impl Tuner {
             Technique::ParallelAdapters { reduction } => {
                 Tuner::Parallel(ParallelTuner::new(model, reduction, n_out, rng))
             }
-            Technique::PromptTuning { virtual_tokens } => {
-                Tuner::Prompt(PromptTuner::new(model, virtual_tokens, rng))
-            }
         }
     }
 
@@ -97,9 +89,6 @@ impl Tuner {
             },
             Tuner::Parallel(t) => Technique::ParallelAdapters {
                 reduction: (t.model.config.hidden / t.side.side_dim().max(1)).max(1),
-            },
-            Tuner::Prompt(t) => Technique::PromptTuning {
-                virtual_tokens: t.virtual_tokens(),
             },
         }
     }
@@ -125,10 +114,6 @@ impl Tuner {
             Tuner::Parallel(t) => {
                 let (l, c) = t.forward_full(tokens)?;
                 Ok((l, TunerCtx::Parallel(c)))
-            }
-            Tuner::Prompt(t) => {
-                let (l, c) = t.forward(tokens)?;
-                Ok((l, TunerCtx::Prompt(c)))
             }
         }
     }
@@ -162,7 +147,6 @@ impl Tuner {
             (Tuner::Lora(t), TunerCtx::Model(c)) => t.backward(c, dlogits),
             (Tuner::Parallel(t), TunerCtx::Parallel(c)) => t.backward(&c.side, dlogits),
             (Tuner::Parallel(t), TunerCtx::ParallelCached(c)) => t.backward(c, dlogits),
-            (Tuner::Prompt(t), TunerCtx::Prompt(c)) => t.backward(c, dlogits),
             _ => Err(TensorError::ShapeMismatch {
                 op: "tuner/ctx kind mismatch",
                 lhs: vec![],
@@ -189,7 +173,6 @@ impl Tuner {
                         .sum::<usize>()
             }
             Tuner::Parallel(t) => t.model.num_params() + t.side.num_params(),
-            Tuner::Prompt(t) => t.model.num_params() + t.prompt.numel(),
         }
     }
 
@@ -210,7 +193,6 @@ impl Module for Tuner {
             Tuner::Adapters(t) => t.visit_params(f),
             Tuner::Lora(t) => t.visit_params(f),
             Tuner::Parallel(t) => t.visit_params(f),
-            Tuner::Prompt(t) => t.visit_params(f),
         }
     }
     fn visit_params_ref(&self, f: &mut dyn FnMut(&Param)) {
@@ -219,7 +201,6 @@ impl Module for Tuner {
             Tuner::Adapters(t) => t.visit_params_ref(f),
             Tuner::Lora(t) => t.visit_params_ref(f),
             Tuner::Parallel(t) => t.visit_params_ref(f),
-            Tuner::Prompt(t) => t.visit_params_ref(f),
         }
     }
 }

@@ -19,7 +19,6 @@ fn arb_technique() -> impl Strategy<Value = Technique> {
         (2usize..8).prop_map(|reduction| Technique::Adapters { reduction }),
         (1usize..4).prop_map(|rank| Technique::Lora { rank }),
         (2usize..8).prop_map(|reduction| Technique::ParallelAdapters { reduction }),
-        (1usize..8).prop_map(|virtual_tokens| Technique::PromptTuning { virtual_tokens }),
     ]
 }
 

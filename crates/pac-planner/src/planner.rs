@@ -4,10 +4,9 @@ use crate::dp::partition_for_stages;
 use crate::profile::Profile;
 use pac_cluster::{Cluster, CostModel, DeviceSpec};
 use pac_parallel::{simulate_plan, ParallelPlan, Schedule};
-use serde::{Deserialize, Serialize};
 
 /// One evaluated candidate (a stage count with its optimal partition).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CandidatePlan {
     /// Number of pipeline stages.
     pub stages: usize,
@@ -23,7 +22,7 @@ pub struct CandidatePlan {
 }
 
 /// Outcome of a planning run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlanOutcome {
     /// The selected plan.
     pub best: ParallelPlan,

@@ -1,10 +1,9 @@
 //! Runtime profiles consumed by the planner.
 
 use pac_cluster::CostModel;
-use serde::{Deserialize, Serialize};
 
 /// Per-layer profile entry, normalized per sample.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LayerProfileEntry {
     /// Forward FLOPs per sample.
     pub fwd_flops: f64,
@@ -22,7 +21,7 @@ pub struct LayerProfileEntry {
 
 /// A complete model profile: one entry per backbone layer, plus shared
 /// (embedding) weights charged to the pipeline endpoints.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Profile {
     /// Per-layer entries in pipeline order.
     pub layers: Vec<LayerProfileEntry>,

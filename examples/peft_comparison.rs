@@ -25,7 +25,7 @@ fn main() {
         "technique", "trainable", "weights", "activations", "grads", "total"
     );
     let t5l = ModelConfig::t5_large();
-    for technique in Technique::all_extended() {
+    for technique in Technique::all_paper() {
         let m = MemoryModel::paper_defaults(t5l.clone(), technique);
         let b = m.breakdown(Phase::Training);
         println!(

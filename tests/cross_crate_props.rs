@@ -46,7 +46,6 @@ proptest! {
             Technique::Adapters { reduction } | Technique::ParallelAdapters { reduction } => {
                 reduction >= 2
             }
-            Technique::PromptTuning { virtual_tokens } => virtual_tokens <= model.max_seq / 2,
             Technique::Full => true,
         };
         prop_assume!(sane);
@@ -73,8 +72,6 @@ proptest! {
             seq,
             dec_seq: 4,
             opt_bytes_per_param: 4,
-            value_bytes: 4,
-            recompute_activations: false,
         };
         for phase in [Phase::Training, Phase::CachedTraining, Phase::Inference] {
             let small = mm(batch).breakdown(phase);
