@@ -138,7 +138,7 @@ impl EncoderModel {
         }
 
         let (normed, final_ln) = self.final_ln.forward(&x)?;
-        let pooled = mean_pool(&normed, batch, seq, d)?;
+        let pooled = reduce::mean_pool_seq(&normed, batch, seq, d)?;
         let (logits, head_ctx) = self.head.forward(&pooled)?;
         Ok((
             logits,
@@ -164,11 +164,8 @@ impl EncoderModel {
         let d = self.config.hidden;
         let (batch, seq) = (ctx.batch, ctx.seq);
         let d_pooled = self.head.backward(&ctx.head_ctx, dlogits)?;
-        let d_normed = mean_pool_backward(&d_pooled, batch, seq, d)?;
-        let mut dx = self
-            .final_ln
-            .backward(&ctx.final_ln, &d_normed)?
-            .reshape([batch, seq, d])?;
+        let d_normed = reduce::mean_pool_seq_backward(&d_pooled, batch, seq, d)?;
+        let mut dx = self.final_ln.backward(&ctx.final_ln, &d_normed)?;
         let _ = &ctx.normed;
         for (layer, lctx) in self.layers.iter_mut().zip(ctx.layer_ctxs.iter()).rev() {
             let (g, _) = layer.backward(lctx, &dx)?;
@@ -236,44 +233,6 @@ impl EncoderModel {
     }
 }
 
-/// Mean over the sequence dimension: `[b, s, d] → [b, d]`.
-pub(crate) fn mean_pool(x: &Tensor, batch: usize, seq: usize, d: usize) -> Result<Tensor> {
-    let x2 = x.clone().reshape([batch, seq * d])?;
-    let mut out = Tensor::zeros([batch, d]);
-    for b in 0..batch {
-        for s in 0..seq {
-            for j in 0..d {
-                let v = x2.data()[b * seq * d + s * d + j];
-                out.data_mut()[b * d + j] += v / seq as f32;
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Backward of [`mean_pool`]: spreads `dy/seq` over every position.
-pub(crate) fn mean_pool_backward(
-    dy: &Tensor,
-    batch: usize,
-    seq: usize,
-    d: usize,
-) -> Result<Tensor> {
-    let mut out = Tensor::zeros([batch * seq, d]);
-    for b in 0..batch {
-        for s in 0..seq {
-            for j in 0..d {
-                out.data_mut()[(b * seq + s) * d + j] = dy.data()[b * d + j] / seq as f32;
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Re-exported pooling helpers for the stage head implementation.
-pub(crate) mod pool {
-    pub(crate) use super::{mean_pool, mean_pool_backward};
-}
-
 impl Module for EncoderModel {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.embed.visit_params(f);
@@ -294,10 +253,6 @@ impl Module for EncoderModel {
         self.head.visit_params_ref(f);
     }
 }
-
-// Silence the "unused" lint for reduce which is used in tests only.
-#[allow(unused_imports)]
-use reduce as _reduce_used_in_tests;
 
 #[cfg(test)]
 mod tests {
@@ -347,23 +302,6 @@ mod tests {
             opt.step(&mut m);
         }
         assert!(last < first * 0.8, "first {first} last {last}");
-    }
-
-    #[test]
-    fn mean_pool_round_trip_gradcheck() {
-        let mut rng = seeded(104);
-        let x = pac_tensor::init::randn(&mut rng, [2, 3, 4], 1.0);
-        let y = mean_pool(&x, 2, 3, 4).unwrap();
-        assert_eq!(y.dims(), &[2, 4]);
-        // Pool of a constant tensor is that constant.
-        let c = Tensor::full([2, 3, 4], 5.0);
-        assert!(mean_pool(&c, 2, 3, 4)
-            .unwrap()
-            .approx_eq(&Tensor::full([2, 4], 5.0), 1e-6));
-        // Backward spreads uniformly and preserves total gradient mass.
-        let dy = Tensor::ones([2, 4]);
-        let dx = mean_pool_backward(&dy, 2, 3, 4).unwrap();
-        assert!((dx.sum() - dy.sum()).abs() < 1e-4);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use pac_nn::{
     Embedding, LayerNorm, LayerNormCtx, Linear, LinearCtx, Module, Param, TransformerLayer,
     TransformerLayerCtx,
 };
-use pac_tensor::{Result, Tensor, TensorError};
+use pac_tensor::{reduce, Result, Tensor, TensorError};
 
 /// One building block of a stage.
 ///
@@ -193,7 +193,7 @@ impl StageModel {
                         }
                     };
                     let (normed, ln_ctx) = ln.forward(&x)?;
-                    let pooled = crate::encoder::pool::mean_pool(&normed, batch, seq, dim)?;
+                    let pooled = reduce::mean_pool_seq(&normed, batch, seq, dim)?;
                     let (logits, head_ctx) = head.forward(&pooled)?;
                     act_bytes += x.size_bytes();
                     ctxs.push(UnitCtx::Head {
@@ -255,11 +255,8 @@ impl StageModel {
                     },
                 ) => {
                     let d_pooled = head.backward(head_ctx, &grad)?;
-                    let d_normed =
-                        crate::encoder::pool::mean_pool_backward(&d_pooled, *batch, *seq, *dim)?;
-                    grad = ln
-                        .backward(ln_ctx, &d_normed)?
-                        .reshape([*batch, *seq, *dim])?;
+                    let d_normed = reduce::mean_pool_seq_backward(&d_pooled, *batch, *seq, *dim)?;
+                    grad = ln.backward(ln_ctx, &d_normed)?;
                 }
                 (StageUnit::Layer(layer), UnitCtx::Layer(lctx)) => {
                     let (dx, _) = layer.backward(lctx, &grad)?;

@@ -1,0 +1,94 @@
+//! Heap blocks per pipeline-stage step at the serve workloads' scale.
+//!
+//! At hidden 32 a step costs bookkeeping more than FLOPs, so the number of
+//! heap blocks a forward+backward allocates is pinned: a regression that
+//! puts a `Vec` back into every tensor handle, or a copy into every
+//! element loop, fails here before it shows up as a slower benchmark.
+//!
+//! A counting `#[global_allocator]` counts blocks per thread, so the
+//! harness's other test threads cannot disturb a measurement. Every
+//! product at this shape is under the pool's dispatch line and runs on the
+//! calling thread.
+
+use pac_model::{EncoderModel, ModelConfig, StageData};
+use pac_tensor::{rng::seeded, Tensor};
+use rand::Rng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    /// Blocks this thread has allocated (const-initialised, no destructor:
+    /// safe to touch from inside the allocator).
+    static BLOCKS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = BLOCKS.try_with(|b| b.set(b.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` unchanged; the counter is a
+// const thread-local `Cell` that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Heap blocks `f` allocates on the calling thread.
+fn blocks(f: impl FnOnce()) -> u64 {
+    let before = BLOCKS.with(Cell::get);
+    f();
+    BLOCKS.with(Cell::get) - before
+}
+
+/// Upper bound on the blocks one forward+backward of the two-stage
+/// pipeline allocates: 256 with inline shapes. The build that kept a
+/// shape's extents in a `Vec` allocated 647 when first profiled (643 as
+/// this test counts a step).
+const STEP_BUDGET: u64 = 369;
+
+#[test]
+fn a_stage_pair_step_stays_within_its_allocation_budget() {
+    let model = EncoderModel::new(&ModelConfig::micro(4, 0, 32, 2), 2, &mut seeded(7));
+    let mut stages = model.partition(&[2, 2]).unwrap();
+    let mut rng = seeded(8);
+    let tokens: Vec<Vec<usize>> = (0..4)
+        .map(|_| (0..16).map(|_| rng.gen_range(0..64)).collect())
+        .collect();
+    let dlogits = Tensor::full([4, 2], 0.25);
+    let mut step = |input: StageData| {
+        let (hidden, ctx0) = stages[0].forward(input).unwrap();
+        let (logits, ctx1) = stages[1].forward(hidden).unwrap();
+        assert!(matches!(logits, StageData::Logits(ref l) if l.dims() == [4, 2]));
+        let dh = stages[1].backward(&ctx1, &dlogits).unwrap().unwrap();
+        assert!(stages[0].backward(&ctx0, &dh).unwrap().is_none());
+    };
+    // Warm-up: the scratch pool fills and every parameter's gradient is
+    // allocated.
+    for _ in 0..3 {
+        step(StageData::Tokens(tokens.clone()));
+    }
+    let input = StageData::Tokens(tokens.clone());
+    let n = blocks(|| step(input));
+    assert!(
+        n <= STEP_BUDGET,
+        "{n} heap blocks per stage-pair step, budget {STEP_BUDGET}"
+    );
+}

@@ -27,7 +27,7 @@ use pac_model::StageData;
 use pac_parallel::engine::MicroBatch;
 use pac_parallel::schedule::SimEvent;
 use pac_parallel::Schedule;
-use pac_tensor::{bytes, QTensor, Tensor};
+use pac_tensor::{bytes, QTensor, Shape, Tensor, MAX_RANK};
 use std::borrow::Borrow;
 use std::fmt;
 use std::io::Read;
@@ -44,8 +44,6 @@ pub const VERSION: u8 = 3;
 /// Upper bound on a single frame's payload (defense against a corrupted
 /// length field allocating gigabytes).
 pub const MAX_PAYLOAD: usize = 256 * 1024 * 1024;
-/// Upper bound on tensor rank accepted off the wire.
-pub const MAX_RANK: usize = 8;
 /// Upper bound on tensor element count accepted off the wire.
 pub const MAX_NUMEL: usize = 1 << 26;
 /// Upper bound on string lengths accepted off the wire.
@@ -618,20 +616,21 @@ impl<'a> Dec<'a> {
     fn f32s(&mut self, n: usize) -> Result<Vec<f32>, NetError> {
         Ok(bytes::f32s_from_le(self.take(n * 4)?))
     }
-    /// Rank-checked dimensions and their (saturating) element count.
-    fn dims(&mut self) -> Result<(Vec<usize>, usize), NetError> {
+    /// Rank-checked dimensions and their (saturating) element count. The
+    /// check against [`MAX_RANK`] is what keeps a hostile rank from
+    /// reaching [`Shape::new`], which panics above it.
+    fn dims(&mut self) -> Result<(Shape, usize), NetError> {
         let rank = self.u8()? as usize;
         if rank == 0 || rank > MAX_RANK {
             return Err(NetError::Malformed("tensor rank out of range"));
         }
-        let mut dims = Vec::with_capacity(rank);
+        let mut dims = [0usize; MAX_RANK];
         let mut numel: usize = 1;
-        for _ in 0..rank {
-            let d = self.u32()? as usize;
-            numel = numel.saturating_mul(d);
-            dims.push(d);
+        for d in &mut dims[..rank] {
+            *d = self.u32()? as usize;
+            numel = numel.saturating_mul(*d);
         }
-        Ok((dims, numel))
+        Ok((Shape::new(&dims[..rank]), numel))
     }
     fn tensor(&mut self) -> Result<Tensor, NetError> {
         let (dims, numel) = self.dims()?;
@@ -1462,6 +1461,31 @@ mod tests {
         assert!(
             matches!(got, Err(NetError::Malformed("qtensor parts inconsistent"))),
             "every scale would land on the wrong elements, got {got:?}"
+        );
+    }
+
+    #[test]
+    fn a_tensor_above_max_rank_is_malformed_not_a_panic() {
+        // `MAX_RANK` ones: the largest rank a frame may carry decodes.
+        let t = Tensor::from_vec(vec![1.5], [1; MAX_RANK]).unwrap();
+        let msg = Msg::Grad { micro: 1, grad: t };
+        let mut frame = encode_frame(&msg);
+        assert_eq!(roundtrip(&msg), msg);
+        // Payload: micro u32, rank u8, the dims, one f32. Claim one more
+        // dimension and splice in its extent, so the element count and
+        // every length still agree and only the rank is out of range.
+        let rank_at = HEADER_LEN + 4;
+        assert_eq!(frame[rank_at] as usize, MAX_RANK);
+        frame[rank_at] += 1;
+        frame.splice(rank_at + 1..rank_at + 1, 1u32.to_le_bytes());
+        let len = (frame.len() - OVERHEAD) as u32;
+        frame[6..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+        reseal(&mut frame);
+        let got = decode_frame(&frame);
+        assert!(
+            matches!(got, Err(NetError::Malformed("tensor rank out of range"))),
+            "a rank-{} tensor must be rejected before a shape is built, got {got:?}",
+            MAX_RANK + 1
         );
     }
 

@@ -44,7 +44,7 @@ impl Activation {
         };
         // Recycled buffers: the `scratch::put` calls of the layers around
         // an activation feed the next one.
-        let mut y = scratch::take(x.shape().clone());
+        let mut y = scratch::take(*x.shape());
         kernel(x.data(), y.data_mut());
         y
     }
@@ -62,7 +62,7 @@ impl Activation {
             Activation::Tanh => elementwise::tanh_backward,
             Activation::Identity => return dy.clone(),
         };
-        let mut dx = scratch::take(x.shape().clone());
+        let mut dx = scratch::take(*x.shape());
         kernel(x.data(), dy.data(), dx.data_mut());
         dx
     }

@@ -71,9 +71,10 @@ impl Embedding {
         if !self.table.trainable {
             return Ok(());
         }
+        let (grad, dy) = (self.table.grad.data_mut(), dy.data());
         for (r, &t) in tokens.iter().enumerate() {
-            let grow = &mut self.table.grad.data_mut()[t * self.dim..(t + 1) * self.dim];
-            for (g, d) in grow.iter_mut().zip(&dy.data()[r * cols..(r + 1) * cols]) {
+            let grow = &mut grad[t * self.dim..(t + 1) * self.dim];
+            for (g, d) in grow.iter_mut().zip(&dy[r * cols..(r + 1) * cols]) {
                 *g += d;
             }
         }

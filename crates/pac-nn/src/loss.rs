@@ -20,9 +20,11 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> Result<(f32, Tensor)
             rhs: vec![targets.len()],
         });
     }
-    let probs = reduce::softmax_rows(logits);
+    // The gradient is built in the softmax's own buffer: each element is
+    // read as `p` before the target is subtracted from it.
+    let mut grad = reduce::softmax_rows(logits);
+    let g = grad.data_mut();
     let mut loss = 0.0f64;
-    let mut grad = probs.clone();
     let inv_n = 1.0 / rows as f32;
     for (r, &t) in targets.iter().enumerate() {
         if t >= cols {
@@ -31,9 +33,9 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> Result<(f32, Tensor)
                 bound: cols,
             });
         }
-        let p = probs.data()[r * cols + t].max(1e-12);
+        let p = g[r * cols + t].max(1e-12);
         loss -= (p as f64).ln();
-        grad.data_mut()[r * cols + t] -= 1.0;
+        g[r * cols + t] -= 1.0;
     }
     grad.scale_in_place(inv_n);
     Ok(((loss / rows as f64) as f32, grad))
@@ -59,11 +61,12 @@ pub fn cross_entropy_smoothed(
             rhs: vec![targets.len()],
         });
     }
-    let probs = reduce::softmax_rows(logits);
     let off = eps / (cols - 1) as f32;
     let on = 1.0 - eps;
+    // Built in the softmax's buffer, as in `cross_entropy`.
+    let mut grad = reduce::softmax_rows(logits);
+    let g = grad.data_mut();
     let mut loss = 0.0f64;
-    let mut grad = probs.clone();
     let inv_n = 1.0 / rows as f32;
     for (r, &t) in targets.iter().enumerate() {
         if t >= cols {
@@ -72,11 +75,11 @@ pub fn cross_entropy_smoothed(
                 bound: cols,
             });
         }
-        for c in 0..cols {
+        for (c, x) in g[r * cols..(r + 1) * cols].iter_mut().enumerate() {
             let q = if c == t { on } else { off };
-            let p = probs.data()[r * cols + c].max(1e-12);
+            let p = x.max(1e-12);
             loss -= (q as f64) * (p as f64).ln();
-            grad.data_mut()[r * cols + c] -= q;
+            *x -= q;
         }
     }
     grad.scale_in_place(inv_n);

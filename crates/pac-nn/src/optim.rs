@@ -232,8 +232,8 @@ mod tests {
     fn adam_three_pass(p: &mut Param, (lr, b1, b2, eps): (f32, f32, f32, f32), t: u64) {
         let bc1 = 1.0 - b1.powi(t as i32);
         let bc2 = 1.0 - b2.powi(t as i32);
-        let dims = p.value.dims().to_vec();
-        let m = p.opt_m.get_or_insert_with(|| Tensor::zeros(dims.clone()));
+        let dims = *p.value.shape();
+        let m = p.opt_m.get_or_insert_with(|| Tensor::zeros(dims));
         for (mi, gi) in m.data_mut().iter_mut().zip(p.grad.data()) {
             *mi = b1 * *mi + (1.0 - b1) * gi;
         }

@@ -4,7 +4,7 @@ use crate::attention::{AttentionCtx, MultiHeadAttention};
 use crate::feedforward::{FeedForward, FeedForwardCtx};
 use crate::norm::{LayerNorm, LayerNormCtx};
 use crate::param::{Module, Param};
-use pac_tensor::{scratch, Result, Tensor};
+use pac_tensor::{scratch, Result, Shape, Tensor};
 use rand::Rng;
 
 /// Context saved by [`TransformerLayer::forward`].
@@ -15,7 +15,7 @@ pub struct TransformerLayerCtx {
     cross: Option<(LayerNormCtx, AttentionCtx)>,
     ln2: LayerNormCtx,
     ffn: FeedForwardCtx,
-    dims: Vec<usize>,
+    dims: Shape,
 }
 
 /// A pre-norm transformer layer:
@@ -127,7 +127,7 @@ impl TransformerLayer {
         enc: Option<&Tensor>,
         record: bool,
     ) -> Result<(Tensor, Option<TransformerLayerCtx>)> {
-        let dims = x.dims().to_vec();
+        let dims = *x.shape();
 
         let (n1, ln1_ctx) = self.ln1.run(x, record)?;
         let (mut h1, attn_ctx) = self.self_attn.run(&n1, &n1, self.causal, record)?;
@@ -153,7 +153,7 @@ impl TransformerLayer {
         let (n2, ln2_ctx) = self.ln2.run(&h2, record)?;
         let (f, ffn_ctx) = self.ffn.run(&n2, record)?;
         scratch::put(n2);
-        let mut y = f.reshape(dims.clone())?;
+        let mut y = f.reshape(dims)?;
         y.add_assign(&h2)?;
         scratch::put(h2);
 
@@ -186,7 +186,7 @@ impl TransformerLayer {
         // FFN branch: y = h2 + FFN(LN2(h2)).
         let d_f = self.ffn.backward(&ctx.ffn, dy)?;
         let d_n2 = self.ln2.backward(&ctx.ln2, &d_f)?;
-        let d_h2 = dy.add(&d_n2.reshape(ctx.dims.clone())?)?;
+        let d_h2 = dy.add(&d_n2.reshape(ctx.dims)?)?;
 
         // Cross-attention branch.
         let (d_h1, d_enc) = if let Some((lnc, cross)) = &mut self.cross_attn {
@@ -196,10 +196,7 @@ impl TransformerLayer {
                 .expect("decoder ctx must contain cross-attention context");
             let (d_nc, d_enc) = cross.backward(cctx, &d_h2)?;
             let d_from_cross = lnc.backward(lnc_ctx, &d_nc)?;
-            (
-                d_h2.add(&d_from_cross.reshape(ctx.dims.clone())?)?,
-                Some(d_enc),
-            )
+            (d_h2.add(&d_from_cross.reshape(ctx.dims)?)?, Some(d_enc))
         } else {
             (d_h2, None)
         };
@@ -208,7 +205,7 @@ impl TransformerLayer {
         let (d_n1_q, d_n1_kv) = self.self_attn.backward(&ctx.attn, &d_h1)?;
         let d_n1 = d_n1_q.add(&d_n1_kv)?;
         let d_from_attn = self.ln1.backward(&ctx.ln1, &d_n1)?;
-        let dx = d_h1.add(&d_from_attn.reshape(ctx.dims.clone())?)?;
+        let dx = d_h1.add(&d_from_attn.reshape(ctx.dims)?)?;
 
         Ok((dx, d_enc))
     }

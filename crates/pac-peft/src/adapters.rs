@@ -8,7 +8,7 @@
 
 use pac_model::EncDecModel;
 use pac_nn::{Activation, Linear, LinearCtx, Module, Param, TransformerLayerCtx};
-use pac_tensor::{Result, Tensor};
+use pac_tensor::{Result, Shape, Tensor};
 use rand::Rng;
 
 /// One bottleneck adapter.
@@ -27,7 +27,7 @@ pub struct AdapterCtx {
     down_ctx: LinearCtx,
     hidden_pre: Tensor,
     up_ctx: LinearCtx,
-    dims: Vec<usize>,
+    dims: Shape,
 }
 
 impl Adapter {
@@ -45,11 +45,11 @@ impl Adapter {
     /// # Errors
     /// Propagates projection shape errors.
     pub fn forward(&self, y: &Tensor) -> Result<(Tensor, AdapterCtx)> {
-        let dims = y.dims().to_vec();
+        let dims = *y.shape();
         let (hidden_pre, down_ctx) = self.down.forward(y)?;
         let hidden = self.act.forward(&hidden_pre);
         let (delta, up_ctx) = self.up.forward(&hidden)?;
-        let out = y.add(&delta.reshape(dims.clone())?)?;
+        let out = y.add(&delta.reshape(dims)?)?;
         Ok((
             out,
             AdapterCtx {
@@ -69,7 +69,7 @@ impl Adapter {
         let d_hidden = self.up.backward(&ctx.up_ctx, dy)?;
         let d_pre = self.act.backward(&ctx.hidden_pre, &d_hidden);
         let d_branch = self.down.backward(&ctx.down_ctx, &d_pre)?;
-        dy.add(&d_branch.reshape(ctx.dims.clone())?)
+        dy.add(&d_branch.reshape(ctx.dims)?)
     }
 }
 

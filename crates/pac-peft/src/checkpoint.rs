@@ -33,7 +33,7 @@
 //! loudly and leaves the module as it was.
 
 use pac_nn::Module;
-use pac_tensor::{bytes, Tensor};
+use pac_tensor::{bytes, Tensor, MAX_RANK};
 use std::collections::HashMap;
 
 const MAGIC: &[u8; 8] = b"PACCKPT3";
@@ -110,8 +110,7 @@ impl<'a> Cursor<'a> {
             )));
         }
         let data = bytes::f32s_from_le(self.take(4 * numel)?);
-        Tensor::from_vec(data, dims.to_vec())
-            .map_err(|e| format_err(format!("tensor rebuild failed: {e}")))
+        Tensor::from_vec(data, dims).map_err(|e| format_err(format!("tensor rebuild failed: {e}")))
     }
 }
 
@@ -148,7 +147,8 @@ impl TrainEntry {
             .map_err(|_| format_err("non-UTF-8 parameter name"))?
             .to_owned();
         let rank = c.u32()? as usize;
-        if rank > 8 {
+        // Load-bearing: `Shape::new` panics above `MAX_RANK`.
+        if rank > MAX_RANK {
             return Err(format_err(format!("implausible rank {rank}")));
         }
         let dims = (0..rank)
@@ -479,6 +479,39 @@ mod tests {
         assert!(from_bytes(&mut t, &bytes[..bytes.len() / 2]).is_err());
         // Empty.
         assert!(from_bytes(&mut t, &[]).is_err());
+    }
+
+    #[test]
+    fn an_entry_above_max_rank_is_a_format_error_not_a_panic() {
+        // One entry "w" of `rank` unit dimensions holding 1.5, no moments.
+        let checkpoint = |rank: usize| {
+            let mut out = MAGIC.to_vec();
+            for v in [3u64, 2, 1] {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            out.extend_from_slice(&1u32.to_le_bytes());
+            out.extend_from_slice(&1u32.to_le_bytes());
+            out.push(b'w');
+            out.extend_from_slice(&(rank as u32).to_le_bytes());
+            for _ in 0..rank {
+                out.extend_from_slice(&1u64.to_le_bytes());
+            }
+            out.push(0);
+            bytes::put_f32s(&mut out, &[1.5]);
+            let sum = bytes::checksum(&out);
+            out.extend_from_slice(&sum.to_le_bytes());
+            out
+        };
+        // The largest rank the format accepts round-trips byte for byte.
+        let at_cap = checkpoint(MAX_RANK);
+        let parsed = TrainCheckpoint::from_bytes(&at_cap).unwrap();
+        assert_eq!(parsed.to_bytes().unwrap(), at_cap);
+        let got = TrainCheckpoint::from_bytes(&checkpoint(MAX_RANK + 1));
+        assert!(
+            matches!(got, Err(CheckpointError::Format(ref m)) if m.contains("rank")),
+            "a rank-{} entry must be rejected before a shape is built, got {got:?}",
+            MAX_RANK + 1
+        );
     }
 
     #[test]

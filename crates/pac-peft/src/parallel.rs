@@ -23,7 +23,7 @@
 use crate::checkpoint::{CheckpointError, TrainCheckpoint};
 use pac_model::{EncDecModel, ModelConfig};
 use pac_nn::{Activation, LayerNorm, LayerNormCtx, Linear, LinearCtx, Module, Param};
-use pac_tensor::{init, Result, Tensor, TensorError};
+use pac_tensor::{init, reduce, Result, Tensor, TensorError};
 use rand::Rng;
 
 /// Per-layer saved context of the side network.
@@ -145,7 +145,7 @@ impl ParallelAdapters {
                 let (pb, ps, pr) = expect_bsd(&prev)?;
                 debug_assert_eq!(pb, batch);
                 let (prev_use, pooled) = if ps != seq {
-                    (pool_seq(&prev, pb, ps, pr)?, Some(ps))
+                    (reduce::mean_pool_seq(&prev, pb, ps, pr)?, Some(ps))
                 } else {
                     (prev, None)
                 };
@@ -178,7 +178,7 @@ impl ParallelAdapters {
         let pooled = if s_last == 1 {
             normed.clone().reshape([batch, d])?
         } else {
-            pool_seq(&normed, batch, s_last, d)?.reshape([batch, d])?
+            reduce::mean_pool_seq(&normed, batch, s_last, d)?
         };
         let (logits, head_ctx) = self.head.forward(&pooled)?;
         Ok((
@@ -208,7 +208,7 @@ impl ParallelAdapters {
         let d_normed = if s_last == 1 {
             d_pooled.reshape([batch, 1, d])?
         } else {
-            unpool_seq(&d_pooled, batch, s_last, d)?
+            reduce::mean_pool_seq_backward(&d_pooled, batch, s_last, d)?
         };
         let d_repr = self.side_ln.backward(&ctx.ln_ctx, &d_normed)?;
         // repr = b_last + up(a_last): the b_last branch dies here (frozen
@@ -223,8 +223,8 @@ impl ParallelAdapters {
             if let Some((rctx, pooled)) = &lctx.rec {
                 let mut d_prev = self.rec[i - 1].backward(rctx, &d_pre)?; // [b*s, r]
                 if let Some(orig_s) = pooled {
-                    // The forward pooled [b, orig_s, r] → [b, 1, r].
-                    d_prev = unpool_seq(&d_prev, batch, *orig_s, self.r)?
+                    // The forward pooled [b, orig_s, r] → [b, r].
+                    d_prev = reduce::mean_pool_seq_backward(&d_prev, batch, *orig_s, self.r)?
                         .reshape([batch * orig_s, self.r])?;
                 }
                 d_a = d_prev;
@@ -243,35 +243,6 @@ fn expect_bsd(t: &Tensor) -> Result<(usize, usize, usize)> {
             actual: t.rank(),
         }),
     }
-}
-
-/// Mean over the sequence dimension: `[b, s, w] → [b, 1, w]`.
-fn pool_seq(x: &Tensor, b: usize, s: usize, w: usize) -> Result<Tensor> {
-    let mut out = Tensor::zeros([b, 1, w]);
-    let (src, dst) = (x.data(), out.data_mut());
-    for bi in 0..b {
-        for si in 0..s {
-            for j in 0..w {
-                dst[bi * w + j] += src[(bi * s + si) * w + j] / s as f32;
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Backward of [`pool_seq`]: `[b, w] or [b,1,w] → [b, s, w]`, each position
-/// receiving `dy / s`.
-fn unpool_seq(dy: &Tensor, b: usize, s: usize, w: usize) -> Result<Tensor> {
-    let mut out = Tensor::zeros([b, s, w]);
-    let (src, dst) = (dy.data(), out.data_mut());
-    for bi in 0..b {
-        for si in 0..s {
-            for j in 0..w {
-                dst[(bi * s + si) * w + j] = src[bi * w + j] / s as f32;
-            }
-        }
-    }
-    Ok(out)
 }
 
 impl Module for ParallelAdapters {
@@ -581,17 +552,6 @@ mod tests {
             opt.step(&mut t);
         }
         assert!(last < first * 0.8, "first {first} last {last}");
-    }
-
-    #[test]
-    fn pool_unpool_preserve_gradient_mass() {
-        let mut rng = seeded(160);
-        let x = init::randn(&mut rng, [2, 3, 4], 1.0);
-        let p = pool_seq(&x, 2, 3, 4).unwrap();
-        assert_eq!(p.dims(), &[2, 1, 4]);
-        let dy = Tensor::ones([2, 4]);
-        let dx = unpool_seq(&dy, 2, 3, 4).unwrap();
-        assert!((dx.sum() - dy.sum()).abs() < 1e-5);
     }
 
     #[test]

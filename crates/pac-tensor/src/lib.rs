@@ -47,7 +47,7 @@ pub use quant::QTensor;
 /// so nested calls (a serve rank running a burst that runs matmuls) share
 /// one set of workers and one `PAC_POOL_THREADS` width.
 pub use rayon;
-pub use shape::Shape;
+pub use shape::{Shape, MAX_RANK};
 pub use tensor::Tensor;
 
 /// Convenience prelude bringing the common types and traits into scope.

@@ -15,6 +15,7 @@
 //! `q * scale`. A row of zeros gets scale `0` and dequantizes to zeros.
 
 use crate::error::{Result, TensorError};
+use crate::shape::Shape;
 use crate::tensor::Tensor;
 
 /// Largest quantized magnitude: symmetric grid `[-127, 127]`.
@@ -23,7 +24,7 @@ const QMAX: f32 = 127.0;
 /// Per-row absmax-quantized int8 tensor (frozen-side storage format).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QTensor {
-    dims: Vec<usize>,
+    dims: Shape,
     row_len: usize,
     /// One scale per folded row; `scales.len() * row_len == data.len()`.
     scales: Vec<f32>,
@@ -53,7 +54,7 @@ impl QTensor {
             }
         }
         QTensor {
-            dims: t.dims().to_vec(),
+            dims: *t.shape(),
             row_len,
             scales,
             data,
@@ -66,9 +67,14 @@ impl QTensor {
     /// Returns [`TensorError::ShapeMismatch`] unless there is exactly one
     /// scale per folded row of `dims` (the [`Tensor::as_2d`] view
     /// [`QTensor::quantize`] works on) and one payload byte per element.
-    pub fn from_parts(dims: Vec<usize>, scales: Vec<f32>, data: Vec<i8>) -> Result<QTensor> {
+    ///
+    /// # Panics
+    /// If `dims` has more than [`crate::MAX_RANK`] extents (see
+    /// [`Shape::new`]); the wire decoder rejects such a rank first.
+    pub fn from_parts(dims: impl Into<Shape>, scales: Vec<f32>, data: Vec<i8>) -> Result<QTensor> {
+        let dims = dims.into();
         // Checked: `dims` comes off the wire, the products must not wrap.
-        let (lead, row_len) = match dims.as_slice() {
+        let (lead, row_len) = match dims.dims() {
             [] => (&[][..], 1),
             [lead @ .., cols] => (lead, *cols),
         };
@@ -76,7 +82,7 @@ impl QTensor {
         if rows != Some(scales.len()) || scales.len().checked_mul(row_len) != Some(data.len()) {
             return Err(TensorError::ShapeMismatch {
                 op: "qtensor_from_parts",
-                lhs: dims,
+                lhs: dims.dims().to_vec(),
                 rhs: vec![scales.len(), data.len()],
             });
         }
@@ -90,7 +96,7 @@ impl QTensor {
 
     /// Logical dimensions of the dequantized tensor.
     pub fn dims(&self) -> &[usize] {
-        &self.dims
+        self.dims.dims()
     }
 
     /// Folded-row count (one scale each).
@@ -129,7 +135,7 @@ impl QTensor {
     /// Dequantizes into `out` (reshaped; zero-alloc when `out`'s buffer is
     /// unshared and large enough).
     pub fn dequantize_into(&self, out: &mut Tensor) {
-        out.reset_to(self.dims.as_slice());
+        out.reset_to(self.dims);
         let dst = out.data_mut();
         for (r, &scale) in self.scales.iter().enumerate() {
             let row = &self.data[r * self.row_len..(r + 1) * self.row_len];

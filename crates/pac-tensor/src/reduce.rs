@@ -43,6 +43,11 @@
 //!   per block, and the denominator starts at `+0.0`.
 //! * Softmax backward: `dy·y`, their sum from `−0.0`, then `dy − dot·y`.
 //!
+//! [`mean_pool_seq`] and its backward average a `[b, s, w]` sequence over
+//! its positions, for the encoder's classification head and the
+//! Parallel-Adapters side network. They are plain scalar loops, one
+//! mutable slice per call.
+//!
 //! The `unsafe` here is the calls into the two `#[target_feature]` clones,
 //! each behind its [`Isa`], and the AVX-512 and AVX intrinsics behind the
 //! private lane types. As in [`crate::simd`], a lane value can only be made
@@ -996,6 +1001,63 @@ pub fn mean_cols(x: &Tensor) -> Tensor {
     Tensor::from_vec(out, [rows]).expect("mean_cols shape is consistent by construction")
 }
 
+/// Mean over the sequence axis of `x` viewed as `[b, s, w]`, producing a
+/// `[b, w]` tensor: each output element starts at `+0.0` and adds
+/// `x[b][p][j] / s` for `p = 0, 1, …` in sequence order.
+///
+/// # Errors
+/// Returns [`TensorError::ShapeMismatch`] unless `x` holds `b·s·w`
+/// elements.
+pub fn mean_pool_seq(x: &Tensor, b: usize, s: usize, w: usize) -> Result<Tensor> {
+    if x.numel() != b * s * w {
+        return Err(TensorError::ShapeMismatch {
+            op: "mean_pool_seq",
+            lhs: x.dims().to_vec(),
+            rhs: vec![b, s, w],
+        });
+    }
+    let mut out = Tensor::zeros([b, w]);
+    let (src, dst) = (x.data(), out.data_mut());
+    for bi in 0..b {
+        let acc = &mut dst[bi * w..(bi + 1) * w];
+        for p in 0..s {
+            let row = &src[(bi * s + p) * w..(bi * s + p + 1) * w];
+            for (o, v) in acc.iter_mut().zip(row) {
+                *o += v / s as f32;
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Backward of [`mean_pool_seq`]: spreads `dy` (`b·w` elements) over
+/// every position, producing a `[b, s, w]` tensor of `dy / s`.
+///
+/// # Errors
+/// Returns [`TensorError::ShapeMismatch`] unless `dy` holds `b·w`
+/// elements.
+pub fn mean_pool_seq_backward(dy: &Tensor, b: usize, s: usize, w: usize) -> Result<Tensor> {
+    if dy.numel() != b * w {
+        return Err(TensorError::ShapeMismatch {
+            op: "mean_pool_seq_backward",
+            lhs: dy.dims().to_vec(),
+            rhs: vec![b, w],
+        });
+    }
+    let mut out = Tensor::zeros([b, s, w]);
+    let (src, dst) = (dy.data(), out.data_mut());
+    for bi in 0..b {
+        let g = &src[bi * w..(bi + 1) * w];
+        for p in 0..s {
+            let row = &mut dst[(bi * s + p) * w..(bi * s + p + 1) * w];
+            for (o, v) in row.iter_mut().zip(g) {
+                *o = v / s as f32;
+            }
+        }
+    }
+    Ok(out)
+}
+
 /// Index of the maximum element of each row.
 pub fn argmax_rows(x: &Tensor) -> Vec<usize> {
     let (rows, cols) = x.as_2d();
@@ -1217,5 +1279,36 @@ mod tests {
     fn argmax_rows_finds_peaks() {
         let x = Tensor::from_vec(vec![0.1, 0.9, 0.5, 0.2, 0.3, 0.1], [2, 3]).unwrap();
         assert_eq!(argmax_rows(&x), vec![1, 1]);
+    }
+
+    #[test]
+    fn mean_pool_round_trip_gradcheck() {
+        let mut rng = seeded(104);
+        let x = init::randn(&mut rng, [2, 3, 4], 1.0);
+        let y = mean_pool_seq(&x, 2, 3, 4).unwrap();
+        assert_eq!(y.dims(), &[2, 4]);
+        assert!(mean_pool_seq(&x, 2, 2, 4).is_err());
+        // Pool of a constant tensor is that constant.
+        let c = Tensor::full([2, 3, 4], 5.0);
+        assert!(mean_pool_seq(&c, 2, 3, 4)
+            .unwrap()
+            .approx_eq(&Tensor::full([2, 4], 5.0), 1e-6));
+        // Backward spreads uniformly and preserves total gradient mass.
+        let dy = Tensor::ones([2, 4]);
+        let dx = mean_pool_seq_backward(&dy, 2, 3, 4).unwrap();
+        assert!((dx.sum() - dy.sum()).abs() < 1e-4);
+    }
+
+    #[test]
+    fn pool_unpool_preserve_gradient_mass() {
+        let mut rng = seeded(160);
+        let x = init::randn(&mut rng, [2, 3, 4], 1.0);
+        let p = mean_pool_seq(&x, 2, 3, 4).unwrap();
+        assert_eq!(p.dims(), &[2, 4]);
+        let dy = Tensor::ones([2, 4]);
+        let dx = mean_pool_seq_backward(&dy, 2, 3, 4).unwrap();
+        assert_eq!(dx.dims(), &[2, 3, 4]);
+        assert!((dx.sum() - dy.sum()).abs() < 1e-5);
+        assert!(mean_pool_seq_backward(&dy, 3, 3, 4).is_err());
     }
 }

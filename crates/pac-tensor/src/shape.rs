@@ -1,33 +1,65 @@
 //! Shape descriptor for dense row-major tensors.
+//!
+//! A [`Shape`] keeps its extents inline — `[usize; MAX_RANK]` and a rank —
+//! so it is `Copy`: cloning, reshaping or capturing a tensor copies its
+//! shape by value and allocates nothing. Every model tensor in this crate
+//! has rank ≤ 3, and the decoders of untrusted bytes (the `pac-net` wire
+//! and the `pac-peft` checkpoint) reject anything above [`MAX_RANK`]
+//! before a shape is built, so a larger rank reaching [`Shape::new`] is a
+//! programming error and panics.
 
 use crate::error::{Result, TensorError};
+use std::fmt;
 
-/// A tensor shape: an ordered list of dimension extents.
+/// Largest tensor rank a [`Shape`] holds, and the cap every decoder of
+/// untrusted tensors enforces.
+pub const MAX_RANK: usize = 8;
+
+/// A tensor shape: an ordered list of at most [`MAX_RANK`] dimension
+/// extents.
 ///
-/// Shapes are stored as a small vector of `usize`. All tensors in this crate
-/// are row-major (C order): the last dimension is contiguous in memory.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Shape(Vec<usize>);
+/// All tensors in this crate are row-major (C order): the last dimension
+/// is contiguous in memory. Extents past the rank are kept at zero, so
+/// the derived equality and hash see only the live dimensions.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Shape {
+    extents: [usize; MAX_RANK],
+    rank: usize,
+}
 
 impl Shape {
     /// Creates a shape from dimension extents.
-    pub fn new(dims: impl Into<Vec<usize>>) -> Self {
-        Shape(dims.into())
+    ///
+    /// # Panics
+    /// If there are more than [`MAX_RANK`] extents.
+    pub fn new(dims: impl AsRef<[usize]>) -> Self {
+        let dims = dims.as_ref();
+        assert!(
+            dims.len() <= MAX_RANK,
+            "rank {} exceeds MAX_RANK ({MAX_RANK})",
+            dims.len()
+        );
+        let mut extents = [0; MAX_RANK];
+        extents[..dims.len()].copy_from_slice(dims);
+        Shape {
+            extents,
+            rank: dims.len(),
+        }
     }
 
     /// The dimension extents.
     pub fn dims(&self) -> &[usize] {
-        &self.0
+        &self.extents[..self.rank]
     }
 
     /// Number of dimensions (rank).
     pub fn rank(&self) -> usize {
-        self.0.len()
+        self.rank
     }
 
     /// Total number of elements.
     pub fn numel(&self) -> usize {
-        self.0.iter().product()
+        self.dims().iter().product()
     }
 
     /// Extent of dimension `axis`.
@@ -35,7 +67,7 @@ impl Shape {
     /// # Errors
     /// Returns [`TensorError::AxisOutOfRange`] if `axis >= rank`.
     pub fn dim(&self, axis: usize) -> Result<usize> {
-        self.0
+        self.dims()
             .get(axis)
             .copied()
             .ok_or(TensorError::AxisOutOfRange {
@@ -48,9 +80,10 @@ impl Shape {
     ///
     /// For shape `[a, b, c]` the strides are `[b*c, c, 1]`.
     pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.0.len()];
-        for i in (0..self.0.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
+        let dims = self.dims();
+        let mut strides = vec![1usize; dims.len()];
+        for i in (0..dims.len().saturating_sub(1)).rev() {
+            strides[i] = strides[i + 1] * dims[i + 1];
         }
         strides
     }
@@ -68,18 +101,14 @@ impl Shape {
                 actual: index.len(),
             });
         }
-        let strides = self.strides();
+        // Horner's rule over the extents: the row-major sum of
+        // `index[k] * strides[k]` without materialising the strides.
         let mut off = 0usize;
-        for (axis, (&i, (&d, &s))) in index
-            .iter()
-            .zip(self.0.iter().zip(strides.iter()))
-            .enumerate()
-        {
+        for (&i, &d) in index.iter().zip(self.dims()) {
             if i >= d {
                 return Err(TensorError::IndexOutOfBounds { index: i, bound: d });
             }
-            let _ = axis;
-            off += i * s;
+            off = off * d + i;
         }
         Ok(off)
     }
@@ -87,7 +116,7 @@ impl Shape {
     /// Interprets the shape as `(rows, cols)` treating all leading dimensions
     /// as rows and the last as columns. A rank-1 shape is `(1, n)`.
     pub fn as_2d(&self) -> (usize, usize) {
-        match self.0.as_slice() {
+        match self.dims() {
             [] => (1, 1),
             [n] => (1, *n),
             // Product of the leading dims, so the row count survives
@@ -97,21 +126,27 @@ impl Shape {
     }
 }
 
+impl fmt::Debug for Shape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Shape").field(&self.dims()).finish()
+    }
+}
+
 impl From<Vec<usize>> for Shape {
     fn from(v: Vec<usize>) -> Self {
-        Shape(v)
+        Shape::new(v)
     }
 }
 
 impl From<&[usize]> for Shape {
     fn from(v: &[usize]) -> Self {
-        Shape(v.to_vec())
+        Shape::new(v)
     }
 }
 
 impl<const N: usize> From<[usize; N]> for Shape {
     fn from(v: [usize; N]) -> Self {
-        Shape(v.to_vec())
+        Shape::new(v)
     }
 }
 
@@ -161,5 +196,21 @@ mod tests {
         let a: Shape = vec![1, 2].into();
         let b: Shape = [1usize, 2].into();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn debug_prints_the_live_extents_and_equality_ignores_padding() {
+        assert_eq!(format!("{:?}", Shape::new([2, 3])), "Shape([2, 3])");
+        assert_eq!(format!("{:?}", Shape::new([0usize; 0])), "Shape([])");
+        assert_ne!(Shape::new([2, 3]), Shape::new([2, 3, 0]));
+        let full = Shape::new([1; MAX_RANK]);
+        assert_eq!(full.rank(), MAX_RANK);
+        assert_eq!(full.numel(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_RANK")]
+    fn a_rank_above_the_cap_is_a_programming_error() {
+        let _ = Shape::new([1; MAX_RANK + 1]);
     }
 }

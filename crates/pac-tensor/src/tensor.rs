@@ -1,4 +1,16 @@
 //! The dense row-major `f32` tensor type.
+//!
+//! A [`Tensor`] is a handle: an inline, `Copy` [`Shape`] and a
+//! reference-counted buffer. Cloning a tensor, reshaping it, reading its
+//! dimensions or an element, and writing an element of an unshared
+//! buffer allocate nothing; only a new buffer (a constructor, or the
+//! first write to a shared one) does.
+//!
+//! Every mutable access goes through [`Tensor::data_mut`], which is
+//! `Arc::make_mut`: two atomic operations, plus a copy when the buffer is
+//! shared. An element loop therefore takes one mutable slice before it
+//! starts and indexes that — one `data_mut()` per loop, never one per
+//! element or per row.
 
 use crate::error::{Result, TensorError};
 use crate::shape::Shape;
@@ -335,7 +347,7 @@ impl Tensor {
     /// Applies `f` to every element, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor {
-            shape: self.shape.clone(),
+            shape: self.shape,
             data: Arc::new(self.data.iter().map(|&x| f(x)).collect()),
         }
     }
@@ -365,7 +377,7 @@ impl Tensor {
             });
         }
         Ok(Tensor {
-            shape: self.shape.clone(),
+            shape: self.shape,
             data: Arc::new(
                 self.data
                     .iter()
