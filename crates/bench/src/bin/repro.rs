@@ -206,20 +206,30 @@ fn net_worker_main(rest: &[String]) -> ! {
     }
 }
 
+/// The distributed demos' data: 6 mini-batches of 2 micro-batches of 4
+/// rows × 6 tokens, binary labels.
+fn demo_batches(seed: u64) -> Vec<Vec<pac_parallel::engine::MicroBatch>> {
+    use rand::Rng as _;
+    let mut rng = pac_tensor::rng::seeded(seed ^ 0xda7a_5eed);
+    let mut rows =
+        |n: usize, hi: usize| -> Vec<usize> { (0..n).map(|_| rng.gen_range(0..hi)).collect() };
+    (0..6)
+        .map(|_| {
+            (0..2)
+                .map(|_| ((0..4).map(|_| rows(6, 64)).collect(), rows(4, 2)))
+                .collect()
+        })
+        .collect()
+}
+
 /// Coordinator half of `--distributed=N`: fork N worker processes on
 /// loopback, train a micro model over real sockets, and check the result
 /// bitwise against the in-process hybrid engine on the same seed.
 fn distributed_demo(n: usize, faults_spec: Option<&str>) {
-    use pac_model::{EncoderModel, ModelConfig};
-    use pac_net::{run_world, DistConfig, RankLoss, Spawner, TenantJob};
-    use pac_nn::optim::Sgd;
-    use pac_nn::Optimizer;
-    use pac_parallel::engine::{HybridEngine, MicroBatch};
+    use pac_net::{run_world, DistConfig, RankLoss, Reference, Spawner, TenantJob};
     use pac_parallel::faults::render_events;
     use pac_parallel::schedule::SimResult;
-    use pac_parallel::{FaultPlan, Schedule};
-    use pac_tensor::rng::seeded;
-    use rand::Rng as _;
+    use pac_parallel::FaultPlan;
 
     let (stages, lanes) = (2usize, n / 2);
     header(&format!(
@@ -243,21 +253,7 @@ fn distributed_demo(n: usize, faults_spec: Option<&str>) {
 
     let mut cfg = DistConfig::loopback(stages, lanes);
     cfg.telemetry = pac_telemetry::enabled();
-    let steps = 6usize;
-    let mut rng = seeded(cfg.seed ^ 0xda7a_5eed);
-    let batches: Vec<Vec<MicroBatch>> = (0..steps)
-        .map(|_| {
-            (0..2)
-                .map(|_| {
-                    let rows: Vec<Vec<usize>> = (0..4)
-                        .map(|_| (0..6).map(|_| rng.gen_range(0..64)).collect())
-                        .collect();
-                    let labels: Vec<usize> = (0..4).map(|_| rng.gen_range(0..2)).collect();
-                    (rows, labels)
-                })
-                .collect()
-        })
-        .collect();
+    let batches = demo_batches(cfg.seed);
 
     let exe = std::env::current_exe().expect("own executable path");
     let spawner = Spawner::Process {
@@ -311,56 +307,19 @@ fn distributed_demo(n: usize, faults_spec: Option<&str>) {
     // Bitwise cross-check vs the in-process engine: only meaningful on a
     // fault-free run (a killed lane changes the update sequence).
     if plan.is_empty() {
-        let model_cfg = ModelConfig::micro(cfg.enc_layers, 0, cfg.hidden, cfg.heads);
-        let model = EncoderModel::new(&model_cfg, cfg.n_out, &mut seeded(cfg.seed));
-        let ref_stages = model.partition(&cfg.partition).expect("partition");
-        let mut engine = HybridEngine::new(ref_stages, cfg.lanes, Schedule::OneFOneB);
-        let mut opts: Vec<Box<dyn Optimizer>> = (0..cfg.lanes)
-            .map(|_| Box::new(Sgd::new(cfg.lr)) as Box<dyn Optimizer>)
-            .collect();
-        let mut ref_losses = Vec::new();
-        for batch in &batches {
-            engine.zero_grads();
-            ref_losses.push(engine.run_mini_batch(batch).expect("in-process step"));
-            engine.step(&mut opts);
-        }
-        let loss_ok = report
-            .losses
-            .iter()
-            .zip(ref_losses.iter())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        let ref_params = engine.canonical_params();
-        let params_ok = report.final_params.len() == ref_params.len()
-            && report
-                .final_params
-                .iter()
-                .zip(ref_params.iter())
-                .all(|((an, at), (bn, bt))| {
-                    an == bn
-                        && at
-                            .data()
-                            .iter()
-                            .zip(bt.data().iter())
-                            .all(|(x, y)| x.to_bits() == y.to_bits())
-                });
-        println!(
-            "\nbitwise check vs in-process engine: losses {}, final params {}",
-            if loss_ok { "IDENTICAL" } else { "DIVERGED" },
-            if params_ok { "IDENTICAL" } else { "DIVERGED" },
-        );
-        if !loss_ok || !params_ok {
-            std::process::exit(1);
+        let reference = Reference::train(&cfg, &batches).expect("in-process reference");
+        match reference.compare(&report.losses, &report.final_params) {
+            Ok(()) => println!(
+                "\nbitwise check vs in-process engine: losses IDENTICAL, final params IDENTICAL"
+            ),
+            Err(e) => {
+                println!("\nbitwise check vs in-process engine: DIVERGED: {e}");
+                std::process::exit(1);
+            }
         }
     }
 }
 
-/// `--durable`: the kill-mid-checkpoint drill. Trains the micro
-/// distributed job over a real on-disk [`pac_store::DiskStore`] log with a
-/// planted `crash@step,at-byte` fault that kills the checkpoint writer
-/// mid-append; prints the typed store error the coordinator dies with,
-/// the torn-tail recovery report from reopening the log, and the resumed
-/// run's recovery timeline — then checks the cold-restarted trajectory
-/// bitwise against the in-process engine.
 /// `--serve`: the multi-tenant adapter platform, narrated. A loopback
 /// TCP client streams every tenant job at the rendezvous listener; the
 /// scheduler transcript shows admission, routing, warm/cold loads,
@@ -446,36 +405,25 @@ fn serve_demo() {
     assert!(serve.backbone_shared, "CoW backbone must stay shared");
 }
 
+/// `--durable`: the kill-mid-checkpoint drill. Trains the micro
+/// distributed job over a real on-disk [`pac_store::DiskStore`] log with a
+/// planted `crash@step,at-byte` fault that kills the checkpoint writer
+/// mid-append; prints the typed store error the coordinator dies with,
+/// the torn-tail recovery report from reopening the log, and the resumed
+/// run's recovery timeline — then checks the cold-restarted trajectory
+/// bitwise against the in-process engine.
 fn durable_demo() {
-    use pac_model::{EncoderModel, ModelConfig};
-    use pac_net::{run_world, DistConfig, DistError, SimConfig, SimNet, SimSpawner, TenantJob};
-    use pac_nn::optim::Sgd;
-    use pac_nn::Optimizer;
-    use pac_parallel::engine::{HybridEngine, MicroBatch};
+    use pac_net::{
+        run_world, DistConfig, DistError, Reference, SimConfig, SimNet, SimSpawner, TenantJob,
+    };
     use pac_parallel::faults::render_events;
-    use pac_parallel::{Fault, FaultPlan, Schedule};
+    use pac_parallel::{Fault, FaultPlan};
     use pac_store::{DiskStore, StoreError};
-    use pac_tensor::rng::seeded;
-    use rand::Rng as _;
 
     header("Durable checkpoints — kill the writer mid-append, cold-restart from the log");
 
     let cfg = DistConfig::loopback(2, 2);
-    let steps = 6usize;
-    let mut rng = seeded(cfg.seed ^ 0xda7a_5eed);
-    let batches: Vec<Vec<MicroBatch>> = (0..steps)
-        .map(|_| {
-            (0..2)
-                .map(|_| {
-                    let rows: Vec<Vec<usize>> = (0..4)
-                        .map(|_| (0..6).map(|_| rng.gen_range(0..64)).collect())
-                        .collect();
-                    let labels: Vec<usize> = (0..4).map(|_| rng.gen_range(0..2)).collect();
-                    (rows, labels)
-                })
-                .collect()
-        })
-        .collect();
+    let batches = demo_batches(cfg.seed);
 
     let dir = std::env::temp_dir().join(format!("pac-repro-durable-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -538,49 +486,19 @@ fn durable_demo() {
     // Bitwise cross-check vs the in-process engine on the same seed: the
     // restored prefix comes from commit metadata, the replayed suffix from
     // the deterministic SGD worker path.
-    let model_cfg = ModelConfig::micro(cfg.enc_layers, 0, cfg.hidden, cfg.heads);
-    let model = EncoderModel::new(&model_cfg, cfg.n_out, &mut seeded(cfg.seed));
-    let ref_stages = model.partition(&cfg.partition).expect("partition");
-    let mut engine = HybridEngine::new(ref_stages, cfg.lanes, Schedule::OneFOneB);
-    let mut opts: Vec<Box<dyn Optimizer>> = (0..cfg.lanes)
-        .map(|_| Box::new(Sgd::new(cfg.lr)) as Box<dyn Optimizer>)
-        .collect();
-    let mut ref_losses = Vec::new();
-    for batch in &batches {
-        engine.zero_grads();
-        ref_losses.push(engine.run_mini_batch(batch).expect("in-process step"));
-        engine.step(&mut opts);
-    }
-    let loss_ok = resumed.losses.len() == ref_losses.len()
-        && resumed
-            .losses
-            .iter()
-            .zip(ref_losses.iter())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-    let ref_params = engine.canonical_params();
-    let params_ok = resumed.final_params.len() == ref_params.len()
-        && resumed
-            .final_params
-            .iter()
-            .zip(ref_params.iter())
-            .all(|((an, at), (bn, bt))| {
-                an == bn
-                    && at
-                        .data()
-                        .iter()
-                        .zip(bt.data().iter())
-                        .all(|(x, y)| x.to_bits() == y.to_bits())
-            });
-    println!(
-        "bitwise check vs in-process engine: losses {}, final params {}",
-        if loss_ok { "IDENTICAL" } else { "DIVERGED" },
-        if params_ok { "IDENTICAL" } else { "DIVERGED" },
-    );
-    if loss_ok && params_ok {
-        let _ = std::fs::remove_dir_all(&dir);
-    } else {
-        eprintln!("log kept at {}", dir.display());
-        std::process::exit(1);
+    let reference = Reference::train(&cfg, &batches).expect("in-process reference");
+    match reference.compare(&resumed.losses, &resumed.final_params) {
+        Ok(()) => {
+            println!(
+                "bitwise check vs in-process engine: losses IDENTICAL, final params IDENTICAL"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        Err(e) => {
+            println!("bitwise check vs in-process engine: DIVERGED: {e}");
+            eprintln!("log kept at {}", dir.display());
+            std::process::exit(1);
+        }
     }
 }
 

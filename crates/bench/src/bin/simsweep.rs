@@ -55,15 +55,12 @@
 
 #![deny(missing_docs)]
 
-use pac_model::{EncoderModel, ModelConfig};
 use pac_net::{
-    run_multiworld, run_world, Buggify, DistConfig, DistError, Partition, RankLoss, SimConfig,
-    SimNet, SimSpawner, TenantJob, WorldReport,
+    run_multiworld, run_world, Buggify, DistConfig, DistError, Partition, RankLoss, Reference,
+    SimConfig, SimNet, SimSpawner, TenantJob, WorldReport,
 };
-use pac_nn::optim::Sgd;
-use pac_nn::Optimizer;
-use pac_parallel::engine::{HybridEngine, MicroBatch};
-use pac_parallel::{Fault, FaultPlan, Schedule};
+use pac_parallel::engine::MicroBatch;
+use pac_parallel::{Fault, FaultPlan};
 use pac_store::{Committed, DiskStore, Store, StoreError};
 use pac_tensor::rng::seeded;
 use rand::Rng;
@@ -103,32 +100,6 @@ fn make_batches() -> Vec<Vec<MicroBatch>> {
         .collect()
 }
 
-/// In-process reference: losses + canonical params for a shape.
-fn inprocess_run(cfg: &DistConfig, batches: &[Vec<MicroBatch>]) -> Reference {
-    let model_cfg = ModelConfig::micro(cfg.enc_layers, 0, cfg.hidden, cfg.heads);
-    let model = EncoderModel::new(&model_cfg, cfg.n_out, &mut seeded(cfg.seed));
-    let stages = model.partition(&cfg.partition).expect("partition");
-    let mut engine = HybridEngine::new(stages, cfg.lanes, Schedule::OneFOneB);
-    let mut opts: Vec<Box<dyn Optimizer>> = (0..cfg.lanes)
-        .map(|_| Box::new(Sgd::new(cfg.lr)) as Box<dyn Optimizer>)
-        .collect();
-    let mut losses = Vec::new();
-    for batch in batches {
-        engine.zero_grads();
-        losses.push(engine.run_mini_batch(batch).expect("in-process step"));
-        engine.step(&mut opts);
-    }
-    Reference {
-        losses,
-        params: engine.canonical_params(),
-    }
-}
-
-struct Reference {
-    losses: Vec<f32>,
-    params: Vec<(String, pac_tensor::Tensor)>,
-}
-
 /// The one-world job phases A–E run: it shrinks when it loses a rank.
 fn elastic_job(cfg: DistConfig, batches: &[Vec<MicroBatch>], faults: &FaultPlan) -> TenantJob {
     TenantJob {
@@ -163,43 +134,9 @@ fn check_world(net: &SimNet, what: &str) -> Result<(), String> {
 }
 
 fn bitwise_check(report: &WorldReport, reference: &Reference, what: &str) -> Result<(), String> {
-    bitwise_check_parts(&report.losses, &report.final_params, reference, what)
-}
-
-fn bitwise_check_parts(
-    losses: &[f32],
-    final_params: &[(String, pac_tensor::Tensor)],
-    reference: &Reference,
-    what: &str,
-) -> Result<(), String> {
-    if losses.len() != reference.losses.len() {
-        return Err(format!(
-            "{what}: loss trajectory truncated: {} vs {}",
-            losses.len(),
-            reference.losses.len()
-        ));
-    }
-    for (t, (d, r)) in losses.iter().zip(reference.losses.iter()).enumerate() {
-        if d.to_bits() != r.to_bits() {
-            return Err(format!(
-                "{what}: loss diverged at step {t}: sim {d} vs ref {r}"
-            ));
-        }
-    }
-    if final_params.len() != reference.params.len() {
-        return Err(format!("{what}: param set mismatch"));
-    }
-    for ((dn, dt), (rn, rt)) in final_params.iter().zip(reference.params.iter()) {
-        if dn != rn {
-            return Err(format!("{what}: param order mismatch: {dn} vs {rn}"));
-        }
-        for (a, b) in dt.data().iter().zip(rt.data().iter()) {
-            if a.to_bits() != b.to_bits() {
-                return Err(format!("{what}: param {dn} bits diverged"));
-            }
-        }
-    }
-    Ok(())
+    reference
+        .compare(&report.losses, &report.final_params)
+        .map_err(|e| format!("{what}: {e}"))
 }
 
 /// Phase A: clean world, rotated shape, bitwise equivalence.
@@ -910,7 +847,7 @@ fn phase_f(seed: u64, refs: &FRefs) -> Result<(), (String, SimNet)> {
             return Err((format!("F: tenant {t} missing from the report"), net_a));
         };
         let what = format!("F[tenant {t}]");
-        if let Err(e) = bitwise_check_parts(&world.losses, &world.final_params, reference, &what) {
+        if let Err(e) = bitwise_check(world, reference, &what) {
             return Err((e, net_a));
         }
         // Recovery and its log stay scoped to the world that died.
@@ -1148,7 +1085,8 @@ fn main() -> ExitCode {
     let batches = make_batches();
 
     if args.planted {
-        let reference = inprocess_run(&DistConfig::loopback(2, 2), &batches);
+        let reference =
+            Reference::train(&DistConfig::loopback(2, 2), &batches).expect("in-process reference");
         let mut allreduce_at: Option<u64> = None;
         let mut churn_at: Option<u64> = None;
         for seed in 0..args.seeds {
@@ -1188,7 +1126,8 @@ fn main() -> ExitCode {
         for shape in SHAPES {
             refs.insert(
                 shape,
-                inprocess_run(&DistConfig::loopback(shape.0, shape.1), &batches),
+                Reference::train(&DistConfig::loopback(shape.0, shape.1), &batches)
+                    .expect("in-process reference"),
             );
         }
     }

@@ -2,20 +2,20 @@
 //! forward/backward, used for real micro-scale training.
 
 use crate::config::ModelConfig;
+use crate::embed::{embed_tokens, embed_tokens_backward, TokenEmbedCtx};
 use pac_nn::{
     Activation, Embedding, LayerNorm, LayerNormCtx, Linear, LinearCtx, Module, Param,
     TransformerLayer, TransformerLayerCtx,
 };
-use pac_tensor::{Result, Tensor, TensorError};
+use pac_tensor::{Result, Tensor};
 use rand::Rng;
 
 /// Context captured by [`EncDecModel::forward`].
 #[derive(Debug, Clone)]
 pub struct EncDecCtx {
-    /// Input token ids, one row per batch element (all equal length).
-    pub tokens: Vec<Vec<usize>>,
-    /// Positions used for the positional-embedding backward.
-    positions: Vec<usize>,
+    embed: TokenEmbedCtx,
+    /// The decoder's start-token embedding.
+    dec_embed: TokenEmbedCtx,
     enc_ctxs: Vec<TransformerLayerCtx>,
     dec_ctxs: Vec<TransformerLayerCtx>,
     /// Final encoder output fed to every decoder layer's cross-attention.
@@ -23,7 +23,6 @@ pub struct EncDecCtx {
     final_ln: LayerNormCtx,
     head_ctx: LinearCtx,
     batch: usize,
-    seq: usize,
 }
 
 /// Encoder-decoder transformer with a task head on the first decoder
@@ -103,24 +102,13 @@ impl EncDecModel {
     ///
     /// # Errors
     /// Returns a shape error on ragged batches or OOV/overlong sequences.
-    pub fn embed_batch(&self, tokens: &[Vec<usize>]) -> Result<(Tensor, Vec<usize>)> {
-        let batch = tokens.len();
-        let seq = tokens.first().map(|t| t.len()).unwrap_or(0);
-        if batch == 0 || seq == 0 || tokens.iter().any(|t| t.len() != seq) {
-            return Err(TensorError::ShapeMismatch {
-                op: "embed_batch",
-                lhs: vec![batch],
-                rhs: vec![seq],
-            });
-        }
-        let flat: Vec<usize> = tokens.iter().flatten().copied().collect();
-        let tok_emb = self.embed.forward(&flat)?;
-        let positions: Vec<usize> = (0..batch).flat_map(|_| 0..seq).collect();
-        let pos_emb = self.pos.forward(&positions)?;
-        let x = tok_emb
-            .add(&pos_emb)?
-            .reshape([batch, seq, self.config.hidden])?;
-        Ok((x, positions))
+    pub fn embed_batch(&self, tokens: &[Vec<usize>]) -> Result<(Tensor, TokenEmbedCtx)> {
+        embed_tokens(&self.embed, &self.pos, tokens)
+    }
+
+    /// The decoder's input: one start token per batch row.
+    pub fn start_tokens(&self, batch: usize) -> Vec<Vec<usize>> {
+        vec![vec![self.start_token]; batch]
     }
 
     /// Full forward pass: `tokens → logits [batch, n_out]`.
@@ -153,9 +141,7 @@ impl EncDecModel {
         record: bool,
     ) -> Result<(Tensor, Vec<Tensor>, Option<EncDecCtx>)> {
         let batch = tokens.len();
-        let d = self.config.hidden;
-        let (mut x, positions) = self.embed_batch(tokens)?;
-        let seq = tokens[0].len();
+        let (mut x, embed) = self.embed_batch(tokens)?;
 
         let run_layer = |layer: &TransformerLayer, x: &Tensor, enc: Option<&Tensor>| {
             if record {
@@ -174,11 +160,7 @@ impl EncDecModel {
         }
         let enc_out = x;
 
-        // Decoder input: one start token per batch element.
-        let dec_tokens: Vec<usize> = vec![self.start_token; batch];
-        let dec_emb = self.embed.forward(&dec_tokens)?;
-        let dec_pos = self.pos.forward(&vec![0usize; batch])?;
-        let mut xd = dec_emb.add(&dec_pos)?.reshape([batch, 1, d])?;
+        let (mut xd, dec_embed) = self.embed_batch(&self.start_tokens(batch))?;
 
         let mut dec_ctxs = Vec::with_capacity(self.decoder.len());
         for layer in &self.decoder {
@@ -196,15 +178,14 @@ impl EncDecModel {
         };
         let logits = self.head.forward_frozen(&normed)?;
         let ctx = final_ln.map(|final_ln| EncDecCtx {
-            tokens: tokens.to_vec(),
-            positions,
+            embed,
+            dec_embed,
             enc_ctxs,
             dec_ctxs,
             enc_out,
             final_ln,
             head_ctx: LinearCtx { x: normed },
             batch,
-            seq,
         });
         Ok((logits, layer_outputs, ctx))
     }
@@ -216,7 +197,7 @@ impl EncDecModel {
     /// Propagates shape errors from the constituent layers.
     pub fn backward(&mut self, ctx: &EncDecCtx, dlogits: &Tensor) -> Result<()> {
         let d = self.config.hidden;
-        let (batch, seq) = (ctx.batch, ctx.seq);
+        let batch = ctx.batch;
 
         let d_normed = self.head.backward(&ctx.head_ctx, dlogits)?;
         let mut dxd = self
@@ -235,11 +216,7 @@ impl EncDecModel {
             }
         }
 
-        // Decoder input embedding gradient.
-        let dec_tokens: Vec<usize> = vec![self.start_token; batch];
-        let dxd2 = dxd.reshape([batch, d])?;
-        self.embed.backward(&dec_tokens, &dxd2)?;
-        self.pos.backward(&vec![0usize; batch], &dxd2)?;
+        embed_tokens_backward(&mut self.embed, &mut self.pos, &ctx.dec_embed, &dxd)?;
 
         // Encoder stack (reverse).
         let mut dx = d_enc_total;
@@ -248,12 +225,7 @@ impl EncDecModel {
             dx = g;
         }
 
-        // Encoder input embedding gradient.
-        let flat: Vec<usize> = ctx.tokens.iter().flatten().copied().collect();
-        let dx2 = dx.reshape([batch * seq, d])?;
-        self.embed.backward(&flat, &dx2)?;
-        self.pos.backward(&ctx.positions, &dx2)?;
-        Ok(())
+        embed_tokens_backward(&mut self.embed, &mut self.pos, &ctx.embed, &dx)
     }
 
     /// Freezes the backbone (everything except the task head).

@@ -17,16 +17,20 @@
 //!   cross-attention + task head). `EncoderModel` is the encoder-only variant
 //!   the real pipeline-parallel engine partitions into [`stage::StageModel`]s
 //!   (a single activation tensor flows between stages, matching the
-//!   pipeline-parallel payload in the paper's Figure 6).
+//!   pipeline-parallel payload in the paper's Figure 6). It is itself one
+//!   stage holding every [`stage::StageUnit`], so the whole model and any
+//!   cut of it run one body. Both models embed tokens with [`embed`].
 
 #![deny(missing_docs)]
 
 pub mod config;
+pub mod embed;
 pub mod encdec;
 pub mod encoder;
 pub mod stage;
 
 pub use config::{ModelConfig, ModelKind};
+pub use embed::{embed_tokens, embed_tokens_backward, TokenEmbedCtx};
 pub use encdec::{EncDecCtx, EncDecModel};
-pub use encoder::{EncoderCtx, EncoderModel};
+pub use encoder::EncoderModel;
 pub use stage::{StageCtx, StageData, StageModel, StageUnit};

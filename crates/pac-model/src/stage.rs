@@ -3,8 +3,11 @@
 //! A [`StageModel`] owns a sequence of [`StageUnit`]s (embedding, transformer
 //! layers, head) and exposes `forward`/`backward` with per-micro-batch
 //! contexts, so the pipeline engine can keep several micro-batches in flight
-//! on the same stage (1F1B scheduling).
+//! on the same stage (1F1B scheduling). This is the only body of the
+//! encoder-only model: the whole [`crate::EncoderModel`] is one stage holding
+//! every unit, and a partition is the same units cut into several.
 
+use crate::embed::{embed_tokens, embed_tokens_backward, TokenEmbedCtx};
 use pac_nn::{
     Embedding, LayerNorm, LayerNormCtx, Linear, LinearCtx, Module, Param, TransformerLayer,
     TransformerLayerCtx,
@@ -62,10 +65,7 @@ impl StageData {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 enum UnitCtx {
-    Embed {
-        tokens: Vec<Vec<usize>>,
-        positions: Vec<usize>,
-    },
+    Embed(TokenEmbedCtx),
     Layer(TransformerLayerCtx),
     Head {
         ln: LayerNormCtx,
@@ -121,6 +121,16 @@ impl StageModel {
         StageModel { index, units }
     }
 
+    /// The stage's units in forward order.
+    pub fn units(&self) -> &[StageUnit] {
+        &self.units
+    }
+
+    /// Gives up the units, for re-cutting them into other stages.
+    pub(crate) fn into_units(self) -> Vec<StageUnit> {
+        self.units
+    }
+
     /// Number of transformer layers in this stage.
     pub fn num_layers(&self) -> usize {
         self.units
@@ -156,22 +166,8 @@ impl StageModel {
         for unit in &self.units {
             data = match (unit, data) {
                 (StageUnit::Embed { embed, pos }, StageData::Tokens(tokens)) => {
-                    let batch = tokens.len();
-                    let seq = tokens.first().map(|t| t.len()).unwrap_or(0);
-                    if batch == 0 || seq == 0 || tokens.iter().any(|t| t.len() != seq) {
-                        return Err(TensorError::ShapeMismatch {
-                            op: "stage_embed",
-                            lhs: vec![batch],
-                            rhs: vec![seq],
-                        });
-                    }
-                    let flat: Vec<usize> = tokens.iter().flatten().copied().collect();
-                    let positions: Vec<usize> = (0..batch).flat_map(|_| 0..seq).collect();
-                    let x = embed
-                        .forward(&flat)?
-                        .add(&pos.forward(&positions)?)?
-                        .reshape([batch, seq, embed.dim()])?;
-                    ctxs.push(UnitCtx::Embed { tokens, positions });
+                    let (x, ctx) = embed_tokens(embed, pos, &tokens)?;
+                    ctxs.push(UnitCtx::Embed(ctx));
                     StageData::Hidden(x)
                 }
                 (StageUnit::Layer(layer), StageData::Hidden(x)) => {
@@ -262,13 +258,8 @@ impl StageModel {
                     let (dx, _) = layer.backward(lctx, &grad)?;
                     grad = dx;
                 }
-                (StageUnit::Embed { embed, pos }, UnitCtx::Embed { tokens, positions }) => {
-                    let batch = tokens.len();
-                    let seq = tokens[0].len();
-                    let flat: Vec<usize> = tokens.iter().flatten().copied().collect();
-                    let g2 = grad.clone().reshape([batch * seq, embed.dim()])?;
-                    embed.backward(&flat, &g2)?;
-                    pos.backward(positions, &g2)?;
+                (StageUnit::Embed { embed, pos }, UnitCtx::Embed(ectx)) => {
+                    embed_tokens_backward(embed, pos, ectx, &grad)?;
                     return Ok(None);
                 }
                 _ => {

@@ -4,9 +4,10 @@
 
 use crate::wire::NetError;
 use pac_cluster::LinkSpec;
-use pac_model::ModelConfig;
+use pac_model::{EncoderModel, ModelConfig, StageModel};
 use pac_parallel::{EngineError, Schedule};
 use pac_store::StoreError;
+use pac_tensor::rng::seeded;
 use std::fmt;
 use std::time::Duration;
 
@@ -94,11 +95,9 @@ pub struct DistConfig {
     pub net_timeout: Duration,
     /// How long to wait for the whole world to rendezvous.
     pub setup_timeout: Duration,
-    /// Probe liveness with a heartbeat riding every this-many-th step
-    /// (0 disables probes). A rank that misses the probe deadline is
-    /// treated as departed *before* a broken pipeline step has to time out.
-    pub heartbeat_every: usize,
-    /// Per-rank deadline for acking a liveness probe, from dispatch.
+    /// Per-rank deadline for acking the liveness probe every step
+    /// carries, from dispatch. A rank that misses it is treated as
+    /// departed *before* a broken pipeline step has to time out.
     pub liveness_timeout: Duration,
     /// Rebalance micro-batch row shares toward fast lanes when measured
     /// per-lane step cost (busy time + control RTT) diverges.
@@ -146,7 +145,6 @@ impl DistConfig {
             checkpoint_every: 2,
             net_timeout: Duration::from_secs(10),
             setup_timeout: Duration::from_secs(20),
-            heartbeat_every: 1,
             liveness_timeout: Duration::from_secs(10),
             rebalance: false,
             link: LinkSpec::lan_128mbps(),
@@ -164,5 +162,16 @@ impl DistConfig {
     /// The model architecture, as the planner's cost model sees it.
     pub fn model_config(&self) -> ModelConfig {
         ModelConfig::micro(self.enc_layers, 0, self.hidden, self.heads)
+    }
+
+    /// The job's model built from `seed` and cut at `partition`: what the
+    /// in-process reference trains and a restored snapshot must fit.
+    ///
+    /// # Errors
+    /// Returns a shape error when `partition` does not cut the model's
+    /// layers into non-empty stages.
+    pub fn build_stages(&self) -> pac_tensor::Result<Vec<StageModel>> {
+        EncoderModel::new(&self.model_config(), self.n_out, &mut seeded(self.seed))
+            .partition(&self.partition)
     }
 }

@@ -66,6 +66,7 @@ use crate::transport::{Conn, PollConn, PollTransport, Transport};
 use crate::wire::{
     decode_frame, param_snap_frame, param_snap_frame_len, Assignment, Msg, NetError,
 };
+use crate::worker::param_entries;
 use pac_cluster::{Cluster, CostModel, DeviceSpec};
 use pac_core::RecoveryReport;
 use pac_parallel::engine::{split_micro_batches_weighted, weighted_shares, MicroBatch};
@@ -444,6 +445,32 @@ fn decode_snapshot(bytes: &[u8]) -> Result<StageParams, NetError> {
     Ok(stages)
 }
 
+/// Checks a committed snapshot against the parameters `cfg`'s stages
+/// train: per stage, the same names with the same dims in the same order.
+/// A log written by another job shape fails here, before any spawn.
+fn snapshot_fits(cfg: &DistConfig, snapshot: &StageParams) -> Result<(), String> {
+    let layout = |entries: &[(String, Tensor)]| -> Vec<(String, Vec<usize>)> {
+        entries
+            .iter()
+            .map(|(n, t)| (n.clone(), t.dims().to_vec()))
+            .collect()
+    };
+    let stages = cfg.build_stages().map_err(|e| e.to_string())?;
+    let trained: Vec<_> = stages
+        .iter()
+        .map(|s| layout(&param_entries(s, true)))
+        .collect();
+    let held: Vec<_> = snapshot.iter().map(|e| layout(e)).collect();
+    match (0..trained.len().max(held.len())).find(|&s| trained.get(s) != held.get(s)) {
+        None => Ok(()),
+        Some(s) => Err(format!(
+            "stage {s} holds {:?}, the job trains {:?}",
+            held.get(s),
+            trained.get(s)
+        )),
+    }
+}
+
 /// Encodes the replay cursor committed alongside each durable snapshot:
 /// `next_t u64 · n u64 · n × f32` (little-endian, floats as raw bits so
 /// a cold restart reproduces the loss history bitwise).
@@ -637,9 +664,8 @@ struct Pending {
     first_blame: Option<(usize, String)>,
     /// Transport clock when the step's frames went out.
     dispatched_ns: u64,
-    /// Rank 0's heartbeat nonce when the step probes liveness; rank `r`
-    /// is sent `base + r`.
-    nonce_base: Option<u64>,
+    /// Rank 0's heartbeat nonce; rank `r` is sent `base + r`.
+    nonce_base: u64,
     snap: Option<SnapKind>,
     /// Probed ranks must have acked by this transport-clock time.
     ack_deadline_ns: u64,
@@ -654,14 +680,14 @@ impl Pending {
         topo: Topology,
         cfg: &DistConfig,
         now_ns: u64,
-        nonce_base: Option<u64>,
+        nonce_base: u64,
         snap: Option<SnapKind>,
         die_rank: Option<usize>,
     ) -> Self {
         let ranks = (0..topo.world())
             .map(|rank| RankSlot {
                 verdict: None,
-                ack: Awaited::asked(nonce_base.is_some()),
+                ack: Awaited::Waiting,
                 snap: Awaited::asked(snap.is_some() && topo.lane_of(rank) == 0),
                 strays: 0,
             })
@@ -682,11 +708,9 @@ impl Pending {
     /// Writes `rank`'s frames of this step in the order the worker serves
     /// them: the heartbeat, the `Step`, then the snapshot request.
     fn send<C: Conn>(&self, rank: usize, conn: &mut C, step: &Msg) -> Result<(), NetError> {
-        if let Some(base) = self.nonce_base {
-            conn.send(&Msg::Heartbeat {
-                nonce: base + rank as u64,
-            })?;
-        }
+        conn.send(&Msg::Heartbeat {
+            nonce: self.nonce_base + rank as u64,
+        })?;
         conn.send(step)?;
         if self.ranks[rank].snap.waiting() {
             conn.send(&Msg::ParamReq {
@@ -753,14 +777,12 @@ impl Pending {
     /// Files one frame from `rank`.
     fn take(&mut self, rank: usize, msg: Msg, now_ns: u64) {
         let world = self.ranks.len() as u64;
-        let own = self.nonce_base.map(|base| base + rank as u64);
-        let in_window = |nonce: u64| {
-            self.nonce_base
-                .is_some_and(|base| (base..base + world).contains(&nonce))
-        };
+        let base = self.nonce_base;
+        let own = base + rank as u64;
+        let in_window = |nonce: u64| (base..base + world).contains(&nonce);
         let slot = &mut self.ranks[rank];
         match msg {
-            Msg::HeartbeatAck { nonce } if own == Some(nonce) && slot.ack.waiting() => {
+            Msg::HeartbeatAck { nonce } if nonce == own && slot.ack.waiting() => {
                 slot.ack = Awaited::Got(now_ns.saturating_sub(self.dispatched_ns));
             }
             // A late bulk ack or an earlier probe's echo must not vouch
@@ -829,7 +851,7 @@ struct World<S: Spawn> {
     next_fresh_lane: usize,
     lane_weights: Vec<f64>,
     lane_cost_ewma: Vec<f64>,
-    /// Per-rank heartbeat RTTs from the latest probed step.
+    /// Per-rank heartbeat RTTs from the latest step.
     last_rtts: Vec<u64>,
     /// The canonical replica's parameters, carried back by the job's last
     /// step.
@@ -863,7 +885,6 @@ where
         job_idx: usize,
         job: TenantJob,
     ) -> Result<Self, DistError> {
-        let stages = job.cfg.stages();
         let lanes = job.cfg.lanes;
         let committed = match job.store.as_ref() {
             Some(store) => store.latest()?,
@@ -873,11 +894,11 @@ where
             None => None,
             Some(c) => {
                 let snap_stages = decode_snapshot(&c.payload)?;
-                if snap_stages.len() != stages {
-                    return Err(NetError::Malformed(
-                        "committed snapshot has the wrong stage count",
-                    )
-                    .into());
+                if let Err(reason) = snapshot_fits(&job.cfg, &snap_stages) {
+                    return Err(DistError::InvalidJob {
+                        tenant: job.tenant,
+                        reason: format!("committed snapshot seq {} does not fit: {reason}", c.seq),
+                    });
                 }
                 let (next_t, losses) = decode_cursor(&c.meta).ok_or(NetError::Malformed(
                     "committed snapshot carries an undecodable cursor",
@@ -1274,11 +1295,10 @@ where
             })
             .collect();
 
-        // The probe rides the step on this world's own nonce window, so an
-        // ack can only ever vouch for this world's ranks; the snapshot
-        // request rides it when the step ends on the snapshot cadence or
-        // ends the job.
-        let probe = cfg.heartbeat_every > 0 && step.is_multiple_of(cfg.heartbeat_every as u64);
+        // Every step carries the liveness probe, on this world's own nonce
+        // window, so an ack can only ever vouch for this world's ranks; the
+        // snapshot request rides the step when it ends on the snapshot
+        // cadence or ends the job.
         let next_t = self.t + 1;
         let every = cfg.checkpoint_every;
         let snap = if next_t == self.job.batches.len() {
@@ -1292,7 +1312,7 @@ where
             topo,
             cfg,
             host.transport.now_ns(),
-            probe.then(|| world_nonce_base(self.id, step)),
+            world_nonce_base(self.id, step),
             snap,
             die_rank,
         );
@@ -1384,9 +1404,7 @@ where
         self.t += 1;
         pac_telemetry::counter_inc("multiworld.steps");
 
-        if p.nonce_base.is_some() {
-            self.last_rtts = rtts;
-        }
+        self.last_rtts = rtts;
         let remaining = self.t < self.job.batches.len();
         if self.job.cfg.rebalance && topo.lanes > 1 && remaining {
             let busy_ns: Vec<u64> = dones.iter().map(|d| d.1).collect();
@@ -1991,7 +2009,7 @@ mod tests {
         let job = TenantJob::new(0, cfg.clone(), batches_for(0, 1, 2));
         let mut round = start_round(&host, &job, cfg.lanes, None, Vec::new()).expect("round");
         let base = world_nonce_base(WorldId(0), 0);
-        let mut p = Pending::new(round.topo, cfg, net.now_ns(), Some(base), None, None);
+        let mut p = Pending::new(round.topo, cfg, net.now_ns(), base, None, None);
         let step = Msg::Step {
             step: 0,
             die: false,

@@ -60,6 +60,8 @@
 //! * [`simnet`] — the simulated transport itself.
 //! * [`calib`] — loopback link calibration feeding
 //!   [`pac_cluster::LinkSpec::measured`] to the planner.
+//! * [`mod@reference`] — the in-process `HybridEngine` run a distributed
+//!   run must match bit for bit, and the comparison.
 
 #![deny(missing_docs)]
 
@@ -68,6 +70,7 @@ pub mod chan;
 pub mod collective;
 pub mod config;
 pub mod coordinator;
+pub mod reference;
 pub mod rendezvous;
 pub mod simnet;
 pub mod spawn;
@@ -81,6 +84,7 @@ pub use config::{DistConfig, DistError};
 pub use coordinator::{
     run_multiworld, run_world, MultiWorldReport, RankLoss, TenantJob, WorldReport,
 };
+pub use reference::Reference;
 pub use rendezvous::{world_nonce_base, Admission, Rendezvous, Topology, WorkerConn, WorldId};
 pub use simnet::{Partition, SimConfig, SimConn, SimNet, SimSpawner};
 pub use spawn::{Spawn, SpawnedWorld, Spawner};

@@ -223,16 +223,36 @@ pub fn param_entries(stage: &StageModel, trainable_only: bool) -> Vec<(String, T
     out
 }
 
-/// Overwrites parameters by name (checkpoint restore). Unknown names are
-/// ignored: a snapshot holds trainable params only, frozen ones are
-/// already bit-identical from the seed.
-pub fn apply_restore(stage: &mut StageModel, entries: Vec<(String, Tensor)>) {
-    let map: HashMap<String, Tensor> = entries.into_iter().collect();
-    stage.visit_params(&mut |p| {
-        if let Some(t) = map.get(&p.name) {
-            p.value = t.clone();
+/// Overwrites parameters by name (checkpoint restore). A snapshot holds
+/// trainable params only; frozen ones are already bit-identical from the
+/// seed. Every entry is checked before any is written.
+///
+/// # Errors
+/// [`NetError::Malformed`], with the stage untouched, when an entry names
+/// no parameter of this stage, repeats a name, or has other dims.
+pub fn apply_restore(
+    stage: &mut StageModel,
+    entries: Vec<(String, Tensor)>,
+) -> Result<(), NetError> {
+    let n = entries.len();
+    let mut map: HashMap<String, Tensor> = entries.into_iter().collect();
+    let mut fitting = 0;
+    stage.visit_params_ref(&mut |p| {
+        if map.get(&p.name).is_some_and(|t| t.dims() == p.value.dims()) {
+            fitting += 1;
         }
     });
+    if fitting != n {
+        return Err(NetError::Malformed(
+            "restore entry does not fit a parameter of this stage",
+        ));
+    }
+    stage.visit_params(&mut |p| {
+        if let Some(t) = map.remove(&p.name) {
+            p.value = t;
+        }
+    });
+    Ok(())
 }
 
 /// Builds this rank's stage replica deterministically from the assignment:
@@ -546,7 +566,7 @@ fn run_worker_once<T: Transport>(
                 // skips catch-up keeps whatever parameters it rebuilt from
                 // the seed and diverges from the checkpoint cursor.
                 if !state.buggify.skip_catch_up_restore {
-                    apply_restore(state.stage.as_mut().expect("stage present"), entries);
+                    apply_restore(state.stage.as_mut().expect("stage present"), entries)?;
                 }
             }
             Msg::Heartbeat { nonce } => {
@@ -586,5 +606,61 @@ fn run_worker_once<T: Transport>(
             }
             _ => return Err(NetError::Malformed("unexpected control message")),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::DistConfig;
+
+    fn stage0(hidden: usize) -> StageModel {
+        let mut cfg = DistConfig::loopback(2, 1);
+        cfg.hidden = hidden;
+        cfg.build_stages().expect("stages").swap_remove(0)
+    }
+
+    fn bits(stage: &StageModel) -> Vec<u32> {
+        let mut out = Vec::new();
+        stage.visit_params_ref(&mut |p| out.extend(p.value.data().iter().map(|v| v.to_bits())));
+        out
+    }
+
+    #[test]
+    fn restore_checks_every_entry_before_writing_any() {
+        let mut stage = stage0(16);
+        let before = bits(&stage);
+        let mut other = param_entries(&stage0(16), true);
+        for (_, t) in &mut other {
+            *t = t.scale(2.0);
+        }
+
+        // One misfit anywhere — other dims, an unknown name, a repeat —
+        // refuses the whole restore and writes nothing.
+        let mut wide = other.clone();
+        let last = wide.len() - 1;
+        wide[last].1 = param_entries(&stage0(32), true)
+            .into_iter()
+            .find(|(n, _)| *n == wide[last].0)
+            .expect("same names")
+            .1;
+        let mut unknown = other.clone();
+        unknown.push(("nope.w".into(), Tensor::zeros([1])));
+        let mut repeated = other.clone();
+        repeated.push(other[0].clone());
+        for bad in [wide, unknown, repeated] {
+            assert!(matches!(
+                apply_restore(&mut stage, bad),
+                Err(NetError::Malformed(_))
+            ));
+            assert_eq!(bits(&stage), before, "a refused restore wrote");
+        }
+
+        let want: Vec<u32> = other
+            .iter()
+            .flat_map(|(_, t)| t.data().iter().map(|v| v.to_bits()))
+            .collect();
+        apply_restore(&mut stage, other).expect("a fitting restore");
+        assert_eq!(bits(&stage), want);
     }
 }

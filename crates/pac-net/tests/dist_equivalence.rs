@@ -9,12 +9,9 @@
 //! management is elided (covered by the `repro --distributed` smoke test
 //! in `pac-bench`).
 
-use pac_model::{EncoderModel, ModelConfig};
-use pac_net::{run_world, DistConfig, RankLoss, Spawner, TenantJob, WorldReport};
-use pac_nn::optim::Sgd;
-use pac_nn::Optimizer;
-use pac_parallel::engine::{HybridEngine, MicroBatch};
-use pac_parallel::{Fault, FaultPlan, Schedule, TimelineKind};
+use pac_net::{run_world, DistConfig, RankLoss, Reference, Spawner, TenantJob, WorldReport};
+use pac_parallel::engine::MicroBatch;
+use pac_parallel::{Fault, FaultPlan, TimelineKind};
 use pac_tensor::rng::seeded;
 use rand::Rng;
 
@@ -44,28 +41,6 @@ fn make_batches() -> Vec<Vec<MicroBatch>> {
         .collect()
 }
 
-/// Reference: the in-process hybrid engine, stepped exactly like the
-/// distributed workers step themselves (zero grads, mini-batch, SGD).
-fn inprocess_run(
-    cfg: &DistConfig,
-    batches: &[Vec<MicroBatch>],
-) -> (Vec<f32>, Vec<(String, pac_tensor::Tensor)>) {
-    let model_cfg = ModelConfig::micro(cfg.enc_layers, 0, cfg.hidden, cfg.heads);
-    let model = EncoderModel::new(&model_cfg, cfg.n_out, &mut seeded(cfg.seed));
-    let stages = model.partition(&cfg.partition).expect("partition");
-    let mut engine = HybridEngine::new(stages, cfg.lanes, Schedule::OneFOneB);
-    let mut opts: Vec<Box<dyn Optimizer>> = (0..cfg.lanes)
-        .map(|_| Box::new(Sgd::new(cfg.lr)) as Box<dyn Optimizer>)
-        .collect();
-    let mut losses = Vec::new();
-    for batch in batches {
-        engine.zero_grads();
-        losses.push(engine.run_mini_batch(batch).expect("in-process step"));
-        engine.step(&mut opts);
-    }
-    (losses, engine.canonical_params())
-}
-
 /// One world over loopback TCP threads that shrinks when it loses a rank.
 fn run(cfg: DistConfig, batches: &[Vec<MicroBatch>], faults: FaultPlan) -> WorldReport {
     let job = TenantJob {
@@ -81,29 +56,11 @@ fn distributed_2x2_is_bitwise_identical_to_inprocess() {
     let cfg = DistConfig::loopback(2, 2);
     let batches = make_batches();
 
-    let (ref_losses, ref_params) = inprocess_run(&cfg, &batches);
+    let reference = Reference::train(&cfg, &batches).expect("in-process reference");
     let report = run(cfg, &batches, FaultPlan::none());
 
-    assert_eq!(report.losses.len(), ref_losses.len());
-    for (t, (d, r)) in report.losses.iter().zip(ref_losses.iter()).enumerate() {
-        assert_eq!(
-            d.to_bits(),
-            r.to_bits(),
-            "loss at step {t} diverged: dist {d} vs in-process {r}"
-        );
-    }
-
-    assert_eq!(report.final_params.len(), ref_params.len());
-    for ((dn, dt), (rn, rt)) in report.final_params.iter().zip(ref_params.iter()) {
-        assert_eq!(dn, rn, "parameter order must match canonical order");
-        assert_eq!(dt.dims(), rt.dims(), "{dn}: shape");
-        for (i, (a, b)) in dt.data().iter().zip(rt.data().iter()).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{dn}[{i}] diverged: dist {a} vs in-process {b}"
-            );
-        }
+    if let Err(e) = reference.compare(&report.losses, &report.final_params) {
+        panic!("distributed run diverged from the in-process engine: {e}");
     }
     assert_eq!(report.recovery.replans, 0);
     assert_eq!(report.final_lanes, 2);
@@ -116,16 +73,11 @@ fn distributed_2x1_pipeline_only_matches_inprocess() {
     let cfg = DistConfig::loopback(2, 1);
     let batches = make_batches();
 
-    let (ref_losses, ref_params) = inprocess_run(&cfg, &batches);
+    let reference = Reference::train(&cfg, &batches).expect("in-process reference");
     let report = run(cfg, &batches, FaultPlan::none());
 
-    for (d, r) in report.losses.iter().zip(ref_losses.iter()) {
-        assert_eq!(d.to_bits(), r.to_bits());
-    }
-    for ((dn, dt), (_, rt)) in report.final_params.iter().zip(ref_params.iter()) {
-        for (a, b) in dt.data().iter().zip(rt.data().iter()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{dn}");
-        }
+    if let Err(e) = reference.compare(&report.losses, &report.final_params) {
+        panic!("pipeline-only run diverged from the in-process engine: {e}");
     }
 }
 
@@ -139,7 +91,9 @@ fn quantized_wire_tracks_f32_within_half_loss() {
     let cfg = DistConfig::loopback(2, 2);
     let batches = make_batches();
 
-    let (ref_losses, _) = inprocess_run(&cfg, &batches);
+    let ref_losses = Reference::train(&cfg, &batches)
+        .expect("in-process reference")
+        .losses;
     let mut qcfg = cfg;
     qcfg.wire_q8 = true;
     let report = run(qcfg, &batches, FaultPlan::none());

@@ -7,14 +7,15 @@
 //! worker path.
 
 use pac_net::{
-    run_world, DistConfig, DistError, RankLoss, SimConfig, SimNet, SimSpawner, TenantJob,
-    WorldReport,
+    run_world, DistConfig, DistError, RankLoss, SimConfig, SimNet, SimSpawner, Spawn, SpawnedWorld,
+    TenantJob, WorldReport,
 };
 use pac_parallel::engine::MicroBatch;
 use pac_parallel::{Fault, FaultPlan};
 use pac_store::{DiskStore, StoreError};
 use pac_tensor::rng::seeded;
 use rand::Rng;
+use std::cell::Cell;
 use std::fs;
 use std::path::PathBuf;
 
@@ -174,4 +175,76 @@ fn crash_on_non_checkpoint_step_is_inert() {
     assert!(net.panics().is_empty(), "worker panics: {:?}", net.panics());
     assert_eq!(report.losses.len(), batches.len());
     fs::remove_dir_all(&dir).ok();
+}
+
+/// Counts the worlds the coordinator launches.
+struct CountingSpawner {
+    inner: SimSpawner,
+    launches: Cell<usize>,
+}
+
+impl Spawn for CountingSpawner {
+    type T = <SimSpawner as Spawn>::T;
+
+    fn transport(&self) -> Self::T {
+        self.inner.transport()
+    }
+
+    fn launch(&self, coord_port: u16, world: usize) -> std::io::Result<SpawnedWorld> {
+        self.launches.set(self.launches.get() + 1);
+        self.inner.launch(coord_port, world)
+    }
+}
+
+/// A cold restart over a log written by a job of another shape (hidden
+/// 16 → 32) is refused at admission with a typed error under either
+/// rank-loss policy: no world is launched, so no worker can panic on a
+/// misfit tensor and nothing is recovered.
+#[test]
+fn snapshot_that_does_not_fit_the_job_is_refused_before_any_spawn() {
+    let batches = make_batches();
+    for policy in [RankLoss::Respawn, RankLoss::Shrink] {
+        let dir = tmp_dir(&format!("misfit-{policy:?}"));
+        {
+            let (store, _) = DiskStore::open(&dir).expect("fresh store");
+            let (out, _) = durable_run(
+                65,
+                DistConfig::loopback(2, 2),
+                &batches,
+                &FaultPlan::none(),
+                Some(store),
+            );
+            out.expect("the run that writes the log");
+        }
+        let (store, report) = DiskStore::open(&dir).expect("reopen");
+        assert!(report.commits >= 1, "the first run committed snapshots");
+
+        let mut wide = DistConfig::loopback(2, 2);
+        wide.hidden = 32;
+        let net = SimNet::new(SimConfig::clean(66));
+        let _coord = net.register(0);
+        let spawner = CountingSpawner {
+            inner: SimSpawner::new(net.clone()),
+            launches: Cell::new(0),
+        };
+        let job = TenantJob {
+            store: Some(Box::new(store)),
+            on_rank_loss: policy,
+            ..TenantJob::new(0, wide, batches.clone())
+        };
+        match run_world(&spawner, job) {
+            Err(DistError::InvalidJob { tenant: 0, reason }) => assert!(
+                reason.contains("does not fit") && reason.contains("[64, 32]"),
+                "[{policy:?}] {reason}"
+            ),
+            other => panic!("[{policy:?}] expected a typed refusal, got {other:?}"),
+        }
+        assert_eq!(
+            spawner.launches.get(),
+            0,
+            "[{policy:?}] a world was launched"
+        );
+        assert!(net.panics().is_empty(), "worker panics: {:?}", net.panics());
+        fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -7,15 +7,12 @@
 //! rebalance case (which needs real elapsed time) runs over loopback TCP
 //! threads.
 
-use pac_model::{EncoderModel, ModelConfig};
 use pac_net::{
-    run_world, Buggify, DistConfig, DistError, RankLoss, SimConfig, SimNet, SimSpawner, Spawn,
-    Spawner, TenantJob, WorldReport,
+    run_world, Buggify, DistConfig, DistError, RankLoss, Reference, SimConfig, SimNet, SimSpawner,
+    Spawn, Spawner, TenantJob, WorldReport,
 };
-use pac_nn::optim::Sgd;
-use pac_nn::Optimizer;
-use pac_parallel::engine::{HybridEngine, MicroBatch};
-use pac_parallel::{EngineError, Fault, FaultPlan, Schedule, TimelineKind};
+use pac_parallel::engine::MicroBatch;
+use pac_parallel::{EngineError, Fault, FaultPlan, TimelineKind};
 use pac_tensor::rng::seeded;
 use rand::Rng;
 use std::time::Duration;
@@ -46,20 +43,8 @@ fn make_batches() -> Vec<Vec<MicroBatch>> {
 }
 
 fn inprocess_final_loss(cfg: &DistConfig, batches: &[Vec<MicroBatch>]) -> f32 {
-    let model_cfg = ModelConfig::micro(cfg.enc_layers, 0, cfg.hidden, cfg.heads);
-    let model = EncoderModel::new(&model_cfg, cfg.n_out, &mut seeded(cfg.seed));
-    let stages = model.partition(&cfg.partition).expect("partition");
-    let mut engine = HybridEngine::new(stages, cfg.lanes, Schedule::OneFOneB);
-    let mut opts: Vec<Box<dyn Optimizer>> = (0..cfg.lanes)
-        .map(|_| Box::new(Sgd::new(cfg.lr)) as Box<dyn Optimizer>)
-        .collect();
-    let mut last = f32::NAN;
-    for batch in batches {
-        engine.zero_grads();
-        last = engine.run_mini_batch(batch).expect("in-process step");
-        engine.step(&mut opts);
-    }
-    last
+    let reference = Reference::train(cfg, batches).expect("in-process reference");
+    *reference.losses.last().expect("one loss per batch")
 }
 
 /// One elastic world: it shrinks when it loses a rank.

@@ -6,16 +6,13 @@
 //!
 //! No test here opens a real socket.
 
-use pac_model::{EncoderModel, ModelConfig};
 use pac_net::simnet::Partition;
 use pac_net::{
-    run_world, Buggify, Conn, DistConfig, Listener, Msg, NetError, RankLoss, SimConfig, SimNet,
-    SimSpawner, TenantJob, Transport,
+    run_world, Buggify, Conn, DistConfig, Listener, Msg, NetError, RankLoss, Reference, SimConfig,
+    SimNet, SimSpawner, TenantJob, Transport,
 };
-use pac_nn::optim::Sgd;
-use pac_nn::Optimizer;
-use pac_parallel::engine::{HybridEngine, MicroBatch};
-use pac_parallel::{FaultPlan, Schedule, TimelineKind};
+use pac_parallel::engine::MicroBatch;
+use pac_parallel::{FaultPlan, TimelineKind};
 use pac_tensor::rng::seeded;
 use rand::Rng;
 use std::time::Duration;
@@ -45,26 +42,6 @@ fn make_batches() -> Vec<Vec<MicroBatch>> {
         .collect()
 }
 
-fn inprocess_run(
-    cfg: &DistConfig,
-    batches: &[Vec<MicroBatch>],
-) -> (Vec<f32>, Vec<(String, pac_tensor::Tensor)>) {
-    let model_cfg = ModelConfig::micro(cfg.enc_layers, 0, cfg.hidden, cfg.heads);
-    let model = EncoderModel::new(&model_cfg, cfg.n_out, &mut seeded(cfg.seed));
-    let stages = model.partition(&cfg.partition).expect("partition");
-    let mut engine = HybridEngine::new(stages, cfg.lanes, Schedule::OneFOneB);
-    let mut opts: Vec<Box<dyn Optimizer>> = (0..cfg.lanes)
-        .map(|_| Box::new(Sgd::new(cfg.lr)) as Box<dyn Optimizer>)
-        .collect();
-    let mut losses = Vec::new();
-    for batch in batches {
-        engine.zero_grads();
-        losses.push(engine.run_mini_batch(batch).expect("in-process step"));
-        engine.step(&mut opts);
-    }
-    (losses, engine.canonical_params())
-}
-
 /// Runs a full distributed job inside one simulated world and returns the
 /// report plus the world (for trace/panic inspection).
 fn sim_run(
@@ -89,7 +66,7 @@ fn sim_run(
 fn sim_2x2_clean_world_is_bitwise_identical_to_inprocess() {
     let cfg = DistConfig::loopback(2, 2);
     let batches = make_batches();
-    let (ref_losses, ref_params) = inprocess_run(&cfg, &batches);
+    let reference = Reference::train(&cfg, &batches).expect("in-process reference");
 
     let (report, net) = sim_run(
         SimConfig::clean(41),
@@ -101,16 +78,8 @@ fn sim_2x2_clean_world_is_bitwise_identical_to_inprocess() {
     let report = report.expect("simulated run");
     assert!(net.panics().is_empty(), "worker panics: {:?}", net.panics());
 
-    assert_eq!(report.losses.len(), ref_losses.len());
-    for (t, (d, r)) in report.losses.iter().zip(ref_losses.iter()).enumerate() {
-        assert_eq!(d.to_bits(), r.to_bits(), "loss at step {t}: sim {d} vs {r}");
-    }
-    assert_eq!(report.final_params.len(), ref_params.len());
-    for ((dn, dt), (rn, rt)) in report.final_params.iter().zip(ref_params.iter()) {
-        assert_eq!(dn, rn);
-        for (a, b) in dt.data().iter().zip(rt.data().iter()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{dn}");
-        }
+    if let Err(e) = reference.compare(&report.losses, &report.final_params) {
+        panic!("simulated run diverged from the in-process engine: {e}");
     }
     assert!(net.now_ns() > 0, "the run consumed virtual time");
 }
@@ -221,7 +190,9 @@ fn sim_partition_heals_or_fails_typed_never_hangs() {
 fn sim_planted_allreduce_ordering_bug_is_caught() {
     let cfg = DistConfig::loopback(2, 2);
     let batches = make_batches();
-    let (ref_losses, _) = inprocess_run(&cfg, &batches);
+    let ref_losses = Reference::train(&cfg, &batches)
+        .expect("in-process reference")
+        .losses;
     let (report, net) = sim_run(
         SimConfig::clean(7),
         cfg,

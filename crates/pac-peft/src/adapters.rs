@@ -87,15 +87,12 @@ impl Module for Adapter {
 /// Context for a full adapter-tuned forward pass.
 #[derive(Debug, Clone)]
 pub struct AdapterTunerCtx {
-    tokens: Vec<Vec<usize>>,
-    positions: Vec<usize>,
     enc: Vec<(TransformerLayerCtx, AdapterCtx)>,
     dec: Vec<(TransformerLayerCtx, AdapterCtx)>,
     enc_out: Tensor,
     final_ln: pac_nn::LayerNormCtx,
     head_ctx: LinearCtx,
     batch: usize,
-    seq: usize,
 }
 
 /// Adapters fine-tuning over a frozen backbone.
@@ -127,10 +124,8 @@ impl AdapterTuner {
     /// Propagates shape errors.
     pub fn forward(&self, tokens: &[Vec<usize>]) -> Result<(Tensor, AdapterTunerCtx)> {
         let m = &self.model;
-        let d = m.config.hidden;
         let batch = tokens.len();
-        let (mut x, positions) = m.embed_batch(tokens)?;
-        let seq = tokens[0].len();
+        let (mut x, _) = m.embed_batch(tokens)?;
 
         let mut enc = Vec::with_capacity(m.encoder.len());
         for (i, layer) in m.encoder.iter().enumerate() {
@@ -141,10 +136,7 @@ impl AdapterTuner {
         }
         let enc_out = x;
 
-        let dec_tokens: Vec<usize> = vec![m.start_token; batch];
-        let dec_emb = m.embed.forward(&dec_tokens)?;
-        let dec_pos = m.pos.forward(&vec![0usize; batch])?;
-        let mut xd = dec_emb.add(&dec_pos)?.reshape([batch, 1, d])?;
+        let (mut xd, _) = m.embed_batch(&m.start_tokens(batch))?;
 
         let mut dec = Vec::with_capacity(m.decoder.len());
         for (j, layer) in m.decoder.iter().enumerate() {
@@ -159,15 +151,12 @@ impl AdapterTuner {
         Ok((
             logits,
             AdapterTunerCtx {
-                tokens: tokens.to_vec(),
-                positions,
                 enc,
                 dec,
                 enc_out,
                 final_ln,
                 head_ctx,
                 batch,
-                seq,
             },
         ))
     }
@@ -180,7 +169,7 @@ impl AdapterTuner {
     /// Propagates shape errors.
     pub fn backward(&mut self, ctx: &AdapterTunerCtx, dlogits: &Tensor) -> Result<()> {
         let d = self.model.config.hidden;
-        let (batch, seq) = (ctx.batch, ctx.seq);
+        let batch = ctx.batch;
 
         let d_normed = self.model.head.backward(&ctx.head_ctx, dlogits)?;
         let mut dxd = self
@@ -223,7 +212,7 @@ impl AdapterTuner {
         // Embedding gradients would be computed here for full fine-tuning;
         // the backbone (including embeddings) is frozen so we stop. `dx` and
         // the decoder-side gradient are dropped intentionally.
-        let _ = (dx, seq, &ctx.tokens, &ctx.positions);
+        let _ = dx;
         Ok(())
     }
 }

@@ -1,6 +1,7 @@
 //! Runtime profiles consumed by the planner.
 
 use pac_cluster::CostModel;
+use pac_model::{embed_tokens, StageUnit};
 
 /// Per-layer profile entry, normalized per sample.
 #[derive(Debug, Clone, Copy)]
@@ -64,21 +65,24 @@ impl Profile {
         use std::time::Instant;
         let reps = reps.max(1);
         let b = batch.len().max(1);
-        let mut model = model.clone();
-        let mut entries = Vec::with_capacity(model.layers.len());
-
+        let units = model.units();
+        let (embed, pos) = match units.first() {
+            Some(StageUnit::Embed { embed, pos }) => (embed, pos),
+            _ => unreachable!("a model starts at its embedding"),
+        };
         // Embed once to get a representative hidden state.
-        let (hidden, _) = model
-            .embed_batch_for_profile(batch)
-            .expect("profiling batch must be well-formed");
-        let mut x = hidden;
-        for li in 0..model.layers.len() {
+        let (mut x, _) =
+            embed_tokens(embed, pos, batch).expect("profiling batch must be well-formed");
+        let mut entries = Vec::with_capacity(model.num_layers());
+        for unit in units {
+            let StageUnit::Layer(layer) = unit else {
+                continue;
+            };
+            let mut layer = layer.clone();
             let t0 = Instant::now();
             let mut ctx = None;
             for _ in 0..reps {
-                let (y, c) = model.layers[li]
-                    .forward(&x, None)
-                    .expect("profiled forward");
+                let (y, c) = layer.forward(&x, None).expect("profiled forward");
                 ctx = Some((y, c));
             }
             let fwd_s = t0.elapsed().as_secs_f64() / reps as f64;
@@ -87,14 +91,12 @@ impl Profile {
             let dy = pac_tensor::Tensor::ones(y.dims());
             let t1 = Instant::now();
             for _ in 0..reps {
-                let _ = model.layers[li]
-                    .backward(&c, &dy)
-                    .expect("profiled backward");
+                let _ = layer.backward(&c, &dy).expect("profiled backward");
             }
             let bwd_s = t1.elapsed().as_secs_f64() / reps as f64;
 
             let mut weight_bytes = 0usize;
-            pac_nn::Module::visit_params_ref(&model.layers[li], &mut |p| {
+            pac_nn::Module::visit_params_ref(&*layer, &mut |p| {
                 weight_bytes += p.value.size_bytes();
             });
             let boundary = y.size_bytes() / b;
@@ -110,7 +112,7 @@ impl Profile {
         }
         Profile {
             layers: entries,
-            embed_bytes: model.embed.table.value.size_bytes(),
+            embed_bytes: embed.table.value.size_bytes(),
         }
     }
 
