@@ -14,22 +14,22 @@
 //! volume. `--telemetry` alone runs a micro workload that exercises the
 //! real pipeline engine and a full PAC session.
 //!
-//! Pass `--faults[=SPEC]` to run a micro PAC session under deterministic
-//! fault injection and print the recovery timeline. `SPEC` uses the
-//! `FaultPlan` schema (`kind@key=value,…;…`), e.g.
-//! `--faults='fail-stop@step=9,device=2;lane-panic@step=3,lane=0'`;
-//! without a spec a demonstration plan (straggler + lane panic +
-//! fail-stop) is used. A malformed spec prints the schema and exits 2.
-//!
 //! Pass `--distributed=N` (N = 2 or 4) to fork N worker **processes** on
 //! loopback TCP and train a micro model over real sockets: 2 → a 2-stage
 //! pipeline, 4 → 2 stages × 2 data-parallel lanes with a ring AllReduce.
 //! The run is checked bitwise against the in-process engine on the same
-//! seed, and composes with `--faults` (fail-stop kills a worker process
-//! mid-run; the coordinator replans and resumes from a checkpoint) and
-//! with `--telemetry` (real `net.*` counters next to the modeled comms
-//! volume). Workers re-exec this binary with the hidden `--net-worker
-//! ADDR SLOT` arguments.
+//! seed, and composes with `--telemetry` (real `net.*` counters next to the
+//! modeled comms volume). Workers re-exec this binary with the hidden
+//! `--net-worker ADDR SLOT` arguments.
+//!
+//! Pass `--faults[=SPEC]` to run that world — 2 × 2 unless
+//! `--distributed=N` names another — under deterministic fault injection
+//! and print the coordinator's recovery timeline. `SPEC` uses the
+//! `FaultPlan` schema (`kind@key=value,…;…`), e.g.
+//! `--faults='fail-stop@step=4,device=1;straggler@step=2,lane=0,delay-ms=20'`;
+//! without a spec one worker process is killed mid-run and the coordinator
+//! replans and resumes from a checkpoint. A malformed spec prints the
+//! schema and exits 2.
 //!
 //! Pass `--serve` to run the multi-tenant serving transcript: a loopback
 //! TCP client streams tenant jobs at the rendezvous listener and the
@@ -129,7 +129,8 @@ fn main() {
         return;
     }
     if let Some(spec) = faults {
-        faults_demo(&spec);
+        // Faults are handled on one path, the coordinator's: run its world.
+        distributed_demo(4, Some(&spec));
         if telemetry {
             telemetry_report();
         }
@@ -246,6 +247,7 @@ fn distributed_demo(n: usize, faults_spec: Option<&str>) {
             Ok(p) => p,
             Err(e) => {
                 eprintln!("bad --faults spec: {e}");
+                eprintln!("schema: kind@key=value,...;...  kinds: fail-stop(step,device) straggler(step,lane,delay-ms) join(step) crash(step,at-byte)");
                 std::process::exit(2);
             }
         },
@@ -499,78 +501,6 @@ fn durable_demo() {
             eprintln!("log kept at {}", dir.display());
             std::process::exit(1);
         }
-    }
-}
-
-/// Runs a micro PAC session under a deterministic [`pac_parallel::FaultPlan`]
-/// and prints the recovery timeline plus the recovery summary.
-fn faults_demo(spec: &str) {
-    use pac_core::{PacConfig, PacSession};
-    use pac_data::TaskKind;
-    use pac_model::ModelConfig;
-    use pac_parallel::faults::render_events;
-    use pac_parallel::FaultPlan;
-    use pac_tensor::rng::seeded;
-
-    let plan = if spec.is_empty() {
-        // Demonstration plan: one slow lane, one crashing lane, one device
-        // that leaves; lanes and devices are named by their original ids.
-        FaultPlan::parse(
-            "straggler@step=5,lane=0,delay-ms=20;lane-panic@step=7,lane=1;\
-             fail-stop@step=9,device=2",
-        )
-        .expect("built-in demo spec parses")
-    } else {
-        match FaultPlan::parse(spec) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("bad --faults spec: {e}");
-                eprintln!("schema: kind@key=value,...;...  kinds: lane-panic(step,lane) fail-stop(step,device) straggler(step,lane,delay-ms) join(step) crash(step,at-byte)");
-                std::process::exit(2);
-            }
-        }
-    };
-
-    header("Fault injection — micro PAC session under a deterministic FaultPlan");
-    println!("plan: {plan}\n");
-
-    let session = PacSession::new(PacConfig {
-        devices: 3,
-        epochs: 3,
-        batch_size: 9,
-        checkpoint_every: 4,
-        ..Default::default()
-    });
-    let cfg = ModelConfig::micro(2, 1, 16, 2);
-    let backbone = pac_model::EncDecModel::new(&cfg, TaskKind::Sst2.n_out(), &mut seeded(42));
-    // A planted lane panic is caught and attributed by the session; keep
-    // the default hook's report for any other panic.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let planted = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|m| m.starts_with("injected fault"));
-        if !planted {
-            default_hook(info);
-        }
-    }));
-    match session.run_with_faults(backbone, TaskKind::Sst2, 36, 12, &plan) {
-        Ok(report) => {
-            let r = &report.recovery;
-            println!("recovery timeline:");
-            println!("{}", render_events(&r.timeline));
-            println!(
-                "summary: {} fault(s) injected, {} replan(s), \
-                 {} checkpoint(s) ({} B), {} of 3 device(s) finished",
-                r.faults_injected, r.replans, r.checkpoints, r.checkpoint_bytes, r.final_devices
-            );
-            println!(
-                "metric {:.1} after epochs {:?}",
-                report.metric, report.epoch_losses
-            );
-        }
-        Err(e) => println!("session failed permanently: {e}"),
     }
 }
 

@@ -29,7 +29,7 @@ pub mod trainer;
 
 pub use personalize::{Personalizer, PersonalizerConfig};
 pub use quality::{run_quality_experiment, QualityCell};
-pub use session::{PacConfig, PacReport, PacSession, RecoveryReport};
+pub use session::{PacConfig, PacReport, PacSession};
 pub use systems::{estimate_cell, CellResult, System};
 pub use tenant::{
     run_tenant_burst, BurstOutcome, BurstSpec, TenantError, TenantPhase, TenantSession,
@@ -41,7 +41,7 @@ pub use trainer::{
 /// Common imports for PAC users.
 pub mod prelude {
     pub use crate::personalize::{Personalizer, PersonalizerConfig};
-    pub use crate::session::{PacConfig, PacReport, PacSession, RecoveryReport};
+    pub use crate::session::{PacConfig, PacReport, PacSession};
     pub use crate::systems::{estimate_cell, CellResult, System};
     pub use crate::tenant::{run_tenant_burst, BurstSpec, TenantSession};
     pub use crate::trainer::{evaluate, finetune, finetune_with_cache, TrainConfig, TrainReport};

@@ -205,11 +205,6 @@ impl Personalizer {
     pub fn clear_cache(&mut self) {
         self.cache.clear();
     }
-
-    /// Read access to the underlying tuner (e.g. for evaluation utilities).
-    pub fn tuner_mut(&mut self) -> &mut Tuner {
-        &mut self.tuner
-    }
 }
 
 #[cfg(test)]

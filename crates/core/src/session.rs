@@ -1,13 +1,20 @@
 //! The end-to-end PAC workflow (paper Figure 4, Steps 0–5), executed for
 //! real at micro scale across simulated devices (threads).
+//!
+//! The replicas are threads of one process, so the session injects no
+//! fault and replans nothing: real faults are handled by the pac-net
+//! coordinator. What the process can lose is its durable state, so the
+//! session commits a [`TrainCheckpoint`] and its loop cursor through a
+//! [`Store`] every `checkpoint_every` steps and cold-restarts from the last
+//! commit.
 
 use crate::trainer::{evaluate_replicas, shard};
 use pac_cluster::{Cluster, CostModel};
 use pac_data::{Dataset, TaskKind};
 use pac_model::ModelConfig;
 use pac_nn::{Adam, Module, Optimizer};
-use pac_parallel::engine::{dp_step_cached_supervised, dp_step_tokens_supervised};
-use pac_parallel::faults::{FaultClock, FaultPlan, TimelineEvent, TimelineKind};
+use pac_parallel::engine::{dp_step_cached, dp_step_tokens_with_acts};
+use pac_parallel::faults::{record, RecoveryReport, TimelineEvent, TimelineKind};
 use pac_parallel::{EngineError, ParallelPlan};
 use pac_peft::{ActivationCache, CacheStats, Technique, TrainCheckpoint, Tuner};
 use pac_planner::Planner;
@@ -33,9 +40,9 @@ pub struct PacConfig {
     pub lr: f32,
     /// Master seed.
     pub seed: u64,
-    /// Snapshot a [`TrainCheckpoint`] every this many steps (0 disables
-    /// periodic snapshots; an initial snapshot is always taken so recovery
-    /// is possible from step 0).
+    /// Commit a [`TrainCheckpoint`] every this many steps (0 disables
+    /// periodic snapshots; an initial snapshot is always committed so a
+    /// cold restart can resume from step 0).
     pub checkpoint_every: usize,
     /// Store cached activations as per-row absmax int8 (~4× smaller
     /// resident cache) instead of raw f32. Off by default: the f32 cache
@@ -59,56 +66,10 @@ impl Default for PacConfig {
     }
 }
 
-/// Fault-handling summary of a session run. All-zero for fault-free runs.
-#[derive(Debug, Clone, Default)]
-pub struct RecoveryReport {
-    /// Faults from the plan that actually fired.
-    pub faults_injected: usize,
-    /// Times the planner produced a new plan over surviving devices.
-    pub replans: u32,
-    /// Training checkpoints snapshotted (including the initial one).
-    pub checkpoints: usize,
-    /// Total serialized size of all snapshots, in bytes.
-    pub checkpoint_bytes: usize,
-    /// Devices still alive at the end of the run.
-    pub final_devices: usize,
-    /// Ordered fault/recovery events (the recovery timeline).
-    pub timeline: Vec<TimelineEvent>,
-}
-
-impl RecoveryReport {
-    /// Builds a report from a [`FaultClock`]'s recorded timeline plus the
-    /// supervisor's own tallies. `faults_injected` is derived from the
-    /// timeline (every [`TimelineKind::Injected`] entry), so in-process and
-    /// distributed recovery loops count faults the same way — this is the
-    /// single constructor shared by [`PacSession`] and `pac-net`'s
-    /// coordinator.
-    pub fn from_timeline(
-        timeline: Vec<TimelineEvent>,
-        replans: u32,
-        checkpoints: usize,
-        checkpoint_bytes: usize,
-        final_devices: usize,
-    ) -> Self {
-        RecoveryReport {
-            faults_injected: timeline
-                .iter()
-                .filter(|e| e.kind == TimelineKind::Injected)
-                .count(),
-            replans,
-            checkpoints,
-            checkpoint_bytes,
-            final_devices,
-            timeline,
-        }
-    }
-}
-
 /// Report of a PAC session.
 #[derive(Debug, Clone)]
 pub struct PacReport {
-    /// The plan the PAC planner chose for the (paper-scale) architecture —
-    /// the *latest* plan if device failures forced a replan mid-run.
+    /// The plan the PAC planner chose for the (paper-scale) architecture.
     pub plan: ParallelPlan,
     /// Simulated mini-batch makespan of that plan (seconds).
     pub planned_makespan_s: f64,
@@ -122,19 +83,11 @@ pub struct PacReport {
     pub trainable_params: usize,
     /// Total parameters of the micro model.
     pub total_params: usize,
-    /// Fault-injection and recovery summary.
+    /// Durable snapshots committed (with their bytes) and the `Resume` of a
+    /// cold restart. A session injects no faults and replans nothing: its
+    /// replicas are threads of one process, and real faults are handled by
+    /// the pac-net coordinator.
     pub recovery: RecoveryReport,
-}
-
-/// A consistent rollback point: serialized [`TrainCheckpoint`] plus the
-/// loop cursor needed to replay from it.
-struct Snapshot {
-    bytes: Vec<u8>,
-    epoch: usize,
-    next_batch: usize,
-    sum: f32,
-    count: usize,
-    losses: usize,
 }
 
 /// A PAC fine-tuning session (paper Figure 4).
@@ -188,68 +141,37 @@ impl PacSession {
         train_n: usize,
         eval_n: usize,
     ) -> Result<PacReport> {
-        self.run_with_faults(backbone, task, train_n, eval_n, &FaultPlan::none())
+        // A fresh in-memory store: commits are cheap copies and nothing
+        // survives the call.
+        self.run_with_store(backbone, task, train_n, eval_n, &mut MemStore::new())
             .map_err(|e| match e {
                 EngineError::Tensor(t) => t,
-                // With an empty fault plan the only failure source is
-                // tensor shape errors; anything else is a genuine bug.
-                other => panic!("fault-free session failed in the fault path: {other}"),
+                // An in-memory store never halts, so anything else is a
+                // replica that panicked: a genuine bug.
+                other => panic!("in-memory session failed outside tensor math: {other}"),
             })
     }
 
-    /// Like [`PacSession::run_with_backbone`] but executing under a
-    /// [`FaultPlan`]. Stragglers stall their replica. A fail-stop, or a lane
-    /// panic caught by the data-parallel step, loses that device for good:
-    /// the session replans over the survivors, restores the last
-    /// [`TrainCheckpoint`], and replays from its cursor. Plan faults name a
-    /// lane by its original device id, so a fault planned after a loss
-    /// still lands on the device it names. The report's [`RecoveryReport`]
-    /// records what happened.
+    /// Like [`PacSession::run_with_backbone`] but committing every
+    /// [`TrainCheckpoint`] snapshot through a [`Store`] alongside the loop
+    /// cursor needed to resume from it. When `store` already ends in a
+    /// committed snapshot (a previous process died), the run restores it
+    /// and resumes from its cursor instead of starting over — a *cold
+    /// restart*, recorded as a `Resume` event on the report's timeline.
     ///
     /// # Errors
-    /// Returns [`EngineError::Unplannable`] when failures leave no viable
-    /// device pool, and tensor errors from training itself — among them a
+    /// [`EngineError::Halted`] when the durable writer dies (recovery is
+    /// reopening the store and calling this again) or the log holds a
+    /// snapshot this run cannot restore; [`EngineError::LanePanic`] when a
+    /// replica panics; tensor errors from training itself — among them a
     /// [`pac_tensor::TensorError::ShapeMismatch`] when `devices` exceeds
     /// `batch_size`, so that no batch could give every device a row.
-    pub fn run_with_faults(
-        &self,
-        backbone: pac_model::EncDecModel,
-        task: TaskKind,
-        train_n: usize,
-        eval_n: usize,
-        faults: &FaultPlan,
-    ) -> std::result::Result<PacReport, EngineError> {
-        // A fresh in-memory store keeps the non-durable path byte-for-byte
-        // identical to the pre-store behavior: commits are cheap copies and
-        // nothing survives the call.
-        let mut store = MemStore::new();
-        self.run_with_store(backbone, task, train_n, eval_n, faults, &mut store)
-    }
-
-    /// Like [`PacSession::run_with_faults`] but persisting every
-    /// [`TrainCheckpoint`] snapshot through a [`Store`] alongside the loop
-    /// cursor needed to replay from it. Two consequences:
-    ///
-    /// - **Cold restart**: when `store` already ends in a committed
-    ///   snapshot (a previous process died), the run restores it and
-    ///   resumes from its cursor instead of starting over. The timeline
-    ///   records a `Resume` event.
-    /// - **Crash faults**: a `crash@step=N,at-byte=B` entry in `faults`
-    ///   arms the store to tear the checkpoint append at byte `B` of
-    ///   step `N`'s commit. The dead writer surfaces as
-    ///   [`EngineError::Halted`] — recovery is reopening the store and
-    ///   calling this again, not an in-process replan.
-    ///
-    /// # Errors
-    /// Everything [`PacSession::run_with_faults`] returns, plus
-    /// [`EngineError::Halted`] when the durable writer dies.
     pub fn run_with_store(
         &self,
         backbone: pac_model::EncDecModel,
         task: TaskKind,
         train_n: usize,
         eval_n: usize,
-        faults: &FaultPlan,
         store: &mut dyn Store,
     ) -> std::result::Result<PacReport, EngineError> {
         let cfg = &self.config;
@@ -291,10 +213,7 @@ impl PacSession {
         drop(plan_span);
 
         // Step 3 happened inside the tuner (backbone frozen).
-        // Steps 4–5: replicated training across devices, supervised by the
-        // fault clock. `alive` maps lane position → original device index.
-        let mut plan = plan;
-        let mut makespan = makespan;
+        // Steps 4–5: replicated training across devices.
         let mut replicas = vec![tuner; n_dev];
         let mut opts: Vec<Adam> = (0..n_dev).map(|_| Adam::new(cfg.lr)).collect();
         let mut cache = if cfg.cache_int8 {
@@ -302,10 +221,7 @@ impl PacSession {
         } else {
             ActivationCache::new()
         };
-        let clock = FaultClock::new(faults.clone());
-        let mut alive: Vec<usize> = (0..n_dev).collect();
-        let mut failed: Vec<usize> = Vec::new();
-        let mut replans = 0u32;
+        let mut timeline: Vec<TimelineEvent> = Vec::new();
         let mut checkpoints = 0usize;
         let mut checkpoint_bytes = 0usize;
 
@@ -325,7 +241,7 @@ impl PacSession {
             step: 0,
             detail: format!("durable log unreadable: {e}"),
         })?;
-        let mut snap = if let Some(committed) = prior {
+        if let Some(committed) = prior {
             let (r_epoch, r_batch, r_sum, r_count, r_losses) = decode_cursor(&committed.meta)
                 .ok_or_else(|| EngineError::Halted {
                     step: 0,
@@ -351,7 +267,8 @@ impl PacSession {
             sum = r_sum;
             count = r_count;
             epoch_losses = r_losses;
-            clock.note(
+            record(
+                &mut timeline,
                 0,
                 TimelineKind::Resume,
                 format!(
@@ -359,203 +276,91 @@ impl PacSession {
                     committed.seq
                 ),
             );
-            // The restored snapshot is this run's rollback baseline; count
-            // it like the initial snapshot it replaces.
+            // The restored snapshot stands in for the initial one.
             checkpoints += 1;
             checkpoint_bytes += committed.payload.len();
-            Snapshot {
-                bytes: committed.payload,
-                epoch: r_epoch,
-                next_batch: r_batch,
-                sum: r_sum,
-                count: r_count,
-                losses: epoch_losses.len(),
-            }
         } else {
-            let s = take_snapshot(&replicas[0], &clock, 0, 0, 0, 0, sum, count, 0);
-            persist(store, &clock, &s, 0, &epoch_losses)?;
+            checkpoint_bytes += commit(
+                store,
+                &mut timeline,
+                &replicas[0],
+                0,
+                0,
+                (0, 0, 0.0, 0),
+                &[],
+            )?;
             checkpoints += 1;
-            checkpoint_bytes += s.bytes.len();
-            s
-        };
+        }
 
-        'training: while epoch < cfg.epochs {
+        // Steps run by this process; the commit cadence counts them.
+        let mut step = 0u64;
+        while epoch < cfg.epochs {
             let batches = train.batches(cfg.batch_size, epoch, cfg.seed.wrapping_add(2));
-            let mut idx = batch_start;
-            while idx < batches.len() {
-                let batch = &batches[idx];
-                let n_live = alive.len();
+            for (idx, batch) in batches.iter().enumerate().skip(batch_start) {
                 // Lane `k`'s rows: every row of the batch has a lane (a lane
                 // of a short tail batch may have none).
-                let rows = |k: usize| shard(batch.len(), n_live, k);
-                clock.advance();
-                let step = clock.current_step();
-
-                // `lost` = original index of a device that permanently left
-                // this step; triggers replan + checkpoint rollback below.
-                let mut lost: Option<usize> = None;
-                if let Some(dev) = clock.fail_stop(step) {
-                    if let Some(pos) = alive.iter().position(|&d| d == dev) {
-                        clock.note(
-                            step,
-                            TimelineKind::Injected,
-                            format!("device {dev} fail-stop"),
-                        );
-                        replicas.remove(pos);
-                        opts.remove(pos);
-                        lost = Some(dev);
-                    }
+                let rows = |k: usize| shard(batch.len(), n_dev, k);
+                for r in replicas.iter_mut() {
+                    r.zero_grads();
                 }
-
-                if lost.is_none() {
-                    for r in replicas.iter_mut() {
-                        r.zero_grads();
-                    }
-                    let result = if epoch == 0 || !cache_has_all(&cache, &batch.ids) {
-                        // Phase 1: full forwards. The step's own forward is
-                        // the cache fill (paper §5.2: activations are cached
-                        // *during* the epoch-1 pass), so the frozen backbone
-                        // runs once per row.
-                        let _span = pac_telemetry::span("session.phase1");
-                        let shards: Vec<(Vec<Vec<usize>>, Vec<f32>)> = (0..n_live)
-                            .map(|k| {
-                                (
-                                    batch.tokens[rows(k)].to_vec(),
-                                    targets(batch, rows(k), task),
-                                )
-                            })
-                            .collect();
-                        dp_step_tokens_supervised(
-                            &mut replicas,
-                            &alive,
-                            &shards,
-                            task.is_regression(),
-                            &clock,
-                        )
-                        .map(|(loss, lane_acts)| {
-                            for (k, acts) in lane_acts.iter().enumerate() {
-                                if !acts.is_empty() {
-                                    cache.insert_batch(&batch.ids[rows(k)], acts);
-                                }
-                            }
-                            loss
-                        })
-                    } else {
-                        // Phase 2: cache-only DP training.
-                        let _span = pac_telemetry::span("session.phase2");
-                        let shards: Vec<(Vec<Tensor>, Vec<f32>)> = (0..n_live)
-                            .map(|k| {
-                                let ids = &batch.ids[rows(k)];
-                                let acts = if ids.is_empty() {
-                                    Vec::new()
-                                } else {
-                                    cache.get_batch(ids).expect("cache warm after epoch 1")
-                                };
-                                (acts, targets(batch, rows(k), task))
-                            })
-                            .collect();
-                        dp_step_cached_supervised(
-                            &mut replicas,
-                            &alive,
-                            &shards,
-                            task.is_regression(),
-                            &clock,
-                        )
-                    };
-
-                    match result {
-                        Ok(loss) => {
-                            sum += loss;
-                            count += 1;
-                            for (r, o) in replicas.iter_mut().zip(opts.iter_mut()) {
-                                o.step(r);
-                            }
-                            if cfg.checkpoint_every > 0
-                                && (step + 1).is_multiple_of(cfg.checkpoint_every as u64)
-                            {
-                                snap = take_snapshot(
-                                    &replicas[0],
-                                    &clock,
-                                    epoch,
-                                    idx + 1,
-                                    step,
-                                    opts[0].t,
-                                    sum,
-                                    count,
-                                    epoch_losses.len(),
-                                );
-                                persist(store, &clock, &snap, step, &epoch_losses)?;
-                                checkpoints += 1;
-                                checkpoint_bytes += snap.bytes.len();
-                            }
-                            idx += 1;
-                        }
-                        Err(e)
-                            if e.is_recoverable() && e.lane().is_some_and(|p| p < alive.len()) =>
-                        {
-                            // A lane died mid-step (panic or disconnect):
-                            // treat it as a permanent loss.
-                            let pos = e.lane().expect("guarded above");
-                            replicas.remove(pos);
-                            opts.remove(pos);
-                            lost = Some(alive[pos]);
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-
-                if let Some(dev) = lost {
-                    let pos = alive
-                        .iter()
-                        .position(|&d| d == dev)
-                        .expect("lost device was alive");
-                    alive.remove(pos);
-                    failed.push(dev);
-                    let outcome =
-                        planner
-                            .replan_without(&cost, &failed)
-                            .ok_or(EngineError::Unplannable {
-                                survivors: alive.len(),
-                            })?;
-                    plan = outcome.best;
-                    makespan = outcome.best_makespan_s;
-                    replans += 1;
-                    clock.note(
-                        step,
-                        TimelineKind::Replan,
-                        format!("{} survivors, makespan {makespan:.2}s", alive.len()),
-                    );
-                    // Roll back to the last consistent snapshot and replay.
-                    // Replayed steps consume *fresh* clock steps, so a
-                    // fault pinned to an earlier step never fires twice.
-                    let ck = TrainCheckpoint::from_bytes(&snap.bytes)
-                        .expect("in-memory checkpoint round-trips");
-                    for r in replicas.iter_mut() {
-                        ck.restore(r).expect("checkpoint matches its own module");
-                    }
-                    opts = replicas
-                        .iter()
-                        .map(|_| {
-                            let mut a = Adam::new(cfg.lr);
-                            a.t = ck.adam_t;
-                            a
+                let loss = if epoch == 0 || !cache_has_all(&cache, &batch.ids) {
+                    // Phase 1: full forwards. The step's own forward is the
+                    // cache fill (paper §5.2: activations are cached *during*
+                    // the epoch-1 pass), so the frozen backbone runs once per
+                    // row.
+                    let _span = pac_telemetry::span("session.phase1");
+                    let shards: Vec<(Vec<Vec<usize>>, Vec<f32>)> = (0..n_dev)
+                        .map(|k| {
+                            (
+                                batch.tokens[rows(k)].to_vec(),
+                                targets(batch, rows(k), task),
+                            )
                         })
                         .collect();
-                    epoch = snap.epoch;
-                    batch_start = snap.next_batch;
-                    sum = snap.sum;
-                    count = snap.count;
-                    epoch_losses.truncate(snap.losses);
-                    clock.note(
-                        step,
-                        TimelineKind::Resume,
-                        format!(
-                            "replaying from step {} (epoch {}, batch {})",
-                            ck.step, snap.epoch, snap.next_batch
-                        ),
-                    );
-                    continue 'training;
+                    let (loss, lane_acts) =
+                        dp_step_tokens_with_acts(&mut replicas, &shards, task.is_regression())?;
+                    for (k, acts) in lane_acts.iter().enumerate() {
+                        if !acts.is_empty() {
+                            cache.insert_batch(&batch.ids[rows(k)], acts);
+                        }
+                    }
+                    loss
+                } else {
+                    // Phase 2: cache-only DP training.
+                    let _span = pac_telemetry::span("session.phase2");
+                    let shards: Vec<(Vec<Tensor>, Vec<f32>)> = (0..n_dev)
+                        .map(|k| {
+                            let ids = &batch.ids[rows(k)];
+                            let acts = if ids.is_empty() {
+                                Vec::new()
+                            } else {
+                                cache.get_batch(ids).expect("cache warm after epoch 1")
+                            };
+                            (acts, targets(batch, rows(k), task))
+                        })
+                        .collect();
+                    dp_step_cached(&mut replicas, &shards, task.is_regression())?
+                };
+                sum += loss;
+                count += 1;
+                for (r, o) in replicas.iter_mut().zip(opts.iter_mut()) {
+                    o.step(r);
                 }
+                if cfg.checkpoint_every > 0
+                    && (step + 1).is_multiple_of(cfg.checkpoint_every as u64)
+                {
+                    checkpoint_bytes += commit(
+                        store,
+                        &mut timeline,
+                        &replicas[0],
+                        step,
+                        opts[0].t,
+                        (epoch, idx + 1, sum, count),
+                        &epoch_losses,
+                    )?;
+                    checkpoints += 1;
+                }
+                step += 1;
             }
             epoch_losses.push(sum / count.max(1) as f32);
             epoch += 1;
@@ -568,13 +373,8 @@ impl PacSession {
             let _span = pac_telemetry::span("session.evaluate");
             evaluate_replicas(&mut replicas, &eval)?
         };
-        let recovery = RecoveryReport::from_timeline(
-            clock.timeline(),
-            replans,
-            checkpoints,
-            checkpoint_bytes,
-            alive.len(),
-        );
+        let recovery =
+            RecoveryReport::from_timeline(timeline, 0, checkpoints, checkpoint_bytes, n_dev);
         Ok(PacReport {
             plan,
             planned_makespan_s: makespan,
@@ -588,71 +388,37 @@ impl PacSession {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn take_snapshot(
+/// Commits `replica`'s [`TrainCheckpoint`] at `step` durably and returns
+/// its size: the serialized checkpoint is the payload, the loop `cursor`
+/// (`epoch, next_batch, sum, count`) plus the finished per-epoch losses is
+/// the commit metadata. A dead writer surfaces as [`EngineError::Halted`],
+/// since everything past the last *committed* snapshot is gone.
+fn commit(
+    store: &mut dyn Store,
+    timeline: &mut Vec<TimelineEvent>,
     replica: &Tuner,
-    clock: &FaultClock,
-    epoch: usize,
-    next_batch: usize,
     step: u64,
     adam_t: u64,
-    sum: f32,
-    count: usize,
-    losses: usize,
-) -> Snapshot {
+    (epoch, next_batch, sum, count): (usize, usize, f32, usize),
+    epoch_losses: &[f32],
+) -> std::result::Result<usize, EngineError> {
     let ck = TrainCheckpoint::capture(replica, epoch as u64, step, adam_t);
     let bytes = ck.to_bytes().expect("in-memory serialization");
     pac_telemetry::counter_add("checkpoint.bytes", bytes.len() as u64);
-    clock.note(
+    record(
+        timeline,
         step,
         TimelineKind::Checkpoint,
         format!("{} B at epoch {epoch}, batch {next_batch}", bytes.len()),
     );
-    Snapshot {
-        bytes,
-        epoch,
-        next_batch,
-        sum,
-        count,
-        losses,
-    }
-}
-
-/// Commits `snap` durably: the serialized checkpoint is the payload, the
-/// loop cursor (plus the finished per-epoch losses) is the commit
-/// metadata. When the fault plan pins a `crash@step=N,at-byte=B` to this
-/// step, the store is armed first so the append tears mid-write — the
-/// dead writer surfaces as [`EngineError::Halted`], since everything past
-/// the last *committed* snapshot is unrecoverable in-process.
-fn persist(
-    store: &mut dyn Store,
-    clock: &FaultClock,
-    snap: &Snapshot,
-    step: u64,
-    epoch_losses: &[f32],
-) -> std::result::Result<(), EngineError> {
-    if let Some(at_byte) = clock.crash_point(step) {
-        clock.note(
-            step,
-            TimelineKind::Injected,
-            format!("checkpoint writer crash armed at byte {at_byte}"),
-        );
-        store.arm_crash(at_byte);
-    }
-    let meta = encode_cursor(
-        snap.epoch,
-        snap.next_batch,
-        snap.sum,
-        snap.count,
-        epoch_losses,
-    );
+    let meta = encode_cursor(epoch, next_batch, sum, count, epoch_losses);
     store
-        .commit(&snap.bytes, &meta)
+        .commit(&bytes, &meta)
         .map_err(|e| EngineError::Halted {
             step,
             detail: e.to_string(),
         })?;
-    Ok(())
+    Ok(bytes.len())
 }
 
 /// Encodes the replay cursor committed alongside each durable snapshot:
@@ -803,9 +569,34 @@ mod tests {
         }
     }
 
+    /// A store whose writer dies at byte 0 of its `nth` commit (1-based).
+    struct CrashOnCommit<S> {
+        inner: S,
+        nth: u64,
+    }
+
+    type StoreResult<T> = std::result::Result<T, pac_store::StoreError>;
+
+    impl<S: Store> Store for CrashOnCommit<S> {
+        fn commit(&mut self, payload: &[u8], meta: &[u8]) -> StoreResult<u64> {
+            if self.inner.commits() + 1 == self.nth {
+                self.inner.arm_crash(0);
+            }
+            self.inner.commit(payload, meta)
+        }
+        fn latest(&self) -> StoreResult<Option<pac_store::Committed>> {
+            self.inner.latest()
+        }
+        fn committed(&self, seq: u64) -> StoreResult<Option<pac_store::Committed>> {
+            self.inner.committed(seq)
+        }
+        fn commits(&self) -> u64 {
+            self.inner.commits()
+        }
+    }
+
     #[test]
     fn crash_mid_checkpoint_halts_and_cold_restart_resumes() {
-        use pac_parallel::faults::Fault;
         use pac_store::DiskStore;
 
         let dir = std::env::temp_dir().join(format!("pac-session-durable-{}", std::process::id()));
@@ -820,16 +611,14 @@ mod tests {
         });
         let mk = || pac_model::EncDecModel::new(&cfg, TaskKind::Mrpc.n_out(), &mut seeded(42));
 
-        // The writer dies at byte 0 of step 3's checkpoint append: the run
-        // halts, but everything up to the step-1 commit is durable.
-        let faults = FaultPlan::none().with(Fault::Crash {
-            step: 3,
-            at_byte: 0,
-        });
+        // The writer dies at byte 0 of the third commit, step 3's checkpoint
+        // append: the run halts, but everything up to the step-1 commit is
+        // durable.
         {
-            let (mut store, _) = DiskStore::open(&dir).expect("fresh store");
+            let (inner, _) = DiskStore::open(&dir).expect("fresh store");
+            let mut store = CrashOnCommit { inner, nth: 3 };
             let err = session
-                .run_with_store(mk(), TaskKind::Mrpc, 16, 8, &faults, &mut store)
+                .run_with_store(mk(), TaskKind::Mrpc, 16, 8, &mut store)
                 .expect_err("writer died mid-checkpoint");
             match err {
                 EngineError::Halted { step, .. } => assert_eq!(step, 3),
@@ -842,7 +631,7 @@ mod tests {
         let (mut store, report) = DiskStore::open(&dir).expect("recovery open");
         assert!(report.commits >= 1, "at least the initial commit survived");
         let resumed = session
-            .run_with_store(mk(), TaskKind::Mrpc, 16, 8, &FaultPlan::none(), &mut store)
+            .run_with_store(mk(), TaskKind::Mrpc, 16, 8, &mut store)
             .expect("resumed run completes");
         assert_eq!(resumed.epoch_losses.len(), 2);
         assert!(

@@ -14,7 +14,6 @@
 use pac_core::{run_tenant_burst, BurstSpec, PacConfig, PacSession};
 use pac_data::TaskKind;
 use pac_model::{EncDecModel, ModelConfig};
-use pac_parallel::faults::FaultPlan;
 use pac_peft::{CheckpointError, ParallelTuner, TrainCheckpoint};
 use pac_store::{MemStore, Store};
 use pac_tensor::bytes::checksum;
@@ -58,14 +57,7 @@ fn session_snapshot() -> Vec<u8> {
     let backbone = EncDecModel::new(&cfg, TaskKind::Mrpc.n_out(), &mut seeded(42));
     let mut store = MemStore::new();
     session
-        .run_with_store(
-            backbone,
-            TaskKind::Mrpc,
-            16,
-            8,
-            &FaultPlan::none(),
-            &mut store,
-        )
+        .run_with_store(backbone, TaskKind::Mrpc, 16, 8, &mut store)
         .expect("session runs");
     store
         .latest()

@@ -30,11 +30,6 @@ impl Tokenizer {
         Tokenizer
     }
 
-    /// Vocabulary size (fixed, shared with the synthetic tasks).
-    pub fn vocab_size(&self) -> usize {
-        VOCAB
-    }
-
     /// Maps one word to a stable content-token id.
     pub fn token_for_word(&self, word: &str) -> usize {
         if word.is_empty() {

@@ -169,12 +169,6 @@ impl ModelConfig {
     pub fn attn_score_floats(&self, batch: usize, seq: usize) -> usize {
         batch * self.heads * seq * seq
     }
-
-    /// The hidden-state size `h` floats per token flowing between layers —
-    /// this is the inter-stage communication payload of pipeline parallelism.
-    pub fn boundary_floats_per_token(&self) -> usize {
-        self.hidden
-    }
 }
 
 #[cfg(test)]

@@ -70,8 +70,6 @@ impl From<StoreError> for DistError {
 /// Configuration of a distributed training job.
 #[derive(Debug, Clone)]
 pub struct DistConfig {
-    /// Encoder layers of the (micro-scale) model.
-    pub enc_layers: usize,
     /// Hidden width.
     pub hidden: usize,
     /// Attention heads.
@@ -133,7 +131,6 @@ impl DistConfig {
     /// engine test suites.
     pub fn loopback(stages: usize, lanes: usize) -> Self {
         DistConfig {
-            enc_layers: 2 * stages,
             hidden: 16,
             heads: 2,
             n_out: 2,
@@ -159,9 +156,11 @@ impl DistConfig {
         self.partition.len()
     }
 
-    /// The model architecture, as the planner's cost model sees it.
+    /// The model architecture, as the planner's cost model sees it: as
+    /// many encoder layers as the partition cuts into stages.
     pub fn model_config(&self) -> ModelConfig {
-        ModelConfig::micro(self.enc_layers, 0, self.hidden, self.heads)
+        let enc_layers = self.partition.iter().sum();
+        ModelConfig::micro(enc_layers, 0, self.hidden, self.heads)
     }
 
     /// The job's model built from `seed` and cut at `partition`: what the

@@ -68,10 +68,9 @@ use crate::wire::{
 };
 use crate::worker::param_entries;
 use pac_cluster::{Cluster, CostModel, DeviceSpec};
-use pac_core::RecoveryReport;
 use pac_parallel::engine::{split_micro_batches_weighted, weighted_shares, MicroBatch};
 use pac_parallel::schedule::SimEvent;
-use pac_parallel::{EngineError, FaultClock, FaultPlan, TimelineKind};
+use pac_parallel::{EngineError, FaultClock, FaultPlan, RecoveryReport, TimelineKind};
 use pac_peft::Technique;
 use pac_planner::{PlanOutcome, Planner};
 use pac_store::Store;
@@ -185,10 +184,11 @@ impl TenantJob {
                 cfg.hidden, cfg.heads
             ));
         }
-        if cfg.partition.contains(&0) || cfg.partition.iter().sum::<usize>() != cfg.enc_layers {
+        if cfg.partition.contains(&0) {
             return reject(format!(
                 "partition {:?} does not cover {} layer(s) with non-empty stages",
-                cfg.partition, cfg.enc_layers
+                cfg.partition,
+                cfg.partition.iter().sum::<usize>()
             ));
         }
         if cfg.n_out == 0 {
@@ -258,7 +258,7 @@ pub struct WorldReport {
     /// Final parameters of the canonical (lane position 0) replica, in
     /// stage order — directly comparable to `HybridEngine::canonical_params`.
     pub final_params: Vec<(String, Tensor)>,
-    /// Fault/recovery accounting, same shape as the in-process session's.
+    /// Fault/recovery accounting, the shape `PacSession` reports too.
     pub recovery: RecoveryReport,
     /// The recovery timeline rendered one line per event, each tagged with
     /// this world's id. Every rank named here belongs to this world — the
@@ -535,6 +535,7 @@ fn start_round<S: Spawn>(
     round.conns.extend(pre);
 
     let ports: Vec<u16> = round.conns.iter().map(|w| w.data_port).collect();
+    let enc_layers: usize = cfg.partition.iter().sum();
     for (rank, wc) in round.conns.iter_mut().enumerate() {
         wc.ctrl.send(&Msg::Assign(Box::new(Assignment {
             rank: rank as u32,
@@ -544,7 +545,7 @@ fn start_round<S: Spawn>(
             stages: topo.stages as u32,
             seed: cfg.seed,
             lr: cfg.lr,
-            enc_layers: cfg.enc_layers as u32,
+            enc_layers: enc_layers as u32,
             hidden: cfg.hidden as u32,
             heads: cfg.heads as u32,
             n_out: cfg.n_out as u32,
@@ -2447,9 +2448,6 @@ mod tests {
             ("hidden 30 does not split into 4 head(s)", |j| {
                 j.cfg.hidden = 30;
                 j.cfg.heads = 4;
-            }),
-            ("partition [2, 3] does not cover 4 layer(s)", |j| {
-                j.cfg.partition = vec![2, 3]
             }),
             ("partition [4, 0] does not cover", |j| {
                 j.cfg.partition = vec![4, 0]

@@ -931,15 +931,6 @@ impl SimNet {
             .map(|(t, line)| format!("t={t:>12}ns {line}"))
             .collect()
     }
-
-    /// Points `pac-telemetry` at this world's virtual clock, so spans and
-    /// timelines recorded during a simulated run are in virtual time.
-    /// Call `pac_telemetry::set_clock(None)` afterwards to restore the
-    /// wall clock.
-    pub fn install_telemetry_clock(&self) {
-        let net = self.clone();
-        pac_telemetry::set_clock(Some(Arc::new(move || net.now_ns())));
-    }
 }
 
 /// Deregisters its actor on drop. If every remaining participant is
@@ -1237,12 +1228,25 @@ impl Transport for SimNet {
         if st.crashed.contains(&actor) {
             return Err(sim_io(std::io::ErrorKind::Other, "actor crashed"));
         }
-        let c = st.bind_count.entry(actor).or_insert(0);
-        assert!(*c < 8, "actor {actor} bound too many listeners");
+        let c = st.bind_count.get(&actor).copied().unwrap_or(0);
+        assert!(c < 8, "actor {actor} bound too many listeners");
         // Ports are a pure function of (actor, bind count): no global
-        // counter whose value could depend on thread interleaving.
-        let port = 1000 + (actor as u16) * 8 + *c;
-        *c += 1;
+        // counter whose value could depend on thread interleaving. An actor
+        // id past the port space (respawn generations add up) is refused,
+        // never wrapped onto a port another listener holds.
+        let port = u16::try_from(1000 + u64::from(actor) * 8 + u64::from(c)).map_err(|_| {
+            sim_io(
+                std::io::ErrorKind::AddrNotAvailable,
+                "actor id past the simulated port space",
+            )
+        })?;
+        if st.listeners.contains_key(&port) {
+            return Err(sim_io(
+                std::io::ErrorKind::AddrInUse,
+                "simulated port already bound",
+            ));
+        }
+        st.bind_count.insert(actor, c + 1);
         st.listeners.insert(
             port,
             ListenerState {
@@ -1520,6 +1524,47 @@ mod tests {
         net.block_external(|| server.join().expect("server thread"));
         assert!(net.now_ns() > 0, "virtual time advanced");
         assert!(net.deadlocked().is_none());
+    }
+
+    /// Ports stay an injective function of (actor, bind count): an actor
+    /// id whose port would not fit 16 bits is a typed error, never a
+    /// wrapped port that replaces the coordinator's listener.
+    #[test]
+    fn a_bind_past_the_port_space_is_refused_not_wrapped() {
+        let net = SimNet::new(SimConfig::clean(13));
+        let _g = net.register(0);
+        let coordinator = net.bind().expect("actor 0 binds");
+        assert_eq!(coordinator.port(), 1000);
+        net.preregister(8066);
+        net.preregister(8192);
+        let worker = {
+            let net = net.clone();
+            std::thread::spawn(move || {
+                let last_fit = {
+                    let _g = net.adopt(8066);
+                    net.bind()
+                        .expect("the highest actor whose port fits")
+                        .port()
+                };
+                let _g = net.adopt(8192);
+                let err = net.bind().expect_err("actor 8192's port is past u16");
+                let mut conn = net
+                    .connect(1000, Duration::from_secs(5))
+                    .expect("dial actor 0");
+                conn.send(&Msg::Heartbeat { nonce: 5 }).expect("send");
+                (last_fit, err)
+            })
+        };
+        let mut conn = coordinator
+            .accept(Duration::from_secs(5), Duration::from_secs(5))
+            .expect("actor 0's listener still accepts");
+        assert_eq!(conn.recv().expect("recv"), Msg::Heartbeat { nonce: 5 });
+        let (last_fit, err) = net.block_external(|| worker.join().expect("worker thread"));
+        assert_eq!(last_fit, 1000 + 8066 * 8);
+        assert!(
+            matches!(err, NetError::Io(ref e) if e.kind() == std::io::ErrorKind::AddrNotAvailable),
+            "{err}"
+        );
     }
 
     /// A frame whose bytes land across two poll wakeups must not desync:

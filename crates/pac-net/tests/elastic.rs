@@ -410,3 +410,50 @@ fn rebalance_shifts_shares_away_from_straggler() {
         "rebalanced training drifted: {last} vs reference {reference}"
     );
 }
+
+/// Plan faults name a lane by its original id, and the coordinator keeps
+/// them there as the survivors renumber: once device 0 of a 1 × 3 world
+/// fail-stops, original lane 2 runs at position 1, and its planned stall
+/// still lands on it (at position 2 it would never fire).
+#[test]
+fn lane_faults_follow_the_device_after_a_fail_stop() {
+    let cfg = DistConfig::loopback(1, 3);
+    let batches = make_batches();
+    let plan = FaultPlan::parse("fail-stop@step=1,device=0;straggler@step=5,lane=2,delay-ms=20")
+        .expect("plan parses");
+    let (report, net) = sim_run(59, cfg, &batches, &plan, Buggify::default());
+    let report = report.expect("the world survives the fail-stop");
+    assert!(net.panics().is_empty(), "worker panics: {:?}", net.panics());
+
+    assert_eq!(report.losses.len(), batches.len(), "full loss history");
+    assert_eq!(report.final_lanes, 2, "one lane left for good");
+    assert_eq!(report.recovery.replans, 1, "one replan for one fail-stop");
+    assert_eq!(
+        report.recovery.faults_injected, 2,
+        "{:?}",
+        report.recovery.timeline
+    );
+    assert!(
+        report.recovery.timeline.iter().any(|e| e.step == 5
+            && e.kind == TimelineKind::Injected
+            && e.detail.starts_with("lane 2 straggles")),
+        "{:?}",
+        report.recovery.timeline
+    );
+}
+
+/// Losing every lane leaves nothing to replan over: the run ends in a
+/// typed engine error, with no hang and no worker panic.
+#[test]
+fn losing_all_devices_is_a_typed_engine_error() {
+    let cfg = DistConfig::loopback(1, 2);
+    let batches = make_batches();
+    let plan = FaultPlan::parse("fail-stop@step=1,device=0;fail-stop@step=2,device=1")
+        .expect("plan parses");
+    let (report, net) = sim_run(61, cfg, &batches, &plan, Buggify::default());
+    assert!(net.panics().is_empty(), "worker panics: {:?}", net.panics());
+    match report {
+        Err(DistError::Engine(EngineError::NoSurvivors | EngineError::Unplannable { .. })) => {}
+        other => panic!("a world without lanes must fail typed, got {other:?}"),
+    }
+}

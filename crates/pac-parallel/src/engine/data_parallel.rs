@@ -11,78 +11,30 @@
 //! shares are equal, so the equal-share bits do not move. A lane with no
 //! rows computes nothing and weighs nothing.
 //!
-//! Execution is supervised: replica work runs under `catch_unwind`, so a
-//! crashing lane surfaces as [`EngineError::LanePanic`] instead of tearing
-//! the process down. The `_supervised` steps inject a [`FaultClock`]'s lane
-//! panics and stragglers, keyed by each replica's original lane id, for the
-//! session's fail-stop/replan loop.
+//! Replica work runs under `catch_unwind`, so a crashing lane surfaces as
+//! [`EngineError::LanePanic`] attributed to its position instead of
+//! tearing the process down. The step injects nothing: faults are the
+//! pac-net coordinator's.
 
 use crate::engine::error::{EngineError, EngineResult};
-use crate::faults::{FaultClock, TimelineKind};
 use pac_nn::{cross_entropy, mse, Module};
 use pac_peft::Tuner;
 use pac_tensor::{Tensor, TensorError};
 use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
 
-/// Per-replica injection context for one supervised step.
-struct LaneCtx {
-    lane: usize,
-    panic: bool,
-    delay: Option<Duration>,
-}
-
-/// The injections of `step` for replica `k`, queried by its original lane
-/// id `lanes[k]`; errors stay attributed to the position `k`.
-fn lane_ctxs(lanes: &[usize], step: u64, clock: &FaultClock) -> Vec<LaneCtx> {
-    lanes
-        .iter()
-        .enumerate()
-        .map(|(k, &id)| {
-            let panic = clock.lane_panic(step, id);
-            if panic {
-                clock.note(step, TimelineKind::Injected, format!("lane {id} panics"));
-            }
-            let delay = clock.straggler_delay(step, id);
-            if let Some(d) = delay {
-                clock.note(
-                    step,
-                    TimelineKind::Injected,
-                    format!("lane {id} straggles {}ms", d.as_millis()),
-                );
-            }
-            LaneCtx {
-                lane: k,
-                panic,
-                delay,
-            }
-        })
-        .collect()
-}
-
-/// Runs one replica's shard compute under `catch_unwind`, applying the
-/// lane's injections first.
-fn supervised_lane<T, F>(ctx: &LaneCtx, step: u64, compute: F) -> EngineResult<T>
+/// Runs lane `lane`'s shard compute under `catch_unwind`: a panic comes
+/// back as [`EngineError::LanePanic`] attributed to the lane.
+fn supervised_lane<T, F>(lane: usize, compute: F) -> EngineResult<T>
 where
     F: FnOnce() -> EngineResult<T>,
 {
-    if let Some(d) = ctx.delay {
-        std::thread::sleep(d);
-    }
-    let lane = ctx.lane;
-    let inject = ctx.panic;
-    match catch_unwind(AssertUnwindSafe(|| {
-        if inject {
-            panic!("injected fault: lane {lane} panics (step {step})");
-        }
-        compute()
-    })) {
+    match catch_unwind(AssertUnwindSafe(compute)) {
         Ok(r) => r,
         Err(payload) => Err(EngineError::LanePanic {
             lane,
             stage: None,
-            step,
+            step: 0,
             message: EngineError::panic_message(payload.as_ref()),
         }),
     }
@@ -232,23 +184,17 @@ pub fn dp_step_tokens(
     replicas: &mut [Tuner],
     shards: &[(Vec<Vec<usize>>, Vec<usize>)],
 ) -> EngineResult<f32> {
-    let lanes: Vec<usize> = (0..replicas.len()).collect();
-    let clock = FaultClock::quiet();
-    clock.advance();
     let shards: Vec<(Vec<Vec<usize>>, Vec<f32>)> = shards
         .iter()
         .map(|(tokens, classes)| (tokens.clone(), classes.iter().map(|&c| c as f32).collect()))
         .collect();
-    dp_step_tokens_supervised(replicas, &lanes, &shards, false, &clock).map(|(loss, _)| loss)
+    dp_step_tokens_with_acts(replicas, &shards, false).map(|(loss, _)| loss)
 }
 
-/// [`dp_step_tokens`] under a [`FaultClock`]: injects the clock's lane
-/// panics and stragglers for the current step and catches lane panics.
-/// `lanes[k]` is replica `k`'s original lane id, which the plan's faults
-/// name; a failure is attributed to the position `k`. `shards[k]` is
+/// [`dp_step_tokens`] for the session's epoch 1. `shards[k]` is
 /// `(tokens, targets)`, the targets scores for MSE when `regression` and
-/// class ids otherwise (as [`dp_step_cached_supervised`] takes them); shards
-/// may differ in size, and may be empty (see the module docs).
+/// class ids otherwise (as [`dp_step_cached`] takes them); shards may differ
+/// in size, and may be empty (see the module docs).
 ///
 /// Next to the mean loss it hands back, per lane, the backbone layer outputs
 /// of that lane's forward ([`Tuner::cacheable_acts`]; empty for techniques
@@ -258,30 +204,27 @@ pub fn dp_step_tokens(
 /// # Errors
 /// [`EngineError::LanePanic`] when a replica dies, [`EngineError::Tensor`]
 /// on count/shape mismatches.
-pub fn dp_step_tokens_supervised(
+pub fn dp_step_tokens_with_acts(
     replicas: &mut [Tuner],
-    lanes: &[usize],
     shards: &[(Vec<Vec<usize>>, Vec<f32>)],
     regression: bool,
-    clock: &FaultClock,
 ) -> EngineResult<(f32, Vec<Vec<Tensor>>)> {
-    if replicas.len() != shards.len() || replicas.len() != lanes.len() || replicas.is_empty() {
+    if replicas.len() != shards.len() || replicas.is_empty() {
         return Err(EngineError::Tensor(TensorError::ShapeMismatch {
             op: "dp_step_tokens",
             lhs: vec![replicas.len()],
             rhs: vec![shards.len()],
         }));
     }
-    let step = clock.current_step();
-    let ctxs = lane_ctxs(lanes, step, clock);
     let weights = lane_weights(shards);
     let _span = pac_telemetry::span("dp.step_tokens");
     let results: Vec<EngineResult<(f32, Vec<Tensor>)>> = replicas
         .par_iter_mut()
         .zip(shards.par_iter())
-        .zip(ctxs.par_iter().zip(weights.par_iter()))
-        .map(|((tuner, (tokens, targets)), (ctx, &weight))| {
-            supervised_lane(ctx, step, || {
+        .zip(weights.par_iter())
+        .enumerate()
+        .map(|(k, ((tuner, (tokens, targets)), &weight))| {
+            supervised_lane(k, || {
                 if targets.is_empty() {
                     return Ok((0.0, Vec::new()));
                 }
@@ -318,47 +261,28 @@ fn mean(losses: &[f32], weights: &[f32]) -> f32 {
 ///
 /// # Errors
 /// Returns an error on count mismatches or if a replica is not a
-/// Parallel-Adapters tuner.
+/// Parallel-Adapters tuner; [`EngineError::LanePanic`] when a replica dies.
 pub fn dp_step_cached(
     replicas: &mut [Tuner],
     shards: &[(Vec<Tensor>, Vec<f32>)],
     regression: bool,
 ) -> EngineResult<f32> {
-    let lanes: Vec<usize> = (0..replicas.len()).collect();
-    let clock = FaultClock::quiet();
-    clock.advance();
-    dp_step_cached_supervised(replicas, &lanes, shards, regression, &clock)
-}
-
-/// [`dp_step_cached`] under a [`FaultClock`]; same supervision contract as
-/// [`dp_step_tokens_supervised`].
-///
-/// # Errors
-/// As [`dp_step_tokens_supervised`].
-pub fn dp_step_cached_supervised(
-    replicas: &mut [Tuner],
-    lanes: &[usize],
-    shards: &[(Vec<Tensor>, Vec<f32>)],
-    regression: bool,
-    clock: &FaultClock,
-) -> EngineResult<f32> {
-    if replicas.len() != shards.len() || replicas.len() != lanes.len() || replicas.is_empty() {
+    if replicas.len() != shards.len() || replicas.is_empty() {
         return Err(EngineError::Tensor(TensorError::ShapeMismatch {
             op: "dp_step_cached",
             lhs: vec![replicas.len()],
             rhs: vec![shards.len()],
         }));
     }
-    let step = clock.current_step();
-    let ctxs = lane_ctxs(lanes, step, clock);
     let weights = lane_weights(shards);
     let _span = pac_telemetry::span("dp.step_cached");
     let results: Vec<EngineResult<f32>> = replicas
         .par_iter_mut()
         .zip(shards.par_iter())
-        .zip(ctxs.par_iter().zip(weights.par_iter()))
-        .map(|((tuner, (acts, targets)), (ctx, &weight))| {
-            supervised_lane(ctx, step, || {
+        .zip(weights.par_iter())
+        .enumerate()
+        .map(|(k, ((tuner, (acts, targets)), &weight))| {
+            supervised_lane(k, || {
                 if targets.is_empty() {
                     return Ok(0.0);
                 }
@@ -378,7 +302,6 @@ pub fn dp_step_cached_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{Fault, FaultPlan};
     use pac_model::ModelConfig;
     use pac_nn::{Adam, Optimizer};
     use pac_peft::Technique;
@@ -394,7 +317,8 @@ mod tests {
         (toks, targets)
     }
 
-    /// Token shards with their class ids as the supervised step takes them.
+    /// Token shards with their class ids as the activation-returning step
+    /// takes them.
     fn float(shards: &[(Vec<Vec<usize>>, Vec<usize>)]) -> Vec<(Vec<Vec<usize>>, Vec<f32>)> {
         shards
             .iter()
@@ -590,15 +514,12 @@ mod tests {
         };
         let cfg = ModelConfig::micro(2, 1, 16, 2);
         let shards = vec![batch(231, 2, 4), batch(232, 2, 4)];
-        let clock = FaultClock::quiet();
-        clock.advance();
 
         // Parallel Adapters: exactly the bits a stand-alone forward caches.
         let base = Tuner::new(Technique::parallel_default(), &cfg, 2, &mut seeded(230));
         let mut replicas = vec![base.clone(), base.clone()];
         let (_, lane_acts) =
-            dp_step_tokens_supervised(&mut replicas, &[0, 1], &float(&shards), false, &clock)
-                .unwrap();
+            dp_step_tokens_with_acts(&mut replicas, &float(&shards), false).unwrap();
         assert_eq!(lane_acts.len(), 2);
         for ((tokens, _), acts) in shards.iter().zip(&lane_acts) {
             let mut alone = base.clone();
@@ -611,8 +532,7 @@ mod tests {
         let plain = Tuner::new(Technique::adapters_default(), &cfg, 2, &mut seeded(230));
         let mut replicas = vec![plain.clone(), plain];
         let (_, lane_acts) =
-            dp_step_tokens_supervised(&mut replicas, &[0, 1], &float(&shards), false, &clock)
-                .unwrap();
+            dp_step_tokens_with_acts(&mut replicas, &float(&shards), false).unwrap();
         assert!(lane_acts.iter().all(Vec::is_empty));
     }
 
@@ -627,19 +547,20 @@ mod tests {
 
     #[test]
     fn injected_replica_panic_is_caught_and_attributed() {
-        let cfg = ModelConfig::micro(1, 1, 16, 2);
-        let base = Tuner::new(Technique::adapters_default(), &cfg, 2, &mut seeded(221));
-        let mut replicas = vec![base.clone(), base];
-        let shards = vec![batch(222, 2, 4), batch(223, 2, 4)];
-        let plan = FaultPlan::none().with(Fault::LanePanic { step: 0, lane: 1 });
-        let clock = FaultClock::new(plan);
-        clock.advance();
-        let err = dp_step_tokens_supervised(&mut replicas, &[0, 1], &float(&shards), false, &clock)
-            .expect_err("injected panic must surface");
+        // A lane whose compute panics comes back as a typed error naming
+        // its position; a lane that returns normally is untouched.
+        assert_eq!(supervised_lane(0, || Ok(7)).unwrap(), 7);
+        let err = supervised_lane::<(), _>(1, || panic!("replica 1 lost its device"))
+            .expect_err("a panicking lane must surface");
         match err {
-            EngineError::LanePanic { lane, message, .. } => {
-                assert_eq!(lane, 1);
-                assert!(message.contains("injected fault"), "{message}");
+            EngineError::LanePanic {
+                lane,
+                stage,
+                message,
+                ..
+            } => {
+                assert_eq!((lane, stage), (1, None));
+                assert_eq!(message, "replica 1 lost its device");
             }
             other => panic!("expected LanePanic, got {other}"),
         }

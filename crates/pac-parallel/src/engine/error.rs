@@ -3,9 +3,9 @@
 //! Engines never let a worker-thread panic escape their public API: lane
 //! threads are joined, panics are converted into [`EngineError::LanePanic`]
 //! carrying the failing lane/stage, and channel teardown from a neighbor's
-//! death surfaces as [`EngineError::Disconnected`]. Callers (the session's
-//! recovery loop, the pac-net coordinator, tests, benches) decide whether to
-//! replan, respawn, or abort.
+//! death surfaces as [`EngineError::Disconnected`]. Only the pac-net
+//! coordinator recovers from a lost lane or rank (replan or respawn); every
+//! other caller reports the error.
 
 use pac_tensor::TensorError;
 use std::fmt;
@@ -139,27 +139,6 @@ impl From<TensorError> for EngineError {
 }
 
 impl EngineError {
-    /// The lane this error is attributed to, when known.
-    pub fn lane(&self) -> Option<usize> {
-        match self {
-            EngineError::LanePanic { lane, .. }
-            | EngineError::Disconnected { lane, .. }
-            | EngineError::RankDown { lane, .. } => Some(*lane),
-            _ => None,
-        }
-    }
-
-    /// True for failures a supervisor may recover from by dropping a lane
-    /// or replanning (as opposed to programming/shape errors).
-    pub fn is_recoverable(&self) -> bool {
-        matches!(
-            self,
-            EngineError::LanePanic { .. }
-                | EngineError::Disconnected { .. }
-                | EngineError::RankDown { .. }
-        )
-    }
-
     /// Renders a panic payload from [`std::thread::JoinHandle::join`].
     pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         if let Some(s) = payload.downcast_ref::<&str>() {
@@ -188,10 +167,6 @@ mod tests {
         assert!(text.contains("lane 2"), "{text}");
         assert!(text.contains("stage 1"), "{text}");
         assert!(text.contains("step 7"), "{text}");
-        assert_eq!(e.lane(), Some(2));
-        assert!(e.is_recoverable());
-        assert!(!EngineError::NoSurvivors.is_recoverable());
-        assert!(!EngineError::Unplannable { survivors: 1 }.is_recoverable());
     }
 
     #[test]
@@ -207,7 +182,7 @@ mod tests {
         assert!(text.contains("rank 3"), "{text}");
         assert!(text.contains("lane 1"), "{text}");
         assert!(text.contains("timed out"), "{text}");
-        assert_eq!(e.lane(), Some(1));
-        assert!(e.is_recoverable());
+        assert!(text.contains("stage 0"), "{text}");
+        assert!(text.contains("step 4"), "{text}");
     }
 }

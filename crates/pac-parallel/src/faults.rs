@@ -1,4 +1,4 @@
-//! Deterministic fault injection for the training runtime.
+//! Deterministic fault injection for the distributed runtime.
 //!
 //! PAC fine-tunes on a pool of flaky consumer edge devices, so every
 //! recovery path — fail-stop replan, checkpoint resume, elastic joins,
@@ -6,22 +6,22 @@
 //! bit-for-bit. A [`FaultPlan`] is a declarative list of failures pinned to
 //! a global step and keyed by an original lane or device id, which stays
 //! the same however the survivors renumber; a [`FaultClock`] carries the
-//! plan through a run, answers the run loops' "does anything fail here?"
+//! plan through a run, answers the run loop's "does anything fail here?"
 //! queries, and logs a recovery timeline that `repro --faults` renders.
 //! Plans are pure data — no wall-clock, no global RNG — so a plan plus a
-//! session seed fully determines a run.
+//! run's seed fully determines it.
 //!
-//! Two run loops read a plan: the pac-net coordinator (fail-stop, straggler,
-//! join, crash) and `pac_core::PacSession`'s data-parallel loop (lane panic,
-//! straggler, fail-stop, crash). The in-process pipeline and hybrid engines
-//! read none: they are the references those runs are checked against.
+//! One run loop reads a plan: the pac-net coordinator, which meets real
+//! process, socket and disk faults. The in-process engines read none: they
+//! are the references its worlds are checked against. `pac_core::PacSession`
+//! records only its durable snapshots and cold restarts on a timeline
+//! ([`record`]), and both report through [`RecoveryReport`].
 //!
 //! The textual schema (accepted by [`FaultPlan::parse`] and `repro
 //! --faults`) is `kind@key=value,...` joined by `;`. Each kind takes exactly
 //! the keys below, each once:
 //!
 //! ```text
-//! lane-panic@step=3,lane=0
 //! fail-stop@step=5,device=1
 //! straggler@step=2,lane=1,delay-ms=40
 //! join@step=6                             # a device offers to join
@@ -40,14 +40,6 @@ use std::time::Duration;
 /// indices, so a fault fires exactly once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Fault {
-    /// The lane's replica panics when it starts the mini-batch (models a
-    /// crashing process).
-    LanePanic {
-        /// Global step at which the panic fires.
-        step: u64,
-        /// Original id of the lane (data-parallel replica) that panics.
-        lane: usize,
-    },
     /// The device leaves the pool permanently before executing this step
     /// (powered off, left the LAN). Recovery requires a replan.
     FailStop {
@@ -92,8 +84,7 @@ impl Fault {
     /// The global step this fault fires at.
     pub fn step(&self) -> u64 {
         match self {
-            Fault::LanePanic { step, .. }
-            | Fault::FailStop { step, .. }
+            Fault::FailStop { step, .. }
             | Fault::Straggler { step, .. }
             | Fault::Join { step }
             | Fault::Crash { step, .. } => *step,
@@ -104,7 +95,6 @@ impl Fault {
 impl fmt::Display for Fault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Fault::LanePanic { step, lane } => write!(f, "lane-panic@step={step},lane={lane}"),
             Fault::FailStop { step, device } => {
                 write!(f, "fail-stop@step={step},device={device}")
             }
@@ -164,10 +154,6 @@ impl FaultPlan {
             // (in key order) build the fault.
             type Build = fn(&[u64]) -> Fault;
             let (keys, build): (&[&str], Build) = match kind {
-                "lane-panic" => (&["step", "lane"], |v| Fault::LanePanic {
-                    step: v[0],
-                    lane: id(v[1]),
-                }),
                 "fail-stop" => (&["step", "device"], |v| Fault::FailStop {
                     step: v[0],
                     device: id(v[1]),
@@ -274,10 +260,9 @@ impl fmt::Display for TimelineKind {
 /// Carries a [`FaultPlan`] through a run: counts global steps, answers the
 /// run loop's injection queries, and records the recovery timeline.
 ///
-/// The code that owns the mini-batch loop (the session, a coordinator
-/// world, or a test) calls [`FaultClock::advance`] once per mini-batch;
-/// all queries are against explicit step numbers so concurrent lane threads
-/// need no further synchronization.
+/// The code that owns the mini-batch loop (a coordinator world, or a test)
+/// calls [`FaultClock::advance`] once per mini-batch; all queries are
+/// against explicit step numbers.
 #[derive(Debug, Default)]
 pub struct FaultClock {
     plan: FaultPlan,
@@ -293,16 +278,6 @@ impl FaultClock {
             next_step: AtomicU64::new(0),
             log: Mutex::new(Vec::new()),
         }
-    }
-
-    /// A clock with no faults (supervision without injection).
-    pub fn quiet() -> Self {
-        FaultClock::new(FaultPlan::none())
-    }
-
-    /// The wrapped plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Starts the next mini-batch step and returns its index (0-based).
@@ -324,14 +299,6 @@ impl FaultClock {
             Fault::FailStop { step: s, device } if *s == step => Some(*device),
             _ => None,
         })
-    }
-
-    /// True when the lane with original id `lane` must panic during `step`.
-    pub fn lane_panic(&self, step: u64, lane: usize) -> bool {
-        self.plan
-            .faults
-            .iter()
-            .any(|f| matches!(f, Fault::LanePanic { step: s, lane: l } if *s == step && *l == lane))
     }
 
     /// Straggler delay for the lane with original id `lane` at `step`, if
@@ -369,29 +336,84 @@ impl FaultClock {
         })
     }
 
-    /// Appends an event to the recovery timeline and mirrors it into
-    /// telemetry (`faults.injected`, `recovery.replans`, …).
+    /// Appends an event to the recovery timeline (see [`record`]).
     pub fn note(&self, step: u64, kind: TimelineKind, detail: impl Into<String>) {
-        let counter = match kind {
-            TimelineKind::Injected => "faults.injected",
-            TimelineKind::Retry => "recovery.retries",
-            TimelineKind::Checkpoint => "checkpoint.snapshots",
-            TimelineKind::Replan => "recovery.replans",
-            TimelineKind::Resume => "recovery.resumes",
-            TimelineKind::Join => "membership.joins",
-            TimelineKind::Rebalance => "membership.rebalances",
-        };
-        pac_telemetry::counter_inc(counter);
-        self.log.lock().unwrap().push(TimelineEvent {
-            step,
-            kind,
-            detail: detail.into(),
-        });
+        record(&mut self.log.lock().unwrap(), step, kind, detail);
     }
 
     /// The recovery timeline recorded so far, in order.
     pub fn timeline(&self) -> Vec<TimelineEvent> {
         self.log.lock().unwrap().clone()
+    }
+}
+
+/// Appends an event to a recovery timeline and mirrors it into telemetry
+/// (`faults.injected`, `recovery.replans`, …).
+pub fn record(
+    timeline: &mut Vec<TimelineEvent>,
+    step: u64,
+    kind: TimelineKind,
+    detail: impl Into<String>,
+) {
+    let counter = match kind {
+        TimelineKind::Injected => "faults.injected",
+        TimelineKind::Retry => "recovery.retries",
+        TimelineKind::Checkpoint => "checkpoint.snapshots",
+        TimelineKind::Replan => "recovery.replans",
+        TimelineKind::Resume => "recovery.resumes",
+        TimelineKind::Join => "membership.joins",
+        TimelineKind::Rebalance => "membership.rebalances",
+    };
+    pac_telemetry::counter_inc(counter);
+    timeline.push(TimelineEvent {
+        step,
+        kind,
+        detail: detail.into(),
+    });
+}
+
+/// Fault-handling summary of a run: the pac-net coordinator's worlds and
+/// `pac_core::PacSession` report through it. All-zero but the snapshot
+/// tallies for a fault-free run.
+#[derive(Debug, Clone, Default)]
+pub struct RecoveryReport {
+    /// Faults from the plan that actually fired.
+    pub faults_injected: usize,
+    /// Times the planner produced a new plan over surviving devices.
+    pub replans: u32,
+    /// Training checkpoints snapshotted (including the initial one).
+    pub checkpoints: usize,
+    /// Total serialized size of all snapshots, in bytes.
+    pub checkpoint_bytes: usize,
+    /// Devices still alive at the end of the run.
+    pub final_devices: usize,
+    /// Ordered fault/recovery events (the recovery timeline).
+    pub timeline: Vec<TimelineEvent>,
+}
+
+impl RecoveryReport {
+    /// Builds a report from a recorded timeline plus the run loop's own
+    /// tallies. `faults_injected` is derived from the timeline (every
+    /// [`TimelineKind::Injected`] entry), so every run loop counts faults
+    /// the same way.
+    pub fn from_timeline(
+        timeline: Vec<TimelineEvent>,
+        replans: u32,
+        checkpoints: usize,
+        checkpoint_bytes: usize,
+        final_devices: usize,
+    ) -> Self {
+        RecoveryReport {
+            faults_injected: timeline
+                .iter()
+                .filter(|e| e.kind == TimelineKind::Injected)
+                .count(),
+            replans,
+            checkpoints,
+            checkpoint_bytes,
+            final_devices,
+            timeline,
+        }
     }
 }
 
@@ -416,11 +438,11 @@ mod tests {
 
     #[test]
     fn parse_round_trips_every_kind() {
-        let spec = "lane-panic@step=3,lane=0;fail-stop@step=5,device=2;\
+        let spec = "fail-stop@step=5,device=2;\
                     straggler@step=2,lane=1,delay-ms=40;join@step=7;\
                     crash@step=8,at-byte=17";
         let plan = FaultPlan::parse(spec).unwrap();
-        assert_eq!(plan.faults.len(), 5);
+        assert_eq!(plan.faults.len(), 4);
         let rendered = plan.to_string();
         assert_eq!(FaultPlan::parse(&rendered).unwrap(), plan);
     }
@@ -429,7 +451,7 @@ mod tests {
     fn parse_rejects_malformed_specs() {
         for bad in [
             "nonsense",
-            "lane-panic@lane=0",               // missing step
+            "straggler@lane=0,delay-ms=1",     // missing step
             "fail-stop@step=1",                // missing device
             "warp-core-breach@step=1,lane=0",  // unknown kind
             "join@step=x",                     // bad integer
@@ -439,13 +461,15 @@ mod tests {
             assert!(FaultPlan::parse(bad).is_err(), "accepted: {bad}");
         }
         // A key the kind does not take, a repeated key, the removed
-        // `allreduce` kind and `stage` key: refused, naming the clause.
+        // `allreduce` and `lane-panic` kinds and `stage` key: refused,
+        // naming the clause.
         for bad in [
             "join@step=1;fail-stop@step=1,device=0,lane=1",
             "join@step=1,step=2",
             "fail-stop@step=1,device=0,device=0",
             "allreduce@step=1,failures=1",
-            "lane-panic@step=3,lane=0,stage=1",
+            "lane-panic@step=3,lane=0",
+            "straggler@step=3,lane=0,delay-ms=1,stage=1",
             "crash@step=1,at-byte=2,device=0",
         ] {
             let clause = bad.rsplit(';').next().unwrap();
@@ -460,7 +484,6 @@ mod tests {
     fn clock_answers_point_queries() {
         let plan = FaultPlan::none()
             .with(Fault::FailStop { step: 2, device: 1 })
-            .with(Fault::LanePanic { step: 1, lane: 0 })
             .with(Fault::Straggler {
                 step: 3,
                 lane: 2,
@@ -477,8 +500,6 @@ mod tests {
         assert_eq!(clock.current_step(), 1);
         assert_eq!(clock.fail_stop(2), Some(1));
         assert_eq!(clock.fail_stop(0), None);
-        assert!(clock.lane_panic(1, 0));
-        assert!(!clock.lane_panic(1, 1));
         assert_eq!(clock.straggler_delay(3, 2), Some(Duration::from_millis(15)));
         assert_eq!(clock.joins(5), 1);
         assert_eq!(clock.joins(4), 0);
@@ -488,7 +509,7 @@ mod tests {
 
     #[test]
     fn timeline_records_in_order() {
-        let clock = FaultClock::quiet();
+        let clock = FaultClock::default();
         clock.note(0, TimelineKind::Injected, "device 1 fail-stop");
         clock.note(0, TimelineKind::Replan, "2 survivors");
         clock.note(1, TimelineKind::Resume, "from step 0");

@@ -14,11 +14,10 @@
 //!   single-device training, which is what entitles the simulated timelines
 //!   to stand in for real runs.
 //! * [`faults`] — **deterministic fault injection**: a [`FaultPlan`] pins
-//!   five kinds of failure (lane panic, fail-stop, straggler, join, crash)
-//!   to a global step and an original lane or device id, so the pac-net
-//!   coordinator's and `PacSession`'s recovery paths are reproducible in
-//!   tests. The pipeline and hybrid engines read no plan: they are the
-//!   references those paths are checked against.
+//!   four kinds of failure (fail-stop, straggler, join, crash) to a global
+//!   step and an original lane or device id, so the pac-net coordinator's
+//!   recovery path is reproducible in tests. The engines read no plan: they
+//!   are the references that path is checked against.
 
 #![deny(missing_docs)]
 
@@ -30,7 +29,7 @@ pub mod schedule;
 pub mod simulate;
 
 pub use engine::{EngineError, EngineResult};
-pub use faults::{Fault, FaultClock, FaultPlan, TimelineEvent, TimelineKind};
+pub use faults::{Fault, FaultClock, FaultPlan, RecoveryReport, TimelineEvent, TimelineKind};
 pub use fill::{plan_filled, plan_serialized, FilledOp, FilledPlan, TenantLoad};
 pub use plan::{ParallelPlan, StageAssignment};
 pub use schedule::{Schedule, SimResult, SimStage};

@@ -177,10 +177,8 @@ impl TrainEntry {
 
 /// A lightweight mid-run recovery snapshot: trainable (adapter) parameter
 /// values, their optimizer moments, and the training cursor (epoch, step,
-/// Adam's bias-correction counter). Snapshotted every N steps by the
-/// session's recovery loop; on permanent device loss the session replans,
-/// restores this into the survivors' replicas, and replays from the
-/// cursor.
+/// Adam's bias-correction counter). Committed every N steps by
+/// `PacSession`, which restores it into every replica on a cold restart.
 #[derive(Debug, Clone)]
 pub struct TrainCheckpoint {
     /// Epoch the snapshot was taken in.

@@ -244,21 +244,6 @@ impl Tensor {
         Ok(&self.data[r * cols..(r + 1) * cols])
     }
 
-    /// Mutable slice of row `r` when the tensor is viewed as 2-D.
-    ///
-    /// # Errors
-    /// Returns [`TensorError::IndexOutOfBounds`] if `r` exceeds the row count.
-    pub fn row_mut(&mut self, r: usize) -> Result<&mut [f32]> {
-        let (rows, cols) = self.as_2d();
-        if r >= rows {
-            return Err(TensorError::IndexOutOfBounds {
-                index: r,
-                bound: rows,
-            });
-        }
-        Ok(&mut Arc::make_mut(&mut self.data)[r * cols..(r + 1) * cols])
-    }
-
     // ---------------------------------------------------------- elementwise
 
     /// Elementwise sum `self + other`.
