@@ -28,8 +28,9 @@
 //! `FaultPlan` schema (`kind@key=value,…;…`), e.g.
 //! `--faults='fail-stop@step=4,device=1;straggler@step=2,lane=0,delay-ms=20'`;
 //! without a spec one worker process is killed mid-run and the coordinator
-//! replans and resumes from a checkpoint. A malformed spec prints the
-//! schema and exits 2.
+//! resumes from a checkpoint: the 2 × 2 world drops the dead lane, the
+//! one-lane 2 × 1 world respawns it. A malformed spec prints the schema
+//! and exits 2.
 //!
 //! Pass `--serve` to run the multi-tenant serving transcript: a loopback
 //! TCP client streams tenant jobs at the rendezvous listener and the
@@ -267,7 +268,12 @@ fn distributed_demo(n: usize, faults_spec: Option<&str>) {
     );
     let job = TenantJob {
         faults: plan.clone(),
-        on_rank_loss: RankLoss::Shrink,
+        // A one-lane world has no lane to spare: it respawns in place.
+        on_rank_loss: if lanes > 1 {
+            RankLoss::Shrink
+        } else {
+            RankLoss::Respawn
+        },
         ..TenantJob::new(0, cfg.clone(), batches.clone())
     };
     let report = match run_world(&spawner, job) {

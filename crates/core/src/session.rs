@@ -4,9 +4,10 @@
 //! The replicas are threads of one process, so the session injects no
 //! fault and replans nothing: real faults are handled by the pac-net
 //! coordinator. What the process can lose is its durable state, so the
-//! session commits a [`TrainCheckpoint`] and its loop cursor through a
-//! [`Store`] every `checkpoint_every` steps and cold-restarts from the last
-//! commit.
+//! session commits a [`TrainCheckpoint`] and the replay cursor the
+//! coordinator commits too (`pac_store::encode_cursor`: the next global
+//! step and every step's loss) through a [`Store`] every `checkpoint_every`
+//! global steps, and cold-restarts from the last commit.
 
 use crate::trainer::{evaluate_replicas, shard};
 use pac_cluster::{Cluster, CostModel};
@@ -18,7 +19,7 @@ use pac_parallel::faults::{record, RecoveryReport, TimelineEvent, TimelineKind};
 use pac_parallel::{EngineError, ParallelPlan};
 use pac_peft::{ActivationCache, CacheStats, Technique, TrainCheckpoint, Tuner};
 use pac_planner::Planner;
-use pac_store::{MemStore, Store};
+use pac_store::{decode_cursor, encode_cursor, MemStore, Store};
 use pac_tensor::rng::seeded;
 use pac_tensor::{Result, Tensor};
 use std::ops::Range;
@@ -40,9 +41,9 @@ pub struct PacConfig {
     pub lr: f32,
     /// Master seed.
     pub seed: u64,
-    /// Commit a [`TrainCheckpoint`] every this many steps (0 disables
-    /// periodic snapshots; an initial snapshot is always committed so a
-    /// cold restart can resume from step 0).
+    /// Commit a [`TrainCheckpoint`] every this many global steps (0
+    /// disables periodic snapshots; an initial snapshot is always committed
+    /// so a cold restart can resume from step 0).
     pub checkpoint_every: usize,
     /// Store cached activations as per-row absmax int8 (~4× smaller
     /// resident cache) instead of raw f32. Off by default: the f32 cache
@@ -227,52 +228,41 @@ impl PacSession {
 
         let data = Dataset::generate(task, train_n + eval_n, 13, cfg.seed.wrapping_add(1));
         let (train, eval) = data.split(train_n as f64 / (train_n + eval_n) as f64);
-
-        let mut epoch_losses: Vec<f32> = Vec::with_capacity(cfg.epochs);
-        let mut epoch = 0usize;
-        let mut batch_start = 0usize;
-        let mut sum = 0.0f32;
-        let mut count = 0usize;
+        // Every epoch runs this many steps: the global step of an epoch's
+        // batch `idx` is `epoch * per_epoch + idx`.
+        let per_epoch = train.len().div_ceil(cfg.batch_size);
+        // Every completed step's loss, in global step order: with the next
+        // step (its length) this is the durable cursor.
+        let mut step_losses: Vec<f32> = Vec::new();
 
         // Cold restart: a durable log ending in a committed snapshot means
         // a previous process died mid-run — restore its state and cursor
         // instead of starting over.
-        let prior = store.latest().map_err(|e| EngineError::Halted {
-            step: 0,
-            detail: format!("durable log unreadable: {e}"),
-        })?;
+        let halted = |detail: String| EngineError::Halted { step: 0, detail };
+        let prior = store
+            .latest()
+            .map_err(|e| halted(format!("durable log unreadable: {e}")))?;
         if let Some(committed) = prior {
-            let (r_epoch, r_batch, r_sum, r_count, r_losses) = decode_cursor(&committed.meta)
-                .ok_or_else(|| EngineError::Halted {
-                    step: 0,
-                    detail: "committed snapshot carries an undecodable cursor".into(),
-                })?;
-            let ck = TrainCheckpoint::from_bytes(&committed.payload).map_err(|e| {
-                EngineError::Halted {
-                    step: 0,
-                    detail: format!("committed snapshot rejected: {e}"),
-                }
-            })?;
+            let (next_step, losses) = decode_cursor(&committed.meta)
+                .filter(|(next, losses)| *next == losses.len() as u64)
+                .ok_or_else(|| halted("committed snapshot carries an undecodable cursor".into()))?;
+            let ck = TrainCheckpoint::from_bytes(&committed.payload)
+                .map_err(|e| halted(format!("committed snapshot rejected: {e}")))?;
             for r in replicas.iter_mut() {
-                ck.restore(r).map_err(|e| EngineError::Halted {
-                    step: 0,
-                    detail: format!("committed snapshot does not fit the module: {e}"),
+                ck.restore(r).map_err(|e| {
+                    halted(format!("committed snapshot does not fit the module: {e}"))
                 })?;
             }
             for o in opts.iter_mut() {
                 o.t = ck.adam_t;
             }
-            epoch = r_epoch;
-            batch_start = r_batch;
-            sum = r_sum;
-            count = r_count;
-            epoch_losses = r_losses;
+            step_losses = losses;
             record(
                 &mut timeline,
-                0,
+                next_step,
                 TimelineKind::Resume,
                 format!(
-                    "cold restart from committed snapshot seq {} (epoch {r_epoch}, batch {r_batch})",
+                    "cold restart from committed snapshot seq {}, resuming at step cursor {next_step}",
                     committed.seq
                 ),
             );
@@ -280,23 +270,24 @@ impl PacSession {
             checkpoints += 1;
             checkpoint_bytes += committed.payload.len();
         } else {
-            checkpoint_bytes += commit(
-                store,
-                &mut timeline,
-                &replicas[0],
-                0,
-                0,
-                (0, 0, 0.0, 0),
-                &[],
-            )?;
+            checkpoint_bytes += commit(store, &mut timeline, &replicas[0], 0, 0, &[])?;
             checkpoints += 1;
         }
 
-        // Steps run by this process; the commit cadence counts them.
-        let mut step = 0u64;
-        while epoch < cfg.epochs {
+        let mut epoch_losses: Vec<f32> = Vec::with_capacity(cfg.epochs);
+        for epoch in 0..cfg.epochs {
             let batches = train.batches(cfg.batch_size, epoch, cfg.seed.wrapping_add(2));
-            for (idx, batch) in batches.iter().enumerate().skip(batch_start) {
+            let mut sum = 0.0f32;
+            let mut count = 0usize;
+            for (idx, batch) in batches.iter().enumerate() {
+                let step = epoch * per_epoch + idx;
+                // A step the restored cursor holds adds its committed loss,
+                // in the order the uninterrupted run added it.
+                if let Some(&loss) = step_losses.get(step) {
+                    sum += loss;
+                    count += 1;
+                    continue;
+                }
                 // Lane `k`'s rows: every row of the batch has a lane (a lane
                 // of a short tail batch may have none).
                 let rows = |k: usize| shard(batch.len(), n_dev, k);
@@ -343,30 +334,25 @@ impl PacSession {
                 };
                 sum += loss;
                 count += 1;
+                step_losses.push(loss);
                 for (r, o) in replicas.iter_mut().zip(opts.iter_mut()) {
                     o.step(r);
                 }
                 if cfg.checkpoint_every > 0
-                    && (step + 1).is_multiple_of(cfg.checkpoint_every as u64)
+                    && step_losses.len().is_multiple_of(cfg.checkpoint_every)
                 {
                     checkpoint_bytes += commit(
                         store,
                         &mut timeline,
                         &replicas[0],
-                        step,
+                        epoch,
                         opts[0].t,
-                        (epoch, idx + 1, sum, count),
-                        &epoch_losses,
+                        &step_losses,
                     )?;
                     checkpoints += 1;
                 }
-                step += 1;
             }
             epoch_losses.push(sum / count.max(1) as f32);
-            epoch += 1;
-            batch_start = 0;
-            sum = 0.0;
-            count = 0;
         }
 
         let metric = {
@@ -388,20 +374,22 @@ impl PacSession {
     }
 }
 
-/// Commits `replica`'s [`TrainCheckpoint`] at `step` durably and returns
-/// its size: the serialized checkpoint is the payload, the loop `cursor`
-/// (`epoch, next_batch, sum, count`) plus the finished per-epoch losses is
+/// Commits `replica`'s [`TrainCheckpoint`] durably after the steps whose
+/// losses `step_losses` holds, and returns its size: the serialized
+/// checkpoint is the payload, the replay cursor (`pac_store::encode_cursor`)
 /// the commit metadata. A dead writer surfaces as [`EngineError::Halted`],
 /// since everything past the last *committed* snapshot is gone.
 fn commit(
     store: &mut dyn Store,
     timeline: &mut Vec<TimelineEvent>,
     replica: &Tuner,
-    step: u64,
+    epoch: usize,
     adam_t: u64,
-    (epoch, next_batch, sum, count): (usize, usize, f32, usize),
-    epoch_losses: &[f32],
+    step_losses: &[f32],
 ) -> std::result::Result<usize, EngineError> {
+    // The last completed step (0 for the initial snapshot).
+    let next_step = step_losses.len() as u64;
+    let step = next_step.saturating_sub(1);
     let ck = TrainCheckpoint::capture(replica, epoch as u64, step, adam_t);
     let bytes = ck.to_bytes().expect("in-memory serialization");
     pac_telemetry::counter_add("checkpoint.bytes", bytes.len() as u64);
@@ -409,63 +397,15 @@ fn commit(
         timeline,
         step,
         TimelineKind::Checkpoint,
-        format!("{} B at epoch {epoch}, batch {next_batch}", bytes.len()),
+        format!("{} B at step cursor {next_step}", bytes.len()),
     );
-    let meta = encode_cursor(epoch, next_batch, sum, count, epoch_losses);
     store
-        .commit(&bytes, &meta)
+        .commit(&bytes, &encode_cursor(next_step, step_losses))
         .map_err(|e| EngineError::Halted {
             step,
             detail: e.to_string(),
         })?;
     Ok(bytes.len())
-}
-
-/// Encodes the replay cursor committed alongside each durable snapshot:
-/// `epoch u64 · next_batch u64 · sum f32 · count u64 · n u64 · n × f32`
-/// (all little-endian, floats as raw bits so the resume is bitwise).
-fn encode_cursor(
-    epoch: usize,
-    next_batch: usize,
-    sum: f32,
-    count: usize,
-    losses: &[f32],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(36 + losses.len() * 4);
-    out.extend_from_slice(&(epoch as u64).to_le_bytes());
-    out.extend_from_slice(&(next_batch as u64).to_le_bytes());
-    out.extend_from_slice(&sum.to_bits().to_le_bytes());
-    out.extend_from_slice(&(count as u64).to_le_bytes());
-    out.extend_from_slice(&(losses.len() as u64).to_le_bytes());
-    for l in losses {
-        out.extend_from_slice(&l.to_bits().to_le_bytes());
-    }
-    out
-}
-
-/// Inverse of [`encode_cursor`]; `None` on any truncation or length lie.
-fn decode_cursor(bytes: &[u8]) -> Option<(usize, usize, f32, usize, Vec<f32>)> {
-    fn u64_at(b: &[u8], o: usize) -> Option<u64> {
-        Some(u64::from_le_bytes(b.get(o..o + 8)?.try_into().ok()?))
-    }
-    fn f32_at(b: &[u8], o: usize) -> Option<f32> {
-        Some(f32::from_bits(u32::from_le_bytes(
-            b.get(o..o + 4)?.try_into().ok()?,
-        )))
-    }
-    let epoch = u64_at(bytes, 0)? as usize;
-    let next_batch = u64_at(bytes, 8)? as usize;
-    let sum = f32_at(bytes, 16)?;
-    let count = u64_at(bytes, 20)? as usize;
-    let n = u64_at(bytes, 28)? as usize;
-    if bytes.len() != 36 + n.checked_mul(4)? {
-        return None;
-    }
-    let mut losses = Vec::with_capacity(n);
-    for i in 0..n {
-        losses.push(f32_at(bytes, 36 + i * 4)?);
-    }
-    Some((epoch, next_batch, sum, count, losses))
 }
 
 fn cache_has_all(cache: &ActivationCache, ids: &[u64]) -> bool {
@@ -556,19 +496,6 @@ mod tests {
         assert!(report.plan.validate(cfg.total_layers(), 4).is_ok());
     }
 
-    #[test]
-    fn cursor_codec_round_trips_and_rejects_damage() {
-        let losses = vec![0.75f32, 0.5, 0.25];
-        let bytes = encode_cursor(3, 7, 1.5, 11, &losses);
-        let (e, b, s, c, l) = decode_cursor(&bytes).expect("clean decode");
-        assert_eq!((e, b, c), (3, 7, 11));
-        assert_eq!(s.to_bits(), 1.5f32.to_bits());
-        assert_eq!(l, losses);
-        for cut in 0..bytes.len() {
-            assert!(decode_cursor(&bytes[..cut]).is_none(), "cut {cut} decoded");
-        }
-    }
-
     /// A store whose writer dies at byte 0 of its `nth` commit (1-based).
     struct CrashOnCommit<S> {
         inner: S,
@@ -644,6 +571,55 @@ mod tests {
             resumed.recovery.timeline
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Cold restart ≡ uninterrupted: resuming from any commit of a run —
+    /// mid-epoch, at an epoch boundary, in the cached epochs (with an empty
+    /// cache), or after the last step — finishes with the uninterrupted
+    /// run's epoch losses and metric, bit for bit.
+    #[test]
+    fn cold_restart_from_every_commit_matches_the_uninterrupted_run() {
+        let cfg = ModelConfig::micro(1, 1, 16, 2);
+        let session = PacSession::new(PacConfig {
+            devices: 2,
+            epochs: 3,
+            batch_size: 4,
+            checkpoint_every: 2,
+            ..Default::default()
+        });
+        let mk = || pac_model::EncDecModel::new(&cfg, TaskKind::Mrpc.n_out(), &mut seeded(42));
+        let bits = |l: &[f32]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let mut log = MemStore::new();
+        let whole = session
+            .run_with_store(mk(), TaskKind::Mrpc, 16, 8, &mut log)
+            .expect("uninterrupted run");
+        // 4 steps an epoch, 12 in all: the initial commit and one every 2
+        // steps.
+        assert_eq!(log.commits(), 7);
+        for k in 1..=log.commits() {
+            let mut prefix = MemStore::new();
+            for seq in 0..k {
+                let c = log.committed(seq).unwrap().expect("committed");
+                prefix.commit(&c.payload, &c.meta).unwrap();
+            }
+            let resumed = session
+                .run_with_store(mk(), TaskKind::Mrpc, 16, 8, &mut prefix)
+                .expect("resumed run");
+            assert_eq!(
+                bits(&resumed.epoch_losses),
+                bits(&whole.epoch_losses),
+                "resumed from the first {k} commit(s)"
+            );
+            assert_eq!(
+                resumed.metric.to_bits(),
+                whole.metric.to_bits(),
+                "resumed from the first {k} commit(s)"
+            );
+            // The resumed run keeps the global cadence: it adds exactly the
+            // commits the uninterrupted run made after its cursor.
+            assert_eq!(prefix.commits(), log.commits(), "from {k} commit(s)");
+        }
     }
 
     #[test]

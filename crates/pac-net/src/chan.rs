@@ -172,14 +172,6 @@ impl PollConn for FramedConn {
     fn try_recv(&mut self) -> Result<Option<Msg>, NetError> {
         FramedConn::try_recv(self)
     }
-
-    fn try_send(&mut self, msg: &Msg) -> Result<bool, NetError> {
-        // TCP's socket buffers absorb frames far larger than anything the
-        // protocol sends; backpressure accounting lives in the simulated
-        // transport, where it is deterministic and testable.
-        FramedConn::send(self, msg)?;
-        Ok(true)
-    }
 }
 
 #[cfg(test)]

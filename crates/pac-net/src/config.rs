@@ -3,7 +3,6 @@
 //! caller that submits a job to it.
 
 use crate::wire::NetError;
-use pac_cluster::LinkSpec;
 use pac_model::{EncoderModel, ModelConfig, StageModel};
 use pac_parallel::{EngineError, Schedule};
 use pac_store::StoreError;
@@ -100,16 +99,12 @@ pub struct DistConfig {
     /// Rebalance micro-batch row shares toward fast lanes when measured
     /// per-lane step cost (busy time + control RTT) diverges.
     pub rebalance: bool,
-    /// Link model handed to the planner for replan feasibility (use
-    /// [`LinkSpec::measured`] from the loopback calibration bench to plan
-    /// against the fabric the job actually runs on).
-    pub link: LinkSpec,
     /// Record and aggregate `net.*` telemetry.
     pub telemetry: bool,
     /// Re-admit evicted workers that re-dial the rendezvous (partition
     /// heal): an evicted rank's control connection is dropped *without* a
     /// `Shutdown`, the worker re-dials once with a fresh `Hello`, and the
-    /// coordinator folds it back in through the planner's admission path. Off
+    /// coordinator folds it back in as a joining lane. Off
     /// by default — re-admission timing depends on when the healed worker's
     /// dial lands, so deterministic sweeps keep it disabled. Only a world
     /// that shrinks on rank loss ([`crate::RankLoss::Shrink`]) has a lane
@@ -144,7 +139,6 @@ impl DistConfig {
             setup_timeout: Duration::from_secs(20),
             liveness_timeout: Duration::from_secs(10),
             rebalance: false,
-            link: LinkSpec::lan_128mbps(),
             telemetry: false,
             admit_reconnects: false,
             wire_q8: false,
@@ -156,8 +150,8 @@ impl DistConfig {
         self.partition.len()
     }
 
-    /// The model architecture, as the planner's cost model sees it: as
-    /// many encoder layers as the partition cuts into stages.
+    /// The model architecture: as many encoder layers as the partition
+    /// cuts into stages.
     pub fn model_config(&self) -> ModelConfig {
         let enc_layers = self.partition.iter().sum();
         ModelConfig::micro(enc_layers, 0, self.hidden, self.heads)

@@ -16,22 +16,22 @@
 //!
 //! Everything the coordinator knows about one world lives in that world's
 //! [`WorldId`]-tagged entry — worker handles, heartbeat nonce windows
-//! ([`world_nonce_base`]), the [`FaultClock`] and its timeline, checkpoint
+//! ([`world_nonce_base`]), its step count and recovery timeline, checkpoint
 //! cursor, lane membership, the optional durable [`Store`] — so a `Stale`
 //! verdict or a recovery event can never name another world's ranks. The
 //! loop calls into it at five points:
 //!
 //! * **admit** — launch the world; cold-restart from the store's last
 //!   committed snapshot if it has one, else take the initial snapshot.
-//! * **before dispatch** — advance the world's fault clock, admit a
-//!   planned join wave ([`Fault::Join`](pac_parallel::Fault)) or a healed
-//!   re-dialer through the planner's `replan_with`, map injected
-//!   fail-stops and straggler stalls, then write each rank's frames of the
-//!   step: a `Heartbeat` on the liveness cadence (nonce-matched, in the
-//!   world's own window), the `Step`, and — when the step ends on the
-//!   snapshot cadence or ends the job — a `ParamReq` to every canonical
-//!   rank. A worker serves its control socket in order, so it acks before
-//!   it computes and ships its parameters right after its `Done`.
+//! * **before dispatch** — count the world's next step, admit a planned
+//!   join wave ([`Fault::Join`](pac_parallel::Fault)) or a healed
+//!   re-dialer, map injected fail-stops and straggler stalls, then write
+//!   each rank's frames of the step: a `Heartbeat` on the liveness cadence
+//!   (nonce-matched, in the world's own window), the `Step`, and — when
+//!   the step ends on the snapshot cadence or ends the job — a `ParamReq`
+//!   to every canonical rank. A worker serves its control socket in
+//!   order, so it acks before it computes and ships its parameters right
+//!   after its `Done`.
 //! * **settle** — once every rank has its verdict plus the ack and
 //!   snapshot it was asked for, commit the loss, fold measured busy time +
 //!   heartbeat RTT into the per-lane EWMA and rebalance row shares
@@ -43,7 +43,7 @@
 //! * **rank down** — a missing verdict, ack or snapshot, a stale probe, a
 //!   peer's blame or a failed dispatch. The half-run step is discarded.
 //!   The job's [`RankLoss`] decides between respawning the same topology
-//!   and shrinking the world through `replan_without`.
+//!   and shrinking the world by the dead rank's lane.
 //! * **retire** — hand back the final parameters the last step carried
 //!   and the [`WorldReport`].
 //!
@@ -67,13 +67,11 @@ use crate::wire::{
     decode_frame, param_snap_frame, param_snap_frame_len, Assignment, Msg, NetError,
 };
 use crate::worker::param_entries;
-use pac_cluster::{Cluster, CostModel, DeviceSpec};
 use pac_parallel::engine::{split_micro_batches_weighted, weighted_shares, MicroBatch};
+use pac_parallel::faults::record;
 use pac_parallel::schedule::SimEvent;
-use pac_parallel::{EngineError, FaultClock, FaultPlan, RecoveryReport, TimelineKind};
-use pac_peft::Technique;
-use pac_planner::{PlanOutcome, Planner};
-use pac_store::Store;
+use pac_parallel::{EngineError, FaultPlan, RecoveryReport, TimelineEvent, TimelineKind};
+use pac_store::{decode_cursor, encode_cursor, Store};
 use pac_tensor::Tensor;
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -106,10 +104,9 @@ pub enum RankLoss {
     /// fault-free run, and a one-lane world survives.
     #[default]
     Respawn,
-    /// Drop the dead rank's lane: confirm feasibility with the planner
-    /// (`replan_without`), respawn the world minus that lane, restore and
-    /// replay. The survivors see more rows per update, so the trajectory
-    /// changes; losing the last lane ends the job with
+    /// Drop the dead rank's lane: respawn the world minus that lane,
+    /// restore and replay. The survivors see more rows per update, so the
+    /// trajectory changes; losing the last lane ends the job with
     /// [`EngineError::NoSurvivors`].
     Shrink,
 }
@@ -471,36 +468,6 @@ fn snapshot_fits(cfg: &DistConfig, snapshot: &StageParams) -> Result<(), String>
     }
 }
 
-/// Encodes the replay cursor committed alongside each durable snapshot:
-/// `next_t u64 · n u64 · n × f32` (little-endian, floats as raw bits so
-/// a cold restart reproduces the loss history bitwise).
-fn encode_cursor(next_t: usize, losses: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + losses.len() * 4);
-    out.extend_from_slice(&(next_t as u64).to_le_bytes());
-    out.extend_from_slice(&(losses.len() as u64).to_le_bytes());
-    for l in losses {
-        out.extend_from_slice(&l.to_bits().to_le_bytes());
-    }
-    out
-}
-
-/// Inverse of [`encode_cursor`]; `None` on any truncation or length lie.
-fn decode_cursor(bytes: &[u8]) -> Option<(usize, Vec<f32>)> {
-    let next_t = u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?) as usize;
-    let n = u64::from_le_bytes(bytes.get(8..16)?.try_into().ok()?) as usize;
-    if bytes.len() != 16 + n.checked_mul(4)? {
-        return None;
-    }
-    let mut losses = Vec::with_capacity(n);
-    for i in 0..n {
-        let o = 16 + i * 4;
-        losses.push(f32::from_bits(u32::from_le_bytes(
-            bytes.get(o..o + 4)?.try_into().ok()?,
-        )));
-    }
-    Some((next_t, losses))
-}
-
 /// Launches and wires a `stages × lanes` round for `job` on the
 /// coordinator's rendezvous listener and, given a snapshot, restores
 /// every rank from it. `pre` carries an already-accepted control
@@ -837,10 +804,12 @@ struct World<S: Spawn> {
     id: WorldId,
     job_idx: usize,
     job: TenantJob,
-    /// This world's step counter, fault schedule and recovery timeline.
-    /// It advances once per dispatch attempt and never rewinds across
-    /// recoveries, so an injected fault fires exactly once.
-    clock: FaultClock,
+    /// Steps dispatched so far, the global step the job's fault plan
+    /// counts: one per dispatch attempt, never rewound across recoveries,
+    /// so an injected fault fires exactly once.
+    next_step: u64,
+    /// This world's recovery timeline.
+    timeline: Vec<TimelineEvent>,
     round: Round<ConnOf<S>>,
     snapshot: Snapshot,
     losses: Vec<f32>,
@@ -906,7 +875,7 @@ where
                 ))?;
                 let snapshot = Snapshot {
                     stages: snap_stages,
-                    next_t,
+                    next_t: next_t as usize,
                     losses_len: losses.len(),
                 };
                 Some((snapshot, losses, c.seq))
@@ -918,7 +887,8 @@ where
         let mut w = World {
             id,
             job_idx,
-            clock: FaultClock::new(job.faults.clone()),
+            next_step: 0,
+            timeline: Vec::new(),
             round,
             snapshot: Snapshot::default(),
             losses: Vec::new(),
@@ -959,37 +929,29 @@ where
         Ok(w)
     }
 
+    /// The step the world last dispatched (0 before its first dispatch).
+    fn step(&self) -> u64 {
+        self.next_step.saturating_sub(1)
+    }
+
     /// Appends to this world's recovery timeline at its current step.
-    fn note(&self, kind: TimelineKind, detail: impl Into<String>) {
-        self.clock.note(self.clock.current_step(), kind, detail);
+    fn note(&mut self, kind: TimelineKind, detail: impl Into<String>) {
+        let step = self.step();
+        record(&mut self.timeline, step, kind, detail);
     }
 
     fn stages(&self) -> usize {
         self.job.cfg.stages()
     }
 
-    /// The planner every membership change is confirmed with, over the
-    /// pool the world currently has.
-    fn planner(&self) -> (Planner, CostModel) {
-        let cfg = &self.job.cfg;
-        let mini_batch_rows: usize = self.job.batches[0].iter().map(|mb| mb.0.len()).sum();
-        let planner = Planner::paper_defaults(
-            Cluster::nanos(self.stages() * self.alive_lanes.len()).with_link(cfg.link),
-            mini_batch_rows.max(1),
-        );
-        let cost = CostModel::new(cfg.model_config(), Technique::parallel_default(), 16);
-        (planner, cost)
-    }
-
-    fn note_replan(&mut self, prefix: &str, out: &PlanOutcome) {
+    /// Notes a membership change: the world relaunches as `stages ×
+    /// lanes`.
+    fn note_replan(&mut self, prefix: &str, lanes: usize) {
         self.replans += 1;
+        let stages = self.stages();
         self.note(
             TimelineKind::Replan,
-            format!(
-                "{prefix}replanned over {} devices, makespan {:.4} s",
-                out.device_indices.len(),
-                out.best_makespan_s
-            ),
+            format!("{prefix}relaunching as {stages} stage(s) × {lanes} lane(s)"),
         );
     }
 
@@ -1021,12 +983,13 @@ where
     /// everything past the last *committed* snapshot is unrecoverable
     /// in-process.
     fn persist(&mut self) -> Result<(), DistError> {
+        let step = self.step();
         let Some(store) = self.job.store.as_mut() else {
             return Ok(());
         };
-        let step = self.clock.current_step();
-        if let Some(at_byte) = self.clock.crash_point(step) {
-            self.clock.note(
+        if let Some(at_byte) = self.job.faults.crash_point(step) {
+            record(
+                &mut self.timeline,
                 step,
                 TimelineKind::Injected,
                 format!("checkpoint writer crash armed at byte {at_byte}"),
@@ -1035,7 +998,7 @@ where
         }
         let payload = encode_snapshot(&self.snapshot.stages);
         let meta = encode_cursor(
-            self.snapshot.next_t,
+            self.snapshot.next_t as u64,
             &self.losses[..self.snapshot.losses_len],
         );
         store.commit(&payload, &meta)?;
@@ -1063,8 +1026,7 @@ where
         Ok(())
     }
 
-    /// Grows the world by `lanes` lanes through the planner's admission
-    /// path (`replan_with` never worsens the makespan): one replan and one
+    /// Grows the world by `lanes` lanes: one membership change and one
     /// catch-up snapshot at the current cursor however many joiners arrive
     /// together, so everyone — newcomers included — restores it and no
     /// step needs replaying. `healed` is a re-dialed worker's connection,
@@ -1076,22 +1038,6 @@ where
         healed: Option<WorkerConn<ConnOf<S>>>,
     ) -> Result<(), DistError> {
         let devices = self.stages() * lanes;
-        let (planner, cost) = self.planner();
-        let joined = vec![DeviceSpec::jetson_nano(); devices];
-        let Some(out) = planner.replan_with(&cost, &joined) else {
-            match healed {
-                // A Shutdown before any Assign tells the healed worker to
-                // exit for good.
-                Some(mut wc) => {
-                    let _ = wc.ctrl.send(&Msg::Shutdown);
-                }
-                None => self.note(
-                    TimelineKind::Join,
-                    "join rejected: current pool is unplannable",
-                ),
-            }
-            return Ok(());
-        };
         let (how, who) = match (&healed, lanes) {
             (Some(_), _) => (
                 format!("re-admitted a healed worker chain (+{devices} device(s))"),
@@ -1105,8 +1051,8 @@ where
                 },
             ),
         };
-        self.note(TimelineKind::Join, format!("{how} via replan_with"));
-        self.note_replan("", &out);
+        self.note(TimelineKind::Join, how);
+        self.note_replan("", self.alive_lanes.len() + lanes);
         let what = format!("catch-up snapshot at step cursor {}", self.t);
         self.checkpoint(&what)?;
         self.persist()?;
@@ -1158,7 +1104,7 @@ where
 
     /// Partition heal: an evicted worker that observed its bare EOF
     /// re-dials the rendezvous with a fresh Hello; admit it back through
-    /// the same planner gate and catch-up machinery a planned join uses.
+    /// the same catch-up machinery a planned join uses.
     fn admit_redialer(&mut self, host: &mut Host<'_, S>) -> Result<(), DistError> {
         let Some(mut wc) = host.rdv.try_accept(REDIAL_POLL, self.job.cfg.net_timeout)? else {
             return Ok(());
@@ -1216,18 +1162,11 @@ where
                     return Err(EngineError::NoSurvivors.into());
                 }
                 pac_telemetry::counter_inc("membership.leaves");
-                // Confirm feasibility over the pool we actually have: the
-                // current world minus the departing lane's chain.
-                let (planner, cost) = self.planner();
-                let dying: Vec<usize> = (0..topo.stages).map(|s| topo.rank_of(s, pos)).collect();
-                let out =
-                    planner
-                        .replan_without(&cost, &dying)
-                        .ok_or(EngineError::Unplannable {
-                            survivors: topo.stages * (topo.lanes - 1),
-                        })?;
-                self.note_replan(&format!("rank {rank} down ({detail}); "), &out);
                 self.alive_lanes.remove(pos);
+                self.note_replan(
+                    &format!("rank {rank} down ({detail}); "),
+                    self.alive_lanes.len(),
+                );
             }
         }
         self.restart(host, Vec::new())?;
@@ -1249,29 +1188,30 @@ where
     /// rank. A rank lost on the way restarts the world and leaves it idle
     /// for the loop's next pass.
     fn dispatch(&mut self, host: &mut Host<'_, S>) -> Result<(), DistError> {
-        self.clock.advance();
-        let step = self.clock.current_step();
-        let wave = self.clock.joins(step);
+        let step = self.next_step;
+        self.next_step += 1;
+        let wave = self.job.faults.joins(step);
         if wave > 0 {
             self.admit_join_wave(host, wave)?;
         }
         if self.evicted > 0 {
             self.admit_redialer(host)?;
         }
-        let cfg = &self.job.cfg;
         let topo = self.round.topo;
 
         // Map a planned fail-stop of an original device to the rank
         // currently standing in for it (lanes renumber as they die).
-        let lanes0 = cfg.lanes;
-        let die_rank = self.clock.fail_stop(step).and_then(|dev| {
+        let lanes0 = self.job.cfg.lanes;
+        let die_rank = self.job.faults.fail_stop(step).and_then(|dev| {
             if dev >= topo.stages * lanes0 {
                 return None;
             }
             let (stage, lane) = (dev / lanes0, dev % lanes0);
             let pos = self.alive_lanes.iter().position(|&l| l == lane)?;
             let rank = topo.rank_of(stage, pos);
-            self.note(
+            record(
+                &mut self.timeline,
+                step,
                 TimelineKind::Injected,
                 format!("device {dev} fail-stop (rank {rank}, stage {stage}, lane {lane})"),
             );
@@ -1282,19 +1222,23 @@ where
             .alive_lanes
             .iter()
             .map(|&l| {
-                let ms = self
-                    .clock
+                self.job
+                    .faults
                     .straggler_delay(step, l)
-                    .map_or(0, |d| d.as_millis() as u32);
-                if ms > 0 {
-                    self.note(
-                        TimelineKind::Injected,
-                        format!("lane {l} straggles {ms} ms"),
-                    );
-                }
-                ms
+                    .map_or(0, |d| d.as_millis() as u32)
             })
             .collect();
+        for (&l, &ms) in self.alive_lanes.iter().zip(&stalls) {
+            if ms > 0 {
+                record(
+                    &mut self.timeline,
+                    step,
+                    TimelineKind::Injected,
+                    format!("lane {l} straggles {ms} ms"),
+                );
+            }
+        }
+        let cfg = &self.job.cfg;
 
         // Every step carries the liveness probe, on this world's own nonce
         // window, so an ack can only ever vouch for this world's ranks; the
@@ -1472,7 +1416,7 @@ where
     fn retire(&mut self, host: &mut Host<'_, S>) -> WorldReport {
         host.graveyard.0.extend(self.round.release());
         pac_telemetry::counter_inc("multiworld.retirements");
-        let timeline = self.clock.timeline();
+        let timeline = std::mem::take(&mut self.timeline);
         WorldReport {
             tenant: self.job.tenant,
             world: self.id,
@@ -1508,8 +1452,8 @@ where
 /// # Errors
 /// [`DistError::InvalidJob`] before anything is spawned when a job cannot
 /// be run as stated. Setup failures (spawn, rendezvous), a dead or
-/// unreadable checkpoint store and engine-level failures (no survivors,
-/// unplannable pool) abort the whole run; per-rank failures inside one
+/// unreadable checkpoint store and engine-level failures (no surviving
+/// lane) abort the whole run; per-rank failures inside one
 /// world are recovered world-locally and do not surface here. Every exit
 /// reaps every worker launched.
 pub fn run_multiworld<S>(spawner: &S, jobs: Vec<TenantJob>) -> Result<MultiWorldReport, DistError>

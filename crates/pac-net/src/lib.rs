@@ -48,9 +48,10 @@
 //!   snapshots (optionally durable through a `pac_store::Store`, with
 //!   bitwise cold restart), fault injection, typed rank-down detection,
 //!   and restart-based recovery over an **elastic membership** — respawn
-//!   in place or leave via planner `replan_without`, mid-run joins and
-//!   partition heals via the dual `replan_with` → catch-up snapshot →
-//!   resume, and straggler mitigation by rebalancing micro-batch row
+//!   in place or drop the dead rank's lane, mid-run joins and partition
+//!   heals via a catch-up snapshot → resume, each membership change
+//!   relaunching the `stages × lanes` world it names, and straggler
+//!   mitigation by rebalancing micro-batch row
 //!   shares from measured heartbeat RTT + busy time — all reported
 //!   through the shared `RecoveryReport`. [`config`] holds the job
 //!   configuration and the error type.
@@ -58,8 +59,8 @@
 //!   forked processes (`repro --distributed=N`), or simulated workers
 //!   ([`simnet::SimSpawner`]).
 //! * [`simnet`] — the simulated transport itself.
-//! * [`calib`] — loopback link calibration feeding
-//!   [`pac_cluster::LinkSpec::measured`] to the planner.
+//! * [`calib`] — loopback link calibration, measured as a
+//!   [`pac_cluster::LinkSpec::measured`] the planner can cost plans with.
 //! * [`mod@reference`] — the in-process `HybridEngine` run a distributed
 //!   run must match bit for bit, and the comparison.
 

@@ -33,7 +33,7 @@
 
 use crate::spawn::{Spawn, SpawnedWorld};
 use crate::transport::{Conn, Listener, PollConn, PollTransport, Readiness, Transport};
-use crate::wire::{encode_frame, ByteSource, FrameReader, Msg, NetError};
+use crate::wire::{ByteSource, FrameReader, Msg, NetError};
 use crate::worker::{run_worker_on, Buggify, RunMode};
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -168,16 +168,6 @@ pub struct SimConfig {
     pub crashes: Vec<(u64, u32)>,
     /// Timed pairwise partitions.
     pub partitions: Vec<Partition>,
-    /// Per-direction link capacity in bytes: the most *undelivered* data
-    /// (scheduled segments plus a held reorder frame) one stream may
-    /// carry. `None` (the default) means unbounded — existing traces are
-    /// unaffected. With a bound, `try_send` on a saturated link refuses
-    /// ([`NetError::WouldBlock`] internally, `Ok(false)` at the
-    /// [`PollConn`] surface) and a blocking `send` waits for in-flight
-    /// segments to deliver, honoring the connection deadline. Capacity
-    /// frees on clock-driven *delivery*, never on receiver reads, so a
-    /// blocked sender's wake time stays a pure function of the seed.
-    pub link_capacity_bytes: Option<u64>,
 }
 
 impl SimConfig {
@@ -198,7 +188,6 @@ impl SimConfig {
             swap_per_mille: 0,
             crashes: Vec::new(),
             partitions: Vec::new(),
-            link_capacity_bytes: None,
         }
     }
 
@@ -566,36 +555,6 @@ fn partitioned(st: &State, a: Option<u32>, b: Option<u32>) -> bool {
     st.cfg.partitions.iter().any(|p| {
         p.from_ns <= now && now < p.to_ns && ((p.a == a && p.b == b) || (p.a == b && p.b == a))
     })
-}
-
-/// Bytes the stream out of `idx` is currently carrying: scheduled
-/// (undelivered) segments plus a held reorder frame. This is what a
-/// bounded link ([`SimConfig::link_capacity_bytes`]) charges against.
-/// Delivered-but-unread bytes deliberately do *not* count: delivery times
-/// are clock events (deterministic), receiver reads are thread-order
-/// events — charging the latter would make a blocked sender's wake time
-/// depend on scheduling instead of the seed.
-fn link_in_flight(st: &State, idx: usize) -> u64 {
-    let rx = st.endpoints[idx].peer;
-    let ep = &st.endpoints[rx];
-    let pending: u64 = ep
-        .pending
-        .iter()
-        .filter(|s| !s.fin)
-        .map(|s| s.bytes.len() as u64)
-        .sum();
-    pending + ep.held.as_ref().map_or(0, |h| h.len() as u64)
-}
-
-/// Whether a `len`-byte frame fits under the link capacity right now.
-/// Checked *before* the adversary's frame counter moves, so a refused
-/// send burns no adversary decisions and retrying it later replays the
-/// exact same fate the frame would have had.
-fn link_has_capacity(st: &State, idx: usize, len: usize) -> bool {
-    match st.cfg.link_capacity_bytes {
-        None => true,
-        Some(cap) => link_in_flight(st, idx).saturating_add(len as u64) <= cap,
-    }
 }
 
 /// Run one frame through the adversary and schedule whatever survives.
@@ -1046,55 +1005,11 @@ impl SimConn {
             Err(e) => Err(e),
         }
     }
-
-    /// Sends one message if the link has capacity for it right now;
-    /// `Ok(false)` when the link is saturated
-    /// ([`SimConfig::link_capacity_bytes`]). The capacity check runs
-    /// before the adversary's frame counter moves, so a refused send
-    /// burns no adversary decisions.
-    pub fn try_send(&mut self, msg: &Msg) -> Result<bool, NetError> {
-        let frame = encode_frame(msg);
-        {
-            let mut st = self.net.lock();
-            if let Some(why) = st.deadlock {
-                return Err(NetError::Deadlock(why));
-            }
-            let peer = st.endpoints[self.idx].peer;
-            let alive = !st.endpoints[self.idx].dead && !st.endpoints[peer].dead;
-            if alive && !link_has_capacity(&st, self.idx, frame.len()) {
-                return Ok(false);
-            }
-            // Dead endpoints fall through: `send_on` reports the typed
-            // error rather than masking it as a full link.
-            send_on(&mut st, self.idx, &frame)?;
-        }
-        pac_telemetry::counter_add("net.bytes_sent", frame.len() as u64);
-        pac_telemetry::counter_inc("net.msgs");
-        Ok(true)
-    }
 }
 
 impl Conn for SimConn {
     fn send_frame(&mut self, frame: &[u8]) -> Result<(), NetError> {
-        let idx = self.idx;
-        let deadline = {
-            let st = self.net.lock();
-            st.endpoints[idx]
-                .recv_timeout
-                .map(|t| st.now.saturating_add(t))
-        };
-        // With unbounded capacity (the default) the first poll always
-        // succeeds and this is the plain old send. With a bound, a
-        // saturated link parks here until in-flight segments deliver —
-        // a clock event, so the wake time is a pure function of the seed.
-        self.net.wait_op(deadline, |st| {
-            let peer = st.endpoints[idx].peer;
-            let alive = !st.endpoints[idx].dead && !st.endpoints[peer].dead;
-            if alive && !link_has_capacity(st, idx, frame.len()) {
-                return None;
-            }
-            Some(send_on(st, idx, frame))
-        })?;
+        send_on(&mut self.net.lock(), self.idx, frame)?;
         pac_telemetry::counter_add("net.bytes_sent", frame.len() as u64);
         pac_telemetry::counter_inc("net.msgs");
         Ok(())
@@ -1120,10 +1035,6 @@ impl Conn for SimConn {
 impl PollConn for SimConn {
     fn try_recv(&mut self) -> Result<Option<Msg>, NetError> {
         SimConn::try_recv(self)
-    }
-
-    fn try_send(&mut self, msg: &Msg) -> Result<bool, NetError> {
-        SimConn::try_send(self, msg)
     }
 }
 
@@ -1476,6 +1387,7 @@ impl Spawn for SimSpawner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::encode_frame;
 
     #[test]
     fn adversary_decisions_are_stateless_and_seeded() {
@@ -1689,61 +1601,6 @@ mod tests {
             }
             other => panic!("expected refusal, got {other:?}"),
         }
-        assert!(net.deadlocked().is_none());
-    }
-
-    /// `try_send` on a saturated bounded link refuses without consuming an
-    /// adversary decision or losing a frame; once in-flight segments
-    /// deliver, capacity frees and every frame arrives in order.
-    #[test]
-    fn saturated_link_try_send_would_blocks_without_losing_frames() {
-        let mut cfg = SimConfig::clean(23);
-        cfg.frag_per_mille = 0;
-        cfg.jitter_ns = 0;
-        let frame_len = encode_frame(&Msg::Heartbeat { nonce: 0 }).len() as u64;
-        cfg.link_capacity_bytes = Some(2 * frame_len); // exactly two frames deep
-        let net = SimNet::new(cfg);
-        let _g = net.register(0);
-        net.preregister(1);
-        let (tx, rx) = std::sync::mpsc::channel();
-        let receiver = {
-            let net = net.clone();
-            std::thread::spawn(move || {
-                let _g = net.adopt(1);
-                let listener = net.bind().expect("bind");
-                tx.send(listener.port()).expect("port handoff");
-                let mut conn = listener
-                    .accept(Duration::from_secs(5), Duration::from_secs(5))
-                    .expect("accept");
-                let mut nonces = Vec::new();
-                for _ in 0..3 {
-                    match conn.recv().expect("recv") {
-                        Msg::Heartbeat { nonce } => nonces.push(nonce),
-                        other => panic!("unexpected {other:?}"),
-                    }
-                }
-                nonces
-            })
-        };
-        let port = rx.recv().expect("receiver bound");
-        let mut conn = net.connect(port, Duration::from_secs(5)).expect("connect");
-
-        // Two frames fit; the third hits the bound — typed would-block at
-        // the PollConn surface, nothing sent, nothing lost.
-        assert!(conn.try_send(&Msg::Heartbeat { nonce: 1 }).expect("send 1"));
-        assert!(conn.try_send(&Msg::Heartbeat { nonce: 2 }).expect("send 2"));
-        assert!(
-            !conn
-                .try_send(&Msg::Heartbeat { nonce: 3 })
-                .expect("refusal"),
-            "third frame must would-block on the saturated link"
-        );
-        // The blocking path waits for delivery (a clock event) instead of
-        // refusing, then sends the same frame — in order, after 1 and 2.
-        conn.send(&Msg::Heartbeat { nonce: 3 })
-            .expect("send 3 blocks then lands");
-        let nonces = net.block_external(|| receiver.join().expect("receiver thread"));
-        assert_eq!(nonces, vec![1, 2, 3], "no frame lost or reordered");
         assert!(net.deadlocked().is_none());
     }
 

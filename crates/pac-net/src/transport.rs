@@ -86,21 +86,15 @@ pub enum Readiness {
 /// readiness-loop coordinators that multiplex many connections on one
 /// thread instead of parking a thread per peer.
 ///
-/// The contract mirrors non-blocking sockets: `try_recv` never waits, a
-/// partial frame stays buffered across calls (the poll loop may wake twice
-/// before one frame fully arrives), and `try_send` refuses rather than
-/// blocks when the link has no capacity.
+/// The contract mirrors a non-blocking socket read: `try_recv` never
+/// waits, and a partial frame stays buffered across calls (the poll loop
+/// may wake twice before one frame fully arrives).
 pub trait PollConn: Conn {
     /// Receives one message if a complete frame can be assembled from
     /// already-delivered bytes; `Ok(None)` when the operation would block
     /// (no bytes, or a partial frame still in flight). EOF, crashes, and
     /// protocol violations surface as the same typed errors `recv` uses.
     fn try_recv(&mut self) -> Result<Option<Msg>, NetError>;
-
-    /// Sends one message if the link can take the frame *now*; `Ok(false)`
-    /// when the operation would block (link saturated). Transports without
-    /// backpressure accounting always send.
-    fn try_send(&mut self, msg: &Msg) -> Result<bool, NetError>;
 }
 
 /// A transport whose connections can be multiplexed by one thread: block

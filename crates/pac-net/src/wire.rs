@@ -89,11 +89,10 @@ pub enum NetError {
     /// unanswered within the coordinator's per-rank window. Unlike
     /// [`NetError::Timeout`] (one read ran out of patience) this is a
     /// *membership* verdict — the rank is presumed gone and the world
-    /// must be replanned without waiting for EOF.
+    /// must be relaunched without waiting for EOF.
     Stale,
     /// A non-blocking operation could not make progress *right now*: a
-    /// `try_send` found the link at capacity, or a poll-mode receive had
-    /// no complete frame buffered. Distinct from [`NetError::Timeout`]
+    /// poll-mode receive had no complete frame buffered. Distinct from [`NetError::Timeout`]
     /// (a deadline actually expired) — would-block is the readiness
     /// loop's "come back after the next wakeup", not a failure.
     WouldBlock,

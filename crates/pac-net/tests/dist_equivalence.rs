@@ -157,6 +157,17 @@ fn killed_worker_triggers_replan_and_checkpoint_resume() {
     };
     assert!(pos(TimelineKind::Injected) < pos(TimelineKind::Replan));
     assert!(pos(TimelineKind::Replan) < pos(TimelineKind::Resume));
+    // The replan names the world the restart launches, and the report
+    // counts that world's devices.
+    let replan = &faulty.recovery.timeline[pos(TimelineKind::Replan)].detail;
+    assert!(
+        replan.ends_with("relaunching as 2 stage(s) × 1 lane(s)"),
+        "{replan}"
+    );
+    assert_eq!(
+        faulty.recovery.final_devices,
+        faulty.stages * faulty.final_lanes
+    );
 
     // Recovery quality: the PR 2 fault-recovery tolerance — the recovered
     // run's final loss lands near the clean run's (both runs see the same

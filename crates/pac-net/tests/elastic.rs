@@ -81,7 +81,7 @@ fn sim_run(
     (report, net)
 }
 
-/// A device that offers to join mid-run is admitted through `replan_with`,
+/// A device that offers to join mid-run is admitted as a new lane,
 /// catches up from a fresh snapshot at the current cursor, and the grown
 /// world finishes the full loss history near the fault-free reference.
 #[test]
@@ -128,7 +128,7 @@ fn join_mid_run_is_admitted_and_catches_up() {
 }
 
 /// Two devices offering to join at the same step form one membership
-/// *wave*: a single `replan_with`, a single catch-up snapshot, and both
+/// *wave*: a single membership change, a single catch-up snapshot, and both
 /// joiners admitted together in one round restart — not one membership
 /// event (and one snapshot) per joiner.
 #[test]
@@ -303,7 +303,7 @@ fn joiner_that_skips_catch_up_diverges() {
 /// Partition heal: one worker drops a single heartbeat ack (a transient
 /// control-plane flake), the liveness sweep evicts it, and — with
 /// `admit_reconnects` on — the evicted-but-alive worker observes its bare
-/// EOF, re-dials the rendezvous, and is re-admitted through the planner.
+/// EOF, re-dials the rendezvous, and is re-admitted as a joining lane.
 /// The run must end back at full strength with exactly two replans (one
 /// eviction, one re-admission), a full-length loss history, and a final
 /// loss near the fault-free reference.
@@ -442,8 +442,8 @@ fn lane_faults_follow_the_device_after_a_fail_stop() {
     );
 }
 
-/// Losing every lane leaves nothing to replan over: the run ends in a
-/// typed engine error, with no hang and no worker panic.
+/// Losing every lane leaves nothing to run on: the run ends in the typed
+/// `NoSurvivors` error, with no hang and no worker panic.
 #[test]
 fn losing_all_devices_is_a_typed_engine_error() {
     let cfg = DistConfig::loopback(1, 2);
@@ -453,7 +453,7 @@ fn losing_all_devices_is_a_typed_engine_error() {
     let (report, net) = sim_run(61, cfg, &batches, &plan, Buggify::default());
     assert!(net.panics().is_empty(), "worker panics: {:?}", net.panics());
     match report {
-        Err(DistError::Engine(EngineError::NoSurvivors | EngineError::Unplannable { .. })) => {}
+        Err(DistError::Engine(EngineError::NoSurvivors)) => {}
         other => panic!("a world without lanes must fail typed, got {other:?}"),
     }
 }

@@ -71,10 +71,6 @@ impl PollConn for TapConn {
     fn try_recv(&mut self) -> Result<Option<Msg>, NetError> {
         self.inner.try_recv()
     }
-    fn try_send(&mut self, msg: &Msg) -> Result<bool, NetError> {
-        self.send(msg)?;
-        Ok(true)
-    }
 }
 
 impl Listener for TapListener {

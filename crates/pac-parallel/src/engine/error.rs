@@ -4,7 +4,7 @@
 //! threads are joined, panics are converted into [`EngineError::LanePanic`]
 //! carrying the failing lane/stage, and channel teardown from a neighbor's
 //! death surfaces as [`EngineError::Disconnected`]. Only the pac-net
-//! coordinator recovers from a lost lane or rank (replan or respawn); every
+//! coordinator recovers from a lost lane or rank (shrink or respawn); every
 //! other caller reports the error.
 
 use pac_tensor::TensorError;
@@ -57,11 +57,6 @@ pub enum EngineError {
     },
     /// Recovery is impossible: no lanes/devices left to run on.
     NoSurvivors,
-    /// The planner found no feasible plan for the surviving devices.
-    Unplannable {
-        /// Number of surviving devices.
-        survivors: usize,
-    },
     /// A tensor-math error (shape mismatch, numerically invalid input).
     Tensor(TensorError),
     /// The run was halted from outside the engine mid-step — the durable
@@ -119,9 +114,6 @@ impl fmt::Display for EngineError {
                 ),
             },
             EngineError::NoSurvivors => write!(f, "no surviving lanes to run on"),
-            EngineError::Unplannable { survivors } => {
-                write!(f, "no feasible plan for {survivors} surviving device(s)")
-            }
             EngineError::Tensor(e) => write!(f, "tensor error: {e}"),
             EngineError::Halted { step, detail } => {
                 write!(f, "run halted at step {step}: {detail}")

@@ -5,17 +5,17 @@
 //! durable cold restarts — must be exercised by tests that reproduce
 //! bit-for-bit. A [`FaultPlan`] is a declarative list of failures pinned to
 //! a global step and keyed by an original lane or device id, which stays
-//! the same however the survivors renumber; a [`FaultClock`] carries the
-//! plan through a run, answers the run loop's "does anything fail here?"
-//! queries, and logs a recovery timeline that `repro --faults` renders.
-//! Plans are pure data — no wall-clock, no global RNG — so a plan plus a
-//! run's seed fully determines it.
+//! the same however the survivors renumber. The plan answers the run
+//! loop's "does anything fail here?" queries itself; the loop counts its
+//! own steps and keeps its own recovery timeline ([`record`]), which
+//! `repro --faults` renders. Plans are pure data — no wall-clock, no global
+//! RNG — so a plan plus a run's seed fully determines it.
 //!
 //! One run loop reads a plan: the pac-net coordinator, which meets real
 //! process, socket and disk faults. The in-process engines read none: they
 //! are the references its worlds are checked against. `pac_core::PacSession`
-//! records only its durable snapshots and cold restarts on a timeline
-//! ([`record`]), and both report through [`RecoveryReport`].
+//! records only its durable snapshots and cold restarts on its timeline,
+//! and both report through [`RecoveryReport`].
 //!
 //! The textual schema (accepted by [`FaultPlan::parse`] and `repro
 //! --faults`) is `kind@key=value,...` joined by `;`. Each kind takes exactly
@@ -29,14 +29,12 @@
 //! ```
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// One injected failure, pinned to a precise point of the run.
 ///
-/// `step` is the global mini-batch index (0-based) counted by the
-/// [`FaultClock`]; replayed steps after a checkpoint restore get fresh
+/// `step` is the global mini-batch index (0-based) the run loop counts
+/// once per dispatch; replayed steps after a checkpoint restore get fresh
 /// indices, so a fault fires exactly once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Fault {
@@ -59,9 +57,8 @@ pub enum Fault {
         delay_ms: u64,
     },
     /// A new device offers to join the pool before this step (powered on,
-    /// came back in LAN range). Elastic runtimes admit it through the
-    /// planner (`replan_with`) and grow the world; engines without a join
-    /// path ignore the event.
+    /// came back in LAN range). The coordinator admits it as a new lane and
+    /// grows the world; engines without a join path ignore the event.
     Join {
         /// Global step before which the device offers to join.
         step: u64,
@@ -195,6 +192,49 @@ impl FaultPlan {
         }
         Ok(FaultPlan { faults })
     }
+
+    /// Device that fail-stops before `step`, if any. Fires once per device;
+    /// the caller tracks which devices are already gone.
+    pub fn fail_stop(&self, step: u64) -> Option<usize> {
+        self.faults.iter().find_map(|f| match f {
+            Fault::FailStop { step: s, device } if *s == step => Some(*device),
+            _ => None,
+        })
+    }
+
+    /// Straggler delay for the lane with original id `lane` at `step`, if
+    /// any.
+    pub fn straggler_delay(&self, step: u64, lane: usize) -> Option<Duration> {
+        self.faults.iter().find_map(|f| match f {
+            Fault::Straggler {
+                step: s,
+                lane: l,
+                delay_ms,
+            } if *s == step && *l == lane => Some(Duration::from_millis(*delay_ms)),
+            _ => None,
+        })
+    }
+
+    /// How many devices offer to join the pool before `step`. Repeated
+    /// `join@step=N` faults form a *wave*: the coordinator admits the whole
+    /// wave with one membership change and one catch-up snapshot rather
+    /// than one per joiner.
+    pub fn joins(&self, step: u64) -> usize {
+        self.faults
+            .iter()
+            .filter(|f| matches!(f, Fault::Join { step: s } if *s == step))
+            .count()
+    }
+
+    /// Byte offset at which the durable checkpoint writer is killed during
+    /// `step`'s append, if a crash is planned there. Fires once: the run
+    /// dies with it.
+    pub fn crash_point(&self, step: u64) -> Option<u64> {
+        self.faults.iter().find_map(|f| match f {
+            Fault::Crash { step: s, at_byte } if *s == step => Some(*at_byte),
+            _ => None,
+        })
+    }
 }
 
 /// A lane or device id from a parsed plan. One past the address width
@@ -231,7 +271,8 @@ pub enum TimelineKind {
     Retry,
     /// A training checkpoint was snapshotted.
     Checkpoint,
-    /// The planner produced a new plan over the surviving devices.
+    /// Lane membership changed: the world relaunches as the
+    /// `stages × lanes` the event names.
     Replan,
     /// Training resumed from a checkpoint.
     Resume,
@@ -254,96 +295,6 @@ impl fmt::Display for TimelineKind {
             TimelineKind::Rebalance => "rebalance",
         };
         f.write_str(s)
-    }
-}
-
-/// Carries a [`FaultPlan`] through a run: counts global steps, answers the
-/// run loop's injection queries, and records the recovery timeline.
-///
-/// The code that owns the mini-batch loop (a coordinator world, or a test)
-/// calls [`FaultClock::advance`] once per mini-batch; all queries are
-/// against explicit step numbers.
-#[derive(Debug, Default)]
-pub struct FaultClock {
-    plan: FaultPlan,
-    next_step: AtomicU64,
-    log: Mutex<Vec<TimelineEvent>>,
-}
-
-impl FaultClock {
-    /// Wraps a plan; the clock starts before step 0.
-    pub fn new(plan: FaultPlan) -> Self {
-        FaultClock {
-            plan,
-            next_step: AtomicU64::new(0),
-            log: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Starts the next mini-batch step and returns its index (0-based).
-    pub fn advance(&self) -> u64 {
-        self.next_step.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// The most recently started step (0 before the first [`advance`]).
-    ///
-    /// [`advance`]: FaultClock::advance
-    pub fn current_step(&self) -> u64 {
-        self.next_step.load(Ordering::Relaxed).saturating_sub(1)
-    }
-
-    /// Device that fail-stops before `step`, if any. Fires once per device;
-    /// the caller tracks which devices are already gone.
-    pub fn fail_stop(&self, step: u64) -> Option<usize> {
-        self.plan.faults.iter().find_map(|f| match f {
-            Fault::FailStop { step: s, device } if *s == step => Some(*device),
-            _ => None,
-        })
-    }
-
-    /// Straggler delay for the lane with original id `lane` at `step`, if
-    /// any.
-    pub fn straggler_delay(&self, step: u64, lane: usize) -> Option<Duration> {
-        self.plan.faults.iter().find_map(|f| match f {
-            Fault::Straggler {
-                step: s,
-                lane: l,
-                delay_ms,
-            } if *s == step && *l == lane => Some(Duration::from_millis(*delay_ms)),
-            _ => None,
-        })
-    }
-
-    /// How many devices offer to join the pool before `step`. Repeated
-    /// `join@step=N` faults form a *wave*: the driver admits the whole
-    /// wave with one replan and one catch-up snapshot rather than one
-    /// membership event per joiner.
-    pub fn joins(&self, step: u64) -> usize {
-        self.plan
-            .faults
-            .iter()
-            .filter(|f| matches!(f, Fault::Join { step: s } if *s == step))
-            .count()
-    }
-
-    /// Byte offset at which the durable checkpoint writer is killed during
-    /// `step`'s append, if a crash is planned there. Fires once: the run
-    /// dies with it.
-    pub fn crash_point(&self, step: u64) -> Option<u64> {
-        self.plan.faults.iter().find_map(|f| match f {
-            Fault::Crash { step: s, at_byte } if *s == step => Some(*at_byte),
-            _ => None,
-        })
-    }
-
-    /// Appends an event to the recovery timeline (see [`record`]).
-    pub fn note(&self, step: u64, kind: TimelineKind, detail: impl Into<String>) {
-        record(&mut self.log.lock().unwrap(), step, kind, detail);
-    }
-
-    /// The recovery timeline recorded so far, in order.
-    pub fn timeline(&self) -> Vec<TimelineEvent> {
-        self.log.lock().unwrap().clone()
     }
 }
 
@@ -379,7 +330,8 @@ pub fn record(
 pub struct RecoveryReport {
     /// Faults from the plan that actually fired.
     pub faults_injected: usize,
-    /// Times the planner produced a new plan over surviving devices.
+    /// Times lane membership changed (a lane left, or joiners were
+    /// admitted).
     pub replans: u32,
     /// Training checkpoints snapshotted (including the initial one).
     pub checkpoints: usize,
@@ -494,26 +446,23 @@ mod tests {
                 step: 6,
                 at_byte: 17,
             });
-        let clock = FaultClock::new(plan);
-        assert_eq!(clock.advance(), 0);
-        assert_eq!(clock.advance(), 1);
-        assert_eq!(clock.current_step(), 1);
-        assert_eq!(clock.fail_stop(2), Some(1));
-        assert_eq!(clock.fail_stop(0), None);
-        assert_eq!(clock.straggler_delay(3, 2), Some(Duration::from_millis(15)));
-        assert_eq!(clock.joins(5), 1);
-        assert_eq!(clock.joins(4), 0);
-        assert_eq!(clock.crash_point(6), Some(17));
-        assert_eq!(clock.crash_point(5), None);
+        // The queries a coordinator world asks at each step it starts.
+        assert_eq!(plan.fail_stop(2), Some(1));
+        assert_eq!(plan.fail_stop(0), None);
+        assert_eq!(plan.straggler_delay(3, 2), Some(Duration::from_millis(15)));
+        assert_eq!(plan.straggler_delay(3, 1), None);
+        assert_eq!(plan.joins(5), 1);
+        assert_eq!(plan.joins(4), 0);
+        assert_eq!(plan.crash_point(6), Some(17));
+        assert_eq!(plan.crash_point(5), None);
     }
 
     #[test]
     fn timeline_records_in_order() {
-        let clock = FaultClock::default();
-        clock.note(0, TimelineKind::Injected, "device 1 fail-stop");
-        clock.note(0, TimelineKind::Replan, "2 survivors");
-        clock.note(1, TimelineKind::Resume, "from step 0");
-        let t = clock.timeline();
+        let mut t = Vec::new();
+        record(&mut t, 0, TimelineKind::Injected, "device 1 fail-stop");
+        record(&mut t, 0, TimelineKind::Replan, "2 survivors");
+        record(&mut t, 1, TimelineKind::Resume, "from step 0");
         assert_eq!(t.len(), 3);
         assert_eq!(t[0].kind, TimelineKind::Injected);
         let text = render_events(&t);

@@ -29,7 +29,7 @@ pub mod schedule;
 pub mod simulate;
 
 pub use engine::{EngineError, EngineResult};
-pub use faults::{Fault, FaultClock, FaultPlan, RecoveryReport, TimelineEvent, TimelineKind};
+pub use faults::{Fault, FaultPlan, RecoveryReport, TimelineEvent, TimelineKind};
 pub use fill::{plan_filled, plan_serialized, FilledOp, FilledPlan, TenantLoad};
 pub use plan::{ParallelPlan, StageAssignment};
 pub use schedule::{Schedule, SimResult, SimStage};

@@ -2,7 +2,7 @@
 
 use crate::dp::partition_for_stages;
 use crate::profile::Profile;
-use pac_cluster::{Cluster, CostModel, DeviceSpec};
+use pac_cluster::{Cluster, CostModel};
 use pac_parallel::{simulate_plan, ParallelPlan, Schedule};
 
 /// One evaluated candidate (a stage count with its optimal partition).
@@ -112,44 +112,6 @@ impl Planner {
             ..self.clone()
         };
         survivor.plan(cost)
-    }
-
-    /// Replans after the given devices *join* the pool — the admission
-    /// path when a new member Hellos into a running rendezvous. The dual
-    /// of [`Planner::replan_without`]: the joined devices are appended to
-    /// the current pool (so existing device indices stay valid in the
-    /// returned plan's indexing) and both the grown pool and the current
-    /// one are swept; whichever plans faster wins, the grown pool on ties.
-    /// Because the current pool's plan is always a candidate, the best
-    /// makespan is monotone under device gain by construction: admitting
-    /// a device can never worsen the plan. Returns `None` only when even
-    /// the pre-join pool is unplannable, and an empty `joined` degenerates
-    /// to [`Planner::plan`].
-    pub fn replan_with(&self, cost: &CostModel, joined: &[DeviceSpec]) -> Option<PlanOutcome> {
-        let base = self.plan(cost);
-        if joined.is_empty() {
-            return base;
-        }
-        let mut devices = self.cluster.devices.clone();
-        devices.extend(joined.iter().cloned());
-        let grown = Planner {
-            cluster: Cluster {
-                devices,
-                link: self.cluster.link,
-            },
-            ..self.clone()
-        };
-        match (grown.plan(cost), base) {
-            (Some(g), Some(b)) => {
-                if g.best_makespan_s <= b.best_makespan_s {
-                    Some(g)
-                } else {
-                    Some(b)
-                }
-            }
-            (Some(g), None) => Some(g),
-            (None, b) => b,
-        }
     }
 
     /// Plans from an explicit profile (e.g. a measured one).
@@ -395,46 +357,6 @@ mod tests {
         assert!(planner
             .replan_without(&cost, &(0..8).collect::<Vec<_>>())
             .is_none());
-    }
-
-    #[test]
-    fn replan_with_admits_devices_and_never_worsens() {
-        let cost = CostModel::new(ModelConfig::t5_base(), Technique::parallel_default(), 128);
-        let planner = planner(2, 8);
-        let before = planner.plan(&cost).expect("2 devices plannable");
-        // Two identical devices join a shrunken pool: the grown plan must
-        // be at least as fast, and existing indices stay valid.
-        let joined = vec![DeviceSpec::jetson_nano(), DeviceSpec::jetson_nano()];
-        let after = planner
-            .replan_with(&cost, &joined)
-            .expect("grown pool plannable");
-        assert!(
-            after.best_makespan_s <= before.best_makespan_s * (1.0 + 1e-9),
-            "gaining devices worsened the plan: {} -> {}",
-            before.best_makespan_s,
-            after.best_makespan_s
-        );
-        assert!(after.device_indices.iter().all(|&i| i < 4));
-        // An empty join set degenerates to the current plan.
-        let same = planner.replan_with(&cost, &[]).expect("plannable");
-        assert_eq!(
-            same.best_makespan_s.to_bits(),
-            before.best_makespan_s.to_bits()
-        );
-    }
-
-    #[test]
-    fn replan_with_feasibility_matches_direct_grown_plan() {
-        // Full T5-Large OOMs on 4 Nanos. A join that grows the pool must
-        // report feasibility exactly as a direct plan over the grown pool
-        // would — whether or not the extra devices clear the memory wall.
-        let full = CostModel::new(ModelConfig::t5_large(), Technique::Full, 128);
-        let small = planner(4, 16);
-        assert!(small.plan(&full).is_none());
-        let joined = vec![DeviceSpec::jetson_nano(); 12];
-        let grown_direct = Planner::paper_defaults(Cluster::nanos(16), 16).plan(&full);
-        let via_join = small.replan_with(&full, &joined);
-        assert_eq!(grown_direct.is_some(), via_join.is_some());
     }
 
     #[test]

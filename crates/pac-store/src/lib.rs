@@ -39,6 +39,12 @@
 //! [`VERSION`], an unknown tag, a commit out of sequence), `open` returns
 //! the typed error and leaves every file as it found it.
 //!
+//! **One replay cursor.** A training run that replays after a restore —
+//! the pac-net coordinator's worlds and `pac_core::PacSession` — commits
+//! the same metadata beside each snapshot, written by [`encode_cursor`]
+//! and read by [`decode_cursor`]: the next global step and the loss of
+//! every step before it.
+//!
 //! Failures are typed [`StoreError`]s in the same discipline as
 //! `pac-net`'s `NetError`: malformed input is rejected, never unwrapped.
 //! The [`CrashPoint`] adversary tears the writer down at a seeded byte
@@ -184,6 +190,35 @@ pub struct Committed {
     pub payload: Vec<u8>,
     /// Caller-owned cursor metadata committed alongside the payload.
     pub meta: Vec<u8>,
+}
+
+/// Encodes the replay cursor a training run commits as the metadata of
+/// each snapshot: the next global step and the loss of every step before
+/// it, `next_step u64 · n u64 · n × f32` (little-endian, floats as raw
+/// bits so a cold restart reproduces the loss history bitwise).
+pub fn encode_cursor(next_step: u64, losses: &[f32]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16 + losses.len() * 4);
+    out.extend_from_slice(&next_step.to_le_bytes());
+    out.extend_from_slice(&(losses.len() as u64).to_le_bytes());
+    for l in losses {
+        out.extend_from_slice(&l.to_bits().to_le_bytes());
+    }
+    out
+}
+
+/// Inverse of [`encode_cursor`]: `(next_step, losses)`, or `None` on any
+/// truncation or length lie.
+pub fn decode_cursor(meta: &[u8]) -> Option<(u64, Vec<f32>)> {
+    let next_step = u64::from_le_bytes(meta.get(..8)?.try_into().ok()?);
+    let n = usize::try_from(u64::from_le_bytes(meta.get(8..16)?.try_into().ok()?)).ok()?;
+    if meta.len() != n.checked_mul(4)?.checked_add(16)? {
+        return None;
+    }
+    let losses = meta[16..]
+        .chunks_exact(4)
+        .map(|b| f32::from_bits(u32::from_le_bytes(b.try_into().expect("4 bytes"))))
+        .collect();
+    Some((next_step, losses))
 }
 
 /// What [`DiskStore::open`] found and did: how much log it scanned, how
@@ -592,6 +627,31 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pac-store-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn cursor_codec_round_trips_and_rejects_damage() {
+        let losses = vec![0.75f32, 0.5, f32::from_bits(0x7fc0_0001)];
+        let bytes = encode_cursor(7, &losses);
+        let (next_step, back) = decode_cursor(&bytes).expect("clean decode");
+        assert_eq!(next_step, 7);
+        let bits = |l: &[f32]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&losses));
+        assert_eq!(decode_cursor(&encode_cursor(0, &[])), Some((0, Vec::new())));
+        // Truncation anywhere.
+        for cut in 0..bytes.len() {
+            assert!(decode_cursor(&bytes[..cut]).is_none(), "cut {cut} decoded");
+        }
+        // A trailing byte, and a loss count that lies either way or
+        // overflows the length arithmetic.
+        let mut long = bytes.clone();
+        long.push(0);
+        assert!(decode_cursor(&long).is_none());
+        for n in [2u64, 4, u64::MAX / 2, u64::MAX] {
+            let mut lie = bytes.clone();
+            lie[8..16].copy_from_slice(&n.to_le_bytes());
+            assert!(decode_cursor(&lie).is_none(), "count {n} decoded");
+        }
     }
 
     #[test]
