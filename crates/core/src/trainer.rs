@@ -359,43 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn int8_cached_training_stays_close_to_f32() {
-        // The int8 cache is lossy (half-quantization-step perturbation of
-        // the frozen activations), so it cannot be bitwise — but training
-        // from it must land within a small tolerance of the f32 reference.
-        let cfg = ModelConfig::micro(1, 1, 16, 2);
-        let (train, eval) = datasets(TaskKind::Sst2, 24);
-        let tcfg = TrainConfig {
-            epochs: 3,
-            ..Default::default()
-        };
-
-        let mut f32_tuner = Tuner::new(Technique::parallel_default(), &cfg, 2, &mut seeded(402));
-        let mut q8_tuner = f32_tuner.clone();
-
-        let mut f32_cache = ActivationCache::new();
-        let r_f32 =
-            finetune_with_cache(&mut f32_tuner, &train, &eval, &tcfg, &mut f32_cache).unwrap();
-        let mut q8_cache = ActivationCache::new_int8();
-        let r_q8 = finetune_with_cache(&mut q8_tuner, &train, &eval, &tcfg, &mut q8_cache).unwrap();
-
-        let f32_loss = *r_f32.epoch_losses.last().unwrap();
-        let q8_loss = *r_q8.epoch_losses.last().unwrap();
-        assert!(
-            (f32_loss - q8_loss).abs() < 0.5,
-            "int8-cache final loss {q8_loss} drifted from f32 {f32_loss}"
-        );
-        // And the resident cache is ~4× smaller for the same samples. The
-        // micro model's hidden=16 makes the 4-byte per-row scale a 25%
-        // overhead (20 vs 64 bytes/row = 3.2×); at realistic hidden sizes
-        // the ratio approaches 4× (h=64 → 3.76×, h=768 → 3.98×).
-        let fb = f32_cache.stats().bytes as f64;
-        let qb = q8_cache.stats().bytes as f64;
-        assert!(fb / qb >= 3.0, "cache cut only {:.2}x", fb / qb);
-        assert_eq!(q8_cache.stats().logical_bytes, f32_cache.stats().bytes);
-    }
-
-    #[test]
     fn schedule_and_smoothing_path_trains() {
         let cfg = ModelConfig::micro(1, 1, 16, 2);
         let mut tuner = Tuner::new(Technique::parallel_default(), &cfg, 2, &mut seeded(404));

@@ -28,7 +28,6 @@ fn config() -> PacConfig {
         lr: 1e-2,
         seed: 7,
         checkpoint_every: 0,
-        cache_int8: false,
     }
 }
 
@@ -116,12 +115,8 @@ fn session_fills_the_cache_from_the_training_forward() {
     let got = report.cache_stats;
     assert_eq!(got.entries, TRAIN_N);
     assert_eq!(
-        (got.entries, got.bytes, got.logical_bytes),
-        (
-            want_cache.entries,
-            want_cache.bytes,
-            want_cache.logical_bytes
-        )
+        (got.entries, got.bytes),
+        (want_cache.entries, want_cache.bytes)
     );
     assert_eq!((got.hits, got.misses), ((cfg.epochs - 1) * TRAIN_N, 0));
     assert_eq!((got.hits, got.misses), (want_cache.hits, want_cache.misses));

@@ -61,14 +61,6 @@ pub struct CostModel {
     pub seq: usize,
     /// Decoder sequence length.
     pub dec_seq: usize,
-    /// Account exactly two things as per-row absmax int8 (1 byte per
-    /// element + one f32 scale per token row) instead of f32: the retained
-    /// `b_i` of Parallel Adapters (the runtime's int8 activation cache) and
-    /// the boundary bytes of a forward Act edge (`wire_q8` `ActQ8` frames).
-    /// Weights stay f32 for every technique — no engine runs on int8
-    /// weights — and so do trainable-side bytes (side context, gradients,
-    /// optimizer state): quantization never touches a gradient path.
-    pub int8_frozen: bool,
 }
 
 impl CostModel {
@@ -79,17 +71,7 @@ impl CostModel {
             technique,
             seq,
             dec_seq: 8,
-            int8_frozen: false,
         }
-    }
-
-    /// The same cost model with int8 accounting of the cached `b_i` and
-    /// the Act edges switched on (the Eq. 4–6 memory ceilings see the ~4×
-    /// smaller retained activations, the link-transfer terms the ~4×
-    /// smaller boundary bytes; weight bytes are unchanged).
-    pub fn with_int8_frozen(mut self) -> Self {
-        self.int8_frozen = true;
-        self
     }
 
     /// Side-network hidden width for Parallel Adapters (0 otherwise).
@@ -196,17 +178,10 @@ impl CostModel {
                 (tokens * per_token + scores) * 4
             }
             // Parallel Adapters retain only b_i (side-network input) plus
-            // the small side context. b_i is frozen-side data — exactly
-            // what the int8 activation cache stores — so the int8 knob
-            // shrinks it to 1 byte per element plus a per-token scale;
-            // the side context is trainable-path and stays f32.
+            // the small side context.
             Technique::ParallelAdapters { .. } => {
                 let r = self.side_r();
-                if self.int8_frozen {
-                    tokens * (c.hidden + 4) + tokens * 3 * r * 4
-                } else {
-                    (tokens * (c.hidden + 3 * r)) * 4
-                }
+                (tokens * (c.hidden + 3 * r)) * 4
             }
         }
     }
@@ -250,13 +225,7 @@ impl CostModel {
                 LayerRole::Encoder => self.seq,
                 LayerRole::Decoder => self.dec_seq,
             };
-            // Forward Act edges carry `ActQ8` frames under int8 wire mode:
-            // 1 byte per element + one f32 scale per token row.
-            let boundary_bytes = if self.int8_frozen {
-                boundary_tokens * (c.hidden + 4)
-            } else {
-                boundary_tokens * c.hidden * 4
-            };
+            let boundary_bytes = boundary_tokens * c.hidden * 4;
             out.push(LayerCost {
                 role,
                 fwd_flops: fwd,
@@ -392,38 +361,6 @@ mod tests {
             pa_act * 3 < full_act,
             "PA {pa_act} should be ≪ full {full_act}"
         );
-    }
-
-    #[test]
-    fn int8_accounting_shrinks_frozen_bytes_only() {
-        let f32cm = CostModel::new(model(), Technique::parallel_default(), 128);
-        let q8cm = CostModel::new(model(), Technique::parallel_default(), 128).with_int8_frozen();
-        let f = &f32cm.layer_costs()[0];
-        let q = &q8cm.layer_costs()[0];
-        // Boundary (Act edge) bytes drop ~4×: h=1024 → 1028/4096 per token.
-        assert_eq!(f.boundary_bytes, 128 * 1024 * 4);
-        assert_eq!(q.boundary_bytes, 128 * (1024 + 4));
-        assert!(f.boundary_bytes as f64 / q.boundary_bytes as f64 > 3.5);
-        // Retained bytes shrink, but less than 4×: only b_i (h floats per
-        // token) quantizes, while the f32 side context (3r = 384 floats
-        // per token at reduction 8) stays. The b_i slice alone cuts 3.98×.
-        let ratio = f.retained_act_bytes as f64 / q.retained_act_bytes as f64;
-        assert!((1.8..4.0).contains(&ratio), "retained ratio {ratio}");
-        let bi_ratio = (1024.0 * 4.0) / (1024.0 + 4.0);
-        assert!(bi_ratio > 3.9);
-        // FLOPs and trainable/weight bytes are untouched — int8 is a
-        // storage/transport knob, not a compute model change: every
-        // engine holds and multiplies f32 weights.
-        assert_eq!(f.fwd_flops, q.fwd_flops);
-        assert_eq!(f.trainable_bytes, q.trainable_bytes);
-        assert_eq!(f.weight_bytes, q.weight_bytes);
-        // Backbone-backprop techniques keep f32 retained activations:
-        // those sit on a gradient path and are out of quantization scope.
-        let lora_f = CostModel::new(model(), Technique::lora_default(), 128);
-        let lora_q = CostModel::new(model(), Technique::lora_default(), 128).with_int8_frozen();
-        let (lf, lq) = (&lora_f.layer_costs()[0], &lora_q.layer_costs()[0]);
-        assert_eq!(lf.retained_act_bytes, lq.retained_act_bytes);
-        assert_eq!(lf.weight_bytes, lq.weight_bytes);
     }
 
     #[test]

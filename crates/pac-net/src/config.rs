@@ -110,14 +110,6 @@ pub struct DistConfig {
     /// that shrinks on rank loss ([`crate::RankLoss::Shrink`]) has a lane
     /// to heal.
     pub admit_reconnects: bool,
-    /// Ship pipeline Act frames as per-row absmax int8 (`Msg::ActQ8`,
-    /// ~4× fewer boundary bytes) instead of bitwise f32 `Msg::Act`. Off
-    /// by default: the f32 wire is what keeps distributed training
-    /// bit-identical to the in-process reference; int8 trades a
-    /// half-quantization-step perturbation of each boundary activation
-    /// for the bandwidth cut (frozen-side data only — gradients always
-    /// travel f32).
-    pub wire_q8: bool,
 }
 
 impl DistConfig {
@@ -141,7 +133,6 @@ impl DistConfig {
             rebalance: false,
             telemetry: false,
             admit_reconnects: false,
-            wire_q8: false,
         }
     }
 

@@ -95,13 +95,21 @@ const REDIAL_POLL: Duration = Duration::from_millis(5);
 /// from outside the step's window means the stream lost framing.
 const MAX_STRAY_ACKS: usize = 8;
 
+/// Most rank losses in a row a world relaunches after with no step settled
+/// in between; the next one ends the run with that loss's
+/// [`EngineError::RankDown`]. Without it a rank that dies at the same point
+/// every round would relaunch its world forever.
+const MAX_RESPAWNS_IN_A_ROW: u32 = 8;
+
 /// What a world does when it loses a rank — the one behavioural choice a
 /// job states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RankLoss {
     /// Respawn the same topology, restore the world's snapshot and replay
     /// from its cursor. The trajectory stays bitwise equal to the
-    /// fault-free run, and a one-lane world survives.
+    /// fault-free run, and a one-lane world survives. A ninth loss in a
+    /// row with no step settled ends the run with its
+    /// [`EngineError::RankDown`] (under either policy).
     #[default]
     Respawn,
     /// Drop the dead rank's lane: respawn the world minus that lane,
@@ -522,7 +530,6 @@ fn start_round<S: Spawn>(
             net_timeout_ms: cfg.net_timeout.as_millis() as u32,
             telemetry: cfg.telemetry,
             reconnect: cfg.admit_reconnects,
-            wire_q8: cfg.wire_q8,
         })))?;
     }
     for wc in round.conns.iter_mut() {
@@ -833,6 +840,8 @@ struct World<S: Spawn> {
     pending: Option<Pending>,
     last_events: Vec<SimEvent>,
     recoveries: u32,
+    /// Rank losses since the world last settled a step.
+    losses_in_a_row: u32,
     replans: u32,
     checkpoints: usize,
     checkpoint_bytes: usize,
@@ -903,6 +912,7 @@ where
             pending: None,
             last_events: Vec::new(),
             recoveries: 0,
+            losses_in_a_row: 0,
             replans: 0,
             checkpoints: 0,
             checkpoint_bytes: 0,
@@ -1129,7 +1139,8 @@ where
 
     /// A rank of this world is gone (current-round numbering): restart
     /// from the snapshot, on the same topology or minus the dead rank's
-    /// lane as the job's [`RankLoss`] says.
+    /// lane as the job's [`RankLoss`] says — unless the world has already
+    /// relaunched [`MAX_RESPAWNS_IN_A_ROW`] times without settling a step.
     fn rank_down(
         &mut self,
         host: &mut Host<'_, S>,
@@ -1138,6 +1149,20 @@ where
     ) -> Result<(), DistError> {
         let topo = self.round.topo;
         let pos = topo.lane_of(rank);
+        if self.losses_in_a_row == MAX_RESPAWNS_IN_A_ROW {
+            return Err(EngineError::RankDown {
+                rank,
+                lane: pos,
+                stage: Some(topo.stage_of(rank)),
+                step: self.step(),
+                detail: format!(
+                    "{detail}; {} rank losses in a row with no step settled",
+                    MAX_RESPAWNS_IN_A_ROW + 1
+                ),
+            }
+            .into());
+        }
+        self.losses_in_a_row += 1;
         self.recoveries += 1;
         pac_telemetry::counter_inc("multiworld.recoveries");
         match self.job.on_rank_loss {
@@ -1347,6 +1372,7 @@ where
             self.last_events.extend(events);
         }
         self.t += 1;
+        self.losses_in_a_row = 0;
         pac_telemetry::counter_inc("multiworld.steps");
 
         self.last_rtts = rtts;
@@ -1453,8 +1479,9 @@ where
 /// [`DistError::InvalidJob`] before anything is spawned when a job cannot
 /// be run as stated. Setup failures (spawn, rendezvous), a dead or
 /// unreadable checkpoint store and engine-level failures (no surviving
-/// lane) abort the whole run; per-rank failures inside one
-/// world are recovered world-locally and do not surface here. Every exit
+/// lane, or a rank lost more than `MAX_RESPAWNS_IN_A_ROW` (8) times in a
+/// row with no step settled) abort the whole run; other per-rank failures
+/// inside one world are recovered world-locally and do not surface here. Every exit
 /// reaps every worker launched.
 pub fn run_multiworld<S>(spawner: &S, jobs: Vec<TenantJob>) -> Result<MultiWorldReport, DistError>
 where
@@ -1836,16 +1863,23 @@ mod tests {
         /// among the ones the rank receives (0 is admission's initial
         /// snapshot) — after the step's `Done`, before its `ParamSnap`.
         hang_up_on_req: Option<usize>,
+        /// Hang up instead of answering any `Step`.
+        hang_up_on_step: bool,
     }
+
+    /// Launches a `ScriptedSpawner` makes before it fails: a world that
+    /// relaunches without end fails its test instead of hanging it.
+    const MAX_LAUNCHES: u32 = 16;
 
     /// Scripted ranks on simnet: each rendezvouses and answers frames in
     /// order like a worker that does not train — `Done` with a fixed loss,
     /// `ParamSnap` one tensor per stage — except that the rank at
-    /// `(launch, slot)` of `target` behaves as its `Quirk` says.
+    /// `(launch, slot)` of `target` (`slot` of every launch when `launch`
+    /// is `None`) behaves as its `Quirk` says.
     struct ScriptedSpawner {
         net: SimNet,
         launches: AtomicU32,
-        target: (u32, u32, Quirk),
+        target: (Option<u32>, u32, Quirk),
     }
 
     impl ScriptedSpawner {
@@ -1853,7 +1887,14 @@ mod tests {
             ScriptedSpawner {
                 net: net.clone(),
                 launches: AtomicU32::new(0),
-                target: (launch, slot, quirk),
+                target: (Some(launch), slot, quirk),
+            }
+        }
+
+        fn every_launch(net: &SimNet, slot: u32, quirk: Quirk) -> Self {
+            ScriptedSpawner {
+                target: (None, slot, quirk),
+                ..ScriptedSpawner::new(net, 0, slot, quirk)
             }
         }
     }
@@ -1867,6 +1908,11 @@ mod tests {
 
         fn launch(&self, coord_port: u16, world: usize) -> std::io::Result<SpawnedWorld> {
             let generation = self.launches.fetch_add(1, Ordering::SeqCst);
+            if generation >= MAX_LAUNCHES {
+                return Err(std::io::Error::other(
+                    "scripted spawner: launch cap reached",
+                ));
+            }
             let actors: Vec<u32> = (0..world as u32)
                 .map(|slot| generation * WORKERS_PER_GEN + slot + 1)
                 .collect();
@@ -1877,7 +1923,7 @@ mod tests {
             for (slot, &actor) in actors.iter().enumerate() {
                 let net = self.net.clone();
                 let (g, s, quirk) = self.target;
-                let quirk = if (g, s) == (generation, slot as u32) {
+                let quirk = if g.is_none_or(|g| g == generation) && s == slot as u32 {
                     quirk
                 } else {
                     Quirk::default()
@@ -1914,6 +1960,7 @@ mod tests {
                         ctrl.send(&Msg::HeartbeatAck { nonce })?;
                     }
                 }
+                Msg::Step { .. } if quirk.hang_up_on_step => return Ok(()),
                 Msg::Step { .. } => ctrl.send(&Msg::Done {
                     rank: asg.rank,
                     loss_sum: 1.0,
@@ -2066,6 +2113,37 @@ mod tests {
             "{:?}",
             report.log
         );
+    }
+
+    /// A rank that hangs up on every `Step` lets no step settle: the world
+    /// relaunches after each of its first `MAX_RESPAWNS_IN_A_ROW` losses,
+    /// and the next one ends the run with that loss's `RankDown` instead of
+    /// a ninth relaunch.
+    #[test]
+    fn a_rank_lost_every_round_ends_the_world_after_eight_respawns() {
+        let net = SimNet::new(SimConfig::clean(57));
+        let _coord = net.register(0);
+        let quirk = Quirk {
+            hang_up_on_step: true,
+            ..Quirk::default()
+        };
+        let spawner = ScriptedSpawner::every_launch(&net, 1, quirk);
+        let job = TenantJob::new(1, cfg_for(28, 2, 2), batches_for(16, 3, 2));
+        let err = run_world(&spawner, job).expect_err("a world that never settles must end");
+        assert_eq!(spawner.launches.load(Ordering::SeqCst), 1 + 8);
+        match err {
+            DistError::Engine(EngineError::RankDown {
+                rank,
+                lane,
+                stage,
+                step,
+                detail,
+            }) => {
+                assert_eq!((rank, lane, stage, step), (1, 1, Some(0), 8), "{detail}");
+                assert!(detail.contains("9 rank losses in a row"), "{detail}");
+            }
+            other => panic!("expected the last loss's RankDown, got {other:?}"),
+        }
     }
 
     /// A canonical rank of a shrink-policy world hangs up after its `Done`

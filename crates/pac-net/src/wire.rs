@@ -27,7 +27,7 @@ use pac_model::StageData;
 use pac_parallel::engine::MicroBatch;
 use pac_parallel::schedule::SimEvent;
 use pac_parallel::Schedule;
-use pac_tensor::{bytes, QTensor, Shape, Tensor, MAX_RANK};
+use pac_tensor::{bytes, Shape, Tensor, MAX_RANK};
 use std::borrow::Borrow;
 use std::fmt;
 use std::io::Read;
@@ -199,11 +199,6 @@ pub struct Assignment {
     /// control connection drops *without* a `Shutdown` should re-dial the
     /// rendezvous once with a fresh `Hello` (partition heal).
     pub reconnect: bool,
-    /// Whether pipeline Act edges ship activations as [`Msg::ActQ8`]
-    /// (per-row absmax int8, ~4× fewer bytes) instead of f32 [`Msg::Act`].
-    /// Off by default: f32 frames keep the distributed engines bitwise
-    /// identical to the in-process reference.
-    pub wire_q8: bool,
 }
 
 /// The complete message set of the PAC network protocol.
@@ -268,23 +263,6 @@ pub enum Msg {
         micro: u32,
         /// Activation payload.
         data: StageData,
-    },
-    /// Stage `s` → stage `s+1`: forward activation for one micro-batch,
-    /// quantized to per-row absmax int8 (v2 frame). Sent instead of
-    /// [`Msg::Act`] when the assignment enables `wire_q8`; the receiver
-    /// dequantizes before compute. Cuts Act-edge bytes ~4× at the cost of
-    /// a half-quantization-step perturbation of the boundary activation —
-    /// sound for the frozen backbone half, whose values sit on no gradient
-    /// path. Token payloads (first pipeline edge) always travel as legacy
-    /// [`Msg::Act`]: token ids cannot be quantized.
-    ActQ8 {
-        /// Micro-batch id.
-        micro: u32,
-        /// True when the payload is stage-final logits rather than a
-        /// hidden-state boundary activation.
-        logits: bool,
-        /// Quantized activation payload.
-        q: QTensor,
     },
     /// Stage `s+1` → stage `s`: backward gradient for one micro-batch.
     Grad {
@@ -414,7 +392,6 @@ impl Msg {
             Msg::HeartbeatAck { .. } => 16,
             Msg::Stats { .. } => 17,
             Msg::Shutdown => 18,
-            Msg::ActQ8 { .. } => 19,
             Msg::JobSubmit { .. } => 20,
             Msg::JobDone { .. } => 21,
         }
@@ -486,13 +463,6 @@ impl Enc {
     fn tensor(&mut self, t: &Tensor) {
         self.dims(t.dims());
         self.f32s(t.data());
-    }
-    fn qtensor(&mut self, q: &QTensor) {
-        self.dims(q.dims());
-        self.u32(q.rows() as u32);
-        self.f32s(q.scales());
-        // i8 payload travels as raw two's-complement bytes.
-        self.buf.extend(q.data().iter().map(|&v| v as u8));
     }
     fn grad_block<T: Borrow<Tensor>>(&mut self, origin_lane: u32, tensors: &[T]) {
         self.u32(origin_lane);
@@ -639,17 +609,6 @@ impl<'a> Dec<'a> {
         let data = self.f32s(numel)?;
         Tensor::from_vec(data, dims).map_err(|_| NetError::Malformed("tensor shape inconsistent"))
     }
-    fn qtensor(&mut self) -> Result<QTensor, NetError> {
-        let (dims, numel) = self.dims()?;
-        let rows = self.u32()? as usize;
-        if numel > MAX_NUMEL || rows.saturating_mul(4).saturating_add(numel) > self.b.len() {
-            return Err(NetError::Malformed("qtensor size exceeds payload"));
-        }
-        let scales = self.f32s(rows)?;
-        let data: Vec<i8> = self.take(numel)?.iter().map(|&b| b as i8).collect();
-        QTensor::from_parts(dims, scales, data)
-            .map_err(|_| NetError::Malformed("qtensor parts inconsistent"))
-    }
     fn stage_data(&mut self) -> Result<StageData, NetError> {
         match self.u8()? {
             0 => {
@@ -735,7 +694,6 @@ fn encode_payload(e: &mut Enc, msg: &Msg) {
             e.u32(a.net_timeout_ms);
             e.u8(a.telemetry as u8);
             e.u8(a.reconnect as u8);
-            e.u8(a.wire_q8 as u8);
         }
         Msg::Peers { ports } => {
             e.u32(ports.len() as u32);
@@ -779,11 +737,6 @@ fn encode_payload(e: &mut Enc, msg: &Msg) {
         Msg::Act { micro, data } => {
             e.u32(*micro);
             e.stage_data(data);
-        }
-        Msg::ActQ8 { micro, logits, q } => {
-            e.u32(*micro);
-            e.u8(*logits as u8);
-            e.qtensor(q);
         }
         Msg::JobSubmit {
             tenant,
@@ -895,7 +848,6 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Msg, NetError> {
                 net_timeout_ms: d.u32()?,
                 telemetry: d.bool()?,
                 reconnect: d.bool()?,
-                wire_q8: d.bool()?,
             }))
         }
         3 => {
@@ -1009,11 +961,6 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Msg, NetError> {
             Msg::Stats { counters }
         }
         18 => Msg::Shutdown,
-        19 => Msg::ActQ8 {
-            micro: d.u32()?,
-            logits: d.bool()?,
-            q: d.qtensor()?,
-        },
         20 => Msg::JobSubmit {
             tenant: d.u64()?,
             steps: d.u32()?,
@@ -1311,7 +1258,6 @@ mod tests {
             net_timeout_ms: 5000,
             telemetry: true,
             reconnect: true,
-            wire_q8: true,
         };
         assert_eq!(
             roundtrip(&Msg::Assign(Box::new(a.clone()))),
@@ -1389,78 +1335,12 @@ mod tests {
         assert_eq!(roundtrip(&msg), msg);
     }
 
-    #[test]
-    fn act_q8_roundtrips() {
-        let t = Tensor::from_vec(vec![0.5, -1.25, 3.0, 0.0, 2.5, -0.75], vec![1, 2, 3]).unwrap();
-        let msg = Msg::ActQ8 {
-            micro: 4,
-            logits: false,
-            q: QTensor::quantize(&t),
-        };
-        assert_eq!(roundtrip(&msg), msg);
-        match roundtrip(&msg) {
-            Msg::ActQ8 { micro, logits, q } => {
-                assert_eq!(micro, 4);
-                assert!(!logits);
-                assert_eq!(q.dims(), t.dims());
-                assert!(q.dequantize().approx_eq(&t, 0.02));
-            }
-            other => panic!("wrong message decoded: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn act_q8_frame_of_a_bert_base_boundary_is_a_quarter_of_f32() {
-        // One [seq 32, hidden 768] stage boundary: 4 bytes per element in
-        // `Act`, 1 byte per element plus one f32 scale per row in `ActQ8`.
-        let data: Vec<f32> = (0..32 * 768).map(|i| (i as f32 * 0.01).sin()).collect();
-        let t = Tensor::from_vec(data, vec![32, 768]).unwrap();
-        let f32_frame = encode_frame(&Msg::Act {
-            micro: 0,
-            data: StageData::Hidden(t.clone()),
-        });
-        let q8_frame = encode_frame(&Msg::ActQ8 {
-            micro: 0,
-            logits: false,
-            q: QTensor::quantize(&t),
-        });
-        assert_eq!(f32_frame.len(), 98_332);
-        assert_eq!(q8_frame.len(), 24_736);
-    }
-
     /// Overwrites the frame's trailer with the checksum of its current
     /// bytes, so only what the test changed can trip the decoder.
     fn reseal(frame: &mut [u8]) {
         let body = frame.len() - 4;
         let sum = checksum(&frame[4..body]);
         frame[body..].copy_from_slice(&sum.to_le_bytes());
-    }
-
-    #[test]
-    fn act_q8_scale_count_must_be_the_row_count() {
-        let t = Tensor::from_vec(vec![0.5, -1.25, 3.0, 0.0, 2.5, -0.75], vec![1, 2, 3]).unwrap();
-        let mut frame = encode_frame(&Msg::ActQ8 {
-            micro: 4,
-            logits: false,
-            q: QTensor::quantize(&t),
-        });
-        // Payload: micro u32, logits u8, rank u8, three u32 dims, then the
-        // scale count and the scales. Claim three scales for the same six
-        // elements (3 divides 6; the folded row count is 2) and splice a
-        // third one in.
-        let rows_at = HEADER_LEN + 4 + 1 + 1 + 3 * 4;
-        assert_eq!(frame[rows_at..rows_at + 4], 2u32.to_le_bytes());
-        frame[rows_at..rows_at + 4].copy_from_slice(&3u32.to_le_bytes());
-        let scale = frame[rows_at + 4..rows_at + 8].to_vec();
-        frame.splice(rows_at + 4..rows_at + 4, scale);
-        let len = (frame.len() - OVERHEAD) as u32;
-        frame[6..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
-        reseal(&mut frame);
-        let got = decode_frame(&frame);
-        assert!(
-            matches!(got, Err(NetError::Malformed("qtensor parts inconsistent"))),
-            "every scale would land on the wrong elements, got {got:?}"
-        );
     }
 
     #[test]
@@ -1499,10 +1379,9 @@ mod tests {
                 steps: 1,
                 seed: 1,
             },
-            Msg::ActQ8 {
+            Msg::Act {
                 micro: 0,
-                logits: true,
-                q: QTensor::quantize(&t),
+                data: StageData::Logits(t),
             },
         ];
         for msg in &msgs {
@@ -1517,6 +1396,66 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn an_unknown_tag_is_a_typed_bad_type() {
+        // Tag 0 was never used, 19 is the retired int8 Act frame, and
+        // 22.. are past the last message.
+        let t = Tensor::from_vec(vec![0.5, -1.25, 3.0, 0.0], vec![1, 2, 2]).unwrap();
+        let valid = encode_frame(&Msg::Act {
+            micro: 4,
+            data: StageData::Hidden(t),
+        });
+        for tag in [0u8, 19].into_iter().chain(22..=255) {
+            let mut frame = valid.clone();
+            frame[5] = tag;
+            reseal(&mut frame);
+            let got = decode_frame(&frame);
+            assert!(
+                matches!(got, Err(NetError::BadType(t)) if t == tag),
+                "tag {tag}: got {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_assign_with_a_trailing_byte_is_malformed() {
+        // The retired int8-wire flag was one byte after `reconnect`: an
+        // assignment in that layout must not misparse.
+        let a = Assignment {
+            rank: 0,
+            lane: 0,
+            stage: 0,
+            lanes: 1,
+            stages: 1,
+            seed: 7,
+            lr: 0.05,
+            enc_layers: 2,
+            hidden: 16,
+            heads: 2,
+            n_out: 2,
+            partition: vec![2],
+            schedule: Schedule::OneFOneB,
+            micro_batches: 2,
+            net_timeout_ms: 1000,
+            telemetry: false,
+            reconnect: false,
+        };
+        let mut frame = encode_frame(&Msg::Assign(Box::new(a)));
+        let body = frame.len() - 4;
+        frame.insert(body, 1);
+        let len = (frame.len() - OVERHEAD) as u32;
+        frame[6..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+        reseal(&mut frame);
+        let got = decode_frame(&frame);
+        assert!(
+            matches!(
+                got,
+                Err(NetError::Malformed("trailing bytes after payload"))
+            ),
+            "got {got:?}"
+        );
     }
 
     /// Deterministic filler that touches every bit position.

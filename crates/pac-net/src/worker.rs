@@ -27,7 +27,7 @@ use pac_parallel::engine::{run_stage, MicroBatch, StageLinks};
 use pac_parallel::schedule::SimEvent;
 use pac_parallel::{EngineError, EngineResult};
 use pac_tensor::rng::seeded;
-use pac_tensor::{QTensor, Tensor};
+use pac_tensor::Tensor;
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -93,10 +93,6 @@ pub struct NetStageLinks<'a, C: Conn> {
     lane: usize,
     stage: usize,
     step: u64,
-    /// Quantize outbound Act frames to int8 (`Msg::ActQ8`). Token
-    /// payloads are exempt; the receive side accepts either frame kind
-    /// regardless, so only the *sender's* assignment decides the format.
-    wire_q8: bool,
 }
 
 impl<C: Conn> NetStageLinks<'_, C> {
@@ -115,22 +111,9 @@ impl<C: Conn> StageLinks for NetStageLinks<'_, C> {
     fn send_fwd(&mut self, micro: usize, data: StageData) -> EngineResult<()> {
         let (next_rank, lane, stage, step) = (self.next_rank, self.lane, self.stage, self.step);
         let conn = self.next.as_mut().expect("send_fwd without next link");
-        let msg = match (self.wire_q8, data) {
-            // Tensor-bearing boundaries quantize; token rows cannot.
-            (true, StageData::Hidden(t)) => Msg::ActQ8 {
-                micro: micro as u32,
-                logits: false,
-                q: QTensor::quantize(&t),
-            },
-            (true, StageData::Logits(t)) => Msg::ActQ8 {
-                micro: micro as u32,
-                logits: true,
-                q: QTensor::quantize(&t),
-            },
-            (_, data) => Msg::Act {
-                micro: micro as u32,
-                data,
-            },
+        let msg = Msg::Act {
+            micro: micro as u32,
+            data,
         };
         conn.send(&msg).map_err(|e| EngineError::RankDown {
             rank: next_rank,
@@ -150,18 +133,6 @@ impl<C: Conn> StageLinks for NetStageLinks<'_, C> {
         .map_err(|e| self.down(prev_rank, format!("pipeline recv from predecessor: {e}")))?;
         match msg {
             Msg::Act { micro: m, data } if m as usize == micro => Ok(data),
-            Msg::ActQ8 {
-                micro: m,
-                logits,
-                q,
-            } if m as usize == micro => {
-                let t = q.dequantize();
-                Ok(if logits {
-                    StageData::Logits(t)
-                } else {
-                    StageData::Hidden(t)
-                })
-            }
             other => Err(self.down(
                 prev_rank,
                 format!("pipeline protocol violation at micro {micro}: {other:?}"),
@@ -310,7 +281,6 @@ fn run_step<C: Conn>(
         lane: k,
         stage: s,
         step,
-        wire_q8: state.asg.wire_q8,
     };
     let run = run_stage(
         stage,

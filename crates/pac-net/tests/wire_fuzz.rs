@@ -6,8 +6,7 @@
 //! reference benchmark's shape runs one step over loopback TCP behind a
 //! transport that records every frame any connection sends — setup, `Step`,
 //! `Act`, `Grad`, the ring's gradient blocks, `Done`, `ParamReq`/`ParamSnap`
-//! and the `Heartbeat`/`HeartbeatAck` sweep — and a second world with
-//! `wire_q8` adds its `ActQ8` frames. Each case applies one to four
+//! and the `Heartbeat`/`HeartbeatAck` sweep. Each case applies one to four
 //! mutations from {flip, truncate, zero a range, duplicate a range, splice
 //! two frames}. Left as they are, the mutated bytes may decode only to a
 //! frame that is an original; resealed with a fresh length and checksum, so
@@ -157,10 +156,9 @@ fn one_step() -> Vec<Vec<MicroBatch>> {
 }
 
 /// Every frame a one-step 2×2 hidden-32 world sends, in send order.
-fn capture(wire_q8: bool) -> Vec<Vec<u8>> {
+fn capture() -> Vec<Vec<u8>> {
     let mut cfg = DistConfig::loopback(2, 2);
     cfg.hidden = 32;
-    cfg.wire_q8 = wire_q8;
     let spawner = TapSpawner::default();
     run_world(&spawner, TenantJob::new(0, cfg, one_step())).expect("one-step world over the tap");
     for worker in spawner.workers.into_inner().unwrap() {
@@ -170,18 +168,13 @@ fn capture(wire_q8: bool) -> Vec<Vec<u8>> {
     frames
 }
 
-/// The distinct frames of the f32 world, then the `ActQ8` frames of the
-/// `wire_q8` one.
+/// The distinct frames of the world, in send order.
 fn corpus() -> &'static [Vec<u8>] {
     static CORPUS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
     CORPUS.get_or_init(|| {
-        let q8 = capture(true)
-            .into_iter()
-            .filter(|f| matches!(decode_frame(f), Ok((Msg::ActQ8 { .. }, _))));
         let mut seen = HashSet::new();
-        capture(false)
+        capture()
             .into_iter()
-            .chain(q8)
             .filter(|f| seen.insert(f.clone()))
             .collect()
     })
@@ -280,7 +273,6 @@ fn corpus_is_every_kind_of_frame_of_a_real_step() {
             match msg {
                 Msg::Step { .. } => "Step",
                 Msg::Act { .. } => "Act",
-                Msg::ActQ8 { .. } => "ActQ8",
                 Msg::Grad { .. } => "Grad",
                 Msg::GradBlock { .. } => "GradBlock",
                 Msg::Done { .. } => "Done",
@@ -295,7 +287,6 @@ fn corpus_is_every_kind_of_frame_of_a_real_step() {
     for kind in [
         "Step",
         "Act",
-        "ActQ8",
         "Grad",
         "Done",
         "ParamReq",

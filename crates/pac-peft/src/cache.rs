@@ -9,85 +9,20 @@
 //! per backbone layer. [`CacheStats`] mirrors the paper's storage-cost
 //! analysis (`s × h × l` floats per sample).
 //!
-//! # Precision
-//!
-//! The cache stores either raw f32 activations ([`CachePrecision::F32`],
-//! the default — hits reproduce fills bit-for-bit, keeping the cache a
-//! *pure* optimization) or per-row absmax int8 ([`CachePrecision::Int8`]):
-//! quantize on fill, dequantize on hit, cutting resident bytes ~4×. The
-//! int8 mode trades a half-quantization-step perturbation of each cached
-//! activation for the memory cut — sound for exactly the reason the cache
-//! exists at all: the backbone is frozen, so cached values sit on no
-//! gradient path (EDGE-LLM-style frozen-side compression).
+//! Entries are raw f32: a hit returns the tensors the fill stored, so the
+//! cache is a *pure* optimization and cached epochs reproduce uncached
+//! training bit for bit.
 
-use pac_tensor::{QTensor, Tensor};
+use pac_tensor::Tensor;
 use std::collections::HashMap;
-
-/// Storage precision of cached activations.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CachePrecision {
-    /// Raw f32: hits are bitwise identical to fills (default).
-    #[default]
-    F32,
-    /// Per-row absmax int8: ~4× smaller, half-step dequantization error.
-    Int8,
-}
-
-/// One sample's cached per-layer activations, in the cache's precision.
-#[derive(Debug, Clone)]
-enum CachedActs {
-    F32(Vec<Tensor>),
-    Q8(Vec<QTensor>),
-}
-
-impl CachedActs {
-    fn resident_bytes(&self) -> usize {
-        match self {
-            CachedActs::F32(acts) => acts.iter().map(Tensor::size_bytes).sum(),
-            CachedActs::Q8(acts) => acts.iter().map(QTensor::size_bytes).sum(),
-        }
-    }
-
-    /// Bytes the same activations would occupy as f32.
-    fn logical_bytes(&self) -> usize {
-        match self {
-            CachedActs::F32(acts) => acts.iter().map(Tensor::size_bytes).sum(),
-            CachedActs::Q8(acts) => acts.iter().map(|q| q.data().len() * 4).sum(),
-        }
-    }
-
-    fn layers(&self) -> usize {
-        match self {
-            CachedActs::F32(acts) => acts.len(),
-            CachedActs::Q8(acts) => acts.len(),
-        }
-    }
-
-    /// Materializes layer `l` as an f32 tensor (cheap CoW clone for f32
-    /// entries, dequantization for int8 entries).
-    fn layer(&self, l: usize) -> Tensor {
-        match self {
-            CachedActs::F32(acts) => acts[l].clone(),
-            CachedActs::Q8(acts) => acts[l].dequantize(),
-        }
-    }
-
-    fn materialize(&self) -> Vec<Tensor> {
-        (0..self.layers()).map(|l| self.layer(l)).collect()
-    }
-}
 
 /// Statistics about cache contents and effectiveness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Number of cached samples.
     pub entries: usize,
-    /// Resident bytes of cached activations, in the storage precision
-    /// (int8 entries count 1 byte per element plus their scales).
+    /// Resident bytes of cached activations (f32).
     pub bytes: usize,
-    /// Bytes the same activations would occupy as raw f32 — the
-    /// compression denominator (`logical_bytes / bytes` ≈ 4 for int8).
-    pub logical_bytes: usize,
     /// Lookup hits since creation.
     pub hits: usize,
     /// Lookup misses since creation.
@@ -109,10 +44,8 @@ pub struct CacheStats {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ActivationCache {
-    entries: HashMap<u64, CachedActs>,
-    precision: CachePrecision,
+    entries: HashMap<u64, Vec<Tensor>>,
     bytes: usize,
-    logical_bytes: usize,
     hits: usize,
     misses: usize,
 }
@@ -123,59 +56,30 @@ impl ActivationCache {
         Self::default()
     }
 
-    /// Creates an empty cache with the given storage precision.
-    pub fn with_precision(precision: CachePrecision) -> Self {
-        ActivationCache {
-            precision,
-            ..Self::default()
-        }
-    }
-
-    /// Creates an empty int8 cache (quantize on fill, dequantize on hit).
-    pub fn new_int8() -> Self {
-        Self::with_precision(CachePrecision::Int8)
-    }
-
-    /// The storage precision of this cache.
-    pub fn precision(&self) -> CachePrecision {
-        self.precision
-    }
-
     /// Inserts (or replaces) the per-layer activations of `sample_id`.
     ///
     /// `acts[i]` is the backbone layer-`i` output for this sample, shaped
-    /// `[1, s, d]` (encoder layers) or `[1, 1, d]` (decoder layers). In
-    /// int8 mode each layer is quantized here, one absmax scale per folded
-    /// row (i.e. per token position).
+    /// `[1, s, d]` (encoder layers) or `[1, 1, d]` (decoder layers).
     pub fn insert(&mut self, sample_id: u64, acts: Vec<Tensor>) {
-        let stored = match self.precision {
-            CachePrecision::F32 => CachedActs::F32(acts),
-            CachePrecision::Int8 => CachedActs::Q8(acts.iter().map(QTensor::quantize).collect()),
-        };
-        let new_bytes = stored.resident_bytes();
-        let new_logical = stored.logical_bytes();
-        if let Some(old) = self.entries.insert(sample_id, stored) {
-            self.bytes -= old.resident_bytes();
-            self.logical_bytes -= old.logical_bytes();
+        let new_bytes = resident_bytes(&acts);
+        if let Some(old) = self.entries.insert(sample_id, acts) {
+            self.bytes -= resident_bytes(&old);
         }
         self.bytes += new_bytes;
-        self.logical_bytes += new_logical;
         if pac_telemetry::enabled() {
             pac_telemetry::counter_inc("cache.fills");
             pac_telemetry::gauge_set("cache.bytes", self.bytes as u64);
-            pac_telemetry::gauge_set("cache.logical_bytes", self.logical_bytes as u64);
             pac_telemetry::gauge_set("cache.entries", self.entries.len() as u64);
         }
     }
 
     /// Fetches the cached activations of `sample_id`, updating hit/miss
-    /// statistics. F32 entries return cheap copy-on-write clones; int8
-    /// entries dequantize here.
+    /// statistics. Returns cheap copy-on-write clones.
     pub fn get(&mut self, sample_id: u64) -> Option<Vec<Tensor>> {
         if let Some(entry) = self.entries.get(&sample_id) {
             self.hits += 1;
             pac_telemetry::counter_inc("cache.hits");
-            Some(entry.materialize())
+            Some(entry.clone())
         } else {
             self.misses += 1;
             pac_telemetry::counter_inc("cache.misses");
@@ -213,13 +117,13 @@ impl ActivationCache {
         if absent > 0 {
             return None;
         }
-        let layers = self.entries[&sample_ids[0]].layers();
+        let layers = self.entries[&sample_ids[0]].len();
         let mut out = Vec::with_capacity(layers);
         for l in 0..layers {
             let per_sample: Vec<Tensor> = sample_ids
                 .iter()
                 .map(|id| {
-                    let t = self.entries[id].layer(l);
+                    let t = self.entries[id][l].clone();
                     // [1, s, d] → [s, d] rows for stacking.
                     let (s, d) = match t.dims() {
                         &[1, s, d] => (s, d),
@@ -275,10 +179,8 @@ impl ActivationCache {
     pub fn clear(&mut self) {
         self.entries.clear();
         self.bytes = 0;
-        self.logical_bytes = 0;
         if pac_telemetry::enabled() {
             pac_telemetry::gauge_set("cache.bytes", 0);
-            pac_telemetry::gauge_set("cache.logical_bytes", 0);
             pac_telemetry::gauge_set("cache.entries", 0);
         }
     }
@@ -288,7 +190,6 @@ impl ActivationCache {
         CacheStats {
             entries: self.entries.len(),
             bytes: self.bytes,
-            logical_bytes: self.logical_bytes,
             hits: self.hits,
             misses: self.misses,
         }
@@ -300,12 +201,10 @@ impl ActivationCache {
     pub fn predicted_bytes(n_samples: usize, seq: usize, h: usize, layers: usize) -> usize {
         n_samples * seq * h * layers * 4
     }
+}
 
-    /// [`ActivationCache::predicted_bytes`] for the int8 mode: 1 byte per
-    /// element plus one f32 scale per token row.
-    pub fn predicted_bytes_q8(n_samples: usize, seq: usize, h: usize, layers: usize) -> usize {
-        n_samples * seq * layers * (h + 4)
-    }
+fn resident_bytes(acts: &[Tensor]) -> usize {
+    acts.iter().map(Tensor::size_bytes).sum()
 }
 
 #[cfg(test)]
@@ -340,13 +239,11 @@ mod tests {
         c.insert(1, acts(2, 2, 4, 8));
         let b1 = c.stats().bytes;
         assert_eq!(b1, 2 * 4 * 8 * 4);
-        assert_eq!(c.stats().logical_bytes, b1);
         // Replacing the same id must not double-count.
         c.insert(1, acts(3, 2, 4, 8));
         assert_eq!(c.stats().bytes, b1);
         c.clear();
         assert_eq!(c.stats().bytes, 0);
-        assert_eq!(c.stats().logical_bytes, 0);
         assert_eq!(c.stats().entries, 0);
     }
 
@@ -401,58 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn int8_mode_cuts_resident_bytes_about_4x() {
-        let mut f32c = ActivationCache::new();
-        let mut q8c = ActivationCache::new_int8();
-        assert_eq!(q8c.precision(), CachePrecision::Int8);
-        for id in 0..4u64 {
-            f32c.insert(id, acts(20 + id, 3, 8, 64));
-            q8c.insert(id, acts(20 + id, 3, 8, 64));
-        }
-        let f = f32c.stats();
-        let q = q8c.stats();
-        assert_eq!(f.bytes, 4 * 3 * 8 * 64 * 4);
-        assert_eq!(q.logical_bytes, f.bytes);
-        let ratio = f.bytes as f64 / q.bytes as f64;
-        assert!(ratio >= 3.5, "resident cut only {ratio:.2}x");
-        // Predicted formulas agree with the realized layouts.
-        assert_eq!(q.bytes, ActivationCache::predicted_bytes_q8(4, 8, 64, 3));
-        assert_eq!(f.bytes, ActivationCache::predicted_bytes(4, 8, 64, 3));
-    }
-
-    #[test]
-    fn int8_hits_stay_within_half_quantization_step() {
-        let mut c = ActivationCache::new_int8();
-        let a = acts(30, 2, 4, 16);
-        c.insert(9, a.clone());
-        let got = c.get(9).unwrap();
-        for (orig, deq) in a.iter().zip(got.iter()) {
-            assert_eq!(orig.dims(), deq.dims());
-            // Per-row absmax step over d=16: absmax/127 half-steps.
-            for (o, g) in orig.data().iter().zip(deq.data().iter()) {
-                assert!((o - g).abs() < 0.05, "{o} vs {g}");
-            }
-        }
-    }
-
-    #[test]
-    fn int8_batch_round_trip_is_close_not_exact() {
-        let mut c = ActivationCache::new_int8();
-        let mut rng = seeded(31);
-        let layer_outputs: Vec<Tensor> = (0..2)
-            .map(|_| init::randn(&mut rng, [3, 2, 4], 1.0))
-            .collect();
-        let ids = [1u64, 2, 3];
-        c.insert_batch(&ids, &layer_outputs);
-        let rebuilt = c.get_batch(&ids).unwrap();
-        for (orig, got) in layer_outputs.iter().zip(rebuilt.iter()) {
-            assert_eq!(orig.dims(), got.dims());
-            assert!(orig.approx_eq(got, 0.05));
-            // The whole point of F32 being the default: int8 is lossy.
-        }
-    }
-
-    #[test]
     fn predicted_bytes_matches_paper_formula() {
         // T5-Base (h=768, 24 layers), seq 128: per-sample cost
         // 128 × 768 × 24 × 4 B ≈ 9.4 MB; thousands of samples fit in the
@@ -461,8 +306,14 @@ mod tests {
         assert_eq!(per_sample, 128 * 768 * 24 * 4);
         let mrpc = ActivationCache::predicted_bytes(3700, 128, 768, 24);
         assert!((mrpc as f64) < 50e9, "MRPC cache {} GB", mrpc as f64 / 1e9);
-        // int8 cuts the same cache ~4×.
-        let q8 = ActivationCache::predicted_bytes_q8(3700, 128, 768, 24);
-        assert!(per_sample as f64 / (q8 as f64 / 3700.0) > 3.5);
+        // The closed form agrees with the realized layout.
+        let mut c = ActivationCache::new();
+        for id in 0..4u64 {
+            c.insert(id, acts(20 + id, 3, 8, 64));
+        }
+        assert_eq!(
+            c.stats().bytes,
+            ActivationCache::predicted_bytes(4, 8, 64, 3)
+        );
     }
 }

@@ -34,7 +34,7 @@ pub mod technique;
 pub mod tuner;
 
 pub use adapters::AdapterTuner;
-pub use cache::{ActivationCache, CachePrecision, CacheStats};
+pub use cache::{ActivationCache, CacheStats};
 pub use checkpoint::{CheckpointError, TrainCheckpoint};
 pub use full::FullTuner;
 pub use lora::LoraTuner;

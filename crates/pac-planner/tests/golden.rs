@@ -156,79 +156,3 @@ fn golden_memory_pressure_forces_deeper_pipeline() {
         out.best.stages.len()
     );
 }
-
-/// The same three golden clusters re-planned with q8 cache/wire accounting
-/// (`CostModel::with_int8_frozen`): the retained `b_i` and the Act edges
-/// shrink ~4×, the weights do not — every engine holds them in f32. The
-/// memory-pressure cluster is bound by exactly those weights (a BART-Large
-/// f32 replica exceeds one Nano's ceiling), so it has no 1-stage candidate
-/// under either accounting: the planner emits nothing the runtime cannot
-/// hold.
-#[test]
-fn golden_q8_accounting_keeps_the_weight_bound_cluster_at_two_stages() {
-    let lean = Technique::ParallelAdapters { reduction: 64 };
-    let nanos = || {
-        vec![
-            DeviceSpec::jetson_nano(),
-            DeviceSpec::jetson_nano(),
-            DeviceSpec::jetson_nano(),
-        ]
-    };
-
-    // f32 reference (same as golden_memory_pressure_forces_deeper_pipeline):
-    // no 1-stage candidate survives the memory check.
-    let f32_out = plan_with(
-        nanos(),
-        LinkSpec::gigabit(),
-        ModelConfig::bart_large(),
-        lean,
-        8,
-    );
-    assert!(f32_out.candidates.iter().all(|c| c.stages >= 2));
-
-    // q8 accounting: smaller activations, same weights, same verdict.
-    let q8_cost = CostModel::new(ModelConfig::bart_large(), lean, 64).with_int8_frozen();
-    let q8_out = plan_cost(nanos(), LinkSpec::gigabit(), &q8_cost, 8);
-    assert!(
-        q8_out.candidates.iter().all(|c| c.stages >= 2),
-        "q8 cache/wire accounting must not make the f32 replica fit one Nano"
-    );
-
-    // The other two golden clusters were never memory-bound, so int8
-    // accounting must not change their selected shapes — only (possibly)
-    // their simulated makespans via the smaller Act edges.
-    let q8_t5 = CostModel::new(ModelConfig::t5_base(), Technique::parallel_default(), 64)
-        .with_int8_frozen();
-    let a = plan_cost(
-        vec![
-            DeviceSpec::jetson_nano(),
-            DeviceSpec::jetson_nano(),
-            DeviceSpec::jetson_tx2(),
-        ],
-        LinkSpec::lan_128mbps(),
-        &q8_t5,
-        8,
-    );
-    assert_eq!(
-        a.best.stages.len(),
-        2,
-        "shape preserved: {}",
-        fingerprint(&a)
-    );
-    let b = plan_cost(
-        vec![
-            DeviceSpec::jetson_tx2(),
-            DeviceSpec::jetson_nano(),
-            DeviceSpec::raspberry_pi4(),
-        ],
-        LinkSpec::gigabit(),
-        &q8_t5,
-        8,
-    );
-    assert_eq!(
-        b.best.stages.len(),
-        2,
-        "shape preserved: {}",
-        fingerprint(&b)
-    );
-}

@@ -31,7 +31,6 @@ pub mod elementwise;
 pub mod error;
 pub mod init;
 pub mod ops;
-pub mod quant;
 pub mod reduce;
 pub mod rng;
 pub mod scratch;
@@ -40,7 +39,6 @@ pub mod simd;
 pub mod tensor;
 
 pub use error::{Result, TensorError};
-pub use quant::QTensor;
 /// The persistent worker pool the kernels run on (see [`rayon::pool`]).
 /// Downstream crates fan their own coarse-grained work out through this
 /// re-export instead of each linking a second copy or spawning threads,

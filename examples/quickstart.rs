@@ -63,7 +63,6 @@ fn main() {
         lr: 1e-2,
         seed: 42,
         checkpoint_every: 4,
-        cache_int8: false,
     });
     println!("running PAC across 4 simulated edge devices...\n");
     let report = session

@@ -118,7 +118,6 @@ fn main() {
         lr: 1e-2,
         seed: 7,
         checkpoint_every: 4,
-        cache_int8: false,
     });
     let report = session
         .run_with_backbone(backbone, task, 80, 24)

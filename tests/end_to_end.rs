@@ -109,7 +109,6 @@ fn distributed_pac_matches_single_process_quality() {
         lr: 1e-2,
         seed: 512,
         checkpoint_every: 4,
-        cache_int8: false,
     });
     let pac_report = session.run_with_backbone(backbone, task, 48, 24).unwrap();
 
@@ -184,7 +183,6 @@ fn pac_session_never_mutates_backbone() {
         lr: 5e-2, // aggressive LR would expose any leak quickly
         seed: 531,
         checkpoint_every: 4,
-        cache_int8: false,
     });
     let _ = session
         .run_with_backbone(backbone.clone(), TaskKind::Sst2, 16, 8)

@@ -179,7 +179,6 @@ fn session_reports_are_internally_consistent() {
         lr: 1e-2,
         seed: 3,
         checkpoint_every: 4,
-        cache_int8: false,
     });
     let report = session.run(&cfg, TaskKind::Sst2, 16, 8).unwrap();
     assert!(report.trainable_params < report.total_params);
