@@ -324,8 +324,7 @@ fn phase_d(
     batches: &[Vec<MicroBatch>],
     reference: &Reference,
 ) -> Result<(), (String, SimNet)> {
-    let mut cfg = DistConfig::loopback(2, 2);
-    cfg.rebalance = true;
+    let cfg = DistConfig::loopback(2, 2);
     let partition_variant = seed.is_multiple_of(3);
 
     let (plan, sim_cfg) = if partition_variant {

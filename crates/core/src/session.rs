@@ -15,12 +15,12 @@
 //! bitwise equal to an uninterrupted run's; the report's `cache_stats`
 //! (fewer hits, more misses) do not.
 
-use crate::trainer::{evaluate_replicas, shard};
+use crate::trainer::evaluate_replicas;
 use pac_cluster::{Cluster, CostModel};
 use pac_data::{Dataset, TaskKind};
 use pac_model::ModelConfig;
 use pac_nn::{Adam, Module, Optimizer};
-use pac_parallel::engine::{dp_step_cached, dp_step_tokens_with_acts};
+use pac_parallel::engine::{dp_step_cached, dp_step_tokens_with_acts, shard};
 use pac_parallel::faults::{record, RecoveryReport, TimelineEvent, TimelineKind};
 use pac_parallel::{EngineError, ParallelPlan};
 use pac_peft::{ActivationCache, CacheStats, Technique, TrainCheckpoint, Tuner};

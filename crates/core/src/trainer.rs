@@ -2,10 +2,10 @@
 
 use pac_data::{metrics, Batch, Dataset, TaskKind};
 use pac_nn::{cross_entropy, cross_entropy_smoothed, mse, Adam, LrSchedule, Module, Optimizer};
+use pac_parallel::engine::shard;
 use pac_peft::{ActivationCache, Technique, Tuner};
 use pac_tensor::{reduce, Result, Tensor};
 use rayon::prelude::*;
-use std::ops::Range;
 
 /// Hyperparameters for a fine-tuning run.
 #[derive(Debug, Clone, Copy)]
@@ -250,15 +250,6 @@ pub fn evaluate_replicas(replicas: &mut [Tuner], ds: &Dataset) -> Result<f64> {
     ))
 }
 
-/// Lane `k`'s rows of a `rows`-row batch split over `lanes` lanes:
-/// contiguous and in lane order, the first `rows % lanes` lanes one row
-/// longer than the rest (empty when there are more lanes than rows).
-pub(crate) fn shard(rows: usize, lanes: usize, k: usize) -> Range<usize> {
-    let (base, extra) = (rows / lanes, rows % lanes);
-    let lo = k * base + k.min(extra);
-    lo..lo + base + usize::from(k < extra)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,23 +401,6 @@ mod tests {
             }
         }
         assert!(evaluate_replicas(&mut [], &Dataset::generate(TaskKind::Sst2, 4, 13, 6)).is_err());
-    }
-
-    #[test]
-    fn shards_cover_every_row_in_order() {
-        for rows in 0..20 {
-            for lanes in 1..8 {
-                let parts: Vec<_> = (0..lanes).map(|k| shard(rows, lanes, k)).collect();
-                assert_eq!(parts[0].start, 0);
-                assert_eq!(parts[lanes - 1].end, rows);
-                assert!(parts.windows(2).all(|w| w[0].end == w[1].start));
-                assert!(parts
-                    .iter()
-                    .all(|p| p.len() == rows / lanes || p.len() == rows / lanes + 1));
-            }
-        }
-        assert_eq!(shard(16, 2, 1), 8..16);
-        assert_eq!(shard(16, 6, 5), 14..16);
     }
 
     #[test]

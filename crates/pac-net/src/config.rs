@@ -96,20 +96,8 @@ pub struct DistConfig {
     /// carries, from dispatch. A rank that misses it is treated as
     /// departed *before* a broken pipeline step has to time out.
     pub liveness_timeout: Duration,
-    /// Rebalance micro-batch row shares toward fast lanes when measured
-    /// per-lane step cost (busy time + control RTT) diverges.
-    pub rebalance: bool,
     /// Record and aggregate `net.*` telemetry.
     pub telemetry: bool,
-    /// Re-admit evicted workers that re-dial the rendezvous (partition
-    /// heal): an evicted rank's control connection is dropped *without* a
-    /// `Shutdown`, the worker re-dials once with a fresh `Hello`, and the
-    /// coordinator folds it back in as a joining lane. Off
-    /// by default — re-admission timing depends on when the healed worker's
-    /// dial lands, so deterministic sweeps keep it disabled. Only a world
-    /// that shrinks on rank loss ([`crate::RankLoss::Shrink`]) has a lane
-    /// to heal.
-    pub admit_reconnects: bool,
 }
 
 impl DistConfig {
@@ -130,9 +118,7 @@ impl DistConfig {
             net_timeout: Duration::from_secs(10),
             setup_timeout: Duration::from_secs(20),
             liveness_timeout: Duration::from_secs(10),
-            rebalance: false,
             telemetry: false,
-            admit_reconnects: false,
         }
     }
 

@@ -24,19 +24,18 @@
 //! * **admit** — launch the world; cold-restart from the store's last
 //!   committed snapshot if it has one, else take the initial snapshot.
 //! * **before dispatch** — count the world's next step, admit a planned
-//!   join wave ([`Fault::Join`](pac_parallel::Fault)) or a healed
-//!   re-dialer, map injected fail-stops and straggler stalls, then write
-//!   each rank's frames of the step: a `Heartbeat` on the liveness cadence
+//!   join wave ([`Fault::Join`](pac_parallel::Fault)), map injected
+//!   fail-stops and straggler stalls, split each micro-batch's rows across
+//!   the lanes by [`shard_micro_batches`], then write each rank's frames
+//!   of the step: a `Heartbeat` on the liveness cadence
 //!   (nonce-matched, in the world's own window), the `Step`, and — when
 //!   the step ends on the snapshot cadence or ends the job — a `ParamReq`
 //!   to every canonical rank. A worker serves its control socket in
 //!   order, so it acks before it computes and ships its parameters right
 //!   after its `Done`.
 //! * **settle** — once every rank has its verdict plus the ack and
-//!   snapshot it was asked for, commit the loss, fold measured busy time +
-//!   heartbeat RTT into the per-lane EWMA and rebalance row shares
-//!   (`split_micro_batches_weighted`) when lanes diverge, and keep the
-//!   snapshot the step carried. A probed rank that has not acked
+//!   snapshot it was asked for, commit the loss and keep the snapshot the
+//!   step carried. A probed rank that has not acked
 //!   `liveness_timeout` after dispatch is [`NetError::Stale`]: it owes
 //!   nothing more, and the step fails as soon as its peers have reported,
 //!   without waiting for the step deadline.
@@ -45,11 +44,15 @@
 //!   The job's [`RankLoss`] decides between respawning the same topology
 //!   and shrinking the world by the dead rank's lane.
 //! * **retire** — hand back the final parameters the last step carried
-//!   and the [`WorldReport`].
+//!   and the [`WorldReport`], or the world's own terminal error (no
+//!   surviving lane, the respawn bound) in that report while its siblings
+//!   run on.
 //!
-//! Join, heal, leave and respawn all end in the same routine: change the
-//! lane membership, release the old round, launch the new one restored
-//! from the world's snapshot, rewind the cursor. Released rounds are
+//! A world changes shape only by plan or by loss: a planned join wave or
+//! a rank loss. Slow devices are the planner's business, so a straggler
+//! only stalls its lane. Join, leave and respawn all end in the same
+//! routine: change the lane membership, release the old round, launch the
+//! new one restored from the world's snapshot, rewind the cursor. Released rounds are
 //! reaped at the very end (joining a dying world inline would park the
 //! loop while sibling worlds' read deadlines run), behind a drop guard so
 //! no error path leaks live workers.
@@ -67,7 +70,7 @@ use crate::wire::{
     decode_frame, param_snap_frame, param_snap_frame_len, Assignment, Msg, NetError,
 };
 use crate::worker::param_entries;
-use pac_parallel::engine::{split_micro_batches_weighted, weighted_shares, MicroBatch};
+use pac_parallel::engine::{shard_micro_batches, MicroBatch};
 use pac_parallel::faults::record;
 use pac_parallel::schedule::SimEvent;
 use pac_parallel::{EngineError, FaultPlan, RecoveryReport, TimelineEvent, TimelineKind};
@@ -81,14 +84,6 @@ use std::time::Duration;
 /// over TCP; either way it only bounds reaction latency — no training
 /// verdict depends on it.
 const POLL_WAIT: Duration = Duration::from_millis(10);
-
-/// When the slowest lane's EWMA cost exceeds the fastest lane's by this
-/// ratio, the world rebalances micro-batch row shares.
-const REBALANCE_RATIO: f64 = 1.75;
-
-/// How long the re-admission poll waits for a pending re-dial. Kept tiny:
-/// an absent re-dialer is the common case and must not stall the loop.
-const REDIAL_POLL: Duration = Duration::from_millis(5);
 
 /// Most stray heartbeat acks tolerated from one rank in one step: a rank
 /// has at most one probe outstanding, so more than a handful of nonces
@@ -279,6 +274,12 @@ pub struct WorldReport {
     /// Lanes alive at the end (may differ from the starting count after
     /// joins and leaves).
     pub final_lanes: usize,
+    /// The world's own terminal error — no surviving lane, or a rank lost
+    /// more than `MAX_RESPAWNS_IN_A_ROW` (8) times in a row with no step
+    /// settled — or `None` when it ran out of batches. An ended world's
+    /// `losses` hold the steps it settled; [`run_world`] returns the error
+    /// as its `Err`.
+    pub error: Option<DistError>,
 }
 
 /// Outcome of a whole coordinator run.
@@ -310,9 +311,8 @@ impl<C: Conn> Round<C> {
     /// Sends `Shutdown` to every rank (best-effort), merges worker
     /// telemetry, clears the connections and hands the spawn handles back
     /// *without* joining them. Mid-run callers park the handles in the
-    /// [`Graveyard`]: an evicted-but-alive worker may be blocked re-dialing
-    /// the rendezvous, and joining its thread inline would deadlock the
-    /// coordinator on a worker that is waiting for the coordinator.
+    /// [`Graveyard`]: joining a dying round inline would park the loop
+    /// while sibling worlds' read deadlines run.
     fn release(&mut self) -> Option<SpawnedWorld> {
         let world = self.world.take()?;
         for wc in self.conns.iter_mut() {
@@ -380,8 +380,8 @@ impl Drop for Graveyard {
 /// rendezvous listener of the whole deployment — every world's workers,
 /// every later admission and every joiner dial the same port. Field order
 /// is drop order: the listener closes before the graveyard joins, so a
-/// worker still re-dialing fails its dial and exits instead of being
-/// waited on.
+/// worker still dialing (one of a launch whose rendezvous failed) fails
+/// its dial and exits instead of being waited on.
 struct Host<'a, S: Spawn> {
     spawner: &'a S,
     transport: S::T,
@@ -478,24 +478,21 @@ fn snapshot_fits(cfg: &DistConfig, snapshot: &StageParams) -> Result<(), String>
 
 /// Launches and wires a `stages × lanes` round for `job` on the
 /// coordinator's rendezvous listener and, given a snapshot, restores
-/// every rank from it. `pre` carries an already-accepted control
-/// connection (a healed re-dialer) that becomes the highest rank.
+/// every rank from it.
 fn start_round<S: Spawn>(
     host: &Host<'_, S>,
     job: &TenantJob,
     lanes: usize,
     snapshot: Option<&Snapshot>,
-    pre: Vec<WorkerConn<ConnOf<S>>>,
 ) -> Result<Round<ConnOf<S>>, DistError> {
     let cfg = &job.cfg;
     let topo = Topology {
         stages: cfg.stages(),
         lanes,
     };
-    let fresh = topo.world() - pre.len();
     let world = host
         .spawner
-        .launch(host.rdv.port(), fresh)
+        .launch(host.rdv.port(), topo.world())
         .map_err(|e| DistError::Net(NetError::Io(e)))?;
     // From here on the guard owns teardown: any `?` below reaps the
     // spawned workers before returning.
@@ -506,8 +503,7 @@ fn start_round<S: Spawn>(
     };
     round.conns = host
         .rdv
-        .accept_world(fresh, cfg.setup_timeout, cfg.net_timeout)?;
-    round.conns.extend(pre);
+        .accept_world(topo.world(), cfg.setup_timeout, cfg.net_timeout)?;
 
     let ports: Vec<u16> = round.conns.iter().map(|w| w.data_port).collect();
     let enc_layers: usize = cfg.partition.iter().sum();
@@ -529,7 +525,6 @@ fn start_round<S: Spawn>(
             micro_batches: job.batches[0].len() as u32,
             net_timeout_ms: cfg.net_timeout.as_millis() as u32,
             telemetry: cfg.telemetry,
-            reconnect: cfg.admit_reconnects,
         })))?;
     }
     for wc in round.conns.iter_mut() {
@@ -557,8 +552,6 @@ fn start_round<S: Spawn>(
 enum Verdict {
     Done {
         loss_sum: f32,
-        /// Busy time (stall + compute + collective) the rank reported.
-        busy_ns: u64,
         events: Vec<SimEvent>,
     },
     Failed(String),
@@ -770,16 +763,9 @@ impl Pending {
                 }
             }
             Msg::Done {
-                loss_sum,
-                busy_ns,
-                events,
-                ..
+                loss_sum, events, ..
             } if slot.verdict.is_none() => {
-                slot.verdict = Some(Verdict::Done {
-                    loss_sum,
-                    busy_ns,
-                    events,
-                });
+                slot.verdict = Some(Verdict::Done { loss_sum, events });
             }
             Msg::Fault { blamed, detail, .. } if slot.verdict.is_none() => {
                 self.first_blame.get_or_insert((blamed as usize, detail));
@@ -826,17 +812,11 @@ struct World<S: Spawn> {
     alive_lanes: Vec<usize>,
     /// Lane ids for joiners once every original id is in use again.
     next_fresh_lane: usize,
-    lane_weights: Vec<f64>,
-    lane_cost_ewma: Vec<f64>,
-    /// Per-rank heartbeat RTTs from the latest step.
-    last_rtts: Vec<u64>,
     /// The canonical replica's parameters, carried back by the job's last
     /// step.
     final_params: Vec<(String, Tensor)>,
-    /// Ranks evicted without a `Shutdown` whose re-dial has not been
-    /// answered yet; the world polls the listener only while this is
-    /// non-zero, so it never adopts a dialer it did not lose.
-    evicted: usize,
+    /// The world's own terminal error; set, the world retires once idle.
+    error: Option<DistError>,
     pending: Option<Pending>,
     last_events: Vec<SimEvent>,
     recoveries: u32,
@@ -891,7 +871,7 @@ where
             }
         };
         let restore = resumed.as_ref().map(|(snapshot, _, _)| snapshot);
-        let round = start_round(host, &job, lanes, restore, Vec::new())?;
+        let round = start_round(host, &job, lanes, restore)?;
         pac_telemetry::counter_inc("multiworld.admissions");
         let mut w = World {
             id,
@@ -904,11 +884,8 @@ where
             t: 0,
             alive_lanes: (0..lanes).collect(),
             next_fresh_lane: lanes,
-            lane_weights: vec![1.0; lanes],
-            lane_cost_ewma: vec![0.0; lanes],
-            last_rtts: Vec::new(),
             final_params: Vec::new(),
-            evicted: 0,
+            error: None,
             pending: None,
             last_events: Vec::new(),
             recoveries: 0,
@@ -952,6 +929,12 @@ where
 
     fn stages(&self) -> usize {
         self.job.cfg.stages()
+    }
+
+    /// Nothing more to dispatch: out of batches, or ended by its own
+    /// terminal error.
+    fn over(&self) -> bool {
+        self.error.is_some() || self.t == self.job.batches.len()
     }
 
     /// Notes a membership change: the world relaunches as `stages ×
@@ -1019,18 +1002,11 @@ where
     /// (thread joins deferred to the graveyard), launch `alive_lanes`
     /// lanes restored from the world's own snapshot, and rewind the
     /// cursor for replay. No other world's state is touched.
-    fn restart(
-        &mut self,
-        host: &mut Host<'_, S>,
-        pre: Vec<WorkerConn<ConnOf<S>>>,
-    ) -> Result<(), DistError> {
+    fn restart(&mut self, host: &mut Host<'_, S>) -> Result<(), DistError> {
         host.graveyard.0.extend(self.round.release());
         self.pending = None;
         let lanes = self.alive_lanes.len();
-        self.lane_weights = vec![1.0; lanes];
-        self.lane_cost_ewma = vec![0.0; lanes];
-        self.last_rtts.clear();
-        self.round = start_round(host, &self.job, lanes, Some(&self.snapshot), pre)?;
+        self.round = start_round(host, &self.job, lanes, Some(&self.snapshot))?;
         self.t = self.snapshot.next_t;
         self.losses.truncate(self.snapshot.losses_len);
         Ok(())
@@ -1039,29 +1015,17 @@ where
     /// Grows the world by `lanes` lanes: one membership change and one
     /// catch-up snapshot at the current cursor however many joiners arrive
     /// together, so everyone — newcomers included — restores it and no
-    /// step needs replaying. `healed` is a re-dialed worker's connection,
-    /// the first rank of the one lane a partition heal brings back.
-    fn grow(
-        &mut self,
-        host: &mut Host<'_, S>,
-        lanes: usize,
-        healed: Option<WorkerConn<ConnOf<S>>>,
-    ) -> Result<(), DistError> {
+    /// step needs replaying.
+    fn grow(&mut self, host: &mut Host<'_, S>, lanes: usize) -> Result<(), DistError> {
         let devices = self.stages() * lanes;
-        let (how, who) = match (&healed, lanes) {
-            (Some(_), _) => (
-                format!("re-admitted a healed worker chain (+{devices} device(s))"),
-                "re-admitted worker caught up from snapshot".to_string(),
-            ),
-            (None, n) => (
-                format!("admitted +{devices} device(s) as {n} lane(s) in one wave"),
-                match n {
-                    1 => "joiner caught up from snapshot".to_string(),
-                    _ => format!("{n} joiners caught up from one snapshot"),
-                },
-            ),
+        self.note(
+            TimelineKind::Join,
+            format!("admitted +{devices} device(s) as {lanes} lane(s) in one wave"),
+        );
+        let who = match lanes {
+            1 => "joiner caught up from snapshot".to_string(),
+            n => format!("{n} joiners caught up from one snapshot"),
         };
-        self.note(TimelineKind::Join, how);
         self.note_replan("", self.alive_lanes.len() + lanes);
         let what = format!("catch-up snapshot at step cursor {}", self.t);
         self.checkpoint(&what)?;
@@ -1078,7 +1042,7 @@ where
             self.alive_lanes.push(lane_id);
             self.alive_lanes.sort_unstable();
         }
-        self.restart(host, healed.into_iter().collect())?;
+        self.restart(host)?;
         self.note(
             TimelineKind::Resume,
             format!(
@@ -1107,34 +1071,9 @@ where
             );
         }
         if admit > 0 {
-            self.grow(host, admit, None)?;
+            self.grow(host, admit)?;
         }
         Ok(())
-    }
-
-    /// Partition heal: an evicted worker that observed its bare EOF
-    /// re-dials the rendezvous with a fresh Hello; admit it back through
-    /// the same catch-up machinery a planned join uses.
-    fn admit_redialer(&mut self, host: &mut Host<'_, S>) -> Result<(), DistError> {
-        let Some(mut wc) = host.rdv.try_accept(REDIAL_POLL, self.job.cfg.net_timeout)? else {
-            return Ok(());
-        };
-        self.evicted -= 1;
-        let (lanes, min_rows) = (
-            self.alive_lanes.len() + 1,
-            min_micro_rows(&self.job.batches),
-        );
-        if lanes > min_rows {
-            self.note(
-                TimelineKind::Join,
-                format!(
-                    "re-admission rejected: {lanes} lanes cannot split micro-batches of {min_rows} row(s)"
-                ),
-            );
-            let _ = wc.ctrl.send(&Msg::Shutdown);
-            return Ok(());
-        }
-        self.grow(host, 1, Some(wc))
     }
 
     /// A rank of this world is gone (current-round numbering): restart
@@ -1174,14 +1113,6 @@ where
                 ),
             ),
             RankLoss::Shrink => {
-                // With re-admission on, the evicted rank's connection is
-                // dropped *without* a Shutdown: a worker that is alive
-                // behind a healed partition observes the bare EOF and
-                // re-dials, while a genuinely dead one observes nothing.
-                if self.job.cfg.admit_reconnects && rank < self.round.conns.len() {
-                    drop(self.round.conns.remove(rank));
-                    self.evicted += 1;
-                }
                 if topo.lanes == 1 {
                     // The dead lane was the only one: no pipeline left.
                     return Err(EngineError::NoSurvivors.into());
@@ -1194,7 +1125,7 @@ where
                 );
             }
         }
-        self.restart(host, Vec::new())?;
+        self.restart(host)?;
         self.note(
             TimelineKind::Resume,
             format!(
@@ -1218,9 +1149,6 @@ where
         let wave = self.job.faults.joins(step);
         if wave > 0 {
             self.admit_join_wave(host, wave)?;
-        }
-        if self.evicted > 0 {
-            self.admit_redialer(host)?;
         }
         let topo = self.round.topo;
 
@@ -1287,7 +1215,7 @@ where
             die_rank,
         );
 
-        let lane_mbs = split_micro_batches_weighted(&self.job.batches[self.t], &self.lane_weights)?;
+        let lane_mbs = shard_micro_batches(&self.job.batches[self.t], topo.lanes)?;
         for rank in 0..topo.world() {
             let (s, k) = (topo.stage_of(rank), topo.lane_of(rank));
             let needs_data = s == 0 || s == topo.stages - 1;
@@ -1309,9 +1237,9 @@ where
         Ok(())
     }
 
-    /// Once nothing more is due from any rank: commit the step (loss,
-    /// straggler EWMA, the snapshot it carried) or attribute the failure
-    /// and recover. Returns whether a step was completed.
+    /// Once nothing more is due from any rank: commit the step (loss, the
+    /// snapshot it carried) or attribute the failure and recover. Returns
+    /// whether a step was completed.
     fn settle(&mut self, host: &mut Host<'_, S>) -> Result<bool, DistError> {
         if !self.pending.as_ref().is_some_and(Pending::settled) {
             return Ok(false);
@@ -1319,22 +1247,14 @@ where
         let p = self.pending.take().expect("checked pending");
         let topo = self.round.topo;
         let mut dones = Vec::with_capacity(topo.world());
-        let mut rtts = Vec::with_capacity(topo.world());
         let mut snaps = StageParams::new();
         let mut first_silent = None;
         for (rank, slot) in p.ranks.into_iter().enumerate() {
             match slot.verdict.expect("settled step has a verdict per rank") {
-                Verdict::Done {
-                    loss_sum,
-                    busy_ns,
-                    events,
-                } => dones.push((loss_sum, busy_ns, events)),
+                Verdict::Done { loss_sum, events } => dones.push((loss_sum, events)),
                 Verdict::Failed(detail) => {
                     first_silent.get_or_insert((rank, detail));
                 }
-            }
-            if let Awaited::Got(rtt) = slot.ack {
-                rtts.push(rtt);
             }
             // Canonical ranks come in stage order.
             if let Awaited::Got(entries) = slot.snap {
@@ -1368,19 +1288,13 @@ where
             .push(lane_losses.iter().sum::<f32>() / lane_losses.len() as f32);
         self.last_events.clear();
         for s in 0..topo.stages {
-            let events = std::mem::take(&mut dones[topo.rank_of(s, 0)].2);
+            let events = std::mem::take(&mut dones[topo.rank_of(s, 0)].1);
             self.last_events.extend(events);
         }
         self.t += 1;
         self.losses_in_a_row = 0;
         pac_telemetry::counter_inc("multiworld.steps");
 
-        self.last_rtts = rtts;
-        let remaining = self.t < self.job.batches.len();
-        if self.job.cfg.rebalance && topo.lanes > 1 && remaining {
-            let busy_ns: Vec<u64> = dones.iter().map(|d| d.1).collect();
-            self.rebalance(&busy_ns);
-        }
         match p.snap {
             Some(SnapKind::Periodic) => {
                 let what = format!("snapshot at step cursor {}", self.t);
@@ -1394,51 +1308,11 @@ where
         Ok(true)
     }
 
-    /// Straggler mitigation: fold this step's measured per-lane cost
-    /// (slowest rank's busy time + control RTT) into the EWMA and shift
-    /// the next step's row shares toward fast lanes if lanes diverge.
-    fn rebalance(&mut self, busy_ns: &[u64]) {
-        let topo = self.round.topo;
-        for (pos, ewma) in self.lane_cost_ewma.iter_mut().enumerate() {
-            let cost = (0..topo.stages)
-                .map(|s| {
-                    let r = topo.rank_of(s, pos);
-                    busy_ns[r].saturating_add(self.last_rtts.get(r).copied().unwrap_or(0))
-                })
-                .max()
-                .unwrap_or(0);
-            let cost = (cost as f64).max(1.0);
-            *ewma = if *ewma == 0.0 {
-                cost
-            } else {
-                0.5 * *ewma + 0.5 * cost
-            };
-        }
-        let fastest = self.lane_cost_ewma.iter().cloned().fold(f64::MAX, f64::min);
-        let slowest = self.lane_cost_ewma.iter().cloned().fold(0.0, f64::max);
-        if fastest <= 0.0 || slowest / fastest <= REBALANCE_RATIO {
-            return;
-        }
-        let proposed: Vec<f64> = self.lane_cost_ewma.iter().map(|&c| 1.0 / c).collect();
-        let rows = self.job.batches[self.t][0].0.len();
-        if let (Ok(old), Ok(new)) = (
-            weighted_shares(rows, &self.lane_weights),
-            weighted_shares(rows, &proposed),
-        ) {
-            if old != new {
-                self.note(
-                    TimelineKind::Rebalance,
-                    format!("straggler mitigation: first-micro row shares {old:?} -> {new:?}"),
-                );
-                self.lane_weights = proposed;
-            }
-        }
-    }
-
-    /// Out of batches: hand back the final parameters the last step
-    /// carried and leave, listener and sibling worlds untouched. (A rank
-    /// lost before its final `ParamSnap` failed that step like any other:
-    /// the world recovered and replayed before it got here.)
+    /// Out of batches, or ended by its own terminal error: hand back the
+    /// final parameters the last step carried (none after an error) and
+    /// leave, listener and sibling worlds untouched. (A rank lost before
+    /// its final `ParamSnap` failed that step like any other: the world
+    /// recovered and replayed before it got here.)
     fn retire(&mut self, host: &mut Host<'_, S>) -> WorldReport {
         host.graveyard.0.extend(self.round.release());
         pac_telemetry::counter_inc("multiworld.retirements");
@@ -1463,7 +1337,20 @@ where
             last_events: std::mem::take(&mut self.last_events),
             stages: self.stages(),
             final_lanes: self.alive_lanes.len(),
+            error: self.error.take(),
         }
+    }
+}
+
+/// Sorts an error out of one world's dispatch or settle: the world's own
+/// terminal training verdict ([`DistError::Engine`]: no surviving lane, or
+/// the respawn bound) ends only that world and comes back in its report.
+/// Anything else — a spawn or rendezvous failure on the shared listener,
+/// a dead checkpoint store — ends the run.
+fn world_only(e: DistError) -> Result<DistError, DistError> {
+    match e {
+        DistError::Engine(_) => Ok(e),
+        other => Err(other),
     }
 }
 
@@ -1475,14 +1362,17 @@ where
 /// `batches[t]` is one mini-batch of micro-batches, split row-wise across
 /// lanes exactly like the in-process `HybridEngine`.
 ///
+/// A world whose training ends in its own terminal error (no surviving
+/// lane, or a rank lost more than `MAX_RESPAWNS_IN_A_ROW` (8) times in a
+/// row with no step settled) retires with that error in its
+/// [`WorldReport::error`] while the other worlds run on; other per-rank
+/// failures inside one world are recovered world-locally.
+///
 /// # Errors
 /// [`DistError::InvalidJob`] before anything is spawned when a job cannot
-/// be run as stated. Setup failures (spawn, rendezvous), a dead or
-/// unreadable checkpoint store and engine-level failures (no surviving
-/// lane, or a rank lost more than `MAX_RESPAWNS_IN_A_ROW` (8) times in a
-/// row with no step settled) abort the whole run; other per-rank failures
-/// inside one world are recovered world-locally and do not surface here. Every exit
-/// reaps every worker launched.
+/// be run as stated. Setup failures (spawn, rendezvous) and a dead or
+/// unreadable checkpoint store abort the whole run. Every exit reaps
+/// every worker launched.
 pub fn run_multiworld<S>(spawner: &S, jobs: Vec<TenantJob>) -> Result<MultiWorldReport, DistError>
 where
     S: Spawn,
@@ -1492,12 +1382,6 @@ where
     for job in &jobs {
         job.validate()?;
     }
-    // Some evicted worker may still be re-dialing when the run ends.
-    let redial_timeout = jobs
-        .iter()
-        .filter(|j| j.cfg.admit_reconnects)
-        .map(|j| j.cfg.net_timeout)
-        .max();
     let transport = spawner.transport();
     let mut host = Host {
         spawner,
@@ -1532,18 +1416,19 @@ where
         }
 
         // ---- Dispatch & retire: every idle world either starts its next
-        // step or, out of batches, hands back its final parameters.
+        // step or, out of batches or ended, hands back its report.
         let mut i = 0;
         while i < active.len() {
             let w = &mut active[i];
-            if w.pending.is_none() {
-                if w.t < w.job.batches.len() {
-                    w.dispatch(&mut host)?;
-                } else {
-                    reports[w.job_idx] = Some(w.retire(&mut host));
-                    active.remove(i);
-                    continue;
+            if w.pending.is_none() && !w.over() {
+                if let Err(e) = w.dispatch(&mut host) {
+                    w.error = Some(world_only(e)?);
                 }
+            }
+            if w.pending.is_none() && w.over() {
+                reports[w.job_idx] = Some(w.retire(&mut host));
+                active.remove(i);
+                continue;
             }
             i += 1;
         }
@@ -1593,20 +1478,13 @@ where
             if let Some(p) = w.pending.as_mut() {
                 p.drain(&mut w.round.conns, host.transport.now_ns());
             }
-            if w.settle(&mut host)? {
-                steps_total += 1;
+            match w.settle(&mut host) {
+                Ok(settled) => steps_total += u64::from(settled),
+                Err(e) => w.error = Some(world_only(e)?),
             }
         }
     }
 
-    // Drain any re-dial still pending at the end: the graveyard joins
-    // every released thread, and a healed worker parked on the listener
-    // would otherwise sit out its read deadline first.
-    if let Some(timeout) = redial_timeout {
-        while let Some(mut wc) = host.rdv.try_accept(REDIAL_POLL, timeout)? {
-            let _ = wc.ctrl.send(&Msg::Shutdown);
-        }
-    }
     Ok(MultiWorldReport {
         worlds: reports
             .into_iter()
@@ -1618,14 +1496,21 @@ where
 }
 
 /// A solo job: [`run_multiworld`] with one entry, returning its world.
+///
+/// # Errors
+/// Every error of [`run_multiworld`], and the world's own terminal error
+/// ([`WorldReport::error`]).
 pub fn run_world<S>(spawner: &S, job: TenantJob) -> Result<WorldReport, DistError>
 where
     S: Spawn,
     S::T: PollTransport,
     ConnOf<S>: PollConn,
 {
-    let mut report = run_multiworld(spawner, vec![job])?;
-    Ok(report.worlds.remove(0))
+    let mut world = run_multiworld(spawner, vec![job])?.worlds.remove(0);
+    match world.error.take() {
+        Some(e) => Err(e),
+        None => Ok(world),
+    }
 }
 
 #[cfg(test)]
@@ -1787,6 +1672,43 @@ mod tests {
         // equal to the fault-free solo runs.
         assert_bitwise_eq(1, &ref1, w0);
         assert_bitwise_eq(2, &ref2, w1);
+    }
+
+    /// One tenant's terminal error ends only its own world: tenant A, a
+    /// shrink-policy world of two one-stage lanes, loses both lanes and
+    /// ends in `NoSurvivors` while tenant B trains fault-free beside it.
+    /// The run succeeds, A's report carries the error and the step it
+    /// settled, and B's losses and final parameters are bitwise its solo
+    /// run's.
+    #[test]
+    fn a_terminal_error_retires_only_its_own_world() {
+        let b_batches = batches_for(10, 4, 2);
+        let b_cfg = cfg_for(20, 2, 2);
+        let reference = solo(63, &b_cfg, &b_batches);
+
+        let net = SimNet::new(SimConfig::clean(64));
+        let _coord = net.register(0);
+        let spawner = SimSpawner::new(net.clone());
+        let mut a_cfg = DistConfig::loopback(1, 2);
+        a_cfg.checkpoint_every = 1;
+        let mut a = TenantJob::new(1, a_cfg, batches_for(9, 4, 2));
+        a.on_rank_loss = RankLoss::Shrink;
+        a.faults = FaultPlan::parse("fail-stop@step=1,device=0;fail-stop@step=2,device=1")
+            .expect("plan parses");
+        let b = TenantJob::new(2, b_cfg, b_batches);
+        let report = run_multiworld(&spawner, vec![a, b]).expect("co-tenants run");
+        assert!(net.panics().is_empty(), "panics: {:?}", net.panics());
+
+        let (a, b) = (&report.worlds[0], &report.worlds[1]);
+        assert!(
+            matches!(a.error, Some(DistError::Engine(EngineError::NoSurvivors))),
+            "{:?}",
+            a.error
+        );
+        assert_eq!(a.losses.len(), 1, "A settled step 0 before it ended");
+        assert!(b.error.is_none(), "{:?}", b.error);
+        assert_eq!(b.recoveries, 0);
+        assert_bitwise_eq(2, &reference, b);
     }
 
     /// Staggered admission: the second tenant only enters after the first
@@ -1999,7 +1921,7 @@ mod tests {
             graveyard: Graveyard::default(),
         };
         let job = TenantJob::new(0, cfg.clone(), batches_for(0, 1, 2));
-        let mut round = start_round(&host, &job, cfg.lanes, None, Vec::new()).expect("round");
+        let mut round = start_round(&host, &job, cfg.lanes, None).expect("round");
         let base = world_nonce_base(WorldId(0), 0);
         let mut p = Pending::new(round.topo, cfg, net.now_ns(), base, None, None);
         let step = Msg::Step {

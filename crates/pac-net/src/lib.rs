@@ -48,12 +48,12 @@
 //!   snapshots (optionally durable through a `pac_store::Store`, with
 //!   bitwise cold restart), fault injection, typed rank-down detection,
 //!   and restart-based recovery over an **elastic membership** — respawn
-//!   in place or drop the dead rank's lane, mid-run joins and partition
-//!   heals via a catch-up snapshot → resume, each membership change
-//!   relaunching the `stages × lanes` world it names, and straggler
-//!   mitigation by rebalancing micro-batch row
-//!   shares from measured heartbeat RTT + busy time — all reported
-//!   through the shared `RecoveryReport`. [`config`] holds the job
+//!   in place or drop the dead rank's lane, planned mid-run joins via a
+//!   catch-up snapshot → resume, each membership change relaunching the
+//!   `stages × lanes` world it names — all reported through the shared
+//!   `RecoveryReport`. A world changes shape only by plan or by loss:
+//!   an injected straggler stalls its lane, and device heterogeneity is
+//!   the planner's to absorb. [`config`] holds the job
 //!   configuration and the error type.
 //! * [`spawn`] — the [`spawn::Spawn`] trait: thread workers (tests),
 //!   forked processes (`repro --distributed=N`), or simulated workers

@@ -181,29 +181,6 @@ impl<T: Transport> Rendezvous<T> {
             )),
         }
     }
-
-    /// Polls for at most one pending dial: waits up to `accept_wait` for a
-    /// connection, returning `Ok(None)` when nobody is dialing. Used by the
-    /// driver's re-admission path, where an absent worker is the common
-    /// case and must not stall the step loop.
-    pub fn try_accept(
-        &self,
-        accept_wait: Duration,
-        conn_timeout: Duration,
-    ) -> Result<Option<WorkerConn<T::Conn>>, NetError> {
-        let mut ctrl = match self.listener.accept(accept_wait, conn_timeout) {
-            Ok(ctrl) => ctrl,
-            Err(NetError::Timeout) => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        match ctrl.recv()? {
-            Msg::Hello { listen_port, .. } => Ok(Some(WorkerConn {
-                ctrl,
-                data_port: listen_port,
-            })),
-            _ => Err(NetError::Malformed("expected Hello on control channel")),
-        }
-    }
 }
 
 /// What arrived on the coordinator's long-lived rendezvous listener: a

@@ -1238,9 +1238,9 @@ impl Transport for SimNet {
         Ok(SimConn::new(self.clone(), dial_idx))
     }
 
-    /// The *virtual* clock: liveness RTTs, busy times, and the rebalance
-    /// decisions derived from them become a pure function of the seed,
-    /// keeping elastic chaos runs byte-identical across repeats.
+    /// The *virtual* clock: liveness RTTs, busy times, and the deadlines
+    /// decided from them become a pure function of the seed, keeping
+    /// elastic chaos runs byte-identical across repeats.
     fn now_ns(&self) -> u64 {
         SimNet::now_ns(self)
     }
@@ -1320,9 +1320,8 @@ impl SimSpawner {
     /// Spawner that plants `buggify` on exactly one worker — launch
     /// `generation` (0 is the job's first world; recovery respawns count
     /// up) and `slot` within it — while every other worker runs clean.
-    /// The partition-heal test needs this: a single transient flake must
-    /// not recur on respawned or re-admitted workers, or the eviction it
-    /// provokes would cycle forever.
+    /// A single transient flake needs this: recurring on respawned
+    /// workers, the eviction it provokes would cycle forever.
     pub fn with_buggify_at(net: SimNet, buggify: Buggify, generation: u32, slot: u32) -> Self {
         SimSpawner {
             net,

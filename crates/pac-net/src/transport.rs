@@ -150,11 +150,12 @@ pub trait Transport: Clone + Send + Sync + Debug + 'static {
     fn connect(&self, port: u16, timeout: Duration) -> Result<Self::Conn, NetError>;
 
     /// Monotonic transport-clock nanoseconds. Everything time-*measuring*
-    /// in the protocol (heartbeat RTT, per-step busy time, the straggler
-    /// rebalancer) reads this clock instead of [`Instant`] directly: over
-    /// TCP it is wall time since process start, while [`crate::simnet`]
-    /// overrides it with the *virtual* clock so measurements — and every
-    /// decision derived from them — are a pure function of the seed.
+    /// in the protocol (heartbeat RTT, per-step busy time, the liveness
+    /// and step deadlines) reads this clock instead of [`Instant`]
+    /// directly: over TCP it is wall time since process start, while
+    /// [`crate::simnet`] overrides it with the *virtual* clock so
+    /// measurements — and every deadline decided from them — are a pure
+    /// function of the seed.
     fn now_ns(&self) -> u64 {
         use std::sync::OnceLock;
         static EPOCH: OnceLock<Instant> = OnceLock::new();

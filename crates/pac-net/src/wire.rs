@@ -195,10 +195,6 @@ pub struct Assignment {
     pub net_timeout_ms: u32,
     /// Whether the worker should record `net.*` telemetry.
     pub telemetry: bool,
-    /// Whether the coordinator re-admits evicted workers: a worker whose
-    /// control connection drops *without* a `Shutdown` should re-dial the
-    /// rendezvous once with a fresh `Hello` (partition heal).
-    pub reconnect: bool,
 }
 
 /// The complete message set of the PAC network protocol.
@@ -249,9 +245,9 @@ pub enum Msg {
         /// running the step (models a fail-stop at this step).
         die: bool,
         /// Fault injection: wall-clock milliseconds the worker must stall
-        /// before computing (models a straggler device; the stall is
-        /// charged to the rank's reported busy time so the coordinator's
-        /// rebalancer can see it).
+        /// before computing (models a straggler device: the lane's step
+        /// is slow, its result unchanged). The stall is charged to the
+        /// rank's reported busy time.
         stall_ms: u32,
         /// This lane's micro-batches — non-empty only for ranks that need
         /// inputs or labels (first and last pipeline stages).
@@ -286,8 +282,8 @@ pub enum Msg {
         /// Sum of micro-batch losses (meaningful on last-stage ranks only).
         loss_sum: f32,
         /// Transport-clock nanoseconds this rank spent computing the step
-        /// (virtual under simnet, wall over TCP) — the coordinator's
-        /// straggler signal.
+        /// (virtual under simnet, wall over TCP), injected stall included
+        /// and the gradient collective excluded.
         busy_ns: u64,
         /// This stage's op timeline for the step (Gantt rendering).
         events: Vec<SimEvent>,
@@ -693,7 +689,6 @@ fn encode_payload(e: &mut Enc, msg: &Msg) {
             e.u32(a.micro_batches);
             e.u32(a.net_timeout_ms);
             e.u8(a.telemetry as u8);
-            e.u8(a.reconnect as u8);
         }
         Msg::Peers { ports } => {
             e.u32(ports.len() as u32);
@@ -847,7 +842,6 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Msg, NetError> {
                 micro_batches: d.u32()?,
                 net_timeout_ms: d.u32()?,
                 telemetry: d.bool()?,
-                reconnect: d.bool()?,
             }))
         }
         3 => {
@@ -1257,7 +1251,6 @@ mod tests {
             micro_batches: 4,
             net_timeout_ms: 5000,
             telemetry: true,
-            reconnect: true,
         };
         assert_eq!(
             roundtrip(&Msg::Assign(Box::new(a.clone()))),
@@ -1421,8 +1414,9 @@ mod tests {
 
     #[test]
     fn an_assign_with_a_trailing_byte_is_malformed() {
-        // The retired int8-wire flag was one byte after `reconnect`: an
-        // assignment in that layout must not misparse.
+        // The retired re-admission flag was one byte after `telemetry`,
+        // and the retired int8-wire flag one byte after that: an
+        // assignment in either older layout must not misparse.
         let a = Assignment {
             rank: 0,
             lane: 0,
@@ -1440,7 +1434,6 @@ mod tests {
             micro_batches: 2,
             net_timeout_ms: 1000,
             telemetry: false,
-            reconnect: false,
         };
         let mut frame = encode_frame(&Msg::Assign(Box::new(a)));
         let body = frame.len() - 4;

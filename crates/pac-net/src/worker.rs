@@ -74,11 +74,10 @@ pub struct Buggify {
     /// coordinator must evict it with typed [`NetError::Stale`] at the
     /// liveness probe's deadline instead of hanging on a step verdict.
     pub mute_heartbeats: bool,
-    /// Swallow only the *first* heartbeat this worker ever receives — a
-    /// transient control-plane partition that heals. The flag is scoped to
-    /// the worker's lifetime (not per incarnation), so a re-admitted worker
-    /// acks normally and the re-admission path can be proven end-to-end
-    /// without an eviction cycle.
+    /// Swallow only the *first* heartbeat this worker receives — a
+    /// transient control-plane flake. The coordinator evicts the rank at
+    /// the probe's deadline like a silent one, and the respawned world's
+    /// workers ack normally.
     pub mute_first_heartbeat: bool,
 }
 
@@ -251,7 +250,7 @@ fn build_stage(asg: &Assignment) -> Result<StageModel, NetError> {
 /// `now_ns` reading taken after local compute but *before* the gradient
 /// AllReduce. Busy time must stop there — the collective synchronizes the
 /// lanes, so measuring through it would charge every lane for the slowest
-/// one and blind the coordinator's straggler rebalancer.
+/// one.
 fn run_step<C: Conn>(
     state: &mut WorkerState<C>,
     step: u64,
@@ -349,33 +348,13 @@ pub fn run_worker(coord: SocketAddr, slot: u32, mode: RunMode) -> Result<(), Net
     )
 }
 
-/// How one incarnation of the worker loop ended.
-enum WorkerExit {
-    /// Clean exit: shutdown, injected death, or a mesh fault already
-    /// reported to the coordinator. The worker must not re-dial.
-    Done,
-    /// The control connection died without a `Shutdown`. When the
-    /// assignment granted `reconnect`, the worker may re-dial the
-    /// rendezvous once with a fresh `Hello` (partition heal).
-    CoordinatorLost {
-        /// Whether the coordinator advertised re-admission.
-        reconnect: bool,
-    },
-}
-
 /// Runs one worker over any [`Transport`] against the coordinator's
 /// rendezvous `coord_port` until shutdown, fault injection, or loss of the
 /// coordinator. Never panics on transport input; all failures are typed.
 ///
-/// When the assignment carries `reconnect` and the control connection dies
-/// without a `Shutdown` (the coordinator evicted this rank after a missed
-/// liveness probe, or a partition severed the link), the worker re-dials
-/// the rendezvous **once** with a fresh `Hello` and serves a second
-/// incarnation — the re-admission half of partition healing.
-///
 /// This is the *only* worker loop in the crate: TCP workers and simulated
-/// workers execute this exact function (acceptance criterion: no `#[cfg]`
-/// forks of protocol logic).
+/// workers execute this exact function, with no `#[cfg]` forks of
+/// protocol logic.
 pub fn run_worker_on<T: Transport>(
     transport: &T,
     coord_port: u16,
@@ -383,45 +362,6 @@ pub fn run_worker_on<T: Transport>(
     mode: RunMode,
     buggify: &Buggify,
 ) -> Result<(), NetError> {
-    // Worker-lifetime flag: `Buggify::mute_first_heartbeat` plants exactly
-    // one dropped ack across *all* incarnations, so a re-admitted worker
-    // cannot re-trip the eviction it is healing from.
-    let mut first_heartbeat_muted = false;
-    let mut redialed = false;
-    loop {
-        match run_worker_once(
-            transport,
-            coord_port,
-            slot,
-            mode,
-            buggify,
-            &mut first_heartbeat_muted,
-        ) {
-            Ok(WorkerExit::Done) => return Ok(()),
-            Ok(WorkerExit::CoordinatorLost { reconnect }) if reconnect && !redialed => {
-                redialed = true;
-            }
-            Ok(WorkerExit::CoordinatorLost { .. }) => return Ok(()),
-            // A re-dial that cannot reach the coordinator means the job is
-            // over (or the partition outlived the run): exit quietly, the
-            // same way a first-incarnation worker treats coordinator loss.
-            Err(NetError::Eof | NetError::Timeout) if redialed => return Ok(()),
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// One incarnation of the worker protocol: dial, `Hello`, serve the
-/// assignment until an exit condition. See [`run_worker_on`] for the
-/// re-dial policy layered on top.
-fn run_worker_once<T: Transport>(
-    transport: &T,
-    coord_port: u16,
-    slot: u32,
-    mode: RunMode,
-    buggify: &Buggify,
-    first_heartbeat_muted: &mut bool,
-) -> Result<WorkerExit, NetError> {
     let listener = transport.bind()?;
     let listen_port = listener.port();
 
@@ -430,9 +370,6 @@ fn run_worker_once<T: Transport>(
 
     let asg = match ctrl.recv()? {
         Msg::Assign(a) => *a,
-        // The coordinator declined this dial (a re-admission at capacity,
-        // or the end-of-run drain): exit cleanly without serving.
-        Msg::Shutdown => return Ok(WorkerExit::Done),
         _ => return Err(NetError::Malformed("expected Assign after Hello")),
     };
     if mode == RunMode::Process {
@@ -462,19 +399,14 @@ fn run_worker_once<T: Transport>(
         buggify: *buggify,
     };
     let rank = state.asg.rank;
+    let mut first_heartbeat_muted = false;
 
     loop {
         let msg = match ctrl.recv() {
             Ok(m) => m,
             // Coordinator went away without a Shutdown (evicted this rank,
-            // tore the round down after a peer fault, or crashed): surface
-            // the loss so the incarnation loop can decide whether the
-            // assignment's `reconnect` grant warrants one re-dial.
-            Err(NetError::Eof) | Err(NetError::Timeout) => {
-                return Ok(WorkerExit::CoordinatorLost {
-                    reconnect: state.asg.reconnect,
-                })
-            }
+            // tore the round down after a peer fault, or crashed).
+            Err(NetError::Eof) | Err(NetError::Timeout) => return Ok(()),
             Err(e) => return Err(e),
         };
         match msg {
@@ -491,15 +423,14 @@ fn run_worker_once<T: Transport>(
                     // EOF — the same signal a real crash produces.
                     match mode {
                         RunMode::Process => std::process::exit(KILLED_EXIT),
-                        RunMode::Thread => return Ok(WorkerExit::Done),
+                        RunMode::Thread => return Ok(()),
                     }
                 }
                 let t0 = transport.now_ns();
                 if stall_ms > 0 {
                     // Injected straggler: the device is busy elsewhere for a
                     // while before it starts computing. The stall counts
-                    // toward busy time so the coordinator's rebalancer sees
-                    // this lane as slow.
+                    // toward busy time.
                     std::thread::sleep(Duration::from_millis(stall_ms as u64));
                 }
                 match run_step(&mut state, step, &micro_batches, || transport.now_ns()) {
@@ -522,7 +453,7 @@ fn run_worker_once<T: Transport>(
                             blamed,
                             detail: e.to_string(),
                         });
-                        return Ok(WorkerExit::Done);
+                        return Ok(());
                     }
                 }
             }
@@ -543,11 +474,10 @@ fn run_worker_once<T: Transport>(
                 // Planted liveness bugs (see [`Buggify`]): a mute rank never
                 // acks, so the sweep's per-rank deadline is the only thing
                 // standing between the driver and an unbounded hang. The
-                // one-shot variant drops a single ack across the worker's
-                // whole lifetime — the transient partition that heals.
-                let mute_once = state.buggify.mute_first_heartbeat && !*first_heartbeat_muted;
+                // one-shot variant drops a single ack.
+                let mute_once = state.buggify.mute_first_heartbeat && !first_heartbeat_muted;
                 if mute_once {
-                    *first_heartbeat_muted = true;
+                    first_heartbeat_muted = true;
                 }
                 if !state.buggify.mute_heartbeats && !mute_once {
                     ctrl.send(&Msg::HeartbeatAck { nonce })?;
@@ -572,7 +502,7 @@ fn run_worker_once<T: Transport>(
                     Vec::new()
                 };
                 let _ = ctrl.send(&Msg::Stats { counters });
-                return Ok(WorkerExit::Done);
+                return Ok(());
             }
             _ => return Err(NetError::Malformed("unexpected control message")),
         }

@@ -1,15 +1,12 @@
 //! Elastic-membership acceptance tests: ranks join, leave, and flake
-//! mid-run, and the coordinator must admit / evict / rebalance them with
-//! exactly one replan per membership change, full-length loss histories,
-//! and final losses close to the fault-free reference.
-//!
-//! Deterministic cases run over the simulated transport; the straggler
-//! rebalance case (which needs real elapsed time) runs over loopback TCP
-//! threads.
+//! mid-run, and the coordinator must admit / evict them with exactly one
+//! replan per membership change, full-length loss histories, and final
+//! losses close to the fault-free reference. A straggler only stalls its
+//! lane. Every case runs over the simulated transport.
 
 use pac_net::{
     run_world, Buggify, DistConfig, DistError, RankLoss, Reference, SimConfig, SimNet, SimSpawner,
-    Spawn, Spawner, TenantJob, WorldReport,
+    Spawn, TenantJob, WorldReport,
 };
 use pac_parallel::engine::MicroBatch;
 use pac_parallel::{EngineError, Fault, FaultPlan, TimelineKind};
@@ -298,117 +295,6 @@ fn joiner_that_skips_catch_up_diverges() {
         Err(_) => true,
     };
     assert!(caught, "skipped catch-up restore went undetected");
-}
-
-/// Partition heal: one worker drops a single heartbeat ack (a transient
-/// control-plane flake), the liveness sweep evicts it, and — with
-/// `admit_reconnects` on — the evicted-but-alive worker observes its bare
-/// EOF, re-dials the rendezvous, and is re-admitted as a joining lane.
-/// The run must end back at full strength with exactly two replans (one
-/// eviction, one re-admission), a full-length loss history, and a final
-/// loss near the fault-free reference.
-#[test]
-fn evicted_worker_re_dials_and_is_re_admitted() {
-    let mut cfg = DistConfig::loopback(2, 2);
-    cfg.admit_reconnects = true;
-    cfg.liveness_timeout = Duration::from_secs(1);
-    let batches = make_batches();
-    let reference = inprocess_final_loss(&cfg, &batches);
-
-    // Only generation 0, slot 0 flakes, and only on the first heartbeat it
-    // ever sees: respawned worlds and the re-admitted incarnation must ack
-    // normally, or the eviction would cycle instead of healing.
-    let net = SimNet::new(SimConfig::clean(53));
-    let _coord = net.register(0);
-    let spawner = SimSpawner::with_buggify_at(
-        net.clone(),
-        Buggify {
-            mute_first_heartbeat: true,
-            ..Buggify::default()
-        },
-        0,
-        0,
-    );
-    let report = run(&spawner, cfg, &batches, &FaultPlan::none()).expect("healed run completes");
-    assert!(net.panics().is_empty(), "worker panics: {:?}", net.panics());
-
-    assert_eq!(report.losses.len(), batches.len(), "full loss history");
-    assert_eq!(report.final_lanes, 2, "the healed worker restored the lane");
-    assert_eq!(
-        report.recovery.replans, 2,
-        "one replan for the eviction, one for the re-admission"
-    );
-    let has = |kind: TimelineKind, needle: &str| {
-        report
-            .recovery
-            .timeline
-            .iter()
-            .any(|e| e.kind == kind && e.detail.contains(needle))
-    };
-    assert!(
-        has(TimelineKind::Join, "re-admitted"),
-        "re-admission noted in the timeline: {:?}",
-        report.recovery.timeline
-    );
-    assert!(
-        has(TimelineKind::Resume, "re-admitted worker caught up"),
-        "resume from the re-admission catch-up snapshot"
-    );
-    let last = *report.losses.last().unwrap();
-    assert!(last.is_finite());
-    assert!(
-        (last - reference).abs() < 0.5,
-        "healed training drifted: {last} vs reference {reference}"
-    );
-}
-
-/// Straggler mitigation over real loopback TCP: a lane that stalls every
-/// step gets its micro-batch row share rebalanced away (EWMA cost ratio
-/// past the threshold), and the run still completes with a full loss
-/// history near the reference.
-#[test]
-fn rebalance_shifts_shares_away_from_straggler() {
-    let mut cfg = DistConfig::loopback(2, 2);
-    cfg.rebalance = true;
-    let batches = make_batches();
-    let reference = inprocess_final_loss(&cfg, &batches);
-
-    // Lane 1 stalls 120 ms on three consecutive steps — far past the
-    // 1.75x EWMA ratio against micro-scale compute.
-    let plan = FaultPlan {
-        faults: (1..=3)
-            .map(|step| Fault::Straggler {
-                step,
-                lane: 1,
-                delay_ms: 120,
-            })
-            .collect(),
-    };
-    let report = run(&Spawner::Threads, cfg, &batches, &plan).expect("straggler run");
-
-    assert_eq!(report.losses.len(), batches.len(), "full loss history");
-    assert_eq!(
-        report.final_lanes, 2,
-        "stragglers are rebalanced, not evicted"
-    );
-    assert_eq!(report.recovery.replans, 0, "no restart for a slow lane");
-    let rebalance = report
-        .recovery
-        .timeline
-        .iter()
-        .find(|e| e.kind == TimelineKind::Rebalance)
-        .unwrap_or_else(|| panic!("no rebalance event in {:?}", report.recovery.timeline));
-    assert!(
-        rebalance.detail.contains("row shares"),
-        "rebalance notes the share change: {}",
-        rebalance.detail
-    );
-    let last = *report.losses.last().unwrap();
-    assert!(last.is_finite());
-    assert!(
-        (last - reference).abs() < 0.5,
-        "rebalanced training drifted: {last} vs reference {reference}"
-    );
 }
 
 /// Plan faults name a lane by its original id, and the coordinator keeps

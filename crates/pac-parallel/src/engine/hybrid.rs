@@ -24,27 +24,80 @@ use crate::schedule::Schedule;
 use pac_model::StageModel;
 use pac_nn::{Module, Optimizer, Param};
 use pac_tensor::{Tensor, TensorError};
+use std::ops::Range;
 
 /// One micro-batch: `(token rows, class targets)`.
 pub type MicroBatch = (Vec<Vec<usize>>, Vec<usize>);
 
+/// Lane `k`'s rows of a `rows`-row batch split over `lanes` lanes:
+/// contiguous and in lane order, the first `rows % lanes` lanes one row
+/// longer than the rest (empty when there are more lanes than rows). The
+/// one row-split rule: the session's data-parallel steps, replicated
+/// evaluation and both micro-batch splits below cut rows with it.
+pub fn shard(rows: usize, lanes: usize, k: usize) -> Range<usize> {
+    let (base, extra) = (rows / lanes, rows % lanes);
+    let lo = k * base + k.min(extra);
+    lo..lo + base + usize::from(k < extra)
+}
+
+/// Splits every micro-batch row-wise across `lanes` lanes by [`shard`]:
+/// lane `k` takes the `k`-th contiguous range. This is the split pac-net's
+/// coordinator sends its lanes; where `lanes` divides every micro-batch it
+/// is [`split_micro_batches`], slice for slice.
+///
+/// # Errors
+/// [`EngineError::Tensor`] when any micro-batch has fewer rows than lanes
+/// (a lane with no rows would desynchronize the 1F1B schedule) or a target
+/// count unequal to its row count.
+pub fn shard_micro_batches(
+    micro_batches: &[MicroBatch],
+    lanes: usize,
+) -> EngineResult<Vec<Vec<MicroBatch>>> {
+    for (toks, targets) in micro_batches {
+        // Tokens and targets are sliced alike: a short target list must
+        // not panic the caller's thread.
+        if targets.len() != toks.len() {
+            return Err(EngineError::Tensor(TensorError::ShapeMismatch {
+                op: "micro-batch needs one target per token row",
+                lhs: vec![toks.len()],
+                rhs: vec![targets.len()],
+            }));
+        }
+        if lanes == 0 || toks.len() < lanes {
+            return Err(EngineError::Tensor(TensorError::ShapeMismatch {
+                op: "micro-batch needs at least one row per lane",
+                lhs: vec![toks.len()],
+                rhs: vec![lanes],
+            }));
+        }
+    }
+    Ok((0..lanes)
+        .map(|k| {
+            micro_batches
+                .iter()
+                .map(|(toks, targets)| {
+                    let rows = shard(toks.len(), lanes, k);
+                    (toks[rows.clone()].to_vec(), targets[rows].to_vec())
+                })
+                .collect()
+        })
+        .collect())
+}
+
 /// Splits every micro-batch row-wise into `g` equal lane shares — lane `k`
-/// takes rows `[k·share, (k+1)·share)`. Public so the distributed driver
-/// (`pac-net`) shards the mini-batch *identically* to [`HybridEngine`],
-/// which is a precondition for bitwise-equal results.
+/// takes rows `[k·share, (k+1)·share)` — the [`shard_micro_batches`] split
+/// restricted to even shares. [`HybridEngine`] trains on it.
 ///
 /// # Errors
 /// [`EngineError::Tensor`] when any micro-batch's row count is not a
-/// multiple of `g` (uneven shares would break exact gradient averaging) or
-/// differs from its target count.
+/// multiple of `g` (uneven shares would break exact gradient averaging),
+/// is below `g`, or differs from its target count.
 pub fn split_micro_batches(
     micro_batches: &[MicroBatch],
     g: usize,
 ) -> EngineResult<Vec<Vec<MicroBatch>>> {
-    for mb in micro_batches {
-        check_targets(mb)?;
-        let toks = &mb.0;
-        if toks.len() % g != 0 {
+    for (toks, _) in micro_batches {
+        if !toks.len().is_multiple_of(g) {
             return Err(EngineError::Tensor(TensorError::ShapeMismatch {
                 op: "hybrid micro-batch must split evenly across lanes",
                 lhs: vec![toks.len()],
@@ -52,110 +105,7 @@ pub fn split_micro_batches(
             }));
         }
     }
-    Ok((0..g)
-        .map(|k| {
-            micro_batches
-                .iter()
-                .map(|(toks, targets)| {
-                    let share = toks.len() / g;
-                    (
-                        toks[k * share..(k + 1) * share].to_vec(),
-                        targets[k * share..(k + 1) * share].to_vec(),
-                    )
-                })
-                .collect()
-        })
-        .collect())
-}
-
-/// Row counts per lane for one micro-batch of `rows` rows under relative
-/// `weights` (higher weight ⇒ more rows — the inverse of measured lane
-/// cost). Largest-remainder apportionment with a one-row floor per lane:
-/// shares sum exactly to `rows`, equal weights reproduce the even split of
-/// [`split_micro_batches`] when `rows` divides evenly, and a lane is never
-/// starved to zero (a lane with no rows would desynchronize the 1F1B
-/// schedule). Deterministic: ties go to the lower lane index.
-///
-/// # Errors
-/// [`EngineError::Tensor`] when `rows < weights.len()` (cannot give every
-/// lane a row) or `weights` is empty / contains a non-positive weight.
-pub fn weighted_shares(rows: usize, weights: &[f64]) -> EngineResult<Vec<usize>> {
-    let g = weights.len();
-    if g == 0 || rows < g || weights.iter().any(|w| !w.is_finite() || *w <= 0.0) {
-        return Err(EngineError::Tensor(TensorError::ShapeMismatch {
-            op: "weighted micro-batch shares need >= 1 row per lane and positive weights",
-            lhs: vec![rows],
-            rhs: vec![g],
-        }));
-    }
-    let total: f64 = weights.iter().sum();
-    // Floor of the proportional share, with the one-row floor applied.
-    let spendable = rows - g; // rows left after every lane's guaranteed one
-    let mut shares: Vec<usize> = Vec::with_capacity(g);
-    let mut remainders: Vec<(usize, f64)> = Vec::with_capacity(g);
-    let mut assigned = 0usize;
-    for (k, w) in weights.iter().enumerate() {
-        let ideal = spendable as f64 * (w / total);
-        let base = ideal.floor() as usize;
-        shares.push(1 + base);
-        assigned += base;
-        remainders.push((k, ideal - base as f64));
-    }
-    // Hand the leftover rows to the largest fractional remainders; ties
-    // break toward the lower lane index so the split is deterministic.
-    remainders.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    for &(k, _) in remainders.iter().take(spendable - assigned) {
-        shares[k] += 1;
-    }
-    debug_assert_eq!(shares.iter().sum::<usize>(), rows);
-    Ok(shares)
-}
-
-/// A micro-batch carries one target per token row: both splits slice the
-/// two alike, and a short target list must not panic the caller's thread.
-fn check_targets((toks, targets): &MicroBatch) -> EngineResult<()> {
-    if targets.len() != toks.len() {
-        return Err(EngineError::Tensor(TensorError::ShapeMismatch {
-            op: "micro-batch needs one target per token row",
-            lhs: vec![toks.len()],
-            rhs: vec![targets.len()],
-        }));
-    }
-    Ok(())
-}
-
-/// The weighted generalization of [`split_micro_batches`]: every
-/// micro-batch is cut into *contiguous* row ranges sized by
-/// [`weighted_shares`], lane `k` taking the `k`-th range. With equal
-/// weights and evenly divisible rows this is bit-identical to
-/// [`split_micro_batches`] (same contiguous slices in the same order), so
-/// a driver can use the weighted path unconditionally and only diverge
-/// from the in-process engines once measured lane costs actually differ.
-///
-/// # Errors
-/// [`EngineError::Tensor`] when any micro-batch has fewer rows than lanes
-/// or a target count unequal to its row count, or the weights are
-/// degenerate (see [`weighted_shares`]).
-pub fn split_micro_batches_weighted(
-    micro_batches: &[MicroBatch],
-    weights: &[f64],
-) -> EngineResult<Vec<Vec<MicroBatch>>> {
-    let g = weights.len();
-    let mut lanes: Vec<Vec<MicroBatch>> = vec![Vec::with_capacity(micro_batches.len()); g];
-    for mb in micro_batches {
-        check_targets(mb)?;
-        let (toks, targets) = mb;
-        let shares = weighted_shares(toks.len(), weights)?;
-        let mut start = 0usize;
-        for (k, &share) in shares.iter().enumerate() {
-            lanes[k].push((
-                toks[start..start + share].to_vec(),
-                targets[start..start + share].to_vec(),
-            ));
-            start += share;
-        }
-    }
-    Ok(lanes)
+    shard_micro_batches(micro_batches, g)
 }
 
 /// Hybrid-parallel training engine over real threads.
@@ -361,47 +311,63 @@ mod tests {
             .collect()
     }
 
+    /// The one row-split rule: ranges tile the rows contiguously in lane
+    /// order, their lengths differ by at most one, and the micro-batch
+    /// split built on it loses no row even when the lanes do not divide
+    /// the rows. Where they do, it is the even split slice for slice.
+    /// Fewer rows than lanes, or a short target list, is a typed error.
     #[test]
-    fn weighted_shares_apportion_exactly() {
-        // Equal weights, divisible rows: the even split.
-        assert_eq!(weighted_shares(4, &[1.0, 1.0]).unwrap(), vec![2, 2]);
-        // Equal weights, ragged rows: leftover goes to the lowest lane.
-        assert_eq!(weighted_shares(4, &[1.0, 1.0, 1.0]).unwrap(), vec![2, 1, 1]);
-        // A lane twice as fast takes (roughly) twice the rows.
-        assert_eq!(weighted_shares(6, &[2.0, 1.0]).unwrap(), vec![4, 2]);
-        // The one-row floor: even a very slow lane keeps one row.
-        let shares = weighted_shares(8, &[100.0, 1.0]).unwrap();
-        assert_eq!(shares.iter().sum::<usize>(), 8);
-        assert!(shares[1] >= 1 && shares[0] > shares[1]);
-        // Degenerate inputs are typed errors, not panics.
-        assert!(weighted_shares(1, &[1.0, 1.0]).is_err());
-        assert!(weighted_shares(4, &[]).is_err());
-        assert!(weighted_shares(4, &[1.0, 0.0]).is_err());
-        assert!(weighted_shares(4, &[1.0, f64::NAN]).is_err());
-    }
+    fn shards_cover_every_row_in_order() {
+        for rows in 0..20 {
+            for lanes in 1..8 {
+                let parts: Vec<_> = (0..lanes).map(|k| shard(rows, lanes, k)).collect();
+                assert_eq!(parts[0].start, 0);
+                assert_eq!(parts[lanes - 1].end, rows);
+                assert!(parts.windows(2).all(|w| w[0].end == w[1].start));
+                assert!(parts
+                    .iter()
+                    .all(|p| p.len() == rows / lanes || p.len() == rows / lanes + 1));
+                if rows % lanes == 0 {
+                    let share = rows / lanes;
+                    let even: Vec<_> = (0..lanes).map(|k| k * share..(k + 1) * share).collect();
+                    assert_eq!(parts, even, "{rows} rows over {lanes} lanes");
+                }
+            }
+        }
+        assert_eq!(shard(16, 2, 1), 8..16);
+        assert_eq!(shard(16, 6, 5), 14..16);
 
-    #[test]
-    fn weighted_split_with_equal_weights_matches_even_split() {
-        let mbs = micro_batches(77, 3, 4, 5);
-        let even = split_micro_batches(&mbs, 2).unwrap();
-        let weighted = split_micro_batches_weighted(&mbs, &[1.0, 1.0]).unwrap();
-        assert_eq!(
-            even, weighted,
-            "equal weights must reproduce the even split"
-        );
-    }
-
-    #[test]
-    fn weighted_split_is_contiguous_and_loses_no_rows() {
-        let mbs = micro_batches(78, 2, 5, 3);
-        let lanes = split_micro_batches_weighted(&mbs, &[3.0, 1.0]).unwrap();
-        for (m, (toks, targets)) in mbs.iter().enumerate() {
-            let rejoined_toks: Vec<Vec<usize>> =
-                lanes.iter().flat_map(|lane| lane[m].0.clone()).collect();
-            let rejoined_targets: Vec<usize> =
-                lanes.iter().flat_map(|lane| lane[m].1.clone()).collect();
-            assert_eq!(&rejoined_toks, toks, "lane ranges must tile the rows");
-            assert_eq!(&rejoined_targets, targets);
+        for (rows, lanes) in [(4, 1), (4, 2), (6, 3), (5, 2), (7, 3), (3, 3)] {
+            let mbs = micro_batches(77 + rows as u64, 3, rows, 5);
+            let split = shard_micro_batches(&mbs, lanes).unwrap();
+            for (m, (toks, targets)) in mbs.iter().enumerate() {
+                let joined_toks: Vec<Vec<usize>> =
+                    split.iter().flat_map(|lane| lane[m].0.clone()).collect();
+                let joined_targets: Vec<usize> =
+                    split.iter().flat_map(|lane| lane[m].1.clone()).collect();
+                assert_eq!(&joined_toks, toks, "lane ranges must tile the rows");
+                assert_eq!(&joined_targets, targets);
+            }
+            if rows % lanes == 0 {
+                assert_eq!(split, split_micro_batches(&mbs, lanes).unwrap());
+            } else {
+                assert!(split_micro_batches(&mbs, lanes).is_err());
+            }
+        }
+        let mut mbs = micro_batches(80, 2, 2, 5);
+        let mut short = mbs.clone();
+        short[1].1.truncate(1);
+        mbs[1].0.truncate(1);
+        mbs[1].1.truncate(1);
+        for err in [
+            shard_micro_batches(&mbs, 2).unwrap_err(),
+            shard_micro_batches(&mbs, 0).unwrap_err(),
+            shard_micro_batches(&short, 2).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, EngineError::Tensor(TensorError::ShapeMismatch { .. })),
+                "{err}"
+            );
         }
     }
 
@@ -417,7 +383,7 @@ mod tests {
         for err in [
             engine.run_mini_batch(&mbs).unwrap_err(),
             split_micro_batches(&mbs, 2).unwrap_err(),
-            split_micro_batches_weighted(&mbs, &[3.0, 1.0]).unwrap_err(),
+            shard_micro_batches(&mbs, 2).unwrap_err(),
         ] {
             assert!(
                 matches!(err, EngineError::Tensor(TensorError::ShapeMismatch { .. })),

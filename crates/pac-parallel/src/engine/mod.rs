@@ -20,9 +20,7 @@ pub mod pipeline;
 
 pub use data_parallel::{allreduce_mean, dp_step_cached, dp_step_tokens, dp_step_tokens_with_acts};
 pub use error::{EngineError, EngineResult};
-pub use hybrid::{
-    split_micro_batches, split_micro_batches_weighted, weighted_shares, HybridEngine, MicroBatch,
-};
+pub use hybrid::{shard, shard_micro_batches, split_micro_batches, HybridEngine, MicroBatch};
 pub use pipeline::{
     run_pipeline_mini_batch, run_stage, ChannelLinks, PipelineOutcome, StageLinks, StageRun,
 };

@@ -278,9 +278,6 @@ pub enum TimelineKind {
     Resume,
     /// A joining device was admitted into (or rejected from) the pool.
     Join,
-    /// Micro-batch shares were rebalanced across lanes (straggler
-    /// mitigation).
-    Rebalance,
 }
 
 impl fmt::Display for TimelineKind {
@@ -292,7 +289,6 @@ impl fmt::Display for TimelineKind {
             TimelineKind::Replan => "replan",
             TimelineKind::Resume => "resume",
             TimelineKind::Join => "join",
-            TimelineKind::Rebalance => "rebalance",
         };
         f.write_str(s)
     }
@@ -313,7 +309,6 @@ pub fn record(
         TimelineKind::Replan => "recovery.replans",
         TimelineKind::Resume => "recovery.resumes",
         TimelineKind::Join => "membership.joins",
-        TimelineKind::Rebalance => "membership.rebalances",
     };
     pac_telemetry::counter_inc(counter);
     timeline.push(TimelineEvent {
