@@ -1,8 +1,11 @@
 //! The full encoder-decoder model (T5/BART structure) with explicit
-//! forward/backward, used for real micro-scale training.
+//! forward/backward, used for real micro-scale training. Its encoder is a
+//! [`StageModel`] (embedding · layers, no head), so it runs the one body
+//! every pipeline stage runs; the model itself keeps only the decoder.
 
 use crate::config::ModelConfig;
 use crate::embed::{embed_tokens, embed_tokens_backward, TokenEmbedCtx};
+use crate::stage::{StageCtx, StageData, StageModel, StageUnit};
 use pac_nn::{
     Activation, Embedding, LayerNorm, LayerNormCtx, Linear, LinearCtx, Module, Param,
     TransformerLayer, TransformerLayerCtx,
@@ -13,10 +16,9 @@ use rand::Rng;
 /// Context captured by [`EncDecModel::forward`].
 #[derive(Debug, Clone)]
 pub struct EncDecCtx {
-    embed: TokenEmbedCtx,
+    encoder: StageCtx,
     /// The decoder's start-token embedding.
     dec_embed: TokenEmbedCtx,
-    enc_ctxs: Vec<TransformerLayerCtx>,
     dec_ctxs: Vec<TransformerLayerCtx>,
     /// Final encoder output fed to every decoder layer's cross-attention.
     pub enc_out: Tensor,
@@ -25,6 +27,9 @@ pub struct EncDecCtx {
     batch: usize,
 }
 
+/// The logits and the backward's context of a recording run.
+type Recorded = (Tensor, EncDecCtx);
+
 /// Encoder-decoder transformer with a task head on the first decoder
 /// position (the T5 "text-to-text reduced to classification" pattern: the
 /// decoder is fed a single start token and the head reads its output).
@@ -32,12 +37,9 @@ pub struct EncDecCtx {
 pub struct EncDecModel {
     /// Architecture this model instantiates.
     pub config: ModelConfig,
-    /// Token embedding shared by encoder and decoder (T5/BART tie these).
-    pub embed: Embedding,
-    /// Learned positional embedding.
-    pub pos: Embedding,
-    /// Encoder stack.
-    pub encoder: Vec<TransformerLayer>,
+    /// Encoder stack behind the token and positional embedding, whose
+    /// tables the decoder shares (T5/BART tie these).
+    pub encoder: StageModel,
     /// Decoder stack (causal self-attention + cross-attention).
     pub decoder: Vec<TransformerLayer>,
     /// Final LayerNorm before the head.
@@ -50,18 +52,21 @@ pub struct EncDecModel {
 
 impl EncDecModel {
     /// Builds a model from `config` with `n_out` head outputs.
+    ///
+    /// The encoder layers draw from `rng` first, then the decoder layers,
+    /// the token table, the positional table and the head.
     pub fn new(config: &ModelConfig, n_out: usize, rng: &mut impl Rng) -> Self {
         let d = config.hidden;
-        let encoder = (0..config.enc_layers)
+        let layers: Vec<StageUnit> = (0..config.enc_layers)
             .map(|i| {
-                TransformerLayer::encoder(
+                StageUnit::Layer(Box::new(TransformerLayer::encoder(
                     &format!("enc{i}"),
                     rng,
                     d,
                     config.heads,
                     config.ff_dim,
                     Activation::Gelu,
-                )
+                )))
             })
             .collect();
         let decoder = (0..config.dec_layers)
@@ -76,11 +81,13 @@ impl EncDecModel {
                 )
             })
             .collect();
-        EncDecModel {
-            config: config.clone(),
+        let embed = StageUnit::Embed {
             embed: Embedding::new("embed", rng, config.vocab, d),
             pos: Embedding::new("pos", rng, config.max_seq, d),
-            encoder,
+        };
+        EncDecModel {
+            config: config.clone(),
+            encoder: StageModel::new(0, std::iter::once(embed).chain(layers).collect()),
             decoder,
             final_ln: LayerNorm::new("final_ln", d),
             head: Linear::new("head", rng, d, n_out, true),
@@ -90,7 +97,7 @@ impl EncDecModel {
 
     /// Number of backbone layers (encoder + decoder).
     pub fn num_layers(&self) -> usize {
-        self.encoder.len() + self.decoder.len()
+        self.encoder.num_layers() + self.decoder.len()
     }
 
     /// Head output width.
@@ -98,12 +105,20 @@ impl EncDecModel {
         self.head.out_dim()
     }
 
+    /// The token and positional tables encoder and decoder share.
+    pub fn embedding(&self) -> (&Embedding, &Embedding) {
+        self.encoder
+            .embedding()
+            .expect("the encoder starts at the embedding")
+    }
+
     /// Embeds a batch of equal-length token sequences into `[b, s, d]`.
     ///
     /// # Errors
     /// Returns a shape error on ragged batches or OOV/overlong sequences.
     pub fn embed_batch(&self, tokens: &[Vec<usize>]) -> Result<(Tensor, TokenEmbedCtx)> {
-        embed_tokens(&self.embed, &self.pos, tokens)
+        let (embed, pos) = self.embedding();
+        embed_tokens(embed, pos, tokens)
     }
 
     /// The decoder's input: one start token per batch row.
@@ -116,78 +131,60 @@ impl EncDecModel {
     /// # Errors
     /// Propagates shape errors from the constituent layers.
     pub fn forward(&self, tokens: &[Vec<usize>]) -> Result<(Tensor, EncDecCtx)> {
-        let (logits, _, ctx) = self.run(tokens, true)?;
-        Ok((logits, ctx.expect("a recording run returns its context")))
+        let (_, out) = self.run(tokens, true)?;
+        Ok(out.expect("a recording run returns its context"))
     }
 
     /// Forward pass of a frozen backbone, which no backward will traverse:
-    /// `tokens → (logits, layer outputs)`, the outputs being encoder layers
-    /// then decoder layers. These are the `b_i` activations the paper's
-    /// Parallel Adapters consume and the activation cache stores. No layer
-    /// keeps a context, and every intermediate is recycled as soon as it is
-    /// dead; the bits are those of [`EncDecModel::forward`].
+    /// `tokens → layer outputs`, encoder layers then decoder layers. These
+    /// are the `b_i` activations the paper's Parallel Adapters consume and
+    /// the activation cache stores; the head, which nothing reads here, does
+    /// not run. No layer keeps a context, and every intermediate is recycled
+    /// as soon as it is dead; the bits are those of [`EncDecModel::forward`].
     ///
     /// # Errors
     /// Propagates shape errors from the constituent layers.
-    pub fn forward_frozen(&self, tokens: &[Vec<usize>]) -> Result<(Tensor, Vec<Tensor>)> {
-        let (logits, layer_outputs, _) = self.run(tokens, false)?;
-        Ok((logits, layer_outputs))
+    pub fn forward_frozen(&self, tokens: &[Vec<usize>]) -> Result<Vec<Tensor>> {
+        Ok(self.run(tokens, false)?.0)
     }
 
-    /// The body both forwards run; `record` keeps what the backward reads.
-    fn run(
-        &self,
-        tokens: &[Vec<usize>],
-        record: bool,
-    ) -> Result<(Tensor, Vec<Tensor>, Option<EncDecCtx>)> {
+    /// The body both forwards run: every layer's output and, when `record`
+    /// is set, the logits and what the backward reads.
+    fn run(&self, tokens: &[Vec<usize>], record: bool) -> Result<(Vec<Tensor>, Option<Recorded>)> {
         let batch = tokens.len();
-        let (mut x, embed) = self.embed_batch(tokens)?;
-
-        let run_layer = |layer: &TransformerLayer, x: &Tensor, enc: Option<&Tensor>| {
-            if record {
-                layer.forward(x, enc).map(|(y, ctx)| (y, Some(ctx)))
-            } else {
-                layer.forward_frozen(x, enc).map(|y| (y, None))
-            }
+        let (enc_out, mut encoder) = match self
+            .encoder
+            .run(StageData::Tokens(tokens.to_vec()), record)?
+        {
+            (StageData::Hidden(x), ctx) => (x, ctx),
+            _ => unreachable!("the encoder has no head"),
         };
-        let mut enc_ctxs = Vec::with_capacity(self.encoder.len());
-        let mut layer_outputs = Vec::with_capacity(self.num_layers());
-        for layer in &self.encoder {
-            let (y, ctx) = run_layer(layer, &x, None)?;
-            enc_ctxs.extend(ctx);
-            layer_outputs.push(y.clone());
-            x = y;
-        }
-        let enc_out = x;
+        let mut layer_outputs = std::mem::take(&mut encoder.layer_outputs);
 
         let (mut xd, dec_embed) = self.embed_batch(&self.start_tokens(batch))?;
-
         let mut dec_ctxs = Vec::with_capacity(self.decoder.len());
         for layer in &self.decoder {
-            let (y, ctx) = run_layer(layer, &xd, Some(&enc_out))?;
+            let (y, ctx) = layer.run(&xd, Some(&enc_out), record)?;
             dec_ctxs.extend(ctx);
             layer_outputs.push(y.clone());
             xd = y;
         }
+        if !record {
+            return Ok((layer_outputs, None));
+        }
 
-        let (normed, final_ln) = if record {
-            let (normed, ctx) = self.final_ln.forward(&xd)?;
-            (normed, Some(ctx))
-        } else {
-            (self.final_ln.forward_frozen(&xd)?, None)
-        };
-        let logits = self.head.forward_frozen(&normed)?;
-        let ctx = final_ln.map(|final_ln| EncDecCtx {
-            embed,
+        let (normed, final_ln) = self.final_ln.forward(&xd)?;
+        let (logits, head_ctx) = self.head.forward(&normed)?;
+        let ctx = EncDecCtx {
+            encoder,
             dec_embed,
-            enc_ctxs,
             dec_ctxs,
             enc_out,
             final_ln,
-            head_ctx: LinearCtx { x: normed },
+            head_ctx,
             batch,
-        });
-        Ok((logits, layer_outputs, ctx))
+        };
+        Ok((layer_outputs, Some((logits, ctx))))
     }
 
     /// Full backward pass from `dlogits` (`[batch, n_out]`); accumulates
@@ -216,16 +213,12 @@ impl EncDecModel {
             }
         }
 
-        embed_tokens_backward(&mut self.embed, &mut self.pos, &ctx.dec_embed, &dxd)?;
-
-        // Encoder stack (reverse).
-        let mut dx = d_enc_total;
-        for (layer, lctx) in self.encoder.iter_mut().zip(ctx.enc_ctxs.iter()).rev() {
-            let (g, _) = layer.backward(lctx, &dx)?;
-            dx = g;
-        }
-
-        embed_tokens_backward(&mut self.embed, &mut self.pos, &ctx.embed, &dx)
+        let (embed, pos) = self
+            .encoder
+            .embedding_mut()
+            .expect("the encoder starts at the embedding");
+        embed_tokens_backward(embed, pos, &ctx.dec_embed, &dxd)?;
+        self.encoder.backward(&ctx.encoder, &d_enc_total).map(drop)
     }
 
     /// Freezes the backbone (everything except the task head).
@@ -244,11 +237,7 @@ impl EncDecModel {
 
 impl Module for EncDecModel {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.embed.visit_params(f);
-        self.pos.visit_params(f);
-        for l in &mut self.encoder {
-            l.visit_params(f);
-        }
+        self.encoder.visit_params(f);
         for l in &mut self.decoder {
             l.visit_params(f);
         }
@@ -256,11 +245,7 @@ impl Module for EncDecModel {
         self.head.visit_params(f);
     }
     fn visit_params_ref(&self, f: &mut dyn FnMut(&Param)) {
-        self.embed.visit_params_ref(f);
-        self.pos.visit_params_ref(f);
-        for l in &self.encoder {
-            l.visit_params_ref(f);
-        }
+        self.encoder.visit_params_ref(f);
         for l in &self.decoder {
             l.visit_params_ref(f);
         }
@@ -292,7 +277,8 @@ mod tests {
     fn forward_produces_logits_and_layer_outputs() {
         let m = micro_model(80);
         let toks = batch(81, 3, 5, 64);
-        let (logits, layer_outputs) = m.forward_frozen(&toks).unwrap();
+        let (logits, _) = m.forward(&toks).unwrap();
+        let layer_outputs = m.forward_frozen(&toks).unwrap();
         assert_eq!(logits.dims(), &[3, 3]);
         assert_eq!(layer_outputs.len(), 4);
         assert_eq!(layer_outputs[0].dims(), &[3, 5, 16]); // encoder
@@ -408,7 +394,7 @@ mod tests {
         let mut m = micro_model(90);
         m.freeze_backbone();
         let toks = batch(91, 2, 4, 64);
-        let (_, outputs1) = m.forward_frozen(&toks).unwrap();
+        let outputs1 = m.forward_frozen(&toks).unwrap();
         // Train the head a bit.
         let mut opt = Adam::new(1e-2);
         for _ in 0..3 {
@@ -418,7 +404,7 @@ mod tests {
             m.backward(&ctx, &dl).unwrap();
             opt.step(&mut m);
         }
-        let (_, outputs2) = m.forward_frozen(&toks).unwrap();
+        let outputs2 = m.forward_frozen(&toks).unwrap();
         for (a, b) in outputs1.iter().zip(outputs2.iter()) {
             assert!(a.approx_eq(b, 0.0), "cached activations would be stale");
         }

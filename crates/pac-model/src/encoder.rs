@@ -2,10 +2,10 @@
 //!
 //! Pipeline parallelism moves a single hidden-state tensor between stages
 //! (paper Figure 6); the encoder-only model has exactly that inter-stage
-//! payload, so the real threaded engine in `pac-parallel` partitions this
-//! model. The full encoder-decoder model ([`crate::EncDecModel`]) is used
-//! for quality experiments where parallel execution does not change the
-//! math.
+//! payload, so the real threaded engine in `pac-parallel` and every
+//! `pac-net` worker partition this model. The encoder-decoder model
+//! ([`crate::EncDecModel`]) backs the tuners, the PAC session and the serve
+//! layer; its encoder is a [`StageModel`] too, so both run one body.
 //!
 //! The model is one [`StageModel`] holding every unit — embedding, the
 //! transformer layers, final LayerNorm + pool + head — so its forward and
@@ -70,9 +70,9 @@ impl EncoderModel {
         self.body.num_layers()
     }
 
-    /// The model's units in forward order: embedding, layers, head.
-    pub fn units(&self) -> &[StageUnit] {
-        self.body.units()
+    /// The model as one stage: embedding, layers, head.
+    pub fn stage(&self) -> &StageModel {
+        &self.body
     }
 
     /// Forward pass: `tokens → logits [batch, n_out]`. The context's

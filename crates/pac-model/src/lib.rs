@@ -19,7 +19,14 @@
 //!   (a single activation tensor flows between stages, matching the
 //!   pipeline-parallel payload in the paper's Figure 6). It is itself one
 //!   stage holding every [`stage::StageUnit`], so the whole model and any
-//!   cut of it run one body. Both models embed tokens with [`embed`].
+//!   cut of it run one body.
+//!
+//! [`stage::StageModel`] is the only loop over encoder layers: its forward
+//! either records the backward's context or, frozen, keeps only each
+//! layer's output `b_i`. `EncDecModel`'s encoder is such a stage (embedding
+//! and layers, no head), and the model adds only the decoder loop, which
+//! reads the tied tables from that stage's embedding. Both models embed
+//! tokens with [`embed`].
 
 #![deny(missing_docs)]
 

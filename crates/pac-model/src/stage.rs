@@ -3,16 +3,19 @@
 //! A [`StageModel`] owns a sequence of [`StageUnit`]s (embedding, transformer
 //! layers, head) and exposes `forward`/`backward` with per-micro-batch
 //! contexts, so the pipeline engine can keep several micro-batches in flight
-//! on the same stage (1F1B scheduling). This is the only body of the
-//! encoder-only model: the whole [`crate::EncoderModel`] is one stage holding
-//! every unit, and a partition is the same units cut into several.
+//! on the same stage (1F1B scheduling), and `forward_frozen`, which keeps no
+//! context and returns each layer's output `b_i`. Both run one body that
+//! takes `record`. This is the only loop over encoder layers: the whole
+//! [`crate::EncoderModel`] is one stage holding every unit, a partition is
+//! the same units cut into several, and [`crate::EncDecModel`]'s encoder is
+//! a stage of the embedding and its layers.
 
 use crate::embed::{embed_tokens, embed_tokens_backward, TokenEmbedCtx};
 use pac_nn::{
     Embedding, LayerNorm, LayerNormCtx, Linear, LinearCtx, Module, Param, TransformerLayer,
     TransformerLayerCtx,
 };
-use pac_tensor::{reduce, Result, Tensor, TensorError};
+use pac_tensor::{reduce, scratch, Result, Tensor, TensorError};
 
 /// One building block of a stage.
 ///
@@ -121,29 +124,52 @@ impl StageModel {
         StageModel { index, units }
     }
 
-    /// The stage's units in forward order.
-    pub fn units(&self) -> &[StageUnit] {
-        &self.units
-    }
-
     /// Gives up the units, for re-cutting them into other stages.
     pub(crate) fn into_units(self) -> Vec<StageUnit> {
         self.units
     }
 
+    /// The stage's transformer layers in forward order.
+    pub fn layers(&self) -> impl DoubleEndedIterator<Item = &TransformerLayer> {
+        self.units.iter().filter_map(|u| match u {
+            StageUnit::Layer(l) => Some(&**l),
+            _ => None,
+        })
+    }
+
+    /// [`StageModel::layers`], mutably.
+    pub fn layers_mut(&mut self) -> impl DoubleEndedIterator<Item = &mut TransformerLayer> {
+        self.units.iter_mut().filter_map(|u| match u {
+            StageUnit::Layer(l) => Some(&mut **l),
+            _ => None,
+        })
+    }
+
+    /// The token and positional tables, when this stage starts at the
+    /// embedding.
+    pub fn embedding(&self) -> Option<(&Embedding, &Embedding)> {
+        self.units.iter().find_map(|u| match u {
+            StageUnit::Embed { embed, pos } => Some((embed, pos)),
+            _ => None,
+        })
+    }
+
+    /// [`StageModel::embedding`], mutably.
+    pub(crate) fn embedding_mut(&mut self) -> Option<(&mut Embedding, &mut Embedding)> {
+        self.units.iter_mut().find_map(|u| match u {
+            StageUnit::Embed { embed, pos } => Some((embed, pos)),
+            _ => None,
+        })
+    }
+
     /// Number of transformer layers in this stage.
     pub fn num_layers(&self) -> usize {
-        self.units
-            .iter()
-            .filter(|u| matches!(u, StageUnit::Layer(_)))
-            .count()
+        self.layers().count()
     }
 
     /// True when this stage contains the embedding (stage 0).
     pub fn has_embed(&self) -> bool {
-        self.units
-            .iter()
-            .any(|u| matches!(u, StageUnit::Embed { .. }))
+        self.embedding().is_some()
     }
 
     /// True when this stage contains the head (last stage).
@@ -159,6 +185,25 @@ impl StageModel {
     /// Returns a shape error when the payload kind does not match the stage
     /// position (e.g. hidden states fed to an embedding stage).
     pub fn forward(&self, input: StageData) -> Result<(StageData, StageCtx)> {
+        self.run(input, true)
+    }
+
+    /// Forward pass of a frozen stage, which no backward will traverse:
+    /// `input → (output, layer outputs)`, the outputs being the `b_i` the
+    /// paper's Parallel Adapters consume and the activation cache stores.
+    /// No unit keeps a context, and every intermediate is recycled as soon
+    /// as it is dead; the bits are those of [`StageModel::forward`].
+    ///
+    /// # Errors
+    /// As [`StageModel::forward`].
+    pub fn forward_frozen(&self, input: StageData) -> Result<(StageData, Vec<Tensor>)> {
+        let (out, ctx) = self.run(input, false)?;
+        Ok((out, ctx.layer_outputs))
+    }
+
+    /// The body both forwards run; `record` keeps what the backward reads.
+    /// A run that does not record returns a context with no unit in it.
+    pub(crate) fn run(&self, input: StageData, record: bool) -> Result<(StageData, StageCtx)> {
         let mut data = input;
         let mut ctxs = Vec::with_capacity(self.units.len());
         let mut act_bytes = 0usize;
@@ -167,13 +212,13 @@ impl StageModel {
             data = match (unit, data) {
                 (StageUnit::Embed { embed, pos }, StageData::Tokens(tokens)) => {
                     let (x, ctx) = embed_tokens(embed, pos, &tokens)?;
-                    ctxs.push(UnitCtx::Embed(ctx));
+                    ctxs.extend(record.then_some(UnitCtx::Embed(ctx)));
                     StageData::Hidden(x)
                 }
                 (StageUnit::Layer(layer), StageData::Hidden(x)) => {
-                    let (y, ctx) = layer.forward(&x, None)?;
+                    let (y, ctx) = layer.run(&x, None, record)?;
                     act_bytes += x.size_bytes(); // retained inside the layer ctx
-                    ctxs.push(UnitCtx::Layer(ctx));
+                    ctxs.extend(ctx.map(UnitCtx::Layer));
                     layer_outputs.push(y.clone());
                     StageData::Hidden(y)
                 }
@@ -188,17 +233,23 @@ impl StageModel {
                             })
                         }
                     };
-                    let (normed, ln_ctx) = ln.forward(&x)?;
+                    let (normed, ln_ctx) = ln.run(&x, record)?;
                     let pooled = reduce::mean_pool_seq(&normed, batch, seq, dim)?;
-                    let (logits, head_ctx) = head.forward(&pooled)?;
+                    let logits = head.forward_frozen(&pooled)?;
                     act_bytes += x.size_bytes();
-                    ctxs.push(UnitCtx::Head {
-                        ln: ln_ctx,
-                        head: head_ctx,
-                        batch,
-                        seq,
-                        dim,
-                    });
+                    match ln_ctx {
+                        Some(ln) => ctxs.push(UnitCtx::Head {
+                            ln,
+                            head: LinearCtx { x: pooled },
+                            batch,
+                            seq,
+                            dim,
+                        }),
+                        None => {
+                            scratch::put(normed);
+                            scratch::put(pooled);
+                        }
+                    }
                     StageData::Logits(logits)
                 }
                 (unit, data) => {

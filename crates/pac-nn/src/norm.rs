@@ -49,18 +49,13 @@ impl LayerNorm {
         Ok((y, ctx.expect("a recording run returns its context")))
     }
 
-    /// [`LayerNorm::forward`] without the context: no `x̂` is kept.
-    ///
-    /// # Errors
-    /// Returns a shape error if the last dimension differs from `dim`.
-    pub fn forward_frozen(&self, x: &Tensor) -> Result<Tensor> {
-        Ok(self.run(x, false)?.0)
-    }
-
     /// The row pass both forwards run ([`reduce::layernorm_rows`]): `x̂ =
     /// (x − μ)·(1/σ)` is written to the output row, copied to the context
     /// when `record` is set, then scaled and shifted in place.
-    pub(crate) fn run(&self, x: &Tensor, record: bool) -> Result<(Tensor, Option<LayerNormCtx>)> {
+    ///
+    /// # Errors
+    /// Returns a shape error if the last dimension differs from `dim`.
+    pub fn run(&self, x: &Tensor, record: bool) -> Result<(Tensor, Option<LayerNormCtx>)> {
         let (rows, cols) = x.as_2d();
         if cols != self.dim {
             return Err(TensorError::ShapeMismatch {

@@ -121,7 +121,10 @@ impl TransformerLayer {
     /// The body both forwards run; `record` keeps what the backward reads.
     /// Each residual sum is taken in place in the branch's output
     /// (`b + x` has the bits of `x + b`).
-    fn run(
+    ///
+    /// # Errors
+    /// As [`TransformerLayer::forward`].
+    pub fn run(
         &self,
         x: &Tensor,
         enc: Option<&Tensor>,

@@ -1,6 +1,6 @@
 //! Real threaded pipeline-parallel engine with 1F1B scheduling.
 //!
-//! One OS thread per stage ("device"); bounded crossbeam channels carry
+//! One OS thread per stage ("device"); bounded `std::sync::mpsc` channels carry
 //! activations forward and gradients backward, modeling the LAN links.
 //! Every stage executes exactly the op sequence from
 //! [`crate::schedule::stage_op_sequence`], so the real engine and the
@@ -14,11 +14,11 @@
 
 use crate::engine::error::{EngineError, EngineResult};
 use crate::schedule::{stage_op_sequence, Op, Schedule, SimEvent};
-use crossbeam::channel::{bounded, Receiver, Sender};
 use pac_model::{StageCtx, StageData, StageModel};
 use pac_nn::cross_entropy;
 use pac_tensor::Tensor;
 use std::collections::HashMap;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Instant;
 
 /// Result of running one mini-batch through the real pipeline.
@@ -65,7 +65,7 @@ pub struct StageRun {
 /// Transport-generic neighbor links for one pipeline stage.
 ///
 /// [`run_stage`] drives a stage purely through this trait, so the same 1F1B
-/// op loop executes over in-process crossbeam channels ([`ChannelLinks`])
+/// op loop executes over in-process channels ([`ChannelLinks`])
 /// and over real TCP sockets (`pac-net`) — which is what entitles the
 /// distributed engines to claim bitwise equivalence with the in-process
 /// ones: the float math is the very same code path, only the bytes' route
@@ -97,7 +97,7 @@ pub trait StageLinks {
     fn recv_bwd(&mut self, micro: usize) -> EngineResult<Tensor>;
 }
 
-/// In-process [`StageLinks`] over bounded crossbeam channels — the original
+/// In-process [`StageLinks`] over bounded `sync_channel`s — the original
 /// engine transport. A closed channel (dead neighbor) surfaces as
 /// [`EngineError::Disconnected`]. Channels are optional per position: stage
 /// 0 has no upstream, the last stage no downstream; using a missing link is
@@ -105,9 +105,9 @@ pub trait StageLinks {
 pub struct ChannelLinks {
     lane: usize,
     stage: usize,
-    fwd_tx: Option<Sender<(usize, StageData)>>,
+    fwd_tx: Option<SyncSender<(usize, StageData)>>,
     fwd_rx: Option<Receiver<(usize, StageData)>>,
-    bwd_tx: Option<Sender<(usize, Tensor)>>,
+    bwd_tx: Option<SyncSender<(usize, Tensor)>>,
     bwd_rx: Option<Receiver<(usize, Tensor)>>,
 }
 
@@ -116,9 +116,9 @@ impl ChannelLinks {
     pub fn new(
         lane: usize,
         stage: usize,
-        fwd_tx: Option<Sender<(usize, StageData)>>,
+        fwd_tx: Option<SyncSender<(usize, StageData)>>,
         fwd_rx: Option<Receiver<(usize, StageData)>>,
-        bwd_tx: Option<Sender<(usize, Tensor)>>,
+        bwd_tx: Option<SyncSender<(usize, Tensor)>>,
         bwd_rx: Option<Receiver<(usize, Tensor)>>,
     ) -> Self {
         ChannelLinks {
@@ -222,15 +222,15 @@ pub(crate) fn run_lane(
 
     // Channel capacity bounds in-flight transfers like a real link buffer.
     let cap = m_n.max(1);
-    let mut fwd_txs: Vec<Option<Sender<(usize, StageData)>>> = Vec::new();
+    let mut fwd_txs: Vec<Option<SyncSender<(usize, StageData)>>> = Vec::new();
     let mut fwd_rxs: Vec<Option<Receiver<(usize, StageData)>>> = vec![None];
-    let mut bwd_txs: Vec<Option<Sender<(usize, Tensor)>>> = vec![None];
+    let mut bwd_txs: Vec<Option<SyncSender<(usize, Tensor)>>> = vec![None];
     let mut bwd_rxs: Vec<Option<Receiver<(usize, Tensor)>>> = Vec::new();
     for _ in 0..s_n - 1 {
-        let (ftx, frx) = bounded(cap);
+        let (ftx, frx) = sync_channel(cap);
         fwd_txs.push(Some(ftx));
         fwd_rxs.push(Some(frx));
-        let (btx, brx) = bounded(cap);
+        let (btx, brx) = sync_channel(cap);
         bwd_txs.push(Some(btx));
         bwd_rxs.push(Some(brx));
     }

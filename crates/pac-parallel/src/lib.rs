@@ -8,8 +8,9 @@
 //!   hardware models. These produce the makespans, throughputs, per-device
 //!   peak memories and OOM verdicts behind Tables 2 and Figures 8/9/11.
 //! * [`engine`] — **real multi-threaded execution** at micro scale:
-//!   crossbeam-channel pipeline stages with the exact 1F1B op order, and a
-//!   Rayon data-parallel trainer with AllReduce-style gradient averaging.
+//!   pipeline stages on threads joined by bounded `std::sync::mpsc`
+//!   channels, with the exact 1F1B op order, and a Rayon data-parallel
+//!   trainer with AllReduce-style gradient averaging.
 //!   Both are tested for *bitwise gradient equivalence* against
 //!   single-device training, which is what entitles the simulated timelines
 //!   to stand in for real runs.

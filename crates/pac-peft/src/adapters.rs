@@ -127,8 +127,9 @@ impl AdapterTuner {
         let batch = tokens.len();
         let (mut x, _) = m.embed_batch(tokens)?;
 
-        let mut enc = Vec::with_capacity(m.encoder.len());
-        for (i, layer) in m.encoder.iter().enumerate() {
+        let n_enc = m.encoder.num_layers();
+        let mut enc = Vec::with_capacity(n_enc);
+        for (i, layer) in m.encoder.layers().enumerate() {
             let (y, lctx) = layer.forward(&x, None)?;
             let (y2, actx) = self.adapters[i].forward(&y)?;
             enc.push((lctx, actx));
@@ -141,7 +142,7 @@ impl AdapterTuner {
         let mut dec = Vec::with_capacity(m.decoder.len());
         for (j, layer) in m.decoder.iter().enumerate() {
             let (y, lctx) = layer.forward(&xd, Some(&enc_out))?;
-            let (y2, actx) = self.adapters[m.encoder.len() + j].forward(&y)?;
+            let (y2, actx) = self.adapters[n_enc + j].forward(&y)?;
             dec.push((lctx, actx));
             xd = y2;
         }
@@ -179,7 +180,7 @@ impl AdapterTuner {
             .reshape([batch, 1, d])?;
 
         let mut d_enc_total = Tensor::zeros(ctx.enc_out.dims());
-        let n_enc = self.model.encoder.len();
+        let n_enc = self.model.encoder.num_layers();
         for (j, (layer, (lctx, actx))) in self
             .model
             .decoder
@@ -197,15 +198,15 @@ impl AdapterTuner {
         }
 
         let mut dx = d_enc_total;
-        for (i, (layer, (lctx, actx))) in self
+        for ((layer, adapter), (lctx, actx)) in self
             .model
             .encoder
-            .iter_mut()
-            .zip(ctx.enc.iter())
-            .enumerate()
+            .layers_mut()
             .rev()
+            .zip(self.adapters[..n_enc].iter_mut().rev())
+            .zip(ctx.enc.iter().rev())
         {
-            let dy = self.adapters[i].backward(actx, &dx)?;
+            let dy = adapter.backward(actx, &dx)?;
             let (g, _) = layer.backward(lctx, &dy)?;
             dx = g;
         }

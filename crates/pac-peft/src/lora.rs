@@ -58,7 +58,14 @@ pub struct LoraPair {
 
 fn target_mut(model: &mut EncDecModel, site: AttnSite, proj: Proj) -> &mut Linear {
     let attn = match site {
-        AttnSite::EncSelf(i) => &mut model.encoder[i].self_attn,
+        AttnSite::EncSelf(i) => {
+            &mut model
+                .encoder
+                .layers_mut()
+                .nth(i)
+                .expect("encoder layer exists")
+                .self_attn
+        }
         AttnSite::DecSelf(i) => &mut model.decoder[i].self_attn,
         AttnSite::DecCross(i) => {
             &mut model.decoder[i]
@@ -90,7 +97,7 @@ impl LoraTuner {
         model.freeze_backbone();
         let d = model.config.hidden;
         let mut sites = Vec::new();
-        for i in 0..model.encoder.len() {
+        for i in 0..model.encoder.num_layers() {
             sites.push(AttnSite::EncSelf(i));
         }
         for i in 0..model.decoder.len() {

@@ -82,25 +82,25 @@ impl ParallelAdapters {
         let d = config.hidden;
         let r = (d / reduction).max(1);
         let layers = config.total_layers();
-        let mut down = Vec::with_capacity(layers);
-        for i in 0..layers {
-            let lin = if let Some(m) = backbone {
-                let src = if i < m.encoder.len() {
-                    &m.encoder[i].self_attn.wq.w.value
-                } else {
-                    &m.decoder[i - m.encoder.len()].self_attn.wq.w.value
-                };
-                let w = init::structural_prune(src, d, r);
-                Linear::from_weights(
-                    &format!("side.down{i}"),
-                    w.scale(0.1),
-                    Some(Tensor::zeros([r])),
-                )
-            } else {
-                Linear::new(&format!("side.down{i}"), rng, d, r, true)
-            };
-            down.push(lin);
-        }
+        let down = match backbone {
+            Some(m) => m
+                .encoder
+                .layers()
+                .chain(&m.decoder)
+                .enumerate()
+                .map(|(i, layer)| {
+                    let w = init::structural_prune(&layer.self_attn.wq.w.value, d, r);
+                    Linear::from_weights(
+                        &format!("side.down{i}"),
+                        w.scale(0.1),
+                        Some(Tensor::zeros([r])),
+                    )
+                })
+                .collect(),
+            None => (0..layers)
+                .map(|i| Linear::new(&format!("side.down{i}"), rng, d, r, true))
+                .collect(),
+        };
         let rec = (1..layers)
             .map(|i| Linear::new(&format!("side.rec{i}"), rng, r, r, true))
             .collect();
@@ -305,7 +305,7 @@ impl ParallelTuner {
     /// # Errors
     /// Propagates shape errors.
     pub fn forward_full(&self, tokens: &[Vec<usize>]) -> Result<(Tensor, ParallelCtx)> {
-        let (_backbone_logits, layer_outputs) = self.model.forward_frozen(tokens)?;
+        let layer_outputs = self.model.forward_frozen(tokens)?;
         let (logits, side) = self.side.forward_from_acts(&layer_outputs)?;
         Ok((
             logits,

@@ -1,7 +1,7 @@
 //! Runtime profiles consumed by the planner.
 
 use pac_cluster::CostModel;
-use pac_model::{embed_tokens, StageUnit};
+use pac_model::embed_tokens;
 
 /// Per-layer profile entry, normalized per sample.
 #[derive(Debug, Clone, Copy)]
@@ -65,19 +65,13 @@ impl Profile {
         use std::time::Instant;
         let reps = reps.max(1);
         let b = batch.len().max(1);
-        let units = model.units();
-        let (embed, pos) = match units.first() {
-            Some(StageUnit::Embed { embed, pos }) => (embed, pos),
-            _ => unreachable!("a model starts at its embedding"),
-        };
+        let stage = model.stage();
+        let (embed, pos) = stage.embedding().expect("a model starts at its embedding");
         // Embed once to get a representative hidden state.
         let (mut x, _) =
             embed_tokens(embed, pos, batch).expect("profiling batch must be well-formed");
         let mut entries = Vec::with_capacity(model.num_layers());
-        for unit in units {
-            let StageUnit::Layer(layer) = unit else {
-                continue;
-            };
+        for layer in stage.layers() {
             let mut layer = layer.clone();
             let t0 = Instant::now();
             let mut ctx = None;
@@ -96,7 +90,7 @@ impl Profile {
             let bwd_s = t1.elapsed().as_secs_f64() / reps as f64;
 
             let mut weight_bytes = 0usize;
-            pac_nn::Module::visit_params_ref(&*layer, &mut |p| {
+            pac_nn::Module::visit_params_ref(&layer, &mut |p| {
                 weight_bytes += p.value.size_bytes();
             });
             let boundary = y.size_bytes() / b;

@@ -318,7 +318,7 @@ impl<S: Store> ServePlatform<S> {
         let adapter_bytes = baseline.size_bytes() as u64 + 2 * cost.trainable_bytes_total() as u64;
         let clamp = cfg.cached_adapters_per_rank as u64 * adapter_bytes;
         let budget = CacheBudget::plan(&cfg.device, &cost, cfg.rows, Some(clamp));
-        let backbone_ptr = proto.model.embed.table.value.data().as_ptr() as usize;
+        let backbone_ptr = proto.model.embedding().0.table.value.data().as_ptr() as usize;
         let ranks = (0..cfg.ranks.max(1))
             .map(|_| RankExecutor {
                 tuner: proto.clone(),
@@ -698,10 +698,9 @@ impl<S: Store> ServePlatform<S> {
         }
 
         let elapsed_secs = started.elapsed().as_secs_f64();
-        let backbone_shared = self
-            .ranks
-            .iter()
-            .all(|r| r.tuner.model.embed.table.value.data().as_ptr() as usize == self.backbone_ptr);
+        let backbone_shared = self.ranks.iter().all(|r| {
+            r.tuner.model.embedding().0.table.value.data().as_ptr() as usize == self.backbone_ptr
+        });
         let backbone_bytes = self.ranks[0].tuner.model.num_params() as u64 * 4;
         let final_losses = self
             .sessions
