@@ -135,14 +135,19 @@ fn main() -> ExitCode {
     let mut rng = seeded(7);
 
     // The register-tiled microkernel at the shapes that decide `pac_solo`
-    // (QKV/O projection, feed-forward up and down at 104 tokens) and the
-    // per-head attention scores, capped to the calling thread so the figure
-    // is the kernel's and not the pool's.
-    const MATMUL_SHAPES: [(usize, usize, usize); 4] = [
+    // (QKV/O projection, feed-forward up and down at 104 tokens), its
+    // per-head attention scores and the hidden-32 feed-forward of
+    // `dist_world` and `multi_world` at 64 and 128 token rows, capped to the
+    // calling thread so the figure is the kernel's and not the pool's.
+    const MATMUL_SHAPES: [(usize, usize, usize); 8] = [
         (104, 256, 1024),
         (104, 1024, 256),
         (104, 256, 256),
         (13, 64, 13),
+        (64, 32, 128),
+        (64, 128, 32),
+        (128, 32, 128),
+        (128, 128, 32),
     ];
     println!("group matmul_gflops:");
     pool::set_max_concurrency(1);

@@ -11,10 +11,11 @@
 //!
 //! Two invariants make multi-tenancy safe, and both are enforced here:
 //!
-//! 1. **Hygiene** — every burst starts by resetting the side network to
-//!    the pristine baseline before (optionally) swapping the tenant's
-//!    adapter in. A fresh tenant therefore always trains from the same
-//!    deterministic init, never from a previous tenant's leftovers.
+//! 1. **Hygiene** — every burst starts by overwriting the whole side
+//!    network: with the tenant's adapter when it has one, with the
+//!    pristine baseline when it is fresh. A fresh tenant therefore always
+//!    trains from the same deterministic init, and no tenant ever from a
+//!    previous tenant's leftovers.
 //! 2. **Determinism** — a burst's math depends only on the adapter state
 //!    and the tenant's seeds, never on which rank runs it or what ran
 //!    before. This is what lets the isolation suite pin every tenant's
@@ -98,14 +99,15 @@ pub struct BurstOutcome {
 
 /// Runs one tenant burst on `tuner`.
 ///
-/// The sequence is: reset to `baseline` (hygiene), swap `adapter` in if
-/// the tenant has one, fill the activation cache with one full forward of
-/// the tenant's rows, then run `spec.steps` cached Adam steps and capture
-/// the updated adapter.
+/// The sequence is: swap `adapter` in if the tenant has one, else reset to
+/// `baseline` (hygiene: either way every trainable parameter, both Adam
+/// moments and the gradients are overwritten), fill the activation cache
+/// with one full forward of the tenant's rows, then run `spec.steps`
+/// cached Adam steps and capture the updated adapter.
 ///
-/// `skip_reset` exists solely for the planted-bug self-test: skipping the
-/// hygiene reset leaks the previous tenant's side network into a fresh
-/// tenant's trajectory, which the isolation suite must catch.
+/// `skip_reset` exists solely for the planted-bug self-test: skipping a
+/// fresh tenant's hygiene reset leaks the previous tenant's side network
+/// into its trajectory, which the isolation suite must catch.
 ///
 /// # Errors
 /// Propagates adapter swap and compute failures as [`TenantError`].
@@ -120,15 +122,20 @@ pub fn run_tenant_burst(
     spec: &BurstSpec,
     skip_reset: bool,
 ) -> Result<BurstOutcome, TenantError> {
-    if !skip_reset {
-        tuner.reset_to(baseline)?;
-    }
     let (mut epoch, mut step_cursor, mut adam_t) = (0, 0, 0);
-    if let Some(ckpt) = adapter {
-        tuner.swap_in(ckpt)?;
-        epoch = ckpt.epoch;
-        step_cursor = ckpt.step;
-        adam_t = ckpt.adam_t;
+    match adapter {
+        // `swap_in` checks that the adapter covers every trainable
+        // parameter before it writes, then sets each one's value and both
+        // moments and zeroes the gradients: a reset before it would be
+        // overwritten whole.
+        Some(ckpt) => {
+            tuner.swap_in(ckpt)?;
+            epoch = ckpt.epoch;
+            step_cursor = ckpt.step;
+            adam_t = ckpt.adam_t;
+        }
+        None if !skip_reset => tuner.reset_to(baseline)?,
+        None => {}
     }
 
     // The tenant's private rows: deterministic in (tenant, seed, cursor),
@@ -309,6 +316,35 @@ mod tests {
         // The resumed burst advanced the cursor past the first.
         assert_eq!(on_a.checkpoint.step, first.checkpoint.step + 3);
         assert!(on_a.checkpoint.adam_t > first.checkpoint.adam_t);
+    }
+
+    #[test]
+    fn swapping_an_adapter_in_needs_no_reset_first() {
+        // Tenant B's burst on a host that just ran tenant A (A's weights,
+        // moments and last gradients still in it) equals the same burst on
+        // a freshly reset host: the swap alone overwrites all of it.
+        let proto = tuner(503);
+        let base = proto.baseline();
+        let adapter_b = run_tenant_burst(&mut proto.clone(), &base, None, &spec(20), false)
+            .unwrap()
+            .checkpoint;
+        let mut after_a = proto.clone();
+        run_tenant_burst(&mut after_a, &base, None, &spec(21), false).unwrap();
+        let mut reset = proto.clone();
+        reset.reset_to(&base).unwrap();
+
+        let on_a =
+            run_tenant_burst(&mut after_a, &base, Some(&adapter_b), &spec(20), false).unwrap();
+        let on_reset =
+            run_tenant_burst(&mut reset, &base, Some(&adapter_b), &spec(20), false).unwrap();
+        assert_eq!(on_a.losses.len(), 3);
+        for (x, y) in on_a.losses.iter().zip(&on_reset.losses) {
+            assert_eq!(x.to_bits(), y.to_bits(), "tenant A leaked into B's burst");
+        }
+        assert_eq!(
+            on_a.checkpoint.to_bytes().unwrap(),
+            on_reset.checkpoint.to_bytes().unwrap()
+        );
     }
 
     #[test]

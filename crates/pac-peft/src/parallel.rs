@@ -359,10 +359,12 @@ impl ParallelTuner {
     }
 
     /// Detaches the current tenant: resets the side network (weights,
-    /// moments, gradients) to the captured `baseline`. Every tenant job
-    /// must start from this state — skipping it leaks the previous
+    /// moments, gradients) to the captured `baseline`. A fresh tenant's
+    /// job must start from this state — skipping it leaks the previous
     /// tenant's weights into the next tenant's trajectory, which the
-    /// serve-layer isolation suite detects bitwise.
+    /// serve-layer isolation suite detects bitwise. A job that attaches an
+    /// adapter needs no reset first: [`ParallelTuner::swap_in`] overwrites
+    /// the same state whole.
     ///
     /// # Errors
     /// Propagates name/shape mismatches from checkpoint restore.

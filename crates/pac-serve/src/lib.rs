@@ -19,7 +19,8 @@
 //!   least-loaded rank (cold miss → registry fetch), and multiplexed over
 //!   the rank executors with round-robin fairness over an active-tenant
 //!   window. Per-tenant isolation is structural: every burst starts from
-//!   `reset_to(baseline)` + `swap_in(adapter)`, so a tenant's panic is
+//!   `swap_in(adapter)`, or `reset_to(baseline)` for a fresh tenant, each
+//!   overwriting the whole side network, so a tenant's panic is
 //!   caught, attributed, and rolled back without touching any other
 //!   tenant's adapter or loss trajectory — bitwise, by test.
 //!

@@ -21,8 +21,9 @@
 //!    may exceed the pool width, a tick whose jobs all landed on one rank
 //!    runs inline, and a tick starts no OS thread. Everything pure
 //!    about a job happens here: the burst — which starts from
-//!    `reset_to(baseline)` + `swap_in(adapter)`, so rank state can never
-//!    leak between tenants — and the PACCKPT3 encode of its outcome.
+//!    `swap_in(adapter)`, or `reset_to(baseline)` for a fresh tenant, each
+//!    overwriting the whole side network, so rank state can never leak
+//!    between tenants — and the PACCKPT3 encode of its outcome.
 //!    Panics are caught per job inside the chunk and attributed to the
 //!    tenant; the pool never sees them.
 //! 3. **Commit** (sequential) — only what touches shared state: completed

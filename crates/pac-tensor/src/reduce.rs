@@ -6,10 +6,11 @@
 //! vector cannot split a row into partial sums without moving its bits. It
 //! can instead carry *one row per lane*: a block of 16 rows (AVX-512) or 8
 //! (AVX2+FMA) is loaded 16 (8) columns at a time and transposed in
-//! registers, and lane `i` then adds row `i`'s columns in exactly the
-//! scalar loop's order. The passes between the reductions (subtract,
-//! scale, `exp`, LayerNorm's output and input gradient) are elementwise and
-//! run row-major.
+//! registers (`simd::transpose16` / `transpose8`, the networks the matmul
+//! packs a transposed B strip with), and lane `i` then adds row `i`'s
+//! columns in exactly the scalar loop's order. The passes between the
+//! reductions (subtract, scale, `exp`, LayerNorm's output and input
+//! gradient) are elementwise and run row-major.
 //!
 //! Three clones, picked by [`Isa::probed`], never by a caller:
 //!
@@ -59,6 +60,8 @@
 
 use crate::elementwise;
 use crate::error::{Result, TensorError};
+#[cfg(target_arch = "x86_64")]
+use crate::simd::{transpose16, transpose8};
 use crate::simd::{Isa, Level};
 use crate::tensor::Tensor;
 #[cfg(target_arch = "x86_64")]
@@ -791,50 +794,6 @@ impl Lanes for Zmm {
     }
 }
 
-/// The 16×16 transpose: entry `j` of the result holds column `j` of the
-/// rows `r`, lane `i` from row `i`.
-///
-/// # Safety
-/// The CPU must run avx512f.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn transpose16(r: [__m512; 16]) -> [__m512; 16] {
-    // SAFETY: register-only; the caller vouches for avx512f.
-    unsafe {
-        // Interleave row pairs: t[2p] lane k = (r[2p][4k], r[2p+1][4k],
-        // r[2p][4k+1], r[2p+1][4k+1]), t[2p+1] the same for 4k+2, 4k+3.
-        let mut t = [_mm512_setzero_ps(); 16];
-        for p in 0..8 {
-            t[2 * p] = _mm512_unpacklo_ps(r[2 * p], r[2 * p + 1]);
-            t[2 * p + 1] = _mm512_unpackhi_ps(r[2 * p], r[2 * p + 1]);
-        }
-        // Pair the pairs: u[4g+c] lane k = column 4k+c of rows 4g..4g+4.
-        let mut u = [_mm512_setzero_ps(); 16];
-        for g in 0..4 {
-            for h in 0..2 {
-                let a = _mm512_castps_pd(t[4 * g + h]);
-                let b = _mm512_castps_pd(t[4 * g + 2 + h]);
-                u[4 * g + 2 * h] = _mm512_castpd_ps(_mm512_unpacklo_pd(a, b));
-                u[4 * g + 2 * h + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(a, b));
-            }
-        }
-        // Gather 128-bit lane k of u[c], u[4+c], u[8+c], u[12+c] into
-        // column 4k+c.
-        let mut out = [_mm512_setzero_ps(); 16];
-        for c in 0..4 {
-            let s0 = _mm512_shuffle_f32x4::<0x88>(u[c], u[4 + c]);
-            let s1 = _mm512_shuffle_f32x4::<0xDD>(u[c], u[4 + c]);
-            let s2 = _mm512_shuffle_f32x4::<0x88>(u[8 + c], u[12 + c]);
-            let s3 = _mm512_shuffle_f32x4::<0xDD>(u[8 + c], u[12 + c]);
-            out[c] = _mm512_shuffle_f32x4::<0x88>(s0, s2);
-            out[4 + c] = _mm512_shuffle_f32x4::<0x88>(s1, s3);
-            out[8 + c] = _mm512_shuffle_f32x4::<0xDD>(s0, s2);
-            out[12 + c] = _mm512_shuffle_f32x4::<0xDD>(s1, s3);
-        }
-        out
-    }
-}
-
 /// Eight row lanes in one ymm register.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
@@ -939,40 +898,6 @@ unsafe fn ymm_mask(w: usize) -> __m256i {
     unsafe {
         let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
         _mm256_cmpgt_epi32(_mm256_set1_epi32(w as i32), lane)
-    }
-}
-
-/// The 8×8 transpose: entry `j` of the result holds column `j` of the rows
-/// `r`, lane `i` from row `i`.
-///
-/// # Safety
-/// The CPU must run avx.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
-    // SAFETY: register-only; the caller vouches for avx.
-    unsafe {
-        // As `transpose16`, with two 128-bit lanes per register.
-        let mut t = [_mm256_setzero_ps(); 8];
-        for p in 0..4 {
-            t[2 * p] = _mm256_unpacklo_ps(r[2 * p], r[2 * p + 1]);
-            t[2 * p + 1] = _mm256_unpackhi_ps(r[2 * p], r[2 * p + 1]);
-        }
-        let mut u = [_mm256_setzero_ps(); 8];
-        for g in 0..2 {
-            for h in 0..2 {
-                let a = _mm256_castps_pd(t[4 * g + h]);
-                let b = _mm256_castps_pd(t[4 * g + 2 + h]);
-                u[4 * g + 2 * h] = _mm256_castpd_ps(_mm256_unpacklo_pd(a, b));
-                u[4 * g + 2 * h + 1] = _mm256_castpd_ps(_mm256_unpackhi_pd(a, b));
-            }
-        }
-        let mut out = [_mm256_setzero_ps(); 8];
-        for c in 0..4 {
-            out[c] = _mm256_permute2f128_ps::<0x20>(u[c], u[4 + c]);
-            out[4 + c] = _mm256_permute2f128_ps::<0x31>(u[c], u[4 + c]);
-        }
-        out
     }
 }
 

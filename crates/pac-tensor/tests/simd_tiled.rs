@@ -137,22 +137,36 @@ fn nt_and_tn_handle_edge_shapes() {
 
 #[test]
 fn nt_equals_nn_of_the_explicit_transpose_bitwise() {
-    // k % 8 != 0, n < 16, the attention-score shape, a ragged strip after
-    // wide ones, and a product past the parallel threshold.
-    for &(m, k, n) in &[
-        (5, 9, 17),
-        (3, 7, 15),
-        (13, 64, 13),
-        (33, 65, 31),
-        (20, 30, 77),
-        (104, 256, 256),
-    ] {
+    // A transposed strip is packed in 16- and 8-row register blocks, with
+    // the k-rows and columns past the last block packed one float at a
+    // time: every k around the blocks times every width around them and
+    // around the 16- and 32-column strips, at tile-height remainders of m
+    // (the m = 64 products past 2^18 FLOPs run the 512-bit strips); then
+    // the attention-score shape, a ragged strip after wide ones, and two
+    // products past the pooled-dispatch line, the second at pool widths
+    // 1 and 2.
+    let check = |m: usize, k: usize, n: usize| {
         let a = tensor_of(600 + n as u64, m, k);
-        let b = tensor_of(700 + n as u64, n, k);
+        let b = tensor_of(700 + k as u64, n, k);
         let nt = ops::matmul_nt(&a, &b).unwrap();
         let nn = ops::matmul(&a, &b.transpose_2d()).unwrap();
         assert_eq!(bits(&nt), bits(&nn), "{m}x{k}x{n}");
+    };
+    for m in [1, 6, 64] {
+        for k in [1, 2, 7, 8, 9, 15, 16, 17, 128, 129] {
+            for n in [8, 15, 16, 17, 24, 32, 33, 48, 64, 128] {
+                check(m, k, n);
+            }
+        }
     }
+    for (m, k, n) in [(13, 64, 13), (33, 65, 31), (20, 30, 77), (104, 256, 256)] {
+        check(m, k, n);
+    }
+    for w in [1, 2] {
+        rayon::pool::set_max_concurrency(w);
+        check(104, 256, 1024);
+    }
+    rayon::pool::set_max_concurrency(usize::MAX);
 }
 
 #[test]

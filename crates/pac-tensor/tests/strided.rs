@@ -104,6 +104,18 @@ fn strided_products_equal_dense_products_on_copied_blocks_bitwise() {
 }
 
 #[test]
+fn strided_nt_at_attention_head_shapes_equals_the_dense_product_bitwise() {
+    // Attention's scores and dP: `[s, dh] · [s, dh]ᵀ` per head, read in
+    // place from the projections, at head widths 16 and 64 and sequence
+    // lengths around the 8- and 16-row pack blocks and the strip widths.
+    for dh in [16, 64] {
+        for s in [8, 13, 16, 17, 32, 33, 64, 128] {
+            check(Form::Nt, s, dh, s, false);
+        }
+    }
+}
+
+#[test]
 fn the_zero_bias_lands_a_negative_zero_sum_as_positive_zero() {
     // Products that underflow sum to -0.0 in the fused clones' full strips;
     // the zero bias is what makes the store equal `0.0 + x` there.
