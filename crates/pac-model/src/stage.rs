@@ -91,21 +91,25 @@ pub struct StageCtx {
 }
 
 impl StageCtx {
-    /// Recycles the activation tensors retained by this context into the
-    /// scratch pool. Call after the backward pass that consumed the context;
-    /// buffers still shared with live tensors are dropped, not recycled, so
-    /// this is always safe.
+    /// Recycles every tensor this context retains — each unit's saved
+    /// activations and the layer outputs — into the scratch pool, so the
+    /// next micro-batch's forward takes them back instead of allocating.
+    /// Call after the backward pass that consumed the context; buffers
+    /// still shared with live tensors are dropped, not recycled, so this
+    /// is always safe.
     pub fn recycle(self) {
-        let StageCtx {
-            units,
-            layer_outputs,
-            ..
-        } = self;
-        // Release the per-unit contexts first: they hold clones of the layer
-        // outputs, and a buffer is only recyclable once it is unshared.
-        drop(units);
-        for t in layer_outputs {
-            pac_tensor::scratch::put(t);
+        for unit in self.units {
+            match unit {
+                UnitCtx::Embed(_) => {}
+                UnitCtx::Layer(ctx) => ctx.recycle(),
+                UnitCtx::Head { ln, head, .. } => {
+                    ln.recycle();
+                    head.recycle();
+                }
+            }
+        }
+        for t in self.layer_outputs {
+            scratch::put(t);
         }
     }
 }
@@ -237,6 +241,7 @@ impl StageModel {
                     let pooled = reduce::mean_pool_seq(&normed, batch, seq, dim)?;
                     let logits = head.forward_frozen(&pooled)?;
                     act_bytes += x.size_bytes();
+                    scratch::put(normed);
                     match ln_ctx {
                         Some(ln) => ctxs.push(UnitCtx::Head {
                             ln,
@@ -245,10 +250,7 @@ impl StageModel {
                             seq,
                             dim,
                         }),
-                        None => {
-                            scratch::put(normed);
-                            scratch::put(pooled);
-                        }
+                        None => scratch::put(pooled),
                     }
                     StageData::Logits(logits)
                 }
@@ -303,14 +305,20 @@ impl StageModel {
                 ) => {
                     let d_pooled = head.backward(head_ctx, &grad)?;
                     let d_normed = reduce::mean_pool_seq_backward(&d_pooled, *batch, *seq, *dim)?;
-                    grad = ln.backward(ln_ctx, &d_normed)?;
+                    scratch::put(d_pooled);
+                    scratch::put(std::mem::replace(
+                        &mut grad,
+                        ln.backward(ln_ctx, &d_normed)?,
+                    ));
+                    scratch::put(d_normed);
                 }
                 (StageUnit::Layer(layer), UnitCtx::Layer(lctx)) => {
                     let (dx, _) = layer.backward(lctx, &grad)?;
-                    grad = dx;
+                    scratch::put(std::mem::replace(&mut grad, dx));
                 }
                 (StageUnit::Embed { embed, pos }, UnitCtx::Embed(ectx)) => {
                     embed_tokens_backward(embed, pos, ectx, &grad)?;
+                    scratch::put(grad);
                     return Ok(None);
                 }
                 _ => {

@@ -11,7 +11,7 @@
 //! calling thread.
 
 use pac_model::{EncoderModel, ModelConfig, StageData};
-use pac_tensor::{rng::seeded, Tensor};
+use pac_tensor::{rng::seeded, scratch, Tensor};
 use rand::Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -59,10 +59,12 @@ fn blocks(f: impl FnOnce()) -> u64 {
 }
 
 /// Upper bound on the blocks one forward+backward of the two-stage
-/// pipeline allocates: 256 with inline shapes. The build that kept a
-/// shape's extents in a `Vec` allocated 647 when first profiled (643 as
-/// this test counts a step).
-const STEP_BUDGET: u64 = 369;
+/// pipeline allocates when the contexts are dropped: 127 now that the
+/// contexts' own buffers and the backward's intermediates come from the
+/// scratch pool and the residual gradients are summed in place (256 before,
+/// with inline shapes; the build that kept a shape's extents in a `Vec`
+/// allocated 647 when first profiled, 643 as this test counts a step).
+const STEP_BUDGET: u64 = 160;
 
 #[test]
 fn a_stage_pair_step_stays_within_its_allocation_budget() {
@@ -90,5 +92,43 @@ fn a_stage_pair_step_stays_within_its_allocation_budget() {
     assert!(
         n <= STEP_BUDGET,
         "{n} heap blocks per stage-pair step, budget {STEP_BUDGET}"
+    );
+}
+
+/// Upper bound on the blocks the same step allocates when, as the pipeline
+/// engine does, each stage hands its context and its received gradient
+/// back to the scratch pool: 25 (243 while `StageCtx::recycle` gave back
+/// only the layer outputs and dropped every unit's buffers).
+const RECYCLED_STEP_BUDGET: u64 = 32;
+
+#[test]
+fn a_recycled_stage_pair_step_stays_within_its_allocation_budget() {
+    let model = EncoderModel::new(&ModelConfig::micro(4, 0, 32, 2), 2, &mut seeded(7));
+    let mut stages = model.partition(&[2, 2]).unwrap();
+    let mut rng = seeded(8);
+    let tokens: Vec<Vec<usize>> = (0..4)
+        .map(|_| (0..16).map(|_| rng.gen_range(0..64)).collect())
+        .collect();
+    let dlogits = Tensor::full([4, 2], 0.25);
+    let mut step = |input: StageData| {
+        let (hidden, ctx0) = stages[0].forward(input).unwrap();
+        let (logits, ctx1) = stages[1].forward(hidden).unwrap();
+        assert!(matches!(logits, StageData::Logits(ref l) if l.dims() == [4, 2]));
+        let dh = stages[1].backward(&ctx1, &dlogits).unwrap().unwrap();
+        ctx1.recycle();
+        assert!(stages[0].backward(&ctx0, &dh).unwrap().is_none());
+        ctx0.recycle();
+        scratch::put(dh);
+    };
+    // Warm-up: the scratch pool fills and every parameter's gradient is
+    // allocated.
+    for _ in 0..3 {
+        step(StageData::Tokens(tokens.clone()));
+    }
+    let input = StageData::Tokens(tokens.clone());
+    let n = blocks(|| step(input));
+    assert!(
+        n <= RECYCLED_STEP_BUDGET,
+        "{n} heap blocks per recycled stage-pair step, budget {RECYCLED_STEP_BUDGET}"
     );
 }

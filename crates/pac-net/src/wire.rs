@@ -405,9 +405,11 @@ struct Enc {
 }
 
 impl Enc {
-    /// Starts a frame of type `tag`.
-    fn frame(tag: u8) -> Enc {
-        let mut buf = Vec::with_capacity(64);
+    /// Starts a frame of type `tag` with room for `payload` bytes, so a
+    /// frame whose size is known up front is written into one allocation
+    /// (a control frame fits in 64).
+    fn frame(tag: u8, payload: usize) -> Enc {
+        let mut buf = Vec::with_capacity((OVERHEAD + payload).max(64));
         buf.extend_from_slice(&MAGIC);
         buf.push(VERSION);
         buf.push(tag);
@@ -982,34 +984,64 @@ pub const HEADER_LEN: usize = 10;
 const OVERHEAD: usize = HEADER_LEN + 4;
 
 /// Serializes `msg` into one complete frame (header + payload + checksum).
+/// The frames that carry tensors are sized before they are written.
 pub fn encode_frame(msg: &Msg) -> Vec<u8> {
-    let mut e = Enc::frame(msg.tag());
+    let payload = match msg {
+        Msg::Restore { entries } | Msg::ParamSnap { entries } => entries_len(entries),
+        Msg::GradBlock { tensors, .. } => grad_block_len(tensors),
+        Msg::Grad { grad, .. } => 4 + tensor_len(grad),
+        Msg::Act {
+            data: StageData::Hidden(t) | StageData::Logits(t),
+            ..
+        } => 5 + tensor_len(t),
+        _ => 0,
+    };
+    let mut e = Enc::frame(msg.tag(), payload);
     encode_payload(&mut e, msg);
     e.seal()
+}
+
+/// Encoded size of one tensor: a rank byte, the dimensions, the elements.
+fn tensor_len(t: &Tensor) -> usize {
+    1 + 4 * t.rank() + 4 * t.numel()
+}
+
+/// Encoded size of a named tensor list: a count, then per entry a
+/// length-prefixed name and the tensor.
+fn entries_len(entries: &[(String, Tensor)]) -> usize {
+    4 + entries
+        .iter()
+        .map(|(name, t)| 4 + name.len() + tensor_len(t))
+        .sum::<usize>()
+}
+
+/// Encoded size of a gradient block: origin lane, count, tensors.
+fn grad_block_len<T: Borrow<Tensor>>(tensors: &[T]) -> usize {
+    8 + tensors
+        .iter()
+        .map(|t| tensor_len(t.borrow()))
+        .sum::<usize>()
 }
 
 /// The frame of a [`Msg::GradBlock`] encoded from borrowed gradients —
 /// byte for byte what [`encode_frame`] produces for the owned message,
 /// without assembling one.
 pub fn grad_block_frame<T: Borrow<Tensor>>(origin_lane: u32, tensors: &[T]) -> Vec<u8> {
-    let mut e = Enc::frame(TAG_GRAD_BLOCK);
+    let mut e = Enc::frame(TAG_GRAD_BLOCK, grad_block_len(tensors));
     e.grad_block(origin_lane, tensors);
     e.seal()
 }
 
 /// The frame of a [`Msg::ParamSnap`] encoded from borrowed entries.
 pub fn param_snap_frame(entries: &[(String, Tensor)]) -> Vec<u8> {
-    let mut e = Enc::frame(TAG_PARAM_SNAP);
+    let mut e = Enc::frame(TAG_PARAM_SNAP, entries_len(entries));
     e.entries(entries);
     e.seal()
 }
 
-/// Size of the frame [`param_snap_frame`] produces, without encoding it:
-/// per entry a length-prefixed name, a rank byte, the dimensions and the
-/// elements.
+/// Size of the frame [`param_snap_frame`] produces, without encoding it.
 pub fn param_snap_frame_len(entries: &[(String, Tensor)]) -> usize {
-    let each = |(name, t): &(String, Tensor)| 4 + name.len() + 1 + 4 * t.rank() + 4 * t.numel();
-    OVERHEAD + 4 + entries.iter().map(each).sum::<usize>()
+    OVERHEAD + entries_len(entries)
 }
 
 /// Anything [`FrameReader`] can pull bytes from. `Ok(n)` delivers `n > 0`
@@ -1533,6 +1565,42 @@ mod tests {
         assert_eq!(param_snap_frame(&entries), owned);
         assert_eq!(param_snap_frame_len(&entries), owned.len());
         assert_eq!(param_snap_frame_len(&[]), param_snap_frame(&[]).len());
+    }
+
+    /// A frame that carries tensors is sized before it is written: it
+    /// never outgrows its first allocation, so a ~112 KB snapshot is not
+    /// copied on its way up.
+    #[test]
+    fn tensor_frames_are_written_into_one_allocation() {
+        let big = Tensor::from_vec(vec![0.5; 28_000], vec![4, 7_000]).unwrap();
+        let small = Tensor::from_vec(vec![1.0, -2.0, 3.5], vec![3]).unwrap();
+        let entries = vec![
+            ("s0.w".to_string(), big.clone()),
+            ("s0.b".to_string(), small.clone()),
+        ];
+        let frames = [
+            param_snap_frame(&entries),
+            grad_block_frame(1, &[&big, &small]),
+            encode_frame(&Msg::ParamSnap {
+                entries: entries.clone(),
+            }),
+            encode_frame(&Msg::Restore { entries }),
+            encode_frame(&Msg::GradBlock {
+                origin_lane: 0,
+                tensors: vec![big.clone(), small],
+            }),
+            encode_frame(&Msg::Grad {
+                micro: 1,
+                grad: big.clone(),
+            }),
+            encode_frame(&Msg::Act {
+                micro: 1,
+                data: StageData::Hidden(big),
+            }),
+        ];
+        for (i, frame) in frames.iter().enumerate() {
+            assert_eq!(frame.capacity(), frame.len(), "frame {i}");
+        }
     }
 
     #[test]

@@ -3,6 +3,12 @@
 //! with its verdicts, so it never sits in one world's round trip while a
 //! sibling world waits to be dispatched or settled — and the snapshots it
 //! keeps are the ones it kept when it fetched them between steps.
+//!
+//! A world keeps two steps in flight, so while a rank computes step t+1
+//! the coordinator is still collecting step t's acks and snapshot: every
+//! frame is filed under the step it answers and the snapshot of step t is
+//! still the parameters after step t. Both tests here pass unchanged from
+//! the coordinator that kept one step in flight.
 
 use pac_net::simnet::WORKERS_PER_GEN;
 use pac_net::{

@@ -28,6 +28,19 @@ pub struct AttentionCtx {
     s_kv: usize,
 }
 
+impl AttentionCtx {
+    /// Hands the projections, the attention weights and the concatenated
+    /// heads back to the scratch pool once the backward has consumed them.
+    pub fn recycle(self) {
+        for ctx in [self.q_ctx, self.k_ctx, self.v_ctx, self.o_ctx] {
+            ctx.recycle();
+        }
+        for t in [self.q, self.k, self.v, self.attn] {
+            scratch::put(t);
+        }
+    }
+}
+
 /// Multi-head attention with separate Q/K/V/O projections.
 ///
 /// Self-attention passes the same tensor for `x` and `kv`; cross-attention
@@ -131,7 +144,7 @@ impl MultiHeadAttention {
         // The backward reads every head's weights; a frozen forward needs
         // each only until its context product.
         let mut attn = if record {
-            Tensor::zeros([batch * self.heads * s_q, s_kv])
+            scratch::take([batch * self.heads * s_q, s_kv])
         } else {
             scratch::take([s_q, s_kv])
         };
@@ -246,8 +259,10 @@ impl MultiHeadAttention {
         scratch::put(dq);
         scratch::put(dk);
         scratch::put(dv);
-        let dkv = dkv_k.add(&dkv_v)?;
-        scratch::put(dkv_k);
+        // `k + v` summed in `k`'s pooled buffer: addition commutes, so
+        // these are the bits of a fresh sum.
+        let mut dkv = dkv_k;
+        dkv.add_assign(&dkv_v)?;
         scratch::put(dkv_v);
 
         Ok((dx.reshape([batch, s_q, d])?, dkv.reshape([batch, s_kv, d])?))

@@ -15,6 +15,16 @@ pub struct FeedForwardCtx {
     down_ctx: LinearCtx,
 }
 
+impl FeedForwardCtx {
+    /// Hands both hidden buffers and the block's input back to the scratch
+    /// pool once the backward has consumed them.
+    pub fn recycle(self) {
+        self.up_ctx.recycle();
+        scratch::put(self.hidden_pre);
+        self.down_ctx.recycle();
+    }
+}
+
 /// `y = W₂ · act(W₁ · x + b₁) + b₂`, expanding `dim → ff_dim → dim`.
 #[derive(Debug, Clone)]
 pub struct FeedForward {

@@ -12,6 +12,15 @@ pub struct LinearCtx {
     pub x: Tensor,
 }
 
+impl LinearCtx {
+    /// Hands the saved input back to the scratch pool once the backward
+    /// has consumed it (kept, as [`scratch::put`] always is, while another
+    /// handle shares it).
+    pub fn recycle(self) {
+        scratch::put(self.x);
+    }
+}
+
 /// `y = x · W + b` with `W: [in_dim, out_dim]`, optional bias.
 #[derive(Debug, Clone)]
 pub struct Linear {
@@ -114,6 +123,7 @@ impl Linear {
             if b.trainable {
                 let db = reduce::sum_rows(dy);
                 b.accumulate_grad(&db);
+                scratch::put(db);
             }
         }
         Ok(())

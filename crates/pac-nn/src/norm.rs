@@ -13,6 +13,14 @@ pub struct LayerNormCtx {
     pub inv_std: Vec<f32>,
 }
 
+impl LayerNormCtx {
+    /// Hands `x̂` back to the scratch pool once the backward has consumed
+    /// it.
+    pub fn recycle(self) {
+        scratch::put(self.x_hat);
+    }
+}
+
 /// LayerNorm with learnable gain `γ` and shift `β` over the last dimension.
 #[derive(Debug, Clone)]
 pub struct LayerNorm {
@@ -64,17 +72,13 @@ impl LayerNorm {
                 rhs: vec![self.dim],
             });
         }
-        // A recorded output lives on in the next layer's context; a frozen
-        // one goes back to the scratch pool when it is dead.
+        // Both come back to the scratch pool: `x̂` when the context is
+        // recycled, the output when the caller is done with it.
         let mut ctx = record.then(|| LayerNormCtx {
-            x_hat: Tensor::zeros(x.dims()),
+            x_hat: scratch::take(x.dims()),
             inv_std: vec![0.0; rows],
         });
-        let mut y = if record {
-            Tensor::zeros(x.dims())
-        } else {
-            scratch::take(x.dims())
-        };
+        let mut y = scratch::take(x.dims());
         if cols != 0 {
             reduce::layernorm_rows(
                 x.data(),
@@ -106,8 +110,8 @@ impl LayerNorm {
                 rhs: ctx.x_hat.dims().to_vec(),
             });
         }
-        let mut dgamma = vec![0.0f32; cols];
-        let mut dbeta = vec![0.0f32; cols];
+        let mut dgamma = scratch::take([cols]);
+        let mut dbeta = scratch::take([cols]);
         let mut dx = scratch::take(dy.dims());
         if cols != 0 {
             reduce::layernorm_rows_backward(
@@ -116,17 +120,18 @@ impl LayerNorm {
                 dy.data(),
                 self.gamma.value.data(),
                 dx.data_mut(),
-                &mut dgamma,
-                &mut dbeta,
+                dgamma.data_mut(),
+                dbeta.data_mut(),
             );
         }
         if self.gamma.trainable {
-            self.gamma
-                .accumulate_grad(&Tensor::from_vec(dgamma, [cols])?);
+            self.gamma.accumulate_grad(&dgamma);
         }
         if self.beta.trainable {
-            self.beta.accumulate_grad(&Tensor::from_vec(dbeta, [cols])?);
+            self.beta.accumulate_grad(&dbeta);
         }
+        scratch::put(dgamma);
+        scratch::put(dbeta);
         Ok(dx)
     }
 }

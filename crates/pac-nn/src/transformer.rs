@@ -18,6 +18,21 @@ pub struct TransformerLayerCtx {
     dims: Shape,
 }
 
+impl TransformerLayerCtx {
+    /// Hands every buffer the sub-blocks saved back to the scratch pool
+    /// once the backward has consumed them.
+    pub fn recycle(self) {
+        self.ln1.recycle();
+        self.attn.recycle();
+        if let Some((lnc, cross)) = self.cross {
+            lnc.recycle();
+            cross.recycle();
+        }
+        self.ln2.recycle();
+        self.ffn.recycle();
+    }
+}
+
 /// A pre-norm transformer layer:
 ///
 /// ```text
@@ -179,6 +194,10 @@ impl TransformerLayer {
     /// decoder layers and carries the gradient flowing into the encoder
     /// output.
     ///
+    /// Each residual gradient is summed in place in the branch's pooled
+    /// buffer (`b + a` has the bits of `a + b`), and every intermediate
+    /// goes back to the scratch pool once it is dead.
+    ///
     /// # Errors
     /// Propagates shape errors from sub-blocks.
     pub fn backward(
@@ -188,8 +207,9 @@ impl TransformerLayer {
     ) -> Result<(Tensor, Option<Tensor>)> {
         // FFN branch: y = h2 + FFN(LN2(h2)).
         let d_f = self.ffn.backward(&ctx.ffn, dy)?;
-        let d_n2 = self.ln2.backward(&ctx.ln2, &d_f)?;
-        let d_h2 = dy.add(&d_n2.reshape(ctx.dims)?)?;
+        let mut d_h2 = self.ln2.backward(&ctx.ln2, &d_f)?.reshape(ctx.dims)?;
+        scratch::put(d_f);
+        d_h2.add_assign(dy)?;
 
         // Cross-attention branch.
         let (d_h1, d_enc) = if let Some((lnc, cross)) = &mut self.cross_attn {
@@ -198,17 +218,23 @@ impl TransformerLayer {
                 .as_ref()
                 .expect("decoder ctx must contain cross-attention context");
             let (d_nc, d_enc) = cross.backward(cctx, &d_h2)?;
-            let d_from_cross = lnc.backward(lnc_ctx, &d_nc)?;
-            (d_h2.add(&d_from_cross.reshape(ctx.dims)?)?, Some(d_enc))
+            let mut d_h1 = lnc.backward(lnc_ctx, &d_nc)?.reshape(ctx.dims)?;
+            scratch::put(d_nc);
+            d_h1.add_assign(&d_h2)?;
+            scratch::put(d_h2);
+            (d_h1, Some(d_enc))
         } else {
             (d_h2, None)
         };
 
         // Self-attention branch: h1 = x + SelfAttn(LN1(x)).
-        let (d_n1_q, d_n1_kv) = self.self_attn.backward(&ctx.attn, &d_h1)?;
-        let d_n1 = d_n1_q.add(&d_n1_kv)?;
-        let d_from_attn = self.ln1.backward(&ctx.ln1, &d_n1)?;
-        let dx = d_h1.add(&d_from_attn.reshape(ctx.dims)?)?;
+        let (mut d_n1, d_n1_kv) = self.self_attn.backward(&ctx.attn, &d_h1)?;
+        d_n1.add_assign(&d_n1_kv)?;
+        scratch::put(d_n1_kv);
+        let mut dx = self.ln1.backward(&ctx.ln1, &d_n1)?.reshape(ctx.dims)?;
+        scratch::put(d_n1);
+        dx.add_assign(&d_h1)?;
+        scratch::put(d_h1);
 
         Ok((dx, d_enc))
     }

@@ -193,6 +193,11 @@ impl FaultPlan {
         Ok(FaultPlan { faults })
     }
 
+    /// Whether any fault of the plan is due at `step`.
+    pub fn names(&self, step: u64) -> bool {
+        self.faults.iter().any(|f| f.step() == step)
+    }
+
     /// Device that fail-stops before `step`, if any. Fires once per device;
     /// the caller tracks which devices are already gone.
     pub fn fail_stop(&self, step: u64) -> Option<usize> {

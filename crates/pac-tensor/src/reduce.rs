@@ -901,18 +901,20 @@ unsafe fn ymm_mask(w: usize) -> __m256i {
     }
 }
 
-/// Sum over rows of the 2-D view, producing a length-`cols` tensor.
+/// Sum over rows of the 2-D view, producing a length-`cols` tensor in a
+/// scratch-pool buffer ([`crate::scratch::put`] it back when done).
 ///
 /// This is the bias-gradient reduction (`db = Σ_rows dY`).
 pub fn sum_rows(x: &Tensor) -> Tensor {
     let (rows, cols) = x.as_2d();
-    let mut out = vec![0.0f32; cols];
+    let mut t = crate::scratch::take([cols]);
+    let out = t.data_mut();
     for r in 0..rows {
         for (o, v) in out.iter_mut().zip(&x.data()[r * cols..(r + 1) * cols]) {
             *o += v;
         }
     }
-    Tensor::from_vec(out, [cols]).expect("sum_rows shape is consistent by construction")
+    t
 }
 
 /// Per-row mean of the 2-D view, producing a length-`rows` tensor.
@@ -927,7 +929,7 @@ pub fn mean_cols(x: &Tensor) -> Tensor {
 }
 
 /// Mean over the sequence axis of `x` viewed as `[b, s, w]`, producing a
-/// `[b, w]` tensor: each output element starts at `+0.0` and adds
+/// `[b, w]` tensor in a scratch-pool buffer: each output element starts at `+0.0` and adds
 /// `x[b][p][j] / s` for `p = 0, 1, …` in sequence order.
 ///
 /// # Errors
@@ -941,7 +943,7 @@ pub fn mean_pool_seq(x: &Tensor, b: usize, s: usize, w: usize) -> Result<Tensor>
             rhs: vec![b, s, w],
         });
     }
-    let mut out = Tensor::zeros([b, w]);
+    let mut out = crate::scratch::take([b, w]);
     let (src, dst) = (x.data(), out.data_mut());
     for bi in 0..b {
         let acc = &mut dst[bi * w..(bi + 1) * w];
@@ -956,7 +958,8 @@ pub fn mean_pool_seq(x: &Tensor, b: usize, s: usize, w: usize) -> Result<Tensor>
 }
 
 /// Backward of [`mean_pool_seq`]: spreads `dy` (`b·w` elements) over
-/// every position, producing a `[b, s, w]` tensor of `dy / s`.
+/// every position, producing a `[b, s, w]` tensor of `dy / s` in a
+/// scratch-pool buffer.
 ///
 /// # Errors
 /// Returns [`TensorError::ShapeMismatch`] unless `dy` holds `b·w`
@@ -969,7 +972,7 @@ pub fn mean_pool_seq_backward(dy: &Tensor, b: usize, s: usize, w: usize) -> Resu
             rhs: vec![b, w],
         });
     }
-    let mut out = Tensor::zeros([b, s, w]);
+    let mut out = crate::scratch::take([b, s, w]);
     let (src, dst) = (dy.data(), out.data_mut());
     for bi in 0..b {
         let g = &src[bi * w..(bi + 1) * w];
