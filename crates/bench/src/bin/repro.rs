@@ -254,8 +254,7 @@ fn distributed_demo(n: usize, faults_spec: Option<&str>) {
         },
     };
 
-    let mut cfg = DistConfig::loopback(stages, lanes);
-    cfg.telemetry = pac_telemetry::enabled();
+    let cfg = DistConfig::loopback(stages, lanes);
     let batches = demo_batches(cfg.seed);
 
     let exe = std::env::current_exe().expect("own executable path");
@@ -664,11 +663,11 @@ fn telemetry_report() {
     }
 
     // Elastic membership: how many ranks left the pool mid-run, and how
-    // many of those were flagged by the staleness deadline of the
-    // heartbeat riding a step rather than a step timeout.
-    let (leaves, stale) = (get("membership.leaves"), get("membership.stale_probes"));
+    // many ranks missed a step deadline (owed a verdict or snapshot when
+    // it ran out) rather than dying visibly.
+    let (leaves, stale) = (get("membership.leaves"), get("membership.stale"));
     if leaves + stale > 0 {
-        println!("membership: {leaves} leave(s), {stale} stale liveness probe(s)");
+        println!("membership: {leaves} leave(s), {stale} missed step deadline(s)");
     }
 
     let rows = pac_telemetry::snapshot();

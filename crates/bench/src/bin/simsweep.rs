@@ -17,9 +17,8 @@
 //!   never a hang past the virtual-time horizon), and running the same
 //!   seed twice produces a byte-identical event trace.
 //! * **D (elastic churn)** — a lane leaves (fail-stop or a partition that
-//!   silences it until the heartbeat riding a step goes unacked past its
-//!   deadline and flags it stale) and a fresh
-//!   device joins mid-run: the run must recover a full-length loss
+//!   silences it until it misses a step deadline and is flagged stale) and
+//!   a fresh device joins mid-run: the run must recover a full-length loss
 //!   trajectory with exactly one replan per membership change, end close
 //!   to the fault-free loss, and stay byte-identical across two runs of
 //!   the same seed. `--churn` runs this phase alone.
@@ -414,8 +413,8 @@ fn phase_d(
     if partition_variant {
         // No fail-stop is injected in this variant, so the one leave in
         // the timeline is necessarily the partitioned rank being evicted
-        // for silence. *Which* deadline trips first is seed-dependent —
-        // a stale liveness probe, a missing step verdict or snapshot, a
+        // for silence. *Which* signal trips first is seed-dependent —
+        // a step verdict or snapshot missing at the step deadline, a
         // failed dispatch against the closed socket, or a
         // data-plane peer blaming the silent rank — but every leave
         // replan renders as "rank R down (...)".

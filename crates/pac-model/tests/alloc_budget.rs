@@ -59,9 +59,10 @@ fn blocks(f: impl FnOnce()) -> u64 {
 }
 
 /// Upper bound on the blocks one forward+backward of the two-stage
-/// pipeline allocates when the contexts are dropped: 127 now that the
-/// contexts' own buffers and the backward's intermediates come from the
-/// scratch pool and the residual gradients are summed in place (256 before,
+/// pipeline allocates when the contexts are dropped: 123 now that the
+/// contexts' own buffers, the backward's intermediates and the embedding's
+/// output come from the scratch pool and the residual gradients are summed
+/// in place (127 while the embedding built three fresh tensors, 256 before,
 /// with inline shapes; the build that kept a shape's extents in a `Vec`
 /// allocated 647 when first profiled, 643 as this test counts a step).
 const STEP_BUDGET: u64 = 160;
@@ -97,8 +98,9 @@ fn a_stage_pair_step_stays_within_its_allocation_budget() {
 
 /// Upper bound on the blocks the same step allocates when, as the pipeline
 /// engine does, each stage hands its context and its received gradient
-/// back to the scratch pool: 25 (243 while `StageCtx::recycle` gave back
-/// only the layer outputs and dropped every unit's buffers).
+/// back to the scratch pool: 23 (25 while the embedding built three fresh
+/// tensors, 243 while `StageCtx::recycle` gave back only the layer outputs
+/// and dropped every unit's buffers).
 const RECYCLED_STEP_BUDGET: u64 = 32;
 
 #[test]
@@ -130,5 +132,58 @@ fn a_recycled_stage_pair_step_stays_within_its_allocation_budget() {
     assert!(
         n <= RECYCLED_STEP_BUDGET,
         "{n} heap blocks per recycled stage-pair step, budget {RECYCLED_STEP_BUDGET}"
+    );
+}
+
+/// Upper bound on the blocks stage 0 alone allocates per round of the
+/// pipeline's steady state at the `dist_world` shape: two micro-batches
+/// of 4 × 16 tokens in flight (forward, forward, backward, backward), each
+/// context and received gradient handed back as the engine does: 24, the
+/// count itself (36 while `embed_tokens` built the token rows, the
+/// position rows and their sum as three fresh tensors).
+const STAGE0_ROUND_BUDGET: u64 = 24;
+
+#[test]
+fn a_stage0_round_of_two_micro_batches_stays_within_its_allocation_budget() {
+    let model = EncoderModel::new(&ModelConfig::micro(4, 0, 32, 2), 2, &mut seeded(7));
+    let mut stage = model.partition(&[2, 2]).unwrap().swap_remove(0);
+    let mut rng = seeded(8);
+    let micros: Vec<Vec<Vec<usize>>> = (0..2)
+        .map(|_| {
+            (0..4)
+                .map(|_| (0..16).map(|_| rng.gen_range(0..64)).collect())
+                .collect()
+        })
+        .collect();
+    // The micro-batches and the received gradients come off the wire: they
+    // are built outside the count.
+    let mut round = |(inputs, grads): ([StageData; 2], [Tensor; 2])| {
+        let ctxs = inputs.map(|input| {
+            let (hidden, ctx) = stage.forward(input).unwrap();
+            assert!(matches!(hidden, StageData::Hidden(ref h) if h.dims() == [4, 16, 32]));
+            ctx
+        });
+        for (ctx, dh) in ctxs.into_iter().zip(grads) {
+            assert!(stage.backward(&ctx, &dh).unwrap().is_none());
+            ctx.recycle();
+            scratch::put(dh);
+        }
+    };
+    let wire = || {
+        (
+            [0, 1].map(|m| StageData::Tokens(micros[m].clone())),
+            [0.25, -0.5].map(|v| Tensor::full([4, 16, 32], v)),
+        )
+    };
+    // Warm-up: the scratch pool fills and every parameter's gradient is
+    // allocated.
+    for _ in 0..3 {
+        round(wire());
+    }
+    let received = wire();
+    let n = blocks(|| round(received));
+    assert!(
+        n <= STAGE0_ROUND_BUDGET,
+        "{n} heap blocks per stage-0 round, budget {STAGE0_ROUND_BUDGET}"
     );
 }

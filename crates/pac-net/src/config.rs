@@ -88,16 +88,12 @@ pub struct DistConfig {
     /// Take a parameter snapshot every this many steps (0 disables
     /// periodic snapshots; the initial one is always taken).
     pub checkpoint_every: usize,
-    /// Read deadline for every socket.
+    /// Read deadline for every socket, and each step's deadline: a rank
+    /// that still owes a step its verdict or snapshot this long after the
+    /// step became the oldest in flight has missed it.
     pub net_timeout: Duration,
     /// How long to wait for the whole world to rendezvous.
     pub setup_timeout: Duration,
-    /// Per-rank deadline for acking the liveness probe every step
-    /// carries, from dispatch. A rank that misses it is treated as
-    /// departed *before* a broken pipeline step has to time out.
-    pub liveness_timeout: Duration,
-    /// Record and aggregate `net.*` telemetry.
-    pub telemetry: bool,
 }
 
 impl DistConfig {
@@ -117,8 +113,6 @@ impl DistConfig {
             checkpoint_every: 2,
             net_timeout: Duration::from_secs(10),
             setup_timeout: Duration::from_secs(20),
-            liveness_timeout: Duration::from_secs(10),
-            telemetry: false,
         }
     }
 

@@ -7,9 +7,9 @@
 //! parameters **bitwise identical** on the same seed and batches (with
 //! SGD; see [`crate::worker`] for why Adam is excluded). Every control
 //! connection of every active world joins one
-//! [`PollTransport::wait_ready`] wakeup, verdicts, heartbeat acks and
-//! snapshots drain through non-blocking [`PollConn::try_recv`] sweeps in a
-//! fixed `(world, rank)` order, and jobs are admitted and retired on the
+//! [`PollTransport::wait_ready`] wakeup, verdicts and snapshots drain
+//! through non-blocking [`PollConn::try_recv`] sweeps in a fixed
+//! `(world, rank)` order, and jobs are admitted and retired on the
 //! job-lifetime rendezvous listener without disturbing the other worlds.
 //! Between a world's dispatch and its settle the loop never blocks on one
 //! of its ranks, so one world's silent rank cannot stall its siblings.
@@ -21,12 +21,17 @@
 //! serves its control socket in order, so a snapshot request riding step t
 //! is still answered with the parameters after step t.
 //!
+//! **Liveness is traffic.** A rank is alive for a step when it delivers
+//! what the step owes: its verdict (`Done` or `Fault`) and the `ParamSnap`
+//! it was asked for. There is no probe: a rank that owes a step anything
+//! `net_timeout` after the step became the oldest in flight has missed its
+//! step deadline, [`NetError::Stale`].
+//!
 //! Everything the coordinator knows about one world lives in that world's
-//! [`WorldId`]-tagged entry — worker handles, heartbeat nonce windows
-//! ([`world_nonce_base`]), its step count and recovery timeline, checkpoint
-//! cursor, lane membership, the optional durable [`Store`] — so a `Stale`
-//! verdict or a recovery event can never name another world's ranks. The
-//! loop calls into it at five points:
+//! [`WorldId`]-tagged entry — worker handles, its step count and recovery
+//! timeline, checkpoint cursor, lane membership, the optional durable
+//! [`Store`] — so a `Stale` verdict or a recovery event can never name
+//! another world's ranks. The loop calls into it at five points:
 //!
 //! * **admit** — launch the world; cold-restart from the store's last
 //!   committed snapshot if it has one, else take the initial snapshot.
@@ -34,45 +39,35 @@
 //!   join wave ([`Fault::Join`](pac_parallel::Fault)), map injected
 //!   fail-stops and straggler stalls, split each micro-batch's rows across
 //!   the lanes by [`shard_micro_batches`], then write each rank's frames
-//!   of the step: a `Heartbeat` (nonce-matched, in the world's own
-//!   window), the `Step`, and — when the step ends on the snapshot cadence
-//!   or ends the job — a `ParamReq` to every canonical rank. A worker
-//!   serves its control socket in order, so it acks before it computes and
+//!   of the step: the `Step` and — when the step ends on the snapshot
+//!   cadence or ends the job — a `ParamReq` to every canonical rank, which
 //!   ships its parameters right after its `Done`. An idle world writes its
 //!   next two steps at once; a world with one step out writes the next.
-//! * **settle** — once every rank has its verdict plus the ack and
-//!   snapshot it was asked for, commit the oldest step's loss and keep the
-//!   snapshot it carried; steps settle in order. A probed rank that has
-//!   not acked `liveness_timeout` after it could read the probe is
-//!   [`NetError::Stale`]: it owes nothing more, and the step fails as soon
-//!   as its peers have reported, without waiting for the step deadline.
-//! * **rank down** — a missing verdict, ack or snapshot, a stale probe, a
-//!   peer's blame or a failed dispatch. Every step in flight is discarded.
-//!   The job's [`RankLoss`] decides between respawning the same topology
-//!   and shrinking the world by the dead rank's lane.
+//! * **settle** — once every rank has its verdict plus the snapshot it was
+//!   asked for, commit the oldest step's loss and keep the snapshot it
+//!   carried; steps settle in order.
+//! * **rank down** — a missing verdict or snapshot, a peer's blame or a
+//!   failed dispatch. Every step in flight is discarded. The job's
+//!   [`RankLoss`] decides between respawning the same topology and
+//!   shrinking the world by the dead rank's lane.
 //! * **retire** — hand back the final parameters the last step carried
 //!   and the [`WorldReport`], or the world's own terminal error (no
 //!   surviving lane, the respawn bound) in that report while its siblings
 //!   run on.
 //!
-//! Four rules keep every fault semantic what it is with one step in
+//! Three rules keep every fault semantic what it is with one step in
 //! flight:
 //!
-//! 1. **Route by answer.** Each frame goes to the step it answers: an ack
-//!    by its nonce window, a `Done` or `Fault` to the oldest step still
-//!    missing that rank's verdict, a `ParamSnap` to the oldest step that
-//!    is owed one and already has the verdict. (Routing to the first
-//!    incomplete step would file a mute rank's `Done(t+1)` under step t as
-//!    a protocol violation.)
-//! 2. **Probe clock.** A rank reads a step's probe only after it has
-//!    delivered everything it owed the step before, so that is when its
-//!    liveness deadline for the step starts; a step's own deadline starts
-//!    when it becomes the oldest in flight.
-//! 3. **Loss discards the window.** A rank loss discards every step in
+//! 1. **Step clock.** A worker writes its control frames in the order the
+//!    window's steps owe them (verdict, then snapshot, step by step), so a
+//!    frame goes to the oldest step its rank still owes. A rank can act on
+//!    a step only once it has finished the one ahead, so a step's deadline
+//!    starts when it becomes the oldest in flight, not at its dispatch.
+//! 2. **Loss discards the window.** A rank loss discards every step in
 //!    flight, and each one but the failed step gives its fault-clock tick
 //!    back (`World::next_step`), so the recovery log, `RankDown.step`
 //!    and the respawn bound read as if it had never been dispatched.
-//! 4. **No lookahead into planned events.** A step the fault plan names
+//! 3. **No lookahead into planned events.** A step the fault plan names
 //!    (fail-stop, straggler stall, join wave, crash point) is dispatched
 //!    only once its predecessor has settled, and none is dispatched behind
 //!    a step that has already lost a rank.
@@ -92,7 +87,7 @@
 //! byte-identical traces across repeats.
 
 use crate::config::{DistConfig, DistError};
-use crate::rendezvous::{world_nonce_base, Rendezvous, Topology, WorkerConn, WorldId};
+use crate::rendezvous::{Rendezvous, Topology, WorkerConn, WorldId};
 use crate::spawn::{Spawn, SpawnedWorld};
 use crate::transport::{Conn, PollConn, PollTransport, Transport};
 use crate::wire::{
@@ -113,11 +108,6 @@ use std::time::Duration;
 /// over TCP; either way it only bounds reaction latency — no training
 /// verdict depends on it.
 const POLL_WAIT: Duration = Duration::from_millis(10);
-
-/// Most stray heartbeat acks tolerated from one rank in one step: a rank
-/// has at most one probe outstanding, so more than a handful of nonces
-/// from outside the step's window means the stream lost framing.
-const MAX_STRAY_ACKS: usize = 8;
 
 /// Most rank losses in a row a world relaunches after with no step settled
 /// in between; the next one ends the run with that loss's
@@ -568,7 +558,7 @@ fn start_round<S: Spawn>(
             schedule: cfg.schedule,
             micro_batches: job.batches[0].len() as u32,
             net_timeout_ms: cfg.net_timeout.as_millis() as u32,
-            telemetry: cfg.telemetry,
+            telemetry: pac_telemetry::enabled(),
         })))?;
     }
     for wc in round.conns.iter_mut() {
@@ -642,33 +632,25 @@ impl SnapKind {
     }
 }
 
-/// A clock that has not started yet: a lookahead step's deadlines run
-/// from when its rank, or the step, can act on it.
+/// A clock that has not started yet: a lookahead step's deadline runs
+/// from when the step becomes the oldest in flight.
 const NOT_STARTED: u64 = u64::MAX;
 
 /// One rank's share of an in-flight step.
 struct RankSlot {
     verdict: Option<Verdict>,
-    /// The step's heartbeat ack. Only its arrival is kept: a lookahead
-    /// step's dispatch-to-ack time includes the step ahead of it.
-    ack: Awaited<()>,
-    /// The rank must have acked by this transport-clock time:
-    /// `liveness_timeout` after it could first read the probe.
-    ack_deadline_ns: u64,
     /// A canonical rank's parameters after the step's update.
     snap: Awaited<Vec<(String, Tensor)>>,
-    /// Acks with a nonce outside every in-flight step's window.
-    strays: usize,
 }
 
 impl RankSlot {
     /// Nothing more is due from this rank for this step: it failed, or it
-    /// delivered its verdict and everything it was asked for.
+    /// delivered its verdict and the snapshot it was asked for.
     fn complete(&self) -> bool {
         match self.verdict {
             None => false,
             Some(Verdict::Failed(_)) => true,
-            Some(Verdict::Done { .. }) => !self.ack.waiting() && !self.snap.waiting(),
+            Some(Verdict::Done { .. }) => !self.snap.waiting(),
         }
     }
 
@@ -687,91 +669,60 @@ struct Pending {
     ranks: Vec<RankSlot>,
     /// Rank a surviving peer blamed via `Fault`, if any.
     first_blame: Option<(usize, String)>,
-    /// Rank 0's heartbeat nonce; rank `r` is sent `base + r`.
-    nonce_base: u64,
     snap: Option<SnapKind>,
-    /// `liveness_timeout` and `net_timeout`, for clocks started later.
-    liveness_ns: u64,
+    /// `net_timeout`, for a clock started later.
     timeout_ns: u64,
     /// Ranks still owing a frame after this time fail the step.
-    step_deadline_ns: u64,
-    /// The first probed rank that missed its ack deadline.
-    stale: Option<(usize, String)>,
+    deadline_ns: u64,
     /// A lookahead step whose frames could not all be written: the rank
     /// and why. It fails the step once the steps ahead of it settle.
     undelivered: Option<(usize, String)>,
 }
 
 impl Pending {
-    /// A step whose clocks start at `now_ns`, its dispatch.
+    /// A step whose deadline runs from `now_ns`, its dispatch.
     fn new(
         topo: Topology,
         cfg: &DistConfig,
         now_ns: u64,
-        nonce_base: u64,
         snap: Option<SnapKind>,
         die_rank: Option<usize>,
     ) -> Self {
-        let liveness_ns = cfg.liveness_timeout.as_nanos() as u64;
         let timeout_ns = cfg.net_timeout.as_nanos() as u64;
         let ranks = (0..topo.world())
             .map(|rank| RankSlot {
                 verdict: None,
-                ack: Awaited::Waiting,
-                ack_deadline_ns: now_ns.saturating_add(liveness_ns),
                 snap: Awaited::asked(snap.is_some() && topo.lane_of(rank) == 0),
-                strays: 0,
             })
             .collect();
         Pending {
             die_rank,
             ranks,
             first_blame: None,
-            nonce_base,
             snap,
-            liveness_ns,
             timeout_ns,
-            step_deadline_ns: now_ns.saturating_add(timeout_ns),
-            stale: None,
+            deadline_ns: now_ns.saturating_add(timeout_ns),
             undelivered: None,
         }
     }
 
-    /// The same step dispatched behind another: no clock runs until
-    /// [`Pending::start_probe`] and [`Pending::promote`] start it.
+    /// The same step dispatched behind another: its deadline waits for
+    /// [`Pending::promote`].
     fn behind(mut self) -> Self {
-        self.step_deadline_ns = NOT_STARTED;
-        for slot in &mut self.ranks {
-            slot.ack_deadline_ns = NOT_STARTED;
-        }
+        self.deadline_ns = NOT_STARTED;
         self
     }
 
-    /// `rank` has delivered everything it owed the step ahead, so it reads
-    /// this step's probe now.
-    fn start_probe(&mut self, rank: usize, now_ns: u64) {
-        let slot = &mut self.ranks[rank];
-        if slot.ack_deadline_ns == NOT_STARTED {
-            slot.ack_deadline_ns = now_ns.saturating_add(self.liveness_ns);
-        }
-    }
-
-    /// This step is now the oldest in flight: its step deadline runs.
+    /// This step is now the oldest in flight: its deadline runs.
     fn promote(&mut self, now_ns: u64) {
-        if self.step_deadline_ns == NOT_STARTED {
-            self.step_deadline_ns = now_ns.saturating_add(self.timeout_ns);
-        }
-        for rank in 0..self.ranks.len() {
-            self.start_probe(rank, now_ns);
+        if self.deadline_ns == NOT_STARTED {
+            self.deadline_ns = now_ns.saturating_add(self.timeout_ns);
         }
     }
 
     /// Writes `rank`'s frames of this step in the order the worker serves
-    /// them: the heartbeat, the `Step`, then the snapshot request.
+    /// them: the `Step`, then the snapshot request.
     fn send<C: Conn>(&self, rank: usize, conn: &mut C, step: &Msg) -> Result<(), NetError> {
-        conn.send(&Msg::Heartbeat {
-            nonce: self.nonce_base + rank as u64,
-        })?;
         conn.send(step)?;
         if self.ranks[rank].snap.waiting() {
             conn.send(&Msg::ParamReq {
@@ -792,60 +743,24 @@ impl Pending {
         self.undelivered.is_some() || self.ranks.iter().any(RankSlot::failed)
     }
 
-    /// When [`Pending::expire`] next acts without a frame: the earliest
-    /// ack deadline of a probed rank still owing its ack, else the step
-    /// deadline.
-    fn deadline_ns(&self) -> u64 {
-        self.ranks
-            .iter()
-            .filter(|r| r.ack.waiting() && !r.complete())
-            .map(|r| r.ack_deadline_ns)
-            .fold(self.step_deadline_ns, u64::min)
-    }
-
-    /// From its ack deadline on, a probed rank that never acked is stale;
-    /// from the step deadline on, every rank still owing a frame fails.
+    /// From the deadline on, every rank still owing a frame has missed it.
     fn expire(&mut self, now_ns: u64) {
-        for (rank, slot) in self.ranks.iter_mut().enumerate() {
-            if slot.ack.waiting() && !slot.complete() && now_ns >= slot.ack_deadline_ns {
-                let detail = format!("liveness probe: {}", NetError::Stale);
-                self.stale.get_or_insert((rank, detail.clone()));
-                slot.fail(detail);
+        if now_ns < self.deadline_ns {
+            return;
+        }
+        for rank in 0..self.ranks.len() {
+            if !self.ranks[rank].complete() {
+                let owed = self.owed(rank);
+                self.ranks[rank].fail(format!("{owed}: {}", NetError::Stale));
+                pac_telemetry::counter_inc("membership.stale");
             }
         }
-        if now_ns >= self.step_deadline_ns {
-            for rank in 0..self.ranks.len() {
-                if !self.ranks[rank].complete() {
-                    let owed = self.owed(rank);
-                    self.ranks[rank].fail(format!("{owed}: poll deadline"));
-                }
-            }
-        }
-    }
-
-    /// Whether `nonce` is one this step probed with.
-    fn probed_with(&self, nonce: u64) -> bool {
-        (self.nonce_base..self.nonce_base + self.ranks.len() as u64).contains(&nonce)
     }
 
     /// Files one frame from `rank` that [`route`] sent to this step.
     fn take(&mut self, rank: usize, msg: Msg) {
-        let own = self.nonce_base + rank as u64;
-        let stray = matches!(&msg, Msg::HeartbeatAck { nonce } if !self.probed_with(*nonce));
         let slot = &mut self.ranks[rank];
         match msg {
-            Msg::HeartbeatAck { nonce } if nonce == own && slot.ack.waiting() => {
-                slot.ack = Awaited::Got(());
-            }
-            // A late bulk ack or an earlier probe's echo must not vouch
-            // for this step.
-            Msg::HeartbeatAck { .. } if stray => {
-                slot.strays += 1;
-                if slot.strays > MAX_STRAY_ACKS {
-                    let e = NetError::Malformed("probe drowned in stray acks");
-                    slot.fail(format!("liveness probe: {e}"));
-                }
-            }
             Msg::Done {
                 loss_sum,
                 busy_ns,
@@ -873,10 +788,8 @@ impl Pending {
 
     /// What `rank` still owes this step, as its loss is logged.
     fn owed(&self, rank: usize) -> &'static str {
-        let slot = &self.ranks[rank];
         match self.snap {
-            _ if slot.verdict.is_none() => "no step verdict",
-            _ if slot.ack.waiting() => "liveness probe",
+            _ if self.ranks[rank].verdict.is_none() => "no step verdict",
             Some(kind) => kind.what(),
             None => unreachable!("rank {rank} owes this step nothing"),
         }
@@ -886,9 +799,8 @@ impl Pending {
 /// Collects whatever has arrived for a world's steps in flight, oldest
 /// first: `try_recv` never blocks, and a partial frame stays buffered in
 /// the connection for the next wakeup. A rank is read while any step still
-/// waits on it; each frame goes to the step it answers ([`route`]). A rank
-/// that has delivered all it owed one step starts the next step's probe
-/// clock. Deadlines are applied last, step by step.
+/// waits on it; each frame goes to the step it answers ([`route`]).
+/// Deadlines are applied last, step by step.
 fn drain<C: PollConn>(window: &mut [Pending], conns: &mut [WorkerConn<C>], now_ns: u64) {
     for (rank, wc) in conns.iter_mut().enumerate() {
         while window.iter().any(|p| !p.ranks[rank].complete()) {
@@ -906,36 +818,20 @@ fn drain<C: PollConn>(window: &mut [Pending], conns: &mut [WorkerConn<C>], now_n
                 }
             }
         }
-        for i in 1..window.len() {
-            if window[i - 1].ranks[rank].complete() {
-                window[i].start_probe(rank, now_ns);
-            }
-        }
     }
     for p in window.iter_mut() {
         p.expire(now_ns);
     }
 }
 
-/// Sends one frame from `rank` to the step it answers: an ack by its nonce
-/// window, a verdict to the oldest step still missing the rank's verdict,
-/// a snapshot to the oldest step owed one that already has the verdict.
-/// Anything else — a stray ack, a frame no step asked for — goes to the
-/// oldest step the rank still owes, as a stray or a violation there.
+/// Sends one frame from `rank` to the step it answers: the oldest step the
+/// rank still owes, since a worker answers the steps in order. That step
+/// checks the frame's kind, so a frame no step asked for fails the rank
+/// there as a protocol violation.
 fn route(window: &mut [Pending], rank: usize, msg: Msg) {
-    let answers = match &msg {
-        Msg::HeartbeatAck { nonce } => window.iter().position(|p| p.probed_with(*nonce)),
-        Msg::Done { .. } | Msg::Fault { .. } => {
-            window.iter().position(|p| p.ranks[rank].verdict.is_none())
-        }
-        Msg::ParamSnap { .. } => window.iter().position(|p| {
-            let slot = &p.ranks[rank];
-            slot.snap.waiting() && slot.verdict.is_some()
-        }),
-        _ => None,
-    };
-    let step = answers
-        .or_else(|| window.iter().position(|p| !p.ranks[rank].complete()))
+    let step = window
+        .iter()
+        .position(|p| !p.ranks[rank].complete())
         .expect("a rank is read only while a step waits on it");
     window[step].take(rank, msg);
 }
@@ -1322,9 +1218,9 @@ where
     /// Starts the world's next lockstep step: membership events and fault
     /// injection due at this step, then each rank's frames — micro-batch
     /// payloads only to the stages that consume them (first and last), the
-    /// heartbeat and snapshot request riding along. Nothing here waits on a
-    /// rank. Dispatched behind a step in flight (no planned event, by
-    /// [`World::may_dispatch`]), the step's clocks wait for that step, and
+    /// snapshot request riding along. Nothing here waits on a rank.
+    /// Dispatched behind a step in flight (no planned event, by
+    /// [`World::may_dispatch`]), the step's deadline waits for that step, and
     /// a frame that cannot be written fails it once the step ahead has
     /// settled. A rank lost dispatching an idle world's step restarts the
     /// world and leaves it idle for the loop's next pass.
@@ -1379,9 +1275,7 @@ where
         }
         let cfg = &self.job.cfg;
 
-        // Every step carries the liveness probe, on this world's own nonce
-        // window, so an ack can only ever vouch for this world's ranks; the
-        // snapshot request rides the step when it ends on the snapshot
+        // The snapshot request rides the step when it ends on the snapshot
         // cadence or ends the job.
         let idx = self.t + self.pending.len();
         let next_t = idx + 1;
@@ -1393,14 +1287,7 @@ where
         } else {
             None
         };
-        let mut pending = Pending::new(
-            topo,
-            cfg,
-            host.transport.now_ns(),
-            world_nonce_base(self.id, step),
-            snap,
-            die_rank,
-        );
+        let mut pending = Pending::new(topo, cfg, host.transport.now_ns(), snap, die_rank);
         if lookahead {
             pending = pending.behind();
         }
@@ -1463,20 +1350,16 @@ where
                 snaps.push(entries);
             }
         }
-        // Attribution priority: a frame that could not be written, a rank
-        // that missed its liveness deadline, the rank we deliberately
-        // killed, then the rank a surviving peer blamed, then the first
-        // rank that went silent on the control plane.
+        // Attribution priority: a frame that could not be written, the
+        // rank we deliberately killed, then the rank a surviving peer
+        // blamed, then the first rank that went silent on the control
+        // plane.
         let failure = match (p.undelivered.take(), first_silent) {
             (Some(undelivered), _) => Some(undelivered),
             (None, None) => None,
-            (None, Some(silent)) => Some(match (p.stale.take(), p.die_rank) {
-                (Some(stale), _) => {
-                    pac_telemetry::counter_inc("membership.stale_probes");
-                    stale
-                }
-                (None, Some(r)) => (r, "injected fail-stop".to_string()),
-                (None, None) => p.first_blame.take().unwrap_or(silent),
+            (None, Some(silent)) => Some(match p.die_rank {
+                Some(r) => (r, "injected fail-stop".to_string()),
+                None => p.first_blame.take().unwrap_or(silent),
             }),
         };
         let kind = p.snap;
@@ -1656,8 +1539,8 @@ where
         // progress. Under simnet this wait joins the quiescence census, so
         // the virtual clock advances to the next delivery instead of the
         // coordinator spinning it into a livelock. Exactly the ranks that
-        // still owe their step a frame — verdict, heartbeat ack or
-        // snapshot — join the poll set. Leaving one out would miss its
+        // still owe their step a frame — verdict or snapshot — join the
+        // poll set. Leaving one out would miss its
         // frames; keeping a finished one in would spin: a dead rank's
         // connection stays "ready" (FIN) forever after its verdict is
         // recorded, and polling it again would wake instantly in a loop
@@ -1670,7 +1553,7 @@ where
         let now = host.transport.now_ns();
         let wait = active
             .iter()
-            .flat_map(|w| w.pending.iter().map(Pending::deadline_ns))
+            .flat_map(|w| w.pending.iter().map(|p| p.deadline_ns))
             .min()
             .map_or(POLL_WAIT, |d| {
                 POLL_WAIT.min(Duration::from_nanos(d.saturating_sub(now)))
@@ -1997,20 +1880,17 @@ mod tests {
     /// every frame the way a worker does.
     #[derive(Debug, Clone, Copy, Default)]
     struct Quirk {
-        /// Acks with a nonce from outside the step's window, sent ahead of
-        /// every real one.
-        stray_acks: usize,
-        /// Never ack a heartbeat.
+        /// Compute every step but never send its `Done`.
         mute: bool,
+        /// Send a `HeartbeatAck`, a frame no step asks for, ahead of every
+        /// `Done`.
+        stray_ack: bool,
         /// Hang up instead of answering the `ParamReq` with this index
         /// among the ones the rank receives (0 is admission's initial
         /// snapshot) — after the step's `Done`, before its `ParamSnap`.
         hang_up_on_req: Option<usize>,
         /// Hang up instead of answering any `Step`.
         hang_up_on_step: bool,
-        /// Hold each heartbeat ack until the next step's `Done` has gone
-        /// out, then send every held ack.
-        ack_late: bool,
     }
 
     /// Launches a `ScriptedSpawner` makes before it fails: a world that
@@ -2112,20 +1992,9 @@ mod tests {
         };
         ctrl.recv()?; // the peer table: a scripted rank wires no mesh
         ctrl.send(&Msg::Ready)?;
-        let mut reqs = 0;
-        let (mut held, mut last_done) = (Vec::new(), None);
+        let (mut reqs, mut last_done) = (0, None);
         loop {
             match ctrl.recv()? {
-                Msg::Heartbeat { nonce } => {
-                    for _ in 0..quirk.stray_acks {
-                        ctrl.send(&Msg::HeartbeatAck { nonce: u64::MAX })?;
-                    }
-                    if quirk.ack_late {
-                        held.push(nonce);
-                    } else if !quirk.mute {
-                        ctrl.send(&Msg::HeartbeatAck { nonce })?;
-                    }
-                }
                 Msg::Step { .. } if quirk.hang_up_on_step => return Ok(()),
                 Msg::Step { step, stall_ms, .. } => {
                     if let Some(done_ns) = last_done {
@@ -2136,18 +2005,18 @@ mod tests {
                     if !busy.is_zero() {
                         net.wait_ready(&mut [], busy)?;
                     }
-                    ctrl.send(&Msg::Done {
-                        rank: asg.rank,
-                        loss_sum: 1.0,
-                        busy_ns: busy.as_nanos() as u64,
-                        events: Vec::new(),
-                    })?;
-                    last_done = Some(net.now_ns());
-                    if held.len() > 1 {
-                        for nonce in held.drain(..) {
-                            ctrl.send(&Msg::HeartbeatAck { nonce })?;
-                        }
+                    if quirk.stray_ack {
+                        ctrl.send(&Msg::HeartbeatAck { nonce: 0 })?;
                     }
+                    if !quirk.mute {
+                        ctrl.send(&Msg::Done {
+                            rank: asg.rank,
+                            loss_sum: 1.0,
+                            busy_ns: busy.as_nanos() as u64,
+                            events: Vec::new(),
+                        })?;
+                    }
+                    last_done = Some(net.now_ns());
                 }
                 Msg::ParamReq { .. } => {
                     if quirk.hang_up_on_req == Some(reqs) {
@@ -2167,11 +2036,10 @@ mod tests {
         }
     }
 
-    /// Dispatches `steps` probed steps as one window — the first with its
-    /// clocks running, the rest behind it — to a fresh scripted round
-    /// whose slot 1 behaves as `quirk`, then drains them the way the poll
-    /// loop does until every one has settled.
-    fn probed_window(cfg: &DistConfig, quirk: Quirk, steps: u64) -> Vec<Pending> {
+    /// Dispatches one step to a fresh scripted round whose slot 1 behaves
+    /// as `quirk`, then drains it the way the poll loop does until it has
+    /// settled.
+    fn one_scripted_step(cfg: &DistConfig, quirk: Quirk) -> Pending {
         let net = SimNet::new(SimConfig::clean(54));
         let _coord = net.register(0);
         let spawner = ScriptedSpawner::new(&net, 0, 1, quirk);
@@ -2183,106 +2051,84 @@ mod tests {
         };
         let job = TenantJob::new(0, cfg.clone(), batches_for(0, 1, 2));
         let mut round = start_round(&host, &job, cfg.lanes, None).expect("round");
-        let mut window = Vec::new();
-        for step in 0..steps {
-            let base = world_nonce_base(WorldId(0), step);
-            let p = Pending::new(round.topo, cfg, net.now_ns(), base, None, None);
-            let p = if step == 0 { p } else { p.behind() };
-            let msg = Msg::Step {
-                step,
-                die: false,
-                stall_ms: 0,
-                micro_batches: Vec::new(),
-            };
-            for (rank, wc) in round.conns.iter_mut().enumerate() {
-                p.send(rank, &mut wc.ctrl, &msg).expect("dispatch");
-            }
-            window.push(p);
+        let mut p = Pending::new(round.topo, cfg, net.now_ns(), None, None);
+        let msg = Msg::Step {
+            step: 0,
+            die: false,
+            stall_ms: 0,
+            micro_batches: Vec::new(),
+        };
+        for (rank, wc) in round.conns.iter_mut().enumerate() {
+            p.send(rank, &mut wc.ctrl, &msg).expect("dispatch");
         }
-        while !window.iter().all(Pending::settled) {
+        let window = std::slice::from_mut(&mut p);
+        while !window[0].settled() {
             let mut conns: Vec<&mut SimConn> = round
                 .conns
                 .iter_mut()
                 .enumerate()
-                .filter(|(rank, _)| window.iter().any(|p| !p.ranks[*rank].complete()))
+                .filter(|(rank, _)| !window[0].ranks[*rank].complete())
                 .map(|(_, wc)| &mut wc.ctrl)
                 .collect();
             net.wait_ready(&mut conns, POLL_WAIT).expect("wait");
-            drain(&mut window, &mut round.conns, net.now_ns());
+            drain(window, &mut round.conns, net.now_ns());
         }
-        window
+        p
     }
 
-    /// [`probed_window`] of one step.
-    fn one_probed_step(cfg: &DistConfig, quirk: Quirk) -> Pending {
-        probed_window(cfg, quirk, 1).remove(0)
-    }
-
-    /// Heartbeats ride the step: every rank's ack is matched to its own
-    /// nonce, and up to `MAX_STRAY_ACKS` acks with nonces from outside the
-    /// step's window ahead of it are dropped without failing the rank.
+    /// A rank that sends a frame no step asked for — here a `HeartbeatAck`
+    /// ahead of its `Done` — fails the step as a protocol violation while
+    /// its peers settle it with their verdicts, and the respawned world
+    /// replays the step.
     #[test]
-    fn acks_ride_the_step_with_their_rtt_measured_and_stray_acks_dropped() {
-        let cfg = cfg_for(25, 2, 2);
-        let quirk = Quirk {
-            stray_acks: MAX_STRAY_ACKS,
+    fn a_frame_no_step_asked_for_fails_the_rank() {
+        let cfg = cfg_for(26, 2, 2);
+        let stray = Quirk {
+            stray_ack: true,
             ..Quirk::default()
         };
-        let p = one_probed_step(&cfg, quirk);
-        assert_eq!(p.stale, None);
-        let strays: Vec<usize> = p.ranks.iter().map(|r| r.strays).collect();
-        assert_eq!(strays, [0, MAX_STRAY_ACKS, 0, 0]);
-        for (rank, slot) in p.ranks.iter().enumerate() {
-            assert!(
-                matches!(slot.verdict, Some(Verdict::Done { .. })),
-                "rank {rank}"
-            );
-            assert!(
-                matches!(slot.ack, Awaited::Got(())),
-                "rank {rank} has no ack"
-            );
-        }
-    }
-
-    /// More than `MAX_STRAY_ACKS` stray acks from one rank in one step is
-    /// a typed failure of that rank, never an unbounded loop.
-    #[test]
-    fn a_flood_of_stray_acks_fails_the_rank() {
-        let quirk = Quirk {
-            stray_acks: MAX_STRAY_ACKS + 1,
-            ..Quirk::default()
-        };
-        let p = one_probed_step(&cfg_for(26, 2, 2), quirk);
+        let violation = "protocol violation: HeartbeatAck { nonce: 0 }";
+        let p = one_scripted_step(&cfg, stray);
         for (rank, slot) in p.ranks.iter().enumerate() {
             match (&slot.verdict, rank) {
-                (Some(Verdict::Failed(detail)), 1) => assert_eq!(
-                    detail,
-                    "liveness probe: malformed payload: probe drowned in stray acks"
-                ),
+                (Some(Verdict::Failed(detail)), 1) => assert_eq!(detail, violation),
                 (Some(Verdict::Done { .. }), 0 | 2 | 3) => {}
                 _ => panic!("rank {rank} settled wrong"),
             }
         }
+
+        let net = SimNet::new(SimConfig::clean(55));
+        let _coord = net.register(0);
+        let spawner = ScriptedSpawner::new(&net, 0, 1, stray);
+        let report = run_world(&spawner, TenantJob::new(1, cfg, batches_for(14, 3, 2)))
+            .expect("respawned world completes");
+        assert_eq!(report.recoveries, 1, "{:?}", report.log);
+        assert_eq!(report.losses.len(), 3);
+        let down = format!("rank 1 down (stage 0, lane 1): {violation}");
+        assert!(
+            report.log.iter().any(|l| l.contains(&down)),
+            "{:?}",
+            report.log
+        );
     }
 
-    /// A probed rank that computes its step but never acks is `Stale` once
-    /// `liveness_timeout` has passed since dispatch — long before the step
-    /// deadline: the step fails, its result is discarded, and the
-    /// respawned world replays it.
+    /// A rank that computes its step but never sends its `Done` is `Stale`
+    /// once `net_timeout` has passed since the step became the oldest in
+    /// flight: the step fails, its result is discarded, and the respawned
+    /// world replays it.
     #[test]
     fn a_silent_rank_is_stale_at_its_liveness_deadline() {
         let mut cfg = cfg_for(27, 2, 2);
-        cfg.liveness_timeout = Duration::from_secs(1);
+        cfg.net_timeout = Duration::from_secs(1);
         let mute = Quirk {
             mute: true,
             ..Quirk::default()
         };
-        let p = one_probed_step(&cfg, mute);
-        assert_eq!(p.stale.as_ref().map(|(rank, _)| *rank), Some(1));
+        let p = one_scripted_step(&cfg, mute);
         for (rank, slot) in p.ranks.iter().enumerate() {
             match (&slot.verdict, rank) {
                 (Some(Verdict::Failed(detail)), 1) => {
-                    assert_eq!(detail, "liveness probe: peer missed its liveness deadline")
+                    assert_eq!(detail, "no step verdict: peer missed its step deadline")
                 }
                 (Some(Verdict::Done { .. }), 0 | 2 | 3) => {}
                 _ => panic!("rank {rank} settled wrong"),
@@ -2299,14 +2145,14 @@ mod tests {
         assert_eq!(report.losses.len(), 3);
         assert!(
             report.log.iter().any(|l| l.contains(
-                "rank 1 down (stage 0, lane 1): liveness probe: peer missed its liveness deadline"
+                "rank 1 down (stage 0, lane 1): no step verdict: peer missed its step deadline"
             )),
             "{:?}",
             report.log
         );
     }
 
-    /// Rule 3: a fail-stop lands on a step whose successor is already in
+    /// Rule 2: a fail-stop lands on a step whose successor is already in
     /// flight, twice. The window is discarded and the successor gives its
     /// fault-clock tick back, so the second fail-stop fires on the same
     /// data step and the timeline, steps included, is the one a world with
@@ -2349,43 +2195,24 @@ mod tests {
         assert_bitwise_eq(1, &reference, &report);
     }
 
-    /// Rule 1: a rank acks steps 0 and 1 only after its `Done(0)` and
-    /// `Done(1)`. Each frame is filed under the step it answers: no
-    /// verdict lands in the wrong step as a protocol violation, and no ack
-    /// counts as a stray.
-    #[test]
-    fn a_late_ack_is_filed_under_the_step_it_answers() {
-        let quirk = Quirk {
-            ack_late: true,
-            ..Quirk::default()
-        };
-        let window = probed_window(&cfg_for(30, 2, 2), quirk, 2);
-        for (step, p) in window.iter().enumerate() {
-            assert_eq!(p.stale, None, "step {step}");
-            for (rank, slot) in p.ranks.iter().enumerate() {
-                let at = format!("step {step}, rank {rank}");
-                assert!(matches!(slot.verdict, Some(Verdict::Done { .. })), "{at}");
-                assert!(matches!(slot.ack, Awaited::Got(())), "{at}");
-                assert_eq!(slot.strays, 0, "{at}");
-            }
-        }
-    }
-
-    /// Rule 2: lane 1 straggles 1.5 s on step 1 against a 1 s liveness
-    /// deadline. Its ranks acked step 1's probe before stalling, and they
-    /// read step 2's probe, already in their sockets, only once step 1 is
-    /// done, so that is when step 2's deadline starts: no rank goes stale
-    /// and nothing is replayed.
+    /// Rule 1: every step takes 300 ms and lane 1 straggles 600 ms on step
+    /// 1, against a 1 s `net_timeout`. Step 2 goes out behind step 1 at
+    /// about 0.3 s, but the stalled ranks read it only once they finish
+    /// step 1, at 1.2 s, and finish it at 1.5 s: past a deadline counted
+    /// from its dispatch, well inside one counted from when it became the
+    /// oldest step in flight. No rank goes stale and nothing is replayed.
     #[test]
     fn a_stall_past_the_liveness_deadline_does_not_stale_the_next_step() {
         let mut cfg = cfg_for(31, 2, 2);
-        cfg.liveness_timeout = Duration::from_secs(1);
+        cfg.net_timeout = Duration::from_secs(1);
         let net = SimNet::new(SimConfig::clean(66));
         let _coord = net.register(0);
-        let spawner = ScriptedSpawner::new(&net, 0, 1, Quirk::default());
+        let spawner = ScriptedSpawner {
+            step_time: Duration::from_millis(300),
+            ..ScriptedSpawner::new(&net, 0, 1, Quirk::default())
+        };
         let mut job = TenantJob::new(1, cfg, batches_for(18, 4, 2));
-        job.faults =
-            FaultPlan::parse("straggler@step=1,lane=1,delay-ms=1500").expect("plan parses");
+        job.faults = FaultPlan::parse("straggler@step=1,lane=1,delay-ms=600").expect("plan parses");
         let report = run_world(&spawner, job).expect("world completes");
         assert!(
             net.now_ns() > 1_500_000_000,
@@ -2400,7 +2227,7 @@ mod tests {
         }
     }
 
-    /// The window and rule 4 as the ranks see them, with every step taking
+    /// The window and rule 3 as the ranks see them, with every step taking
     /// 1 ms: a step the plan does not name is already in a rank's socket
     /// when it sends the `Done` ahead of it (0 ns idle), while step 3,
     /// which the plan names, goes out only once step 2 has settled — at

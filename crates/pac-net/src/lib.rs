@@ -28,8 +28,8 @@
 //!   (elastic joiners dial the same port mid-run), rank assignment in
 //!   arrival order (workers rebuild the model from the shared seed, so no
 //!   weights ship at startup), worker-side mesh wiring (pipeline + ring
-//!   edges), and per-world heartbeat nonce windows
-//!   ([`rendezvous::world_nonce_base`]).
+//!   edges), and the [`rendezvous::WorldId`] every world's state is keyed
+//!   by.
 //! * [`collective`] — ring allgather + locally-ordered lane reduction:
 //!   the float-op order of the in-process `allreduce_mean` on every rank,
 //!   which is what keeps distributed gradients bit-identical.
@@ -39,15 +39,16 @@
 //! * [`coordinator`] — the one coordinator: a poll-driven loop that
 //!   multiplexes N concurrent tenant worlds (a solo job is N = 1) over
 //!   [`transport::PollTransport`] readiness wakeups, admitting and
-//!   retiring jobs on the shared rendezvous listener. The liveness probe
-//!   and the snapshot request travel with each step's frames and their
-//!   answers drain with its verdicts, so a probed rank that stays silent
-//!   surfaces as typed [`wire::NetError::Stale`] before the step has to
-//!   time out, without stalling sibling worlds. All per-world state
-//!   is scoped by [`rendezvous::WorldId`]: lockstep stepping, checkpoint
-//!   snapshots (optionally durable through a `pac_store::Store`, with
-//!   bitwise cold restart), fault injection, typed rank-down detection,
-//!   and restart-based recovery over an **elastic membership** — respawn
+//!   retiring jobs on the shared rendezvous listener. A rank's liveness is
+//!   its step traffic: the snapshot request travels with each step's
+//!   frames and its answer drains with the verdicts, and a rank that still
+//!   owes a step a frame at the step's deadline surfaces as typed
+//!   [`wire::NetError::Stale`] without stalling sibling worlds. All
+//!   per-world state is scoped by [`rendezvous::WorldId`]: lockstep
+//!   stepping, checkpoint snapshots (optionally durable through a
+//!   `pac_store::Store`, with bitwise cold restart), fault injection,
+//!   typed rank-down detection, and restart-based recovery over an
+//!   **elastic membership** — respawn
 //!   in place or drop the dead rank's lane, planned mid-run joins via a
 //!   catch-up snapshot → resume, each membership change relaunching the
 //!   `stages × lanes` world it names — all reported through the shared
@@ -86,7 +87,7 @@ pub use coordinator::{
     run_multiworld, run_world, MultiWorldReport, RankLoss, TenantJob, WorldReport,
 };
 pub use reference::Reference;
-pub use rendezvous::{world_nonce_base, Admission, Rendezvous, Topology, WorkerConn, WorldId};
+pub use rendezvous::{Admission, Rendezvous, Topology, WorkerConn, WorldId};
 pub use simnet::{Partition, SimConfig, SimConn, SimNet, SimSpawner};
 pub use spawn::{Spawn, SpawnedWorld, Spawner};
 pub use transport::{Conn, Listener, PollConn, PollTransport, Readiness, Tcp, Transport};

@@ -34,12 +34,10 @@ use std::time::Duration;
 
 /// Identity of one concurrent training world under a multiplexing
 /// coordinator. Every piece of per-world coordinator state — worker
-/// handles, heartbeat nonce windows, checkpoint cursors, fault timeline
-/// entries — is keyed by this, so two worlds sharing one coordinator
-/// thread and one rendezvous listener can never cross-attribute a
-/// [`NetError::Stale`] verdict or a recovery event. The single-world
-/// driver is world `0`, which keeps its nonce space (and therefore its
-/// traces) bit-identical to the pre-multiworld coordinator.
+/// handles, checkpoint cursors, fault timeline entries — is keyed by this,
+/// so two worlds sharing one coordinator thread and one rendezvous
+/// listener can never cross-attribute a [`NetError::Stale`] verdict or a
+/// recovery event. The single-world driver is world `0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct WorldId(pub u64);
 
@@ -47,21 +45,6 @@ impl fmt::Display for WorldId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "w{}", self.0)
     }
-}
-
-/// Heartbeat nonces are namespaced per probed step: `step * NONCE_STRIDE +
-/// rank` within a world. Worlds never approach this many ranks, and the product
-/// never reaches the reserved bulk-ack nonce (`u64::MAX`).
-pub const NONCE_STRIDE: u64 = 4096;
-
-/// Nonce window base for `world`'s heartbeats at `step`. Each world owns
-/// a disjoint `2^32`-wide nonce space, so a stale ack replayed across a
-/// recovery respawn — or a frame corrupted into another world's window —
-/// can never vouch for a liveness probe it was not sent by. World 0
-/// reduces to the historical `step * NONCE_STRIDE`, keeping single-world
-/// traces unchanged.
-pub fn world_nonce_base(world: WorldId, step: u64) -> u64 {
-    (world.0 << 32).wrapping_add(step.wrapping_mul(NONCE_STRIDE))
 }
 
 /// World shape and rank arithmetic, shared by coordinator and workers.

@@ -1238,8 +1238,8 @@ impl Transport for SimNet {
         Ok(SimConn::new(self.clone(), dial_idx))
     }
 
-    /// The *virtual* clock: liveness RTTs, busy times, and the deadlines
-    /// decided from them become a pure function of the seed, keeping
+    /// The *virtual* clock: busy times and the step deadlines decided
+    /// from it become a pure function of the seed, keeping
     /// elastic chaos runs byte-identical across repeats.
     fn now_ns(&self) -> u64 {
         SimNet::now_ns(self)

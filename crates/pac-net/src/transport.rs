@@ -150,8 +150,8 @@ pub trait Transport: Clone + Send + Sync + Debug + 'static {
     fn connect(&self, port: u16, timeout: Duration) -> Result<Self::Conn, NetError>;
 
     /// Monotonic transport-clock nanoseconds. Everything time-*measuring*
-    /// in the protocol (heartbeat RTT, per-step busy time, the liveness
-    /// and step deadlines) reads this clock instead of [`Instant`]
+    /// in the protocol (per-step busy time, the step deadlines) reads this
+    /// clock instead of [`Instant`]
     /// directly: over TCP it is wall time since process start, while
     /// [`crate::simnet`] overrides it with the *virtual* clock so
     /// measurements — and every deadline decided from them — are a pure

@@ -85,11 +85,11 @@ pub enum NetError {
     /// [`crate::simnet`] transport; real sockets surface stalls as
     /// [`NetError::Timeout`] instead.
     Deadlock(&'static str),
-    /// A peer missed its liveness deadline: a heartbeat probe went
-    /// unanswered within the coordinator's per-rank window. Unlike
-    /// [`NetError::Timeout`] (one read ran out of patience) this is a
-    /// *membership* verdict — the rank is presumed gone and the world
-    /// must be relaunched without waiting for EOF.
+    /// A peer missed its step deadline: it still owed the coordinator a
+    /// step's verdict or snapshot `net_timeout` after the step became the
+    /// oldest in flight. Unlike [`NetError::Timeout`] (one read ran out of
+    /// patience) this is a *membership* verdict — the rank is presumed
+    /// gone and the world must be relaunched without waiting for EOF.
     Stale,
     /// A non-blocking operation could not make progress *right now*: a
     /// poll-mode receive had no complete frame buffered. Distinct from [`NetError::Timeout`]
@@ -113,7 +113,7 @@ impl fmt::Display for NetError {
             NetError::Oversize(n) => write!(f, "length field {n} exceeds sanity bound"),
             NetError::Malformed(what) => write!(f, "malformed payload: {what}"),
             NetError::Deadlock(why) => write!(f, "simulated world deadlocked: {why}"),
-            NetError::Stale => write!(f, "peer missed its liveness deadline"),
+            NetError::Stale => write!(f, "peer missed its step deadline"),
             NetError::WouldBlock => write!(f, "operation would block"),
         }
     }
@@ -310,12 +310,16 @@ pub enum Msg {
         /// Human-readable description of what the observer saw.
         detail: String,
     },
-    /// Liveness probe (either direction).
+    /// Latency probe of link calibration ([`crate::calib`], its only
+    /// use): the peer echoes the nonce in a `HeartbeatAck`. Training
+    /// traffic never carries it; a worker treats it as an unexpected
+    /// control message.
     Heartbeat {
         /// Echo token.
         nonce: u64,
     },
-    /// Liveness probe reply, echoing the nonce.
+    /// Reply to a calibration `Heartbeat`, echoing its nonce (or
+    /// acknowledging a bulk transfer under [`crate::calib::BULK_ACK_NONCE`]).
     HeartbeatAck {
         /// Token from the probe being answered.
         nonce: u64,

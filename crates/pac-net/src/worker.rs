@@ -69,16 +69,15 @@ pub struct Buggify {
     /// parameters and silently trains a diverged replica. The elastic
     /// sweep's bitwise check must catch this.
     pub skip_catch_up_restore: bool,
-    /// Swallow `Heartbeat` probes without acking — a rank whose control
-    /// plane has gone silent while its data plane still computes. The
-    /// coordinator must evict it with typed [`NetError::Stale`] at the
-    /// liveness probe's deadline instead of hanging on a step verdict.
-    pub mute_heartbeats: bool,
-    /// Swallow only the *first* heartbeat this worker receives — a
-    /// transient control-plane flake. The coordinator evicts the rank at
-    /// the probe's deadline like a silent one, and the respawned world's
-    /// workers ack normally.
-    pub mute_first_heartbeat: bool,
+    /// Write nothing on the control socket from the first `Step` on — a
+    /// rank whose control plane has gone silent while its data plane still
+    /// computes and joins the ring (admission's initial snapshot request,
+    /// which comes before any step, is still answered). The coordinator
+    /// must evict it with typed [`NetError::Stale`] at the step deadline
+    /// instead of hanging on its verdict. Planted on one worker of one
+    /// launch (`SimSpawner::with_buggify_at`), it is a transient flake the
+    /// respawned world does not repeat.
+    pub mute_control: bool,
 }
 
 /// Pipeline-neighbor links over any [`Conn`] (TCP or simulated).
@@ -334,6 +333,16 @@ fn run_step<C: Conn>(
     Ok(out)
 }
 
+/// Writes `msg` on the control socket unless the rank's planted
+/// control-plane silence ([`Buggify::mute_control`]) has begun.
+fn reply<C: Conn>(ctrl: &mut C, mute: bool, msg: &Msg) -> Result<(), NetError> {
+    if mute {
+        Ok(())
+    } else {
+        ctrl.send(msg)
+    }
+}
+
 /// Runs one worker over TCP against the coordinator at `coord` until
 /// shutdown, fault injection, or loss of the coordinator. Thin wrapper
 /// around [`run_worker_on`] with the production transport and no planted
@@ -399,7 +408,9 @@ pub fn run_worker_on<T: Transport>(
         buggify: *buggify,
     };
     let rank = state.asg.rank;
-    let mut first_heartbeat_muted = false;
+    // Planted control-plane silence (see [`Buggify`]): set from the first
+    // `Step` on.
+    let mut mute = false;
 
     loop {
         let msg = match ctrl.recv() {
@@ -416,6 +427,7 @@ pub fn run_worker_on<T: Transport>(
                 stall_ms,
                 micro_batches,
             } => {
+                mute |= state.buggify.mute_control;
                 if die {
                     // Injected fail-stop: drop dead without a goodbye. In
                     // process mode that is a hard exit; in thread mode,
@@ -434,12 +446,16 @@ pub fn run_worker_on<T: Transport>(
                     std::thread::sleep(Duration::from_millis(stall_ms as u64));
                 }
                 match run_step(&mut state, step, &micro_batches, || transport.now_ns()) {
-                    Ok((loss_sum, events, pre_collective_ns)) => ctrl.send(&Msg::Done {
-                        rank,
-                        loss_sum,
-                        busy_ns: pre_collective_ns.saturating_sub(t0),
-                        events,
-                    })?,
+                    Ok((loss_sum, events, pre_collective_ns)) => reply(
+                        &mut ctrl,
+                        mute,
+                        &Msg::Done {
+                            rank,
+                            loss_sum,
+                            busy_ns: pre_collective_ns.saturating_sub(t0),
+                            events,
+                        },
+                    )?,
                     Err(e) => {
                         // A peer died mid-step; tell the coordinator who we
                         // blame (best effort — it may already be tearing the
@@ -448,11 +464,15 @@ pub fn run_worker_on<T: Transport>(
                             EngineError::RankDown { rank: r, .. } => *r as u32,
                             _ => rank,
                         };
-                        let _ = ctrl.send(&Msg::Fault {
-                            observer: rank,
-                            blamed,
-                            detail: e.to_string(),
-                        });
+                        let _ = reply(
+                            &mut ctrl,
+                            mute,
+                            &Msg::Fault {
+                                observer: rank,
+                                blamed,
+                                detail: e.to_string(),
+                            },
+                        );
                         return Ok(());
                     }
                 }
@@ -460,7 +480,7 @@ pub fn run_worker_on<T: Transport>(
             Msg::ParamReq { trainable_only } => {
                 let entries =
                     param_entries(state.stage.as_ref().expect("stage present"), trainable_only);
-                ctrl.send(&Msg::ParamSnap { entries })?;
+                reply(&mut ctrl, mute, &Msg::ParamSnap { entries })?;
             }
             Msg::Restore { entries } => {
                 // Planted membership bug (see [`Buggify`]): a worker that
@@ -468,19 +488,6 @@ pub fn run_worker_on<T: Transport>(
                 // the seed and diverges from the checkpoint cursor.
                 if !state.buggify.skip_catch_up_restore {
                     apply_restore(state.stage.as_mut().expect("stage present"), entries)?;
-                }
-            }
-            Msg::Heartbeat { nonce } => {
-                // Planted liveness bugs (see [`Buggify`]): a mute rank never
-                // acks, so the sweep's per-rank deadline is the only thing
-                // standing between the driver and an unbounded hang. The
-                // one-shot variant drops a single ack.
-                let mute_once = state.buggify.mute_first_heartbeat && !first_heartbeat_muted;
-                if mute_once {
-                    first_heartbeat_muted = true;
-                }
-                if !state.buggify.mute_heartbeats && !mute_once {
-                    ctrl.send(&Msg::HeartbeatAck { nonce })?;
                 }
             }
             Msg::Shutdown => {
@@ -501,7 +508,7 @@ pub fn run_worker_on<T: Transport>(
                 } else {
                     Vec::new()
                 };
-                let _ = ctrl.send(&Msg::Stats { counters });
+                let _ = reply(&mut ctrl, mute, &Msg::Stats { counters });
                 return Ok(());
             }
             _ => return Err(NetError::Malformed("unexpected control message")),

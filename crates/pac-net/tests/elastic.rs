@@ -224,25 +224,25 @@ fn leave_join_leave_churn_recovers() {
     );
 }
 
-/// A rank whose control plane goes silent (heartbeats swallowed, data
-/// plane still up) is evicted by the liveness sweep's staleness deadline —
-/// typed, bounded, and never a hang. With every spawned worker mute, the
-/// pool drains to nothing and the run must end in `NoSurvivors`.
+/// A rank whose control plane goes silent (nothing written on its control
+/// socket, data plane still up) is evicted at its step deadline as
+/// `Stale` — typed, bounded, and never a hang. With every spawned worker
+/// mute, the pool drains to nothing and the run must end in `NoSurvivors`.
 #[test]
 fn stale_heartbeat_evicts_mute_rank() {
     pac_telemetry::set_enabled(true);
     let mut cfg = DistConfig::loopback(2, 2);
-    cfg.liveness_timeout = Duration::from_secs(1);
+    cfg.net_timeout = Duration::from_secs(1);
     let batches = make_batches();
 
-    let stale_before = pac_telemetry::get("membership.stale_probes").unwrap_or(0);
+    let stale_before = pac_telemetry::get("membership.stale").unwrap_or(0);
     let (report, net) = sim_run(
         43,
         cfg,
         &batches,
         &FaultPlan::none(),
         Buggify {
-            mute_heartbeats: true,
+            mute_control: true,
             ..Buggify::default()
         },
     );
@@ -251,10 +251,10 @@ fn stale_heartbeat_evicts_mute_rank() {
         Err(DistError::Engine(EngineError::NoSurvivors)) => {}
         other => panic!("mute world must drain to NoSurvivors, got {other:?}"),
     }
-    let stale_after = pac_telemetry::get("membership.stale_probes").unwrap_or(0);
+    let stale_after = pac_telemetry::get("membership.stale").unwrap_or(0);
     assert!(
         stale_after > stale_before,
-        "evictions must come from the staleness deadline, not step timeouts"
+        "evictions must come from the step deadline"
     );
 }
 

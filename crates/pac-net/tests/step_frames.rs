@@ -1,14 +1,14 @@
-//! The liveness probe and the snapshot request ride the step: the
-//! coordinator writes them with a step's frames and collects their answers
-//! with its verdicts, so it never sits in one world's round trip while a
-//! sibling world waits to be dispatched or settled — and the snapshots it
-//! keeps are the ones it kept when it fetched them between steps.
+//! The snapshot request rides the step and a rank's liveness is its step
+//! traffic: the coordinator writes the request with a step's frames and
+//! collects the answer with its verdicts, so it never sits in one world's
+//! round trip while a sibling world waits to be dispatched or settled —
+//! and the snapshots it keeps are the ones it kept when it fetched them
+//! between steps.
 //!
 //! A world keeps two steps in flight, so while a rank computes step t+1
-//! the coordinator is still collecting step t's acks and snapshot: every
-//! frame is filed under the step it answers and the snapshot of step t is
-//! still the parameters after step t. Both tests here pass unchanged from
-//! the coordinator that kept one step in flight.
+//! the coordinator is still collecting step t's snapshot: every frame is
+//! filed under the step it answers and the snapshot of step t is still the
+//! parameters after step t.
 
 use pac_net::simnet::WORKERS_PER_GEN;
 use pac_net::{
@@ -64,16 +64,16 @@ fn released_at(net: &SimNet, actor: u32) -> u64 {
         .unwrap_or_else(|| panic!("actor {actor}'s control link never closed"))
 }
 
-/// World A's first rank drops its first heartbeat ack and A waits out a
-/// 1 s liveness deadline before evicting it; world B shares the
+/// World A's first rank writes nothing on its control socket, and A waits
+/// out a 1 s step deadline before evicting it; world B shares the
 /// coordinator and has no faults. B must dispatch, settle and retire every
-/// step while A's probe is still outstanding — the coordinator may not sit
-/// in A's round trip while B idles.
+/// step while A's verdict is still outstanding — the coordinator may not
+/// sit in A's round trip while B idles.
 #[test]
 fn a_silent_rank_does_not_stall_its_sibling_world() {
     let mut slow = DistConfig::loopback(2, 1);
     slow.seed = 3;
-    slow.liveness_timeout = Duration::from_secs(1);
+    slow.net_timeout = Duration::from_secs(1);
     let mut quick = DistConfig::loopback(2, 1);
     quick.seed = 4;
 
@@ -82,7 +82,7 @@ fn a_silent_rank_does_not_stall_its_sibling_world() {
     // Jobs are admitted in order, so launch 0 is A's first round and
     // launch 1 is B's.
     let mute_once = Buggify {
-        mute_first_heartbeat: true,
+        mute_control: true,
         ..Buggify::default()
     };
     let spawner = SimSpawner::with_buggify_at(net.clone(), mute_once, 0, 0);
@@ -95,7 +95,9 @@ fn a_silent_rank_does_not_stall_its_sibling_world() {
 
     let (a, b) = (&report.worlds[0], &report.worlds[1]);
     assert!(
-        a.log.iter().any(|l| l.contains("liveness probe")),
+        a.log
+            .iter()
+            .any(|l| l.contains("peer missed its step deadline")),
         "A's silent rank must be evicted by its deadline: {:?}",
         a.log
     );
@@ -107,7 +109,7 @@ fn a_silent_rank_does_not_stall_its_sibling_world() {
     let b_retired = released_at(&net, WORKERS_PER_GEN + 1);
     assert!(
         b_retired < 1_000_000_000,
-        "B retired at {b_retired} ns, after A's liveness deadline"
+        "B retired at {b_retired} ns, after A's step deadline"
     );
 }
 

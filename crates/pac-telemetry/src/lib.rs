@@ -9,8 +9,8 @@
 //! Metric names are dot-separated paths, with the convention
 //! `<subsystem>.<object>.<measure>`, e.g. `cache.hits`,
 //! `pipeline.stage0.busy_ns`, `allreduce.bytes`, `membership.leaves` /
-//! `membership.stale_probes` (elastic-membership churn and
-//! liveness-sweep evictions). The multi-tenant serving platform books
+//! `membership.stale` (elastic-membership churn, and ranks that missed a
+//! step deadline). The multi-tenant serving platform books
 //! under `serve.*`: `serve.registry.publishes`, `serve.cache.hits` /
 //! `serve.cache.misses` / `serve.cache.evictions` /
 //! `serve.cache.resident_peak_bytes` (a max-gauge),
