@@ -15,11 +15,11 @@
 //! of its ranks, so one world's silent rank cannot stall its siblings.
 //!
 //! **The next step waits in the socket.** A world keeps up to `WINDOW`
-//! (2) steps in flight: while step t is out, step t+1's frames are written
-//! too, so a rank reads its next `Step` the moment it has sent `Done(t)`,
-//! and the coordinator settles t while the ranks compute t+1. A worker
-//! serves its control socket in order, so a snapshot request riding step t
-//! is still answered with the parameters after step t.
+//! (2) steps in flight: while step t is out, step t+1's `Step` is written
+//! too, so a rank reads it the moment it has sent `Done(t)`, and the
+//! coordinator settles t while the ranks compute t+1. A worker sends the
+//! snapshot step t asks for right after `Done(t)`, before it reads step
+//! t+1, so it holds the parameters after step t.
 //!
 //! **Liveness is traffic.** A rank is alive for a step when it delivers
 //! what the step owes: its verdict (`Done` or `Fault`) and the `ParamSnap`
@@ -34,18 +34,19 @@
 //! another world's ranks. The loop calls into it at five points:
 //!
 //! * **admit** — launch the world; cold-restart from the store's last
-//!   committed snapshot if it has one, else take the initial snapshot.
+//!   committed snapshot if it has one, else keep the seed's parameters,
+//!   which every rank rebuilds, as the initial snapshot.
 //! * **before dispatch** — count the world's next step, admit a planned
 //!   join wave ([`Fault::Join`](pac_parallel::Fault)), map injected
 //!   fail-stops and straggler stalls, split each micro-batch's rows across
-//!   the lanes by [`shard_micro_batches`], then write each rank's frames
-//!   of the step: the `Step` and — when the step ends on the snapshot
-//!   cadence or ends the job — a `ParamReq` to every canonical rank, which
-//!   ships its parameters right after its `Done`. An idle world writes its
-//!   next two steps at once; a world with one step out writes the next.
+//!   the lanes by [`shard_micro_batches`], then write each rank its `Step`.
+//!   A step that ends on the snapshot cadence, ends the job or comes right
+//!   before a join wave asks every canonical rank in it for its parameters
+//!   ([`SnapReq`]), shipped right after its `Done`. An idle world writes
+//!   its next two steps at once; a world with one step out writes the next.
 //! * **settle** — once every rank has its verdict plus the snapshot it was
 //!   asked for, commit the oldest step's loss and keep the snapshot it
-//!   carried; steps settle in order.
+//!   carried, or hold it for the join wave next; steps settle in order.
 //! * **rank down** — a missing verdict or snapshot, a peer's blame or a
 //!   failed dispatch. Every step in flight is discarded. The job's
 //!   [`RankLoss`] decides between respawning the same topology and
@@ -91,7 +92,7 @@ use crate::rendezvous::{Rendezvous, Topology, WorkerConn, WorldId};
 use crate::spawn::{Spawn, SpawnedWorld};
 use crate::transport::{Conn, PollConn, PollTransport, Transport};
 use crate::wire::{
-    decode_frame, param_snap_frame, param_snap_frame_len, Assignment, Msg, NetError,
+    decode_frame, param_snap_frame, param_snap_frame_len, Assignment, Msg, NetError, SnapReq,
 };
 use crate::worker::param_entries;
 use pac_parallel::engine::{shard_micro_batches, MicroBatch};
@@ -360,32 +361,6 @@ impl<C: Conn> Round<C> {
         self.conns.clear();
         Some(world)
     }
-
-    /// Fetches the trainable parameters of the canonical replica (lane
-    /// position 0) of every stage — only while the round is idle: a
-    /// running step carries its own snapshot request. All requests go out
-    /// before the first reply is read, so the stages serialize their
-    /// snapshots concurrently. Returns the per-stage entries and the
-    /// snapshot's size on the wire.
-    fn fetch_params(&mut self) -> Result<(StageParams, usize), NetError> {
-        let canonical: Vec<usize> = (0..self.topo.stages)
-            .map(|s| self.topo.rank_of(s, 0))
-            .collect();
-        for &rank in &canonical {
-            self.conns[rank].ctrl.send(&Msg::ParamReq {
-                trainable_only: true,
-            })?;
-        }
-        let mut stages = Vec::with_capacity(canonical.len());
-        for &rank in &canonical {
-            match self.conns[rank].ctrl.recv()? {
-                Msg::ParamSnap { entries } => stages.push(entries),
-                _ => return Err(NetError::Malformed("expected ParamSnap")),
-            }
-        }
-        let bytes = snapshot_bytes(&stages);
-        Ok((stages, bytes))
-    }
 }
 
 impl<C: Conn> Drop for Round<C> {
@@ -425,15 +400,6 @@ struct Host<'a, S: Spawn> {
 
 /// Named parameter tensors for each pipeline stage, canonical-lane order.
 type StageParams = Vec<Vec<(String, Tensor)>>;
-
-/// A snapshot's size on the wire: the sum of its `ParamSnap` frame
-/// lengths.
-fn snapshot_bytes(stages: &StageParams) -> usize {
-    stages
-        .iter()
-        .map(|entries| param_snap_frame_len(entries))
-        .sum()
-}
 
 #[derive(Default)]
 struct Snapshot {
@@ -484,6 +450,13 @@ fn decode_snapshot(bytes: &[u8]) -> Result<StageParams, NetError> {
     Ok(stages)
 }
 
+/// The trainable parameters every rank of `cfg`'s world rebuilds from the
+/// seed, per stage: the snapshot at cursor 0.
+fn seed_params(cfg: &DistConfig) -> Result<StageParams, String> {
+    let stages = cfg.build_stages().map_err(|e| e.to_string())?;
+    Ok(stages.iter().map(|s| param_entries(s, true)).collect())
+}
+
 /// Checks a committed snapshot against the parameters `cfg`'s stages
 /// train: per stage, the same names with the same dims in the same order.
 /// A log written by another job shape fails here, before any spawn.
@@ -494,11 +467,7 @@ fn snapshot_fits(cfg: &DistConfig, snapshot: &StageParams) -> Result<(), String>
             .map(|(n, t)| (n.clone(), t.dims().to_vec()))
             .collect()
     };
-    let stages = cfg.build_stages().map_err(|e| e.to_string())?;
-    let trained: Vec<_> = stages
-        .iter()
-        .map(|s| layout(&param_entries(s, true)))
-        .collect();
+    let trained: Vec<_> = seed_params(cfg)?.iter().map(|e| layout(e)).collect();
     let held: Vec<_> = snapshot.iter().map(|e| layout(e)).collect();
     match (0..trained.len().max(held.len())).find(|&s| trained.get(s) != held.get(s)) {
         None => Ok(()),
@@ -618,15 +587,26 @@ impl<T> Awaited<T> {
 enum SnapKind {
     /// The periodic snapshot: trainable parameters at the new cursor.
     Periodic,
+    /// The catch-up snapshot of the next step's join wave: trainable
+    /// parameters at the new cursor, held for the wave.
+    CatchUp,
     /// The job's final parameters, frozen ones included.
     Final,
 }
 
 impl SnapKind {
+    /// What the step asks its canonical ranks for.
+    fn req(self) -> SnapReq {
+        match self {
+            SnapKind::Periodic | SnapKind::CatchUp => SnapReq::Trainable,
+            SnapKind::Final => SnapReq::All,
+        }
+    }
+
     /// How a canonical rank lost before its `ParamSnap` is logged.
     fn what(self) -> &'static str {
         match self {
-            SnapKind::Periodic => "snapshot fetch",
+            SnapKind::Periodic | SnapKind::CatchUp => "snapshot fetch",
             SnapKind::Final => "final fetch",
         }
     }
@@ -720,16 +700,12 @@ impl Pending {
         }
     }
 
-    /// Writes `rank`'s frames of this step in the order the worker serves
-    /// them: the `Step`, then the snapshot request.
-    fn send<C: Conn>(&self, rank: usize, conn: &mut C, step: &Msg) -> Result<(), NetError> {
-        conn.send(step)?;
-        if self.ranks[rank].snap.waiting() {
-            conn.send(&Msg::ParamReq {
-                trainable_only: self.snap == Some(SnapKind::Periodic),
-            })?;
+    /// The snapshot this step asks `rank` for.
+    fn snap_req(&self, rank: usize) -> SnapReq {
+        match self.snap {
+            Some(kind) if self.ranks[rank].snap.waiting() => kind.req(),
+            _ => SnapReq::None,
         }
-        Ok(())
     }
 
     /// Ready to settle: nothing more is due from any rank, or its frames
@@ -863,6 +839,8 @@ struct World<S: Spawn> {
     /// The canonical replica's parameters, carried back by the job's last
     /// step.
     final_params: Vec<(String, Tensor)>,
+    /// The join wave's catch-up snapshot, carried back by the step before.
+    catch_up: Option<StageParams>,
     /// The world's own terminal error; set, the world retires once idle.
     error: Option<DistError>,
     /// Steps in flight, oldest first, at most `WINDOW`.
@@ -887,8 +865,8 @@ where
     /// Launches `job`'s world. A store ending in a committed snapshot
     /// means a previous coordinator died mid-job: decode it (wire CRCs
     /// re-checked frame by frame) and start restored from it. Otherwise
-    /// take the initial snapshot — recovery must always have something to
-    /// restore.
+    /// keep the seed's parameters as the initial snapshot — recovery must
+    /// always have something to restore.
     fn admit(
         host: &mut Host<'_, S>,
         id: WorldId,
@@ -936,6 +914,7 @@ where
             alive_lanes: (0..lanes).collect(),
             next_fresh_lane: lanes,
             final_params: Vec::new(),
+            catch_up: None,
             error: None,
             pending: VecDeque::with_capacity(WINDOW),
             last_events: Vec::new(),
@@ -961,7 +940,10 @@ where
                 w.snapshot = snapshot;
             }
             None => {
-                w.checkpoint("initial snapshot")?;
+                let tenant = w.job.tenant;
+                let stages = seed_params(&w.job.cfg)
+                    .map_err(|reason| DistError::InvalidJob { tenant, reason })?;
+                w.keep_snapshot("initial snapshot", stages);
                 w.persist()?;
             }
         }
@@ -1026,16 +1008,10 @@ where
         );
     }
 
-    /// Fetches the canonical trainable parameters of the idle round into
-    /// the world's in-memory snapshot at the current cursor.
-    fn checkpoint(&mut self, what: &str) -> Result<(), NetError> {
-        let (stages, bytes) = self.round.fetch_params()?;
-        self.keep_snapshot(what, stages, bytes);
-        Ok(())
-    }
-
-    /// Makes `stages` the world's snapshot at the current cursor.
-    fn keep_snapshot(&mut self, what: &str, stages: StageParams, bytes: usize) {
+    /// Makes `stages` the world's snapshot at the current cursor, counted
+    /// at its size on the wire: the sum of its `ParamSnap` frame lengths.
+    fn keep_snapshot(&mut self, what: &str, stages: StageParams) {
+        let bytes: usize = stages.iter().map(|e| param_snap_frame_len(e)).sum();
         self.checkpoints += 1;
         self.checkpoint_bytes += bytes;
         self.note(TimelineKind::Checkpoint, format!("{what} ({bytes} B)"));
@@ -1093,8 +1069,16 @@ where
     /// Grows the world by `lanes` lanes: one membership change and one
     /// catch-up snapshot at the current cursor however many joiners arrive
     /// together, so everyone — newcomers included — restores it and no
-    /// step needs replaying.
-    fn grow(&mut self, host: &mut Host<'_, S>, lanes: usize) -> Result<(), DistError> {
+    /// step needs replaying. It is `held`, what the step before the wave
+    /// carried back, else the world's snapshot, which is at the cursor:
+    /// that step kept it on the snapshot cadence, or failed and the world
+    /// restarted from it, or there was no such step.
+    fn grow(
+        &mut self,
+        host: &mut Host<'_, S>,
+        lanes: usize,
+        held: Option<StageParams>,
+    ) -> Result<(), DistError> {
         let devices = self.stages() * lanes;
         self.note(
             TimelineKind::Join,
@@ -1106,7 +1090,11 @@ where
         };
         self.note_replan("", self.alive_lanes.len() + lanes);
         let what = format!("catch-up snapshot at step cursor {}", self.t);
-        self.checkpoint(&what)?;
+        let stages = held.unwrap_or_else(|| {
+            debug_assert_eq!(self.snapshot.next_t, self.t, "a snapshot behind the cursor");
+            self.snapshot.stages.clone()
+        });
+        self.keep_snapshot(&what, stages);
         self.persist()?;
         // Revive departed original lane ids smallest first, then mint
         // fresh ones.
@@ -1134,8 +1122,10 @@ where
 
     /// Elastic join: every device chain that offered to join before this
     /// step is admitted as one membership *wave*, up to what the smallest
-    /// micro-batch can still be split across.
+    /// micro-batch can still be split across. A wave that admits nobody
+    /// drops the catch-up snapshot held for it.
     fn admit_join_wave(&mut self, host: &mut Host<'_, S>, wave: usize) -> Result<(), DistError> {
+        let held = self.catch_up.take();
         let min_rows = min_micro_rows(&self.job.batches);
         let admit = wave.min(min_rows.saturating_sub(self.alive_lanes.len()));
         if wave > admit {
@@ -1149,7 +1139,7 @@ where
             );
         }
         if admit > 0 {
-            self.grow(host, admit)?;
+            self.grow(host, admit, held)?;
         }
         Ok(())
     }
@@ -1216,9 +1206,9 @@ where
     }
 
     /// Starts the world's next lockstep step: membership events and fault
-    /// injection due at this step, then each rank's frames — micro-batch
+    /// injection due at this step, then each rank's `Step` — micro-batch
     /// payloads only to the stages that consume them (first and last), the
-    /// snapshot request riding along. Nothing here waits on a rank.
+    /// snapshot request in it. Nothing here waits on a rank.
     /// Dispatched behind a step in flight (no planned event, by
     /// [`World::may_dispatch`]), the step's deadline waits for that step, and
     /// a frame that cannot be written fails it once the step ahead has
@@ -1276,7 +1266,8 @@ where
         let cfg = &self.job.cfg;
 
         // The snapshot request rides the step when it ends on the snapshot
-        // cadence or ends the job.
+        // cadence, ends the job, or comes right before a join wave (which
+        // rule 3 dispatches only once this step has settled).
         let idx = self.t + self.pending.len();
         let next_t = idx + 1;
         let every = cfg.checkpoint_every;
@@ -1284,6 +1275,8 @@ where
             Some(SnapKind::Final)
         } else if every > 0 && next_t.is_multiple_of(every) {
             Some(SnapKind::Periodic)
+        } else if self.job.faults.joins(step + 1) > 0 {
+            Some(SnapKind::CatchUp)
         } else {
             None
         };
@@ -1305,8 +1298,9 @@ where
                 } else {
                     Vec::new()
                 },
+                snap: pending.snap_req(rank),
             };
-            if let Err(e) = pending.send(rank, &mut self.round.conns[rank].ctrl, &msg) {
+            if let Err(e) = self.round.conns[rank].ctrl.send(&msg) {
                 let detail = format!("step dispatch: {e}");
                 if !lookahead {
                     return self.rank_down(host, rank, &detail);
@@ -1392,10 +1386,10 @@ where
         match kind {
             Some(SnapKind::Periodic) => {
                 let what = format!("snapshot at step cursor {}", self.t);
-                let bytes = snapshot_bytes(&snaps);
-                self.keep_snapshot(&what, snaps, bytes);
+                self.keep_snapshot(&what, snaps);
                 self.persist()?;
             }
+            Some(SnapKind::CatchUp) => self.catch_up = Some(snaps),
             Some(SnapKind::Final) => self.final_params = snaps.into_iter().flatten().collect(),
             None => {}
         }
@@ -1621,7 +1615,7 @@ where
 mod tests {
     use super::*;
     use crate::simnet::{SimConfig, SimConn, SimNet, SimSpawner, WORKERS_PER_GEN};
-    use crate::worker::{run_worker_on, Buggify, RunMode};
+    use crate::worker::{reply, run_worker_on, Buggify, RunMode};
     use pac_parallel::Fault;
     use pac_tensor::rng::seeded;
     use rand::Rng;
@@ -1880,14 +1874,15 @@ mod tests {
     /// every frame the way a worker does.
     #[derive(Debug, Clone, Copy, Default)]
     struct Quirk {
-        /// Compute every step but never send its `Done`.
+        /// Write nothing after `Ready`: compute every step, but send no
+        /// `Done`, no `ParamSnap` and no `Stats`.
         mute: bool,
         /// Send a `HeartbeatAck`, a frame no step asks for, ahead of every
         /// `Done`.
         stray_ack: bool,
-        /// Hang up instead of answering the `ParamReq` with this index
-        /// among the ones the rank receives (0 is admission's initial
-        /// snapshot) — after the step's `Done`, before its `ParamSnap`.
+        /// Hang up instead of answering the snapshot request of the `Step`
+        /// with this index among the ones that ask the rank for one —
+        /// after the step's `Done`, before its `ParamSnap`.
         hang_up_on_req: Option<usize>,
         /// Hang up instead of answering any `Step`.
         hang_up_on_step: bool,
@@ -1909,6 +1904,8 @@ mod tests {
         /// `(slot, step, idle ns)` per `Step` a rank read after its first:
         /// virtual time from sending its previous `Done` to reading it.
         idle: Arc<Mutex<Vec<(u32, u64, u64)>>>,
+        /// `(launch, virtual ns)` per rank that read its `Shutdown`.
+        shutdowns: Arc<Mutex<Vec<(u32, u64)>>>,
         /// Virtual time every rank computes a step for.
         step_time: Duration,
     }
@@ -1920,6 +1917,7 @@ mod tests {
                 launches: AtomicU32::new(0),
                 target: (Some(launch), slot, quirk),
                 idle: Arc::default(),
+                shutdowns: Arc::default(),
                 step_time: Duration::ZERO,
             }
         }
@@ -1955,6 +1953,7 @@ mod tests {
             let mut out = SpawnedWorld::default();
             for (slot, &actor) in actors.iter().enumerate() {
                 let (net, idle) = (self.net.clone(), self.idle.clone());
+                let shutdowns = self.shutdowns.clone();
                 let (g, s, quirk) = self.target;
                 let step_time = self.step_time;
                 let quirk = if g.is_none_or(|g| g == generation) && s == slot as u32 {
@@ -1964,7 +1963,9 @@ mod tests {
                 };
                 out.threads.push(std::thread::spawn(move || {
                     let _guard = net.adopt(actor);
-                    let _ = scripted_rank(&net, coord_port, slot as u32, quirk, step_time, &idle);
+                    let at = (generation, slot as u32);
+                    let _ =
+                        scripted_rank(&net, coord_port, at, quirk, step_time, &idle, &shutdowns);
                 }));
             }
             out.sim = Some(self.net.clone());
@@ -1972,15 +1973,16 @@ mod tests {
         }
     }
 
-    /// A scripted rank computes each step for `step_time` plus the step's
-    /// `stall_ms`, in virtual time.
+    /// A scripted rank, `(launch, slot)`, computes each step for
+    /// `step_time` plus the step's `stall_ms`, in virtual time.
     fn scripted_rank(
         net: &SimNet,
         port: u16,
-        slot: u32,
+        (launch, slot): (u32, u32),
         quirk: Quirk,
         step_time: Duration,
         idle: &Mutex<Vec<(u32, u64, u64)>>,
+        shutdowns: &Mutex<Vec<(u32, u64)>>,
     ) -> Result<(), NetError> {
         let mut ctrl = net.connect(port, Duration::from_secs(10))?;
         ctrl.send(&Msg::Hello {
@@ -1996,7 +1998,12 @@ mod tests {
         loop {
             match ctrl.recv()? {
                 Msg::Step { .. } if quirk.hang_up_on_step => return Ok(()),
-                Msg::Step { step, stall_ms, .. } => {
+                Msg::Step {
+                    step,
+                    stall_ms,
+                    snap,
+                    ..
+                } => {
                     if let Some(done_ns) = last_done {
                         let waited = net.now_ns() - done_ns;
                         idle.lock().unwrap().push((slot, step, waited));
@@ -2008,29 +2015,28 @@ mod tests {
                     if quirk.stray_ack {
                         ctrl.send(&Msg::HeartbeatAck { nonce: 0 })?;
                     }
-                    if !quirk.mute {
-                        ctrl.send(&Msg::Done {
-                            rank: asg.rank,
-                            loss_sum: 1.0,
-                            busy_ns: busy.as_nanos() as u64,
-                            events: Vec::new(),
-                        })?;
-                    }
+                    let done = Msg::Done {
+                        rank: asg.rank,
+                        loss_sum: 1.0,
+                        busy_ns: busy.as_nanos() as u64,
+                        events: Vec::new(),
+                    };
+                    reply(&mut ctrl, quirk.mute, &done)?;
                     last_done = Some(net.now_ns());
-                }
-                Msg::ParamReq { .. } => {
+                    if snap == SnapReq::None {
+                        continue;
+                    }
                     if quirk.hang_up_on_req == Some(reqs) {
                         return Ok(());
                     }
                     reqs += 1;
                     let entries = vec![(format!("s{}.w", asg.stage), Tensor::full([2], 0.5))];
-                    ctrl.send(&Msg::ParamSnap { entries })?;
+                    reply(&mut ctrl, quirk.mute, &Msg::ParamSnap { entries })?;
                 }
                 Msg::Restore { .. } => {}
                 _ => {
-                    return ctrl.send(&Msg::Stats {
-                        counters: Vec::new(),
-                    })
+                    shutdowns.lock().unwrap().push((launch, net.now_ns()));
+                    return reply(&mut ctrl, quirk.mute, &Msg::Stats { counters: vec![] });
                 }
             }
         }
@@ -2057,9 +2063,10 @@ mod tests {
             die: false,
             stall_ms: 0,
             micro_batches: Vec::new(),
+            snap: SnapReq::None,
         };
-        for (rank, wc) in round.conns.iter_mut().enumerate() {
-            p.send(rank, &mut wc.ctrl, &msg).expect("dispatch");
+        for wc in round.conns.iter_mut() {
+            wc.ctrl.send(&msg).expect("dispatch");
         }
         let window = std::slice::from_mut(&mut p);
         while !window[0].settled() {
@@ -2149,6 +2156,47 @@ mod tests {
             )),
             "{:?}",
             report.log
+        );
+    }
+
+    /// World A's canonical rank (launch 0, slot 0) writes nothing after
+    /// `Ready`, and A's `net_timeout` is 1 s; world B beside it is
+    /// fault-free. No snapshot is read from an idle world, so the mute
+    /// rank is A's loss alone: it is `Stale` at A's first step deadline,
+    /// A respawns and finishes, and B retires long before that deadline.
+    #[test]
+    fn a_canonical_rank_mute_from_ready_is_lost_to_its_own_world_only() {
+        let mut a_cfg = cfg_for(33, 2, 2);
+        a_cfg.net_timeout = Duration::from_secs(1);
+        let net = SimNet::new(SimConfig::clean(68));
+        let _coord = net.register(0);
+        let mute = Quirk {
+            mute: true,
+            ..Quirk::default()
+        };
+        let spawner = ScriptedSpawner::new(&net, 0, 0, mute);
+        let jobs = vec![
+            TenantJob::new(1, a_cfg, batches_for(20, 3, 2)),
+            TenantJob::new(2, cfg_for(34, 2, 1), batches_for(21, 3, 2)),
+        ];
+        let report = run_multiworld(&spawner, jobs).expect("a mute rank is a world-local loss");
+        let (a, b) = (&report.worlds[0], &report.worlds[1]);
+        assert_eq!((a.recoveries, a.losses.len()), (1, 3), "{:?}", a.log);
+        let down = "rank 0 down (stage 0, lane 0): no step verdict: peer missed its step deadline";
+        let lost = a.recovery.timeline.iter().find(|e| e.detail.contains(down));
+        assert_eq!(lost.map(|e| e.step), Some(0), "{:?}", a.log);
+        assert!(
+            net.now_ns() > 1_000_000_000,
+            "A's rank evicted before its deadline"
+        );
+        assert_eq!((b.recoveries, b.losses.len()), (0, 3), "{:?}", b.log);
+        // Launch 1 is B's only round: its ranks read `Shutdown` as B retires.
+        let shutdowns = spawner.shutdowns.lock().unwrap();
+        let b_retired: Vec<u64> = shutdowns.iter().filter(|s| s.0 == 1).map(|s| s.1).collect();
+        assert_eq!(b_retired.len(), 2, "{shutdowns:?}");
+        assert!(
+            b_retired.iter().all(|&ns| ns < 1_000_000_000),
+            "{b_retired:?}"
         );
     }
 
@@ -2309,9 +2357,9 @@ mod tests {
     fn rank_dying_under_the_final_fetch_is_recovered() {
         let mut cfg = cfg_for(19, 2, 2);
         cfg.checkpoint_every = 2;
-        // Requests: 0 = the initial snapshot, 1 = the periodic one riding
-        // step 1 (kept at cursor 2), 2 = the final one riding step 2.
-        for (req, what, cursor) in [(1, "snapshot fetch", 0), (2, "final fetch", 2)] {
+        // Requests: 0 = the periodic one riding step 1 (kept at cursor 2),
+        // 1 = the final one riding step 2.
+        for (req, what, cursor) in [(0, "snapshot fetch", 0), (1, "final fetch", 2)] {
             let net = SimNet::new(SimConfig::clean(95));
             let _coord = net.register(0);
             let quirk = Quirk {
@@ -2345,78 +2393,6 @@ mod tests {
             assert_eq!(report.final_params.len(), 2);
             assert_eq!(report.recovery.checkpoints, 2, "{what}");
         }
-    }
-
-    /// A 2-stage × 2-lane round whose ranks are scripted peers on loopback
-    /// TCP. Each canonical peer answers its `ParamReq` only once *both*
-    /// have received theirs, so a fetch that waited for stage 0's reply
-    /// before asking stage 1 fails here.
-    #[test]
-    fn fetch_params_asks_every_stage_first_and_reports_the_frames_bytes() {
-        use crate::transport::{Listener, Tcp};
-        use crate::wire::encode_frame;
-        use std::sync::Condvar;
-
-        let topo = Topology {
-            stages: 2,
-            lanes: 2,
-        };
-        let snaps: Vec<Vec<(String, Tensor)>> = vec![
-            vec![
-                ("s0.w".into(), Tensor::full([3, 5], 0.5)),
-                ("s0.bias".into(), Tensor::full([5], -1.0)),
-            ],
-            vec![("s1.head.weight".into(), Tensor::full([2, 2, 2], 2.0))],
-        ];
-        let timeout = Duration::from_secs(5);
-        let listener = Tcp::LOOPBACK.bind().unwrap();
-        let asked = (Mutex::new(0usize), Condvar::new());
-        std::thread::scope(|scope| {
-            let mut conns = Vec::new();
-            for rank in 0..topo.world() {
-                let mut peer = Tcp::LOOPBACK.connect(listener.port(), timeout).unwrap();
-                conns.push(WorkerConn {
-                    ctrl: listener.accept(timeout, timeout).unwrap(),
-                    data_port: 0,
-                });
-                if topo.lane_of(rank) != 0 {
-                    continue; // never asked: its socket just closes
-                }
-                let entries = snaps[topo.stage_of(rank)].clone();
-                let (asked, changed) = &asked;
-                scope.spawn(move || {
-                    let req = peer.recv().unwrap();
-                    let want = Msg::ParamReq {
-                        trainable_only: true,
-                    };
-                    assert_eq!(req, want);
-                    let mut n = asked.lock().unwrap();
-                    *n += 1;
-                    changed.notify_all();
-                    let (n, _) = changed
-                        .wait_timeout_while(n, timeout / 2, |n| *n < topo.stages)
-                        .unwrap();
-                    assert_eq!(*n, topo.stages, "asked one stage at a time");
-                    drop(n);
-                    peer.send(&Msg::ParamSnap { entries }).unwrap();
-                });
-            }
-            let mut round = Round {
-                conns,
-                world: None,
-                topo,
-            };
-            let (stages, bytes) = round.fetch_params().expect("fetch");
-            let frames: usize = snaps
-                .iter()
-                .map(|entries| {
-                    let entries = entries.clone();
-                    encode_frame(&Msg::ParamSnap { entries }).len()
-                })
-                .sum();
-            assert_eq!(bytes, frames);
-            assert_eq!(stages, snaps, "stage order");
-        });
     }
 
     /// Decrements the live-worker count when its thread exits, however it

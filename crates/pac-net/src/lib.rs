@@ -40,22 +40,22 @@
 //!   multiplexes N concurrent tenant worlds (a solo job is N = 1) over
 //!   [`transport::PollTransport`] readiness wakeups, admitting and
 //!   retiring jobs on the shared rendezvous listener. A rank's liveness is
-//!   its step traffic: the snapshot request travels with each step's
-//!   frames and its answer drains with the verdicts, and a rank that still
-//!   owes a step a frame at the step's deadline surfaces as typed
-//!   [`wire::NetError::Stale`] without stalling sibling worlds. All
-//!   per-world state is scoped by [`rendezvous::WorldId`]: lockstep
+//!   its step traffic: a snapshot reaches the coordinator only with a step
+//!   (its request is a field of the rank's one `Step` frame, the answer
+//!   drains with the verdicts; the initial snapshot is the seed's), and a
+//!   rank that still owes a step a frame at the step's deadline surfaces
+//!   as typed [`wire::NetError::Stale`] without stalling sibling worlds.
+//!   All per-world state is scoped by [`rendezvous::WorldId`]: lockstep
 //!   stepping, checkpoint snapshots (optionally durable through a
 //!   `pac_store::Store`, with bitwise cold restart), fault injection,
 //!   typed rank-down detection, and restart-based recovery over an
-//!   **elastic membership** — respawn
-//!   in place or drop the dead rank's lane, planned mid-run joins via a
-//!   catch-up snapshot → resume, each membership change relaunching the
-//!   `stages × lanes` world it names — all reported through the shared
-//!   `RecoveryReport`. A world changes shape only by plan or by loss:
-//!   an injected straggler stalls its lane, and device heterogeneity is
-//!   the planner's to absorb. [`config`] holds the job
-//!   configuration and the error type.
+//!   **elastic membership** — respawn in place or drop the dead rank's
+//!   lane, planned mid-run joins via the catch-up snapshot the step before
+//!   the wave carries back → resume, each membership change relaunching
+//!   the `stages × lanes` world it names — all reported through the shared
+//!   `RecoveryReport`. A world changes shape only by plan or by loss: a
+//!   straggler stalls its lane, and device heterogeneity is the planner's
+//!   to absorb. [`config`] holds the job configuration and the error type.
 //! * [`spawn`] — the [`spawn::Spawn`] trait: thread workers (tests),
 //!   forked processes (`repro --distributed=N`), or simulated workers
 //!   ([`simnet::SimSpawner`]).

@@ -252,6 +252,9 @@ pub enum Msg {
         /// This lane's micro-batches — non-empty only for ranks that need
         /// inputs or labels (first and last pipeline stages).
         micro_batches: Vec<MicroBatch>,
+        /// The parameters the rank sends back in a `ParamSnap` right after
+        /// its `Done`, as they are after the step's update.
+        snap: SnapReq,
     },
     /// Stage `s` → stage `s+1`: forward activation for one micro-batch.
     Act {
@@ -287,12 +290,6 @@ pub enum Msg {
         busy_ns: u64,
         /// This stage's op timeline for the step (Gantt rendering).
         events: Vec<SimEvent>,
-    },
-    /// Coordinator → worker: send back current parameters.
-    ParamReq {
-        /// Restrict the snapshot to trainable parameters (checkpoints);
-        /// `false` fetches everything (final canonical params).
-        trainable_only: bool,
     },
     /// Worker → coordinator: parameter snapshot, in `visit_params_ref`
     /// order.
@@ -359,6 +356,18 @@ pub enum Msg {
     },
 }
 
+/// The parameter snapshot a `Step` asks its rank for; the discriminant is
+/// its byte on the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SnapReq {
+    /// No snapshot: the rank answers with its verdict alone.
+    None = 0,
+    /// The trainable parameters (a checkpoint).
+    Trainable = 1,
+    /// Every parameter, frozen ones included (the job's final parameters).
+    All = 2,
+}
+
 impl PartialEq for Msg {
     fn eq(&self, other: &Self) -> bool {
         encode_frame(self) == encode_frame(other)
@@ -385,7 +394,6 @@ impl Msg {
             Msg::Grad { .. } => 9,
             Msg::GradBlock { .. } => TAG_GRAD_BLOCK,
             Msg::Done { .. } => 11,
-            Msg::ParamReq { .. } => 12,
             Msg::ParamSnap { .. } => TAG_PARAM_SNAP,
             Msg::Fault { .. } => 14,
             Msg::Heartbeat { .. } => 15,
@@ -716,10 +724,12 @@ fn encode_payload(e: &mut Enc, msg: &Msg) {
             die,
             stall_ms,
             micro_batches,
+            snap,
         } => {
             e.u64(*step);
             e.u8(*die as u8);
             e.u32(*stall_ms);
+            e.u8(*snap as u8);
             e.u32(micro_batches.len() as u32);
             for (rows, labels) in micro_batches {
                 e.u32(rows.len() as u32);
@@ -780,9 +790,6 @@ fn encode_payload(e: &mut Enc, msg: &Msg) {
             for ev in events {
                 e.event(ev);
             }
-        }
-        Msg::ParamReq { trainable_only } => {
-            e.u8(*trainable_only as u8);
         }
         Msg::Fault {
             observer,
@@ -874,6 +881,12 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Msg, NetError> {
             let step = d.u64()?;
             let die = d.bool()?;
             let stall_ms = d.u32()?;
+            let snap = match d.u8()? {
+                0 => SnapReq::None,
+                1 => SnapReq::Trainable,
+                2 => SnapReq::All,
+                _ => return Err(NetError::Malformed("snapshot request out of range")),
+            };
             let n = d.len(8)?;
             let mut micro_batches = Vec::with_capacity(n);
             for _ in 0..n {
@@ -899,6 +912,7 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Msg, NetError> {
                 die,
                 stall_ms,
                 micro_batches,
+                snap,
             }
         }
         8 => Msg::Act {
@@ -937,9 +951,6 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Msg, NetError> {
                 events,
             }
         }
-        12 => Msg::ParamReq {
-            trainable_only: d.bool()?,
-        },
         TAG_PARAM_SNAP => Msg::ParamSnap {
             entries: d.entries()?,
         },
@@ -1231,9 +1242,6 @@ mod tests {
             },
             Msg::Ready,
             Msg::Shutdown,
-            Msg::ParamReq {
-                trainable_only: true,
-            },
             Msg::Heartbeat { nonce: u64::MAX },
             Msg::HeartbeatAck { nonce: 0 },
             Msg::Fault {
@@ -1338,13 +1346,23 @@ mod tests {
             data: StageData::Hidden(Tensor::from_vec(vec![0.25; 12], vec![2, 2, 3]).unwrap()),
         };
         assert_eq!(roundtrip(&hidden), hidden);
-        let step = Msg::Step {
-            step: 42,
-            die: false,
-            stall_ms: 150,
-            micro_batches: vec![(vec![vec![1, 2], vec![3, 4]], vec![0, 1])],
-        };
-        assert_eq!(roundtrip(&step), step);
+        for snap in [SnapReq::None, SnapReq::Trainable, SnapReq::All] {
+            let step = Msg::Step {
+                step: 42,
+                die: false,
+                stall_ms: 150,
+                micro_batches: vec![(vec![vec![1, 2], vec![3, 4]], vec![0, 1])],
+                snap,
+            };
+            assert_eq!(roundtrip(&step), step);
+            // The request byte follows step, die and stall; past `All` it
+            // is a typed error.
+            let mut frame = encode_frame(&step);
+            frame[HEADER_LEN + 13] = 3;
+            reseal(&mut frame);
+            let got = decode_frame(&frame);
+            assert!(matches!(got, Err(NetError::Malformed(_))), "{got:?}");
+        }
     }
 
     #[test]
@@ -1429,14 +1447,15 @@ mod tests {
 
     #[test]
     fn an_unknown_tag_is_a_typed_bad_type() {
-        // Tag 0 was never used, 19 is the retired int8 Act frame, and
-        // 22.. are past the last message.
+        // Tag 0 was never used, 12 is the retired `ParamReq` (a `Step`
+        // carries its snapshot request), 19 the retired int8 Act frame,
+        // and 22.. are past the last message.
         let t = Tensor::from_vec(vec![0.5, -1.25, 3.0, 0.0], vec![1, 2, 2]).unwrap();
         let valid = encode_frame(&Msg::Act {
             micro: 4,
             data: StageData::Hidden(t),
         });
-        for tag in [0u8, 19].into_iter().chain(22..=255) {
+        for tag in [0u8, 12, 19].into_iter().chain(22..=255) {
             let mut frame = valid.clone();
             frame[5] = tag;
             reseal(&mut frame);

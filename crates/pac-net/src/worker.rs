@@ -5,7 +5,8 @@
 //! shared seed, keeps only its own stage, wires its mesh edges, and then
 //! executes lockstep `Step` commands until told to shut down. Because the
 //! model is rebuilt from the seed, startup ships **no parameters** — only
-//! a checkpoint restore after a replan does.
+//! a checkpoint restore after a replan does — and sends only the
+//! parameters a `Step` asks for, right after its `Done`.
 //!
 //! Every step runs the *same* `run_stage` code as the in-process engines
 //! (via the [`StageLinks`] abstraction), followed by the bitwise-matched
@@ -19,7 +20,7 @@
 use crate::collective::{ring_allreduce_mean, RingCtx};
 use crate::rendezvous::{build_mesh, Mesh, Topology};
 use crate::transport::{Conn, Listener, Tcp, Transport};
-use crate::wire::{Assignment, Msg, NetError};
+use crate::wire::{Assignment, Msg, NetError, SnapReq};
 use pac_model::{EncoderModel, ModelConfig, StageData, StageModel};
 use pac_nn::optim::{Optimizer, Sgd};
 use pac_nn::Module;
@@ -69,13 +70,12 @@ pub struct Buggify {
     /// parameters and silently trains a diverged replica. The elastic
     /// sweep's bitwise check must catch this.
     pub skip_catch_up_restore: bool,
-    /// Write nothing on the control socket from the first `Step` on — a
-    /// rank whose control plane has gone silent while its data plane still
-    /// computes and joins the ring (admission's initial snapshot request,
-    /// which comes before any step, is still answered). The coordinator
-    /// must evict it with typed [`NetError::Stale`] at the step deadline
-    /// instead of hanging on its verdict. Planted on one worker of one
-    /// launch (`SimSpawner::with_buggify_at`), it is a transient flake the
+    /// Write nothing on the control socket after `Ready` — a rank whose
+    /// control plane has gone silent while its data plane still computes
+    /// and joins the ring. The coordinator must evict it with typed
+    /// [`NetError::Stale`] at the step deadline instead of hanging on its
+    /// verdict. Planted on one worker of one launch
+    /// (`SimSpawner::with_buggify_at`), it is a transient flake the
     /// respawned world does not repeat.
     pub mute_control: bool,
 }
@@ -333,9 +333,9 @@ fn run_step<C: Conn>(
     Ok(out)
 }
 
-/// Writes `msg` on the control socket unless the rank's planted
-/// control-plane silence ([`Buggify::mute_control`]) has begun.
-fn reply<C: Conn>(ctrl: &mut C, mute: bool, msg: &Msg) -> Result<(), NetError> {
+/// Writes `msg` on the control socket unless the rank's control plane is
+/// planted silent ([`Buggify::mute_control`]).
+pub(crate) fn reply<C: Conn>(ctrl: &mut C, mute: bool, msg: &Msg) -> Result<(), NetError> {
     if mute {
         Ok(())
     } else {
@@ -408,9 +408,7 @@ pub fn run_worker_on<T: Transport>(
         buggify: *buggify,
     };
     let rank = state.asg.rank;
-    // Planted control-plane silence (see [`Buggify`]): set from the first
-    // `Step` on.
-    let mut mute = false;
+    let mute = buggify.mute_control;
 
     loop {
         let msg = match ctrl.recv() {
@@ -426,8 +424,8 @@ pub fn run_worker_on<T: Transport>(
                 die,
                 stall_ms,
                 micro_batches,
+                snap,
             } => {
-                mute |= state.buggify.mute_control;
                 if die {
                     // Injected fail-stop: drop dead without a goodbye. In
                     // process mode that is a hard exit; in thread mode,
@@ -446,16 +444,21 @@ pub fn run_worker_on<T: Transport>(
                     std::thread::sleep(Duration::from_millis(stall_ms as u64));
                 }
                 match run_step(&mut state, step, &micro_batches, || transport.now_ns()) {
-                    Ok((loss_sum, events, pre_collective_ns)) => reply(
-                        &mut ctrl,
-                        mute,
-                        &Msg::Done {
+                    Ok((loss_sum, events, pre_collective_ns)) => {
+                        let busy_ns = pre_collective_ns.saturating_sub(t0);
+                        let done = Msg::Done {
                             rank,
                             loss_sum,
-                            busy_ns: pre_collective_ns.saturating_sub(t0),
+                            busy_ns,
                             events,
-                        },
-                    )?,
+                        };
+                        reply(&mut ctrl, mute, &done)?;
+                        if snap != SnapReq::None {
+                            let stage = state.stage.as_ref().expect("stage present");
+                            let entries = param_entries(stage, snap == SnapReq::Trainable);
+                            reply(&mut ctrl, mute, &Msg::ParamSnap { entries })?;
+                        }
+                    }
                     Err(e) => {
                         // A peer died mid-step; tell the coordinator who we
                         // blame (best effort — it may already be tearing the
@@ -476,11 +479,6 @@ pub fn run_worker_on<T: Transport>(
                         return Ok(());
                     }
                 }
-            }
-            Msg::ParamReq { trainable_only } => {
-                let entries =
-                    param_entries(state.stage.as_ref().expect("stage present"), trainable_only);
-                reply(&mut ctrl, mute, &Msg::ParamSnap { entries })?;
             }
             Msg::Restore { entries } => {
                 // Planted membership bug (see [`Buggify`]): a worker that

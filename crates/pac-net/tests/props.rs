@@ -2,7 +2,7 @@
 //! (including NaN payloads, signed zeros, and subnormals) and rejection of
 //! corrupted or truncated frames.
 
-use pac_net::wire::{decode_frame, encode_frame, FrameReader, IoSource, Msg, NetError};
+use pac_net::wire::{decode_frame, encode_frame, FrameReader, IoSource, Msg, NetError, SnapReq};
 use pac_tensor::Tensor;
 use proptest::prelude::*;
 use std::io::Cursor;
@@ -166,7 +166,14 @@ proptest! {
             Msg::Done { rank, loss_sum: f32::from_bits(loss_bits), busy_ns: nonce, events: vec![] },
             Msg::Fault { observer: rank, blamed: rank + 1, detail: format!("rank {rank} vanished") },
         ];
-        for msg in msgs {
+        let steps = [SnapReq::None, SnapReq::Trainable, SnapReq::All].map(|snap| Msg::Step {
+            step: nonce,
+            die: rank % 2 == 1,
+            stall_ms: loss_bits,
+            micro_batches: vec![(vec![vec![rank as usize; 3]], vec![port as usize])],
+            snap,
+        });
+        for msg in msgs.into_iter().chain(steps) {
             let (decoded, _) = decode_frame(&encode_frame(&msg)).expect("decode");
             prop_assert_eq!(decoded, msg);
         }

@@ -4,10 +4,10 @@
 //!
 //! The corpus is captured off the wire: a 2×2 hidden-32 world of the
 //! reference benchmark's shape runs one step over loopback TCP behind a
-//! transport that records every frame any connection sends — setup, `Step`,
-//! `Act`, `Grad`, the ring's gradient blocks, `Done` and `ParamReq`/`ParamSnap`
-//! (a healthy step carries no `Heartbeat`: a rank's liveness is its step
-//! traffic). Each case applies one to four
+//! transport that records every frame any connection sends — setup, `Step`
+//! (carrying its snapshot request), `Act`, `Grad`, the ring's gradient
+//! blocks, `Done` and `ParamSnap` (a healthy step carries no `Heartbeat`: a
+//! rank's liveness is its step traffic). Each case applies one to four
 //! mutations from {flip, truncate, zero a range, duplicate a range, splice
 //! two frames}. Left as they are, the mutated bytes may decode only to a
 //! frame that is an original; resealed with a fresh length and checksum, so
@@ -277,7 +277,6 @@ fn corpus_is_every_kind_of_frame_of_a_real_step() {
                 Msg::Grad { .. } => "Grad",
                 Msg::GradBlock { .. } => "GradBlock",
                 Msg::Done { .. } => "Done",
-                Msg::ParamReq { .. } => "ParamReq",
                 Msg::ParamSnap { .. } => "ParamSnap",
                 Msg::Heartbeat { .. } => "Heartbeat",
                 Msg::HeartbeatAck { .. } => "HeartbeatAck",
@@ -285,7 +284,7 @@ fn corpus_is_every_kind_of_frame_of_a_real_step() {
             }
         })
         .collect();
-    for kind in ["Step", "Act", "Grad", "Done", "ParamReq", "ParamSnap"] {
+    for kind in ["Step", "Act", "Grad", "Done", "ParamSnap"] {
         assert!(kinds.contains(kind), "no {kind} frame in {kinds:?}");
     }
     // Liveness is the step's own traffic: not one probe on a healthy step.
