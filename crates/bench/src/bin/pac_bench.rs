@@ -2,8 +2,13 @@
 //! not take, recorded to a JSON file so the repo carries their history.
 //!
 //! 1. **`matmul_gflops`** — the register-tiled microkernel, `nn`/`nt`/`tn`
-//!    single-threaded at the three backbone shapes of `pac_solo` and the
-//!    per-head attention-score shape.
+//!    and `nn` over a pre-packed panel B, single-threaded at the three
+//!    backbone shapes of `pac_solo`, the per-head attention-score shape and
+//!    the hidden-32 feed-forward shapes. The four kinds of a shape run in
+//!    alternating rounds in one process, and each kind's figure beside its
+//!    GFLOP/s is the median over rounds of its time over `nn`'s in the same
+//!    round: the host moves a lone p50 by up to 40 % between runs, a ratio
+//!    taken within a round far less.
 //! 2. **`elementwise`** — the non-matmul half of a layer: GELU forward and
 //!    fused backward, tanh, `softmax_rows` and one Adam step through their
 //!    product entry points at `[104,1024]` (the `pac_solo` feed-forward
@@ -15,7 +20,7 @@
 //!
 //! Every bench warms up, then runs batches of calls until its budget is
 //! spent; a record carries the p50 and p95 of the per-call time over those
-//! batches.
+//! batches (for `matmul_gflops`, over its rounds).
 //!
 //! Usage: `pac-bench [--quick] --out PATH`. A missing `--out`, `--out`
 //! without a path, or any other argument prints the usage and exits non-zero
@@ -24,6 +29,7 @@
 use pac_model::ModelConfig;
 use pac_nn::{cross_entropy, Activation, Adam, Linear, Module, Optimizer, Sgd};
 use pac_peft::{Technique, Tuner};
+use pac_tensor::ops::{Bias, Panels, Rhs};
 use pac_tensor::{init, ops, reduce, rng::seeded, scratch, Tensor};
 use rand::Rng as _;
 use rayon::pool;
@@ -41,8 +47,33 @@ struct Record {
     throughput: Option<f64>,
 }
 
-/// Times `f` for `budget` after a warm-up that also sizes a batch to at
-/// least 20 µs, so the clock's own cost stays out of sub-microsecond calls.
+/// The calls per batch that make a batch of `f` last at least 20 µs, so the
+/// clock's own cost stays out of sub-microsecond calls (runs `f` as a
+/// warm-up while it sizes).
+fn batch_of(f: &mut dyn FnMut()) -> u64 {
+    let mut batch = 1u64;
+    loop {
+        let t = Instant::now();
+        for _ in 0..batch {
+            f();
+        }
+        if t.elapsed() >= Duration::from_micros(20) {
+            return batch;
+        }
+        batch *= 2;
+    }
+}
+
+/// Per-call ns of one batch of `f`.
+fn time_batch(batch: u64, f: &mut dyn FnMut()) -> u64 {
+    let t = Instant::now();
+    for _ in 0..batch {
+        f();
+    }
+    t.elapsed().as_nanos() as u64 / batch
+}
+
+/// Times `f` for `budget` after a warm-up that also sizes its batch.
 /// `units` is the work of one call, for the throughput column.
 fn bench<R>(
     records: &mut Vec<Record>,
@@ -51,26 +82,65 @@ fn bench<R>(
     units: Option<u64>,
     mut f: impl FnMut() -> R,
 ) {
-    let mut batch = 1u64;
-    loop {
-        let t = Instant::now();
-        for _ in 0..batch {
-            black_box(f());
-        }
-        if t.elapsed() >= Duration::from_micros(20) {
-            break;
-        }
-        batch *= 2;
-    }
+    let mut call = || drop(black_box(f()));
+    let batch = batch_of(&mut call);
     let mut per_call_ns = Vec::new();
     let start = Instant::now();
     while per_call_ns.len() < 5 || start.elapsed() < budget {
-        let t = Instant::now();
-        for _ in 0..batch {
-            black_box(f());
-        }
-        per_call_ns.push(t.elapsed().as_nanos() as u64 / batch);
+        per_call_ns.push(time_batch(batch, &mut call));
     }
+    record(records, name, units, batch, per_call_ns);
+}
+
+/// Times the `kinds` of one shape in alternating rounds for `budget`: a
+/// round times one batch of each kind (sized by the first kind), one after
+/// another. Records each kind and returns, per kind, the median over rounds
+/// of its time over the first kind's in the same round.
+fn bench_alternating(
+    records: &mut Vec<Record>,
+    budget: Duration,
+    units: Option<u64>,
+    kinds: &mut [(String, &mut dyn FnMut())],
+) -> Vec<f64> {
+    let batch = batch_of(&mut *kinds[0].1);
+    for (_, f) in kinds.iter_mut().skip(1) {
+        batch_of(&mut **f);
+    }
+    let mut rounds: Vec<Vec<u64>> = Vec::new();
+    let start = Instant::now();
+    while rounds.len() < 5 || start.elapsed() < budget {
+        rounds.push(
+            kinds
+                .iter_mut()
+                .map(|(_, f)| time_batch(batch, &mut **f))
+                .collect(),
+        );
+    }
+    let ratios = (0..kinds.len())
+        .map(|i| {
+            let mut r: Vec<f64> = rounds
+                .iter()
+                .map(|t| t[i] as f64 / t[0].max(1) as f64)
+                .collect();
+            r.sort_by(f64::total_cmp);
+            r[r.len() / 2]
+        })
+        .collect();
+    for (i, (name, _)) in kinds.iter().enumerate() {
+        let per_call_ns = rounds.iter().map(|t| t[i]).collect();
+        record(records, name.clone(), units, batch, per_call_ns);
+    }
+    ratios
+}
+
+/// Prints and keeps one bench's record from its per-call times.
+fn record(
+    records: &mut Vec<Record>,
+    name: String,
+    units: Option<u64>,
+    batch: u64,
+    mut per_call_ns: Vec<u64>,
+) {
     per_call_ns.sort_unstable();
     let n = per_call_ns.len();
     let (p50_ns, p95_ns) = (per_call_ns[n / 2], per_call_ns[(n * 95 / 100).min(n - 1)]);
@@ -138,7 +208,8 @@ fn main() -> ExitCode {
     // (QKV/O projection, feed-forward up and down at 104 tokens), its
     // per-head attention scores and the hidden-32 feed-forward of
     // `dist_world` and `multi_world` at 64 and 128 token rows, capped to the
-    // calling thread so the figure is the kernel's and not the pool's.
+    // calling thread so the figure is the kernel's and not the pool's. The
+    // four kinds of a shape alternate round by round (`bench_alternating`).
     const MATMUL_SHAPES: [(usize, usize, usize); 8] = [
         (104, 256, 1024),
         (104, 1024, 256),
@@ -149,24 +220,32 @@ fn main() -> ExitCode {
         (128, 32, 128),
         (128, 128, 32),
     ];
+    const MATMUL_KINDS: [&str; 4] = ["nn", "nt", "tn", "panel"];
     println!("group matmul_gflops:");
     pool::set_max_concurrency(1);
-    let mut out = Tensor::zeros([0]);
+    let mut matmul_ratios = Vec::new();
     for (m, k, n) in MATMUL_SHAPES {
         let a = init::randn(&mut rng, [m, k], 1.0);
         let b = init::randn(&mut rng, [k, n], 1.0);
-        let (at, bt) = (a.transpose_2d(), b.transpose_2d());
+        let (at, bt, panels) = (a.transpose_2d(), b.transpose_2d(), Panels::pack(&b));
+        let mut outs: [Tensor; 4] = std::array::from_fn(|_| Tensor::zeros([0]));
+        let [o_nn, o_nt, o_tn, o_panel] = &mut outs;
+        let mut nn = || ops::matmul_into(black_box(&a), black_box(&b), o_nn).expect("nn");
+        let mut nt = || ops::matmul_nt_into(black_box(&a), black_box(&bt), o_nt).expect("nt");
+        let mut tn = || ops::matmul_tn_into(black_box(&at), black_box(&b), o_tn).expect("tn");
+        let mut panel = || {
+            let rhs = Rhs::Panels(black_box(&panels));
+            ops::linear_into(black_box(&a), rhs, Bias::None, o_panel).expect("panel")
+        };
+        let fns: [&mut dyn FnMut(); 4] = [&mut nn, &mut nt, &mut tn, &mut panel];
+        let mut kinds: Vec<(String, &mut dyn FnMut())> = MATMUL_KINDS
+            .into_iter()
+            .zip(fns)
+            .map(|(kind, f)| (format!("matmul_gflops/{kind}_{m}x{k}x{n}"), f))
+            .collect();
         let flops = Some((2 * m * k * n) as u64);
-        let name = |kind: &str| format!("matmul_gflops/{kind}_{m}x{k}x{n}");
-        bench(&mut records, budget, name("nn"), flops, || {
-            ops::matmul_into(black_box(&a), black_box(&b), &mut out).expect("nn")
-        });
-        bench(&mut records, budget, name("nt"), flops, || {
-            ops::matmul_nt_into(black_box(&a), black_box(&bt), &mut out).expect("nt")
-        });
-        bench(&mut records, budget, name("tn"), flops, || {
-            ops::matmul_tn_into(black_box(&at), black_box(&b), &mut out).expect("tn")
-        });
+        let group = budget * MATMUL_KINDS.len() as u32;
+        matmul_ratios.push(bench_alternating(&mut records, group, flops, &mut kinds));
     }
     pool::set_max_concurrency(usize::MAX);
 
@@ -275,16 +354,20 @@ fn main() -> ExitCode {
         }
     }
 
-    println!("\nmatmul, single-threaded GFLOP/s (p50):");
+    println!("\nmatmul, single-threaded GFLOP/s (p50) and time over nn (median per round):");
     let mut matmul_json = Vec::new();
-    for (m, k, n) in MATMUL_SHAPES {
-        let gflops =
-            |kind: &str| (2 * m * k * n) as f64 / p50(&format!("matmul_gflops/{kind}_{m}x{k}x{n}"));
-        let (nn, nt, tn) = (gflops("nn"), gflops("nt"), gflops("tn"));
-        println!("  [{m},{k}]x[{k},{n}]  nn {nn:>6.1}  nt {nt:>6.1}  tn {tn:>6.1}");
-        matmul_json.push(format!(
-            "\"{m}x{k}x{n}\": {{\"nn\": {nn:.1}, \"nt\": {nt:.1}, \"tn\": {tn:.1}}}"
-        ));
+    for ((m, k, n), ratios) in MATMUL_SHAPES.into_iter().zip(&matmul_ratios) {
+        let mut line = format!("  [{m},{k}]x[{k},{n}]");
+        let mut fields = Vec::new();
+        for (kind, ratio) in MATMUL_KINDS.into_iter().zip(ratios) {
+            let gflops = (2 * m * k * n) as f64 / p50(&format!("matmul_gflops/{kind}_{m}x{k}x{n}"));
+            line += &format!("  {kind} {gflops:>6.1} ×{ratio:.3}");
+            fields.push(format!(
+                "\"{kind}\": {gflops:.1}, \"{kind}_over_nn\": {ratio:.4}"
+            ));
+        }
+        println!("{line}");
+        matmul_json.push(format!("\"{m}x{k}x{n}\": {{{}}}", fields.join(", ")));
     }
 
     let benches: Vec<String> = records

@@ -1,7 +1,8 @@
 //! Fully-connected (dense) layer.
 
 use crate::param::{Module, Param};
-use pac_tensor::{init, ops, reduce, scratch, Result, Tensor};
+use pac_tensor::ops::{self, Bias, Rhs};
+use pac_tensor::{init, reduce, scratch, Result, Tensor, TensorError};
 use rand::Rng;
 
 /// Per-micro-batch context saved by [`Linear::forward`] for the backward
@@ -69,25 +70,54 @@ impl Linear {
         self.out_dim
     }
 
+    /// Freezes the layer and packs its weight once into the panels every
+    /// [`Linear::forward_frozen`] reads in place ([`Param::pack`]). From
+    /// then on the layer only runs frozen forwards: [`Linear::forward`] and
+    /// the backwards return [`TensorError::Packed`]. Parameter names, order
+    /// and counts are unchanged.
+    pub fn pack_frozen(&mut self) {
+        self.w.pack();
+        if let Some(b) = &mut self.b {
+            b.trainable = false;
+        }
+    }
+
+    /// The row-major weight, or [`TensorError::Packed`] for `op` when it
+    /// is held as panels only.
+    fn row_major(&self, op: &'static str) -> Result<&Tensor> {
+        match self.w.panels() {
+            Some(_) => Err(TensorError::Packed { op }),
+            None => Ok(&self.w.value),
+        }
+    }
+
     /// Forward pass. `x` is interpreted as `[rows, in_dim]` via the 2-D view.
     ///
     /// # Errors
-    /// Propagates shape mismatches from the underlying matmul.
+    /// Propagates shape mismatches from the underlying matmul;
+    /// [`TensorError::Packed`] on a packed layer, which keeps no context.
     pub fn forward(&self, x: &Tensor) -> Result<(Tensor, LinearCtx)> {
+        self.row_major("linear.forward")?;
         Ok((self.forward_frozen(x)?, LinearCtx { x: x.clone() }))
     }
 
     /// [`Linear::forward`] without the context: the product alone, holding
-    /// no reference to `x`, so the caller can recycle it.
+    /// no reference to `x`, so the caller can recycle it. A packed weight is
+    /// read as panels, with the row-major weight's bits.
     ///
     /// # Errors
     /// Propagates shape mismatches from the underlying matmul.
     pub fn forward_frozen(&self, x: &Tensor) -> Result<Tensor> {
         let mut y = scratch::take_for(x.as_2d().0 * self.out_dim);
-        match &self.b {
-            Some(b) => ops::addmm_into(x, &self.w.value, &b.value, &mut y)?,
-            None => ops::matmul_into(x, &self.w.value, &mut y)?,
-        }
+        let w = match self.w.panels() {
+            Some(p) => Rhs::Panels(p),
+            None => Rhs::Rows(&self.w.value),
+        };
+        let bias = self
+            .b
+            .as_ref()
+            .map_or(Bias::None, |b| Bias::Row(b.value.data()));
+        ops::linear_into(x, w, bias, &mut y)?;
         Ok(y)
     }
 
@@ -98,7 +128,8 @@ impl Linear {
     /// always produced (a frozen layer still propagates gradients through).
     ///
     /// # Errors
-    /// Propagates shape mismatches from the underlying matmuls.
+    /// Propagates shape mismatches from the underlying matmuls;
+    /// [`TensorError::Packed`] on a packed layer, before any gradient moves.
     pub fn backward(&mut self, ctx: &LinearCtx, dy: &Tensor) -> Result<Tensor> {
         self.backward_params(ctx, dy)?;
         let mut dx = scratch::take_for(dy.as_2d().0 * self.in_dim);
@@ -110,8 +141,10 @@ impl Linear {
     /// gradients only, for a layer whose input needs no gradient.
     ///
     /// # Errors
-    /// Propagates shape mismatches from the underlying matmul.
+    /// Propagates shape mismatches from the underlying matmul;
+    /// [`TensorError::Packed`] on a packed layer.
     pub fn backward_params(&mut self, ctx: &LinearCtx, dy: &Tensor) -> Result<()> {
+        self.row_major("linear.backward")?;
         if self.w.trainable {
             let mut dw = scratch::take_for(self.in_dim * self.out_dim);
             ops::matmul_tn_into(&ctx.x, dy, &mut dw)?;
@@ -236,6 +269,37 @@ mod tests {
             v
         };
         assert_eq!(bits(&params_only), bits(&full));
+    }
+
+    #[test]
+    fn a_packed_layer_runs_frozen_forwards_bitwise_and_nothing_else() {
+        let mut rng = seeded(7);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // One strip, a 32 + 16 + ragged split, and no bias.
+        for (i, o, bias) in [(5, 3, true), (64, 70, true), (40, 33, false)] {
+            let l = Linear::new("l", &mut rng, i, o, bias);
+            let mut packed = l.clone();
+            packed.pack_frozen();
+            let x = init::randn(&mut rng, [9, i], 1.0);
+            assert_eq!(
+                bits(&packed.forward_frozen(&x).unwrap()),
+                bits(&l.forward_frozen(&x).unwrap()),
+                "{i}x{o}"
+            );
+            assert_eq!(packed.num_params(), l.num_params());
+            assert_eq!(packed.num_trainable(), 0);
+            assert_eq!(packed.w.value.numel(), 0, "the row-major copy is gone");
+            assert_eq!(packed.w.grad.numel(), 0, "a packed weight gets no gradient");
+
+            let packed_err = |r: Result<()>| matches!(r, Err(TensorError::Packed { .. }));
+            assert!(packed_err(packed.forward(&x).map(drop)));
+            let (_, ctx) = l.forward(&x).unwrap();
+            let dy = init::randn(&mut rng, [9, o], 1.0);
+            assert!(packed_err(packed.backward(&ctx, &dy).map(drop)));
+            assert!(packed_err(packed.backward_params(&ctx, &dy)));
+            let err = packed.forward(&x).unwrap_err();
+            assert!(err.to_string().contains("linear.forward"), "{err}");
+        }
     }
 
     #[test]

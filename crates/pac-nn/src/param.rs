@@ -1,5 +1,6 @@
 //! Trainable parameters and the module-traversal trait.
 
+use pac_tensor::ops::Panels;
 use pac_tensor::Tensor;
 
 /// A named model parameter: value, accumulated gradient, and (lazily
@@ -15,7 +16,7 @@ pub struct Param {
     pub name: String,
     /// Current value.
     pub value: Tensor,
-    /// Accumulated gradient (same shape as `value`).
+    /// Accumulated gradient (same shape as `value`; empty once packed).
     pub grad: Tensor,
     /// Whether the optimizer updates this parameter.
     pub trainable: bool,
@@ -23,6 +24,8 @@ pub struct Param {
     pub opt_m: Option<Tensor>,
     /// Second-moment buffer (allocated on first Adam step).
     pub opt_v: Option<Tensor>,
+    /// The value packed for frozen forward products ([`Param::pack`]).
+    panels: Option<Panels>,
 }
 
 impl Param {
@@ -36,12 +39,38 @@ impl Param {
             trainable: true,
             opt_m: None,
             opt_v: None,
+            panels: None,
         }
     }
 
-    /// Number of scalar elements.
+    /// Number of scalar elements (a packed value's included).
     pub fn numel(&self) -> usize {
-        self.value.numel()
+        self.panels
+            .as_ref()
+            .map_or(self.value.numel(), Panels::numel)
+    }
+
+    /// Freezes the parameter and moves its value into [`Panels`], the
+    /// layout every forward product reads in place: the row-major `value`
+    /// is dropped (left empty), so one copy of the weight stays resident.
+    /// For a weight that from now on only multiplies from the right in
+    /// frozen forwards; clones share the panels.
+    ///
+    /// The gradient, which such a weight never gets, is dropped (left
+    /// empty) first. The freed gradient and value lie side by side, so the
+    /// next weight's panels fit in the hole they leave: kept, `pac_solo`'s
+    /// peak RSS read 47.5–47.9 MiB against the row-major 45.2; dropped,
+    /// 44.2–44.5 (2 vCPUs, glibc malloc).
+    pub fn pack(&mut self) {
+        self.trainable = false;
+        self.grad = Tensor::zeros([0]);
+        let value = std::mem::replace(&mut self.value, Tensor::zeros([0]));
+        self.panels = Some(Panels::pack(&value));
+    }
+
+    /// The packed value, if [`Param::pack`] has run.
+    pub fn panels(&self) -> Option<&Panels> {
+        self.panels.as_ref()
     }
 
     /// Zeroes the accumulated gradient.

@@ -103,6 +103,20 @@ impl TransformerLayer {
         }
     }
 
+    /// Packs every projection of the layer for frozen forwards
+    /// ([`crate::Linear::pack_frozen`]): [`TransformerLayer::forward_frozen`]
+    /// keeps its bits, and no product of it packs its weight again.
+    pub fn pack_frozen(&mut self) {
+        let cross = self.cross_attn.as_mut().map(|(_, attn)| attn);
+        for attn in std::iter::once(&mut self.self_attn).chain(cross) {
+            for w in [&mut attn.wq, &mut attn.wk, &mut attn.wv, &mut attn.wo] {
+                w.pack_frozen();
+            }
+        }
+        self.ffn.up.pack_frozen();
+        self.ffn.down.pack_frozen();
+    }
+
     /// True when this layer has a cross-attention sub-block.
     pub fn is_decoder(&self) -> bool {
         self.cross_attn.is_some()

@@ -292,9 +292,20 @@ pub struct ParallelCtx {
 impl ParallelTuner {
     /// Freezes `model` entirely and attaches a side network with reduction
     /// factor `k`.
+    ///
+    /// Once the side network has read its structural-pruning init, every
+    /// projection of the backbone's layers is packed for frozen forwards
+    /// ([`pac_nn::Linear::pack_frozen`]): the backbone never gets a
+    /// gradient, so its weights are packed here once instead of by every
+    /// product of every forward, and the packed form replaces the row-major
+    /// one. The backbone's own head, which [`ParallelTuner::forward_full`]
+    /// never runs, stays as it is.
     pub fn new(mut model: EncDecModel, reduction: usize, n_out: usize, rng: &mut impl Rng) -> Self {
         model.freeze_all();
         let side = ParallelAdapters::new(&model.config, reduction, n_out, Some(&model), rng);
+        for layer in model.encoder.layers_mut().chain(&mut model.decoder) {
+            layer.pack_frozen();
+        }
         ParallelTuner { model, side }
     }
 
@@ -554,6 +565,54 @@ mod tests {
             opt.step(&mut t);
         }
         assert!(last < first * 0.8, "first {first} last {last}");
+    }
+
+    #[test]
+    fn a_packed_backbone_keeps_counts_names_and_forward_bits() {
+        let cfg = ModelConfig::micro(2, 1, 16, 2);
+        let model = EncDecModel::new(&cfg, 2, &mut seeded(180));
+        let packed = ParallelTuner::new(model.clone(), 4, 2, &mut seeded(181));
+        // The same tuner with its backbone left row-major.
+        let mut row_major = model;
+        row_major.freeze_all();
+        let unpacked = ParallelTuner {
+            model: row_major,
+            side: packed.side.clone(),
+        };
+        let every_layer_packed = |t: &ParallelTuner| {
+            t.model.encoder.layers().chain(&t.model.decoder).all(|l| {
+                let cross = l.cross_attn.iter().map(|(_, a)| a);
+                std::iter::once(&l.self_attn)
+                    .chain(cross)
+                    .flat_map(|a| [&a.wq, &a.wk, &a.wv, &a.wo])
+                    .chain([&l.ffn.up, &l.ffn.down])
+                    .all(|w| w.w.panels().is_some() && w.w.value.numel() == 0)
+            })
+        };
+        assert!(every_layer_packed(&packed));
+        assert!(!every_layer_packed(&unpacked));
+
+        let total = |t: &ParallelTuner| crate::Tuner::Parallel(t.clone()).total_params();
+        assert_eq!(total(&packed), total(&unpacked));
+        assert_eq!(packed.num_params(), unpacked.num_params());
+        assert_eq!(packed.model.num_params(), unpacked.model.num_params());
+        let names = |t: &ParallelTuner| {
+            let mut v = Vec::new();
+            t.model
+                .visit_params_ref(&mut |p| v.push((p.name.clone(), p.numel())));
+            t.visit_params_ref(&mut |p| v.push((p.name.clone(), p.numel())));
+            v
+        };
+        assert_eq!(names(&packed), names(&unpacked));
+
+        let batch = toks(182, 3);
+        let (a, ctx_a) = packed.forward_full(&batch).unwrap();
+        let (b, ctx_b) = unpacked.forward_full(&batch).unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a), bits(&b));
+        for (x, y) in ctx_a.layer_outputs.iter().zip(&ctx_b.layer_outputs) {
+            assert_eq!(bits(x), bits(y));
+        }
     }
 
     #[test]

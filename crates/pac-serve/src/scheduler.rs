@@ -213,7 +213,8 @@ pub struct ServeReport {
     pub device_ceiling_bytes: u64,
     /// One adapter's serialized size.
     pub adapter_bytes: u64,
-    /// Whether every rank's backbone aliases the prototype's storage.
+    /// Whether every rank's backbone aliases the prototype's storage: its
+    /// token table and its first layer's packed query projection.
     pub backbone_shared: bool,
     /// Serialized backbone parameter bytes (one copy).
     pub backbone_bytes: u64,
@@ -278,8 +279,20 @@ pub struct ServePlatform<S: Store> {
     sessions: BTreeMap<u64, TenantSession>,
     events: Vec<ServeEvent>,
     budget: CacheBudget,
-    backbone_ptr: usize,
+    backbone: Option<[usize; 2]>,
     tick: u64,
+}
+
+/// The buffers the ranks must share: the backbone's token table and its
+/// first layer's packed query projection (`None` when it is not packed).
+fn backbone_buffers(tuner: &ParallelTuner) -> Option<[usize; 2]> {
+    let model = &tuner.model;
+    let layer = model.encoder.layers().chain(&model.decoder).next()?;
+    let panels = layer.self_attn.wq.w.panels()?;
+    Some([
+        model.embedding().0.table.value.data().as_ptr() as usize,
+        panels.storage_ptr() as usize,
+    ])
 }
 
 impl<S: Store> ServePlatform<S> {
@@ -319,7 +332,7 @@ impl<S: Store> ServePlatform<S> {
         let adapter_bytes = baseline.size_bytes() as u64 + 2 * cost.trainable_bytes_total() as u64;
         let clamp = cfg.cached_adapters_per_rank as u64 * adapter_bytes;
         let budget = CacheBudget::plan(&cfg.device, &cost, cfg.rows, Some(clamp));
-        let backbone_ptr = proto.model.embedding().0.table.value.data().as_ptr() as usize;
+        let backbone = backbone_buffers(&proto);
         let ranks = (0..cfg.ranks.max(1))
             .map(|_| RankExecutor {
                 tuner: proto.clone(),
@@ -336,7 +349,7 @@ impl<S: Store> ServePlatform<S> {
             sessions: BTreeMap::new(),
             events: Vec::new(),
             budget,
-            backbone_ptr,
+            backbone,
             tick: 0,
         })
     }
@@ -699,9 +712,11 @@ impl<S: Store> ServePlatform<S> {
         }
 
         let elapsed_secs = started.elapsed().as_secs_f64();
-        let backbone_shared = self.ranks.iter().all(|r| {
-            r.tuner.model.embedding().0.table.value.data().as_ptr() as usize == self.backbone_ptr
-        });
+        let backbone_shared = self.backbone.is_some()
+            && self
+                .ranks
+                .iter()
+                .all(|r| backbone_buffers(&r.tuner) == self.backbone);
         let backbone_bytes = self.ranks[0].tuner.model.num_params() as u64 * 4;
         let final_losses = self
             .sessions

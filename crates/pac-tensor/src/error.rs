@@ -54,6 +54,12 @@ pub enum TensorError {
         /// The bound that was violated.
         bound: usize,
     },
+    /// The operation needs a row-major weight, and this one is held only
+    /// as frozen forward panels ([`crate::ops::Panels`]).
+    Packed {
+        /// Name of the operation that failed.
+        op: &'static str,
+    },
 }
 
 impl fmt::Display for TensorError {
@@ -79,6 +85,9 @@ impl fmt::Display for TensorError {
             }
             TensorError::IndexOutOfBounds { index, bound } => {
                 write!(f, "index {index} out of bounds (bound {bound})")
+            }
+            TensorError::Packed { op } => {
+                write!(f, "{op}: the weight is packed for frozen forwards only")
             }
         }
     }
@@ -121,6 +130,11 @@ mod tests {
 
         let e = TensorError::IndexOutOfBounds { index: 9, bound: 4 };
         assert!(e.to_string().contains("out of bounds"));
+
+        let e = TensorError::Packed {
+            op: "linear.backward",
+        };
+        assert!(e.to_string().contains("linear.backward"));
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!    results are bitwise reproducible across thread counts (see
 //!    [`ops`] for the full contract).
 //! 3. **Throughput** — matmul is register-tiled over [`simd::f32x8`] lanes
-//!    and parallelized over row panels with Rayon, and the transcendental
+//!    and fans out over column strips of C on the worker pool (a frozen B
+//!    can be packed once, as [`ops::Panels`]), and the transcendental
 //!    half of a layer (GELU, tanh, softmax's `exp`, Adam) runs the
 //!    vectorized, libm-free [`elementwise`] kernels, which is sufficient to
 //!    train the micro-scale transformers used in the paper-reproduction

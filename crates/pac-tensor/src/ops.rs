@@ -7,6 +7,10 @@
 //! * [`matmul_nt`]   — `C = A · Bᵀ`      (input gradients: `dX = dY · Wᵀ`)
 //! * [`matmul_tn`]   — `C = Aᵀ · B`      (weight gradients: `dW = Xᵀ · dY`)
 //!
+//! A dense layer's forward runs [`linear_into`], whose B is either a
+//! row-major tensor or a frozen weight packed once as [`Panels`], with the
+//! same bits.
+//!
 //! Each has a zero-allocation `_into` twin ([`matmul_into`],
 //! [`matmul_nt_into`], [`matmul_tn_into`]) writing into a caller-provided
 //! output tensor (typically recycled through [`crate::scratch`]), plus a
@@ -51,7 +55,10 @@
 //! clone, then 16-column ones, then the ragged tail (`crate::simd`). Each
 //! unit packs its strip of B once into its thread's strip buffer and sweeps
 //! every row of C over it, writing only its own columns; a product with a
-//! single strip runs inline. The unit used to be a 48-row panel of C, and
+//! single strip runs inline. A frozen B packed once as [`Panels`] (the
+//! Parallel-Adapters backbone) is not packed per product: each unit reads
+//! its strip where it lies in the panels (see "panel-major B" in
+//! [`crate::simd`]). The unit used to be a 48-row panel of C, and
 //! every panel re-read (and for `nt` re-transposed) all of B: the three
 //! panels of the `pac_solo` feed-forward `[104,256]×[256,1024]` read B three
 //! times at a 4 KiB row stride. On the 2 vCPUs that set the line (2026-10,
@@ -99,8 +106,10 @@
 //! was meant to speed it up.
 
 use crate::error::{Result, TensorError};
+use crate::simd::{Isa, Layout, PANEL};
 use crate::tensor::Tensor;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// The pooled-dispatch line: a product of fewer FLOPs (2·m·n·k) runs inline
 /// on the calling thread, see "The pooled-dispatch line" in the module docs
@@ -242,6 +251,61 @@ pub enum Bias<'a> {
     Row(&'a [f32]),
 }
 
+/// A frozen `[k, n]` right-hand operand packed once into the layout the
+/// tile reads: 32-column panels of `k × 32` floats, left to right, only the
+/// last zero-padded, each starting on a 64-byte line. A product reads every
+/// strip of it in place on the inline and the pooled path alike, so no
+/// product packs it again, and each output element still meets its A row
+/// and B column in the same k order: the bits of the row-major product.
+///
+/// Cloning shares the buffer, as a tensor's clone does.
+#[derive(Debug, Clone)]
+pub struct Panels {
+    data: Arc<Vec<f32>>,
+    /// Index of the first panel's first float.
+    at: usize,
+    k: usize,
+    n: usize,
+}
+
+impl Panels {
+    /// Packs `b`, viewed as `[k, n]` through [`Tensor::as_2d`].
+    pub fn pack(b: &Tensor) -> Panels {
+        let (k, n) = b.as_2d();
+        let (data, at) = crate::simd::pack_panels(b.data(), k, n);
+        Panels {
+            data: Arc::new(data),
+            at,
+            k,
+            n,
+        }
+    }
+
+    /// `[k, n]`: the dimensions of the packed matrix.
+    pub fn dims(&self) -> [usize; 2] {
+        [self.k, self.n]
+    }
+
+    /// Elements of the packed matrix, `k · n` (padding not counted).
+    pub fn numel(&self) -> usize {
+        self.k * self.n
+    }
+
+    /// Opaque identity of the buffer: two clones of one `Panels` share it.
+    pub fn storage_ptr(&self) -> *const f32 {
+        self.data.as_ptr()
+    }
+}
+
+/// The right-hand operand of a forward product `A · B`.
+#[derive(Clone, Copy, Debug)]
+pub enum Rhs<'a> {
+    /// B as a dense row-major tensor.
+    Rows(&'a Tensor),
+    /// B packed once as [`Panels`].
+    Panels(&'a Panels),
+}
+
 /// The one routine behind every product: `form` of `a` and `b` into the
 /// block `at` of `c`, through [`crate::simd`]. Shapes and bounds are the
 /// caller's to check.
@@ -256,12 +320,16 @@ fn tiled(form: Form, a: View<'_>, b: View<'_>, bias: Bias<'_>, c: &mut [f32], at
         a_cols: form == Form::Tn,
         b: b.window(),
         ldb: b.block.stride,
-        b_transposed: form == Form::Nt,
+        b_layout: if form == Form::Nt {
+            Layout::Transposed
+        } else {
+            Layout::Rows
+        },
         bias,
         k,
         n: at.cols,
     };
-    crate::simd::mm_tiled(p, at.rows, &mut c[at.span()], at.stride);
+    crate::simd::mm_tiled(Isa::probed(), p, at.rows, &mut c[at.span()], at.stride);
 }
 
 /// `form` of two strided operands into the block `at` of `c`, every other
@@ -341,7 +409,28 @@ fn dense_into(form: Form, a: &Tensor, b: &Tensor, bias: Bias<'_>, out: &mut Tens
 /// # Errors
 /// Returns [`TensorError::ShapeMismatch`] if the inner dimensions differ.
 pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
-    mm_bias_into("matmul", a, b, None, out)
+    mm_bias_into("matmul", Isa::probed(), a, Rhs::Rows(b), Bias::None, out)
+}
+
+/// A dense layer's forward product, `C[m,n] = A[m,k] · B[k,n]` plus
+/// `bias` in the store, with B row-major or packed as [`Panels`], written
+/// into `out`. Bitwise equal to [`matmul_into`] / [`addmm_into`] on the
+/// row-major B.
+///
+/// # Errors
+/// Returns [`TensorError::ShapeMismatch`] if the inner dimensions differ
+/// or a row bias is not `n` long.
+pub fn linear_into(a: &Tensor, b: Rhs<'_>, bias: Bias<'_>, out: &mut Tensor) -> Result<()> {
+    linear_on(Isa::probed(), a, b, bias, out)
+}
+
+/// [`linear_into`] with `isa` as the widest clone the product may run, so
+/// tests can hold the clones against each other.
+///
+/// # Errors
+/// As [`linear_into`].
+pub fn linear_on(isa: Isa, a: &Tensor, b: Rhs<'_>, bias: Bias<'_>, out: &mut Tensor) -> Result<()> {
+    mm_bias_into("linear", isa, a, b, bias, out)
 }
 
 /// Fused `C[m,n] = A[m,k] · B[k,n] + bias[n]` (bias broadcast over rows),
@@ -353,7 +442,8 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
 /// Returns [`TensorError::ShapeMismatch`] if the inner dimensions differ
 /// or `bias.numel()` is not the column count.
 pub fn addmm_into(a: &Tensor, b: &Tensor, bias: &Tensor, out: &mut Tensor) -> Result<()> {
-    mm_bias_into("addmm", a, b, Some(bias), out)
+    let row = Bias::Row(bias.data());
+    mm_bias_into("addmm", Isa::probed(), a, Rhs::Rows(b), row, out)
 }
 
 /// Fused `C[m,n] = A[m,k] · B[k,n] + bias[n]`.
@@ -369,25 +459,53 @@ pub fn addmm(a: &Tensor, b: &Tensor, bias: &Tensor) -> Result<Tensor> {
 
 fn mm_bias_into(
     op: &'static str,
+    isa: Isa,
     a: &Tensor,
-    b: &Tensor,
-    bias: Option<&Tensor>,
+    b: Rhs<'_>,
+    bias: Bias<'_>,
     out: &mut Tensor,
 ) -> Result<()> {
     let (m, k) = a.as_2d();
-    let (bk, n) = b.as_2d();
-    check_inner(op, a, b, k, bk)?;
-    if let Some(bias) = bias {
-        if bias.numel() != n {
+    let (bk, n) = match b {
+        Rhs::Rows(b) => b.as_2d(),
+        Rhs::Panels(p) => (p.k, p.n),
+    };
+    if k != bk {
+        return Err(TensorError::ShapeMismatch {
+            op,
+            lhs: a.dims().to_vec(),
+            rhs: match b {
+                Rhs::Rows(b) => b.dims().to_vec(),
+                Rhs::Panels(p) => p.dims().to_vec(),
+            },
+        });
+    }
+    if let Bias::Row(row) = bias {
+        if row.len() != n {
             return Err(TensorError::ShapeMismatch {
                 op,
                 lhs: vec![m, n],
-                rhs: bias.dims().to_vec(),
+                rhs: vec![row.len()],
             });
         }
     }
-    let bias = bias.map_or(Bias::None, |bias| Bias::Row(bias.data()));
-    dense_into(Form::Nn, a, b, bias, out);
+    out.reset_to([m, n]);
+    let (b, ldb, b_layout) = match b {
+        Rhs::Rows(b) => (b.data(), n, Layout::Rows),
+        Rhs::Panels(p) => (&p.data[p.at..], PANEL, Layout::Panels),
+    };
+    let p = crate::simd::Product {
+        a: a.data(),
+        lda: k,
+        a_cols: false,
+        b,
+        ldb,
+        b_layout,
+        bias,
+        k,
+        n,
+    };
+    crate::simd::mm_tiled(isa, p, m, out.data_mut(), n);
     Ok(())
 }
 

@@ -44,7 +44,7 @@
 //! * the ragged strip (`n % 16` columns) is copied into a zero-padded
 //!   `k × 16` per-thread strip and runs the portable clone on every CPU:
 //!   multiply-then-add in k order;
-//! * **the 512-bit size line** is `Clones::probed`: on `avx512f` CPUs a
+//! * **the 512-bit size line** is `Clones::of`: on `avx512f` CPUs a
 //!   full 32-column strip runs the 8×32 clone when the whole product
 //!   reaches `WIDE_TILE_FLOPS` = 2^18 FLOPs (`2·m·n·k`). Both sides are
 //!   measured. PR 18 (2026-09, `tuning_ab` in `BENCH_PR18.json`): every
@@ -80,6 +80,24 @@
 //! time, `sweep` with the pack inlined took 8–9 % of `dist_world`'s CPU and
 //! an `nt` product 1.4–1.8× the time of an `nn` one of its shapes; packed in
 //! blocks, `sweep` and the pack take 3.7 % and `nt` 1.05–1.11× `nn`.
+//!
+//! **Panel-major B.** A weight that is frozen and only ever multiplies
+//! from the right — the Parallel-Adapters backbone, which never gets a
+//! gradient — is packed once into [`crate::ops::Panels`]: 32-column panels
+//! of `k × 32` (`PANEL`), left to right, only the last zero-padded, each
+//! starting on a 64-byte line: the pooled path's strip buffers, laid end to
+//! end. `sweep` finds a strip of it in place at `ldb = PANEL` and offset
+//! `(c0 / PANEL)·k·PANEL + c0 % PANEL`, on the inline and the pooled path
+//! alike, the ragged strip too (its zero padding is in the last panel), and
+//! never packs it. A strip starts at a multiple of its width, so a 16-column
+//! strip never crosses a panel, and every tile meets the same A row and B
+//! column in the same k order: the bits of the row-major product. Measured
+//! on a 2-vCPU Xeon (avx512f): re-packing the backbone's strips was 12.5 %
+//! of `pac_solo`'s op CPU (one `copy_from_slice` per pooled product, about
+//! 12 MiB per forward); with the panels packed once, `pac_solo` `op_ms`
+//! read ×0.957 (9 of 10 alternating pairs) and `cpu_ms_per_op` ×0.932, and
+//! the traced PA forward 6.56 → 6.23 ms (`BENCH_PR51.json`). Reading the row-major B in place at its
+//! 4 KiB stride instead, with no pack, cost +6.8 % `op_ms`.
 //!
 //! Every operand has a row stride (`lda`, `ldb`, `ldc`), so a product can
 //! read and write blocks of wider matrices in place: the strip packing, the
@@ -632,20 +650,24 @@ struct Clones {
 }
 
 impl Clones {
-    /// The clones this CPU supports for a product of `flops` (`2·m·n·k`):
-    /// the one place the size line is drawn.
-    fn probed(flops: usize) -> Clones {
-        #[cfg(target_arch = "x86_64")]
-        if avx2_fma() {
-            return Clones {
+    /// The clones of `isa` for a product of `flops` (`2·m·n·k`): the one
+    /// place the size line is drawn. An `Isa` is proof the CPU runs it.
+    fn of(isa: Isa, flops: usize) -> Clones {
+        match isa.0 {
+            #[cfg(target_arch = "x86_64")]
+            Level::Avx512 => Clones {
                 fused: &AVX2,
-                wide: (flops >= WIDE_TILE_FLOPS && avx512()).then_some(&AVX512),
-            };
-        }
-        let _ = flops;
-        Clones {
-            fused: &PORTABLE,
-            wide: None,
+                wide: (flops >= WIDE_TILE_FLOPS).then_some(&AVX512),
+            },
+            #[cfg(target_arch = "x86_64")]
+            Level::Avx2Fma => Clones {
+                fused: &AVX2,
+                wide: None,
+            },
+            Level::Portable => Clones {
+                fused: &PORTABLE,
+                wide: None,
+            },
         }
     }
 }
@@ -662,13 +684,49 @@ pub(crate) struct Product<'a> {
     /// A is walked column-wise: `C = Aᵀ · B`.
     pub(crate) a_cols: bool,
     pub(crate) b: &'a [f32],
-    /// `B[kk, c] = b[kk * ldb + c]`, or `b[c * ldb + kk]` when `b_transposed`.
+    /// `B[kk, c] = b[kk * ldb + c]`, `b[c * ldb + kk]` when B is
+    /// [`Layout::Transposed`], and `b[(c / PANEL)·k·PANEL + kk·PANEL + c % PANEL]`
+    /// when it is [`Layout::Panels`] (`ldb = PANEL`).
     pub(crate) ldb: usize,
-    /// B is stored transposed: `C = A · Bᵀ`.
-    pub(crate) b_transposed: bool,
+    pub(crate) b_layout: Layout,
     pub(crate) bias: Bias<'a>,
     pub(crate) k: usize,
     pub(crate) n: usize,
+}
+
+/// How B is stored.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Layout {
+    /// Row-major `[k, n]`: `C = A · B`.
+    Rows,
+    /// Row-major `[n, k]`: `C = A · Bᵀ`.
+    Transposed,
+    /// `[k, n]` packed once into `k × PANEL` panels (see [`PANEL`]): every
+    /// strip is read in place, never packed.
+    Panels,
+}
+
+/// Columns of one panel of a pre-packed B: the widest strip, so every strip
+/// of a product lies inside one panel. Panels run left to right, `k × PANEL`
+/// floats each, the last zero-padded on the right, the first starting on a
+/// 64-byte line (so, since `k·PANEL` floats is a whole number of lines,
+/// every one does).
+pub(crate) const PANEL: usize = 2 * NR;
+
+/// Packs the row-major `[k, n]` matrix `b` into panels: returns the buffer
+/// and the index of its first panel's first float, which lies on a 64-byte
+/// line.
+pub(crate) fn pack_panels(b: &[f32], k: usize, n: usize) -> (Vec<f32>, usize) {
+    let panels = n.div_ceil(PANEL);
+    let mut data = vec![0.0f32; panels * k * PANEL + 15];
+    let at = data.as_ptr().align_offset(64).min(15);
+    for (kk, row) in b.chunks_exact(n.max(1)).take(k).enumerate() {
+        for (p, src) in row.chunks(PANEL).enumerate() {
+            let dst = at + p * k * PANEL + kk * PANEL;
+            data[dst..dst + src.len()].copy_from_slice(src);
+        }
+    }
+    (data, at)
 }
 
 /// A strip-wide zero bias: what [`Bias::Zero`] adds.
@@ -677,7 +735,7 @@ static ZERO_BIAS: [f32; 2 * NR] = [0.0; 2 * NR];
 /// Fills the `k × nr` `strip` with columns `c0 .. c0 + cols` of B,
 /// zero-padded on the right so the padding multiplies to exact zeros.
 fn pack_strip(p: Product<'_>, c0: usize, cols: usize, nr: usize, strip: &mut [f32]) {
-    if p.b_transposed {
+    if p.b_layout == Layout::Transposed {
         if cols < nr {
             strip.fill(0.0);
         }
@@ -899,11 +957,12 @@ unsafe impl Sync for Out {}
 
 /// One unit of work: columns `u.c0 .. u.c0 + u.cols` of all `m` rows of the
 /// product into `c`, tile row after tile row over the one strip of B (which
-/// stays cache-resident while every row sweeps it). The strip is packed
-/// into `packed` (which only grows) when `pack` asks for it, when B is
-/// stored transposed and for the ragged strip; otherwise the tiles read B
-/// where it lies. Packing moves values, never which ones meet in which
-/// order, so it does not change a bit.
+/// stays cache-resident while every row sweeps it). A panel B holds every
+/// strip, the ragged one with its zero padding, where the tiles read it.
+/// Otherwise the strip is packed into `packed` (which only grows) when
+/// `pack` asks for it, when B is stored transposed and for the ragged
+/// strip, and read where it lies in B when not. Packing moves values, never
+/// which ones meet in which order, so it does not change a bit.
 ///
 /// # Safety
 /// The CPU must have the target features of `u.set`, and `c` must be valid
@@ -915,7 +974,12 @@ unsafe fn sweep(p: Product<'_>, m: usize, u: Unit, c: Out, pack: bool, packed: &
     // The ragged strip runs full-width tiles on padded operands into a
     // padded block of C, of which the live columns are copied out.
     let ragged = cols < set.nr;
-    let (b, ldb) = if pack || p.b_transposed || ragged {
+    let (b, ldb) = if p.b_layout == Layout::Panels {
+        // A strip starts at a multiple of its width, so it lies inside panel
+        // `c0 / PANEL` (clamped, as below: B is empty at k = 0).
+        let at = (c0 / PANEL) * k * PANEL + c0 % PANEL;
+        (&p.b[at.min(p.b.len())..], PANEL)
+    } else if pack || p.b_layout == Layout::Transposed || ragged {
         if packed.len() < k * set.nr + 15 {
             packed.resize(k * set.nr + 15, 0.0);
         }
@@ -982,7 +1046,7 @@ unsafe fn sweep(p: Product<'_>, m: usize, u: Unit, c: Out, pack: bool, packed: &
 unsafe fn sweep_all(clones: Clones, p: Product<'_>, m: usize, c: Out, pack: bool) {
     STRIP.with_borrow_mut(|packed| {
         for u in clones.strips(p.n) {
-            // SAFETY: the caller's contract; `probed` clones only.
+            // SAFETY: the caller's contract.
             unsafe { sweep(p, m, u, c, pack, packed) }
         }
     });
@@ -1006,7 +1070,12 @@ thread_local! {
 /// place. Above it they fan out over the pool, one task per unit, each
 /// packing its strip once and sweeping every row: B is read once per
 /// product, whatever the pool width.
-pub(crate) fn mm_tiled(p: Product<'_>, m: usize, out: &mut [f32], ldc: usize) {
+///
+/// `isa` is the widest clone the product may run (the size line still
+/// decides between the 512- and the 256-bit tile): [`Isa::probed`] for
+/// every product of the layers, another clone where a test holds them
+/// against each other.
+pub(crate) fn mm_tiled(isa: Isa, p: Product<'_>, m: usize, out: &mut [f32], ldc: usize) {
     if m == 0 || p.n == 0 {
         return;
     }
@@ -1017,15 +1086,15 @@ pub(crate) fn mm_tiled(p: Product<'_>, m: usize, out: &mut [f32], ldc: usize) {
         p.n
     );
     let flops = 2 * m * p.n * p.k;
-    let clones = Clones::probed(flops);
+    let clones = Clones::of(isa, flops);
     let c = Out {
         ptr: out.as_mut_ptr(),
         ldc,
     };
-    // SAFETY (both branches): `probed` hands out only clones whose features
-    // it detected; `out` holds columns `0 .. n` of rows `0 .. m` (asserted
-    // above) and stays borrowed, untouched, until the units return; the
-    // units partition the columns, so no two write the same element.
+    // SAFETY (both branches): an `Isa` is proof the CPU runs its clones;
+    // `out` holds columns `0 .. n` of rows `0 .. m` (asserted above) and
+    // stays borrowed, untouched, until the units return; the units
+    // partition the columns, so no two write the same element.
     if flops < PAR_THRESHOLD_FLOPS || clones.strips(p.n).nth(1).is_none() {
         unsafe { sweep_all(clones, p, m, c, false) };
     } else {
@@ -1073,7 +1142,7 @@ mod tests {
             a_cols: false,
             b: b.data(),
             ldb: n,
-            b_transposed: false,
+            b_layout: Layout::Rows,
             bias: Bias::Row(bias.data()),
             k,
             n,
@@ -1088,7 +1157,7 @@ mod tests {
         let nt = Product {
             b: bt.data(),
             ldb: k,
-            b_transposed: true,
+            b_layout: Layout::Transposed,
             bias: Bias::None,
             ..nn
         };
@@ -1160,7 +1229,7 @@ mod tests {
             fused: &PORTABLE,
             wide: None,
         };
-        let dispatched = Clones::probed(usize::MAX);
+        let dispatched = Clones::of(Isa::probed(), usize::MAX);
         let (k, n) = (23, 70);
         for m in [1, 2, 5, 6, 7, 8, 9, 13, 17] {
             // SAFETY: PORTABLE is safe code; `probed` detected the rest.
@@ -1180,7 +1249,7 @@ mod tests {
     fn packed_strips_equal_strips_read_in_place_bitwise() {
         // A pooled product packs every strip, an inline one reads the full
         // strips of an untransposed B where they lie: same bits either way.
-        let clones = Clones::probed(usize::MAX);
+        let clones = Clones::of(Isa::probed(), usize::MAX);
         for (m, k, n) in edge_shapes() {
             // SAFETY: `probed` detected its clones.
             let (packed, in_place) = unsafe {
@@ -1233,7 +1302,7 @@ mod tests {
 
     #[test]
     fn strips_cover_every_column_once_in_order() {
-        let clones = Clones::probed(usize::MAX);
+        let clones = Clones::of(Isa::probed(), usize::MAX);
         for n in [0, 1, 15, 16, 17, 31, 32, 33, 48, 70, 1024] {
             let mut next = 0;
             for u in clones.strips(n) {
